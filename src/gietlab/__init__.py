@@ -26,7 +26,6 @@ from .branches import (
     Affine,
     Branch,
     Chain,
-    Composite,
     PiecewiseLinear,
     SmoothParam,
     Translation,

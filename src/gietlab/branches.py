@@ -2,8 +2,8 @@
 
 Each branch is a strictly increasing continuous bijection between two
 right-open intervals, evaluable on the closure of its domain.  Closed-form
-inverses exist for all primitive kinds; chains fall back to bisection, which
-is unconditionally robust on a strictly monotone function.
+inverses exist for all primitive kinds, and a chain undoes its parts in
+reverse order, so every inverse is exact up to rounding.
 """
 
 from __future__ import annotations
@@ -137,34 +137,6 @@ class SmoothParam(Branch):
 
 
 @dataclass(frozen=True)
-class Composite(Branch):
-    """``outer o core o inner`` with affine outer/inner kept explicit.
-
-    ``inner`` is applied first; its domain is the composite's domain and the
-    outer's range is the composite's range.  Keeping the affine factors
-    separate lets callers inspect how a branch was deformed.
-    """
-
-    outer: Affine
-    core: Branch
-    inner: Affine
-
-    @property
-    def domain(self):
-        return self.inner.domain
-
-    @property
-    def range_(self):
-        return self.outer.range_
-
-    def eval(self, x):
-        return self.outer.eval(self.core.eval(self.inner.eval(x)))
-
-    def inverse(self, y):
-        return self.inner.inverse(self.core.inverse(self.outer.inverse(y)))
-
-
-@dataclass(frozen=True)
 class Window(Branch):
     """An existing branch viewed on a subinterval of its domain."""
 
@@ -183,8 +155,8 @@ class Window(Branch):
 class Chain(Branch):
     """Composition of branches, first element applied first.
 
-    The inverse bisects the forward map: chains arise from induction and can
-    nest arbitrarily, so no closed form is attempted.
+    Induction composes neighbouring branches into chains, and a deformation
+    wraps each branch as ``(inner affine, branch, outer affine)``.
     """
 
     parts: tuple[Branch, ...]
@@ -206,16 +178,9 @@ class Chain(Branch):
         return x
 
     def inverse(self, y):
-        lo, hi = self.domain
-        if self.eval(lo) >= y:
-            return lo
-        while hi - lo > EPS_BRANCH:
-            mid = 0.5 * (lo + hi)
-            if self.eval(mid) <= y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        for part in reversed(self.parts):
+            y = part.inverse(y)
+        return y
 
 
 def restrict(branch: Branch, lo: float, hi: float) -> Branch:

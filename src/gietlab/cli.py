@@ -4,8 +4,8 @@ Subcommands: class, cyclic, path, induct, partition, realize, semiconj,
 render.  Exit codes: 0 success, 1 parse or I/O error, 2 no cyclic datum found
 by ``cyclic``, 3 no cyclic datum available to ``realize``, 4 solver failure.
 All commands are deterministic given identical inputs and options; randomized
-sampling (the ``semiconj --spot-check`` points) uses the explicit seed, which
-the GIETLAB_SEED environment variable overrides.
+sampling (the ``semiconj --spot-check`` points) uses ``--seed``, whose default
+is the GIETLAB_SEED environment variable (0 when unset).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .combinatorics import (
 )
 from .errors import GietlabError, NoCyclicDatum, SolverFailed
 from .exact_iet import ExactIET
-from .giet import Giet, dynamical_partition
+from .giet import Giet, dynamical_partition, giet_from_iet
 from .semiconjugacy import build_semiconjugacy, residual
 from .thurston import GietFamily, build_reference, realize
 
@@ -126,7 +126,6 @@ def cmd_realize(args) -> int:
         "max_iter": min(args.max_iter, MAX_ITER_CAP),
         "eps_fix": args.tol,
         "eps_deg": args.eps_deg,
-        "check_every": args.check_every,
     }
     try:
         result = realize(GietFamily(seed), target, **options)
@@ -189,8 +188,6 @@ def cmd_render(args) -> int:
     elif kind == "giet":
         text = svg.render_giet(doc)
     elif kind == "iet":
-        from .giet import giet_from_iet
-
         text = svg.render_giet(fileio.giet_document(giet_from_iet(fileio.iet_from_document(doc))))
     else:
         raise GietlabError(f"cannot render document kind {kind!r}")
@@ -199,13 +196,20 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _env_seed() -> int:
+    text = os.environ.get("GIETLAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise GietlabError(f"GIETLAB_SEED must be an integer, got {text!r}") from None
+
+
+def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gietlab",
         description="Rauzy combinatorics, exact induction and pullback realization "
         "for generalized interval exchange transformations.",
     )
-    default_seed = int(os.environ.get("GIETLAB_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("class", help="enumerate the Rauzy class of a datum")
@@ -239,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-12, help="fixed-point step tolerance")
     p.add_argument("--eps-deg", type=float, default=1e-9, help="boundary detection threshold")
-    p.add_argument("--check-every", type=int, default=1)
     p.add_argument("-o", "--output", help="write a JSON report here")
     p.set_defaults(func=cmd_realize)
 
@@ -262,9 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser(_env_seed()).parse_args(argv)
         return args.func(args)
     except (GietlabError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,13 +19,33 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import CombinatorialDatum, RauzyPath, parse_datum, rauzy_step
-from .errors import OutOfDomain, TieError
+from .errors import InductionFailed, OutOfDomain, TieError
 
 
 class InductionResult(NamedTuple):
+    """The arrows a map follows, the induced map, and whether a tie cut it short."""
+
     path: RauzyPath
-    map: "ExactIET"
+    map: object
     tie: bool
+
+
+def induce(m, r: int) -> InductionResult:
+    """Iterate ``m.rauzy_step()`` up to ``r`` times, stopping early on a tie.
+
+    Exact IETs and float GIETs share this loop; each supplies its own step.
+    """
+    arrows = []
+    current = m
+    tie = False
+    for _ in range(r):
+        try:
+            current, arrow = current.rauzy_step()
+        except TieError:
+            tie = True
+            break
+        arrows.append(arrow)
+    return InductionResult(RauzyPath(m.datum, tuple(arrows)), current, tie)
 
 
 @dataclass(frozen=True)
@@ -86,12 +106,8 @@ class ExactIET:
 
     def top_intervals(self):
         """Continuity intervals ``(letter, lo, hi)`` left to right."""
-        out = []
-        acc = Fraction(0)
-        for a in self.datum.top:
-            out.append((a, acc, acc + self.length(a)))
-            acc += self.length(a)
-        return out
+        u_t, _ = self.breakpoints()
+        return [(a, u_t[a], u_t[a] + self.length(a)) for a in self.datum.top]
 
     def letter_at(self, x):
         """Letter whose top interval contains ``x``."""
@@ -114,7 +130,8 @@ class ExactIET:
         """Exact image of ``[lo, hi)``, which must sit inside one top interval."""
         a = self.letter_at(lo)
         u_t, u_b = self.breakpoints()
-        assert hi <= u_t[a] + self.length(a), "interval straddles a breakpoint"
+        if hi > u_t[a] + self.length(a):
+            raise InductionFailed(f"interval [{lo}, {hi}) straddles the right end of letter {a}")
         delta = u_b[a] - u_t[a]
         return lo + delta, hi + delta
 
@@ -155,17 +172,7 @@ class ExactIET:
 
     def rauzy_path(self, r: int) -> InductionResult:
         """Iterate induction up to ``r`` steps, stopping early on a tie."""
-        arrows = []
-        current = self
-        tie = False
-        for _ in range(r):
-            try:
-                current, arrow = current.rauzy_step()
-            except TieError:
-                tie = True
-                break
-            arrows.append(arrow)
-        return InductionResult(RauzyPath(self.datum, tuple(arrows)), current, tie)
+        return induce(self, r)
 
     def find_connection(self, n_max: int):
         """Search for a critical orbit collision ``T^n(u^b_beta) = u^t_alpha``.
@@ -197,25 +204,19 @@ def in_cone(lengths, path: RauzyPath) -> bool:
     """Exact test that a length vector lies in the open cone of a path.
 
     Equivalent to checking that the inverse transposed path matrix sends the
-    vector to a strictly positive one; computed by replaying the per-arrow
-    subtraction (winner loses the loser's length) in path order.
+    vector to a strictly positive one: its cone coordinates are all positive.
     """
-    if isinstance(lengths, dict):
-        vec = {a: Fraction(v) for a, v in lengths.items()}
-    else:
-        vec = {a: Fraction(v) for a, v in zip(path.source.alphabet, lengths)}
-    if any(v <= 0 for v in vec.values()):
+    # the empty prefix replays no arrow: its coordinates are the lengths as given
+    if any(v <= 0 for v in cone_coordinates(lengths, path.prefix(0)).values()):
         raise ValueError("lengths must be positive")
-    for arrow in path.arrows:
-        vec[arrow.winner] -= vec[arrow.loser]
-    return all(v > 0 for v in vec.values())
+    return all(v > 0 for v in cone_coordinates(lengths, path).values())
 
 
 def cone_coordinates(lengths, path: RauzyPath) -> dict[str, Fraction]:
     """The vector obtained after replaying the path's subtraction steps.
 
-    These are the lengths of the induced map when the test of ``in_cone``
-    passes.
+    Each arrow's winner loses the loser's length, in path order.  These are
+    the lengths of the induced map when the test of ``in_cone`` passes.
     """
     if isinstance(lengths, dict):
         vec = {a: Fraction(v) for a, v in lengths.items()}

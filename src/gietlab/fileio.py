@@ -8,13 +8,13 @@ the README for the schemas.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .branches import (
     Affine,
     Branch,
     Chain,
-    Composite,
     PiecewiseLinear,
     SmoothParam,
     Translation,
@@ -34,6 +34,15 @@ def _num_in(x):
     return Fraction(x) if isinstance(x, str) else float(x)
 
 
+@contextmanager
+def _reading(kind: str):
+    """Report a key missing from a ``kind`` document as a ``GietlabError``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise GietlabError(f"{kind} document is missing the key {exc.args[0]!r}") from None
+
+
 def iet_document(T: ExactIET) -> dict:
     return {
         "kind": "iet",
@@ -43,10 +52,11 @@ def iet_document(T: ExactIET) -> dict:
 
 
 def iet_from_document(doc: dict) -> ExactIET:
-    datum = parse_datum_text(doc["datum"])
-    lengths = {a: Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**12)
-               for a, v in doc["lengths"].items()}
-    return ExactIET.from_lengths(datum, lengths, normalize=False)
+    with _reading("iet"):
+        datum = parse_datum_text(doc["datum"])
+        lengths = {a: Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**12)
+                   for a, v in doc["lengths"].items()}
+        return ExactIET.from_lengths(datum, lengths, normalize=False)
 
 
 def branch_record(b: Branch) -> dict:
@@ -58,13 +68,6 @@ def branch_record(b: Branch) -> dict:
         return {"kind": "pl", "nodes": [list(p) for p in b.nodes]}
     if isinstance(b, SmoothParam):
         return {"kind": "smooth", "domain": list(b.domain), "range": list(b.range_), "k": b.k}
-    if isinstance(b, Composite):
-        return {
-            "kind": "composite",
-            "outer": branch_record(b.outer),
-            "core": branch_record(b.core),
-            "inner": branch_record(b.inner),
-        }
     if isinstance(b, Window):
         return {
             "kind": "window",
@@ -87,12 +90,8 @@ def branch_from_record(rec: dict) -> Branch:
         return PiecewiseLinear(tuple(tuple(p) for p in rec["nodes"]))
     if kind == "smooth":
         return SmoothParam(tuple(rec["domain"]), tuple(rec["range"]), rec.get("k", 1.0))
-    if kind == "composite":
-        return Composite(
-            outer=branch_from_record(rec["outer"]),
-            core=branch_from_record(rec["core"]),
-            inner=branch_from_record(rec["inner"]),
-        )
+    if kind == "composite":  # written by earlier versions: outer o core o inner
+        return Chain(tuple(branch_from_record(rec[k]) for k in ("inner", "core", "outer")))
     if kind == "window":
         return Window(branch_from_record(rec["base"]), tuple(rec["domain"]), tuple(rec["range"]))
     if kind == "chain":
@@ -112,14 +111,14 @@ def giet_document(g: Giet) -> dict:
 
 
 def giet_from_document(doc: dict) -> Giet:
-    datum = parse_datum_text(doc["datum"])
-    return Giet(
-        datum,
-        float(doc.get("length", 1.0)),
-        {a: float(v) for a, v in doc["top"].items()},
-        {a: float(v) for a, v in doc["bottom"].items()},
-        {a: branch_from_record(rec) for a, rec in doc["branches"].items()},
-    )
+    with _reading("giet"):
+        return Giet(
+            parse_datum_text(doc["datum"]),
+            float(doc.get("length", 1.0)),
+            {a: float(v) for a, v in doc["top"].items()},
+            {a: float(v) for a, v in doc["bottom"].items()},
+            {a: branch_from_record(rec) for a, rec in doc["branches"].items()},
+        )
 
 
 def partition_document(p: DynamicalPartition, total, labels=None) -> dict:

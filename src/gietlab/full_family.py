@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branches import Affine, Composite
+from .branches import Affine, Chain
 from .combinatorics import CombinatorialDatum, reduction
-from .errors import AllZero, DegenerateTau
-from .giet import Giet
+from .errors import AllZero, DatumMismatch, DegenerateTau
+from .giet import Giet, _graph, _hausdorff
 
 
 def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
@@ -38,12 +38,16 @@ class FamilySlopes:
     psi: dict
 
 
-def slopes(f: Giet, tau) -> FamilySlopes:
-    """Slope data of the deformation of ``f`` by ``tau`` (open simplex)."""
-    tau = _tau_dict(f.datum, tau)
+def _positive_tau(datum: CombinatorialDatum, tau) -> dict:
+    tau = _tau_dict(datum, tau)
     if any(v <= 0 for v in tau.values()):
         raise DegenerateTau(f"tau must be strictly positive, got {tau}")
-    return _slopes_closed(f, tau)
+    return tau
+
+
+def slopes(f: Giet, tau) -> FamilySlopes:
+    """Slope data of the deformation of ``f`` by ``tau`` (open simplex)."""
+    return _slopes_closed(f, _positive_tau(f.datum, tau))
 
 
 def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
@@ -57,14 +61,17 @@ def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
 
 
 def _deformed(f: Giet, tau: dict, sl: FamilySlopes, keep) -> tuple[dict, dict, dict]:
-    """Breakpoints and branches of the deformed map, restricted to ``keep``."""
+    """Breakpoints and branches of the deformed map, restricted to ``keep``.
+
+    Top breakpoints come for every letter: a collapsed letter's is the point
+    its top interval shrinks to.
+    """
     datum = f.datum
     top_breaks, bottom_breaks, branches = {}, {}, {}
     acc = 0.0
     for a, lo, hi in f.top_intervals():
-        if a in keep:
-            top_breaks[a] = acc
-            acc += sl.psi[a] * (hi - lo)
+        top_breaks[a] = acc
+        acc += sl.psi[a] * (hi - lo)
     acc = 0.0
     for a in datum.bottom:
         if a in keep:
@@ -76,23 +83,17 @@ def _deformed(f: Giet, tau: dict, sl: FamilySlopes, keep) -> tuple[dict, dict, d
         new_dom = (top_breaks[a], top_breaks[a] + sl.psi[a] * (hi - lo))
         rng = f.branches[a].range_
         new_rng = (bottom_breaks[a], bottom_breaks[a] + tau[a])
-        branches[a] = Composite(
-            outer=Affine(rng, new_rng),
-            core=f.branches[a],
-            inner=Affine(new_dom, (lo, hi)),
-        )
+        branches[a] = Chain((Affine(new_dom, (lo, hi)), f.branches[a], Affine(rng, new_rng)))
     return top_breaks, bottom_breaks, branches
 
 
 def apply(f: Giet, tau) -> Giet:
     """Deform ``f`` so its critical values sit at the tau partial sums.
 
-    Every output branch is a composite ``(outer affine) o (branch of f) o
-    (inner affine)``, so the deformation preserves branch regularity.
+    Every output branch is the chain ``(inner affine, branch of f, outer
+    affine)``, so the deformation preserves branch regularity.
     """
-    tau = _tau_dict(f.datum, tau)
-    if any(v <= 0 for v in tau.values()):
-        raise DegenerateTau(f"tau must be strictly positive, got {tau}")
+    tau = _positive_tau(f.datum, tau)
     sl = _slopes_closed(f, tau)
     top_breaks, bottom_breaks, branches = _deformed(f, tau, sl, set(f.datum.alphabet))
     return Giet(f.datum, 1.0, top_breaks, bottom_breaks, branches)
@@ -132,60 +133,28 @@ def boundary_apply(f: Giet, tau) -> Degeneration:
     sl = _slopes_closed(f, tau)
     top_breaks, bottom_breaks, branches = _deformed(f, tau, sl, keep)
     reduced = reduction(f.datum, keep)
-    regular = Giet(reduced, 1.0, top_breaks, bottom_breaks, branches)
-    psi_image = {}
-    acc = 0.0
-    for a, lo, hi in f.top_intervals():
-        psi_image[a] = acc
-        acc += sl.psi[a] * (hi - lo)
+    regular = Giet(reduced, 1.0, {a: top_breaks[a] for a in keep}, bottom_breaks, branches)
     singular = {}
     for a in zeros:
-        x = psi_image[a]
+        x = top_breaks[a]
         y = sum(tau[c] for c in f.datum.alphabet if f.datum.pi_b(c) <= f.datum.pi_b(a))
         singular[a] = (x, y)
     return Degeneration(f.datum, reduced, regular, singular)
 
 
 def extended_distance(a, b, samples: int = 64) -> float:
-    """Graph distance extended to degenerations: collapsed letters compare as points."""
+    """Graph distance extended to degenerations: collapsed letters compare as points.
 
-    def components(obj):
+    Between two GIETs this is ``giet_distance``.
+    """
+    if a.datum != b.datum:
+        raise DatumMismatch(f"{a.datum} != {b.datum}")
+
+    def component(obj, letter):
         if isinstance(obj, Degeneration):
-            comps = {}
-            for letter in obj.datum.alphabet:
-                if letter in obj.singular:
-                    comps[letter] = [obj.singular[letter]]
-                else:
-                    comps[letter] = _graph(obj.regular, letter, samples)
-            return obj.datum.alphabet, comps
-        return obj.datum.alphabet, {
-            letter: _graph(obj, letter, samples) for letter in obj.datum.alphabet
-        }
+            if letter in obj.singular:
+                return [obj.singular[letter]]
+            obj = obj.regular
+        return _graph(obj, letter, samples)
 
-    alpha_a, comp_a = components(a)
-    alpha_b, comp_b = components(b)
-    assert alpha_a == alpha_b, "objects live over different alphabets"
-    total = 0.0
-    for letter in alpha_a:
-        total += _hausdorff(comp_a[letter], comp_b[letter])
-    return total
-
-
-def _graph(g: Giet, letter: str, samples: int):
-    br = g.branches[letter]
-    lo, hi = br.domain
-    return [
-        (lo + (hi - lo) * i / samples, br.eval(lo + (hi - lo) * i / samples))
-        for i in range(samples + 1)
-    ]
-
-
-def _hausdorff(p, q):
-    def one_sided(src, dst):
-        worst = 0.0
-        for x, y in src:
-            best = min((x - u) ** 2 + (y - v) ** 2 for u, v in dst)
-            worst = max(worst, best)
-        return worst ** 0.5
-
-    return max(one_sided(p, q), one_sided(q, p))
+    return sum(_hausdorff(component(a, x), component(b, x)) for x in a.datum.alphabet)

@@ -21,16 +21,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .branches import Chain, Translation, restrict, EPS_BRANCH
-from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
+from .combinatorics import CombinatorialDatum, path_matrix, rauzy_step as datum_step
 from .errors import DatumMismatch, InductionFailed, OutOfDomain, TieError
+from .exact_iet import InductionResult, induce
 
 EPS_TIE = 1e-10
-
-
-class GietInductionResult(NamedTuple):
-    path: RauzyPath
-    map: "Giet"
-    tie: bool
 
 
 @dataclass(frozen=True)
@@ -47,21 +42,15 @@ class Giet:
     def total(self):
         return self.length
 
+    def _intervals(self, row, breaks):
+        ends = [breaks[a] for a in row[1:]] + [self.length]
+        return [(a, breaks[a], hi) for a, hi in zip(row, ends)]
+
     def top_intervals(self):
-        out = []
-        row = self.datum.top
-        for i, a in enumerate(row):
-            hi = self.top_breaks[row[i + 1]] if i + 1 < len(row) else self.length
-            out.append((a, self.top_breaks[a], hi))
-        return out
+        return self._intervals(self.datum.top, self.top_breaks)
 
     def bottom_intervals(self):
-        out = []
-        row = self.datum.bottom
-        for i, a in enumerate(row):
-            hi = self.bottom_breaks[row[i + 1]] if i + 1 < len(row) else self.length
-            out.append((a, self.bottom_breaks[a], hi))
-        return out
+        return self._intervals(self.datum.bottom, self.bottom_breaks)
 
     def _locate(self, x, row, breaks, snap=EPS_BRANCH):
         if x < -snap or x >= self.length:
@@ -89,20 +78,23 @@ class Giet:
 
     def image_of_interval(self, lo, hi):
         """Image of ``[lo, hi)`` under the branch containing it."""
-        br = self.branches[self.letter_at(lo)]
-        assert hi <= br.domain[1] + EPS_BRANCH, "interval straddles a breakpoint"
+        a = self.letter_at(lo)
+        br = self.branches[a]
+        if hi > br.domain[1] + EPS_BRANCH:
+            raise InductionFailed(f"interval [{lo}, {hi}) straddles the right end of letter {a}")
         return br.eval(lo), br.eval(min(hi, br.domain[1]))
 
-    def rauzy_step(self, eps_tie: float = EPS_TIE):
+    def rauzy_step(self):
         """One induction step: first return to the interval cut at the larger
         of the two rightmost critical data.  Returns ``(induced, arrow)``."""
         alpha_t = self.datum.top[-1]
         alpha_b = self.datum.bottom[-1]
         x_t = self.top_breaks[alpha_t]
         x_b = self.bottom_breaks[alpha_b]
-        if abs(x_t - x_b) <= eps_tie:
+        if abs(x_t - x_b) <= EPS_TIE:
             raise TieError(f"critical data coincide at {x_t}")
         branches = dict(self.branches)
+        top_breaks = dict(self.top_breaks)
         if x_t < x_b:
             arrow = datum_step(self.datum, "t")
             new_length = x_b
@@ -110,7 +102,6 @@ class Giet:
             branches[alpha_b] = Chain(
                 (self.branches[alpha_b], restrict(self.branches[alpha_t], x_b, self.length))
             )
-            top_breaks = dict(self.top_breaks)
             bottom_breaks = {a: branches[a].range_[0] for a in self.datum.alphabet}
         else:
             arrow = datum_step(self.datum, "b")
@@ -121,24 +112,14 @@ class Giet:
             branches[alpha_t] = Chain(
                 (restrict(self.branches[alpha_b], cut, sup_ab), self.branches[alpha_t])
             )
-            top_breaks = dict(self.top_breaks)
             top_breaks[alpha_t] = cut
             bottom_breaks = dict(self.bottom_breaks)
         induced = Giet(arrow.target, new_length, top_breaks, bottom_breaks, branches)
         return induced, arrow
 
-    def rauzy_path(self, r: int, eps_tie: float = EPS_TIE) -> GietInductionResult:
-        arrows = []
-        current = self
-        tie = False
-        for _ in range(r):
-            try:
-                current, arrow = current.rauzy_step(eps_tie)
-            except TieError:
-                tie = True
-                break
-            arrows.append(arrow)
-        return GietInductionResult(RauzyPath(self.datum, tuple(arrows)), current, tie)
+    def rauzy_path(self, r: int) -> InductionResult:
+        """Iterate induction up to ``r`` steps, stopping early on a tie."""
+        return induce(self, r)
 
     def validate(self, eps: float = EPS_BRANCH, samples: int = 16):
         """Check breakpoint order and branch/interval consistency."""
@@ -235,9 +216,7 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
 
     Works for exact IETs (exact endpoints) and float GIETs alike.
     """
-    result = m.rauzy_path(r)
-    if len(result.path) < r:
-        raise InductionFailed(f"tie after {len(result.path)} of {r} steps")
+    result = _induce_fully(m, r)
     q = path_matrix(result.path).row_sums()
     atoms = []
     for letter, lo, hi in result.map.top_intervals():
@@ -248,6 +227,14 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
                 cur = m.image_of_interval(cur[0], cur[1])
     atoms.sort(key=lambda a: a.lo)
     return DynamicalPartition(r, tuple(atoms))
+
+
+def _induce_fully(m, r: int) -> InductionResult:
+    """Induction of ``m`` to depth ``r``; a tie before then is an error."""
+    result = m.rauzy_path(r)
+    if len(result.path) < r:
+        raise InductionFailed(f"tie after {len(result.path)} of {r} steps")
+    return result
 
 
 def partitions_equivalent(p: DynamicalPartition, q: DynamicalPartition) -> bool:
@@ -261,10 +248,7 @@ def verify_matrix_counts(m, r: int) -> bool:
     Entry (alpha, beta) must equal the number of order-``r`` atoms with letter
     ``alpha`` contained in the top interval of ``beta``.
     """
-    result = m.rauzy_path(r)
-    if len(result.path) < r:
-        raise InductionFailed(f"tie after {len(result.path)} of {r} steps")
-    matrix = path_matrix(result.path)
+    matrix = path_matrix(_induce_fully(m, r).path)
     partition = dynamical_partition(m, r)
     exact = isinstance(m.total, Fraction)
     tol = 0 if exact else 1e-9
@@ -291,23 +275,23 @@ def giet_distance(f: Giet, g: Giet, samples: int = 64) -> float:
     """
     if f.datum != g.datum:
         raise DatumMismatch(f"{f.datum} != {g.datum}")
+    return sum(_hausdorff(_graph(f, a, samples), _graph(g, a, samples)) for a in f.datum.alphabet)
 
-    def graph(m, a):
-        lo, hi = m.branches[a].domain
-        pts = []
-        for i in range(samples + 1):
-            x = lo + (hi - lo) * i / samples
-            pts.append((x, m.branches[a].eval(x)))
-        return pts
 
-    def hausdorff(p, q):
-        def one_sided(src, dst):
-            worst = 0.0
-            for x, y in src:
-                best = min((x - u) ** 2 + (y - v) ** 2 for u, v in dst)
-                worst = max(worst, best)
-            return worst ** 0.5
+def _graph(g: Giet, letter: str, samples: int):
+    """``samples + 1`` evenly spaced points on the graph of one branch."""
+    br = g.branches[letter]
+    lo, hi = br.domain
+    xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
+    return [(x, br.eval(x)) for x in xs]
 
-        return max(one_sided(p, q), one_sided(q, p))
 
-    return sum(hausdorff(graph(f, a), graph(g, a)) for a in f.datum.alphabet)
+def _hausdorff(p, q):
+    def one_sided(src, dst):
+        worst = 0.0
+        for x, y in src:
+            best = min((x - u) ** 2 + (y - v) ** 2 for u, v in dst)
+            worst = max(worst, best)
+        return worst ** 0.5
+
+    return max(one_sided(p, q), one_sided(q, p))

@@ -123,22 +123,22 @@ class RefConfig:
 MAX_REFERENCE_POINTS = 200_000
 
 
-def build_reference(path: RauzyPath, max_points: int = MAX_REFERENCE_POINTS) -> RefConfig:
+def build_reference(path: RauzyPath) -> RefConfig:
     """Construct the reference data of a path ending at a cyclic datum.
 
     The model IET is cross-checked: it must reproduce the path's arrows under
     exact induction and its length vector must lie in the path's cone.  The
     total return time N grows exponentially with the path length, so the
-    construction refuses outright when it would exceed ``max_points``.
+    construction refuses outright when it would exceed ``MAX_REFERENCE_POINTS``.
     """
     if not sigma_and_cyclicity(path.target)[1]:
         raise TargetNotCyclic(f"{path.target} is not cyclic")
     matrix = path_matrix(path)
     q = matrix.row_sums()
     N = sum(q.values())
-    if N > max_points:
+    if N > MAX_REFERENCE_POINTS:
         raise InductionMismatch(
-            f"reference configuration needs N={N} points, beyond the cap {max_points}"
+            f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
         )
     lam = {a: Fraction(c, N) for a, c in matrix.col_sums().items()}
     base = ExactIET.from_lengths(path.source, lam, normalize=False)
@@ -238,19 +238,17 @@ def reference_configuration(ref: RefConfig, exact: bool = True) -> Configuration
     return Configuration(ref, pts)
 
 
-def tau_of(ref: RefConfig, config: Configuration, ordering: str = "bottom") -> dict:
+def tau_of(ref: RefConfig, config: Configuration) -> dict:
     """Parameter vector read off a configuration.
 
     The points of the classes ``[alpha, 1]`` are the prescribed critical
     values; their consecutive differences along the bottom row (the marking
     order), with the last gap closing at 1, recover the unique simplex vector.
-    The total is exactly 1 by telescoping.  ``ordering="top"`` differences the
-    same points along the top row instead; it is kept only for comparison and
-    is not order-consistent in general.
+    The total is exactly 1 by telescoping.
     """
     datum = ref.datum
     v1 = {a: config.points[(ref.crit_pos[a] + 1) % ref.N] for a in datum.alphabet}
-    row = datum.bottom if ordering == "bottom" else datum.top
+    row = datum.bottom
     one = Fraction(1) if isinstance(config.points[0], Fraction) else 1.0
     tau = {}
     for a, b in zip(row, row[1:]):
@@ -258,7 +256,7 @@ def tau_of(ref: RefConfig, config: Configuration, ordering: str = "bottom") -> d
     tau[row[-1]] = one - v1[row[-1]]
     # a zero entry is a legitimate boundary vector (coincident marked points);
     # only an inverted gap violates the configuration order
-    if any(v < 0 for v in tau.values()) and ordering == "bottom":
+    if any(v < 0 for v in tau.values()):
         bad = [a for a, v in tau.items() if v < 0]
         raise OrderViolation(f"marking gaps inverted for letters {bad}")
     return tau
@@ -293,10 +291,11 @@ def family_from_iet(T: ExactIET) -> GietFamily:
     return GietFamily(giet_from_iet(T))
 
 
-def _critical_points(m) -> dict:
-    if isinstance(m, Giet):
-        return dict(m.top_breaks)
-    return m.breakpoints()[0]
+def _boundary_faces(ref: RefConfig, tau: dict, eps_deg: float) -> dict:
+    """Letter -> face ``[alpha, 1]`` for each tau entry at or below ``eps_deg``."""
+    return {
+        a: str(ref.shift(ref.classes[ref.crit_pos[a]])) for a, v in tau.items() if v <= eps_deg
+    }
 
 
 def step(
@@ -304,7 +303,6 @@ def step(
     ref: RefConfig,
     config: Configuration,
     eps_deg: float = EPS_DEG,
-    ordering: str = "bottom",
     tau: dict | None = None,
 ) -> Configuration:
     """One pullback: select the family map marked by the configuration, send
@@ -315,13 +313,12 @@ def step(
     the input until the order is restored.
     """
     if tau is None:
-        tau = tau_of(ref, config, ordering)
-    small = [a for a, v in tau.items() if v <= eps_deg]
-    if small:
-        faces = [str(ref.shift(ref.classes[ref.crit_pos[a]])) for a in small]
-        raise NearBoundary(f"tau entries {small} at or below {eps_deg}", faces=faces)
+        tau = tau_of(ref, config)
+    faces = _boundary_faces(ref, tau, eps_deg)
+    if faces:
+        raise NearBoundary(f"tau entries {list(faces)} at or below {eps_deg}", faces=faces.values())
     f = family.at(tau)
-    u_t = _critical_points(f)
+    u_t = {a: lo for a, lo, _ in f.top_intervals()}
     new_points = list(config.points)
     crit_classes = {ref.crit_pos[a]: a for a in ref.datum.alphabet}
     for c in range(ref.N):
@@ -371,59 +368,51 @@ def solve(
     family,
     ref: RefConfig,
     max_iter: int = 500,
-    check_every: int = 1,
     eps_fix: float = EPS_FIX,
     eps_deg: float = EPS_DEG,
-    ordering: str = "bottom",
     start: Configuration | None = None,
-    relax: float | None = None,
 ) -> SolveReport:
     """Iterate the pullback from the reference configuration.
 
     Success means the selected map's induction reproduces the prescribed
-    arrows (checked every ``check_every`` iterations, including before the
-    first step).  A small step alone reports ``fixed_point_tol``; collapsing
-    marking gaps report ``boundary`` with the faces involved.
+    arrows (checked on every iteration, including before the first step).  A
+    small step alone reports ``fixed_point_tol``; collapsing marking gaps
+    report ``boundary`` with the faces involved.
 
-    ``relax`` averages each iterate with the previous one, which has the same
-    fixed points as the bare pullback but suppresses the near-period-2
-    oscillation the bare iteration exhibits; the default 1/2 converges where
-    the undamped loop bounces.
+    Each iterate is the average of the previous one and its pullback.  That
+    has the same fixed points as the bare pullback but suppresses the
+    near-period-2 oscillation the bare iteration exhibits, so it converges
+    where the undamped loop bounces.
     """
     config = start if start is not None else reference_configuration(ref, family.exact)
-    if relax is None:
-        relax = Fraction(1, 2) if family.exact else 0.5
+    half = Fraction(1, 2) if family.exact else 0.5
     deltas: list[tuple[int, float]] = []
     for it in range(max_iter + 1):
         try:
-            tau = tau_of(ref, config, ordering)
+            tau = tau_of(ref, config)
         except OrderViolation:
             return SolveReport("boundary", {}, config, it, deltas)
-        small = [a for a, v in tau.items() if v <= eps_deg]
-        if small:
-            faces = tuple(str(ref.shift(ref.classes[ref.crit_pos[a]])) for a in small)
-            return SolveReport("boundary", tau, config, it, deltas, faces)
-        if it % check_every == 0 and _path_realized(family, ref, tau):
+        faces = _boundary_faces(ref, tau, eps_deg)
+        if faces:
+            return SolveReport("boundary", tau, config, it, deltas, tuple(faces.values()))
+        if _path_realized(family, ref, tau):
             return SolveReport("realized", tau, config, it, deltas)
         if it == max_iter:
             break
-        pulled = step(family, ref, config, eps_deg, ordering, tau=tau)
+        pulled = step(family, ref, config, eps_deg, tau=tau)
         new_config = Configuration(
             ref,
-            tuple(
-                (1 - relax) * old + relax * new
-                for old, new in zip(config.points, pulled.points)
-            ),
+            tuple(half * old + half * new for old, new in zip(config.points, pulled.points)),
         )
         delta = config.delta(new_config)
         deltas.append((it + 1, float(delta)))
         config = new_config
         if delta < eps_fix:
-            tau = tau_of(ref, config, ordering)
+            tau = tau_of(ref, config)
             if _path_realized(family, ref, tau):
                 return SolveReport("realized", tau, config, it + 1, deltas)
             return SolveReport("fixed_point_tol", tau, config, it + 1, deltas)
-    tau = tau_of(ref, config, ordering)
+    tau = tau_of(ref, config)
     return SolveReport("max_iter", tau, config, max_iter, deltas)
 
 

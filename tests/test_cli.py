@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction
 
-from gietlab import fileio
+from gietlab import fileio, svg
 from gietlab.branches import SmoothParam
 from gietlab.cli import main
 from gietlab.combinatorics import parse_datum
 from gietlab.exact_iet import ExactIET
+from gietlab.full_family import apply
 from gietlab.giet import giet_from_branches, giet_from_iet
 
 D2 = parse_datum("A B", "B A")
@@ -160,6 +161,59 @@ def test_render_giet_and_roundtrip(tmp_path):
     g = fileio.load_map(family)
     again = fileio.giet_from_document(json.loads(json.dumps(fileio.giet_document(g))))
     assert again == g
+
+
+def test_composite_records_load_as_chains(tmp_path):
+    # earlier versions wrote each deformed branch as a composite record
+    f = fileio.load_map(write_seed_family(tmp_path))
+    g = apply(f, {"A": 0.4, "B": 0.3, "C": 0.2, "D": 0.1})
+    doc = fileio.giet_document(g)
+    for a, rec in doc["branches"].items():
+        inner, core, outer = rec["parts"]
+        doc["branches"][a] = {"kind": "composite", "outer": outer, "core": core, "inner": inner}
+    path = tmp_path / "composite.json"
+    fileio.dump(doc, str(path))
+    loaded = fileio.load_map(str(path))
+    for a, lo, hi in loaded.top_intervals():
+        rec = doc["branches"][a]
+        inner, core, outer = (fileio.branch_from_record(rec[k]) for k in ("inner", "core", "outer"))
+        for i in range(1, 8):
+            x = lo + (hi - lo) * i / 8
+            y = outer.eval(core.eval(inner.eval(x)))
+            assert loaded.eval(x) == y
+            assert loaded.branches[a].inverse(y) == inner.inverse(core.inverse(outer.inverse(y)))
+    # written back, the branches are chains
+    assert {r["kind"] for r in fileio.giet_document(loaded)["branches"].values()} == {"chain"}
+
+
+def test_missing_document_keys_are_errors(tmp_path, capsys):
+    iet = tmp_path / "iet.json"
+    iet.write_text('{"kind": "iet", "datum": "A B / B A"}')
+    assert main(["induct", str(iet), "-r", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "iet" in err and "'lengths'" in err
+    giet = tmp_path / "giet.json"
+    giet.write_text('{"kind": "giet", "datum": "A B / B A", "top": {"A": 0, "B": 0.5}}')
+    assert main(["partition", str(giet), "-r", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "giet" in err and "'bottom'" in err
+
+
+def test_bad_seed_variable_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("GIETLAB_SEED", "abc")
+    assert main(["class", "A B / B A"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "GIETLAB_SEED" in err
+
+
+def test_partition_labels_are_escaped_in_svg():
+    doc = {"kind": "partition", "order": 1, "total": 1.0, "atoms": [
+        {"left": 0.0, "right": 0.5, "letter": "A", "index": 0, "label": "<A&0>"},
+        {"left": 0.5, "right": 1.0, "letter": "B", "index": 0, "label": "B0"},
+    ]}
+    text = svg.render_partition(doc)
+    assert ">&lt;A&amp;0&gt;</text>" in text
+    assert "<A&0>" not in text
 
 
 def test_iet_document_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix, rauzy_step
-from gietlab.errors import OutOfDomain, TieError
+from gietlab.errors import InductionFailed, OutOfDomain, TieError
 from gietlab.exact_iet import ExactIET, cone_coordinates, in_cone
 
 D2 = parse_datum("A B", "B A")
@@ -47,6 +47,13 @@ def test_eval_inverse_roundtrip():
             x = Fraction(rng.randint(0, 10**6), 10**6 + 1)
             assert T.eval_inverse(T.eval(x)) == x
             assert T.eval(T.eval_inverse(x)) == x
+
+
+def test_image_of_interval_across_a_breakpoint():
+    T = fixture_T2()  # A on [0, 1/3), B on [1/3, 1)
+    assert T.image_of_interval(Fraction(0), Fraction(1, 3)) == (Fraction(2, 3), Fraction(1))
+    with pytest.raises(InductionFailed, match="letter A"):
+        T.image_of_interval(Fraction(1, 6), Fraction(1, 2))
 
 
 def test_rauzy_step_and_tie():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_simplex, random_unit_giet
-from gietlab.branches import Composite, Translation
+from gietlab.branches import Chain, Translation
 from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
 from gietlab.exact_iet import ExactIET
@@ -95,8 +95,8 @@ def test_apply_preserves_branch_structure():
     tau = random_simplex(rng, f.datum.alphabet)
     g = apply(f, tau)
     for a in f.datum.alphabet:
-        assert isinstance(g.branches[a], Composite)
-        assert g.branches[a].core is f.branches[a]
+        assert isinstance(g.branches[a], Chain)
+        assert g.branches[a].parts[1] is f.branches[a]
 
 
 def test_semigroup_law():

@@ -5,7 +5,7 @@ import pytest
 
 from gietlab.branches import Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import RauzyPath, all_admissible_data, parse_datum, path_matrix
-from gietlab.errors import DatumMismatch, TieError
+from gietlab.errors import DatumMismatch, InductionFailed, TieError
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
     dynamical_partition,
@@ -84,6 +84,14 @@ def test_top_case_composed_branch_domain():
     composed = induced.branches[arrow.loser]
     assert isinstance(composed, Chain)
     assert composed.domain == pytest.approx((0.0, 0.3))  # the loser's top interval
+
+
+def test_image_of_interval_across_a_breakpoint():
+    g = giet_from_branches(D2, [0.3, 0.7], [0.7, 0.3], lambda a, d, r: PiecewiseLinear((
+        (d[0], r[0]), ((d[0] + d[1]) / 2, (r[0] + r[1]) / 2), (d[1], r[1]))))
+    assert g.image_of_interval(0.0, 0.3) == pytest.approx((0.3, 1.0))
+    with pytest.raises(InductionFailed, match=r"\[0.1, 0.5\).*letter A"):
+        g.image_of_interval(0.1, 0.5)
 
 
 def test_tie_error():

@@ -30,6 +30,7 @@ from gietlab.thurston import (
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
+D5 = parse_datum("A B C D E", "E D C B A")
 FIG_LABELS = ["A0", "A3", "C1", "B1", "C3", "A1", "B0", "C2", "C0", "D0", "A2"]
 
 
@@ -130,14 +131,6 @@ def test_tau_of_reference_exact_and_float():
     assert exact == lam
     approx = tau_of(ref, reference_configuration(ref, exact=False))
     assert all(abs(approx[a] - float(lam[a])) <= 1e-12 for a in "ABCD")
-
-
-def test_tau_of_top_ordering_is_inconsistent():
-    # differencing the marked points along the top row does not produce a
-    # parameter vector, already at the reference configuration
-    ref = model_ref()
-    tau = tau_of(ref, reference_configuration(ref, exact=True), ordering="top")
-    assert any(v < 0 for v in tau.values())
 
 
 def test_step_fixed_point_exact_worked_example():
@@ -273,6 +266,26 @@ def test_realize_no_cyclic_datum(monkeypatch):
     seed = random_unit_giet(random.Random(23), datum=D4)
     with pytest.raises(NoCyclicDatum):
         realize(GietFamily(seed), prefix)
+
+
+@pytest.mark.parametrize("d, kinds", [
+    (4, "tttbbbtbbbbbbbbtttttbt"),
+    (4, "tbtbtbtbtbbbbt"),
+    (5, "ttbbtbbbbtbttt"),
+    (5, "bbbbtbbtbbbbbbbbttbbtb"),
+])
+def test_realize_certifies_where_bisected_inverses_straddled(d, kinds):
+    # the certificate's partition of these paths needs exact chain inverses:
+    # an atom whose left end lands more than the 1e-12 snap left of its
+    # breakpoint is read in the neighbouring branch and straddles it
+    datum = D4 if d == 4 else D5
+    seed = giet_from_branches(
+        datum, [1 / d] * d, [1 / d] * d,
+        lambda a, dom, rng: SmoothParam(dom, rng, k=1.5 if a == "A" else 0.0),
+    )
+    result = realize(GietFamily(seed), RauzyPath.from_kinds(datum, kinds))
+    assert result.report.status == "realized"
+    assert result.certificate
 
 
 def test_solver_report_deltas_monotone_tail():
