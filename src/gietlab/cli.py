@@ -204,7 +204,8 @@ def _env_seed() -> int:
         raise GietlabError(f"GIETLAB_SEED must be an integer, got {text!r}") from None
 
 
-def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    default_seed = _env_seed()
     parser = argparse.ArgumentParser(
         prog="gietlab",
         description="Rauzy combinatorics, exact induction and pullback realization "
@@ -266,7 +267,7 @@ def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser(_env_seed()).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (GietlabError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

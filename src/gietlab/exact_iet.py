@@ -206,22 +206,30 @@ def in_cone(lengths, path: RauzyPath) -> bool:
     Equivalent to checking that the inverse transposed path matrix sends the
     vector to a strictly positive one: its cone coordinates are all positive.
     """
-    # the empty prefix replays no arrow: its coordinates are the lengths as given
-    if any(v <= 0 for v in cone_coordinates(lengths, path.prefix(0)).values()):
+    vec = _length_vector(lengths, path)
+    if any(v <= 0 for v in vec.values()):
         raise ValueError("lengths must be positive")
-    return all(v > 0 for v in cone_coordinates(lengths, path).values())
+    return all(v > 0 for v in _replay(vec, path).values())
 
 
 def cone_coordinates(lengths, path: RauzyPath) -> dict[str, Fraction]:
     """The vector obtained after replaying the path's subtraction steps.
 
-    Each arrow's winner loses the loser's length, in path order.  These are
-    the lengths of the induced map when the test of ``in_cone`` passes.
+    These are the lengths of the induced map when the test of ``in_cone``
+    passes.
     """
+    return _replay(_length_vector(lengths, path), path)
+
+
+def _length_vector(lengths, path: RauzyPath) -> dict[str, Fraction]:
+    """``lengths`` (a dict, or a sequence in the path's alphabet order) as fractions."""
     if isinstance(lengths, dict):
-        vec = {a: Fraction(v) for a, v in lengths.items()}
-    else:
-        vec = {a: Fraction(v) for a, v in zip(path.source.alphabet, lengths)}
+        return {a: Fraction(v) for a, v in lengths.items()}
+    return {a: Fraction(v) for a, v in zip(path.source.alphabet, lengths)}
+
+
+def _replay(vec: dict[str, Fraction], path: RauzyPath) -> dict[str, Fraction]:
+    """Replay the path on ``vec`` in place: each arrow's winner loses the loser's length."""
     for arrow in path.arrows:
         vec[arrow.winner] -= vec[arrow.loser]
     return vec

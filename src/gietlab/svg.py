@@ -6,17 +6,14 @@ diff-able across runs.
 
 from __future__ import annotations
 
+from html import escape
+
 SCALE = 1000.0
 MARGIN = 40.0
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _escape(text) -> str:
-    """``text`` as XML character data (``xml.sax.saxutils`` imports ``urllib``)."""
-    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg(width: float, height: float, body: list[str]) -> str:
@@ -46,7 +43,7 @@ def render_partition(doc: dict) -> str:
         )
         body.append(
             f'<text x="{_fmt(x + w / 2)}" y="66" font-size="16" text-anchor="middle" '
-            f'font-family="monospace">{_escape(atom["label"])}</text>'
+            f'font-family="monospace">{escape(str(atom["label"]), quote=False)}</text>'
         )
     return _svg(total * SCALE + 2 * MARGIN, height, body)
 
@@ -93,7 +90,7 @@ def render_giet(doc: dict, samples: int = 64) -> str:
         )
         body.append(
             f'<text x="{_fmt(X((lo + hi) / 2))}" y="{_fmt(MARGIN + size + 24)}" '
-            f'font-size="16" text-anchor="middle" font-family="monospace">{_escape(a)}</text>'
+            f'font-size="16" text-anchor="middle" font-family="monospace">{escape(a, quote=False)}</text>'
         )
     return _svg(width, height, body)
 
