@@ -4,13 +4,22 @@ Each branch is a strictly increasing continuous bijection between two
 right-open intervals, evaluable on the closure of its domain.  Closed-form
 inverses exist for all primitive kinds, and a chain undoes its parts in
 reverse order, so every inverse is exact up to rounding.
+
+Two operations build new branches from old ones.  ``rescaled`` moves a
+branch onto new domain and range intervals: a primitive stays one branch of
+its own kind (translations become affine), and only a window or a chain is
+wrapped between two affine maps.  ``restrict`` cuts a branch to a subinterval
+whose image endpoints the caller already knows; a window of a window views
+the same base.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .errors import GietlabError
 
 EPS_BRANCH = 1e-12
 
@@ -29,6 +38,16 @@ class Branch:
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
+
+    def rescaled(self, domain, range_) -> "Branch":
+        """The map ``outer o self o inner`` from ``domain`` onto ``range_``.
+
+        ``inner`` and ``outer`` are the increasing affine maps of ``domain``
+        onto ``self.domain`` and of ``self.range_`` onto ``range_``.  This
+        generic form chains the three; primitives override it with one branch
+        of their own kind.
+        """
+        return Chain((Affine(domain, self.domain), self, Affine(self.range_, range_)))
 
     def validate(self, samples: int = 16, eps: float = EPS_BRANCH) -> None:
         """Spot-check monotonicity, endpoint matching and inverse consistency."""
@@ -56,15 +75,19 @@ class Translation(Branch):
     def inverse(self, y):
         return y - (self.range_[0] - self.domain[0])
 
+    def rescaled(self, domain, range_):
+        return Affine(domain, range_)
+
 
 @dataclass(frozen=True)
 class Affine(Branch):
     domain: tuple[float, float]
     range_: tuple[float, float]
+    slope: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def slope(self) -> float:
-        return (self.range_[1] - self.range_[0]) / (self.domain[1] - self.domain[0])
+    def __post_init__(self):
+        slope = (self.range_[1] - self.range_[0]) / (self.domain[1] - self.domain[0])
+        object.__setattr__(self, "slope", slope)
 
     def eval(self, x):
         return self.range_[0] + self.slope * (x - self.domain[0])
@@ -72,19 +95,32 @@ class Affine(Branch):
     def inverse(self, y):
         return self.domain[0] + (y - self.range_[0]) / self.slope
 
+    def rescaled(self, domain, range_):
+        return Affine(domain, range_)
+
 
 @dataclass(frozen=True)
 class PiecewiseLinear(Branch):
     """Linear interpolation through ``nodes``; first and last node fix domain and range."""
 
     nodes: tuple[tuple[float, float], ...]
+    _xs: list = field(init=False, repr=False, compare=False)
+    _ys: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.nodes) < 2:
+            raise GietlabError(f"a pl branch needs at least two nodes, got {len(self.nodes)}")
         xs = [p[0] for p in self.nodes]
         ys = [p[1] for p in self.nodes]
-        assert len(self.nodes) >= 2
-        assert all(x1 > x0 for x0, x1 in zip(xs, xs[1:])), "node x must increase"
-        assert all(y1 > y0 for y0, y1 in zip(ys, ys[1:])), "node y must increase"
+        for coord, values in (("x", xs), ("y", ys)):
+            for i, (v0, v1) in enumerate(zip(values, values[1:])):
+                if not v1 > v0:
+                    raise GietlabError(
+                        f"pl branch node {coord} must increase: node {i + 1} has {v1} after {v0}"
+                    )
+        # interior nodes only: bisecting them gives the segment index
+        object.__setattr__(self, "_xs", xs[1:-1])
+        object.__setattr__(self, "_ys", ys[1:-1])
 
     @property
     def domain(self):
@@ -94,19 +130,21 @@ class PiecewiseLinear(Branch):
     def range_(self):
         return (self.nodes[0][1], self.nodes[-1][1])
 
-    def _segment(self, value, coord):
-        keys = [p[coord] for p in self.nodes[1:-1]]
-        return bisect_right(keys, value)
-
     def eval(self, x):
-        i = self._segment(x, 0)
+        i = bisect_right(self._xs, x)
         (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def inverse(self, y):
-        i = self._segment(y, 1)
+        i = bisect_right(self._ys, y)
         (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
         return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+
+    def rescaled(self, domain, range_):
+        inner = Affine(self.domain, domain)
+        outer = Affine(self.range_, range_)
+        inside = tuple((inner.eval(x), outer.eval(y)) for x, y in self.nodes[1:-1])
+        return PiecewiseLinear(((domain[0], range_[0]),) + inside + ((domain[1], range_[1]),))
 
 
 @dataclass(frozen=True)
@@ -135,6 +173,9 @@ class SmoothParam(Branch):
         t = s if self.k == 0.0 else math.log1p(s * math.expm1(self.k)) / self.k
         return a + (b - a) * t
 
+    def rescaled(self, domain, range_):
+        return SmoothParam(domain, range_, self.k)
+
 
 @dataclass(frozen=True)
 class Window(Branch):
@@ -155,8 +196,8 @@ class Window(Branch):
 class Chain(Branch):
     """Composition of branches, first element applied first.
 
-    Induction composes neighbouring branches into chains, and a deformation
-    wraps each branch as ``(inner affine, branch, outer affine)``.
+    Induction composes neighbouring branches into chains; a deformation
+    wraps a window or a chain as ``(inner affine, branch, outer affine)``.
     """
 
     parts: tuple[Branch, ...]
@@ -183,11 +224,16 @@ class Chain(Branch):
         return y
 
 
-def restrict(branch: Branch, lo: float, hi: float) -> Branch:
-    """The same map on a subinterval ``[lo, hi)`` of its domain."""
-    c, d = branch.eval(lo), branch.eval(hi)
+def restrict(branch: Branch, lo: float, hi: float, c: float, d: float) -> Branch:
+    """The same map on a subinterval ``[lo, hi)`` of its domain.
+
+    ``[c, d)`` is the image of ``[lo, hi)``, which the caller already knows;
+    it becomes the new range without evaluating the branch again.
+    """
     if isinstance(branch, Translation):
         return Translation((lo, hi), (c, d))
     if isinstance(branch, Affine):
         return Affine((lo, hi), (c, d))
+    if isinstance(branch, Window):
+        branch = branch.base
     return Window(branch, (lo, hi), (c, d))

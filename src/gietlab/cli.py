@@ -118,9 +118,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    with open(args.family_file) as fh:
-        doc = json.load(fh)
-    seed = fileio.giet_from_document(doc)
+    seed = fileio.giet_from_document(fileio.load_document(args.family_file, "'giet' document"))
     target = RauzyPath.from_kinds(seed.datum, _kinds(args.kinds))
     options = {
         "max_iter": min(args.max_iter, MAX_ITER_CAP),
@@ -180,8 +178,7 @@ def cmd_semiconj(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.input) as fh:
-        doc = json.load(fh)
+    doc = fileio.load_document(args.input, "document")
     kind = doc.get("kind")
     if kind == "partition":
         text = svg.render_partition(doc)

@@ -14,8 +14,10 @@ Fraction(2, 3)
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .combinatorics import CombinatorialDatum, RauzyPath, parse_datum, rauzy_step
@@ -30,22 +32,38 @@ class InductionResult(NamedTuple):
     tie: bool
 
 
-def induce(m, r: int) -> InductionResult:
+def induce(m, r: int, kinds: str | None = None) -> InductionResult:
     """Iterate ``m.rauzy_step()`` up to ``r`` times, stopping early on a tie.
 
-    Exact IETs and float GIETs share this loop; each supplies its own step.
+    With ``kinds``, also stop after the first arrow whose kind differs from
+    the prescribed one, so a path check pays only for the matching prefix
+    and the first wrong arrow.  Exact IETs and float GIETs share this loop;
+    each supplies its own step.
     """
     arrows = []
     current = m
     tie = False
-    for _ in range(r):
+    for i in range(r):
         try:
             current, arrow = current.rauzy_step()
         except TieError:
             tie = True
             break
         arrows.append(arrow)
+        if kinds is not None and arrow.kind != kinds[i]:
+            break
     return InductionResult(RauzyPath(m.datum, tuple(arrows)), current, tie)
+
+
+class _Breaks(NamedTuple):
+    """Breakpoints of an ``ExactIET``: ``u^t``, ``u^b``, the interior cuts of
+    each row, and each letter's displacement ``u^b - u^t``."""
+
+    u_t: dict
+    u_b: dict
+    cuts_t: list
+    cuts_b: list
+    shift: dict
 
 
 @dataclass(frozen=True)
@@ -54,6 +72,7 @@ class ExactIET:
 
     ``lengths`` is a tuple aligned with ``datum.alphabet``.  The map acts on
     ``[0, sum(lengths))``; constructors normalize to total 1 unless asked not to.
+    The breakpoints are built once per map, on first use.
     """
 
     datum: CombinatorialDatum
@@ -80,12 +99,28 @@ class ExactIET:
     def length(self, letter: str) -> Fraction:
         return self.lengths[self.datum.alphabet.index(letter)]
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
         return sum(self.lengths)
 
     def lengths_by_letter(self) -> dict[str, Fraction]:
         return dict(zip(self.datum.alphabet, self.lengths))
+
+    @cached_property
+    def _breaks(self) -> "_Breaks":
+        u_t, u_b = {}, {}
+        for row, u in ((self.datum.top, u_t), (self.datum.bottom, u_b)):
+            acc = Fraction(0)
+            for a in row:
+                u[a] = acc
+                acc += self.length(a)
+        return _Breaks(
+            u_t,
+            u_b,
+            [u_t[a] for a in self.datum.top[1:]],
+            [u_b[a] for a in self.datum.bottom[1:]],
+            {a: u_b[a] - u_t[a] for a in self.datum.alphabet},
+        )
 
     def breakpoints(self):
         """Critical points ``u^t`` and critical values ``u^b``, letter-indexed.
@@ -93,60 +128,46 @@ class ExactIET:
         ``u^t`` of a letter is the total length of the letters preceding it in
         the top row; ``u^b`` uses the bottom row.
         """
-        u_t, u_b = {}, {}
-        acc = Fraction(0)
-        for a in self.datum.top:
-            u_t[a] = acc
-            acc += self.length(a)
-        acc = Fraction(0)
-        for a in self.datum.bottom:
-            u_b[a] = acc
-            acc += self.length(a)
-        return u_t, u_b
+        return dict(self._breaks.u_t), dict(self._breaks.u_b)
 
     def top_intervals(self):
         """Continuity intervals ``(letter, lo, hi)`` left to right."""
-        u_t, _ = self.breakpoints()
+        u_t = self._breaks.u_t
         return [(a, u_t[a], u_t[a] + self.length(a)) for a in self.datum.top]
+
+    def _check_domain(self, x):
+        if x < 0 or x >= self.total:
+            raise OutOfDomain(f"{x} outside [0, {self.total})")
 
     def letter_at(self, x):
         """Letter whose top interval contains ``x``."""
-        if x < 0 or x >= self.total:
-            raise OutOfDomain(f"{x} outside [0, {self.total})")
-        acc = Fraction(0)
-        for a in self.datum.top:
-            acc += self.length(a)
-            if x < acc:
-                return a
-        raise OutOfDomain(f"{x} outside [0, {self.total})")
+        self._check_domain(x)
+        return self.datum.top[bisect_right(self._breaks.cuts_t, x)]
 
     def eval(self, x):
         """Image of ``x``: translate by the letter's displacement."""
-        a = self.letter_at(x)
-        u_t, u_b = self.breakpoints()
-        return x + (u_b[a] - u_t[a])
+        return x + self._breaks.shift[self.letter_at(x)]
 
     def image_of_interval(self, lo, hi):
         """Exact image of ``[lo, hi)``, which must sit inside one top interval."""
         a = self.letter_at(lo)
-        u_t, u_b = self.breakpoints()
-        if hi > u_t[a] + self.length(a):
+        if hi > self._breaks.u_t[a] + self.length(a):
             raise InductionFailed(f"interval [{lo}, {hi}) straddles the right end of letter {a}")
-        delta = u_b[a] - u_t[a]
+        delta = self._breaks.shift[a]
         return lo + delta, hi + delta
 
     __call__ = eval
 
     def eval_inverse(self, y):
-        if y < 0 or y >= self.total:
-            raise OutOfDomain(f"{y} outside [0, {self.total})")
-        u_t, u_b = self.breakpoints()
-        acc = Fraction(0)
-        for a in self.datum.bottom:
-            acc += self.length(a)
-            if y < acc:
-                return y - (u_b[a] - u_t[a])
-        raise OutOfDomain(f"{y} outside [0, {self.total})")
+        self._check_domain(y)
+        a = self.datum.bottom[bisect_right(self._breaks.cuts_b, y)]
+        return y - self._breaks.shift[a]
+
+    def eval_inverse_sorted(self, ys):
+        """``[self.eval_inverse(y) for y in ys]``, the batch call the pullback
+        step makes on every family map.  Exact points need no snap rule, so
+        each is located on its own."""
+        return [self.eval_inverse(y) for y in ys]
 
     def rauzy_step(self):
         """One exact induction step: ``(induced map, arrow)``.
@@ -170,9 +191,12 @@ class ExactIET:
         new_lengths[w] = new_lengths[w] - new_lengths[l]
         return ExactIET(arrow.target, tuple(new_lengths)), arrow
 
-    def rauzy_path(self, r: int) -> InductionResult:
-        """Iterate induction up to ``r`` steps, stopping early on a tie."""
-        return induce(self, r)
+    def rauzy_path(self, r: int, kinds: str | None = None) -> InductionResult:
+        """Iterate induction up to ``r`` steps, stopping early on a tie.
+
+        With ``kinds``, also stop after the first arrow whose kind differs.
+        """
+        return induce(self, r, kinds)
 
     def find_connection(self, n_max: int):
         """Search for a critical orbit collision ``T^n(u^b_beta) = u^t_alpha``.

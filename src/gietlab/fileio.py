@@ -43,6 +43,22 @@ def _reading(kind: str):
         raise GietlabError(f"{kind} document is missing the key {exc.args[0]!r}") from None
 
 
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; ``what`` names it in the error otherwise."""
+    if not isinstance(value, dict):
+        raise GietlabError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _exact_length(letter, v) -> Fraction:
+    try:
+        return Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**12)
+    except ZeroDivisionError:
+        raise GietlabError(
+            f"iet document field 'lengths': letter {letter!r} has zero denominator in {v!r}"
+        ) from None
+
+
 def iet_document(T: ExactIET) -> dict:
     return {
         "kind": "iet",
@@ -52,10 +68,11 @@ def iet_document(T: ExactIET) -> dict:
 
 
 def iet_from_document(doc: dict) -> ExactIET:
+    _object(doc, "iet document")
     with _reading("iet"):
         datum = parse_datum_text(doc["datum"])
-        lengths = {a: Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**12)
-                   for a, v in doc["lengths"].items()}
+        lengths = _object(doc["lengths"], "iet document field 'lengths'")
+        lengths = {a: _exact_length(a, v) for a, v in lengths.items()}
         return ExactIET.from_lengths(datum, lengths, normalize=False)
 
 
@@ -111,14 +128,26 @@ def giet_document(g: Giet) -> dict:
 
 
 def giet_from_document(doc: dict) -> Giet:
+    _object(doc, "giet document")
     with _reading("giet"):
+        top, bottom, branches = (
+            _object(doc[key], f"giet document field {key!r}") for key in ("top", "bottom", "branches")
+        )
         return Giet(
             parse_datum_text(doc["datum"]),
             float(doc.get("length", 1.0)),
-            {a: float(v) for a, v in doc["top"].items()},
-            {a: float(v) for a, v in doc["bottom"].items()},
-            {a: branch_from_record(rec) for a, rec in doc["branches"].items()},
+            {a: float(v) for a, v in top.items()},
+            {a: float(v) for a, v in bottom.items()},
+            {a: _branch_of(a, rec) for a, rec in branches.items()},
         )
+
+
+def _branch_of(letter, rec) -> Branch:
+    """The branch record of ``letter`` in a giet document; errors name the letter."""
+    try:
+        return branch_from_record(_object(rec, "the record"))
+    except GietlabError as exc:
+        raise GietlabError(f"giet document branch {letter!r}: {exc}") from None
 
 
 def partition_document(p: DynamicalPartition, total, labels=None) -> dict:
@@ -147,10 +176,16 @@ def degeneration_document(deg) -> dict:
     }
 
 
+def load_document(path: str, what: str) -> dict:
+    """Read a JSON document, which must be an object; ``what`` names the
+    document expected, for the error message."""
+    with open(path) as fh:
+        return _object(json.load(fh), f"the {what} in {path}")
+
+
 def load_map(path: str):
     """Read an IET or GIET document; the ``kind`` field decides which."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_document(path, "'iet' or 'giet' document")
     kind = doc.get("kind")
     if kind == "iet":
         return iet_from_document(doc)

@@ -8,6 +8,12 @@ by ``tau`` (consecutive partial sums along the bottom row).  The image slopes
 on the top ones.  Applying the operator twice collapses: the second parameter
 wins, so each ``f`` spans a full parameter family.
 
+Each deformed branch is the original branch rescaled onto its new top and
+bottom intervals (``Branch.rescaled``): a smooth branch stays smooth, a
+piecewise-linear one keeps its nodes, translations and affine maps become
+affine, and only window or chain branches are wrapped between two affine
+changes of variable.  So deforming a deformed map does not nest branches.
+
 On the closed simplex, letters with ``tau = 0`` collapse to points: the
 result is a degeneration made of a reduced-alphabet GIET plus one singular
 point per removed letter.
@@ -17,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branches import Affine, Chain
 from .combinatorics import CombinatorialDatum, reduction
 from .errors import AllZero, DatumMismatch, DegenerateTau
 from .giet import Giet, _graph, _hausdorff
@@ -81,17 +86,16 @@ def _deformed(f: Giet, tau: dict, sl: FamilySlopes, keep) -> tuple[dict, dict, d
         if a not in keep:
             continue
         new_dom = (top_breaks[a], top_breaks[a] + sl.psi[a] * (hi - lo))
-        rng = f.branches[a].range_
         new_rng = (bottom_breaks[a], bottom_breaks[a] + tau[a])
-        branches[a] = Chain((Affine(new_dom, (lo, hi)), f.branches[a], Affine(rng, new_rng)))
+        branches[a] = f.branches[a].rescaled(new_dom, new_rng)
     return top_breaks, bottom_breaks, branches
 
 
 def apply(f: Giet, tau) -> Giet:
     """Deform ``f`` so its critical values sit at the tau partial sums.
 
-    Every output branch is the chain ``(inner affine, branch of f, outer
-    affine)``, so the deformation preserves branch regularity.
+    Every output branch is the branch of ``f`` rescaled onto its new
+    intervals, so the deformation preserves branch regularity.
     """
     tau = _positive_tau(f.datum, tau)
     sl = _slopes_closed(f, tau)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .branches import Chain, Translation, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, path_matrix, rauzy_step as datum_step
-from .errors import DatumMismatch, InductionFailed, OutOfDomain, TieError
+from .errors import DatumMismatch, InductionFailed, OrderViolation, OutOfDomain, TieError
 from .exact_iet import InductionResult, induce
 
 EPS_TIE = 1e-10
@@ -52,16 +52,13 @@ class Giet:
     def bottom_intervals(self):
         return self._intervals(self.datum.bottom, self.bottom_breaks)
 
-    def _locate(self, x, row, breaks, snap=EPS_BRANCH):
-        if x < -snap or x >= self.length:
+    def _check_domain(self, x):
+        if x < -EPS_BRANCH or x >= self.length:
             raise OutOfDomain(f"{x} outside [0, {self.length})")
-        cuts = [breaks[a] for a in row[1:]]
-        i = bisect_right(cuts, x)
-        # points computed as orbit images may land a few ulp left of the
-        # breakpoint they belong to; snap forward in that case
-        if i < len(cuts) and cuts[i] - x <= snap:
-            i += 1
-        return row[i]
+
+    def _locate(self, x, row, breaks):
+        self._check_domain(x)
+        return row[_row_index([breaks[a] for a in row[1:]], x)]
 
     def letter_at(self, x):
         """Letter whose top interval contains ``x``."""
@@ -75,6 +72,34 @@ class Giet:
     def eval_inverse(self, y):
         a = self._locate(y, self.datum.bottom, self.bottom_breaks)
         return self.branches[a].inverse(y)
+
+    def eval_inverse_sorted(self, ys):
+        """``[self.eval_inverse(y) for y in ys]`` for non-decreasing ``ys``.
+
+        The interval index of the points never decreases, so they fall into
+        runs, one per bottom interval; each run's end is found by bisection
+        and its letter's inverse is mapped over it.
+        """
+        ys = list(ys)
+        if ys != sorted(ys):
+            raise OrderViolation("points to pull back are not in increasing order")
+        if ys:
+            self._check_domain(ys[0])
+            self._check_domain(ys[-1])
+        row = self.datum.bottom
+        cuts = [self.bottom_breaks[a] for a in row[1:]]
+
+        def index(y):
+            return _row_index(cuts, y)
+
+        out = []
+        start = 0
+        while start < len(ys):
+            i = index(ys[start])
+            end = bisect_right(ys, i, lo=start, key=index)
+            out += map(self.branches[row[i]].inverse, ys[start:end])
+            start = end
+        return out
 
     def image_of_interval(self, lo, hi):
         """Image of ``[lo, hi)`` under the branch containing it."""
@@ -95,31 +120,37 @@ class Giet:
             raise TieError(f"critical data coincide at {x_t}")
         branches = dict(self.branches)
         top_breaks = dict(self.top_breaks)
+        br_t, br_b = self.branches[alpha_t], self.branches[alpha_b]
         if x_t < x_b:
+            # the top branch's image of x_b splits it; its two pieces keep
+            # the known endpoints of the old range
             arrow = datum_step(self.datum, "t")
             new_length = x_b
-            branches[alpha_t] = restrict(self.branches[alpha_t], x_t, x_b)
-            branches[alpha_b] = Chain(
-                (self.branches[alpha_b], restrict(self.branches[alpha_t], x_b, self.length))
-            )
+            y = br_t.eval(x_b)
+            c, d = br_t.range_
+            branches[alpha_t] = restrict(br_t, x_t, x_b, c, y)
+            branches[alpha_b] = Chain((br_b, restrict(br_t, x_b, self.length, y, d)))
             bottom_breaks = {a: branches[a].range_[0] for a in self.datum.alphabet}
         else:
+            # the bottom branch's preimage of x_t splits it
             arrow = datum_step(self.datum, "b")
             new_length = x_t
-            cut = self.branches[alpha_b].inverse(x_t)
-            sup_ab = self.branches[alpha_b].domain[1]
-            branches[alpha_b] = restrict(self.branches[alpha_b], self.top_breaks[alpha_b], cut)
-            branches[alpha_t] = Chain(
-                (restrict(self.branches[alpha_b], cut, sup_ab), self.branches[alpha_t])
-            )
+            cut = br_b.inverse(x_t)
+            hi = br_b.domain[1]
+            c, d = br_b.range_
+            branches[alpha_b] = restrict(br_b, self.top_breaks[alpha_b], cut, c, x_t)
+            branches[alpha_t] = Chain((restrict(br_b, cut, hi, x_t, d), br_t))
             top_breaks[alpha_t] = cut
             bottom_breaks = dict(self.bottom_breaks)
         induced = Giet(arrow.target, new_length, top_breaks, bottom_breaks, branches)
         return induced, arrow
 
-    def rauzy_path(self, r: int) -> InductionResult:
-        """Iterate induction up to ``r`` steps, stopping early on a tie."""
-        return induce(self, r)
+    def rauzy_path(self, r: int, kinds: str | None = None) -> InductionResult:
+        """Iterate induction up to ``r`` steps, stopping early on a tie.
+
+        With ``kinds``, also stop after the first arrow whose kind differs.
+        """
+        return induce(self, r, kinds)
 
     def validate(self, eps: float = EPS_BRANCH, samples: int = 16):
         """Check breakpoint order and branch/interval consistency."""
@@ -135,6 +166,16 @@ class Giet:
             assert abs(br.range_[0] - lo) <= eps and abs(br.range_[1] - hi) <= eps
         for a in self.datum.alphabet:
             self.branches[a].validate(samples=samples, eps=max(eps, 1e-9))
+
+
+def _row_index(cuts, x):
+    """Index of the interval containing ``x`` in a row cut at ``cuts``."""
+    i = bisect_right(cuts, x)
+    # points computed as orbit images may land a few ulp left of the
+    # breakpoint they belong to; snap forward in that case
+    if i < len(cuts) and cuts[i] - x <= EPS_BRANCH:
+        i += 1
+    return i
 
 
 def giet_from_iet(T) -> Giet:

@@ -10,7 +10,7 @@ shrinks the error, approximating the limit conjugating map.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PathMismatch
 from .giet import dynamical_partition
@@ -21,6 +21,7 @@ class MonotonePLMap:
     """Piecewise-linear non-decreasing surjection of [0, 1) onto itself."""
 
     nodes: tuple[tuple[float, float], ...]
+    _xs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert self.nodes[0] == (0.0, 0.0) and self.nodes[-1] == (1.0, 1.0)
@@ -28,10 +29,11 @@ class MonotonePLMap:
         ys = [p[1] for p in self.nodes]
         assert all(b > a for a, b in zip(xs, xs[1:])), "node x must strictly increase"
         assert all(b >= a for a, b in zip(ys, ys[1:])), "node y must not decrease"
+        # interior abscissae only: bisecting them gives the segment index
+        object.__setattr__(self, "_xs", xs[1:-1])
 
     def eval(self, x: float) -> float:
-        xs = [p[0] for p in self.nodes[1:-1]]
-        i = bisect_right(xs, x)
+        i = bisect_right(self._xs, x)
         (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 

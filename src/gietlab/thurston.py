@@ -318,14 +318,16 @@ def step(
     if faces:
         raise NearBoundary(f"tau entries {list(faces)} at or below {eps_deg}", faces=faces.values())
     f = family.at(tau)
-    u_t = {a: lo for a, lo, _ in f.top_intervals()}
-    new_points = list(config.points)
-    crit_classes = {ref.crit_pos[a]: a for a in ref.datum.alphabet}
-    for c in range(ref.N):
-        if c in crit_classes:
-            new_points[c] = u_t[crit_classes[c]]
-        else:
-            new_points[c] = f.eval_inverse(config.points[(c + 1) % ref.N])
+    N = ref.N
+    new_points = [None] * N
+    for a, lo, _ in f.top_intervals():
+        new_points[ref.crit_pos[a]] = lo
+    # the points to pull back, left to right: every class except those whose
+    # index predecessor is a critical point, which was just placed
+    order = [c for c in ref.geometric if new_points[(c - 1) % N] is None]
+    preimages = f.eval_inverse_sorted([config.points[c] for c in order])
+    for c, x in zip(order, preimages):
+        new_points[(c - 1) % N] = x
     out = Configuration(ref, tuple(new_points))
     if out.is_valid():
         return out
@@ -360,7 +362,7 @@ class SolveReport:
 
 
 def _path_realized(family, ref: RefConfig, tau: dict) -> bool:
-    result = family.at(tau).rauzy_path(len(ref.path))
+    result = family.at(tau).rauzy_path(len(ref.path), ref.path.kinds)
     return result.path.kinds == ref.path.kinds
 
 

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 from gietlab import fileio, svg
-from gietlab.branches import SmoothParam
+from gietlab.branches import Affine, Chain, SmoothParam
 from gietlab.cli import main
 from gietlab.combinatorics import parse_datum
 from gietlab.exact_iet import ExactIET
@@ -168,9 +168,12 @@ def test_composite_records_load_as_chains(tmp_path):
     f = fileio.load_map(write_seed_family(tmp_path))
     g = apply(f, {"A": 0.4, "B": 0.3, "C": 0.2, "D": 0.1})
     doc = fileio.giet_document(g)
-    for a, rec in doc["branches"].items():
-        inner, core, outer = rec["parts"]
-        doc["branches"][a] = {"kind": "composite", "outer": outer, "core": core, "inner": inner}
+    for a in f.datum.alphabet:
+        core = f.branches[a]
+        new_dom, new_rng = g.branches[a].domain, g.branches[a].range_
+        chain = Chain((Affine(new_dom, core.domain), core, Affine(core.range_, new_rng)))
+        inner, core_rec, outer = (fileio.branch_record(p) for p in chain.parts)
+        doc["branches"][a] = {"kind": "composite", "outer": outer, "core": core_rec, "inner": inner}
     path = tmp_path / "composite.json"
     fileio.dump(doc, str(path))
     loaded = fileio.load_map(str(path))
@@ -197,6 +200,52 @@ def test_missing_document_keys_are_errors(tmp_path, capsys):
     assert main(["partition", str(giet), "-r", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "giet" in err and "'bottom'" in err
+
+
+def run_partition_on(tmp_path, capsys, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    code = main(["partition", str(doc), "-r", "2"])
+    return code, capsys.readouterr().err
+
+
+def test_document_that_is_a_list_is_an_error(tmp_path, capsys):
+    code, err = run_partition_on(tmp_path, capsys, "[1, 2]")
+    assert code == 1
+    assert err.startswith("error:") and "'iet' or 'giet' document" in err and "list" in err
+
+
+def test_iet_lengths_that_are_a_list_are_an_error(tmp_path, capsys):
+    code, err = run_partition_on(
+        tmp_path, capsys, '{"kind": "iet", "datum": "A B / B A", "lengths": [1, 2]}'
+    )
+    assert code == 1
+    assert err.startswith("error:") and "iet document" in err and "'lengths'" in err
+
+
+def test_iet_length_with_zero_denominator_is_an_error(tmp_path, capsys):
+    code, err = run_partition_on(
+        tmp_path, capsys, '{"kind": "iet", "datum": "A B / B A", "lengths": {"A": "1/0", "B": 1}}'
+    )
+    assert code == 1
+    assert err.startswith("error:") and "iet document" in err and "'lengths'" in err
+    assert "'A'" in err
+
+
+def test_pl_branch_with_decreasing_nodes_is_an_error(tmp_path, capsys):
+    doc = {
+        "kind": "giet",
+        "datum": "A B / B A",
+        "top": {"A": 0.0, "B": 0.5},
+        "bottom": {"B": 0.0, "A": 0.5},
+        "branches": {
+            "A": {"kind": "pl", "nodes": [[0.0, 0.5], [0.3, 0.6], [0.2, 0.7], [0.5, 1.0]]},
+            "B": {"kind": "translation", "domain": [0.5, 1.0], "range": [0.0, 0.5]},
+        },
+    }
+    code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
+    assert code == 1
+    assert err.startswith("error:") and "branch 'A'" in err and "must increase" in err
 
 
 def test_bad_seed_variable_is_an_error(monkeypatch, capsys):

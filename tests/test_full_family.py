@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_simplex, random_unit_giet
-from gietlab.branches import Chain, Translation
+from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Translation, Window
 from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
 from gietlab.exact_iet import ExactIET
@@ -89,14 +89,79 @@ def test_apply_on_iet_family_gives_iet():
     assert giet_distance(g, T, samples=64) < 1e-9
 
 
+def regularity(b):
+    """The regularity class a deformation must keep: translations become affine."""
+    if isinstance(b, (Translation, Affine)):
+        return ("affine",)
+    if isinstance(b, SmoothParam):
+        return ("smooth", b.k)
+    if isinstance(b, PiecewiseLinear):
+        return ("pl", len(b.nodes))
+    return (type(b).__name__,)
+
+
+def three_part_chain(b, domain, range_):
+    return Chain((Affine(domain, b.domain), b, Affine(b.range_, range_)))
+
+
 def test_apply_preserves_branch_structure():
     rng = random.Random(12)
-    f = random_unit_giet(rng, d=4)
-    tau = random_simplex(rng, f.datum.alphabet)
-    g = apply(f, tau)
-    for a in f.datum.alphabet:
-        assert isinstance(g.branches[a], Chain)
-        assert g.branches[a].parts[1] is f.branches[a]
+    for _ in range(10):
+        f = random_unit_giet(rng, d=4)
+        tau = random_simplex(rng, f.datum.alphabet)
+        g = apply(f, tau)
+        for a in f.datum.alphabet:
+            new = g.branches[a]
+            assert regularity(new) == regularity(f.branches[a])
+            old = three_part_chain(f.branches[a], new.domain, new.range_)
+            lo, hi = new.domain
+            for i in range(17):
+                x = lo + (hi - lo) * i / 16
+                assert new.eval(x) == pytest.approx(old.eval(x), abs=1e-12)
+
+
+def primitive_and_wrapped_branches():
+    """One branch of every kind on ``[0.2, 0.5) -> [0.1, 0.7)``."""
+    dom, rng = (0.2, 0.5), (0.1, 0.7)
+    smooth = SmoothParam(dom, rng, k=1.3)
+    return [
+        Translation(dom, (0.3, 0.6)),
+        Affine(dom, rng),
+        PiecewiseLinear(((0.2, 0.1), (0.3, 0.15), (0.45, 0.5), (0.5, 0.7))),
+        smooth,
+        SmoothParam(dom, rng, k=0.0),
+        Window(smooth, (0.25, 0.4), (smooth.eval(0.25), smooth.eval(0.4))),
+        Chain((Affine(dom, (0.0, 1.0)), SmoothParam((0.0, 1.0), (0.0, 1.0), -0.8),
+               Affine((0.0, 1.0), rng))),
+        Chain((smooth,)),
+    ]
+
+
+def test_rescaled_matches_the_three_part_chain():
+    new_dom, new_rng = (0.05, 0.3), (0.6, 0.95)
+    for b in primitive_and_wrapped_branches():
+        new = b.rescaled(new_dom, new_rng)
+        old = three_part_chain(b, new_dom, new_rng)
+        assert regularity(new) == regularity(b) or isinstance(b, (Window, Chain))
+        assert new.domain == pytest.approx(new_dom, abs=1e-15)
+        assert new.range_ == pytest.approx(new_rng, abs=1e-15)
+        for i in range(33):
+            x = new_dom[0] + (new_dom[1] - new_dom[0]) * i / 32
+            y = new_rng[0] + (new_rng[1] - new_rng[0]) * i / 32
+            assert new.eval(x) == pytest.approx(old.eval(x), abs=1e-12)
+            assert new.inverse(y) == pytest.approx(old.inverse(y), abs=1e-12)
+
+
+def test_applying_twice_does_not_nest():
+    rng = random.Random(19)
+    for _ in range(10):
+        f = random_unit_giet(rng, d=rng.choice((2, 3, 4)))
+        tau1 = random_simplex(rng, f.datum.alphabet)
+        tau2 = random_simplex(rng, f.datum.alphabet)
+        twice = apply(apply(f, tau1), tau2)
+        for a in f.datum.alphabet:
+            assert not isinstance(twice.branches[a], (Window, Chain))
+            assert regularity(twice.branches[a]) == regularity(f.branches[a])
 
 
 def test_semigroup_law():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gietlab.branches import Chain, PiecewiseLinear, SmoothParam, Translation
+from conftest import random_unit_giet
+from gietlab.branches import EPS_BRANCH, Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import RauzyPath, all_admissible_data, parse_datum, path_matrix
-from gietlab.errors import DatumMismatch, InductionFailed, TieError
+from gietlab.errors import DatumMismatch, InductionFailed, OrderViolation, OutOfDomain, TieError
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
     dynamical_partition,
@@ -333,3 +334,87 @@ def test_float_and_exact_induction_agree_on_random_maps():
         assert approx.path.kinds == exact.path.kinds
         assert approx.map.length == pytest.approx(float(exact.map.total), rel=1e-12)
         checked += 1
+
+
+def batch_points(rng, f):
+    """Random points of ``[0, f.length)`` plus points at, and up to 2.25
+    ``EPS_BRANCH`` left of, each bottom breakpoint, in increasing order."""
+    ys = [f.length * rng.random() for _ in range(200)]
+    for a in f.datum.bottom[1:]:
+        ys += [f.bottom_breaks[a] - EPS_BRANCH * k / 4 for k in range(10)]
+    ys += [0.0, f.length * (1 - 1e-6)]
+    return sorted(y for y in ys if 0 <= y < f.length)
+
+
+def test_batch_inverse_equals_pointwise_on_random_giets():
+    rng = random.Random(41)
+    for trial in range(40):
+        f = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
+        if trial % 2:
+            # induced maps carry windows and chains
+            f = f.rauzy_path(rng.randint(1, 6)).map
+        ys = batch_points(rng, f)
+        assert f.eval_inverse_sorted(ys) == [f.eval_inverse(y) for y in ys]
+
+
+def test_batch_inverse_snaps_like_pointwise_left_of_a_breakpoint():
+    f = giet_from_branches(D4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
+                           lambda a, d, r: SmoothParam(d, r, k=1.0))
+    cut = f.bottom_breaks["B"]
+    ys = [cut - 3 * EPS_BRANCH, cut - 0.5 * EPS_BRANCH, cut]
+    batch = f.eval_inverse_sorted(ys)
+    assert batch == [f.eval_inverse(y) for y in ys]
+    # the point within EPS_BRANCH of the breakpoint is read in the right letter
+    assert batch[1] == f.branches["B"].inverse(ys[1])
+    assert batch[0] == f.branches["C"].inverse(ys[0])
+
+
+def test_batch_inverse_rejects_bad_input():
+    f = giet_from_iet(model_iet())
+    assert f.eval_inverse_sorted([]) == []
+    with pytest.raises(OrderViolation):
+        f.eval_inverse_sorted([0.5, 0.2])
+    with pytest.raises(OutOfDomain):
+        f.eval_inverse_sorted([0.2, 1.0])
+    with pytest.raises(OutOfDomain):
+        f.eval_inverse_sorted([-1e-9, 0.2])
+
+
+def flip(kind):
+    return "b" if kind == "t" else "t"
+
+
+def test_early_stopped_path_ends_at_the_first_wrong_arrow():
+    rng = random.Random(43)
+    checked = 0
+    while checked < 20:
+        T = random_exact_iet(rng, rng.choice((2, 3, 4)))
+        full = T.rauzy_path(10)
+        if len(full.path) < 10:
+            continue
+        for m in (T, giet_from_iet(T)):
+            j = rng.randrange(10)
+            kinds = full.path.kinds[:j] + flip(full.path.kinds[j]) + full.path.kinds[j + 1:]
+            stopped = m.rauzy_path(10, kinds)
+            assert stopped.path.kinds == full.path.kinds[: j + 1]
+            assert not stopped.tie
+            assert stopped.map.datum == m.rauzy_path(j + 1).map.datum
+            # the prescribed kinds themselves run to the end
+            assert m.rauzy_path(10, full.path.kinds).path.kinds == full.path.kinds
+        checked += 1
+
+
+def test_path_without_kinds_is_the_plain_step_loop():
+    rng = random.Random(44)
+    for _ in range(10):
+        f = random_unit_giet(rng, d=rng.choice((2, 3, 4)))
+        result = f.rauzy_path(8)
+        m, arrows = f, []
+        for _ in range(len(result.path)):
+            m, arrow = m.rauzy_step()
+            arrows.append(arrow)
+        assert result.path.arrows == tuple(arrows)
+        assert result.map.length == m.length
+        assert result.map.top_breaks == m.top_breaks and result.map.bottom_breaks == m.bottom_breaks
+        if not result.tie:
+            assert len(result.path) == 8
