@@ -324,11 +324,18 @@ class IntMatrix:
 
 
 def path_matrix(path: RauzyPath) -> IntMatrix:
-    """Cocycle matrix of a path: product of arrow transvections, later arrows on the left."""
-    m = IntMatrix.identity(path.source.alphabet)
+    """Cocycle matrix of a path: product of arrow transvections, later arrows on the left.
+
+    Left-multiplying by an arrow's transvection adds the winner's row to the
+    loser's row, so each arrow costs one row addition.
+    """
+    alphabet = path.source.alphabet
+    index = {a: i for i, a in enumerate(alphabet)}
+    rows = [list(r) for r in IntMatrix.identity(alphabet).rows]
     for arrow in path.arrows:
-        m = IntMatrix.arrow_matrix(m.alphabet, arrow.winner, arrow.loser).mul(m)
-    return m
+        w, l = index[arrow.winner], index[arrow.loser]
+        rows[l] = [x + y for x, y in zip(rows[l], rows[w])]
+    return IntMatrix(alphabet, tuple(map(tuple, rows)))
 
 
 def return_times(path: RauzyPath):

@@ -2,7 +2,9 @@
 
 Lengths are ``fractions.Fraction`` values, so Rauzy induction, cone membership
 and connection search are decided exactly: a tie is an exact event, never a
-floating-point accident.
+floating-point accident.  A map with ``int`` lengths is the same map on its
+integer grid: its breakpoints, images and induced lengths stay ``int``, which
+is how the reference model and exact partitions are computed.
 
 >>> T = ExactIET.from_lengths(parse_datum("A B", "B A"), ["1/3", "2/3"])
 >>> T.eval(Fraction(0))
@@ -18,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from .combinatorics import CombinatorialDatum, RauzyPath, parse_datum, rauzy_step
@@ -70,13 +73,14 @@ class _Breaks(NamedTuple):
 class ExactIET:
     """An IET given by a datum and one positive rational length per letter.
 
-    ``lengths`` is a tuple aligned with ``datum.alphabet``.  The map acts on
+    ``lengths`` is a tuple aligned with ``datum.alphabet``, all ``Fraction``
+    or, for a map on an integer grid, all ``int``.  The map acts on
     ``[0, sum(lengths))``; constructors normalize to total 1 unless asked not to.
     The breakpoints are built once per map, on first use.
     """
 
     datum: CombinatorialDatum
-    lengths: tuple[Fraction, ...]
+    lengths: tuple[Fraction, ...] | tuple[int, ...]
 
     def __post_init__(self):
         if len(self.lengths) != self.datum.d:
@@ -96,6 +100,20 @@ class ExactIET:
             vec = [x / total for x in vec]
         return cls(datum, tuple(vec))
 
+    def on_integer_grid(self) -> tuple["ExactIET", int]:
+        """The map scaled by the common denominator ``D`` of its lengths, and ``D``.
+
+        The scaled map has ``int`` lengths; a point ``x`` of this map is the
+        point ``x * D`` of the scaled one.
+
+        >>> T = ExactIET.from_lengths(parse_datum("A B", "B A"), ["1/3", "1/6"], normalize=False)
+        >>> grid, D = T.on_integer_grid()
+        >>> grid.lengths, D, grid.eval(0)
+        ((2, 1), 6, 1)
+        """
+        D = lcm(*(Fraction(x).denominator for x in self.lengths))
+        return ExactIET(self.datum, tuple(int(x * D) for x in self.lengths)), D
+
     def length(self, letter: str) -> Fraction:
         return self.lengths[self.datum.alphabet.index(letter)]
 
@@ -109,8 +127,9 @@ class ExactIET:
     @cached_property
     def _breaks(self) -> "_Breaks":
         u_t, u_b = {}, {}
+        zero = type(self.lengths[0])()  # Fraction(0) or 0
         for row, u in ((self.datum.top, u_t), (self.datum.bottom, u_b)):
-            acc = Fraction(0)
+            acc = zero
             for a in row:
                 u[a] = acc
                 acc += self.length(a)

@@ -128,18 +128,44 @@ def giet_document(g: Giet) -> dict:
 
 
 def giet_from_document(doc: dict) -> Giet:
+    """A GIET from its document, checked for consistency: the breakpoints of
+    each row start at 0 and tile ``[0, length)``, and each branch's domain
+    and range are its two intervals (within ``EPS_BRANCH``)."""
     _object(doc, "giet document")
     with _reading("giet"):
+        datum = parse_datum_text(doc["datum"])
         top, bottom, branches = (
-            _object(doc[key], f"giet document field {key!r}") for key in ("top", "bottom", "branches")
+            _per_letter(datum, key, _object(doc[key], f"giet document field {key!r}"))
+            for key in ("top", "bottom", "branches")
         )
-        return Giet(
-            parse_datum_text(doc["datum"]),
-            float(doc.get("length", 1.0)),
-            {a: float(v) for a, v in top.items()},
-            {a: float(v) for a, v in bottom.items()},
+        g = Giet(
+            datum,
+            _number(doc.get("length", 1.0), "field 'length'"),
+            {a: _number(v, f"field 'top' letter {a!r}") for a, v in top.items()},
+            {a: _number(v, f"field 'bottom' letter {a!r}") for a, v in bottom.items()},
             {a: _branch_of(a, rec) for a, rec in branches.items()},
         )
+    try:
+        g.check_intervals()
+    except GietlabError as exc:
+        raise GietlabError(f"giet document: {exc}") from None
+    return g
+
+
+def _per_letter(datum, key: str, field: dict) -> dict:
+    """``field`` in alphabet order; it must hold exactly the datum's letters."""
+    odd = sorted(set(field) ^ set(datum.alphabet))
+    if odd:
+        state = "is missing" if odd[0] in datum.alphabet else "is not in the datum"
+        raise GietlabError(f"giet document field {key!r}: letter {odd[0]!r} {state}")
+    return {a: field[a] for a in datum.alphabet}
+
+
+def _number(v, what: str) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise GietlabError(f"giet document {what} must be a number, got {v!r}") from None
 
 
 def _branch_of(letter, rec) -> Branch:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import CombinatorialDatum, reduction
-from .errors import AllZero, DatumMismatch, DegenerateTau
+from .errors import AllZero, DatumMismatch, DegenerateTau, GietlabError
 from .giet import Giet, _graph, _hausdorff
 
 
@@ -56,7 +56,8 @@ def slopes(f: Giet, tau) -> FamilySlopes:
 
 
 def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
-    assert abs(f.length - 1.0) <= 1e-9, "deformations act on unit-interval maps"
+    if not abs(f.length - 1.0) <= 1e-9:
+        raise GietlabError(f"deformations act on unit-interval maps, got length {f.length}")
     phi = {}
     for a, lo, hi in f.bottom_intervals():
         phi[a] = tau[a] / (hi - lo)

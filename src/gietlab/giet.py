@@ -22,8 +22,15 @@ from typing import NamedTuple
 
 from .branches import Chain, Translation, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, path_matrix, rauzy_step as datum_step
-from .errors import DatumMismatch, InductionFailed, OrderViolation, OutOfDomain, TieError
-from .exact_iet import InductionResult, induce
+from .errors import (
+    DatumMismatch,
+    GietlabError,
+    InductionFailed,
+    OrderViolation,
+    OutOfDomain,
+    TieError,
+)
+from .exact_iet import ExactIET, InductionResult, induce
 
 EPS_TIE = 1e-10
 
@@ -152,18 +159,39 @@ class Giet:
         """
         return induce(self, r, kinds)
 
+    def check_intervals(self, eps: float = EPS_BRANCH):
+        """Raise ``GietlabError`` unless each row starts at 0 and cuts
+        ``[0, length)`` into non-empty intervals in row order, and each branch
+        maps its top interval onto its bottom one, to within ``eps``."""
+        rows = {
+            "top": self._intervals(self.datum.top, self.top_breaks),
+            "bottom": self._intervals(self.datum.bottom, self.bottom_breaks),
+        }
+        for name, intervals in rows.items():
+            a, lo, _ = intervals[0]
+            if not abs(lo) <= eps:
+                raise GietlabError(f"{name} row starts at {lo} (letter {a!r}), not at 0")
+            for a, lo, hi in intervals:
+                if not hi > lo:
+                    raise GietlabError(
+                        f"{name} interval [{lo}, {hi}) of letter {a!r} is empty: the "
+                        f"breakpoints must increase along the row and stay below the "
+                        f"length {self.length}"
+                    )
+        for name, intervals in rows.items():
+            side = "domain" if name == "top" else "range"
+            for a, lo, hi in intervals:
+                br = self.branches[a]
+                ends = br.domain if name == "top" else br.range_
+                if not (abs(ends[0] - lo) <= eps and abs(ends[1] - hi) <= eps):
+                    raise GietlabError(
+                        f"branch {a!r} has {side} [{ends[0]}, {ends[1]}), "
+                        f"but its {name} interval is [{lo}, {hi})"
+                    )
+
     def validate(self, eps: float = EPS_BRANCH, samples: int = 16):
         """Check breakpoint order and branch/interval consistency."""
-        assert abs(self.top_breaks[self.datum.top[0]]) <= eps
-        assert abs(self.bottom_breaks[self.datum.bottom[0]]) <= eps
-        for a, lo, hi in self.top_intervals():
-            assert hi > lo, f"empty top interval for {a}"
-            br = self.branches[a]
-            assert abs(br.domain[0] - lo) <= eps and abs(br.domain[1] - hi) <= eps
-        for a, lo, hi in self.bottom_intervals():
-            assert hi > lo, f"empty bottom interval for {a}"
-            br = self.branches[a]
-            assert abs(br.range_[0] - lo) <= eps and abs(br.range_[1] - hi) <= eps
+        self.check_intervals(eps)
         for a in self.datum.alphabet:
             self.branches[a].validate(samples=samples, eps=max(eps, 1e-9))
 
@@ -255,8 +283,13 @@ class DynamicalPartition:
 def dynamical_partition(m, r: int) -> DynamicalPartition:
     """Partition of order ``r``: atoms ``f^i(I^t_alpha(f^(r)))`` labeled ``(alpha, i)``.
 
-    Works for exact IETs (exact endpoints) and float GIETs alike.
+    Works for exact IETs (exact endpoints) and float GIETs alike.  An exact
+    IET is partitioned on its integer grid, and the endpoints are turned
+    into fractions at the end.
     """
+    exact = isinstance(m, ExactIET)
+    if exact:
+        m, D = m.on_integer_grid()
     result = _induce_fully(m, r)
     q = path_matrix(result.path).row_sums()
     atoms = []
@@ -267,6 +300,9 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
             if i + 1 < q[letter]:
                 cur = m.image_of_interval(cur[0], cur[1])
     atoms.sort(key=lambda a: a.lo)
+    if exact:
+        for k, (lo, hi, letter, i) in enumerate(atoms):
+            atoms[k] = Atom(Fraction(lo, D), Fraction(hi, D), letter, i)
     return DynamicalPartition(r, tuple(atoms))
 
 

@@ -140,38 +140,47 @@ def build_reference(path: RauzyPath) -> RefConfig:
         raise InductionMismatch(
             f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
         )
-    lam = {a: Fraction(c, N) for a, c in matrix.col_sums().items()}
-    base = ExactIET.from_lengths(path.source, lam, normalize=False)
-    if not in_cone(lam, path):
+    cols = matrix.col_sums()
+    base = ExactIET.from_lengths(
+        path.source, {a: Fraction(c, N) for a, c in cols.items()}, normalize=False
+    )
+    if not in_cone(cols, path):
         raise InductionMismatch("model lengths escape the path cone")
-    result = base.rauzy_path(len(path))
+    # the model on its integer grid: the point k/N of ``base`` is k here
+    grid = ExactIET(path.source, tuple(cols[a] for a in path.source.alphabet))
+    result = grid.rauzy_path(len(path))
     if result.tie or result.path.kinds != path.kinds:
         raise InductionMismatch(
             f"model induction follows {result.path.kinds!r}, path is {path.kinds!r}"
         )
-    induced = result.map
+    induced = ExactIET(result.map.datum, tuple(Fraction(x, N) for x in result.map.lengths))
 
-    u_t, _ = base.breakpoints()
-    u_t_induced, _ = induced.breakpoints()
+    u_t, _ = grid.breakpoints()
+    u_t_induced, _ = result.map.breakpoints()
     h = {}
     for a in path.source.alphabet:
         x = u_t_induced[a]
         steps = 0
         while x != u_t[a]:
-            x = base.eval(x)
+            x = grid.eval(x)
             steps += 1
             assert steps < q[a], f"critical point of {a} missed its lift"
         h[a] = steps
 
     orbit = []
-    x = Fraction(0)
+    x = 0
     for _ in range(N):
         orbit.append(x)
-        x = base.eval(x)
+        x = grid.eval(x)
     assert x == 0, "reference orbit does not close up"
-    assert sorted(orbit) == [Fraction(k, N) for k in range(N)], "orbit is not the 1/N grid"
+    # N points of the grid {0, ..., N-1}: they are all of it exactly when no
+    # two coincide; the orbit position at each grid point is the geometric order
+    geometric = [None] * N
+    for c, x in enumerate(orbit):
+        geometric[x] = c
+    assert None not in geometric, "orbit is not the 1/N grid"
 
-    crit_pos = {a: orbit.index(u_t[a]) for a in path.source.alphabet}
+    crit_pos = {a: geometric[u_t[a]] for a in path.source.alphabet}
     classes = []
     for c in range(N):
         letter, index = min(
@@ -179,7 +188,6 @@ def build_reference(path: RauzyPath) -> RefConfig:
             key=lambda t: t[1],
         )
         classes.append(LabelClass(letter, index, c))
-    geometric = tuple(sorted(range(N), key=lambda c: orbit[c]))
 
     window = {}
     for a in path.source.alphabet:
@@ -197,8 +205,8 @@ def build_reference(path: RauzyPath) -> RefConfig:
         base_iet=base,
         induced_iet=induced,
         classes=tuple(classes),
-        ref_points=tuple(orbit),
-        geometric=geometric,
+        ref_points=tuple(Fraction(x, N) for x in orbit),
+        geometric=tuple(geometric),
         crit_pos=crit_pos,
         window=window,
     )
@@ -304,20 +312,24 @@ def step(
     config: Configuration,
     eps_deg: float = EPS_DEG,
     tau: dict | None = None,
+    f=None,
 ) -> Configuration:
     """One pullback: select the family map marked by the configuration, send
     every point to the preimage of its index successor.
 
-    Critical-point classes map straight to the critical points of the selected
-    map.  If rounding breaks the geometric order, the result is damped toward
-    the input until the order is restored.
+    ``tau`` and ``f``, when the caller already has them, are the
+    configuration's parameter and the family map at it.  Critical-point
+    classes map straight to the critical points of the selected map.  If
+    rounding breaks the geometric order, the result is damped toward the
+    input until the order is restored.
     """
     if tau is None:
         tau = tau_of(ref, config)
     faces = _boundary_faces(ref, tau, eps_deg)
     if faces:
         raise NearBoundary(f"tau entries {list(faces)} at or below {eps_deg}", faces=faces.values())
-    f = family.at(tau)
+    if f is None:
+        f = family.at(tau)
     N = ref.N
     new_points = [None] * N
     for a, lo, _ in f.top_intervals():
@@ -361,8 +373,8 @@ class SolveReport:
         return self.status == "realized"
 
 
-def _path_realized(family, ref: RefConfig, tau: dict) -> bool:
-    result = family.at(tau).rauzy_path(len(ref.path), ref.path.kinds)
+def _path_realized(f, ref: RefConfig) -> bool:
+    result = f.rauzy_path(len(ref.path), ref.path.kinds)
     return result.path.kinds == ref.path.kinds
 
 
@@ -397,11 +409,12 @@ def solve(
         faces = _boundary_faces(ref, tau, eps_deg)
         if faces:
             return SolveReport("boundary", tau, config, it, deltas, tuple(faces.values()))
-        if _path_realized(family, ref, tau):
+        f = family.at(tau)
+        if _path_realized(f, ref):
             return SolveReport("realized", tau, config, it, deltas)
         if it == max_iter:
             break
-        pulled = step(family, ref, config, eps_deg, tau=tau)
+        pulled = step(family, ref, config, eps_deg, tau=tau, f=f)
         new_config = Configuration(
             ref,
             tuple(half * old + half * new for old, new in zip(config.points, pulled.points)),
@@ -411,7 +424,7 @@ def solve(
         config = new_config
         if delta < eps_fix:
             tau = tau_of(ref, config)
-            if _path_realized(family, ref, tau):
+            if _path_realized(family.at(tau), ref):
                 return SolveReport("realized", tau, config, it + 1, deltas)
             return SolveReport("fixed_point_tol", tau, config, it + 1, deltas)
     tau = tau_of(ref, config)

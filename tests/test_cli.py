@@ -248,6 +248,67 @@ def test_pl_branch_with_decreasing_nodes_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "branch 'A'" in err and "must increase" in err
 
 
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def seed_document(length=1.0):
+    """The 2-letter smooth seed family, scaled to act on ``[0, length)``."""
+    seed = giet_from_branches(D2, [0.5, 0.5], [0.5, 0.5], lambda a, d, r: SmoothParam(d, r, k=1.0))
+    doc = fileio.giet_document(seed)
+    doc["length"] = length
+    for key in ("top", "bottom"):
+        doc[key] = {a: v * length for a, v in doc[key].items()}
+    for rec in doc["branches"].values():
+        rec["domain"] = [v * length for v in rec["domain"]]
+        rec["range"] = [v * length for v in rec["range"]]
+    return doc
+
+
+def test_giet_document_with_length_two_is_an_error(tmp_path, capsys):
+    # the intervals still tile [0, 1): B's branch ends at 1, its interval at 2
+    doc = seed_document()
+    doc["length"] = 2.0
+    assert main(["realize", write_doc(tmp_path, doc), "tbt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "branch 'B'" in err and "[0.5, 2.0)" in err
+
+
+def test_realize_on_a_map_of_length_two_is_an_error(tmp_path, capsys):
+    # a consistent document on [0, 2) loads, but its family cannot be built
+    assert main(["realize", write_doc(tmp_path, seed_document(2.0)), "tbt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unit-interval" in err and "length 2.0" in err
+
+
+def test_giet_breakpoint_off_its_branch_is_an_error(tmp_path, capsys):
+    doc = seed_document()
+    doc["top"]["B"] = 0.7  # branch A still covers [0, 0.5)
+    path = write_doc(tmp_path, doc)
+    for argv in (["realize", path, "tbt"], ["partition", path, "-r", "2"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "branch 'A'" in err and "top interval" in err
+
+
+def test_giet_rows_that_do_not_tile_are_errors(tmp_path, capsys):
+    cases = [
+        ("bottom", {"B": 0.1, "A": 0.5}, "bottom row starts at 0.1"),
+        ("top", {"A": 0.0, "B": 1.5}, "top interval [1.5, 1.0) of letter 'B' is empty"),
+        ("top", {"A": 0.0}, "field 'top': letter 'B' is missing"),
+        ("branches", {"A": {}, "B": {}, "C": {}}, "field 'branches': letter 'C' is not in"),
+        ("top", {"A": 0.0, "B": [0.5]}, "field 'top' letter 'B' must be a number"),
+    ]
+    for key, value, message in cases:
+        doc = seed_document()
+        doc[key] = value
+        assert main(["partition", write_doc(tmp_path, doc), "-r", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+
+
 def test_bad_seed_variable_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv("GIETLAB_SEED", "abc")
     assert main(["class", "A B / B A"]) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from gietlab.combinatorics import (
     CombinatorialDatum,
+    IntMatrix,
     RauzyPath,
     all_admissible_data,
     find_cyclic,
@@ -112,6 +113,19 @@ def test_path_matrix():
     assert path_matrix(one).rows == ((1, 1), (0, 1))
     path = RauzyPath.from_kinds(D4, "bbbtb")
     assert path_matrix(path).rows == ((2, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0), (2, 1, 0, 1))
+
+
+def test_path_matrix_equals_the_dense_product_of_arrow_matrices():
+    rng = random.Random(7)
+    for letters in ("ABCD", "ABCDE"):
+        for _ in range(15):
+            datum = rng.choice(all_admissible_data(letters))
+            kinds = "".join(rng.choice("tb") for _ in range(rng.randint(0, 40)))
+            path = RauzyPath.from_kinds(datum, kinds)
+            dense = IntMatrix.identity(datum.alphabet)
+            for arrow in path.arrows:
+                dense = IntMatrix.arrow_matrix(datum.alphabet, arrow.winner, arrow.loser).mul(dense)
+            assert path_matrix(path) == dense
 
 
 def test_transposed_inverse_of_worked_example():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -177,3 +178,33 @@ def test_rational_iets_have_connections():
         parts = [Fraction(b - a, denominator) for a, b in zip([0, *cuts], [*cuts, denominator])]
         T = ExactIET.from_lengths(datum, parts, normalize=False)
         assert T.find_connection(2 * denominator) is not None
+
+
+def test_integer_lengths_give_integer_breakpoints():
+    T = ExactIET(D4, (6, 2, 1, 2))
+    u_t, u_b = T.breakpoints()
+    assert u_t == {"A": 0, "B": 6, "C": 8, "D": 9} and u_b["A"] == 5
+    assert all(type(x) is int for x in [*u_t.values(), *u_b.values(), T.total, T.eval(0)])
+    induced = T.rauzy_path(5).map
+    assert all(type(x) is int for x in induced.lengths)
+    # fraction lengths keep fraction breakpoints, the first one included
+    u_t, u_b = fixture_Tg().breakpoints()
+    assert all(type(x) is Fraction for x in [*u_t.values(), *u_b.values()])
+    assert u_t["A"] == Fraction(0)
+
+
+def test_integer_grid_is_the_map_scaled_by_its_denominator():
+    rng = random.Random(11)
+    for _ in range(40):
+        datum = rng.choice([D2, D4, parse_datum("A B C", "C B A")])
+        T = ExactIET.from_lengths(
+            datum, [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(datum.d)]
+        )
+        grid, D = T.on_integer_grid()
+        assert all(type(x) is int for x in grid.lengths)
+        assert grid.lengths == tuple(x * D for x in T.lengths)
+        # the least such scale: no common factor is left between D and the lengths
+        assert gcd(D, *grid.lengths) == 1
+        for _ in range(20):
+            k = rng.randrange(grid.total)
+            assert grid.eval(k) == T.eval(Fraction(k, D)) * D

@@ -418,3 +418,29 @@ def test_path_without_kinds_is_the_plain_step_loop():
         assert result.map.top_breaks == m.top_breaks and result.map.bottom_breaks == m.bottom_breaks
         if not result.tie:
             assert len(result.path) == 8
+
+
+def _partition_in_fractions(T, r):
+    """The order-``r`` partition of an exact IET computed on its fractions."""
+    result = T.rauzy_path(r)
+    q = path_matrix(result.path).row_sums()
+    atoms = []
+    for letter, lo, hi in result.map.top_intervals():
+        for i in range(q[letter]):
+            atoms.append((lo, hi, letter, i))
+            lo, hi = T.image_of_interval(lo, hi)
+    return sorted(atoms)
+
+
+def test_exact_partition_on_the_integer_grid_equals_the_fraction_one():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 30:
+        T = random_exact_iet(rng, rng.choice((2, 3, 4, 5)))
+        r = len(T.rauzy_path(rng.randint(1, 14)).path)
+        if r == 0:
+            continue
+        P = dynamical_partition(T, r)
+        assert [tuple(a) for a in P.atoms] == _partition_in_fractions(T, r)
+        assert all(type(a.lo) is Fraction and type(a.hi) is Fraction for a in P.atoms)
+        checked += 1

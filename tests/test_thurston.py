@@ -9,7 +9,10 @@ from gietlab.branches import SmoothParam
 from gietlab.combinatorics import (
     RauzyPath,
     all_admissible_data,
+    find_cyclic,
+    find_path,
     parse_datum,
+    path_matrix,
     rauzy_class,
     sigma_and_cyclicity,
 )
@@ -390,3 +393,80 @@ def test_tau_of_zero_gap_is_boundary_vector():
     report = solve(ExactIETFamily(D4), ref, start=squeezed)
     assert report.status == "boundary"
     assert report.faces
+
+
+def _reference_in_fractions(path):
+    """Orbit data of ``build_reference`` computed with the fraction model IET."""
+    matrix = path_matrix(path)
+    q = matrix.row_sums()
+    N = sum(q.values())
+    base = ExactIET.from_lengths(
+        path.source, {a: Fraction(c, N) for a, c in matrix.col_sums().items()}, normalize=False
+    )
+    induced = base.rauzy_path(len(path)).map
+    u_t, _ = base.breakpoints()
+    u_t_induced, _ = induced.breakpoints()
+    h = {}
+    for a in path.source.alphabet:
+        x, h[a] = u_t_induced[a], 0
+        while x != u_t[a]:
+            x, h[a] = base.eval(x), h[a] + 1
+    orbit = [Fraction(0)]
+    while len(orbit) < N:
+        orbit.append(base.eval(orbit[-1]))
+    assert sorted(orbit) == [Fraction(k, N) for k in range(N)]
+    crit_pos = {a: orbit.index(u_t[a]) for a in path.source.alphabet}
+    classes = tuple(
+        thurston.LabelClass(*min(
+            ((a, (c - crit_pos[a]) % N) for a in path.source.alphabet), key=lambda t: t[1]
+        ), c)
+        for c in range(N)
+    )
+    window = {
+        (crit_pos[a] + j - h[a]) % N: (a, j - h[a]) for a in path.source.alphabet
+        for j in range(q[a])
+    }
+    return {
+        "ref_points": tuple(orbit),
+        "geometric": tuple(sorted(range(N), key=lambda c: orbit[c])),
+        "crit_pos": crit_pos,
+        "classes": classes,
+        "window": window,
+        "h": h,
+        "base_iet": base,
+        "induced_iet": induced,
+    }
+
+
+def test_reference_on_the_integer_grid_equals_the_fraction_one():
+    fib = ExactIET.from_lengths(D2, [Fraction(2584, 6765), Fraction(4181, 6765)])
+    paths = [fib.rauzy_path(depth).path for depth in range(10, 16)]
+    rng = random.Random(31)
+    for datum in (D4, D5):
+        cls = rauzy_class(datum)
+        target = find_cyclic(cls)
+        for _ in range(10):
+            path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(12)))
+            paths.append(path.concat(find_path(cls, path.target, target)))
+    for path in paths:
+        ref = build_reference(path)
+        for name, value in _reference_in_fractions(path).items():
+            assert getattr(ref, name) == value, name
+        lengths = ref.base_iet.lengths + ref.induced_iet.lengths
+        assert all(type(x) is Fraction for x in ref.ref_points + lengths)
+
+
+def test_solve_builds_one_family_map_per_iteration():
+    T = ExactIET.from_lengths(D2, [Fraction(2584, 6765), Fraction(4181, 6765)])
+    ref = build_reference(T.rauzy_path(13).path)
+    seed = giet_from_branches(
+        D2, [0.5, 0.5], [0.5, 0.5],
+        lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else -1.5),
+    )
+    family = GietFamily(seed)
+    built = []
+    family.at = lambda tau: built.append(tau) or GietFamily.at(family, tau)
+    report = solve(family, ref)
+    assert report.status == "realized" and report.iterations > 10
+    # one map per step, plus the map whose path check succeeds
+    assert len(built) == report.iterations + 1
