@@ -100,20 +100,32 @@ def branch_record(b: Branch) -> dict:
 def branch_from_record(rec: dict) -> Branch:
     kind = rec["kind"]
     if kind == "translation":
-        return Translation(tuple(rec["domain"]), tuple(rec["range"]))
+        return Translation(*_bounds(rec))
     if kind == "affine":
-        return Affine(tuple(rec["domain"]), tuple(rec["range"]))
+        return Affine(*_bounds(rec))
     if kind == "pl":
-        return PiecewiseLinear(tuple(tuple(p) for p in rec["nodes"]))
+        return PiecewiseLinear(tuple(_pair(p, "nodes") for p in rec["nodes"]))
     if kind == "smooth":
-        return SmoothParam(tuple(rec["domain"]), tuple(rec["range"]), rec.get("k", 1.0))
+        return SmoothParam(*_bounds(rec), _number(rec.get("k", 1.0), "field 'k'"))
     if kind == "composite":  # written by earlier versions: outer o core o inner
         return Chain(tuple(branch_from_record(rec[k]) for k in ("inner", "core", "outer")))
     if kind == "window":
-        return Window(branch_from_record(rec["base"]), tuple(rec["domain"]), tuple(rec["range"]))
+        return Window(branch_from_record(rec["base"]), *_bounds(rec))
     if kind == "chain":
         return Chain(tuple(branch_from_record(p) for p in rec["parts"]))
     raise GietlabError(f"unknown branch kind {kind!r}")
+
+
+def _bounds(rec: dict) -> tuple:
+    """The ``domain`` and ``range`` of a branch record."""
+    return _pair(rec["domain"], "domain"), _pair(rec["range"], "range")
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    """A branch record's ``key`` entry, which must be a list of two numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise GietlabError(f"field {key!r} must be a list of two numbers, got {value!r}")
+    return tuple(_number(v, f"field {key!r}") for v in value)
 
 
 def giet_document(g: Giet) -> dict:
@@ -140,9 +152,9 @@ def giet_from_document(doc: dict) -> Giet:
         )
         g = Giet(
             datum,
-            _number(doc.get("length", 1.0), "field 'length'"),
-            {a: _number(v, f"field 'top' letter {a!r}") for a, v in top.items()},
-            {a: _number(v, f"field 'bottom' letter {a!r}") for a, v in bottom.items()},
+            _number(doc.get("length", 1.0), "giet document field 'length'"),
+            {a: _number(v, f"giet document field 'top' letter {a!r}") for a, v in top.items()},
+            {a: _number(v, f"giet document field 'bottom' letter {a!r}") for a, v in bottom.items()},
             {a: _branch_of(a, rec) for a, rec in branches.items()},
         )
     try:
@@ -165,7 +177,7 @@ def _number(v, what: str) -> float:
     try:
         return float(v)
     except (TypeError, ValueError):
-        raise GietlabError(f"giet document {what} must be a number, got {v!r}") from None
+        raise GietlabError(f"{what} must be a number, got {v!r}") from None
 
 
 def _branch_of(letter, rec) -> Branch:

@@ -309,6 +309,18 @@ def test_giet_rows_that_do_not_tile_are_errors(tmp_path, capsys):
         assert err.startswith("error:") and message in err, err
 
 
+def test_branch_bounds_that_are_not_two_numbers_are_errors(tmp_path, capsys):
+    for bounds, message in (
+        (["x", 0.5], "field 'domain' must be a number, got 'x'"),
+        ([0.0], "field 'domain' must be a list of two numbers, got [0.0]"),
+    ):
+        doc = seed_document()
+        doc["branches"]["A"]["domain"] = bounds
+        assert main(["partition", write_doc(tmp_path, doc), "-r", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "branch 'A'" in err and message in err, err
+
+
 def test_bad_seed_variable_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv("GIETLAB_SEED", "abc")
     assert main(["class", "A B / B A"]) == 1
