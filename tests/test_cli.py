@@ -304,8 +304,8 @@ def test_giet_rows_that_do_not_tile_are_errors(tmp_path, capsys):
     for key, value, message in cases:
         doc = seed_document()
         doc[key] = value
-        assert main(["partition", write_doc(tmp_path, doc), "-r", "2"]) == 1
-        err = capsys.readouterr().err
+        code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
+        assert code == 1
         assert err.startswith("error:") and message in err, err
 
 
@@ -316,8 +316,8 @@ def test_branch_bounds_that_are_not_two_numbers_are_errors(tmp_path, capsys):
     ):
         doc = seed_document()
         doc["branches"]["A"]["domain"] = bounds
-        assert main(["partition", write_doc(tmp_path, doc), "-r", "2"]) == 1
-        err = capsys.readouterr().err
+        code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
+        assert code == 1
         assert err.startswith("error:") and "branch 'A'" in err and message in err, err
 
 
