@@ -29,7 +29,6 @@ from .branches import (
     PiecewiseLinear,
     SmoothParam,
     Translation,
-    Window,
 )
 from .giet import (
     DynamicalPartition,

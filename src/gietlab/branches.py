@@ -5,12 +5,14 @@ right-open intervals, evaluable on the closure of its domain.  Closed-form
 inverses exist for all primitive kinds, and a chain undoes its parts in
 reverse order, so every inverse is exact up to rounding.
 
-Two operations build new branches from old ones.  ``rescaled`` moves a
-branch onto new domain and range intervals: a primitive stays one branch of
-its own kind (translations become affine), and only a window or a chain is
-wrapped between two affine maps.  ``restrict`` cuts a branch to a subinterval
-whose image endpoints the caller already knows; a window of a window views
-the same base.
+A branch of an induced map is a first-return map: a composition of
+restrictions of the original branches.  It is one flat ``Chain`` of
+primitives viewed on a subinterval, so branches never nest.  ``compose``
+joins two branches into one chain, ``restrict`` cuts a branch to a
+subinterval whose image endpoints the caller already knows, and ``rescaled``
+moves a branch onto new domain and range intervals: a primitive stays one
+branch of its own kind (translations become affine), and a chain gains one
+affine part at each end.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ EPS_BRANCH = 1e-12
 
 
 class Branch:
-    """Common interface: ``domain``/``range_`` as (lo, hi) pairs, eval, inverse."""
+    """Common interface: ``domain``/``range_`` as (lo, hi) pairs, eval, inverse,
+    and ``rescaled(domain, range_)``, the map ``outer o self o inner`` from
+    ``domain`` onto ``range_`` for the increasing affine ``inner`` and ``outer``."""
 
     domain: tuple[float, float]
     range_: tuple[float, float]
@@ -38,16 +42,6 @@ class Branch:
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
-
-    def rescaled(self, domain, range_) -> "Branch":
-        """The map ``outer o self o inner`` from ``domain`` onto ``range_``.
-
-        ``inner`` and ``outer`` are the increasing affine maps of ``domain``
-        onto ``self.domain`` and of ``self.range_`` onto ``range_``.  This
-        generic form chains the three; primitives override it with one branch
-        of their own kind.
-        """
-        return Chain((Affine(domain, self.domain), self, Affine(self.range_, range_)))
 
     def validate(self, samples: int = 16, eps: float = EPS_BRANCH) -> None:
         """Spot-check monotonicity, endpoint matching and inverse consistency."""
@@ -177,41 +171,32 @@ class SmoothParam(Branch):
         return SmoothParam(domain, range_, self.k)
 
 
-@dataclass(frozen=True)
-class Window(Branch):
-    """An existing branch viewed on a subinterval of its domain."""
-
-    base: Branch
-    domain: tuple[float, float]
-    range_: tuple[float, float]
-
-    def eval(self, x):
-        return self.base.eval(x)
-
-    def inverse(self, y):
-        return self.base.inverse(y)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Chain(Branch):
-    """Composition of branches, first element applied first.
+    """Composition of primitive branches, first part applied first, from
+    ``domain`` onto ``range_``.
 
-    Induction composes neighbouring branches into chains; a deformation
-    wraps a window or a chain as ``(inner affine, branch, outer affine)``.
+    The bounds default to the first part's domain and the last part's range;
+    a restricted chain keeps its parts and narrows them.  A part that is
+    itself a chain is spliced in, so a chain never holds another.
     """
 
     parts: tuple[Branch, ...]
+    domain: tuple[float, float]
+    range_: tuple[float, float]
 
-    def __post_init__(self):
-        assert self.parts
-
-    @property
-    def domain(self):
-        return self.parts[0].domain
-
-    @property
-    def range_(self):
-        return self.parts[-1].range_
+    def __init__(self, parts, domain=None, range_=None):
+        if not parts:
+            raise GietlabError("a chain needs at least one part")
+        flat = []
+        for p in parts:
+            if isinstance(p, Chain):
+                flat.extend(p.parts)
+            else:
+                flat.append(p)
+        object.__setattr__(self, "parts", tuple(flat))
+        object.__setattr__(self, "domain", domain or parts[0].domain)
+        object.__setattr__(self, "range_", range_ or parts[-1].range_)
 
     def eval(self, x):
         for part in self.parts:
@@ -223,6 +208,25 @@ class Chain(Branch):
             y = part.inverse(y)
         return y
 
+    def rescaled(self, domain, range_):
+        return Chain((Affine(domain, self.domain), self, Affine(self.range_, range_)))
+
+
+def compose(first: Branch, then: Branch) -> Chain:
+    """The branch ``then o first``: one chain holding the parts of both.
+
+    >>> t = Translation((0.0, 0.5), (0.5, 1.0))
+    >>> squeeze = Affine((0.5, 1.0), (0.0, 0.25))
+    >>> c = compose(compose(t, squeeze), restrict(t, 0.0, 0.25, 0.5, 0.75))
+    >>> [type(p).__name__ for p in c.parts], c.domain, c.range_
+    (['Translation', 'Affine', 'Translation'], (0.0, 0.5), (0.5, 0.75))
+    >>> c.eval(0.25), c.inverse(0.625)
+    (0.625, 0.25)
+    >>> restrict(c, 0.0, 0.25, 0.5, 0.625).parts == c.parts
+    True
+    """
+    return Chain((first, then))
+
 
 def restrict(branch: Branch, lo: float, hi: float, c: float, d: float) -> Branch:
     """The same map on a subinterval ``[lo, hi)`` of its domain.
@@ -230,10 +234,6 @@ def restrict(branch: Branch, lo: float, hi: float, c: float, d: float) -> Branch
     ``[c, d)`` is the image of ``[lo, hi)``, which the caller already knows;
     it becomes the new range without evaluating the branch again.
     """
-    if isinstance(branch, Translation):
-        return Translation((lo, hi), (c, d))
-    if isinstance(branch, Affine):
-        return Affine((lo, hi), (c, d))
-    if isinstance(branch, Window):
-        branch = branch.base
-    return Window(branch, (lo, hi), (c, d))
+    if isinstance(branch, (Translation, Affine)):
+        return type(branch)((lo, hi), (c, d))
+    return Chain((branch,), (lo, hi), (c, d))

@@ -100,10 +100,10 @@ def cmd_partition(args) -> int:
     m = fileio.load_map(args.map_file)
     r = _check_order(args.order)
     partition = dynamical_partition(m, r)
-    induction = m.rauzy_path(r)
+    path = m.rauzy_path(r).path
     labels = None
-    if sigma_and_cyclicity(induction.path.target)[1]:
-        ref = build_reference(induction.path)
+    if sigma_and_cyclicity(path.target)[1]:
+        ref = build_reference(path)
         labels = [
             ref.class_of_atom(atom.letter, atom.index).name for atom in partition.atoms
         ]
@@ -181,7 +181,8 @@ def cmd_render(args) -> int:
     doc = fileio.load_document(args.input, "document")
     kind = doc.get("kind")
     if kind == "partition":
-        text = svg.render_partition(doc)
+        with fileio.reading("partition"):
+            text = svg.render_partition(doc)
     elif kind == "giet":
         text = svg.render_giet(doc)
     elif kind == "iet":

@@ -18,7 +18,6 @@ from .branches import (
     PiecewiseLinear,
     SmoothParam,
     Translation,
-    Window,
 )
 from .combinatorics import parse_datum_text
 from .errors import GietlabError
@@ -30,12 +29,8 @@ def _num_out(x):
     return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else float(x)
 
 
-def _num_in(x):
-    return Fraction(x) if isinstance(x, str) else float(x)
-
-
 @contextmanager
-def _reading(kind: str):
+def reading(kind: str):
     """Report a key missing from a ``kind`` document as a ``GietlabError``."""
     try:
         yield
@@ -69,7 +64,7 @@ def iet_document(T: ExactIET) -> dict:
 
 def iet_from_document(doc: dict) -> ExactIET:
     _object(doc, "iet document")
-    with _reading("iet"):
+    with reading("iet"):
         datum = parse_datum_text(doc["datum"])
         lengths = _object(doc["lengths"], "iet document field 'lengths'")
         lengths = {a: _exact_length(a, v) for a, v in lengths.items()}
@@ -77,28 +72,22 @@ def iet_from_document(doc: dict) -> ExactIET:
 
 
 def branch_record(b: Branch) -> dict:
-    if isinstance(b, Translation):
-        return {"kind": "translation", "domain": list(b.domain), "range": list(b.range_)}
-    if isinstance(b, Affine):
-        return {"kind": "affine", "domain": list(b.domain), "range": list(b.range_)}
+    if isinstance(b, (Translation, Affine)):
+        return {"kind": type(b).__name__.lower(), "domain": list(b.domain), "range": list(b.range_)}
     if isinstance(b, PiecewiseLinear):
         return {"kind": "pl", "nodes": [list(p) for p in b.nodes]}
     if isinstance(b, SmoothParam):
         return {"kind": "smooth", "domain": list(b.domain), "range": list(b.range_), "k": b.k}
-    if isinstance(b, Window):
-        return {
-            "kind": "window",
-            "base": branch_record(b.base),
-            "domain": list(b.domain),
-            "range": list(b.range_),
-        }
     if isinstance(b, Chain):
-        return {"kind": "chain", "parts": [branch_record(p) for p in b.parts]}
+        parts = [branch_record(p) for p in b.parts]
+        return {"kind": "chain", "parts": parts, "domain": list(b.domain), "range": list(b.range_)}
     raise GietlabError(f"cannot serialize branch {type(b).__name__}")
 
 
 def branch_from_record(rec: dict) -> Branch:
-    kind = rec["kind"]
+    """The branch of a record; earlier versions' ``window`` (a base on bounds),
+    ``composite`` (outer o core o inner) and bound-less ``chain`` load as chains."""
+    kind = _object(rec, "a branch record")["kind"]
     if kind == "translation":
         return Translation(*_bounds(rec))
     if kind == "affine":
@@ -107,12 +96,16 @@ def branch_from_record(rec: dict) -> Branch:
         return PiecewiseLinear(tuple(_pair(p, "nodes") for p in rec["nodes"]))
     if kind == "smooth":
         return SmoothParam(*_bounds(rec), _number(rec.get("k", 1.0), "field 'k'"))
-    if kind == "composite":  # written by earlier versions: outer o core o inner
+    if kind == "composite":
         return Chain(tuple(branch_from_record(rec[k]) for k in ("inner", "core", "outer")))
     if kind == "window":
-        return Window(branch_from_record(rec["base"]), *_bounds(rec))
+        return Chain((branch_from_record(rec["base"]),), *_bounds(rec))
     if kind == "chain":
-        return Chain(tuple(branch_from_record(p) for p in rec["parts"]))
+        parts = rec["parts"]
+        if not isinstance(parts, list):
+            raise GietlabError(f"field 'parts' must be a list of branch records, got {parts!r}")
+        bounds = _bounds(rec) if "domain" in rec or "range" in rec else ()
+        return Chain(tuple(branch_from_record(p) for p in parts), *bounds)
     raise GietlabError(f"unknown branch kind {kind!r}")
 
 
@@ -144,7 +137,7 @@ def giet_from_document(doc: dict) -> Giet:
     each row start at 0 and tile ``[0, length)``, and each branch's domain
     and range are its two intervals (within ``EPS_BRANCH``)."""
     _object(doc, "giet document")
-    with _reading("giet"):
+    with reading("giet"):
         datum = parse_datum_text(doc["datum"])
         top, bottom, branches = (
             _per_letter(datum, key, _object(doc[key], f"giet document field {key!r}"))
@@ -183,7 +176,10 @@ def _number(v, what: str) -> float:
 def _branch_of(letter, rec) -> Branch:
     """The branch record of ``letter`` in a giet document; errors name the letter."""
     try:
-        return branch_from_record(_object(rec, "the record"))
+        return branch_from_record(rec)
+    except KeyError as exc:
+        key = exc.args[0]
+        raise GietlabError(f"giet document branch {letter!r} is missing the key {key!r}") from None
     except GietlabError as exc:
         raise GietlabError(f"giet document branch {letter!r}: {exc}") from None
 

@@ -11,8 +11,8 @@ wins, so each ``f`` spans a full parameter family.
 Each deformed branch is the original branch rescaled onto its new top and
 bottom intervals (``Branch.rescaled``): a smooth branch stays smooth, a
 piecewise-linear one keeps its nodes, translations and affine maps become
-affine, and only window or chain branches are wrapped between two affine
-changes of variable.  So deforming a deformed map does not nest branches.
+affine, and a chain gains one affine change of variable at each end.  So
+deforming a deformed map does not nest branches.
 
 On the closed simplex, letters with ``tau = 0`` collapse to points: the
 result is a degeneration made of a reduced-alphabet GIET plus one singular

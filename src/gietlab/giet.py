@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .branches import Chain, Translation, restrict, EPS_BRANCH
+from .branches import Translation, compose, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, path_matrix, rauzy_step as datum_step
 from .errors import (
     DatumMismatch,
@@ -136,7 +136,7 @@ class Giet:
             y = br_t.eval(x_b)
             c, d = br_t.range_
             branches[alpha_t] = restrict(br_t, x_t, x_b, c, y)
-            branches[alpha_b] = Chain((br_b, restrict(br_t, x_b, self.length, y, d)))
+            branches[alpha_b] = compose(br_b, restrict(br_t, x_b, self.length, y, d))
             bottom_breaks = {a: branches[a].range_[0] for a in self.datum.alphabet}
         else:
             # the bottom branch's preimage of x_t splits it
@@ -146,7 +146,7 @@ class Giet:
             hi = br_b.domain[1]
             c, d = br_b.range_
             branches[alpha_b] = restrict(br_b, self.top_breaks[alpha_b], cut, c, x_t)
-            branches[alpha_t] = Chain((restrict(br_b, cut, hi, x_t, d), br_t))
+            branches[alpha_t] = compose(restrict(br_b, cut, hi, x_t, d), br_t)
             top_breaks[alpha_t] = cut
             bottom_breaks = dict(self.bottom_breaks)
         induced = Giet(arrow.target, new_length, top_breaks, bottom_breaks, branches)
@@ -292,8 +292,10 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
         m, D = m.on_integer_grid()
     result = _induce_fully(m, r)
     q = path_matrix(result.path).row_sums()
+    tops = result.map.top_intervals()
+    del result  # the induced chains hold one part per atom: free them first
     atoms = []
-    for letter, lo, hi in result.map.top_intervals():
+    for letter, lo, hi in tops:
         cur = (lo, hi)
         for i in range(q[letter]):
             atoms.append(Atom(cur[0], cur[1], letter, i))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from html import escape
 
+from .errors import GietlabError
+
 SCALE = 1000.0
 MARGIN = 40.0
 
@@ -26,15 +28,15 @@ def _svg(width: float, height: float, body: list[str]) -> str:
 
 def render_partition(doc: dict) -> str:
     """Horizontal strip of labeled cells from a partition document."""
-    total = float(eval_frac(doc["total"]))
+    total = eval_frac(doc["total"])
     height = 120.0
     body = [
         f'<rect x="{_fmt(MARGIN)}" y="{_fmt(40.0)}" width="{_fmt(total * SCALE)}" '
         f'height="40" fill="none" stroke="black" stroke-width="1.5"/>'
     ]
     for atom in doc["atoms"]:
-        left = float(eval_frac(atom["left"]))
-        right = float(eval_frac(atom["right"]))
+        left = eval_frac(atom["left"])
+        right = eval_frac(atom["right"])
         x = MARGIN + left * SCALE
         w = (right - left) * SCALE
         body.append(
@@ -96,8 +98,12 @@ def render_giet(doc: dict, samples: int = 64) -> str:
 
 
 def eval_frac(value) -> float:
-    """Numeric value of a document number (float or "p/q" string)."""
-    if isinstance(value, str):
-        num, _, den = value.partition("/")
-        return float(num) / float(den or 1)
-    return float(value)
+    """Numeric value of a document number: a float, or a "p/q" string divided
+    as two integers, which is correctly rounded at any size."""
+    try:
+        if isinstance(value, str) and "/" in value:
+            num, den = value.split("/")
+            return int(num) / int(den)
+        return float(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise GietlabError(f"cannot read the number {value!r}") from None

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from gietlab import fileio, svg
-from gietlab.branches import Affine, Chain, SmoothParam
+from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
 from gietlab.cli import main
+from gietlab.errors import GietlabError
 from gietlab.combinatorics import parse_datum
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
@@ -189,6 +192,51 @@ def test_composite_records_load_as_chains(tmp_path):
     assert {r["kind"] for r in fileio.giet_document(loaded)["branches"].values()} == {"chain"}
 
 
+def test_window_records_load_as_chains():
+    # earlier versions wrote a restricted branch as a window on its base
+    base = SmoothParam((0.0, 0.5), (0.5, 1.0), k=1.3)
+    bounds = (0.1, 0.3), (base.eval(0.1), base.eval(0.3))
+    rec = {"kind": "window", "base": fileio.branch_record(base),
+           "domain": list(bounds[0]), "range": list(bounds[1])}
+    loaded = fileio.branch_from_record(json.loads(json.dumps(rec)))
+    assert loaded == Chain((base,), *bounds)
+    for i in range(9):
+        x = 0.1 + 0.2 * i / 8
+        assert loaded.eval(x) == base.eval(x)
+        assert loaded.inverse(base.eval(x)) == base.inverse(base.eval(x))
+
+
+def test_bounded_chain_records_round_trip():
+    pl = PiecewiseLinear(((0.2, 0.0), (0.3, 0.4), (0.6, 1.0)))
+    chain = Chain((Affine((0.0, 0.4), (0.2, 0.6)), pl), (0.1, 0.3), (0.125, 0.75))
+    rec = json.loads(json.dumps(fileio.branch_record(chain)))
+    assert rec["domain"] == [0.1, 0.3] and rec["range"] == [0.125, 0.75]
+    assert fileio.branch_from_record(rec) == chain
+    # a chain record without bounds takes those of its end parts
+    del rec["domain"], rec["range"]
+    assert fileio.branch_from_record(rec) == Chain(chain.parts)
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"kind": "chain", "parts": []}, "a chain needs at least one part"),
+    ({"kind": "chain", "parts": 5}, "field 'parts' must be a list of branch records, got 5"),
+    ({"kind": "chain", "parts": [1]}, "a branch record must be a JSON object, got int"),
+    ({"kind": "window", "base": "pl", "domain": [0.0, 0.5], "range": [0.5, 1.0]},
+     "a branch record must be a JSON object, got str"),
+    ({"kind": "composite", "inner": [], "core": {}, "outer": {}},
+     "a branch record must be a JSON object, got list"),
+    ({"domain": [0.0, 0.5], "range": [0.5, 1.0]}, "is missing the key 'kind'"),
+    ({"kind": "chain", "parts": [{"kind": "translation", "domain": [0.0, 0.5]}]},
+     "is missing the key 'range'"),
+])
+def test_nested_branch_records_are_checked(tmp_path, capsys, record, message):
+    doc = seed_document()
+    doc["branches"]["A"] = record
+    code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
+    assert code == 1
+    assert err.startswith("error:") and "branch 'A'" in err and message in err, err
+
+
 def test_missing_document_keys_are_errors(tmp_path, capsys):
     iet = tmp_path / "iet.json"
     iet.write_text('{"kind": "iet", "datum": "A B / B A"}')
@@ -342,6 +390,33 @@ def test_iet_document_roundtrip(tmp_path):
     T = model_iet()
     doc = json.loads(json.dumps(fileio.iet_document(T)))
     assert fileio.iet_from_document(doc) == T
+
+
+def test_eval_frac_divides_huge_fractions_exactly():
+    assert svg.eval_frac(f"{3 * 10**399}/{10**400}") == 0.3
+    assert svg.eval_frac(f"{10**400 + 1}/{3 * 10**400}") == 1 / 3
+    assert svg.eval_frac("0.25") == 0.25 and svg.eval_frac(2) == 2.0
+
+
+@pytest.mark.parametrize("value", ["1/0", f"{10**400}/1", "1/2/3", "x/2", None],
+                         ids=["zero-denominator", "overflow", "two-slashes", "not-an-int", "none"])
+def test_eval_frac_of_a_bad_number_is_an_error(value):
+    with pytest.raises(GietlabError, match="cannot read the number"):
+        svg.eval_frac(value)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "partition", "total": "1/0", "atoms": []}, "cannot read the number '1/0'"),
+    ({"kind": "partition"}, "partition document is missing the key 'total'"),
+    ({"kind": "partition", "total": 1.0, "atoms": [{"left": 0.0, "right": 1.0}]},
+     "partition document is missing the key 'label'"),
+])
+def test_render_of_a_bad_partition_is_an_error(tmp_path, capsys, doc, message):
+    out = tmp_path / "p.svg"
+    assert main(["render", write_doc(tmp_path, doc), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert not out.exists()
 
 
 def test_render_rejects_unknown_kind(tmp_path, capsys):

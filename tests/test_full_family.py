@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_simplex, random_unit_giet
-from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Translation, Window
+from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
 from gietlab.exact_iet import ExactIET
@@ -130,7 +130,7 @@ def primitive_and_wrapped_branches():
         PiecewiseLinear(((0.2, 0.1), (0.3, 0.15), (0.45, 0.5), (0.5, 0.7))),
         smooth,
         SmoothParam(dom, rng, k=0.0),
-        Window(smooth, (0.25, 0.4), (smooth.eval(0.25), smooth.eval(0.4))),
+        Chain((smooth,), (0.25, 0.4), (smooth.eval(0.25), smooth.eval(0.4))),
         Chain((Affine(dom, (0.0, 1.0)), SmoothParam((0.0, 1.0), (0.0, 1.0), -0.8),
                Affine((0.0, 1.0), rng))),
         Chain((smooth,)),
@@ -142,7 +142,7 @@ def test_rescaled_matches_the_three_part_chain():
     for b in primitive_and_wrapped_branches():
         new = b.rescaled(new_dom, new_rng)
         old = three_part_chain(b, new_dom, new_rng)
-        assert regularity(new) == regularity(b) or isinstance(b, (Window, Chain))
+        assert regularity(new) == regularity(b) or isinstance(b, Chain)
         assert new.domain == pytest.approx(new_dom, abs=1e-15)
         assert new.range_ == pytest.approx(new_rng, abs=1e-15)
         for i in range(33):
@@ -150,6 +150,16 @@ def test_rescaled_matches_the_three_part_chain():
             y = new_rng[0] + (new_rng[1] - new_rng[0]) * i / 32
             assert new.eval(x) == pytest.approx(old.eval(x), abs=1e-12)
             assert new.inverse(y) == pytest.approx(old.inverse(y), abs=1e-12)
+
+
+def test_rescaling_a_chain_twice_stays_flat():
+    for b in primitive_and_wrapped_branches():
+        if not isinstance(b, Chain):
+            continue
+        twice = b.rescaled((0.05, 0.3), (0.6, 0.95)).rescaled((0.1, 0.9), (0.0, 1.0))
+        assert twice.parts[2:-2] == b.parts
+        assert all(isinstance(p, Affine) for p in twice.parts[:2] + twice.parts[-2:])
+        assert (twice.domain, twice.range_) == ((0.1, 0.9), (0.0, 1.0))
 
 
 def test_applying_twice_does_not_nest():
@@ -160,7 +170,7 @@ def test_applying_twice_does_not_nest():
         tau2 = random_simplex(rng, f.datum.alphabet)
         twice = apply(apply(f, tau1), tau2)
         for a in f.datum.alphabet:
-            assert not isinstance(twice.branches[a], (Window, Chain))
+            assert not isinstance(twice.branches[a], Chain)
             assert regularity(twice.branches[a]) == regularity(f.branches[a])
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_unit_giet
-from gietlab.branches import EPS_BRANCH, Chain, PiecewiseLinear, SmoothParam, Translation
+from gietlab.branches import EPS_BRANCH, Affine, Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import RauzyPath, all_admissible_data, parse_datum, path_matrix
 from gietlab.errors import DatumMismatch, InductionFailed, OrderViolation, OutOfDomain, TieError
 from gietlab.exact_iet import ExactIET
@@ -351,7 +351,7 @@ def test_batch_inverse_equals_pointwise_on_random_giets():
     for trial in range(40):
         f = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
         if trial % 2:
-            # induced maps carry windows and chains
+            # induced maps carry chains
             f = f.rauzy_path(rng.randint(1, 6)).map
         ys = batch_points(rng, f)
         assert f.eval_inverse_sorted(ys) == [f.eval_inverse(y) for y in ys]
@@ -444,3 +444,57 @@ def test_exact_partition_on_the_integer_grid_equals_the_fraction_one():
         assert [tuple(a) for a in P.atoms] == _partition_in_fractions(T, r)
         assert all(type(a.lo) is Fraction and type(a.hi) is Fraction for a in P.atoms)
         checked += 1
+
+
+PRIMITIVES = (Translation, Affine, PiecewiseLinear, SmoothParam)
+
+
+def test_induced_branches_are_flat_chains_of_primitives():
+    # the 4-letter GIET of the conjugacy benchmark, induced 60 steps
+    raw = [2 ** 0.5, 3 ** 0.5, 5 ** 0.5, 7 ** 0.5]
+    ks = {"A": 1.0, "C": -0.7}
+    lengths = [x / sum(raw) for x in raw]
+    f = giet_from_branches(
+        D4, lengths, lengths, lambda a, d, r: SmoothParam(d, r, k=ks.get(a, 0.0))
+    )
+    result = f.rauzy_path(60)
+    assert len(result.path) == 60
+    for br in result.map.branches.values():
+        parts = br.parts if isinstance(br, Chain) else (br,)
+        assert all(isinstance(p, PRIMITIVES) for p in parts)
+
+
+def smooth_or_pl_giet(rng):
+    """A unit-interval GIET whose branches are all smooth or piecewise linear."""
+    datum = rng.choice(all_admissible_data("ABCD"[: rng.choice((2, 3, 4))]))
+
+    def lengths():
+        raw = [rng.uniform(0.05, 1.0) for _ in datum.alphabet]
+        return [x / sum(raw) for x in raw]
+
+    def maker(a, dom, rng_):
+        if rng.random() < 0.5:
+            return SmoothParam(dom, rng_, k=rng.uniform(-2.0, 2.0))
+        mx = dom[0] + rng.uniform(0.25, 0.75) * (dom[1] - dom[0])
+        my = rng_[0] + rng.uniform(0.25, 0.75) * (rng_[1] - rng_[0])
+        return PiecewiseLinear(((dom[0], rng_[0]), (mx, my), (dom[1], rng_[1])))
+
+    return giet_from_branches(datum, lengths(), lengths(), maker)
+
+
+def test_induced_branch_is_the_first_return_map():
+    # each part of an induced chain is one application of an original branch,
+    # evaluated as the original map evaluates it, so the values are equal
+    rng = random.Random(53)
+    for _ in range(20):
+        f = smooth_or_pl_giet(rng)
+        g = f.rauzy_path(20).map
+        for a, lo, hi in g.top_intervals():
+            for i in range(1, 8):
+                x = lo + (hi - lo) * i / 8
+                y, steps = f.eval(x), 1
+                while y >= g.length:
+                    y, steps = f.eval(y), steps + 1
+                assert g.eval(x) == y
+                br = g.branches[a]
+                assert len(br.parts if isinstance(br, Chain) else (br,)) == steps

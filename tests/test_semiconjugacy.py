@@ -99,3 +99,20 @@ def test_residual_decreases_with_depth():
     f, T = realized_pair(15)
     values = [residual(build_semiconjugacy(f, T, r), f, T, 128) for r in (5, 10, 15)]
     assert all(b <= 2 * a for a, b in zip(values, values[1:]))
+
+
+def exact_residual(h, f, T, sample_count):
+    """``residual`` as it was written before: ``T`` evaluated exactly."""
+    xs = {0.5 * (x0 + x1) for (x0, _), (x1, _) in zip(h.nodes, h.nodes[1:])}
+    xs.update((i + 0.5) / sample_count for i in range(sample_count))
+    return max(abs(h.eval(float(f.eval(x))) - float(T.eval(h.eval(x)))) for x in sorted(xs))
+
+
+def test_residual_through_the_float_model_equals_the_exact_one():
+    f, T = realized_pair(15)
+    for r in (5, 10, 15):
+        h = build_semiconjugacy(f, T, r)
+        for samples in (16, 128):
+            assert residual(h, f, T, samples) == pytest.approx(
+                exact_residual(h, f, T, samples), abs=1e-12
+            )
