@@ -40,6 +40,12 @@ class Branch:
     def inverse(self, y: float) -> float:
         raise NotImplementedError
 
+    def inverse_many(self, ys) -> list:
+        """``[self.inverse(y) for y in ys]``.  Primitives override it to hoist
+        their constants out of the loop and keep the scalar expression, so
+        the results are bit-identical."""
+        return [self.inverse(y) for y in ys]
+
     def __call__(self, x: float) -> float:
         return self.eval(x)
 
@@ -69,6 +75,10 @@ class Translation(Branch):
     def inverse(self, y):
         return y - (self.range_[0] - self.domain[0])
 
+    def inverse_many(self, ys):
+        shift = self.range_[0] - self.domain[0]
+        return [y - shift for y in ys]
+
     def rescaled(self, domain, range_):
         return Affine(domain, range_)
 
@@ -88,6 +98,10 @@ class Affine(Branch):
 
     def inverse(self, y):
         return self.domain[0] + (y - self.range_[0]) / self.slope
+
+    def inverse_many(self, ys):
+        a, c, slope = self.domain[0], self.range_[0], self.slope
+        return [a + (y - c) / slope for y in ys]
 
     def rescaled(self, domain, range_):
         return Affine(domain, range_)
@@ -166,6 +180,15 @@ class SmoothParam(Branch):
         s = (y - c) / (d - c)
         t = s if self.k == 0.0 else math.log1p(s * math.expm1(self.k)) / self.k
         return a + (b - a) * t
+
+    def inverse_many(self, ys):
+        a, b = self.domain
+        c, d = self.range_
+        w, h, k = b - a, d - c, self.k
+        if k == 0.0:
+            return [a + w * ((y - c) / h) for y in ys]
+        em, log1p = math.expm1(k), math.log1p
+        return [a + w * (log1p((y - c) / h * em) / k) for y in ys]
 
     def rescaled(self, domain, range_):
         return SmoothParam(domain, range_, self.k)

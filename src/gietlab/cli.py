@@ -100,10 +100,9 @@ def cmd_partition(args) -> int:
     m = fileio.load_map(args.map_file)
     r = _check_order(args.order)
     partition = dynamical_partition(m, r)
-    path = m.rauzy_path(r).path
     labels = None
-    if sigma_and_cyclicity(path.target)[1]:
-        ref = build_reference(path)
+    if sigma_and_cyclicity(partition.path.target)[1]:
+        ref = build_reference(partition.path)
         labels = [
             ref.class_of_atom(atom.letter, atom.index).name for atom in partition.atoms
         ]

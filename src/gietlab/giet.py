@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .branches import Translation, compose, restrict, EPS_BRANCH
-from .combinatorics import CombinatorialDatum, path_matrix, rauzy_step as datum_step
+from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
 from .errors import (
     DatumMismatch,
     GietlabError,
@@ -85,7 +85,7 @@ class Giet:
 
         The interval index of the points never decreases, so they fall into
         runs, one per bottom interval; each run's end is found by bisection
-        and its letter's inverse is mapped over it.
+        and its letter's branch inverts the whole run in one batch.
         """
         ys = list(ys)
         if ys != sorted(ys):
@@ -104,7 +104,7 @@ class Giet:
         while start < len(ys):
             i = index(ys[start])
             end = bisect_right(ys, i, lo=start, key=index)
-            out += map(self.branches[row[i]].inverse, ys[start:end])
+            out += self.branches[row[i]].inverse_many(ys[start:end])
             start = end
         return out
 
@@ -229,16 +229,16 @@ def giet_from_branches(datum: CombinatorialDatum, top_lengths, bottom_lengths, m
     if not isinstance(bottom_lengths, dict):
         bottom_lengths = dict(zip(datum.alphabet, bottom_lengths))
     top_breaks, bottom_breaks = {}, {}
-    acc = 0.0
-    for a in datum.top:
-        top_breaks[a] = acc
-        acc += top_lengths[a]
-    assert abs(acc - 1.0) <= 1e-9, "top lengths must sum to 1"
-    acc = 0.0
-    for a in datum.bottom:
-        bottom_breaks[a] = acc
-        acc += bottom_lengths[a]
-    assert abs(acc - 1.0) <= 1e-9, "bottom lengths must sum to 1"
+    for side, row, lengths, breaks in (
+        ("top", datum.top, top_lengths, top_breaks),
+        ("bottom", datum.bottom, bottom_lengths, bottom_breaks),
+    ):
+        acc = 0.0
+        for a in row:
+            breaks[a] = acc
+            acc += lengths[a]
+        if not abs(acc - 1.0) <= 1e-9:
+            raise GietlabError(f"{side} lengths must sum to 1, got {acc!r}")
     branches = {}
     for a in datum.alphabet:
         dom = (top_breaks[a], top_breaks[a] + top_lengths[a])
@@ -260,10 +260,12 @@ class Atom(NamedTuple):
 
 @dataclass(frozen=True)
 class DynamicalPartition:
-    """Forward images of the induced map's continuity intervals, left to right."""
+    """Forward images of the induced map's continuity intervals, left to right,
+    and the Rauzy path of the induction that made them."""
 
     order: int
     atoms: tuple[Atom, ...]
+    path: RauzyPath
 
     def labels(self):
         return [a.label for a in self.atoms]
@@ -291,7 +293,8 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
     if exact:
         m, D = m.on_integer_grid()
     result = _induce_fully(m, r)
-    q = path_matrix(result.path).row_sums()
+    path = result.path
+    q = path_matrix(path).row_sums()
     tops = result.map.top_intervals()
     del result  # the induced chains hold one part per atom: free them first
     atoms = []
@@ -305,7 +308,7 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
     if exact:
         for k, (lo, hi, letter, i) in enumerate(atoms):
             atoms[k] = Atom(Fraction(lo, D), Fraction(hi, D), letter, i)
-    return DynamicalPartition(r, tuple(atoms))
+    return DynamicalPartition(r, tuple(atoms), path)
 
 
 def _induce_fully(m, r: int) -> InductionResult:

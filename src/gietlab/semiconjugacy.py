@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import PathMismatch
+from .errors import GietlabError, PathMismatch
 from .giet import dynamical_partition, giet_from_iet
 
 
@@ -24,11 +24,21 @@ class MonotonePLMap:
     _xs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert self.nodes[0] == (0.0, 0.0) and self.nodes[-1] == (1.0, 1.0)
+        last = len(self.nodes) - 1
+        for i, end in ((0, (0.0, 0.0)), (last, (1.0, 1.0))):
+            if self.nodes[i] != end:
+                raise GietlabError(f"node {i} of a monotone map is {self.nodes[i]}, not {end}")
         xs = [p[0] for p in self.nodes]
         ys = [p[1] for p in self.nodes]
-        assert all(b > a for a, b in zip(xs, xs[1:])), "node x must strictly increase"
-        assert all(b >= a for a, b in zip(ys, ys[1:])), "node y must not decrease"
+        for i in range(1, last + 1):
+            if not xs[i] > xs[i - 1]:
+                raise GietlabError(
+                    f"node x must strictly increase: node {i} has x = {xs[i]} after {xs[i - 1]}"
+                )
+            if not ys[i] >= ys[i - 1]:
+                raise GietlabError(
+                    f"node y must not decrease: node {i} has y = {ys[i]} after {ys[i - 1]}"
+                )
         # interior abscissae only: bisecting them gives the segment index
         object.__setattr__(self, "_xs", xs[1:-1])
 

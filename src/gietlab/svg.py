@@ -34,7 +34,17 @@ def render_partition(doc: dict) -> str:
         f'<rect x="{_fmt(MARGIN)}" y="{_fmt(40.0)}" width="{_fmt(total * SCALE)}" '
         f'height="40" fill="none" stroke="black" stroke-width="1.5"/>'
     ]
-    for atom in doc["atoms"]:
+    atoms = doc["atoms"]
+    if not isinstance(atoms, list):
+        raise GietlabError(
+            f"partition document field 'atoms' must be a list, got {type(atoms).__name__}"
+        )
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise GietlabError(
+                f"partition document field 'atoms': entry {i} must be a JSON object, "
+                f"got {type(atom).__name__}"
+            )
         left = eval_frac(atom["left"])
         right = eval_frac(atom["right"])
         x = MARGIN + left * SCALE

@@ -18,8 +18,10 @@ reproduces the prescribed arrows, never on residual smallness alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .combinatorics import (
     CombinatorialDatum,
@@ -86,6 +88,13 @@ class RefConfig:
     def labels_in_order(self):
         """Classes left to right at the reference."""
         return [self.classes[c] for c in self.geometric]
+
+    @cached_property
+    def pull_order(self) -> tuple[int, ...]:
+        """The classes a pullback step pulls back, left to right: every class
+        but those whose index predecessor is a critical class."""
+        critical = set(self.crit_pos.values())
+        return tuple(c for c in self.geometric if (c - 1) % self.N not in critical)
 
     @property
     def max_label(self) -> LabelClass:
@@ -227,18 +236,18 @@ class Configuration:
         return self.points[label.orbit_pos]
 
     def in_geometric_order(self):
-        return [self.points[c] for c in self.ref.geometric]
+        return list(map(self.points.__getitem__, self.ref.geometric))
 
     def is_valid(self) -> bool:
         if self.points[0] != 0:
             return False
         ordered = self.in_geometric_order()
-        if any(b <= a for a, b in zip(ordered, ordered[1:])):
+        if any(map(operator.ge, ordered, ordered[1:])):
             return False
         return 0 <= ordered[0] and ordered[-1] < 1
 
     def delta(self, other: "Configuration"):
-        return max(abs(a - b) for a, b in zip(self.points, other.points))
+        return max(map(abs, map(operator.sub, self.points, other.points)))
 
 
 def reference_configuration(ref: RefConfig, exact: bool = True) -> Configuration:
@@ -330,16 +339,16 @@ def step(
         raise NearBoundary(f"tau entries {list(faces)} at or below {eps_deg}", faces=faces.values())
     if f is None:
         f = family.at(tau)
-    N = ref.N
-    new_points = [None] * N
+    # shifted[c] holds the new point of class c - 1, the preimage of point c,
+    # so the classes of the pull order index it directly
+    shifted = [None] * ref.N
     for a, lo, _ in f.top_intervals():
-        new_points[ref.crit_pos[a]] = lo
-    # the points to pull back, left to right: every class except those whose
-    # index predecessor is a critical point, which was just placed
-    order = [c for c in ref.geometric if new_points[(c - 1) % N] is None]
-    preimages = f.eval_inverse_sorted([config.points[c] for c in order])
+        shifted[(ref.crit_pos[a] + 1) % ref.N] = lo
+    order = ref.pull_order
+    preimages = f.eval_inverse_sorted(list(map(config.points.__getitem__, order)))
     for c, x in zip(order, preimages):
-        new_points[(c - 1) % N] = x
+        shifted[c] = x
+    new_points = shifted[1:] + shifted[:1]
     out = Configuration(ref, tuple(new_points))
     if out.is_valid():
         return out
@@ -417,7 +426,7 @@ def solve(
         pulled = step(family, ref, config, eps_deg, tau=tau, f=f)
         new_config = Configuration(
             ref,
-            tuple(half * old + half * new for old, new in zip(config.points, pulled.points)),
+            tuple([half * old + half * new for old, new in zip(config.points, pulled.points)]),
         )
         delta = config.delta(new_config)
         deltas.append((it + 1, float(delta)))

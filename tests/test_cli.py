@@ -10,7 +10,7 @@ from gietlab.errors import GietlabError
 from gietlab.combinatorics import parse_datum
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
-from gietlab.giet import giet_from_branches, giet_from_iet
+from gietlab.giet import Giet, giet_from_branches, giet_from_iet
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -410,6 +410,10 @@ def test_eval_frac_of_a_bad_number_is_an_error(value):
     ({"kind": "partition"}, "partition document is missing the key 'total'"),
     ({"kind": "partition", "total": 1.0, "atoms": [{"left": 0.0, "right": 1.0}]},
      "partition document is missing the key 'label'"),
+    ({"kind": "partition", "total": 1, "atoms": 5},
+     "partition document field 'atoms' must be a list, got int"),
+    ({"kind": "partition", "total": 1, "atoms": [1]},
+     "partition document field 'atoms': entry 0 must be a JSON object, got int"),
 ])
 def test_render_of_a_bad_partition_is_an_error(tmp_path, capsys, doc, message):
     out = tmp_path / "p.svg"
@@ -482,3 +486,16 @@ def test_float_partition_svg(tmp_path):
     assert main(["partition", str(gpath), "-r", "5", "-o",
                  str(tmp_path / "p.json"), "--svg", str(out_svg)]) == 0
     assert out_svg.read_text().count("<text") == 11
+
+
+def test_partition_induces_the_map_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "float.json"
+    fileio.dump(fileio.giet_document(giet_from_iet(model_iet())), str(path))
+    calls = []
+    induce = Giet.rauzy_path
+    monkeypatch.setattr(
+        Giet, "rauzy_path", lambda self, *args: calls.append(args) or induce(self, *args)
+    )
+    assert main(["partition", str(path), "-r", "5"]) == 0
+    assert calls == [(5,)]
+    assert [a["label"] for a in json.loads(capsys.readouterr().out)["atoms"]] == FIG_LABELS

@@ -4,9 +4,25 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_unit_giet
-from gietlab.branches import EPS_BRANCH, Affine, Chain, PiecewiseLinear, SmoothParam, Translation
+from gietlab.branches import (
+    EPS_BRANCH,
+    Affine,
+    Chain,
+    PiecewiseLinear,
+    SmoothParam,
+    Translation,
+    compose,
+    restrict,
+)
 from gietlab.combinatorics import RauzyPath, all_admissible_data, parse_datum, path_matrix
-from gietlab.errors import DatumMismatch, InductionFailed, OrderViolation, OutOfDomain, TieError
+from gietlab.errors import (
+    DatumMismatch,
+    GietlabError,
+    InductionFailed,
+    OrderViolation,
+    OutOfDomain,
+    TieError,
+)
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
     dynamical_partition,
@@ -369,6 +385,32 @@ def test_batch_inverse_snaps_like_pointwise_left_of_a_breakpoint():
     assert batch[0] == f.branches["C"].inverse(ys[0])
 
 
+def batched_branches():
+    chain = compose(SmoothParam((0.25, 0.5), (0.125, 0.75), k=1.75),
+                    Affine((0.125, 0.75), (0.0, 0.5)))
+    return {
+        "translation": Translation((0.2, 0.5), (0.4, 0.7)),
+        "affine": Affine((0.2, 0.5), (0.1, 0.9)),
+        "pl": PiecewiseLinear(((0.0, 0.1), (0.3, 0.5), (0.7, 0.6), (1.0, 0.9))),
+        "smooth-k0": SmoothParam((0.1, 0.6), (0.3, 0.5), k=0.0),
+        "smooth-k+": SmoothParam((0.1, 0.6), (0.3, 0.5), k=2.5),
+        "smooth-k-": SmoothParam((0.1, 0.6), (0.3, 0.5), k=-1.5),
+        "restricted-chain": restrict(chain, 0.3, 0.45, chain.eval(0.3), chain.eval(0.45)),
+    }
+
+
+@pytest.mark.parametrize("name", list(batched_branches()))
+def test_inverse_many_is_bitwise_the_scalar_inverse(name):
+    branch = batched_branches()[name]
+    if name == "restricted-chain":
+        assert isinstance(branch, Chain) and len(branch.parts) == 2
+    rng = random.Random(47)
+    c, d = branch.range_
+    ys = sorted([c] + [c + (d - c) * rng.random() for _ in range(300)])
+    assert branch.inverse_many(ys) == [branch.inverse(y) for y in ys]
+    assert branch.inverse_many([]) == []
+
+
 def test_batch_inverse_rejects_bad_input():
     f = giet_from_iet(model_iet())
     assert f.eval_inverse_sorted([]) == []
@@ -498,3 +540,17 @@ def test_induced_branch_is_the_first_return_map():
                 assert g.eval(x) == y
                 br = g.branches[a]
                 assert len(br.parts if isinstance(br, Chain) else (br,)) == steps
+
+
+def test_partition_carries_the_path_of_its_induction():
+    T = model_iet()
+    for m in (T, giet_from_iet(T)):
+        assert dynamical_partition(m, 5).path == m.rauzy_path(5).path
+
+
+@pytest.mark.parametrize("side", ["top", "bottom"])
+def test_lengths_that_do_not_sum_to_one_are_an_error(side):
+    good, bad = [0.25, 0.75], [0.25, 0.5]
+    top, bottom = (bad, good) if side == "top" else (good, bad)
+    with pytest.raises(GietlabError, match=f"{side} lengths must sum to 1, got 0.75"):
+        giet_from_branches(D2, top, bottom, lambda a, d, r: Affine(d, r))

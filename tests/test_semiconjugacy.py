@@ -4,10 +4,10 @@ import pytest
 
 from gietlab.branches import SmoothParam
 from gietlab.combinatorics import parse_datum, path_matrix
-from gietlab.errors import PathMismatch
+from gietlab.errors import GietlabError, PathMismatch
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import dynamical_partition, giet_from_branches, giet_from_iet
-from gietlab.semiconjugacy import build_semiconjugacy, residual
+from gietlab.semiconjugacy import MonotonePLMap, build_semiconjugacy, residual
 from gietlab.thurston import GietFamily, realize
 
 D2 = parse_datum("A B", "B A")
@@ -116,3 +116,16 @@ def test_residual_through_the_float_model_equals_the_exact_one():
             assert residual(h, f, T, samples) == pytest.approx(
                 exact_residual(h, f, T, samples), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("nodes, message", [
+    (((0.0, 0.1), (1.0, 1.0)), r"node 0 of a monotone map is \(0.0, 0.1\), not \(0.0, 0.0\)"),
+    (((0.0, 0.0), (0.9, 1.0)), r"node 1 of a monotone map is \(0.9, 1.0\), not \(1.0, 1.0\)"),
+    (((0.0, 0.0), (0.5, 0.2), (0.5, 0.3), (1.0, 1.0)),
+     "node x must strictly increase: node 2 has x = 0.5 after 0.5"),
+    (((0.0, 0.0), (0.4, 0.3), (0.6, 0.2), (1.0, 1.0)),
+     "node y must not decrease: node 2 has y = 0.2 after 0.3"),
+], ids=["first-node", "last-node", "x-repeats", "y-decreases"])
+def test_bad_monotone_map_nodes_are_an_error(nodes, message):
+    with pytest.raises(GietlabError, match=message):
+        MonotonePLMap(nodes)

@@ -470,3 +470,99 @@ def test_solve_builds_one_family_map_per_iteration():
     assert report.status == "realized" and report.iterations > 10
     # one map per step, plus the map whose path check succeeds
     assert len(built) == report.iterations + 1
+
+
+def old_pull_order(ref):
+    """The classes ``step`` pulls back, as ``step`` used to list them on every
+    call: those whose index predecessor is not yet placed."""
+    N = ref.N
+    new_points = [None] * N
+    for a in ref.datum.alphabet:
+        new_points[ref.crit_pos[a]] = 0.0
+    return tuple(c for c in ref.geometric if new_points[(c - 1) % N] is None)
+
+
+def fibonacci_ref(depth):
+    T = ExactIET.from_lengths(D2, [Fraction(2584, 6765), Fraction(4181, 6765)])
+    return build_reference(T.rauzy_path(depth).path)
+
+
+def test_pull_order_equals_the_per_step_comprehension():
+    refs = [fibonacci_ref(depth) for depth in range(10, 16)]
+    rng = random.Random(73)
+    classes = {datum: rauzy_class(datum) for datum in (D4, D5)}
+    for _ in range(20):
+        datum = rng.choice((D4, D5))
+        kinds = "".join(rng.choice("tb") for _ in range(rng.randint(4, 12)))
+        path = RauzyPath.from_kinds(datum, kinds)
+        if not sigma_and_cyclicity(path.target)[1]:
+            cls = classes[datum]
+            path = path.concat(find_path(cls, path.target, find_cyclic(cls)))
+        refs.append(build_reference(path))
+    for ref in refs:
+        assert ref.pull_order == old_pull_order(ref)
+        assert len(ref.pull_order) == ref.N - ref.datum.d
+
+
+def test_is_valid_rejects_each_broken_order():
+    ref = model_ref()
+    good = reference_configuration(ref, exact=False)
+    assert good.is_valid()
+
+    def moved(c, x):
+        points = list(good.points)
+        points[c] = x
+        return thurston.Configuration(ref, tuple(points))
+
+    left, right = ref.geometric[1], ref.geometric[2]
+    assert not moved(right, good.points[left]).is_valid()  # a repeated point
+    assert not moved(ref.geometric[-1], 1.0).is_valid()  # a point at 1
+    assert not moved(0, 1e-3).is_valid()  # the pinned class is not at 0
+    # no comparison with NaN holds, so the predicate passes it as before
+    nan = moved(right, float("nan"))
+    assert nan.is_valid() == old_is_valid(ref, nan.points)
+
+
+def old_is_valid(ref, points):
+    ordered = [points[c] for c in ref.geometric]
+    if points[0] != 0 or any(b <= a for a, b in zip(ordered, ordered[1:])):
+        return False
+    return 0 <= ordered[0] and ordered[-1] < 1
+
+
+def old_step(family, ref, config):
+    """``step`` as it was before the pull order was fixed per reference:
+    every point pulled back on its own through ``Giet.eval_inverse``."""
+    f = family.at(tau_of(ref, config))
+    N = ref.N
+    new_points = [None] * N
+    for a, lo, _ in f.top_intervals():
+        new_points[ref.crit_pos[a]] = lo
+    order = [c for c in ref.geometric if new_points[(c - 1) % N] is None]
+    for c in order:
+        new_points[(c - 1) % N] = f.eval_inverse(config.points[c])
+    if old_is_valid(ref, new_points):
+        return tuple(new_points)
+    s = 0.5
+    for _ in range(40):
+        damped = tuple((1 - s) * old + s * new for old, new in zip(config.points, new_points))
+        if old_is_valid(ref, damped):
+            return damped
+        s *= 0.5
+    raise AssertionError("no damping restores the order")
+
+
+def test_step_returns_the_points_of_the_per_point_pullback():
+    ref = fibonacci_ref(13)
+    seed = giet_from_branches(
+        D2, [0.5, 0.5], [0.5, 0.5],
+        lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else -1.5),
+    )
+    family = GietFamily(seed)
+    config = reference_configuration(ref, exact=False)
+    for _ in range(8):
+        pulled = step(family, ref, config)
+        assert pulled.points == old_step(family, ref, config)
+        config = thurston.Configuration(
+            ref, tuple(0.5 * a + 0.5 * b for a, b in zip(config.points, pulled.points))
+        )
