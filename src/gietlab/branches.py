@@ -41,9 +41,9 @@ class Branch:
         raise NotImplementedError
 
     def inverse_many(self, ys) -> list:
-        """``[self.inverse(y) for y in ys]``.  Primitives override it to hoist
-        their constants out of the loop and keep the scalar expression, so
-        the results are bit-identical."""
+        """``[self.inverse(y) for y in ys]``.  ``SmoothParam`` overrides it to
+        hoist its constants out of the loop and keep the scalar expression,
+        so the results are bit-identical."""
         return [self.inverse(y) for y in ys]
 
     def __call__(self, x: float) -> float:
@@ -75,10 +75,6 @@ class Translation(Branch):
     def inverse(self, y):
         return y - (self.range_[0] - self.domain[0])
 
-    def inverse_many(self, ys):
-        shift = self.range_[0] - self.domain[0]
-        return [y - shift for y in ys]
-
     def rescaled(self, domain, range_):
         return Affine(domain, range_)
 
@@ -98,10 +94,6 @@ class Affine(Branch):
 
     def inverse(self, y):
         return self.domain[0] + (y - self.range_[0]) / self.slope
-
-    def inverse_many(self, ys):
-        a, c, slope = self.domain[0], self.range_[0], self.slope
-        return [a + (y - c) / slope for y in ys]
 
     def rescaled(self, domain, range_):
         return Affine(domain, range_)

@@ -236,7 +236,7 @@ class Configuration:
         return self.points[label.orbit_pos]
 
     def in_geometric_order(self):
-        return list(map(self.points.__getitem__, self.ref.geometric))
+        return [self.points[c] for c in self.ref.geometric]
 
     def is_valid(self) -> bool:
         if self.points[0] != 0:
@@ -345,7 +345,7 @@ def step(
     for a, lo, _ in f.top_intervals():
         shifted[(ref.crit_pos[a] + 1) % ref.N] = lo
     order = ref.pull_order
-    preimages = f.eval_inverse_sorted(list(map(config.points.__getitem__, order)))
+    preimages = f.eval_inverse_sorted([config.points[c] for c in order])
     for c, x in zip(order, preimages):
         shifted[c] = x
     new_points = shifted[1:] + shifted[:1]
