@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DuplicateLetter, EmptySubset, NotInClass, RowMismatch
 
@@ -55,7 +56,7 @@ class CombinatorialDatum:
                 f"rows {' '.join(self.top)!r} and {' '.join(self.bottom)!r} do not match"
             )
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[str, ...]:
         return tuple(sorted(self.top))
 

@@ -1,4 +1,4 @@
-"""JSON documents for IETs, GIETs, partitions and degenerations.
+"""JSON documents for IETs, GIETs and partitions.
 
 Exact rationals serialize as ``"p/q"`` strings, floats as JSON numbers, so a
 document round-trips without losing exactness.  Field names are fixed; see
@@ -199,17 +199,6 @@ def partition_document(p: DynamicalPartition, total, labels=None) -> dict:
     return {"kind": "partition", "order": p.order, "total": _num_out(total), "atoms": atoms}
 
 
-def degeneration_document(deg) -> dict:
-    """Serialize a boundary degeneration: reduced map plus singular points."""
-    return {
-        "kind": "degeneration",
-        "datum": deg.datum.encode(),
-        "reduced_datum": deg.reduced_datum.encode(),
-        "regular": giet_document(deg.regular),
-        "singular": {a: list(p) for a, p in sorted(deg.singular.items())},
-    }
-
-
 def load_document(path: str, what: str) -> dict:
     """Read a JSON document, which must be an object; ``what`` names the
     document expected, for the error message."""
@@ -229,7 +218,11 @@ def load_map(path: str):
 
 
 def dump(doc: dict, path: str | None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    """``doc`` as one line of JSON with sorted keys, also written to ``path``.
+
+    No ``indent``: with it, ``json`` falls back to its pure-Python encoder.
+    """
+    text = json.dumps(doc, sort_keys=True)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .branches import Translation, compose, restrict, EPS_BRANCH
@@ -59,17 +60,24 @@ class Giet:
     def bottom_intervals(self):
         return self._intervals(self.datum.bottom, self.bottom_breaks)
 
+    @cached_property
+    def _top_cuts(self):
+        """Left ends of the top intervals after the first, in row order."""
+        return [self.top_breaks[a] for a in self.datum.top[1:]]
+
+    @cached_property
+    def _bottom_cuts(self):
+        """Left ends of the bottom intervals after the first, in row order."""
+        return [self.bottom_breaks[a] for a in self.datum.bottom[1:]]
+
     def _check_domain(self, x):
         if x < -EPS_BRANCH or x >= self.length:
             raise OutOfDomain(f"{x} outside [0, {self.length})")
 
-    def _locate(self, x, row, breaks):
-        self._check_domain(x)
-        return row[_row_index([breaks[a] for a in row[1:]], x)]
-
     def letter_at(self, x):
         """Letter whose top interval contains ``x``."""
-        return self._locate(x, self.datum.top, self.top_breaks)
+        self._check_domain(x)
+        return self.datum.top[_row_index(self._top_cuts, x)]
 
     def eval(self, x):
         return self.branches[self.letter_at(x)].eval(x)
@@ -77,8 +85,8 @@ class Giet:
     __call__ = eval
 
     def eval_inverse(self, y):
-        a = self._locate(y, self.datum.bottom, self.bottom_breaks)
-        return self.branches[a].inverse(y)
+        self._check_domain(y)
+        return self.branches[self.datum.bottom[_row_index(self._bottom_cuts, y)]].inverse(y)
 
     def eval_inverse_sorted(self, ys):
         """``[self.eval_inverse(y) for y in ys]`` for non-decreasing ``ys``.
@@ -94,7 +102,7 @@ class Giet:
             self._check_domain(ys[0])
             self._check_domain(ys[-1])
         row = self.datum.bottom
-        cuts = [self.bottom_breaks[a] for a in row[1:]]
+        cuts = self._bottom_cuts
 
         def index(y):
             return _row_index(cuts, y)

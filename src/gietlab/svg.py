@@ -49,12 +49,12 @@ def render_partition(doc: dict) -> str:
         right = eval_frac(atom["right"])
         x = MARGIN + left * SCALE
         w = (right - left) * SCALE
+        # one entry per atom, formatted inline as ``_fmt`` does: atoms can
+        # number tens of thousands
         body.append(
-            f'<line x1="{_fmt(x)}" y1="40" x2="{_fmt(x)}" y2="80" '
-            f'stroke="black" stroke-width="0.75"/>'
-        )
-        body.append(
-            f'<text x="{_fmt(x + w / 2)}" y="66" font-size="16" text-anchor="middle" '
+            f'<line x1="{x:.2f}" y1="40" x2="{x:.2f}" y2="80" '
+            f'stroke="black" stroke-width="0.75"/>\n'
+            f'<text x="{x + w / 2:.2f}" y="66" font-size="16" text-anchor="middle" '
             f'font-family="monospace">{escape(str(atom["label"]), quote=False)}</text>'
         )
     return _svg(total * SCALE + 2 * MARGIN, height, body)

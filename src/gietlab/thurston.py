@@ -190,13 +190,15 @@ def build_reference(path: RauzyPath) -> RefConfig:
     assert None not in geometric, "orbit is not the 1/N grid"
 
     crit_pos = {a: geometric[u_t[a]] for a in path.source.alphabet}
-    classes = []
-    for c in range(N):
-        letter, index = min(
-            ((a, (c - crit_pos[a]) % N) for a in path.source.alphabet),
-            key=lambda t: t[1],
-        )
-        classes.append(LabelClass(letter, index, c))
+    # a class is named after the nearest critical position at or before it,
+    # cyclically: each critical letter names the run up to the next one
+    # (critical positions are distinct, so no two letters tie)
+    classes = [None] * N
+    runs = sorted(crit_pos.items(), key=lambda t: t[1])
+    for (a, p), (_, end) in zip(runs, runs[1:] + runs[:1]):
+        for i in range((end - p - 1) % N + 1):
+            c = (p + i) % N
+            classes[c] = LabelClass(a, i, c)
 
     window = {}
     for a in path.source.alphabet:
@@ -242,7 +244,8 @@ class Configuration:
         if self.points[0] != 0:
             return False
         ordered = self.in_geometric_order()
-        if any(map(operator.ge, ordered, ordered[1:])):
+        # every comparison with NaN is false, so a NaN point fails ``<``
+        if not all(map(operator.lt, ordered, ordered[1:])):
             return False
         return 0 <= ordered[0] and ordered[-1] < 1
 

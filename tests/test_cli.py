@@ -434,21 +434,36 @@ def test_order_bound_enforced(tmp_path, capsys):
     assert main(["induct", iet, "-r", "65"]) == 1
 
 
-def test_degeneration_document(tmp_path):
-    from gietlab.full_family import boundary_apply
-    from conftest import random_unit_giet
-    import random as _random
+def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
+    written = []
+    real_dump = fileio.dump
 
-    five = parse_datum("A B E C D", "E A D C B")
-    f = random_unit_giet(_random.Random(30), datum=five)
-    tau = {"A": 0.3, "B": 0.3, "C": 0.4, "D": 0.0, "E": 0.0}
-    deg = boundary_apply(f, tau)
-    doc = fileio.degeneration_document(deg)
-    assert doc["reduced_datum"] == "A B C / A C B"
-    assert sorted(doc["singular"]) == ["D", "E"]
-    # the regular part round-trips through its own document
-    again = fileio.giet_from_document(json.loads(json.dumps(doc["regular"])))
-    assert again == deg.regular
+    def recording_dump(doc, path):
+        text = real_dump(doc, path)
+        written.append((doc, path, text))
+        return text
+
+    monkeypatch.setattr(fileio, "dump", recording_dump)
+    iet = write_model_iet(tmp_path)
+    family = write_seed_family(tmp_path)
+    partition = str(tmp_path / "partition.json")
+    report = str(tmp_path / "report.json")
+    assert main(["partition", iet, "-r", "5", "-o", partition]) == 0
+    assert main(["realize", family, "bbbtb", "-o", report]) == 0
+    assert [path for _, path, _ in written] == [iet, family, partition, report]
+    for doc, path, text in written:
+        assert open(path).read() == text + "\n"
+        # one line, keys sorted, the default separators
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        assert json.loads(text) == json.loads(json.dumps(doc, indent=2, sort_keys=True))
+    # documents written with indentation, as earlier versions did, still load
+    for doc, path, _ in written[:3]:
+        indented = tmp_path / f"indented-{doc['kind']}.json"
+        indented.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        if doc["kind"] == "partition":
+            assert main(["render", str(indented), "-o", str(tmp_path / "indented.svg")]) == 0
+        else:
+            assert fileio.load_map(str(indented)) == fileio.load_map(path)
 
 
 def test_partition_of_float_giet_with_class_labels(tmp_path, capsys):

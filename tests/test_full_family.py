@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_simplex, random_unit_giet
+from gietlab import fileio
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
@@ -264,6 +266,17 @@ def test_boundary_five_branch_double_collapse():
     for x, y in deg.singular.values():
         assert min(abs(x - t) for t in anchors_x) < 1e-9
         assert min(abs(y - t) for t in anchors_y) < 1e-9
+
+
+def test_boundary_five_branch_fixed_tau():
+    f = random_unit_giet(random.Random(30), datum=FIVE)
+    deg = boundary_apply(f, {"A": 0.3, "B": 0.3, "C": 0.4, "D": 0.0, "E": 0.0})
+    assert deg.reduced_datum == parse_datum("A B C", "A C B")
+    assert deg.removed == ("D", "E")
+    deg.regular.validate()
+    # the regular part round-trips through its own document
+    again = fileio.giet_from_document(json.loads(json.dumps(fileio.giet_document(deg.regular))))
+    assert again == deg.regular
 
 
 def test_boundary_rejects_interior_and_zero():

@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -383,6 +385,40 @@ def test_batch_inverse_snaps_like_pointwise_left_of_a_breakpoint():
     # the point within EPS_BRANCH of the breakpoint is read in the right letter
     assert batch[1] == f.branches["B"].inverse(ys[1])
     assert batch[0] == f.branches["C"].inverse(ys[0])
+
+
+def located_per_call(row, breaks, x):
+    """The letter of ``row`` whose interval holds ``x``, from a cut list built
+    on the call, with the snap forward of points within ``EPS_BRANCH`` left of
+    a breakpoint."""
+    cuts = [breaks[a] for a in row[1:]]
+    i = bisect_right(cuts, x)
+    if i < len(cuts) and cuts[i] - x <= EPS_BRANCH:
+        i += 1
+    return row[i]
+
+
+def test_cached_cuts_locate_like_a_per_call_cut_list():
+    rng = random.Random(44)
+    for trial in range(30):
+        f = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
+        if trial % 2:
+            f = f.rauzy_path(rng.randint(1, 6)).map
+        for row, breaks in ((f.datum.top, f.top_breaks), (f.datum.bottom, f.bottom_breaks)):
+            xs = [rng.random() * f.length for _ in range(50)]
+            for a in row[1:]:
+                x = breaks[a]
+                for _ in range(4):  # the breakpoint and three ulp steps left of it
+                    xs.append(x)
+                    x = math.nextafter(x, 0.0)
+            xs.sort()
+            letters = [located_per_call(row, breaks, x) for x in xs]
+            if row is f.datum.top:
+                assert [f.letter_at(x) for x in xs] == letters
+            else:
+                pointwise = [f.branches[a].inverse(y) for a, y in zip(letters, xs)]
+                assert [f.eval_inverse(y) for y in xs] == pointwise
+                assert f.eval_inverse_sorted(xs) == pointwise
 
 
 def batched_branches():

@@ -487,11 +487,12 @@ def fibonacci_ref(depth):
     return build_reference(T.rauzy_path(depth).path)
 
 
-def test_pull_order_equals_the_per_step_comprehension():
-    refs = [fibonacci_ref(depth) for depth in range(10, 16)]
-    rng = random.Random(73)
+def random_completed_refs(rng, count):
+    """References of ``count`` random 4- and 5-letter paths, each completed
+    to a cyclic target."""
     classes = {datum: rauzy_class(datum) for datum in (D4, D5)}
-    for _ in range(20):
+    refs = []
+    for _ in range(count):
         datum = rng.choice((D4, D5))
         kinds = "".join(rng.choice("tb") for _ in range(rng.randint(4, 12)))
         path = RauzyPath.from_kinds(datum, kinds)
@@ -499,9 +500,32 @@ def test_pull_order_equals_the_per_step_comprehension():
             cls = classes[datum]
             path = path.concat(find_path(cls, path.target, find_cyclic(cls)))
         refs.append(build_reference(path))
+    return refs
+
+
+def test_pull_order_equals_the_per_step_comprehension():
+    refs = [fibonacci_ref(depth) for depth in range(10, 16)]
+    refs += random_completed_refs(random.Random(73), 20)
     for ref in refs:
         assert ref.pull_order == old_pull_order(ref)
         assert len(ref.pull_order) == ref.N - ref.datum.d
+
+
+def old_class_names(ref):
+    """Each class's ``(letter, index)`` as ``build_reference`` used to name
+    it: the letter with the fewest forward steps from its critical point."""
+    return [
+        min(((a, (c - ref.crit_pos[a]) % ref.N) for a in ref.datum.alphabet), key=lambda t: t[1])
+        for c in range(ref.N)
+    ]
+
+
+def test_class_names_equal_the_fewest_steps_formula():
+    refs = [fibonacci_ref(depth) for depth in range(3, 19)]
+    refs += random_completed_refs(random.Random(74), 60)
+    for ref in refs:
+        assert [(k.letter, k.index) for k in ref.classes] == old_class_names(ref)
+        assert [k.orbit_pos for k in ref.classes] == list(range(ref.N))
 
 
 def test_is_valid_rejects_each_broken_order():
@@ -520,13 +544,13 @@ def test_is_valid_rejects_each_broken_order():
     assert not moved(0, 1e-3).is_valid()  # the pinned class is not at 0
 
 
-@pytest.mark.xfail(reason="is_valid accepts a NaN point: no comparison with NaN holds "
-                   "(a FOUND line of CHANGES.md)")
 def test_is_valid_rejects_a_nan_point():
     ref = model_ref()
-    points = list(reference_configuration(ref, exact=False).points)
-    points[ref.geometric[2]] = float("nan")
-    assert not thurston.Configuration(ref, tuple(points)).is_valid()
+    good = reference_configuration(ref, exact=False).points
+    for rank in (0, 1, 2, -1):  # the pinned class, interior points, the rightmost one
+        points = list(good)
+        points[ref.geometric[rank]] = float("nan")
+        assert not thurston.Configuration(ref, tuple(points)).is_valid()
 
 
 def old_is_valid(ref, points):
