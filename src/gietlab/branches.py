@@ -53,15 +53,19 @@ class Branch:
         """Spot-check monotonicity, endpoint matching and inverse consistency."""
         a, b = self.domain
         c, d = self.range_
-        assert b > a and d > c, f"degenerate branch {self.domain} -> {self.range_}"
+        name = f"{type(self).__name__} branch {self.domain} -> {self.range_}"
+        if not (b > a and d > c):
+            raise GietlabError(f"{name} is degenerate")
         xs = [a + (b - a) * i / samples for i in range(samples + 1)]
         ys = [self.eval(x) for x in xs]
-        for y0, y1 in zip(ys, ys[1:]):
-            assert y1 > y0, "branch is not strictly increasing"
-        assert abs(ys[0] - c) <= eps and abs(ys[-1] - d) <= eps, "range endpoints drift"
+        for x, y0, y1 in zip(xs[1:], ys, ys[1:]):
+            if not y1 > y0:
+                raise GietlabError(f"{name} is not strictly increasing at x = {x}")
+        if not (abs(ys[0] - c) <= eps and abs(ys[-1] - d) <= eps):
+            raise GietlabError(f"{name} maps its domain onto [{ys[0]}, {ys[-1]}]")
         for x in xs[1:-1]:
-            assert abs(self.inverse(self.eval(x)) - x) <= max(eps, 1e-9 * (b - a)), \
-                "inverse round-trip drift"
+            if not abs(self.inverse(self.eval(x)) - x) <= max(eps, 1e-9 * (b - a)):
+                raise GietlabError(f"{name} inverse does not round-trip x = {x}")
 
 
 @dataclass(frozen=True)

@@ -57,14 +57,6 @@ class OrderViolation(GietlabError):
     """A configuration does not respect the reference geometric order."""
 
 
-class NearBoundary(GietlabError):
-    """The pullback step was attempted too close to a face of configuration space."""
-
-    def __init__(self, message, faces=()):
-        super().__init__(message)
-        self.faces = tuple(faces)
-
-
 class NoCyclicDatum(GietlabError):
     """A Rauzy class contains no cyclic datum."""
 

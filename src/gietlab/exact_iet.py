@@ -199,14 +199,10 @@ class ExactIET:
         lt, lb = self.length(alpha_t), self.length(alpha_b)
         if lt == lb:
             raise TieError(f"equal lengths {lt} for {alpha_t} and {alpha_b}")
-        kind = "t" if lt > lb else "b"
-        winner = alpha_t if kind == "t" else alpha_b
-        loser = alpha_b if kind == "t" else alpha_t
-        arrow = rauzy_step(self.datum, kind)
-        assert (arrow.winner, arrow.loser) == (winner, loser)
+        arrow = rauzy_step(self.datum, "t" if lt > lb else "b")
         new_lengths = list(self.lengths)
-        w = self.datum.alphabet.index(winner)
-        l = self.datum.alphabet.index(loser)
+        w = self.datum.alphabet.index(arrow.winner)
+        l = self.datum.alphabet.index(arrow.loser)
         new_lengths[w] = new_lengths[w] - new_lengths[l]
         return ExactIET(arrow.target, tuple(new_lengths)), arrow
 

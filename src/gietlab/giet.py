@@ -282,12 +282,17 @@ class DynamicalPartition:
         return [a.hi - a.lo for a in self.atoms]
 
     def validate(self, total, tol=1e-9):
+        """Check that the atoms tile ``[0, total)`` left to right, each one nonempty."""
         prev = 0
         for atom in self.atoms:
-            assert abs(atom.lo - prev) <= tol, "gap or overlap between atoms"
-            assert atom.hi > atom.lo
+            name = f"atom {atom.letter}{atom.index} [{atom.lo}, {atom.hi})"
+            if not abs(atom.lo - prev) <= tol:
+                raise GietlabError(f"{name} does not start where the previous atom ends, {prev}")
+            if not atom.hi > atom.lo:
+                raise GietlabError(f"{name} is empty")
             prev = atom.hi
-        assert abs(prev - total) <= tol, "atoms do not tile the interval"
+        if not abs(prev - total) <= tol:
+            raise GietlabError(f"atoms end at {prev}, not at the total length {total}")
 
 
 def dynamical_partition(m, r: int) -> DynamicalPartition:
@@ -338,8 +343,8 @@ def verify_matrix_counts(m, r: int) -> bool:
     Entry (alpha, beta) must equal the number of order-``r`` atoms with letter
     ``alpha`` contained in the top interval of ``beta``.
     """
-    matrix = path_matrix(_induce_fully(m, r).path)
     partition = dynamical_partition(m, r)
+    matrix = path_matrix(partition.path)
     exact = isinstance(m.total, Fraction)
     tol = 0 if exact else 1e-9
     counts = {}

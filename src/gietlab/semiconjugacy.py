@@ -2,9 +2,11 @@
 
 Two maps with the same induction path to depth r generate combinatorially
 equivalent order-r partitions; matching like-labeled atom endpoints and
-interpolating linearly gives a monotone map h that conjugates the two up to
-an error bounded by the largest atom of the target partition.  Refining r
-shrinks the error, approximating the limit conjugating map.
+interpolating linearly gives a monotone map h with ``h o f`` close to
+``T o h``.  Both maps send an atom ``(alpha, i)`` below its tower top onto
+``(alpha, i + 1)``, so there ``|h(f(x)) - T(h(x))|`` is at most the largest
+target atom.  A tower top returns to the base, which is not one atom; there
+the defect can exceed every target atom, and no bound is derived for it.
 """
 
 from __future__ import annotations

@@ -11,15 +11,17 @@ A configuration is any N points in the same geometric order.  Reading the
 parameter ``tau`` off a configuration (consecutive gaps of the ``[alpha, 1]``
 points along the bottom row) selects one map of a full family; pulling every
 point back one index under that map is the pullback step.  Fixed points of
-the step realize the path, and the solver iterates the step from the
-reference, declaring success only when induction on the selected map
-reproduces the prescribed arrows, never on residual smallness alone.
+the step realize the path.  The solver iterates the step from the reference
+and makes every decision: it reads ``tau``, stops at a boundary face, and
+declares success only when induction on the selected map reproduces the
+prescribed arrows, never on residual smallness alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,13 +36,12 @@ from .combinatorics import (
 )
 from .errors import (
     InductionMismatch,
-    NearBoundary,
     NoCyclicDatum,
     OrderViolation,
     SolverFailed,
     TargetNotCyclic,
 )
-from .exact_iet import ExactIET, in_cone
+from .exact_iet import ExactIET
 from .giet import Giet, dynamical_partition, giet_from_iet, partitions_equivalent
 from . import full_family
 
@@ -60,9 +61,6 @@ class LabelClass:
     def name(self) -> str:
         return f"{self.letter}{self.index}"
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class RefConfig:
@@ -78,7 +76,6 @@ class RefConfig:
     ref_points: tuple[Fraction, ...]
     geometric: tuple[int, ...]
     crit_pos: dict
-    window: dict = field(repr=False)
 
     @property
     def datum(self) -> CombinatorialDatum:
@@ -96,11 +93,6 @@ class RefConfig:
         critical = set(self.crit_pos.values())
         return tuple(c for c in self.geometric if (c - 1) % self.N not in critical)
 
-    @property
-    def max_label(self) -> LabelClass:
-        """The class whose reference point is rightmost."""
-        return self.classes[self.geometric[-1]]
-
     def canonical_label(self, letter: str, index: int) -> LabelClass:
         """Normalized representative of ``(letter, index)`` under the identifications."""
         return self.classes[(self.crit_pos[letter] + index) % self.N]
@@ -108,21 +100,6 @@ class RefConfig:
     def shift(self, label: LabelClass) -> LabelClass:
         """The class ``[letter, index + 1]``."""
         return self.classes[(label.orbit_pos + 1) % self.N]
-
-    def successor(self, label: LabelClass):
-        """Geometric successor (next reference point to the right), None for the last."""
-        rank = self.geometric.index(label.orbit_pos)
-        if rank == self.N - 1:
-            return None
-        return self.classes[self.geometric[rank + 1]]
-
-    def window_label(self, label: LabelClass) -> tuple[str, int]:
-        """Representative ``(alpha, i)`` with ``-h_alpha <= i <= q_alpha - h_alpha - 1``.
-
-        Shifting it by ``h_alpha`` gives the raw order-r partition label of the
-        model map's atom at this class.
-        """
-        return self.window[label.orbit_pos]
 
     def class_of_atom(self, letter: str, raw_index: int) -> LabelClass:
         """Class of the order-r partition atom with raw label ``(letter, raw_index)``."""
@@ -136,7 +113,7 @@ def build_reference(path: RauzyPath) -> RefConfig:
     """Construct the reference data of a path ending at a cyclic datum.
 
     The model IET is cross-checked: it must reproduce the path's arrows under
-    exact induction and its length vector must lie in the path's cone.  The
+    exact induction, which also rejects lengths outside the path's cone.  The
     total return time N grows exponentially with the path length, so the
     construction refuses outright when it would exceed ``MAX_REFERENCE_POINTS``.
     """
@@ -153,8 +130,6 @@ def build_reference(path: RauzyPath) -> RefConfig:
     base = ExactIET.from_lengths(
         path.source, {a: Fraction(c, N) for a, c in cols.items()}, normalize=False
     )
-    if not in_cone(cols, path):
-        raise InductionMismatch("model lengths escape the path cone")
     # the model on its integer grid: the point k/N of ``base`` is k here
     grid = ExactIET(path.source, tuple(cols[a] for a in path.source.alphabet))
     result = grid.rauzy_path(len(path))
@@ -200,14 +175,6 @@ def build_reference(path: RauzyPath) -> RefConfig:
             c = (p + i) % N
             classes[c] = LabelClass(a, i, c)
 
-    window = {}
-    for a in path.source.alphabet:
-        for j in range(q[a]):
-            c = (crit_pos[a] + j - h[a]) % N
-            assert c not in window, "window representatives collide"
-            window[c] = (a, j - h[a])
-    assert len(window) == N
-
     return RefConfig(
         path=path,
         q=q,
@@ -219,7 +186,6 @@ def build_reference(path: RauzyPath) -> RefConfig:
         ref_points=tuple(Fraction(x, N) for x in orbit),
         geometric=tuple(geometric),
         crit_pos=crit_pos,
-        window=window,
     )
 
 
@@ -233,9 +199,6 @@ class Configuration:
 
     ref: RefConfig
     points: tuple
-
-    def point(self, label: LabelClass):
-        return self.points[label.orbit_pos]
 
     def in_geometric_order(self):
         return [self.points[c] for c in self.ref.geometric]
@@ -311,37 +274,14 @@ def family_from_iet(T: ExactIET) -> GietFamily:
     return GietFamily(giet_from_iet(T))
 
 
-def _boundary_faces(ref: RefConfig, tau: dict, eps_deg: float) -> dict:
-    """Letter -> face ``[alpha, 1]`` for each tau entry at or below ``eps_deg``."""
-    return {
-        a: str(ref.shift(ref.classes[ref.crit_pos[a]])) for a, v in tau.items() if v <= eps_deg
-    }
-
-
-def step(
-    family,
-    ref: RefConfig,
-    config: Configuration,
-    eps_deg: float = EPS_DEG,
-    tau: dict | None = None,
-    f=None,
-) -> Configuration:
-    """One pullback: select the family map marked by the configuration, send
+def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
+    """One pullback under ``f``, the family map selected by ``config``: send
     every point to the preimage of its index successor.
 
-    ``tau`` and ``f``, when the caller already has them, are the
-    configuration's parameter and the family map at it.  Critical-point
-    classes map straight to the critical points of the selected map.  If
+    Critical-point classes map straight to the critical points of ``f``.  If
     rounding breaks the geometric order, the result is damped toward the
     input until the order is restored.
     """
-    if tau is None:
-        tau = tau_of(ref, config)
-    faces = _boundary_faces(ref, tau, eps_deg)
-    if faces:
-        raise NearBoundary(f"tau entries {list(faces)} at or below {eps_deg}", faces=faces.values())
-    if f is None:
-        f = family.at(tau)
     # shifted[c] holds the new point of class c - 1, the preimage of point c,
     # so the classes of the pull order index it directly
     shifted = [None] * ref.N
@@ -385,11 +325,6 @@ class SolveReport:
         return self.status == "realized"
 
 
-def _path_realized(f, ref: RefConfig) -> bool:
-    result = f.rauzy_path(len(ref.path), ref.path.kinds)
-    return result.path.kinds == ref.path.kinds
-
-
 def solve(
     family,
     ref: RefConfig,
@@ -401,9 +336,9 @@ def solve(
     """Iterate the pullback from the reference configuration.
 
     Success means the selected map's induction reproduces the prescribed
-    arrows (checked on every iteration, including before the first step).  A
-    small step alone reports ``fixed_point_tol``; collapsing marking gaps
-    report ``boundary`` with the faces involved.
+    arrows (checked at every loop head, including before the first step).  A
+    small step alone reports ``fixed_point_tol``; marking gaps at or below
+    ``eps_deg`` report ``boundary`` with the faces involved.
 
     Each iterate is the average of the previous one and its pullback.  That
     has the same fixed points as the bare pullback but suppresses the
@@ -413,34 +348,31 @@ def solve(
     config = start if start is not None else reference_configuration(ref, family.exact)
     half = Fraction(1, 2) if family.exact else 0.5
     deltas: list[tuple[int, float]] = []
-    for it in range(max_iter + 1):
+    settled = False
+    for it in itertools.count():
         try:
             tau = tau_of(ref, config)
         except OrderViolation:
             return SolveReport("boundary", {}, config, it, deltas)
-        faces = _boundary_faces(ref, tau, eps_deg)
+        faces = tuple(ref.canonical_label(a, 1).name for a, v in tau.items() if v <= eps_deg)
         if faces:
-            return SolveReport("boundary", tau, config, it, deltas, tuple(faces.values()))
+            return SolveReport("boundary", tau, config, it, deltas, faces)
         f = family.at(tau)
-        if _path_realized(f, ref):
+        if f.rauzy_path(len(ref.path), ref.path.kinds).path.kinds == ref.path.kinds:
             return SolveReport("realized", tau, config, it, deltas)
-        if it == max_iter:
-            break
-        pulled = step(family, ref, config, eps_deg, tau=tau, f=f)
+        if settled:
+            return SolveReport("fixed_point_tol", tau, config, it, deltas)
+        if it >= max_iter:
+            return SolveReport("max_iter", tau, config, it, deltas)
+        pulled = step(family, ref, config, f)
         new_config = Configuration(
             ref,
             tuple([half * old + half * new for old, new in zip(config.points, pulled.points)]),
         )
         delta = config.delta(new_config)
         deltas.append((it + 1, float(delta)))
+        settled = delta < eps_fix
         config = new_config
-        if delta < eps_fix:
-            tau = tau_of(ref, config)
-            if _path_realized(family.at(tau), ref):
-                return SolveReport("realized", tau, config, it + 1, deltas)
-            return SolveReport("fixed_point_tol", tau, config, it + 1, deltas)
-    tau = tau_of(ref, config)
-    return SolveReport("max_iter", tau, config, max_iter, deltas)
 
 
 @dataclass
@@ -457,9 +389,9 @@ def realize(family, target_path: RauzyPath, cls=None, **solve_options) -> Realiz
     """Find a family parameter whose map generates ``target_path``.
 
     If the path does not end at a cyclic datum, a shortest completion inside
-    its Rauzy class is appended first; the realized path is then truncated
-    back.  The certificate is an independent check: the realized map's
-    dynamical partition must be combinatorially equivalent to the model's.
+    its Rauzy class is appended first, and realizing it realizes the prefix.
+    The certificate is an independent check: the realized map's dynamical
+    partition must be combinatorially equivalent to the model's.
     """
     if cls is None:
         cls = rauzy_class(target_path.source)
@@ -476,8 +408,6 @@ def realize(family, target_path: RauzyPath, cls=None, **solve_options) -> Realiz
     if not report.realized:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)
     f = family.at(report.tau)
-    truncated = f.rauzy_path(len(target_path))
-    assert truncated.path.kinds == target_path.kinds, "truncation lost the prefix"
     certificate = partitions_equivalent(
         dynamical_partition(f, len(full)),
         dynamical_partition(ref.base_iet, len(full)),

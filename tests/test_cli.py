@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gietlab
 from gietlab import fileio, svg
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
 from gietlab.cli import main
@@ -125,6 +130,22 @@ def test_realize_iet_like_family(tmp_path, capsys):
     for token in ("tau A = 0.5454545454", "tau B = 0.1818181818",
                   "tau C = 0.0909090909", "tau D = 0.1818181818"):
         assert token in out
+
+
+def test_optimized_python_prints_what_a_normal_run_prints(tmp_path):
+    # ``python -O`` strips every ``assert``: no answer may depend on one
+    src = str(Path(gietlab.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    seed, iet = write_seed_family(tmp_path), write_model_iet(tmp_path)
+    for args in (["realize", seed, "bbbtb"], ["partition", iet, "-r", "5"]):
+        normal, optimized = (
+            subprocess.run([sys.executable, *flags, "-m", "gietlab.cli", *args],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for flags in ([], ["-O"])
+        )
+        assert normal.returncode == optimized.returncode == 0, optimized.stderr
+        assert normal.stdout and optimized.stdout == normal.stdout
 
 
 def test_realize_nonlinear_family(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,26 @@ def test_chain_branches_strictly_increasing():
     result = f.rauzy_path(5)
     for br in result.map.branches.values():
         br.validate(samples=64)
+
+
+@pytest.mark.parametrize("branch, fault", [
+    (Translation((0.5, 0.5), (0.25, 0.25)), "is degenerate"),
+    (Translation((0.0, 0.5), (0.5, 0.75)), r"maps its domain onto \[0.5, 1.0\]"),
+])
+def test_branch_validate_raises_a_typed_error_naming_the_branch(branch, fault):
+    with pytest.raises(GietlabError, match=fault) as exc:
+        branch.validate()
+    assert f"Translation branch {branch.domain} -> {branch.range_}" in str(exc.value)
+
+
+def test_partition_validate_raises_a_typed_error_naming_the_atom():
+    P = dynamical_partition(model_iet(), 5)
+    gap = replace(P, atoms=P.atoms[:3] + P.atoms[4:])
+    with pytest.raises(GietlabError, match=r"atom D2 \[4/11, 5/11\) does not start"):
+        gap.validate(total=Fraction(1), tol=0)
+    short = replace(P, atoms=P.atoms[:-1])
+    with pytest.raises(GietlabError, match="atoms end at 10/11"):
+        short.validate(total=Fraction(1), tol=0)
 
 
 def test_path_partition_equivalence_both_directions():

@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from gietlab.errors import GietlabError, PathMismatch
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import dynamical_partition, giet_from_branches, giet_from_iet
 from gietlab.semiconjugacy import MonotonePLMap, build_semiconjugacy, residual
-from gietlab.thurston import GietFamily, realize
+from gietlab.thurston import GietFamily, build_reference, realize
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -129,3 +131,47 @@ def test_residual_through_the_float_model_equals_the_exact_one():
 def test_bad_monotone_map_nodes_are_an_error(nodes, message):
     with pytest.raises(GietlabError, match=message):
         MonotonePLMap(nodes)
+
+
+def conjugacy_maps():
+    """The smooth 2- and 4-letter maps of the ``conjugacy`` benchmark workload,
+    each with the order of its deepest partition there."""
+    def smooth(datum, lengths, ks):
+        return giet_from_branches(
+            datum, lengths, lengths, lambda a, d, rng: SmoothParam(d, rng, k=ks.get(a, 0.0))
+        )
+
+    g = (math.sqrt(5) - 1) / 2
+    raw = [math.sqrt(p) for p in (2, 3, 5, 7)]
+    yield smooth(D2, [1 - g, g], {"A": 2.0, "B": -1.5}), 21
+    yield smooth(D4, [x / sum(raw) for x in raw], {"A": 1.0, "C": -0.7}), 40
+
+
+def test_defect_below_the_tower_tops_stays_under_the_largest_target_atom():
+    tops_exceed = []
+    for f, r in conjugacy_maps():
+        partition = dynamical_partition(f, r)
+        atoms = partition.atoms
+        q = path_matrix(partition.path).row_sums()
+        T = build_reference(partition.path).base_iet
+        h = build_semiconjugacy(f, T, r)
+        largest = max(float(a.hi - a.lo) for a in dynamical_partition(T, r).atoms)
+        model = giet_from_iet(T)
+        los = [a.lo for a in atoms]
+        # the sample points of ``residual``
+        xs = {0.5 * (x0 + x1) for (x0, _), (x1, _) in zip(h.nodes, h.nodes[1:])}
+        xs.update((i + 0.5) / 128 for i in range(128))
+        below = tops = 0.0
+        for x in xs:
+            atom = atoms[bisect_right(los, x) - 1]
+            defect = abs(h.eval(float(f.eval(x))) - model.eval(h.eval(x)))
+            if atom.index < q[atom.letter] - 1:
+                below = max(below, defect)
+            else:
+                tops = max(tops, defect)
+        assert below <= largest
+        assert max(below, tops) == residual(h, f, T)
+        tops_exceed.append(tops > largest)
+    # at f2@21 the tower tops stay under the largest target atom too; at
+    # f4@40 they do not, so that atom bounds no full residual
+    assert tops_exceed == [False, True]

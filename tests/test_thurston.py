@@ -16,7 +16,7 @@ from gietlab.combinatorics import (
     rauzy_class,
     sigma_and_cyclicity,
 )
-from gietlab.errors import NearBoundary, NoCyclicDatum, TargetNotCyclic
+from gietlab.errors import NoCyclicDatum, TargetNotCyclic
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import dynamical_partition, giet_from_branches, partitions_equivalent
 from gietlab.thurston import (
@@ -45,6 +45,11 @@ def model_ref():
     return build_reference(model_path())
 
 
+def pull(family, ref, config):
+    """One pullback step under the family map that ``config`` selects."""
+    return step(family, ref, config, family.at(tau_of(ref, config)))
+
+
 def random_cyclic_path(rng, max_d=4, max_r=8):
     while True:
         d = rng.choice(range(2, max_d + 1))
@@ -65,7 +70,6 @@ def test_build_reference_worked_example():
     }
     assert [l.name for l in ref.labels_in_order] == FIG_LABELS
     assert sorted(ref.ref_points) == [Fraction(k, 11) for k in range(11)]
-    assert ref.max_label.name == "A2"
 
 
 def test_build_reference_requires_cyclic_target():
@@ -102,29 +106,11 @@ def test_canonical_label_identifications():
     assert len(names) == ref.N
 
 
-def test_window_labels_cover_each_class_once():
-    ref = model_ref()
-    seen = set()
-    for c in range(ref.N):
-        a, i = ref.window_label(ref.classes[c])
-        assert -ref.h[a] <= i <= ref.q[a] - ref.h[a] - 1
-        seen.add((a, i))
-    assert len(seen) == ref.N
-
-
 def test_class_of_atom_matches_figure_order():
     ref = model_ref()
     partition = dynamical_partition(ref.base_iet, 5)
     labels = [ref.class_of_atom(a.letter, a.index).name for a in partition.atoms]
     assert labels == FIG_LABELS
-
-
-def test_successor_follows_geometric_order():
-    ref = model_ref()
-    ordered = ref.labels_in_order
-    for left, right in zip(ordered, ordered[1:]):
-        assert ref.successor(left) is right
-    assert ref.successor(ref.max_label) is None
 
 
 def test_tau_of_reference_exact_and_float():
@@ -139,14 +125,14 @@ def test_tau_of_reference_exact_and_float():
 def test_step_fixed_point_exact_worked_example():
     ref = model_ref()
     config = reference_configuration(ref, exact=True)
-    out = step(ExactIETFamily(D4), ref, config)
+    out = pull(ExactIETFamily(D4), ref, config)
     assert out.points == config.points
 
 
 def test_step_fixed_point_float_worked_example():
     ref = model_ref()
     config = reference_configuration(ref, exact=False)
-    out = step(family_from_iet(ref.base_iet), ref, config)
+    out = pull(family_from_iet(ref.base_iet), ref, config)
     assert max(abs(a - b) for a, b in zip(out.points, config.points)) <= 1e-12
 
 
@@ -155,9 +141,9 @@ def test_step_fixed_point_random_cyclic_paths():
     for _ in range(10):
         path = random_cyclic_path(rng)
         ref = build_reference(path)
-        exact = step(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
+        exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
         assert exact.points == ref.ref_points
-        approx = step(
+        approx = pull(
             family_from_iet(ref.base_iet), ref, reference_configuration(ref, False)
         )
         assert max(
@@ -171,7 +157,7 @@ def test_step_preserves_order_for_nonlinear_families():
     for _ in range(5):
         seed = random_unit_giet(rng, datum=D4)
         config = reference_configuration(ref, exact=False)
-        out = step(GietFamily(seed), ref, config)
+        out = pull(GietFamily(seed), ref, config)
         assert out.is_valid()
 
 
@@ -183,23 +169,15 @@ def test_step_first_move_bounded_by_inverse_distortion():
     )
     family = GietFamily(seed)
     config = reference_configuration(ref, exact=False)
-    out = step(family, ref, config)
-    moved = max(abs(a - b) for a, b in zip(out.points, config.points))
     f_tau = family.at(tau_of(ref, config))
+    out = step(family, ref, config, f_tau)
+    moved = max(abs(a - b) for a, b in zip(out.points, config.points))
     T = ref.base_iet
     worst = 0.0
     for i in range(1, 512):
         y = i / 512
         worst = max(worst, abs(f_tau.eval_inverse(y) - float(T.eval_inverse(Fraction(i, 512)))))
     assert moved <= worst + 1e-12
-
-
-def test_step_near_boundary():
-    ref = model_ref()
-    config = reference_configuration(ref, exact=False)
-    with pytest.raises(NearBoundary) as exc:
-        step(family_from_iet(ref.base_iet), ref, config, eps_deg=0.5)
-    assert exc.value.faces
 
 
 def test_solve_iet_family_realizes_at_reference():
@@ -212,10 +190,13 @@ def test_solve_iet_family_realizes_at_reference():
 
 def test_solve_boundary_with_absurd_threshold():
     ref = model_ref()
-    report = solve(ExactIETFamily(D4), ref, eps_deg=0.5)
-    assert report.status == "boundary"
-    assert report.iterations == 0
-    assert report.faces
+    # tau is (6, 2, 1, 2)/11: every entry but A's is at or below 0.5
+    faces = tuple(ref.canonical_label(a, 1).name for a in "DCB")
+    for family in (ExactIETFamily(D4), family_from_iet(ref.base_iet)):
+        report = solve(family, ref, eps_deg=0.5)
+        assert report.status == "boundary"
+        assert report.iterations == 0
+        assert report.faces == faces
 
 
 def test_solve_respects_max_iter():
@@ -231,6 +212,9 @@ def test_solve_respects_max_iter():
     assert report.status == "max_iter"
     assert report.iterations == 10
     assert len(report.deltas) == 10
+    # a negative bound (the CLI passes ``--max-iter`` through) takes no step
+    report = solve(GietFamily(seed), ref, max_iter=-1)
+    assert report.status == "max_iter" and report.deltas == []
 
 
 def test_realize_worked_example_nonlinear():
@@ -313,7 +297,6 @@ def test_window_and_atom_labels_are_consistent():
             via_atom = ref.class_of_atom(a, j)
             via_window = ref.canonical_label(a, j - ref.h[a])
             assert via_atom is via_window
-            assert ref.window_label(via_atom) == (a, j - ref.h[a])
 
 
 def test_solve_fixed_point_tol_status():
@@ -336,7 +319,7 @@ def test_fixed_point_and_realization_at_five_letters():
         path = random_cyclic_path(rng, max_d=4, max_r=8)
         # rebuild over five letters when possible
         ref = build_reference(path)
-        assert step(
+        assert pull(
             ExactIETFamily(path.source), ref, reference_configuration(ref, True)
         ).points == ref.ref_points
     data5 = all_admissible_data("ABCDE")
@@ -426,6 +409,7 @@ def _reference_in_fractions(path):
         (crit_pos[a] + j - h[a]) % N: (a, j - h[a]) for a in path.source.alphabet
         for j in range(q[a])
     }
+    assert len(window) == N
     return {
         "ref_points": tuple(orbit),
         "geometric": tuple(sorted(range(N), key=lambda c: orbit[c])),
@@ -450,8 +434,14 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
             paths.append(path.concat(find_path(cls, path.target, target)))
     for path in paths:
         ref = build_reference(path)
-        for name, value in _reference_in_fractions(path).items():
+        expected = _reference_in_fractions(path)
+        window = expected.pop("window")
+        for name, value in expected.items():
             assert getattr(ref, name) == value, name
+        # the order-r atoms name each class once: atom (a, i + h_a) is window class c
+        assert {
+            ref.class_of_atom(a, i + ref.h[a]).orbit_pos: (a, i) for a, i in window.values()
+        } == window
         lengths = ref.base_iet.lengths + ref.induced_iet.lengths
         assert all(type(x) is Fraction for x in ref.ref_points + lengths)
 
@@ -591,7 +581,7 @@ def test_step_returns_the_points_of_the_per_point_pullback():
     family = GietFamily(seed)
     config = reference_configuration(ref, exact=False)
     for _ in range(8):
-        pulled = step(family, ref, config)
+        pulled = pull(family, ref, config)
         assert pulled.points == old_step(family, ref, config)
         config = thurston.Configuration(
             ref, tuple(0.5 * a + 0.5 * b for a, b in zip(config.points, pulled.points))
