@@ -14,14 +14,13 @@ from .combinatorics import (
     parse_datum,
     parse_datum_text,
     path_matrix,
-    path_predicates,
     rauzy_class,
     rauzy_step,
     reduction,
     return_times,
     sigma_and_cyclicity,
 )
-from .exact_iet import ExactIET, in_cone, cone_coordinates
+from .exact_iet import ExactIET
 from .branches import (
     Affine,
     Branch,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: class, cyclic, path, induct, partition, realize, semiconj,
-render.  Exit codes: 0 success, 1 parse or I/O error, 2 no cyclic datum found
-by ``cyclic``, 3 no cyclic datum available to ``realize``, 4 solver failure.
+render.  Exit codes: 0 success, 1 usage, parse or I/O error, 2 no cyclic datum
+found by ``cyclic``, 3 no cyclic datum available to ``realize``, 4 solver
+failure.
 All commands are deterministic given identical inputs and options; randomized
 sampling (the ``semiconj --spot-check`` points) uses ``--seed``, whose default
 is the GIETLAB_SEED environment variable (0 when unset).
@@ -119,20 +120,15 @@ def cmd_partition(args) -> int:
 def cmd_realize(args) -> int:
     seed = fileio.giet_from_document(fileio.load_document(args.family_file, "'giet' document"))
     target = RauzyPath.from_kinds(seed.datum, _kinds(args.kinds))
-    options = {
-        "max_iter": min(args.max_iter, MAX_ITER_CAP),
-        "eps_fix": args.tol,
-        "eps_deg": args.eps_deg,
-    }
     try:
-        result = realize(GietFamily(seed), target, **options)
+        result = realize(GietFamily(seed), target, max_iter=min(args.max_iter, MAX_ITER_CAP))
     except NoCyclicDatum as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolverFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.report is not None and exc.report.tau:
-            achieved = GietFamily(seed).at(exc.report.tau).rauzy_path(len(target))
+        if exc.report.map is not None:
+            achieved = exc.report.map.rauzy_path(len(target))
             print(f"partial path at the final parameter: {achieved.path.kinds!r}", file=sys.stderr)
         return 4
     report = result.report
@@ -241,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family_file")
     p.add_argument("kinds")
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-12, help="fixed-point step tolerance")
-    p.add_argument("--eps-deg", type=float, default=1e-9, help="boundary detection threshold")
     p.add_argument("-o", "--output", help="write a JSON report here")
     p.set_defaults(func=cmd_realize)
 
@@ -268,6 +262,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2, which is code 1 here
+        return 1 if exc.code else 0
     except (GietlabError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DuplicateLetter, EmptySubset, NotInClass, RowMismatch
@@ -233,28 +232,8 @@ class IntMatrix:
         d = len(alphabet)
         return cls(alphabet, tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
-    @classmethod
-    def arrow_matrix(cls, alphabet, winner: str, loser: str) -> "IntMatrix":
-        """Elementary transvection: column(winner) = e_winner + e_loser."""
-        alphabet = tuple(alphabet)
-        d = len(alphabet)
-        w, l = alphabet.index(winner), alphabet.index(loser)
-        rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        rows[l][w] = 1
-        return cls(alphabet, tuple(tuple(r) for r in rows))
-
     def entry(self, row_letter: str, col_letter: str) -> int:
         return self.rows[self.alphabet.index(row_letter)][self.alphabet.index(col_letter)]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.alphabet == other.alphabet
-        d = len(self.alphabet)
-        b = other.rows
-        rows = tuple(
-            tuple(sum(self.rows[i][k] * b[k][j] for k in range(d)) for j in range(d))
-            for i in range(d)
-        )
-        return IntMatrix(self.alphabet, rows)
 
     def row_sums(self) -> dict[str, int]:
         return {a: sum(self.rows[i]) for i, a in enumerate(self.alphabet)}
@@ -262,61 +241,6 @@ class IntMatrix:
     def col_sums(self) -> dict[str, int]:
         d = len(self.alphabet)
         return {a: sum(self.rows[i][j] for i in range(d)) for j, a in enumerate(self.alphabet)}
-
-    def transpose(self) -> "IntMatrix":
-        d = len(self.alphabet)
-        return IntMatrix(self.alphabet, tuple(tuple(self.rows[i][j] for i in range(d)) for j in range(d)))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free elimination."""
-        d = len(self.alphabet)
-        m = [[Fraction(x) for x in row] for row in self.rows]
-        det = Fraction(1)
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, d):
-                factor = m[r][col] * inv
-                if factor:
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        num = det
-        assert num.denominator == 1
-        return num.numerator
-
-    def inverse(self) -> "IntMatrix":
-        """Exact inverse; entries must come out integral (det = +-1)."""
-        d = len(self.alphabet)
-        m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-             for i, row in enumerate(self.rows)]
-        for col in range(d):
-            pivot = next(r for r in range(col, d) if m[r][col] != 0)
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [a * inv for a in m[col]]
-            for r in range(d):
-                if r != col and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        rows = []
-        for i in range(d):
-            row = m[i][d:]
-            assert all(x.denominator == 1 for x in row)
-            rows.append(tuple(x.numerator for x in row))
-        return IntMatrix(self.alphabet, tuple(rows))
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a letter-indexed vector."""
-        d = len(self.alphabet)
-        return {
-            a: sum(self.rows[i][j] * vec[self.alphabet[j]] for j in range(d))
-            for i, a in enumerate(self.alphabet)
-        }
 
     def __str__(self) -> str:
         width = max(len(str(x)) for row in self.rows for x in row)
@@ -347,14 +271,6 @@ def return_times(path: RauzyPath):
     """
     q = path_matrix(path).row_sums()
     return q, sum(q.values())
-
-
-def path_predicates(path: RauzyPath):
-    """``(is_positive, is_complete)``: all matrix entries > 0 / every letter wins."""
-    m = path_matrix(path)
-    is_positive = all(x > 0 for row in m.rows for x in row)
-    is_complete = set(path.winners) == set(path.source.alphabet)
-    return is_positive, is_complete
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Interval exchange transformations with exact rational lengths.
 
-Lengths are ``fractions.Fraction`` values, so Rauzy induction, cone membership
-and connection search are decided exactly: a tie is an exact event, never a
-floating-point accident.  A map with ``int`` lengths is the same map on its
-integer grid: its breakpoints, images and induced lengths stay ``int``, which
-is how the reference model and exact partitions are computed.
+Lengths are ``fractions.Fraction`` values, so Rauzy induction is decided
+exactly: a tie is an exact event, never a floating-point accident.  The cone
+of a path is the set of lengths whose induction follows it.  A map with
+``int`` lengths is the same map on its integer grid: its breakpoints, images
+and induced lengths stay ``int``, which is how the reference model and exact
+partitions are computed.
 
 >>> T = ExactIET.from_lengths(parse_datum("A B", "B A"), ["1/3", "2/3"])
 >>> T.eval(Fraction(0))
@@ -212,63 +213,3 @@ class ExactIET:
         With ``kinds``, also stop after the first arrow whose kind differs.
         """
         return induce(self, r, kinds)
-
-    def find_connection(self, n_max: int):
-        """Search for a critical orbit collision ``T^n(u^b_beta) = u^t_alpha``.
-
-        Only letters with ``pi_b(beta) >= 2`` and ``pi_t(alpha) >= 2`` count.
-        Returns the first hit in lexicographic ``(beta, alpha, n)`` order
-        (letters compared by alphabet position), or None within the bound.
-        The search horizon is supplied by the caller; absence of a hit within
-        ``n_max`` is not a renormalizability certificate.
-        """
-        u_t, u_b = self.breakpoints()
-        targets = {u_t[a]: a for a in self.datum.alphabet if self.datum.pi_t(a) >= 2}
-        hits = []
-        for beta in self.datum.alphabet:
-            if self.datum.pi_b(beta) < 2:
-                continue
-            x = u_b[beta]
-            for n in range(n_max + 1):
-                if x in targets:
-                    hits.append((beta, targets[x], n))
-                x = self.eval(x)
-        if not hits:
-            return None
-        index = {a: i for i, a in enumerate(self.datum.alphabet)}
-        return min(hits, key=lambda h: (index[h[0]], index[h[1]], h[2]))
-
-
-def in_cone(lengths, path: RauzyPath) -> bool:
-    """Exact test that a length vector lies in the open cone of a path.
-
-    Equivalent to checking that the inverse transposed path matrix sends the
-    vector to a strictly positive one: its cone coordinates are all positive.
-    """
-    vec = _length_vector(lengths, path)
-    if any(v <= 0 for v in vec.values()):
-        raise ValueError("lengths must be positive")
-    return all(v > 0 for v in _replay(vec, path).values())
-
-
-def cone_coordinates(lengths, path: RauzyPath) -> dict[str, Fraction]:
-    """The vector obtained after replaying the path's subtraction steps.
-
-    These are the lengths of the induced map when the test of ``in_cone``
-    passes.
-    """
-    return _replay(_length_vector(lengths, path), path)
-
-
-def _length_vector(lengths, path: RauzyPath) -> dict[str, Fraction]:
-    """``lengths`` (a dict, or a sequence in the path's alphabet order) as fractions."""
-    if isinstance(lengths, dict):
-        return {a: Fraction(v) for a, v in lengths.items()}
-    return {a: Fraction(v) for a, v in zip(path.source.alphabet, lengths)}
-
-
-def _replay(vec: dict[str, Fraction], path: RauzyPath) -> dict[str, Fraction]:
-    """Replay the path on ``vec`` in place: each arrow's winner loses the loser's length."""
-    for arrow in path.arrows:
-        vec[arrow.winner] -= vec[arrow.loser]
-    return vec

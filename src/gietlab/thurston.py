@@ -318,6 +318,7 @@ class SolveReport:
     config: Configuration
     iterations: int
     deltas: list
+    map: object = None  # the family map at ``tau``; none at a boundary face
     faces: tuple = ()
 
     @property
@@ -329,16 +330,14 @@ def solve(
     family,
     ref: RefConfig,
     max_iter: int = 500,
-    eps_fix: float = EPS_FIX,
-    eps_deg: float = EPS_DEG,
     start: Configuration | None = None,
 ) -> SolveReport:
     """Iterate the pullback from the reference configuration.
 
     Success means the selected map's induction reproduces the prescribed
     arrows (checked at every loop head, including before the first step).  A
-    small step alone reports ``fixed_point_tol``; marking gaps at or below
-    ``eps_deg`` report ``boundary`` with the faces involved.
+    step below ``EPS_FIX`` alone reports ``fixed_point_tol``; marking gaps at
+    or below ``EPS_DEG`` report ``boundary`` with the faces involved.
 
     Each iterate is the average of the previous one and its pullback.  That
     has the same fixed points as the bare pullback but suppresses the
@@ -354,16 +353,16 @@ def solve(
             tau = tau_of(ref, config)
         except OrderViolation:
             return SolveReport("boundary", {}, config, it, deltas)
-        faces = tuple(ref.canonical_label(a, 1).name for a, v in tau.items() if v <= eps_deg)
+        faces = tuple(ref.canonical_label(a, 1).name for a, v in tau.items() if v <= EPS_DEG)
         if faces:
-            return SolveReport("boundary", tau, config, it, deltas, faces)
+            return SolveReport("boundary", tau, config, it, deltas, faces=faces)
         f = family.at(tau)
         if f.rauzy_path(len(ref.path), ref.path.kinds).path.kinds == ref.path.kinds:
-            return SolveReport("realized", tau, config, it, deltas)
+            return SolveReport("realized", tau, config, it, deltas, f)
         if settled:
-            return SolveReport("fixed_point_tol", tau, config, it, deltas)
+            return SolveReport("fixed_point_tol", tau, config, it, deltas, f)
         if it >= max_iter:
-            return SolveReport("max_iter", tau, config, it, deltas)
+            return SolveReport("max_iter", tau, config, it, deltas, f)
         pulled = step(family, ref, config, f)
         new_config = Configuration(
             ref,
@@ -371,7 +370,7 @@ def solve(
         )
         delta = config.delta(new_config)
         deltas.append((it + 1, float(delta)))
-        settled = delta < eps_fix
+        settled = delta < EPS_FIX
         config = new_config
 
 
@@ -407,9 +406,8 @@ def realize(family, target_path: RauzyPath, cls=None, **solve_options) -> Realiz
     report = solve(family, ref, **solve_options)
     if not report.realized:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)
-    f = family.at(report.tau)
     certificate = partitions_equivalent(
-        dynamical_partition(f, len(full)),
+        dynamical_partition(report.map, len(full)),
         dynamical_partition(ref.base_iet, len(full)),
     )
     return RealizeResult(

@@ -18,6 +18,11 @@ def random_exact_iet(rng, d, max_num=60):
     return ExactIET.from_lengths(datum, lengths)
 
 
+def int_product(a, b):
+    """The matrix product of two matrices given as tuples of rows."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
 def random_lengths(rng, d, floor=0.05):
     raw = [rng.uniform(floor, 1.0) for _ in range(d)]
     total = sum(raw)

@@ -8,9 +8,10 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_simplex, random_unit_giet
+from conftest import int_product, random_simplex, random_unit_giet
 from gietlab.branches import SmoothParam
 from gietlab.combinatorics import (
+    IntMatrix,
     RauzyPath,
     all_admissible_data,
     find_cyclic,
@@ -83,8 +84,9 @@ def test_criterion_1_worked_example_exact():
         assert path.target == parse_datum("A B D C", "D A C B")
         matrix = path_matrix(path)
         assert matrix.rows == ((2, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0), (2, 1, 0, 1))
-        assert matrix.transpose().inverse().rows == (
-            (1, -1, -1, -1), (1, 0, -1, -2), (0, 0, 1, 0), (-1, 1, 1, 2),
+        transposed_inverse = ((1, -1, -1, -1), (1, 0, -1, -2), (0, 0, 1, 0), (-1, 1, 1, 2))
+        assert int_product(tuple(zip(*matrix.rows)), transposed_inverse) == (
+            IntMatrix.identity(matrix.alphabet).rows
         )
         q = matrix.row_sums()
         assert q == {"A": 3, "B": 2, "C": 2, "D": 4}
@@ -134,11 +136,11 @@ def test_criterion_4_path_partition_equivalence():
             datum = rng.choice(all_admissible_data("ABCD"[:d]))
             r = rng.randint(1, 6)
             path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(r)))
-            matrix = path_matrix(path).transpose()
+            matrix = path_matrix(path).rows
             pair = []
             for _ in range(2):
-                weights = {a: Fraction(rng.randint(1, 9)) for a in datum.alphabet}
-                lengths = matrix.apply(weights)
+                weights = [Fraction(rng.randint(1, 9)) for _ in datum.alphabet]
+                (lengths,) = int_product((weights,), matrix)  # M^T w, as a row vector
                 pair.append(ExactIET.from_lengths(datum, lengths))
             p0, p1 = (T.rauzy_path(r).path for T in pair)
             assert p0.kinds == p1.kinds == path.kinds

@@ -164,6 +164,28 @@ def test_realize_failure_exit_code(tmp_path, capsys):
     assert "partial path" in err
 
 
+def test_usage_errors_exit_with_code_1(tmp_path, capsys):
+    family = write_seed_family(tmp_path, D2)
+    for argv in (
+        ["realize", family, "tb", "--bogus"],
+        ["realize", family, "tb", "--tol", "1e-6"],  # the solver tolerances are constants
+        ["realize", family],
+        ["nosuchcommand"],
+    ):
+        assert main(argv) == 1, argv
+        assert "usage:" in capsys.readouterr().err
+    assert main(["realize", "--help"]) == 0
+    assert "--max-iter" in capsys.readouterr().out
+
+
+def test_realize_boundary_stop_has_no_partial_path(tmp_path, capsys, monkeypatch):
+    # a boundary parameter may have a zero entry, where no family map exists
+    monkeypatch.setattr(gietlab.thurston, "EPS_DEG", 0.5)  # the model's B, C, D entries are faces
+    assert main(["realize", write_seed_family(tmp_path), "bbbtb"]) == 4
+    err = capsys.readouterr().err
+    assert "status 'boundary'" in err and "partial path" not in err
+
+
 def test_semiconj_command(tmp_path, capsys):
     iet = write_model_iet(tmp_path)
     giet_doc = fileio.giet_document(giet_from_iet(model_iet()))

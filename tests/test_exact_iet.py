@@ -4,9 +4,10 @@ from math import gcd
 
 import pytest
 
-from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix, rauzy_step
+from conftest import int_product
+from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
 from gietlab.errors import InductionFailed, OutOfDomain, TieError
-from gietlab.exact_iet import ExactIET, cone_coordinates, in_cone
+from gietlab.exact_iet import ExactIET
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -91,13 +92,13 @@ def test_rauzy_path_zero():
 
 
 def test_in_cone():
-    path = RauzyPath.from_kinds(D4, "bbbtb")
-    assert in_cone(LAMBDA_G, path)
-    coords = cone_coordinates(LAMBDA_G, path)
-    assert coords == {a: Fraction(1, 11) for a in "ABCD"}
-    assert in_cone({"A": Fraction(1), "B": Fraction(2)}, RauzyPath(D2))
-    two_tops = RauzyPath.from_kinds(D2, "tt")
-    assert not in_cone([Fraction(1, 3), Fraction(2, 3)], two_tops)
+    # the cone of a path is the set of lengths whose exact induction follows it
+    result = fixture_Tg().rauzy_path(5, "bbbtb")
+    assert result.path == RauzyPath.from_kinds(D4, "bbbtb")
+    assert result.map.lengths_by_letter() == {a: Fraction(1, 11) for a in "ABCD"}
+    assert ExactIET.from_lengths(D2, [1, 2]).rauzy_path(0).path == RauzyPath(D2)
+    # (1/3, 2/3) follows one top arrow, then ties: it is off the cone of "tt"
+    assert fixture_T2().rauzy_path(2, "tt").path.kinds != "tt"
 
 
 def test_lengths_after_steps_match_cone_coordinates():
@@ -110,18 +111,14 @@ def test_lengths_after_steps_match_cone_coordinates():
         lengths = [Fraction(rng.randint(1, 50), 1) for _ in range(d)]
         T = ExactIET.from_lengths(datum, lengths)
         result = T.rauzy_path(rng.randint(1, 12))
-        coords = cone_coordinates(T.lengths_by_letter(), result.path)
-        assert result.map.lengths_by_letter() == coords
-        assert in_cone(T.lengths_by_letter(), result.path)
+        # the induced lengths are the cone coordinates: lengths = M^T induced
+        (lengths,) = int_product((result.map.lengths,), path_matrix(result.path).rows)
+        assert lengths == T.lengths
         # any sibling path differing in the last arrow is off the cone
-        if len(result.path):
-            flipped = "t" if result.path.arrows[-1].kind == "b" else "b"
-            sibling = result.path.prefix(len(result.path) - 1)
-            sibling = RauzyPath(
-                sibling.source,
-                sibling.arrows + (rauzy_step(sibling.target, flipped),),
-            )
-            assert not in_cone(T.lengths_by_letter(), sibling)
+        kinds = result.path.kinds
+        if kinds:
+            sibling = kinds[:-1] + ("t" if kinds[-1] == "b" else "b")
+            assert T.rauzy_path(len(sibling), sibling).path.kinds != sibling
 
 
 def test_first_return_identity():
@@ -137,47 +134,6 @@ def test_first_return_identity():
         for _ in range(q[a]):
             y = T.eval(y)
         assert y == induced.eval(x)
-
-
-def test_find_connection_periodic_half():
-    T = ExactIET.from_lengths(D2, [Fraction(1, 2), Fraction(1, 2)])
-    hit = T.find_connection(2)
-    assert hit == ("A", "B", 0)
-
-
-def test_find_connection_on_model_lengths():
-    # the worked-example lengths are rational, so critical orbits do collide;
-    # none of the collisions blocks the 5 clean induction steps (tested above).
-    # oracle: enumerate the critical orbits directly and take the first hit.
-    T = fixture_Tg()
-    u_t, u_b = T.breakpoints()
-    hits = []
-    for beta in "ABCD":
-        if T.datum.pi_b(beta) < 2:
-            continue
-        x = u_b[beta]
-        for n in range(5):
-            for alpha in "ABCD":
-                if T.datum.pi_t(alpha) >= 2 and x == u_t[alpha]:
-                    hits.append((beta, alpha, n))
-            x = T.eval(x)
-    assert ("A", "B", 3) in hits
-    assert T.find_connection(4) == min(hits)
-    assert T.find_connection(2) == ("B", "C", 1)
-
-
-def test_rational_iets_have_connections():
-    rng = random.Random(5)
-    from gietlab.combinatorics import all_admissible_data
-
-    for _ in range(10):
-        d = rng.choice((2, 3))
-        datum = rng.choice(all_admissible_data("ABC"[:d]))
-        denominator = rng.randint(5, 12)
-        cuts = sorted(rng.sample(range(1, denominator), d - 1))
-        parts = [Fraction(b - a, denominator) for a, b in zip([0, *cuts], [*cuts, denominator])]
-        T = ExactIET.from_lengths(datum, parts, normalize=False)
-        assert T.find_connection(2 * denominator) is not None
 
 
 def test_integer_lengths_give_integer_breakpoints():

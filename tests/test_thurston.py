@@ -16,12 +16,13 @@ from gietlab.combinatorics import (
     rauzy_class,
     sigma_and_cyclicity,
 )
-from gietlab.errors import NoCyclicDatum, TargetNotCyclic
+from gietlab.errors import InductionMismatch, NoCyclicDatum, TargetNotCyclic
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import dynamical_partition, giet_from_branches, partitions_equivalent
 from gietlab.thurston import (
     ExactIETFamily,
     GietFamily,
+    MAX_REFERENCE_POINTS,
     build_reference,
     family_from_iet,
     realize,
@@ -82,6 +83,15 @@ def test_build_reference_empty_path():
     assert ref.N == 2
     assert sorted(ref.ref_points) == [Fraction(0), Fraction(1, 2)]
     assert [l.name for l in ref.labels_in_order] == ["A0", "B0"]
+
+
+def test_build_reference_refuses_beyond_the_point_cap():
+    # Fibonacci paths on A B / B A: N is a Fibonacci number
+    under = RauzyPath.from_kinds(D2, "tb" * 12)
+    assert build_reference(under).N == 196_418 <= MAX_REFERENCE_POINTS
+    # one arrow deeper the reference is refused before any orbit point is built
+    with pytest.raises(InductionMismatch, match=r"N=317811 points, beyond the cap 200000"):
+        build_reference(RauzyPath.from_kinds(D2, "tb" * 12 + "t"))
 
 
 def test_reference_orbit_is_single_cycle():
@@ -188,12 +198,13 @@ def test_solve_iet_family_realizes_at_reference():
     assert report.tau == ref.base_iet.lengths_by_letter()
 
 
-def test_solve_boundary_with_absurd_threshold():
+def test_solve_boundary_with_absurd_threshold(monkeypatch):
     ref = model_ref()
     # tau is (6, 2, 1, 2)/11: every entry but A's is at or below 0.5
+    monkeypatch.setattr(thurston, "EPS_DEG", 0.5)
     faces = tuple(ref.canonical_label(a, 1).name for a in "DCB")
     for family in (ExactIETFamily(D4), family_from_iet(ref.base_iet)):
-        report = solve(family, ref, eps_deg=0.5)
+        report = solve(family, ref)
         assert report.status == "boundary"
         assert report.iterations == 0
         assert report.faces == faces
@@ -230,6 +241,25 @@ def test_realize_worked_example_nonlinear():
     assert partitions_equivalent(
         dynamical_partition(f, 5), dynamical_partition(result.ref.base_iet, 5)
     )
+
+
+def test_realize_builds_one_map_per_loop_head():
+    # the certificate reuses the map of the path check that returned realized
+    built = []
+
+    class CountingFamily(GietFamily):
+        def at(self, tau):
+            built.append(tau)
+            return super().at(tau)
+
+    lam = [6 / 11, 2 / 11, 1 / 11, 2 / 11]
+    seed = giet_from_branches(
+        D4, lam, lam, lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else 0.0)
+    )
+    result = realize(CountingFamily(seed), model_path())
+    assert result.certificate
+    assert len(built) == result.report.iterations + 1
+    assert result.report.map.rauzy_path(5).path == model_path()
 
 
 def test_realize_appends_completion_for_noncyclic_target():
@@ -299,16 +329,17 @@ def test_window_and_atom_labels_are_consistent():
             assert via_atom is via_window
 
 
-def test_solve_fixed_point_tol_status():
+def test_solve_fixed_point_tol_status(monkeypatch):
     # a loose step tolerance ends the loop before the path check succeeds;
     # the result is reported, not claimed as success
+    monkeypatch.setattr(thurston, "EPS_FIX", 1.0)
     T = ExactIET.from_lengths(D2, [Fraction(377, 987), Fraction(610, 987)])
     ref = build_reference(T.rauzy_path(12).path)
     seed = giet_from_branches(
         D2, [0.5, 0.5], [0.5, 0.5],
         lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else -1.5),
     )
-    report = solve(GietFamily(seed), ref, eps_fix=1.0)
+    report = solve(GietFamily(seed), ref)
     assert report.status == "fixed_point_tol"
     assert not report.realized
 
