@@ -33,7 +33,6 @@ from .giet import (
     DynamicalPartition,
     Giet,
     dynamical_partition,
-    giet_distance,
     giet_from_branches,
     giet_from_iet,
     partitions_equivalent,

@@ -275,14 +275,13 @@ def return_times(path: RauzyPath):
 
 @dataclass(frozen=True)
 class RauzyClass:
-    """Closure of a datum under both operations, with all outgoing arrows.
+    """Closure of a datum under both operations.
 
     ``data`` is sorted lexicographically on the text encoding, so enumeration
     order is reproducible.
     """
 
     data: tuple[CombinatorialDatum, ...]
-    arrows: tuple[RauzyArrow, ...]
     _members: frozenset = field(repr=False, hash=False, compare=False, default=frozenset())
 
     def __contains__(self, datum: CombinatorialDatum) -> bool:
@@ -292,25 +291,27 @@ class RauzyClass:
         return len(self.data)
 
 
-def rauzy_class(seed: CombinatorialDatum) -> RauzyClass:
-    """Breadth-first closure of ``seed`` under both Rauzy operations."""
-    if not is_admissible(seed):
-        raise ValueError(f"seed {seed} is not admissible")
-    seen = {seed}
-    queue = deque([seed])
-    arrows = []
+def _breadth_first(start: CombinatorialDatum) -> dict:
+    """Every datum reachable from ``start``, in breadth-first order, mapped to
+    the arrow that first reaches it (``None`` for ``start``)."""
+    parent = {start: None}
+    queue = deque([start])
     while queue:
         current = queue.popleft()
         for kind in (KIND_BOTTOM, KIND_TOP):
             arrow = rauzy_step(current, kind)
-            arrows.append(arrow)
-            if arrow.target not in seen:
-                seen.add(arrow.target)
+            if arrow.target not in parent:
+                parent[arrow.target] = arrow
                 queue.append(arrow.target)
-    data = tuple(sorted(seen, key=CombinatorialDatum.encode))
-    order = {d: i for i, d in enumerate(data)}
-    arrows.sort(key=lambda a: (order[a.source], a.kind))
-    return RauzyClass(data, tuple(arrows), frozenset(seen))
+    return parent
+
+
+def rauzy_class(seed: CombinatorialDatum) -> RauzyClass:
+    """Breadth-first closure of ``seed`` under both Rauzy operations."""
+    if not is_admissible(seed):
+        raise ValueError(f"seed {seed} is not admissible")
+    members = _breadth_first(seed)
+    return RauzyClass(tuple(sorted(members, key=CombinatorialDatum.encode)), frozenset(members))
 
 
 def find_cyclic(cls: RauzyClass):
@@ -325,25 +326,14 @@ def find_path(cls: RauzyClass, start: CombinatorialDatum, end: CombinatorialDatu
     """A shortest path between two members of the class (breadth-first)."""
     if start not in cls or end not in cls:
         raise NotInClass(f"endpoint outside the class of {cls.data[0]}")
-    if start == end:
-        return RauzyPath(start)
-    parent: dict[CombinatorialDatum, RauzyArrow] = {}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for kind in (KIND_BOTTOM, KIND_TOP):
-            arrow = rauzy_step(current, kind)
-            if arrow.target not in parent and arrow.target != start:
-                parent[arrow.target] = arrow
-                if arrow.target == end:
-                    chain = []
-                    node = end
-                    while node != start:
-                        chain.append(parent[node])
-                        node = parent[node].source
-                    return RauzyPath(start, tuple(reversed(chain)))
-                queue.append(arrow.target)
-    raise NotInClass(f"{end} unreachable from {start}")
+    parent = _breadth_first(start)
+    if end not in parent:
+        raise NotInClass(f"{end} unreachable from {start}")
+    chain = []
+    while parent[end] is not None:
+        chain.append(parent[end])
+        end = parent[end].source
+    return RauzyPath(start, tuple(reversed(chain)))
 
 
 def reduction(datum: CombinatorialDatum, keep) -> CombinatorialDatum:

@@ -24,7 +24,7 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
-from .combinatorics import CombinatorialDatum, RauzyPath, parse_datum, rauzy_step
+from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
 from .errors import InductionFailed, OutOfDomain, TieError
 
 
@@ -42,8 +42,11 @@ def induce(m, r: int, kinds: str | None = None) -> InductionResult:
     With ``kinds``, also stop after the first arrow whose kind differs from
     the prescribed one, so a path check pays only for the matching prefix
     and the first wrong arrow.  Exact IETs and float GIETs share this loop;
-    each supplies its own step.
+    each supplies its own step.  A datum that is not admissible has no
+    arrow at all, so inducing it (``r > 0``) raises ``InductionFailed``.
     """
+    if r > 0 and not is_admissible(m.datum):
+        raise InductionFailed(f"datum {m.datum} is not admissible: no Rauzy arrow leaves it")
     arrows = []
     current = m
     tie = False

@@ -46,12 +46,17 @@ def _object(value, what: str) -> dict:
 
 
 def _exact_length(letter, v) -> Fraction:
+    """The length of ``letter``: a ``"p/q"`` string, or a finite JSON number
+    (not a boolean), read as the nearest fraction with denominator up to 10^12."""
+    field = f"iet document field 'lengths': letter {letter!r}"
     try:
+        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+            raise TypeError
         return Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**12)
     except ZeroDivisionError:
-        raise GietlabError(
-            f"iet document field 'lengths': letter {letter!r} has zero denominator in {v!r}"
-        ) from None
+        raise GietlabError(f"{field} has zero denominator in {v!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise GietlabError(f"{field} must be a finite number or a 'p/q' string, got {v!r}") from None
 
 
 def iet_document(T: ExactIET) -> dict:
@@ -168,8 +173,10 @@ def _per_letter(datum, key: str, field: dict) -> dict:
 
 def _number(v, what: str) -> float:
     try:
+        if isinstance(v, bool):
+            raise TypeError
         return float(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise GietlabError(f"{what} must be a number, got {v!r}") from None
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .combinatorics import CombinatorialDatum, reduction
 from .errors import AllZero, DatumMismatch, DegenerateTau, GietlabError
-from .giet import Giet, _graph, _hausdorff
+from .giet import Giet
 
 
 def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
@@ -148,9 +148,11 @@ def boundary_apply(f: Giet, tau) -> Degeneration:
 
 
 def extended_distance(a, b, samples: int = 64) -> float:
-    """Graph distance extended to degenerations: collapsed letters compare as points.
+    """Sampled graph-Hausdorff distance, summed over letters, between two GIETs
+    or degenerations: a collapsed letter compares as its singular point.
 
-    Between two GIETs this is ``giet_distance``.
+    Between two GIETs the approximation error is bounded by the largest gap
+    between consecutive sample points along either graph.
     """
     if a.datum != b.datum:
         raise DatumMismatch(f"{a.datum} != {b.datum}")
@@ -163,3 +165,22 @@ def extended_distance(a, b, samples: int = 64) -> float:
         return _graph(obj, letter, samples)
 
     return sum(_hausdorff(component(a, x), component(b, x)) for x in a.datum.alphabet)
+
+
+def _graph(g: Giet, letter: str, samples: int):
+    """``samples + 1`` evenly spaced points on the graph of one branch."""
+    br = g.branches[letter]
+    lo, hi = br.domain
+    xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
+    return [(x, br.eval(x)) for x in xs]
+
+
+def _hausdorff(p, q):
+    def one_sided(src, dst):
+        worst = 0.0
+        for x, y in src:
+            best = min((x - u) ** 2 + (y - v) ** 2 for u, v in dst)
+            worst = max(worst, best)
+        return worst ** 0.5
+
+    return max(one_sided(p, q), one_sided(q, p))

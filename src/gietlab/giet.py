@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .branches import Translation, compose, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
 from .errors import (
-    DatumMismatch,
     GietlabError,
     InductionFailed,
     OrderViolation,
@@ -360,33 +359,3 @@ def verify_matrix_counts(m, r: int) -> bool:
             if matrix.entry(a, b) != counts.get((a, b), 0):
                 return False
     return True
-
-
-def giet_distance(f: Giet, g: Giet, samples: int = 64) -> float:
-    """Sampled graph-Hausdorff distance, summed over branches.
-
-    The approximation error is bounded by the largest gap between consecutive
-    sample points along either graph.
-    """
-    if f.datum != g.datum:
-        raise DatumMismatch(f"{f.datum} != {g.datum}")
-    return sum(_hausdorff(_graph(f, a, samples), _graph(g, a, samples)) for a in f.datum.alphabet)
-
-
-def _graph(g: Giet, letter: str, samples: int):
-    """``samples + 1`` evenly spaced points on the graph of one branch."""
-    br = g.branches[letter]
-    lo, hi = br.domain
-    xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
-    return [(x, br.eval(x)) for x in xs]
-
-
-def _hausdorff(p, q):
-    def one_sided(src, dst):
-        worst = 0.0
-        for x, y in src:
-            best = min((x - u) ** 2 + (y - v) ** 2 for u, v in dst)
-            worst = max(worst, best)
-        return worst ** 0.5
-
-    return max(one_sided(p, q), one_sided(q, p))

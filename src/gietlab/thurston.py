@@ -71,9 +71,7 @@ class RefConfig:
     N: int
     h: dict
     base_iet: ExactIET
-    induced_iet: ExactIET
     classes: tuple[LabelClass, ...]
-    ref_points: tuple[Fraction, ...]
     geometric: tuple[int, ...]
     crit_pos: dict
 
@@ -113,8 +111,9 @@ def build_reference(path: RauzyPath) -> RefConfig:
     """Construct the reference data of a path ending at a cyclic datum.
 
     The model IET is cross-checked: it must reproduce the path's arrows under
-    exact induction, which also rejects lengths outside the path's cone.  The
-    total return time N grows exponentially with the path length, so the
+    exact induction, which also rejects lengths outside the path's cone, and
+    the orbit of 0 on its integer grid, walked once, must be the whole grid.
+    The total return time N grows exponentially with the path length, so the
     construction refuses outright when it would exceed ``MAX_REFERENCE_POINTS``.
     """
     if not sigma_and_cyclicity(path.target)[1]:
@@ -137,34 +136,31 @@ def build_reference(path: RauzyPath) -> RefConfig:
         raise InductionMismatch(
             f"model induction follows {result.path.kinds!r}, path is {path.kinds!r}"
         )
-    induced = ExactIET(result.map.datum, tuple(Fraction(x, N) for x in result.map.lengths))
+
+    # one walk of the orbit of 0; the orbit position at each grid point is
+    # the geometric order, and everything else is read off it
+    geometric = [None] * N
+    x = 0
+    for c in range(N):
+        geometric[x] = c
+        x = grid.eval(x)
+    if x != 0:
+        raise InductionMismatch(f"the model orbit of 0 does not close up after N={N} steps")
+    if None in geometric:
+        raise InductionMismatch(f"the model orbit of 0 is not the whole grid of N={N} points")
 
     u_t, _ = grid.breakpoints()
     u_t_induced, _ = result.map.breakpoints()
+    crit_pos = {a: geometric[u_t[a]] for a in path.source.alphabet}
     h = {}
     for a in path.source.alphabet:
-        x = u_t_induced[a]
-        steps = 0
-        while x != u_t[a]:
-            x = grid.eval(x)
-            steps += 1
-            assert steps < q[a], f"critical point of {a} missed its lift"
-        h[a] = steps
+        # the fewest steps from the induced critical point of a to u_t[a]
+        h[a] = (crit_pos[a] - geometric[u_t_induced[a]]) % N
+        if h[a] >= q[a]:
+            raise InductionMismatch(
+                f"critical point of {a} is {h[a]} steps from its lift, not under q={q[a]}"
+            )
 
-    orbit = []
-    x = 0
-    for _ in range(N):
-        orbit.append(x)
-        x = grid.eval(x)
-    assert x == 0, "reference orbit does not close up"
-    # N points of the grid {0, ..., N-1}: they are all of it exactly when no
-    # two coincide; the orbit position at each grid point is the geometric order
-    geometric = [None] * N
-    for c, x in enumerate(orbit):
-        geometric[x] = c
-    assert None not in geometric, "orbit is not the 1/N grid"
-
-    crit_pos = {a: geometric[u_t[a]] for a in path.source.alphabet}
     # a class is named after the nearest critical position at or before it,
     # cyclically: each critical letter names the run up to the next one
     # (critical positions are distinct, so no two letters tie)
@@ -181,9 +177,7 @@ def build_reference(path: RauzyPath) -> RefConfig:
         N=N,
         h=h,
         base_iet=base,
-        induced_iet=induced,
         classes=tuple(classes),
-        ref_points=tuple(Fraction(x, N) for x in orbit),
         geometric=tuple(geometric),
         crit_pos=crit_pos,
     )
@@ -217,8 +211,13 @@ class Configuration:
 
 
 def reference_configuration(ref: RefConfig, exact: bool = True) -> Configuration:
-    pts = ref.ref_points if exact else tuple(float(x) for x in ref.ref_points)
-    return Configuration(ref, pts)
+    """The reference: the class at grid point ``x`` sits at ``x / N``, as a
+    ``Fraction`` or, correctly rounded, as a float."""
+    N = ref.N
+    points = [None] * N
+    for x, c in enumerate(ref.geometric):
+        points[c] = Fraction(x, N) if exact else x / N
+    return Configuration(ref, tuple(points))
 
 
 def tau_of(ref: RefConfig, config: Configuration) -> dict:

@@ -5,6 +5,7 @@ reproduce deterministically.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from gietlab.branches import PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import all_admissible_data
@@ -12,8 +13,15 @@ from gietlab.exact_iet import ExactIET
 from gietlab.giet import giet_from_branches
 
 
+@cache
+def admissible(letters):
+    """``all_admissible_data(letters)``, enumerated once per alphabet; draws
+    from it are the draws from a fresh enumeration."""
+    return tuple(all_admissible_data(letters))
+
+
 def random_exact_iet(rng, d, max_num=60):
-    datum = rng.choice(all_admissible_data("ABCDE"[:d]))
+    datum = rng.choice(admissible("ABCDE"[:d]))
     lengths = [Fraction(rng.randint(1, max_num)) for _ in range(d)]
     return ExactIET.from_lengths(datum, lengths)
 
@@ -36,7 +44,7 @@ def random_unit_giet(rng, d=None, datum=None):
     rest get affine, piecewise-linear or smooth branches.
     """
     if datum is None:
-        datum = rng.choice(all_admissible_data("ABCDE"[:d]))
+        datum = rng.choice(admissible("ABCDE"[:d]))
     d = datum.d
     top = random_lengths(rng, d)
     translated = [i for i in range(d) if rng.random() < 0.3 and d > 1][: d - 1]

@@ -8,12 +8,11 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import int_product, random_simplex, random_unit_giet
+from conftest import admissible, int_product, random_simplex, random_unit_giet
 from gietlab.branches import SmoothParam
 from gietlab.combinatorics import (
     IntMatrix,
     RauzyPath,
-    all_admissible_data,
     find_cyclic,
     find_path,
     parse_datum,
@@ -73,7 +72,7 @@ def smooth_seed(datum, lengths, k=2.0, letter="A"):
 
 
 def random_exact_iet(rng, d):
-    datum = rng.choice(all_admissible_data("ABCDE"[:d]))
+    datum = rng.choice(admissible("ABCDE"[:d]))
     return ExactIET.from_lengths(datum, [Fraction(rng.randint(1, 60)) for _ in range(d)])
 
 
@@ -133,7 +132,7 @@ def test_criterion_4_path_partition_equivalence():
         sharing = 0
         while sharing < 50:
             d = rng.choice((2, 3, 4))
-            datum = rng.choice(all_admissible_data("ABCD"[:d]))
+            datum = rng.choice(admissible("ABCD"[:d]))
             r = rng.randint(1, 6)
             path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(r)))
             matrix = path_matrix(path).rows
@@ -151,7 +150,7 @@ def test_criterion_4_path_partition_equivalence():
         differing = 0
         while differing < 50:
             d = rng.choice((2, 3, 4))
-            datum = rng.choice(all_admissible_data("ABCD"[:d]))
+            datum = rng.choice(admissible("ABCD"[:d]))
             r = rng.randint(1, 6)
             T1 = ExactIET.from_lengths(datum, [Fraction(rng.randint(1, 60)) for _ in range(d)])
             T2 = ExactIET.from_lengths(datum, [Fraction(rng.randint(1, 60)) for _ in range(d)])
@@ -203,7 +202,7 @@ def test_criterion_6_pullback_fixed_point():
         cases = [RauzyPath.from_kinds(D4, "bbbtb")]
         while len(cases) < 11:
             d = rng.choice((2, 3, 4))
-            datum = rng.choice(all_admissible_data("ABCD"[:d]))
+            datum = rng.choice(admissible("ABCD"[:d]))
             path = RauzyPath.from_kinds(
                 datum, "".join(rng.choice("tb") for _ in range(rng.randint(0, 8)))
             )
@@ -211,11 +210,12 @@ def test_criterion_6_pullback_fixed_point():
                 cases.append(path)
         for path in cases:
             ref = build_reference(path)
+            reference = reference_configuration(ref, True).points
             exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
-            assert exact.points == ref.ref_points
+            assert exact.points == reference
             approx = pull(family_from_iet(ref.base_iet), ref, reference_configuration(ref, False))
             assert max(
-                abs(a - float(b)) for a, b in zip(approx.points, ref.ref_points)
+                abs(a - float(b)) for a, b in zip(approx.points, reference)
             ) <= 1e-12
     report(6, "reference configuration is fixed: exact for rational maps, 1e-12 in floats", t)
 
@@ -236,7 +236,7 @@ def test_criterion_7_realization():
     with Timer(30.0) as t2:
         rng = random.Random(105)
         for _ in range(5):
-            datum = rng.choice(all_admissible_data("ABCD"))
+            datum = rng.choice(admissible("ABCD"))
             kinds = "".join(rng.choice("tb") for _ in range(rng.randint(1, 8)))
             target = RauzyPath.from_kinds(datum, kinds)
             seed = smooth_seed(datum, [0.25] * 4, k=2.0, letter=datum.alphabet[0])
@@ -251,7 +251,7 @@ def test_criterion_8_every_small_class_has_cyclic_datum():
     with Timer(60.0) as t:
         for d in range(2, 6):
             letters = "ABCDE"[:d]
-            remaining = set(all_admissible_data(letters))
+            remaining = set(admissible(letters))
             classes = 0
             while remaining:
                 seed = min(remaining, key=lambda x: x.encode())

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -280,6 +281,18 @@ def test_nested_branch_records_are_checked(tmp_path, capsys, record, message):
     assert err.startswith("error:") and "branch 'A'" in err and message in err, err
 
 
+def test_library_holds_no_assert():
+    # ``python -O`` strips ``assert``: every check in the library is a raise
+    package = Path(gietlab.__file__).parent
+    found = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_missing_document_keys_are_errors(tmp_path, capsys):
     iet = tmp_path / "iet.json"
     iet.write_text('{"kind": "iet", "datum": "A B / B A"}')
@@ -321,6 +334,30 @@ def test_iet_length_with_zero_denominator_is_an_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "iet document" in err and "'lengths'" in err
     assert "'A'" in err
+
+
+@pytest.mark.parametrize("length, shown", [
+    ("1e400", "got inf"),  # json reads an overflowing number as infinity
+    ("[1]", "got [1]"),
+    ("true", "got True"),  # a boolean is not the number 1
+])
+def test_iet_length_that_is_not_a_finite_number_is_an_error(tmp_path, capsys, length, shown):
+    code, err = run_partition_on(
+        tmp_path, capsys, f'{{"kind": "iet", "datum": "A B / B A", "lengths": {{"A": {length}, "B": 1}}}}'
+    )
+    assert code == 1
+    assert err.startswith("error:") and "iet document field 'lengths': letter 'A'" in err
+    assert "must be a finite number or a 'p/q' string" in err and shown in err
+
+
+def test_non_admissible_datum_is_an_error_not_a_tie(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"kind": "iet", "datum": "A B / A B", "lengths": {"A": 1, "B": 2}}')
+    for command in ("partition", "induct"):
+        assert main([command, str(doc), "-r", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "A B / A B is not admissible" in captured.err
+        assert "tie" not in captured.out + captured.err
 
 
 def test_pl_branch_with_decreasing_nodes_is_an_error(tmp_path, capsys):
@@ -391,6 +428,7 @@ def test_giet_rows_that_do_not_tile_are_errors(tmp_path, capsys):
         ("top", {"A": 0.0}, "field 'top': letter 'B' is missing"),
         ("branches", {"A": {}, "B": {}, "C": {}}, "field 'branches': letter 'C' is not in"),
         ("top", {"A": 0.0, "B": [0.5]}, "field 'top' letter 'B' must be a number"),
+        ("length", True, "field 'length' must be a number, got True"),  # not the number 1
     ]
     for key, value, message in cases:
         doc = seed_document()

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from conftest import int_product
+from conftest import admissible, int_product
 from gietlab.combinatorics import (
     CombinatorialDatum,
     IntMatrix,
@@ -125,7 +125,7 @@ def test_rauzy_step_small():
 def test_rauzy_step_admissibility_preserved_everywhere():
     for d in range(2, 6):
         letters = "ABCDE"[:d]
-        for datum in all_admissible_data(letters):
+        for datum in admissible(letters):
             for kind in "tb":
                 assert is_admissible(rauzy_step(datum, kind).target)
 
@@ -148,7 +148,7 @@ def test_path_matrix_equals_the_dense_product_of_arrow_matrices():
     rng = random.Random(7)
     for letters in ("ABCD", "ABCDE"):
         for _ in range(15):
-            datum = rng.choice(all_admissible_data(letters))
+            datum = rng.choice(admissible(letters))
             kinds = "".join(rng.choice("tb") for _ in range(rng.randint(0, 40)))
             path = RauzyPath.from_kinds(datum, kinds)
             dense = IntMatrix.identity(datum.alphabet).rows
@@ -181,7 +181,7 @@ def test_return_times():
 def test_matrix_determinant_and_concatenation():
     rng = random.Random(1)
     for _ in range(20):
-        datum = rng.choice(all_admissible_data("ABCD"))
+        datum = rng.choice(admissible("ABCD"))
         kinds = "".join(rng.choice("tb") for _ in range(rng.randint(0, 30)))
         path = RauzyPath.from_kinds(datum, kinds)
         m = path_matrix(path)
@@ -195,7 +195,7 @@ def test_matrix_determinant_and_concatenation():
 def test_return_times_nondecreasing_along_path():
     rng = random.Random(2)
     for _ in range(10):
-        datum = rng.choice(all_admissible_data("ABC"))
+        datum = rng.choice(admissible("ABC"))
         path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(12)))
         prev = {a: 0 for a in datum.alphabet}
         for r in range(len(path) + 1):
@@ -207,8 +207,8 @@ def test_return_times_nondecreasing_along_path():
 def test_rauzy_class_small():
     cls = rauzy_class(D2)
     assert len(cls) == 1
-    assert len(cls.arrows) == 2
-    assert all(a.source == a.target == D2 for a in cls.arrows)
+    # both arrows out of D2 loop back to it
+    assert all(rauzy_step(D2, kind).target == D2 for kind in "tb")
     cls4 = rauzy_class(D4)
     assert D4_STAR in cls4
 
@@ -279,7 +279,7 @@ def test_reduction():
 def test_every_class_with_small_alphabet_has_cyclic_datum():
     # full sweep happens in the acceptance suite; spot-check d <= 4 here
     seen = set()
-    for datum in all_admissible_data("ABCD"):
+    for datum in admissible("ABCD"):
         if datum in seen:
             continue
         cls = rauzy_class(datum)
@@ -300,7 +300,7 @@ def test_all_admissible_count_matches_brute_force():
 def test_matrix_inverse_property():
     rng = random.Random(40)
     for _ in range(10):
-        datum = rng.choice(all_admissible_data("ABCDE"))
+        datum = rng.choice(admissible("ABCDE"))
         path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(15)))
         m = path_matrix(path)
         inverse = undone_arrows(path)

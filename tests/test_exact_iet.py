@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from conftest import int_product
+from conftest import admissible, int_product
 from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
 from gietlab.errors import InductionFailed, OutOfDomain, TieError
 from gietlab.exact_iet import ExactIET
@@ -103,11 +103,9 @@ def test_in_cone():
 
 def test_lengths_after_steps_match_cone_coordinates():
     rng = random.Random(4)
-    from gietlab.combinatorics import all_admissible_data
-
     for _ in range(25):
         d = rng.choice((2, 3, 4, 5))
-        datum = rng.choice(all_admissible_data("ABCDE"[:d]))
+        datum = rng.choice(admissible("ABCDE"[:d]))
         lengths = [Fraction(rng.randint(1, 50), 1) for _ in range(d)]
         T = ExactIET.from_lengths(datum, lengths)
         result = T.rauzy_path(rng.randint(1, 12))
@@ -164,3 +162,11 @@ def test_integer_grid_is_the_map_scaled_by_its_denominator():
         for _ in range(20):
             k = rng.randrange(grid.total)
             assert grid.eval(k) == T.eval(Fraction(k, D)) * D
+
+
+def test_induction_of_a_non_admissible_datum_is_an_error():
+    T = ExactIET.from_lengths(parse_datum("A B", "A B"), [1, 2])
+    # no arrow leaves the datum; order 0 asks for none
+    assert T.rauzy_path(0).path.kinds == ""
+    with pytest.raises(InductionFailed, match="A B / A B is not admissible"):
+        T.rauzy_path(1)

@@ -11,7 +11,7 @@ from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply, boundary_apply, extended_distance, slopes
-from gietlab.giet import giet_distance, giet_from_branches, giet_from_iet
+from gietlab.giet import giet_from_branches, giet_from_iet
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -66,7 +66,7 @@ def test_apply_identity():
     for _ in range(5):
         f = random_unit_giet(rng, d=rng.choice((2, 3, 4)))
         g = apply(f, bottom_lengths(f))
-        assert giet_distance(f, g, samples=64) < 1e-11
+        assert extended_distance(f, g, samples=64) < 1e-11
 
 
 def test_apply_marks_critical_values():
@@ -88,7 +88,7 @@ def test_apply_on_iet_family_gives_iet():
     T = giet_from_iet(ExactIET.from_lengths(
         D4, {a: Fraction(v).limit_denominator(10**9) for a, v in tau.items()}
     ))
-    assert giet_distance(g, T, samples=64) < 1e-9
+    assert extended_distance(g, T, samples=64) < 1e-9
 
 
 def regularity(b):
@@ -229,7 +229,7 @@ def test_continuity_in_tau():
         letters = f.datum.alphabet
         moved[letters[0]] += eps
         moved[letters[1]] -= eps
-        dist = giet_distance(base, apply(f, moved), samples=64)
+        dist = extended_distance(base, apply(f, moved), samples=64)
         if prev is not None:
             assert dist < prev
         prev = dist

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_unit_giet
+from conftest import admissible, random_unit_giet
 from gietlab.branches import (
     EPS_BRANCH,
     Affine,
@@ -17,7 +17,7 @@ from gietlab.branches import (
     compose,
     restrict,
 )
-from gietlab.combinatorics import RauzyPath, all_admissible_data, parse_datum, path_matrix
+from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
 from gietlab.errors import (
     DatumMismatch,
     GietlabError,
@@ -27,9 +27,9 @@ from gietlab.errors import (
     TieError,
 )
 from gietlab.exact_iet import ExactIET
+from gietlab.full_family import extended_distance
 from gietlab.giet import (
     dynamical_partition,
-    giet_distance,
     giet_from_branches,
     giet_from_iet,
     partitions_equivalent,
@@ -46,7 +46,7 @@ def model_iet():
 
 
 def random_exact_iet(rng, d):
-    datum = rng.choice(all_admissible_data("ABCDE"[:d]))
+    datum = rng.choice(admissible("ABCDE"[:d]))
     lengths = [Fraction(rng.randint(1, 60)) for _ in range(d)]
     return ExactIET.from_lengths(datum, lengths)
 
@@ -280,7 +280,7 @@ def test_path_partition_equivalence_both_directions():
 
 def test_giet_distance():
     f = giet_from_iet(model_iet())
-    assert giet_distance(f, f) == 0.0
+    assert extended_distance(f, f) == 0.0
     # shift one branch by delta: distance lands within the geometric envelope
     delta = 0.01
     g_breaks = dict(f.bottom_breaks)
@@ -293,16 +293,16 @@ def test_giet_distance():
     from gietlab.giet import Giet
 
     g = Giet(f.datum, f.length, dict(f.top_breaks), g_breaks, shifted)
-    dist = giet_distance(f, g, samples=256)
+    dist = extended_distance(f, g, samples=256)
     assert delta / 2 <= dist <= 2 * delta
-    assert abs(giet_distance(f, g, 64) - giet_distance(g, f, 64)) < 1e-12
+    assert abs(extended_distance(f, g, 64) - extended_distance(g, f, 64)) < 1e-12
 
 
 def test_giet_distance_datum_mismatch():
     f = giet_from_iet(model_iet())
     g = giet_from_iet(ExactIET.from_lengths(D2, [Fraction(1, 3), Fraction(2, 3)]))
     with pytest.raises(DatumMismatch):
-        giet_distance(f, g)
+        extended_distance(f, g)
 
 
 def test_piecewise_linear_branch_in_giet():
@@ -323,7 +323,7 @@ def test_five_branch_giet_evaluates_each_branch():
     # the five-interval shape: each branch maps its own interval monotonically
     five = parse_datum("A B E C D", "E A D C B")
     rng = random.Random(9)
-    from conftest import random_unit_giet
+    from conftest import admissible, random_unit_giet
 
     f = random_unit_giet(rng, datum=five)
     f.validate()
@@ -565,7 +565,7 @@ def test_induced_branches_are_flat_chains_of_primitives():
 
 def smooth_or_pl_giet(rng):
     """A unit-interval GIET whose branches are all smooth or piecewise linear."""
-    datum = rng.choice(all_admissible_data("ABCD"[: rng.choice((2, 3, 4))]))
+    datum = rng.choice(admissible("ABCD"[: rng.choice((2, 3, 4))]))
 
     def lengths():
         raw = [rng.uniform(0.05, 1.0) for _ in datum.alphabet]

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 import gietlab.thurston as thurston
-from conftest import random_unit_giet
+from conftest import admissible, random_unit_giet
 from gietlab.branches import SmoothParam
 from gietlab.combinatorics import (
     RauzyPath,
-    all_admissible_data,
     find_cyclic,
     find_path,
     parse_datum,
@@ -54,7 +53,7 @@ def pull(family, ref, config):
 def random_cyclic_path(rng, max_d=4, max_r=8):
     while True:
         d = rng.choice(range(2, max_d + 1))
-        datum = rng.choice(all_admissible_data("ABCD"[:d]))
+        datum = rng.choice(admissible("ABCD"[:d]))
         kinds = "".join(rng.choice("tb") for _ in range(rng.randint(0, max_r)))
         path = RauzyPath.from_kinds(datum, kinds)
         if sigma_and_cyclicity(path.target)[1]:
@@ -70,7 +69,7 @@ def test_build_reference_worked_example():
         "A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D": Fraction(2, 11)
     }
     assert [l.name for l in ref.labels_in_order] == FIG_LABELS
-    assert sorted(ref.ref_points) == [Fraction(k, 11) for k in range(11)]
+    assert sorted(reference_configuration(ref).points) == [Fraction(k, 11) for k in range(11)]
 
 
 def test_build_reference_requires_cyclic_target():
@@ -81,7 +80,7 @@ def test_build_reference_requires_cyclic_target():
 def test_build_reference_empty_path():
     ref = build_reference(RauzyPath(D2))
     assert ref.N == 2
-    assert sorted(ref.ref_points) == [Fraction(0), Fraction(1, 2)]
+    assert sorted(reference_configuration(ref).points) == [Fraction(0), Fraction(1, 2)]
     assert [l.name for l in ref.labels_in_order] == ["A0", "B0"]
 
 
@@ -92,6 +91,29 @@ def test_build_reference_refuses_beyond_the_point_cap():
     # one arrow deeper the reference is refused before any orbit point is built
     with pytest.raises(InductionMismatch, match=r"N=317811 points, beyond the cap 200000"):
         build_reference(RauzyPath.from_kinds(D2, "tb" * 12 + "t"))
+
+
+def test_build_reference_walks_the_model_orbit_once(monkeypatch):
+    path = fibonacci_ref(15).path
+    calls = []
+    model_eval = ExactIET.eval
+    monkeypatch.setattr(ExactIET, "eval", lambda T, x: calls.append(x) or model_eval(T, x))
+    ref = build_reference(path)
+    # one evaluation per orbit point; h is read off the orbit positions
+    assert ref.N == 2584 and len(calls) == ref.N
+    assert ref.h == _reference_in_fractions(path)["h"]
+
+
+@pytest.mark.parametrize("model_eval, message", [
+    (lambda T, x: min(x + 1, 10), "orbit of 0 does not close up after N=11 steps"),
+    (lambda T, x: x, "orbit of 0 is not the whole grid of N=11 points"),
+    # the whole grid, but B's critical point is 5 steps from its lift, with q_B = 2
+    (lambda T, x: (x + 1) % 11, "critical point of B is 5 steps from its lift, not under q=2"),
+])
+def test_build_reference_reports_a_broken_model_orbit(monkeypatch, model_eval, message):
+    monkeypatch.setattr(ExactIET, "eval", model_eval)
+    with pytest.raises(InductionMismatch, match=message):
+        model_ref()
 
 
 def test_reference_orbit_is_single_cycle():
@@ -151,13 +173,14 @@ def test_step_fixed_point_random_cyclic_paths():
     for _ in range(10):
         path = random_cyclic_path(rng)
         ref = build_reference(path)
+        reference = reference_configuration(ref, True).points
         exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
-        assert exact.points == ref.ref_points
+        assert exact.points == reference
         approx = pull(
             family_from_iet(ref.base_iet), ref, reference_configuration(ref, False)
         )
         assert max(
-            abs(a - float(b)) for a, b in zip(approx.points, ref.ref_points)
+            abs(a - float(b)) for a, b in zip(approx.points, reference)
         ) <= 1e-12
 
 
@@ -352,8 +375,8 @@ def test_fixed_point_and_realization_at_five_letters():
         ref = build_reference(path)
         assert pull(
             ExactIETFamily(path.source), ref, reference_configuration(ref, True)
-        ).points == ref.ref_points
-    data5 = all_admissible_data("ABCDE")
+        ).points == reference_configuration(ref, True).points
+    data5 = admissible("ABCDE")
     realized = 0
     while realized < 3:
         datum = rng.choice(data5)
@@ -442,14 +465,13 @@ def _reference_in_fractions(path):
     }
     assert len(window) == N
     return {
-        "ref_points": tuple(orbit),
+        "points": tuple(orbit),
         "geometric": tuple(sorted(range(N), key=lambda c: orbit[c])),
         "crit_pos": crit_pos,
         "classes": classes,
         "window": window,
         "h": h,
         "base_iet": base,
-        "induced_iet": induced,
     }
 
 
@@ -467,14 +489,16 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
         ref = build_reference(path)
         expected = _reference_in_fractions(path)
         window = expected.pop("window")
+        points = reference_configuration(ref, True).points
+        assert points == expected.pop("points")
+        assert tuple(map(float, points)) == reference_configuration(ref, False).points
         for name, value in expected.items():
             assert getattr(ref, name) == value, name
         # the order-r atoms name each class once: atom (a, i + h_a) is window class c
         assert {
             ref.class_of_atom(a, i + ref.h[a]).orbit_pos: (a, i) for a, i in window.values()
         } == window
-        lengths = ref.base_iet.lengths + ref.induced_iet.lengths
-        assert all(type(x) is Fraction for x in ref.ref_points + lengths)
+        assert all(type(x) is Fraction for x in points + ref.base_iet.lengths)
 
 
 def test_solve_builds_one_family_map_per_iteration():
