@@ -171,13 +171,33 @@ class ExactIET:
         """Image of ``x``: translate by the letter's displacement."""
         return x + self._breaks.shift[self.letter_at(x)]
 
-    def image_of_interval(self, lo, hi):
-        """Exact image of ``[lo, hi)``, which must sit inside one top interval."""
-        a = self.letter_at(lo)
-        if hi > self._breaks.u_t[a] + self.length(a):
-            raise InductionFailed(f"interval [{lo}, {hi}) straddles the right end of letter {a}")
-        delta = self._breaks.shift[a]
-        return lo + delta, hi + delta
+    def tower(self, lo, hi, n):
+        """``[lo, hi)`` and its first ``n - 1`` exact images; every floor but
+        the last must sit inside one top interval.
+
+        >>> T = ExactIET(parse_datum("A B", "B A"), (1, 2))  # on its integer grid
+        >>> T.tower(0, 1, 3)
+        [(0, 1), (2, 3), (1, 2)]
+        >>> T.tower(0, 2, 2)
+        Traceback (most recent call last):
+        ...
+        gietlab.errors.InductionFailed: interval [0, 2) straddles the right end of letter A
+        """
+        breaks, row = self._breaks, self.datum.top
+        cuts = breaks.cuts_t
+        spans = [(breaks.u_t[a] + self.length(a), breaks.shift[a]) for a in row]
+        floors = [(lo, hi)]
+        for _ in range(n - 1):
+            self._check_domain(lo)
+            i = bisect_right(cuts, lo)
+            end, delta = spans[i]
+            if hi > end:
+                raise InductionFailed(
+                    f"interval [{lo}, {hi}) straddles the right end of letter {row[i]}"
+                )
+            lo, hi = lo + delta, hi + delta
+            floors.append((lo, hi))
+        return floors
 
     __call__ = eval
 

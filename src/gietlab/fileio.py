@@ -8,6 +8,7 @@ the README for the schemas.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -52,11 +53,14 @@ def _exact_length(letter, v) -> Fraction:
     try:
         if isinstance(v, bool) or not isinstance(v, (str, int, float)):
             raise TypeError
-        return Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**12)
+        x = Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**12)
     except ZeroDivisionError:
         raise GietlabError(f"{field} has zero denominator in {v!r}") from None
     except (TypeError, ValueError, OverflowError):
         raise GietlabError(f"{field} must be a finite number or a 'p/q' string, got {v!r}") from None
+    if not x > 0:
+        raise GietlabError(f"{field} must be positive, got {v!r}")
+    return x
 
 
 def iet_document(T: ExactIET) -> dict:
@@ -71,7 +75,9 @@ def iet_from_document(doc: dict) -> ExactIET:
     _object(doc, "iet document")
     with reading("iet"):
         datum = parse_datum_text(doc["datum"])
-        lengths = _object(doc["lengths"], "iet document field 'lengths'")
+        lengths = _per_letter(
+            "iet", datum, "lengths", _object(doc["lengths"], "iet document field 'lengths'")
+        )
         lengths = {a: _exact_length(a, v) for a, v in lengths.items()}
         return ExactIET.from_lengths(datum, lengths, normalize=False)
 
@@ -145,7 +151,7 @@ def giet_from_document(doc: dict) -> Giet:
     with reading("giet"):
         datum = parse_datum_text(doc["datum"])
         top, bottom, branches = (
-            _per_letter(datum, key, _object(doc[key], f"giet document field {key!r}"))
+            _per_letter("giet", datum, key, _object(doc[key], f"giet document field {key!r}"))
             for key in ("top", "bottom", "branches")
         )
         g = Giet(
@@ -162,22 +168,28 @@ def giet_from_document(doc: dict) -> Giet:
     return g
 
 
-def _per_letter(datum, key: str, field: dict) -> dict:
-    """``field`` in alphabet order; it must hold exactly the datum's letters."""
+def _per_letter(kind: str, datum, key: str, field: dict) -> dict:
+    """``field`` of a ``kind`` document in alphabet order; it must hold
+    exactly the datum's letters."""
     odd = sorted(set(field) ^ set(datum.alphabet))
     if odd:
         state = "is missing" if odd[0] in datum.alphabet else "is not in the datum"
-        raise GietlabError(f"giet document field {key!r}: letter {odd[0]!r} {state}")
+        raise GietlabError(f"{kind} document field {key!r}: letter {odd[0]!r} {state}")
     return {a: field[a] for a in datum.alphabet}
 
 
 def _number(v, what: str) -> float:
+    """``v`` as a float; booleans, non-numbers and non-finite values (json
+    reads ``1e400`` as infinity) are errors that name ``what``."""
     try:
         if isinstance(v, bool):
             raise TypeError
-        return float(v)
+        x = float(v)
     except (TypeError, ValueError, OverflowError):
         raise GietlabError(f"{what} must be a number, got {v!r}") from None
+    if not math.isfinite(x):
+        raise GietlabError(f"{what} must be a finite number, got {v!r}")
+    return x
 
 
 def _branch_of(letter, rec) -> Branch:
@@ -192,17 +204,15 @@ def _branch_of(letter, rec) -> Branch:
 
 
 def partition_document(p: DynamicalPartition, total, labels=None) -> dict:
-    atoms = []
-    for i, atom in enumerate(p.atoms):
-        atoms.append(
-            {
-                "left": _num_out(atom.lo),
-                "right": _num_out(atom.hi),
-                "letter": atom.letter,
-                "index": atom.index,
-                "label": labels[i] if labels else f"{atom.letter}{atom.index}",
-            }
-        )
+    """The partition document; ``labels`` default to letter + index.  A float
+    ``total`` means float endpoints, written as JSON numbers; any other total
+    is exact, and its fractions are written as ``"p/q"`` strings."""
+    num = float if isinstance(total, float) else _num_out
+    names = labels or [f"{atom.letter}{atom.index}" for atom in p.atoms]
+    atoms = [
+        {"left": num(lo), "right": num(hi), "letter": letter, "index": index, "label": name}
+        for (lo, hi, letter, index), name in zip(p.atoms, names)
+    ]
     return {"kind": "partition", "order": p.order, "total": _num_out(total), "atoms": atoms}
 
 

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .branches import Translation, compose, restrict, EPS_BRANCH
@@ -115,13 +116,29 @@ class Giet:
             start = end
         return out
 
-    def image_of_interval(self, lo, hi):
-        """Image of ``[lo, hi)`` under the branch containing it."""
-        a = self.letter_at(lo)
-        br = self.branches[a]
-        if hi > br.domain[1] + EPS_BRANCH:
-            raise InductionFailed(f"interval [{lo}, {hi}) straddles the right end of letter {a}")
-        return br.eval(lo), br.eval(min(hi, br.domain[1]))
+    def tower(self, lo, hi, n):
+        """``[lo, hi)`` and its first ``n - 1`` images: each floor is the
+        image of the one below it under the branch of the letter that holds
+        that floor's left end.
+
+        Each step checks the domain, snaps to a breakpoint as ``letter_at``
+        does, and raises ``InductionFailed`` when a floor straddles the right
+        end of its letter.
+        """
+        cuts, row = self._top_cuts, self.datum.top
+        spans = [(self.branches[a], self.branches[a].domain[1]) for a in row]
+        floors = [(lo, hi)]
+        for _ in range(n - 1):
+            self._check_domain(lo)
+            i = _row_index(cuts, lo)
+            br, end = spans[i]
+            if hi > end + EPS_BRANCH:
+                raise InductionFailed(
+                    f"interval [{lo}, {hi}) straddles the right end of letter {row[i]}"
+                )
+            lo, hi = br.eval(lo), br.eval(min(hi, end))
+            floors.append((lo, hi))
+        return floors
 
     def rauzy_step(self):
         """One induction step: first return to the interval cut at the larger
@@ -309,17 +326,17 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
     q = path_matrix(path).row_sums()
     tops = result.map.top_intervals()
     del result  # the induced chains hold one part per atom: free them first
-    atoms = []
-    for letter, lo, hi in tops:
-        cur = (lo, hi)
-        for i in range(q[letter]):
-            atoms.append(Atom(cur[0], cur[1], letter, i))
-            if i + 1 < q[letter]:
-                cur = m.image_of_interval(cur[0], cur[1])
-    atoms.sort(key=lambda a: a.lo)
+    atoms = [
+        Atom(lo, hi, letter, i)
+        for letter, *base in tops
+        for i, (lo, hi) in enumerate(m.tower(*base, q[letter]))
+    ]
+    atoms.sort(key=itemgetter(0))
     if exact:
-        for k, (lo, hi, letter, i) in enumerate(atoms):
-            atoms[k] = Atom(Fraction(lo, D), Fraction(hi, D), letter, i)
+        # neighbouring atoms share endpoints: make each fraction once
+        ends = {x for atom in atoms for x in atom[:2]}
+        frac = {x: Fraction(x, D) for x in ends}
+        atoms = [Atom(frac[lo], frac[hi], letter, i) for lo, hi, letter, i in atoms]
     return DynamicalPartition(r, tuple(atoms), path)
 
 

@@ -12,6 +12,9 @@ from .errors import GietlabError
 
 SCALE = 1000.0
 MARGIN = 40.0
+MIN_GAP = 0.5  # least distance in SVG units between two drawn partition boundaries
+FONT_SIZE = 16
+CHAR_WIDTH = 0.6  # of the font size, for a monospace glyph
 
 
 def _fmt(x: float) -> str:
@@ -27,37 +30,56 @@ def _svg(width: float, height: float, body: list[str]) -> str:
 
 
 def render_partition(doc: dict) -> str:
-    """Horizontal strip of labeled cells from a partition document."""
+    """Horizontal strip of labeled cells from a partition document.
+
+    Every atom is read and checked, but the strip draws only what it can
+    resolve: a boundary at least ``MIN_GAP`` units from the last one drawn.
+    A cell between two drawn boundaries that holds one atom shows its label;
+    a cell that holds several is one shaded band showing their count.  A
+    text is drawn only where it fits its cell.
+    """
     total = eval_frac(doc["total"])
-    height = 120.0
-    body = [
-        f'<rect x="{_fmt(MARGIN)}" y="{_fmt(40.0)}" width="{_fmt(total * SCALE)}" '
-        f'height="40" fill="none" stroke="black" stroke-width="1.5"/>'
-    ]
     atoms = doc["atoms"]
     if not isinstance(atoms, list):
         raise GietlabError(
             f"partition document field 'atoms' must be a list, got {type(atoms).__name__}"
         )
+    cells = []  # [x, right end in SVG units, label, atom count]
     for i, atom in enumerate(atoms):
         if not isinstance(atom, dict):
             raise GietlabError(
                 f"partition document field 'atoms': entry {i} must be a JSON object, "
                 f"got {type(atom).__name__}"
             )
-        left = eval_frac(atom["left"])
-        right = eval_frac(atom["right"])
-        x = MARGIN + left * SCALE
-        w = (right - left) * SCALE
-        # one entry per atom, formatted inline as ``_fmt`` does: atoms can
-        # number tens of thousands
-        body.append(
-            f'<line x1="{x:.2f}" y1="40" x2="{x:.2f}" y2="80" '
-            f'stroke="black" stroke-width="0.75"/>\n'
-            f'<text x="{x + w / 2:.2f}" y="66" font-size="16" text-anchor="middle" '
-            f'font-family="monospace">{escape(str(atom["label"]), quote=False)}</text>'
-        )
-    return _svg(total * SCALE + 2 * MARGIN, height, body)
+        x = MARGIN + eval_frac(atom["left"]) * SCALE
+        right = MARGIN + eval_frac(atom["right"]) * SCALE
+        label = atom["label"]
+        if cells and abs(x - cells[-1][0]) < MIN_GAP:
+            cells[-1][1] = right
+            cells[-1][3] += 1
+        else:
+            cells.append([x, right, label, 1])
+    body = [
+        f'<rect x="{_fmt(MARGIN)}" y="{_fmt(40.0)}" width="{_fmt(total * SCALE)}" '
+        f'height="40" fill="none" stroke="black" stroke-width="1.5"/>'
+    ]
+    for x, right, label, count in cells:
+        w = right - x
+        if count > 1:
+            body.append(
+                f'<rect x="{x:.2f}" y="40" width="{w:.2f}" height="40" fill="#ccc">'
+                f"<title>{count} atoms</title></rect>"
+            )
+            label = count
+        body.append(f'<line x1="{x:.2f}" y1="40" x2="{x:.2f}" y2="80" '
+                    f'stroke="black" stroke-width="0.75"/>')
+        text = str(label)
+        if len(text) * CHAR_WIDTH * FONT_SIZE <= w:
+            body.append(
+                f'<text x="{x + w / 2:.2f}" y="66" font-size="{FONT_SIZE}" '
+                f'text-anchor="middle" font-family="monospace">{escape(text, quote=False)}</text>'
+            )
+    return _svg(total * SCALE + 2 * MARGIN, 120.0, body)
 
 
 def render_giet(doc: dict, samples: int = 64) -> str:

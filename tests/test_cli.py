@@ -1,8 +1,13 @@
 import ast
+import html
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +21,7 @@ from gietlab.errors import GietlabError
 from gietlab.combinatorics import parse_datum
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
-from gietlab.giet import Giet, giet_from_branches, giet_from_iet
+from gietlab.giet import Giet, dynamical_partition, giet_from_branches, giet_from_iet
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -350,6 +355,41 @@ def test_iet_length_that_is_not_a_finite_number_is_an_error(tmp_path, capsys, le
     assert "must be a finite number or a 'p/q' string" in err and shown in err
 
 
+def test_iet_length_of_a_letter_outside_the_datum_is_an_error(tmp_path, capsys):
+    code, err = run_partition_on(
+        tmp_path, capsys, '{"kind": "iet", "datum": "A B / B A", "lengths": {"A": 1, "B": 2, "C": 3}}'
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "iet document field 'lengths': letter 'C' is not in the datum" in err
+
+
+@pytest.mark.parametrize("length", ["0", "-1", '"-1/2"'])
+def test_iet_length_that_is_not_positive_is_an_error(tmp_path, capsys, length):
+    code, err = run_partition_on(
+        tmp_path, capsys, f'{{"kind": "iet", "datum": "A B / B A", "lengths": {{"A": 1, "B": {length}}}}}'
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "iet document field 'lengths': letter 'B' must be positive" in err
+
+
+@pytest.mark.parametrize("k", ["1e400", "-1e400", "NaN"])
+def test_giet_number_that_is_not_finite_is_an_error(tmp_path, capsys, k):
+    # json reads 1e400 as infinity; the branch would evaluate to NaN and the
+    # partition document would hold NaN, which is not JSON
+    doc = seed_document()
+    doc["branches"]["A"]["k"] = "K"
+    source = tmp_path / "doc.json"
+    source.write_text(json.dumps(doc).replace('"K"', k))
+    out = tmp_path / "partition.json"
+    assert main(["partition", str(source), "-r", "2", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "branch 'A'" in err
+    assert "field 'k' must be a finite number" in err, err
+    assert not out.exists()
+
+
 def test_non_admissible_datum_is_an_error_not_a_tie(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text('{"kind": "iet", "datum": "A B / A B", "lengths": {"A": 1, "B": 2}}')
@@ -465,6 +505,77 @@ def test_partition_labels_are_escaped_in_svg():
     text = svg.render_partition(doc)
     assert ">&lt;A&amp;0&gt;</text>" in text
     assert "<A&0>" not in text
+
+
+def f4_partition_document(order):
+    """The partition document of the 4-letter smooth GIET with lengths
+    proportional to sqrt(2), sqrt(3), sqrt(5), sqrt(7)."""
+    raw = [math.sqrt(p) for p in (2, 3, 5, 7)]
+    lengths = [x / sum(raw) for x in raw]
+    ks = {"A": 1.0, "C": -0.7}
+    f = giet_from_branches(D4, lengths, lengths, lambda a, d, r: SmoothParam(d, r, k=ks.get(a, 0.0)))
+    return fileio.partition_document(dynamical_partition(f, order), f.total)
+
+
+def uneven_partition_document(runs, seed):
+    """Runs of 1 to 4 wide atoms between runs of 5 to 60 narrow ones, whose
+    widths spread over three decades; the labels have 2 or 3 characters, so
+    some fit their atom and some do not."""
+    rng = random.Random(seed)
+    widths = []
+    for _ in range(runs):
+        widths += [rng.uniform(0.5, 2.0) for _ in range(rng.randint(1, 4))]
+        widths += [10 ** rng.uniform(-5, -2) for _ in range(rng.randint(5, 60))]
+    total = sum(widths)
+    ends = [0.0]
+    for w in widths:
+        ends.append(ends[-1] + w / total)
+    ends[-1] = 1.0
+    return {"kind": "partition", "order": 1, "total": 1.0, "atoms": [
+        {"left": lo, "right": hi, "letter": "A", "index": k,
+         "label": rng.choice("ABCD") + str(rng.randrange(12))}
+        for k, (lo, hi) in enumerate(zip(ends, ends[1:]))
+    ]}
+
+
+def drawn_partition(text):
+    """Boundaries, band counts and texts ``(x, label)`` of a partition SVG."""
+    lines = [float(x) for x in re.findall(r'<line x1="([^"]+)"', text)]
+    bands = [int(k) for k in re.findall(r"<title>(\d+) atoms</title>", text)]
+    texts = [(float(x), html.unescape(label))
+             for x, label in re.findall(r'<text x="([^"]+)"[^>]*>([^<]*)</text>', text)]
+    return lines, bands, texts
+
+
+@pytest.mark.parametrize("case", ["f4@60", "equal", "uneven"])
+def test_dense_partition_svg_draws_only_what_it_resolves(case):
+    if case == "f4@60":
+        doc = f4_partition_document(60)
+    elif case == "equal":
+        doc = {"kind": "partition", "order": 1, "total": 1.0, "atoms": [
+            {"left": k / 10_000, "right": (k + 1) / 10_000, "letter": "A", "index": k,
+             "label": f"A{k}"} for k in range(10_000)
+        ]}
+    else:
+        doc = uneven_partition_document(12, 5)
+    text = svg.render_partition(doc)
+    lines, bands, texts = drawn_partition(text)
+    # every atom is in one cell: a band counts its atoms, any other cell holds one
+    assert sum(bands) + len(lines) - len(bands) == len(doc["atoms"])
+    assert all(b - a >= svg.MIN_GAP - 0.01 for a, b in zip(lines, lines[1:]))  # printed to 0.01
+    # each text sits inside its cell, so no two texts overlap
+    cell_ends = lines + [svg.MARGIN + svg.SCALE * doc["total"]]
+    half = [len(label) * svg.CHAR_WIDTH * svg.FONT_SIZE / 2 for _, label in texts]
+    for (x, _), h in zip(texts, half):
+        i = bisect_right(lines, x) - 1
+        assert cell_ends[i] - 0.01 <= x - h and x + h <= cell_ends[i + 1] + 0.01
+    for (x0, _), h0, (x1, _), h1 in zip(texts, half, texts[1:], half[1:]):
+        assert x0 + h0 <= x1 - h1 + 0.01
+    if case == "f4@60":
+        assert len(doc["atoms"]) == 53_247 and len(text.encode()) <= 500_000
+    if case == "uneven":
+        counts = [label for _, label in texts if label.isdigit()]
+        assert len(counts) >= 5 and len(texts) - len(counts) >= 5
 
 
 def test_iet_document_roundtrip(tmp_path):

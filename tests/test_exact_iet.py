@@ -51,11 +51,13 @@ def test_eval_inverse_roundtrip():
             assert T.eval(T.eval_inverse(x)) == x
 
 
-def test_image_of_interval_across_a_breakpoint():
+def test_tower_across_a_breakpoint():
     T = fixture_T2()  # A on [0, 1/3), B on [1/3, 1)
-    assert T.image_of_interval(Fraction(0), Fraction(1, 3)) == (Fraction(2, 3), Fraction(1))
+    assert T.tower(Fraction(0), Fraction(1, 3), 2) == [
+        (Fraction(0), Fraction(1, 3)), (Fraction(2, 3), Fraction(1))
+    ]
     with pytest.raises(InductionFailed, match="letter A"):
-        T.image_of_interval(Fraction(1, 6), Fraction(1, 2))
+        T.tower(Fraction(1, 6), Fraction(1, 2), 2)
 
 
 def test_rauzy_step_and_tie():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from bisect import bisect_right
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import admissible, random_unit_giet
+from gietlab import fileio
 from gietlab.branches import (
     EPS_BRANCH,
     Affine,
@@ -106,12 +108,13 @@ def test_top_case_composed_branch_domain():
     assert composed.domain == pytest.approx((0.0, 0.3))  # the loser's top interval
 
 
-def test_image_of_interval_across_a_breakpoint():
+def test_tower_across_a_breakpoint():
     g = giet_from_branches(D2, [0.3, 0.7], [0.7, 0.3], lambda a, d, r: PiecewiseLinear((
         (d[0], r[0]), ((d[0] + d[1]) / 2, (r[0] + r[1]) / 2), (d[1], r[1]))))
-    assert g.image_of_interval(0.0, 0.3) == pytest.approx((0.3, 1.0))
+    floors = g.tower(0.0, 0.3, 2)
+    assert floors[0] == (0.0, 0.3) and floors[1] == pytest.approx((0.3, 1.0))
     with pytest.raises(InductionFailed, match=r"\[0.1, 0.5\).*letter A"):
-        g.image_of_interval(0.1, 0.5)
+        g.tower(0.1, 0.5, 2)
 
 
 def test_tie_error():
@@ -525,9 +528,8 @@ def _partition_in_fractions(T, r):
     q = path_matrix(result.path).row_sums()
     atoms = []
     for letter, lo, hi in result.map.top_intervals():
-        for i in range(q[letter]):
-            atoms.append((lo, hi, letter, i))
-            lo, hi = T.image_of_interval(lo, hi)
+        for i, (lo_i, hi_i) in enumerate(T.tower(lo, hi, q[letter])):
+            atoms.append((lo_i, hi_i, letter, i))
     return sorted(atoms)
 
 
@@ -543,6 +545,87 @@ def test_exact_partition_on_the_integer_grid_equals_the_fraction_one():
         assert [tuple(a) for a in P.atoms] == _partition_in_fractions(T, r)
         assert all(type(a.lo) is Fraction and type(a.hi) is Fraction for a in P.atoms)
         checked += 1
+
+
+def _walked_partition(m, r):
+    """The order-``r`` atoms as ``dynamical_partition`` made them before
+    ``tower``: each floor's image taken on its own, under the branch of the
+    letter at its left end."""
+    exact = isinstance(m, ExactIET)
+    if exact:
+        m, D = m.on_integer_grid()
+    result = m.rauzy_path(r)
+    q = path_matrix(result.path).row_sums()
+    atoms = []
+    for letter, lo, hi in result.map.top_intervals():
+        for i in range(q[letter]):
+            atoms.append((lo, hi, letter, i))
+            if i + 1 < q[letter]:
+                a = m.letter_at(lo)
+                if exact:
+                    lo, hi = m.eval(lo), m.eval(lo) + (hi - lo)
+                else:
+                    br = m.branches[a]
+                    assert hi <= br.domain[1] + EPS_BRANCH
+                    lo, hi = br.eval(lo), br.eval(min(hi, br.domain[1]))
+    atoms.sort(key=lambda atom: atom[0])
+    if exact:
+        atoms = [(Fraction(lo, D), Fraction(hi, D), a, i) for lo, hi, a, i in atoms]
+    return atoms
+
+
+def _per_atom_document(p, total, labels=None):
+    """The partition document as it was built before: one atom at a time,
+    each endpoint through ``_num_out``."""
+    atoms = []
+    for i, atom in enumerate(p.atoms):
+        atoms.append(
+            {
+                "left": fileio._num_out(atom.lo),
+                "right": fileio._num_out(atom.hi),
+                "letter": atom.letter,
+                "index": atom.index,
+                "label": labels[i] if labels else f"{atom.letter}{atom.index}",
+            }
+        )
+    return {"kind": "partition", "order": p.order, "total": fileio._num_out(total), "atoms": atoms}
+
+
+def _partition_cases():
+    """30 random GIETs (every other one an induced map, with chain branches)
+    and 30 random exact IETs, each with an order its induction reaches."""
+    rng = random.Random(1207)
+    cases = []
+    while len(cases) < 60:
+        if len(cases) % 2:
+            m = random_exact_iet(rng, rng.choice((2, 3, 4, 5)))
+        else:
+            m = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
+            if len(cases) % 4 == 0:
+                m = m.rauzy_path(rng.randint(1, 6)).map
+        r = len(m.rauzy_path(rng.randint(1, 16)).path)
+        if r:
+            cases.append((m, r))
+    return cases
+
+
+def test_tower_partition_equals_the_step_by_step_walk():
+    for m, r in _partition_cases():
+        atoms = [tuple(a) for a in dynamical_partition(m, r).atoms]
+        assert repr(atoms) == repr(_walked_partition(m, r))  # bit for bit
+
+
+def test_partition_document_bytes_equal_the_per_atom_builder():
+    kinds = set()
+    for k, (m, r) in enumerate(_partition_cases()):
+        p = dynamical_partition(m, r)
+        labels = [f"c{j}" for j in range(len(p.atoms))] if k % 3 == 0 else None
+        doc = fileio.partition_document(p, m.total, labels)
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            _per_atom_document(p, m.total, labels), sort_keys=True
+        )
+        kinds.add(type(doc["atoms"][0]["left"]))
+    assert kinds == {float, str}
 
 
 PRIMITIVES = (Translation, Affine, PiecewiseLinear, SmoothParam)
