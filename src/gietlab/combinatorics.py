@@ -23,9 +23,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
-from .errors import DuplicateLetter, EmptySubset, NotInClass, RowMismatch
+from .errors import (
+    DuplicateLetter,
+    EmptySubset,
+    IncompatibleArrows,
+    NotAdmissible,
+    NoRauzyArrow,
+    NotInClass,
+    RowMismatch,
+)
 
 KIND_TOP = "t"
 KIND_BOTTOM = "b"
@@ -97,8 +105,11 @@ def parse_datum_text(text: str) -> CombinatorialDatum:
     return parse_datum(parts[0], parts[1])
 
 
+@cache
 def is_admissible(datum: CombinatorialDatum) -> bool:
     """True when no proper prefix of the top row equals the same-size bottom prefix.
+
+    Memoized by datum value: induction asks it on every path check.
 
     >>> is_admissible(parse_datum("A B", "B A"))
     True
@@ -139,17 +150,22 @@ class RauzyArrow:
         return f"{self.source} --{self.kind}({self.winner}>{self.loser})--> {self.target}"
 
 
+@cache
 def rauzy_step(datum: CombinatorialDatum, kind: str) -> RauzyArrow:
     """Apply the top or bottom operation to an admissible datum.
 
     The winner of the top operation is the last letter of the top row; the
     loser (last letter of the bottom row) is moved right after the winner's
     position in the bottom row.  The bottom operation is symmetric.
+
+    Memoized by datum value: a Rauzy class is finite, so every arrow is built
+    once and induction, path parsing and class closure reuse it.  An error is
+    raised afresh on every call, never stored.
     """
     if kind not in KINDS:
-        raise ValueError(f"kind must be 't' or 'b', got {kind!r}")
+        raise NoRauzyArrow(f"kind must be 't' or 'b', got {kind!r} at {datum}")
     if datum.d < 2:
-        raise ValueError("Rauzy operations need at least two letters")
+        raise NoRauzyArrow(f"Rauzy operations need at least two letters, {datum} has {datum.d}")
     alpha_t = datum.top[-1]
     alpha_b = datum.bottom[-1]
     if kind == KIND_TOP:
@@ -174,9 +190,9 @@ class RauzyPath:
 
     def __post_init__(self):
         prev = self.source
-        for a in self.arrows:
+        for i, a in enumerate(self.arrows):
             if a.source != prev:
-                raise ValueError("arrows are not compatible")
+                raise IncompatibleArrows(f"arrow {i} ({a}) does not start at {prev}")
             prev = a.target
 
     @property
@@ -196,7 +212,9 @@ class RauzyPath:
 
     def concat(self, other: "RauzyPath") -> "RauzyPath":
         if other.source != self.target:
-            raise ValueError("paths are not composable")
+            raise IncompatibleArrows(
+                f"path {other} does not start at {self.target}, where {self} ends"
+            )
         return RauzyPath(self.source, self.arrows + other.arrows)
 
     def prefix(self, r: int) -> "RauzyPath":
@@ -309,7 +327,7 @@ def _breadth_first(start: CombinatorialDatum) -> dict:
 def rauzy_class(seed: CombinatorialDatum) -> RauzyClass:
     """Breadth-first closure of ``seed`` under both Rauzy operations."""
     if not is_admissible(seed):
-        raise ValueError(f"seed {seed} is not admissible")
+        raise NotAdmissible(f"seed {seed} is not admissible")
     members = _breadth_first(seed)
     return RauzyClass(tuple(sorted(members, key=CombinatorialDatum.encode)), frozenset(members))
 

@@ -17,6 +17,23 @@ class EmptySubset(GietlabError):
     """A reduction was requested onto an empty letter set."""
 
 
+class NotAdmissible(GietlabError):
+    """A datum is not admissible where an admissible one is required."""
+
+
+class NoRauzyArrow(GietlabError):
+    """A Rauzy operation was asked for with a kind other than 't' or 'b', or
+    on a datum with fewer than two letters."""
+
+
+class IncompatibleArrows(GietlabError):
+    """An arrow or a path does not start where the path before it ends."""
+
+
+class BadLengths(GietlabError):
+    """An IET length vector has the wrong count or a non-positive entry."""
+
+
 class NotInClass(GietlabError):
     """A datum lies outside the Rauzy class under consideration."""
 

@@ -25,7 +25,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
-from .errors import InductionFailed, OutOfDomain, TieError
+from .errors import BadLengths, InductionFailed, OutOfDomain, TieError
 
 
 class InductionResult(NamedTuple):
@@ -88,9 +88,11 @@ class ExactIET:
 
     def __post_init__(self):
         if len(self.lengths) != self.datum.d:
-            raise ValueError("one length per letter required")
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("lengths must be positive")
+            d, n = self.datum.d, len(self.lengths)
+            raise BadLengths(f"{self.datum} needs {d} lengths, one per letter, got {n}")
+        for a, l in zip(self.datum.alphabet, self.lengths):
+            if l <= 0:
+                raise BadLengths(f"length of letter {a!r} must be positive, got {l}")
 
     @classmethod
     def from_lengths(cls, datum: CombinatorialDatum, lengths, normalize: bool = True) -> "ExactIET":

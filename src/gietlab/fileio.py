@@ -242,5 +242,6 @@ def dump(doc: dict, path: str | None) -> str:
     text = json.dumps(doc, sort_keys=True)
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")  # not text + "\n": that copies a document of megabytes
     return text

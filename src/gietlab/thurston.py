@@ -71,6 +71,7 @@ class RefConfig:
     N: int
     h: dict
     base_iet: ExactIET
+    grid: ExactIET  # the model on its integer grid: class geometric[x] sits at x
     classes: tuple[LabelClass, ...]
     geometric: tuple[int, ...]
     crit_pos: dict
@@ -85,11 +86,18 @@ class RefConfig:
         return [self.classes[c] for c in self.geometric]
 
     @cached_property
-    def pull_order(self) -> tuple[int, ...]:
-        """The classes a pullback step pulls back, left to right: every class
-        but those whose index predecessor is a critical class."""
-        critical = set(self.crit_pos.values())
-        return tuple(c for c in self.geometric if (c - 1) % self.N not in critical)
+    def runs(self) -> tuple[tuple, tuple]:
+        """The grid slices of the bottom intervals but their first points, in
+        bottom-row order: the points a step pulls back, left to right.  Then,
+        in top-row order, the slices of their preimages that fill the top
+        intervals after their first points."""
+        u_b = self.grid.breakpoints()[1]
+        lam = self.grid.lengths_by_letter()
+        bottom = self.datum.bottom
+        read = tuple((u_b[a] + 1, u_b[a] + lam[a]) for a in bottom)
+        # bottom letter i's run starts after the i first points left out
+        write = {a: (u_b[a] - i, u_b[a] - i + lam[a] - 1) for i, a in enumerate(bottom)}
+        return read, tuple(write[a] for a in self.datum.top)
 
     def canonical_label(self, letter: str, index: int) -> LabelClass:
         """Normalized representative of ``(letter, index)`` under the identifications."""
@@ -177,6 +185,7 @@ def build_reference(path: RauzyPath) -> RefConfig:
         N=N,
         h=h,
         base_iet=base,
+        grid=grid,
         classes=tuple(classes),
         geometric=tuple(geometric),
         crit_pos=crit_pos,
@@ -187,24 +196,18 @@ def build_reference(path: RauzyPath) -> RefConfig:
 class Configuration:
     """N labeled points sharing the reference's geometric order.
 
-    ``points`` is indexed by orbit position; entries are floats or exact
-    rationals, and the class containing ``(alpha_0, 0)`` is pinned at 0.
+    ``points`` holds them left to right: ``points[x]`` is the point of class
+    ``ref.geometric[x]``.  Entries are floats or exact rationals, and the
+    class containing ``(alpha_0, 0)``, ``points[0]``, is pinned at 0.
     """
 
     ref: RefConfig
     points: tuple
 
-    def in_geometric_order(self):
-        return [self.points[c] for c in self.ref.geometric]
-
     def is_valid(self) -> bool:
-        if self.points[0] != 0:
-            return False
-        ordered = self.in_geometric_order()
+        p = self.points
         # every comparison with NaN is false, so a NaN point fails ``<``
-        if not all(map(operator.lt, ordered, ordered[1:])):
-            return False
-        return 0 <= ordered[0] and ordered[-1] < 1
+        return p[0] == 0 and all(map(operator.lt, p, p[1:])) and p[-1] < 1
 
     def delta(self, other: "Configuration"):
         return max(map(abs, map(operator.sub, self.points, other.points)))
@@ -214,22 +217,19 @@ def reference_configuration(ref: RefConfig, exact: bool = True) -> Configuration
     """The reference: the class at grid point ``x`` sits at ``x / N``, as a
     ``Fraction`` or, correctly rounded, as a float."""
     N = ref.N
-    points = [None] * N
-    for x, c in enumerate(ref.geometric):
-        points[c] = Fraction(x, N) if exact else x / N
-    return Configuration(ref, tuple(points))
+    return Configuration(ref, tuple(Fraction(x, N) if exact else x / N for x in range(N)))
 
 
 def tau_of(ref: RefConfig, config: Configuration) -> dict:
     """Parameter vector read off a configuration.
 
-    The points of the classes ``[alpha, 1]`` are the prescribed critical
-    values; their consecutive differences along the bottom row (the marking
-    order), with the last gap closing at 1, recover the unique simplex vector.
-    The total is exactly 1 by telescoping.
+    The points of the classes ``[alpha, 1]``, at the model's critical values
+    ``u^b``, are the prescribed critical values; their consecutive differences
+    along the bottom row (the marking order), with the last gap closing at 1,
+    recover the unique simplex vector.  The total is exactly 1 by telescoping.
     """
     datum = ref.datum
-    v1 = {a: config.points[(ref.crit_pos[a] + 1) % ref.N] for a in datum.alphabet}
+    v1 = {a: config.points[x] for a, x in ref.grid.breakpoints()[1].items()}
     row = datum.bottom
     one = Fraction(1) if isinstance(config.points[0], Fraction) else 1.0
     tau = {}
@@ -277,20 +277,22 @@ def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
     """One pullback under ``f``, the family map selected by ``config``: send
     every point to the preimage of its index successor.
 
-    Critical-point classes map straight to the critical points of ``f``.  If
-    rounding breaks the geometric order, the result is damped toward the
-    input until the order is restored.
+    On the model's grid the successor of the point ``x`` in the top interval
+    of ``a`` is ``x + u^b_a - u^t_a``: each bottom interval but its first
+    point pulls back, in one batch, onto its top interval but its first point,
+    a critical class, which maps to ``f``'s critical point of ``a``.  If
+    rounding breaks the order, the result is damped toward the input until
+    the order is restored.
     """
-    # shifted[c] holds the new point of class c - 1, the preimage of point c,
-    # so the classes of the pull order index it directly
-    shifted = [None] * ref.N
-    for a, lo, _ in f.top_intervals():
-        shifted[(ref.crit_pos[a] + 1) % ref.N] = lo
-    order = ref.pull_order
-    preimages = f.eval_inverse_sorted([config.points[c] for c in order])
-    for c, x in zip(order, preimages):
-        shifted[c] = x
-    new_points = shifted[1:] + shifted[:1]
+    read, write = ref.runs
+    pulled = []
+    for lo, hi in read:
+        pulled += config.points[lo:hi]
+    preimages = f.eval_inverse_sorted(pulled)
+    new_points = []
+    for (_, crit, _), (lo, hi) in zip(f.top_intervals(), write):
+        new_points.append(crit)
+        new_points += preimages[lo:hi]
     out = Configuration(ref, tuple(new_points))
     if out.is_valid():
         return out
@@ -298,9 +300,7 @@ def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
         raise OrderViolation("exact pullback broke the reference order")
     s = 0.5
     for _ in range(40):
-        damped = tuple(
-            (1 - s) * old + s * new for old, new in zip(config.points, new_points)
-        )
+        damped = tuple((1 - s) * old + s * new for old, new in zip(config.points, new_points))
         candidate = Configuration(ref, damped)
         if candidate.is_valid():
             return candidate
@@ -363,10 +363,9 @@ def solve(
         if it >= max_iter:
             return SolveReport("max_iter", tau, config, it, deltas, f)
         pulled = step(family, ref, config, f)
-        new_config = Configuration(
-            ref,
-            tuple([half * old + half * new for old, new in zip(config.points, pulled.points)]),
-        )
+        # half * old + half * new, class by class, without a Python-level loop
+        halves = [map(operator.mul, itertools.repeat(half), c.points) for c in (config, pulled)]
+        new_config = Configuration(ref, tuple(map(operator.add, *halves)))
         delta = config.delta(new_config)
         deltas.append((it + 1, float(delta)))
         settled = delta < EPS_FIX

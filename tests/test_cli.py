@@ -66,6 +66,13 @@ def test_class_malformed_input(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_rauzy_errors_exit_one(capsys):
+    assert main(["class", "A B / A B"]) == 1
+    assert "seed A B / A B is not admissible" in capsys.readouterr().err
+    assert main(["path", "A / A", "t"]) == 1
+    assert "at least two letters, A / A has 1" in capsys.readouterr().err
+
+
 def test_cyclic(capsys):
     assert main(["cyclic", "A B C D / D C B A"]) == 0
     assert capsys.readouterr().out.strip() == "A B D C / D A C B"

@@ -22,7 +22,15 @@ from gietlab.combinatorics import (
     return_times,
     sigma_and_cyclicity,
 )
-from gietlab.errors import DuplicateLetter, NotInClass, RowMismatch
+from gietlab.errors import (
+    DuplicateLetter,
+    GietlabError,
+    IncompatibleArrows,
+    NoRauzyArrow,
+    NotAdmissible,
+    NotInClass,
+    RowMismatch,
+)
 
 D4 = parse_datum("A B C D", "D C B A")
 D4_STAR = parse_datum("A B D C", "D A C B")
@@ -307,3 +315,30 @@ def test_matrix_inverse_property():
         assert all(type(x) is int for row in inverse for x in row)
         identity = IntMatrix.identity(datum.alphabet).rows
         assert int_product(m.rows, inverse) == int_product(inverse, m.rows) == identity
+
+
+def test_rauzy_errors_are_typed_and_name_their_inputs():
+    with pytest.raises(NoRauzyArrow, match=r"got 'x' at A B / B A"):
+        rauzy_step(D2, "x")
+    with pytest.raises(NoRauzyArrow, match=r"A / A has 1"):
+        rauzy_step(parse_datum("A", "A"), "t")
+    t, b = rauzy_step(D4, "t"), rauzy_step(D4, "b")
+    with pytest.raises(IncompatibleArrows, match=r"arrow 1 \(.*--b\(A>D\)--> .*\) does not start at"):
+        RauzyPath(D4, (t, b))
+    with pytest.raises(IncompatibleArrows, match=r"does not start at A B C D / D A C B"):
+        RauzyPath(D4, (t,)).concat(RauzyPath(D4, (b,)))
+    with pytest.raises(NotAdmissible, match=r"seed A B / A B is not admissible"):
+        rauzy_class(parse_datum("A B", "A B"))
+    for error in (NoRauzyArrow, IncompatibleArrows, NotAdmissible):
+        assert issubclass(error, GietlabError) and not issubclass(error, ValueError)
+
+
+def test_memoized_rauzy_step_equals_the_plain_one():
+    for data in (admissible("ABCD"), admissible("ABCDE")):
+        for datum in data:
+            for kind in "tb":
+                assert rauzy_step(datum, kind) == rauzy_step.__wrapped__(datum, kind)
+    # an equal datum built afresh gets an equal arrow
+    fresh = parse_datum("A B C D", "D C B A")
+    assert fresh is not D4 and rauzy_step(fresh, "b") == rauzy_step(D4, "b")
+    assert is_admissible(fresh) == is_admissible.__wrapped__(fresh)

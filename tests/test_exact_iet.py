@@ -6,7 +6,7 @@ import pytest
 
 from conftest import admissible, int_product
 from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
-from gietlab.errors import InductionFailed, OutOfDomain, TieError
+from gietlab.errors import BadLengths, GietlabError, InductionFailed, OutOfDomain, TieError
 from gietlab.exact_iet import ExactIET
 
 D2 = parse_datum("A B", "B A")
@@ -172,3 +172,13 @@ def test_induction_of_a_non_admissible_datum_is_an_error():
     assert T.rauzy_path(0).path.kinds == ""
     with pytest.raises(InductionFailed, match="A B / A B is not admissible"):
         T.rauzy_path(1)
+
+
+def test_bad_lengths_are_typed_errors_that_name_the_letter():
+    with pytest.raises(BadLengths, match=r"length of letter 'A' must be positive, got 0"):
+        ExactIET.from_lengths(parse_datum("A B", "B A"), [0, 1])
+    with pytest.raises(BadLengths, match=r"letter 'C' must be positive, got -1/11"):
+        ExactIET.from_lengths(D4, ["6/11", "2/11", "-1/11", "2/11"], normalize=False)
+    with pytest.raises(BadLengths, match=r"A B C D / D C B A needs 4 lengths, one per letter, got 3"):
+        ExactIET(D4, (1, 2, 3))
+    assert issubclass(BadLengths, GietlabError) and not issubclass(BadLengths, ValueError)

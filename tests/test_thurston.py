@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -397,8 +398,9 @@ def test_solve_accepts_perturbed_start():
     ref = model_ref()
     base = reference_configuration(ref, exact=False)
     bumped = list(base.points)
-    for c in range(1, ref.N):
-        bumped[c] += 1e-3 * ((c % 3) - 1)
+    # every class c but the pinned one moves by 1e-3 * ((c % 3) - 1)
+    for x in range(1, ref.N):
+        bumped[x] += 1e-3 * ((ref.geometric[x] % 3) - 1)
     from gietlab.thurston import Configuration
 
     start = Configuration(ref, tuple(bumped))
@@ -418,8 +420,8 @@ def test_tau_of_zero_gap_is_boundary_vector():
     pts = list(reference_configuration(ref, exact=False).points)
     # move the point of [C,1] onto the point of [B,1] (consecutive in the
     # bottom row order D, C, B, A)
-    c_pos = (ref.crit_pos["C"] + 1) % ref.N
-    b_pos = (ref.crit_pos["B"] + 1) % ref.N
+    c_pos = ref.geometric.index((ref.crit_pos["C"] + 1) % ref.N)
+    b_pos = ref.geometric.index((ref.crit_pos["B"] + 1) % ref.N)
     pts[c_pos] = pts[b_pos]
     from gietlab.thurston import Configuration
 
@@ -490,7 +492,8 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
         expected = _reference_in_fractions(path)
         window = expected.pop("window")
         points = reference_configuration(ref, True).points
-        assert points == expected.pop("points")
+        orbit = expected.pop("points")
+        assert points == tuple(orbit[c] for c in ref.geometric)
         assert tuple(map(float, points)) == reference_configuration(ref, False).points
         for name, value in expected.items():
             assert getattr(ref, name) == value, name
@@ -552,8 +555,18 @@ def test_pull_order_equals_the_per_step_comprehension():
     refs = [fibonacci_ref(depth) for depth in range(10, 16)]
     refs += random_completed_refs(random.Random(73), 20)
     for ref in refs:
-        assert ref.pull_order == old_pull_order(ref)
-        assert len(ref.pull_order) == ref.N - ref.datum.d
+        read, write = ref.runs
+        pulled = [x for lo, hi in read for x in range(lo, hi)]
+        assert tuple(ref.geometric[x] for x in pulled) == old_pull_order(ref)
+        assert len(pulled) == ref.N - ref.datum.d
+        # the preimage of the point read at x lands on its class's index predecessor
+        u_t = ref.grid.breakpoints()[0]
+        landed = {}
+        for (lo, hi), a in zip(write, ref.datum.top):
+            for k in range(hi - lo):
+                landed[pulled[lo + k]] = u_t[a] + 1 + k
+        assert sorted(landed) == pulled
+        assert all(ref.geometric[y] == (ref.geometric[x] - 1) % ref.N for x, y in landed.items())
 
 
 def old_class_names(ref):
@@ -579,12 +592,16 @@ def test_is_valid_rejects_each_broken_order():
     assert good.is_valid()
 
     def moved(c, x):
+        """``good`` with the point of class ``c`` moved to ``x``."""
         points = list(good.points)
-        points[c] = x
+        points[ref.geometric.index(c)] = x
         return thurston.Configuration(ref, tuple(points))
 
+    def point(c):
+        return good.points[ref.geometric.index(c)]
+
     left, right = ref.geometric[1], ref.geometric[2]
-    assert not moved(right, good.points[left]).is_valid()  # a repeated point
+    assert not moved(right, point(left)).is_valid()  # a repeated point
     assert not moved(ref.geometric[-1], 1.0).is_valid()  # a point at 1
     assert not moved(0, 1e-3).is_valid()  # the pinned class is not at 0
 
@@ -594,7 +611,7 @@ def test_is_valid_rejects_a_nan_point():
     good = reference_configuration(ref, exact=False).points
     for rank in (0, 1, 2, -1):  # the pinned class, interior points, the rightmost one
         points = list(good)
-        points[ref.geometric[rank]] = float("nan")
+        points[rank] = float("nan")  # the point of class ref.geometric[rank]
         assert not thurston.Configuration(ref, tuple(points)).is_valid()
 
 
@@ -605,24 +622,34 @@ def old_is_valid(ref, points):
     return 0 <= ordered[0] and ordered[-1] < 1
 
 
+def by_class(ref, points):
+    """Points in grid order re-indexed by class (orbit position)."""
+    out = [None] * ref.N
+    for x, c in enumerate(ref.geometric):
+        out[c] = points[x]
+    return out
+
+
 def old_step(family, ref, config):
     """``step`` as it was before the pull order was fixed per reference:
-    every point pulled back on its own through ``Giet.eval_inverse``."""
+    every point pulled back on its own through ``Giet.eval_inverse``, on
+    points indexed by class; the result is returned in grid order."""
     f = family.at(tau_of(ref, config))
     N = ref.N
+    points = by_class(ref, config.points)
     new_points = [None] * N
     for a, lo, _ in f.top_intervals():
         new_points[ref.crit_pos[a]] = lo
     order = [c for c in ref.geometric if new_points[(c - 1) % N] is None]
     for c in order:
-        new_points[(c - 1) % N] = f.eval_inverse(config.points[c])
+        new_points[(c - 1) % N] = f.eval_inverse(points[c])
     if old_is_valid(ref, new_points):
-        return tuple(new_points)
+        return tuple(new_points[c] for c in ref.geometric)
     s = 0.5
     for _ in range(40):
-        damped = tuple((1 - s) * old + s * new for old, new in zip(config.points, new_points))
+        damped = tuple((1 - s) * old + s * new for old, new in zip(points, new_points))
         if old_is_valid(ref, damped):
-            return damped
+            return tuple(damped[c] for c in ref.geometric)
         s *= 0.5
     raise AssertionError("no damping restores the order")
 
@@ -641,3 +668,87 @@ def test_step_returns_the_points_of_the_per_point_pullback():
         config = thurston.Configuration(
             ref, tuple(0.5 * a + 0.5 * b for a, b in zip(config.points, pulled.points))
         )
+
+
+def smooth_seed(datum, lengths, ks):
+    return giet_from_branches(
+        datum, lengths, lengths, lambda a, d, r: SmoothParam(d, r, k=ks.get(a, 0.0))
+    )
+
+
+def worked_loop():
+    """The worked example's path, then the way back to its source and the
+    worked example again, repeated until the path has at least 15 arrows."""
+    cls = rauzy_class(D4)
+    worked = model_path()
+    back = find_path(cls, worked.target, D4)
+    loop = worked
+    while len(loop) < 15:
+        loop = loop.concat(back).concat(worked)
+    return loop
+
+
+# The solver trajectory, byte for byte: iterations, tau as float.hex, and the
+# sha256 of repr(deltas).  Recorded before the pullback moved to grid order;
+# any change of a float bit anywhere in the loop changes a line here.
+TRAJECTORIES = [
+    (
+        "fibonacci-13",
+        lambda: fibonacci_ref(13).path,
+        lambda: smooth_seed(D2, [0.5, 0.5], {"A": 2.0, "B": -1.5}),
+        66,
+        {"A": "0x1.9e25a4b002f58p-2", "B": "0x1.30ed2da7fe854p-1"},
+        "9001ab7325094b3eb3c139ecb6d7dbcc7b6fc3122cd2cb8502a56563827f3be2",
+    ),
+    (
+        "worked-example",
+        model_path,
+        lambda: smooth_seed(D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0}),
+        0,
+        {
+            "A": "0x1.1745d1745d174p-1", "B": "0x1.745d1745d1746p-3",
+            "C": "0x1.745d1745d1744p-4", "D": "0x1.745d1745d1746p-3",
+        },
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    (
+        "worked-loop",
+        worked_loop,
+        lambda: smooth_seed(D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0}),
+        20,
+        {
+            "A": "0x1.1464a2dbf2ee2p-1", "B": "0x1.26c7f8264fcdap-3",
+            "C": "0x1.34146f95b8740p-8", "D": "0x1.3f026c769b5b3p-2",
+        },
+        "e68591a71d15fd0ad905c2e5a6f25d99de34671856edce18ddbe6c2e967d7e22",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "path, seed, iterations, tau, deltas_sha256",
+    [case[1:] for case in TRAJECTORIES],
+    ids=[case[0] for case in TRAJECTORIES],
+)
+def test_solver_trajectory_is_pinned(path, seed, iterations, tau, deltas_sha256):
+    report = realize(GietFamily(seed()), path()).report
+    assert report.realized
+    assert report.iterations == iterations == len(report.deltas)
+    assert {a: float.hex(v) for a, v in report.tau.items()} == tau
+    assert hashlib.sha256(repr(report.deltas).encode()).hexdigest() == deltas_sha256
+
+
+def test_solve_calls_step_through_the_module_global_once_per_iteration(monkeypatch):
+    calls = []
+    original = thurston.step
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(thurston, "step", counting)
+    ref = fibonacci_ref(13)
+    report = solve(GietFamily(smooth_seed(D2, [0.5, 0.5], {"A": 2.0, "B": -1.5})), ref)
+    assert report.realized and report.iterations == 66
+    assert len(calls) == report.iterations
+    assert all(args[1] is ref for args in calls)
