@@ -53,7 +53,6 @@ from .thurston import (
     LabelClass,
     RefConfig,
     build_reference,
-    family_from_iet,
     realize,
     reference_configuration,
     solve,

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .combinatorics import (
     CombinatorialDatum,
@@ -42,16 +44,16 @@ from .errors import (
     TargetNotCyclic,
 )
 from .exact_iet import ExactIET
-from .giet import Giet, dynamical_partition, giet_from_iet, partitions_equivalent
+from .giet import Giet, dynamical_partition, partitions_equivalent
 from . import full_family
 
 EPS_DEG = 1e-9
 EPS_FIX = 1e-12
 
 
-@dataclass(frozen=True)
-class LabelClass:
-    """One of the N point classes: display letter/index plus orbit position."""
+class LabelClass(NamedTuple):
+    """One of the N point classes: its orbit position, displayed as
+    ``(letter, index)``, the fewest forward steps from a critical point."""
 
     letter: str
     index: int
@@ -67,23 +69,15 @@ class RefConfig:
     """The reference configuration of a path with cyclic target."""
 
     path: RauzyPath
-    q: dict
     N: int
     h: dict
     base_iet: ExactIET
-    grid: ExactIET  # the model on its integer grid: class geometric[x] sits at x
-    classes: tuple[LabelClass, ...]
-    geometric: tuple[int, ...]
-    crit_pos: dict
+    grid: ExactIET  # the model on its integer grid
+    crit_pos: dict  # orbit position of each letter's critical point
 
     @property
     def datum(self) -> CombinatorialDatum:
         return self.path.source
-
-    @property
-    def labels_in_order(self):
-        """Classes left to right at the reference."""
-        return [self.classes[c] for c in self.geometric]
 
     @cached_property
     def runs(self) -> tuple[tuple, tuple]:
@@ -99,17 +93,24 @@ class RefConfig:
         write = {a: (u_b[a] - i, u_b[a] - i + lam[a] - 1) for i, a in enumerate(bottom)}
         return read, tuple(write[a] for a in self.datum.top)
 
-    def canonical_label(self, letter: str, index: int) -> LabelClass:
-        """Normalized representative of ``(letter, index)`` under the identifications."""
-        return self.classes[(self.crit_pos[letter] + index) % self.N]
+    @cached_property
+    def _starts(self) -> tuple[list, list]:
+        """The critical positions in increasing order, and their letters."""
+        letters = sorted(self.crit_pos, key=self.crit_pos.get)
+        return [self.crit_pos[a] for a in letters], letters
 
-    def shift(self, label: LabelClass) -> LabelClass:
-        """The class ``[letter, index + 1]``."""
-        return self.classes[(label.orbit_pos + 1) % self.N]
+    def canonical_label(self, letter: str, index: int) -> LabelClass:
+        """The class ``(letter, index)``, named after the nearest critical
+        position at or before it: each critical letter names the run up to
+        the next one.  Position 0 is the first top letter's, so one exists."""
+        c = (self.crit_pos[letter] + index) % self.N
+        starts, letters = self._starts
+        i = bisect_right(starts, c) - 1
+        return LabelClass(letters[i], c - starts[i], c)
 
     def class_of_atom(self, letter: str, raw_index: int) -> LabelClass:
         """Class of the order-r partition atom with raw label ``(letter, raw_index)``."""
-        return self.classes[(self.crit_pos[letter] + raw_index - self.h[letter]) % self.N]
+        return self.canonical_label(letter, raw_index - self.h[letter])
 
 
 MAX_REFERENCE_POINTS = 200_000
@@ -120,7 +121,8 @@ def build_reference(path: RauzyPath) -> RefConfig:
 
     The model IET is cross-checked: it must reproduce the path's arrows under
     exact induction, which also rejects lengths outside the path's cone, and
-    the orbit of 0 on its integer grid, walked once, must be the whole grid.
+    the orbit of 0 on its integer grid, walked once, must first return to 0
+    after N steps, so that it is the whole grid.
     The total return time N grows exponentially with the path length, so the
     construction refuses outright when it would exceed ``MAX_REFERENCE_POINTS``.
     """
@@ -145,63 +147,44 @@ def build_reference(path: RauzyPath) -> RefConfig:
             f"model induction follows {result.path.kinds!r}, path is {path.kinds!r}"
         )
 
-    # one walk of the orbit of 0; the orbit position at each grid point is
-    # the geometric order, and everything else is read off it
-    geometric = [None] * N
-    x = 0
-    for c in range(N):
-        geometric[x] = c
-        x = grid.eval(x)
-    if x != 0:
-        raise InductionMismatch(f"the model orbit of 0 does not close up after N={N} steps")
-    if None in geometric:
-        raise InductionMismatch(f"the model orbit of 0 is not the whole grid of N={N} points")
-
+    # one walk of the orbit of 0, keeping the orbit positions of the critical
+    # points of the model and of its induced map
     u_t, _ = grid.breakpoints()
     u_t_induced, _ = result.map.breakpoints()
-    crit_pos = {a: geometric[u_t[a]] for a in path.source.alphabet}
+    pos = dict.fromkeys([*u_t.values(), *u_t_induced.values()])
+    x = 0
+    for c in range(N):
+        if x in pos:
+            pos[x] = c
+        x = grid.eval(x)
+        if x == 0:
+            break
+    if x != 0:
+        raise InductionMismatch(f"the model orbit of 0 does not close up after N={N} steps")
+    if c < N - 1:
+        raise InductionMismatch(f"the model orbit of 0 is not the whole grid of N={N} points")
+
+    crit_pos = {a: pos[u_t[a]] for a in path.source.alphabet}
     h = {}
     for a in path.source.alphabet:
         # the fewest steps from the induced critical point of a to u_t[a]
-        h[a] = (crit_pos[a] - geometric[u_t_induced[a]]) % N
+        h[a] = (crit_pos[a] - pos[u_t_induced[a]]) % N
         if h[a] >= q[a]:
             raise InductionMismatch(
                 f"critical point of {a} is {h[a]} steps from its lift, not under q={q[a]}"
             )
-
-    # a class is named after the nearest critical position at or before it,
-    # cyclically: each critical letter names the run up to the next one
-    # (critical positions are distinct, so no two letters tie)
-    classes = [None] * N
-    runs = sorted(crit_pos.items(), key=lambda t: t[1])
-    for (a, p), (_, end) in zip(runs, runs[1:] + runs[:1]):
-        for i in range((end - p - 1) % N + 1):
-            c = (p + i) % N
-            classes[c] = LabelClass(a, i, c)
-
-    return RefConfig(
-        path=path,
-        q=q,
-        N=N,
-        h=h,
-        base_iet=base,
-        grid=grid,
-        classes=tuple(classes),
-        geometric=tuple(geometric),
-        crit_pos=crit_pos,
-    )
+    return RefConfig(path=path, N=N, h=h, base_iet=base, grid=grid, crit_pos=crit_pos)
 
 
 @dataclass(frozen=True)
 class Configuration:
     """N labeled points sharing the reference's geometric order.
 
-    ``points`` holds them left to right: ``points[x]`` is the point of class
-    ``ref.geometric[x]``.  Entries are floats or exact rationals, and the
+    ``points`` holds them left to right: ``points[x]`` is the point at grid
+    point ``x`` of the model.  Entries are floats or exact rationals, and the
     class containing ``(alpha_0, 0)``, ``points[0]``, is pinned at 0.
     """
 
-    ref: RefConfig
     points: tuple
 
     def is_valid(self) -> bool:
@@ -217,7 +200,7 @@ def reference_configuration(ref: RefConfig, exact: bool = True) -> Configuration
     """The reference: the class at grid point ``x`` sits at ``x / N``, as a
     ``Fraction`` or, correctly rounded, as a float."""
     N = ref.N
-    return Configuration(ref, tuple(Fraction(x, N) if exact else x / N for x in range(N)))
+    return Configuration(tuple(Fraction(x, N) if exact else x / N for x in range(N)))
 
 
 def tau_of(ref: RefConfig, config: Configuration) -> dict:
@@ -269,10 +252,6 @@ class GietFamily:
         return full_family.apply(self.seed, tau)
 
 
-def family_from_iet(T: ExactIET) -> GietFamily:
-    return GietFamily(giet_from_iet(T))
-
-
 def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
     """One pullback under ``f``, the family map selected by ``config``: send
     every point to the preimage of its index successor.
@@ -293,7 +272,7 @@ def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
     for (_, crit, _), (lo, hi) in zip(f.top_intervals(), write):
         new_points.append(crit)
         new_points += preimages[lo:hi]
-    out = Configuration(ref, tuple(new_points))
+    out = Configuration(tuple(new_points))
     if out.is_valid():
         return out
     if family.exact:
@@ -301,7 +280,7 @@ def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
     s = 0.5
     for _ in range(40):
         damped = tuple((1 - s) * old + s * new for old, new in zip(config.points, new_points))
-        candidate = Configuration(ref, damped)
+        candidate = Configuration(damped)
         if candidate.is_valid():
             return candidate
         s *= 0.5
@@ -365,7 +344,7 @@ def solve(
         pulled = step(family, ref, config, f)
         # half * old + half * new, class by class, without a Python-level loop
         halves = [map(operator.mul, itertools.repeat(half), c.points) for c in (config, pulled)]
-        new_config = Configuration(ref, tuple(map(operator.add, *halves)))
+        new_config = Configuration(tuple(map(operator.add, *halves)))
         delta = config.delta(new_config)
         deltas.append((it + 1, float(delta)))
         settled = delta < EPS_FIX
@@ -382,7 +361,7 @@ class RealizeResult:
     appended: int
 
 
-def realize(family, target_path: RauzyPath, cls=None, **solve_options) -> RealizeResult:
+def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     """Find a family parameter whose map generates ``target_path``.
 
     If the path does not end at a cyclic datum, a shortest completion inside
@@ -390,8 +369,7 @@ def realize(family, target_path: RauzyPath, cls=None, **solve_options) -> Realiz
     The certificate is an independent check: the realized map's dynamical
     partition must be combinatorially equivalent to the model's.
     """
-    if cls is None:
-        cls = rauzy_class(target_path.source)
+    cls = rauzy_class(target_path.source)
     if sigma_and_cyclicity(target_path.target)[1]:
         full = target_path
     else:

@@ -20,6 +20,25 @@ def admissible(letters):
     return tuple(all_admissible_data(letters))
 
 
+def orbit_order(ref):
+    """The orbit position of each grid point of a reference's model:
+    ``orbit_order(ref)[x]`` is the class at grid point ``x``.  It walks the
+    orbit of 0 on ``ref.grid`` once and fills the whole table, as
+    ``build_reference`` used to."""
+    order = [None] * ref.N
+    x = 0
+    for c in range(ref.N):
+        order[x] = c
+        x = ref.grid.eval(x)
+    return tuple(order)
+
+
+def class_at(ref, c):
+    """The class at orbit position ``c``: ``(alpha_0, c)``, since the orbit
+    starts at 0, the critical point of the first top letter."""
+    return ref.canonical_label(ref.datum.top[0], c)
+
+
 def random_exact_iet(rng, d, max_num=60):
     datum = rng.choice(admissible("ABCDE"[:d]))
     lengths = [Fraction(rng.randint(1, max_num)) for _ in range(d)]

@@ -8,7 +8,14 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import admissible, int_product, random_simplex, random_unit_giet
+from conftest import (
+    admissible,
+    class_at,
+    int_product,
+    orbit_order,
+    random_simplex,
+    random_unit_giet,
+)
 from gietlab.branches import SmoothParam
 from gietlab.combinatorics import (
     IntMatrix,
@@ -25,6 +32,7 @@ from gietlab.full_family import apply, slopes
 from gietlab.giet import (
     dynamical_partition,
     giet_from_branches,
+    giet_from_iet,
     partitions_equivalent,
     verify_matrix_counts,
 )
@@ -33,7 +41,6 @@ from gietlab.thurston import (
     ExactIETFamily,
     GietFamily,
     build_reference,
-    family_from_iet,
     realize,
     reference_configuration,
     step,
@@ -108,7 +115,7 @@ def test_criterion_2_figure_partition():
         assert all(length == Fraction(1, 11) for length in partition.lengths())
         labels = [ref.class_of_atom(a.letter, a.index).name for a in partition.atoms]
         assert labels == FIG_LABELS
-        assert [l.name for l in ref.labels_in_order] == FIG_LABELS
+        assert [class_at(ref, c).name for c in orbit_order(ref)] == FIG_LABELS
     report(2, "order-5 partition of the model map: 11 cells of width 1/11 in figure order", t)
 
 
@@ -213,7 +220,9 @@ def test_criterion_6_pullback_fixed_point():
             reference = reference_configuration(ref, True).points
             exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
             assert exact.points == reference
-            approx = pull(family_from_iet(ref.base_iet), ref, reference_configuration(ref, False))
+            approx = pull(
+                GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref, False)
+            )
             assert max(
                 abs(a - float(b)) for a, b in zip(approx.points, reference)
             ) <= 1e-12
@@ -283,7 +292,7 @@ def test_criterion_9_semiconjugacy_residuals():
         while len(long_path) < 15:
             long_path = long_path.concat(back).concat(p5)
         seed4 = smooth_seed(D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], k=2.0)
-        out4 = realize(GietFamily(seed4), long_path, cls=cls, max_iter=500)
+        out4 = realize(GietFamily(seed4), long_path, max_iter=500)
         assert out4.report.realized
         pairs.append((GietFamily(seed4).at(out4.tau), out4.ref.base_iet))
         for f, T_model in pairs:

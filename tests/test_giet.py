@@ -476,6 +476,12 @@ def test_batch_inverse_rejects_bad_input():
     assert f.eval_inverse_sorted([]) == []
     with pytest.raises(OrderViolation):
         f.eval_inverse_sorted([0.5, 0.2])
+    with pytest.raises(OrderViolation):
+        f.eval_inverse_sorted([0.1, 0.3, 0.2, 0.4])  # one decrease inside
+    nan = float("nan")
+    for ys in ([0.1, nan, 0.3], [nan, 0.3], [0.1, nan], [nan]):
+        with pytest.raises(OrderViolation):
+            f.eval_inverse_sorted(ys)
     with pytest.raises(OutOfDomain):
         f.eval_inverse_sorted([0.2, 1.0])
     with pytest.raises(OutOfDomain):

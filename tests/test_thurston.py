@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import gietlab.thurston as thurston
-from conftest import admissible, random_unit_giet
+from conftest import admissible, class_at, orbit_order, random_unit_giet
 from gietlab.branches import SmoothParam
 from gietlab.combinatorics import (
     RauzyPath,
@@ -18,13 +19,17 @@ from gietlab.combinatorics import (
 )
 from gietlab.errors import InductionMismatch, NoCyclicDatum, TargetNotCyclic
 from gietlab.exact_iet import ExactIET
-from gietlab.giet import dynamical_partition, giet_from_branches, partitions_equivalent
+from gietlab.giet import (
+    dynamical_partition,
+    giet_from_branches,
+    giet_from_iet,
+    partitions_equivalent,
+)
 from gietlab.thurston import (
     ExactIETFamily,
     GietFamily,
     MAX_REFERENCE_POINTS,
     build_reference,
-    family_from_iet,
     realize,
     reference_configuration,
     solve,
@@ -61,15 +66,20 @@ def random_cyclic_path(rng, max_d=4, max_r=8):
             return path
 
 
+def labels_in_order(ref):
+    """Class names left to right at the reference."""
+    return [class_at(ref, c).name for c in orbit_order(ref)]
+
+
 def test_build_reference_worked_example():
     ref = model_ref()
     assert ref.N == 11
-    assert ref.q == {"A": 3, "B": 2, "C": 2, "D": 4}
+    assert path_matrix(ref.path).row_sums() == {"A": 3, "B": 2, "C": 2, "D": 4}
     assert ref.h == {"A": 0, "B": 1, "C": 1, "D": 3}
     assert ref.base_iet.lengths_by_letter() == {
         "A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D": Fraction(2, 11)
     }
-    assert [l.name for l in ref.labels_in_order] == FIG_LABELS
+    assert labels_in_order(ref) == FIG_LABELS
     assert sorted(reference_configuration(ref).points) == [Fraction(k, 11) for k in range(11)]
 
 
@@ -82,7 +92,7 @@ def test_build_reference_empty_path():
     ref = build_reference(RauzyPath(D2))
     assert ref.N == 2
     assert sorted(reference_configuration(ref).points) == [Fraction(0), Fraction(1, 2)]
-    assert [l.name for l in ref.labels_in_order] == ["A0", "B0"]
+    assert labels_in_order(ref) == ["A0", "B0"]
 
 
 def test_build_reference_refuses_beyond_the_point_cap():
@@ -99,10 +109,23 @@ def test_build_reference_walks_the_model_orbit_once(monkeypatch):
     calls = []
     model_eval = ExactIET.eval
     monkeypatch.setattr(ExactIET, "eval", lambda T, x: calls.append(x) or model_eval(T, x))
+    named = []
+    monkeypatch.setattr(thurston, "LabelClass", lambda *args: named.append(args))
     ref = build_reference(path)
-    # one evaluation per orbit point; h is read off the orbit positions
+    # one evaluation per orbit point; h is read off the orbit positions, and
+    # no class is named until a label is asked for
     assert ref.N == 2584 and len(calls) == ref.N
+    assert named == []
     assert ref.h == _reference_in_fractions(path)["h"]
+
+
+def test_reference_fields_do_not_grow_with_n():
+    assert [f.name for f in dataclasses.fields(thurston.RefConfig)] == [
+        "path", "N", "h", "base_iet", "grid", "crit_pos"
+    ]
+    for depth in (5, 15):
+        ref = fibonacci_ref(depth)
+        assert len(ref.h) == len(ref.crit_pos) == len(ref.grid.lengths) == 2
 
 
 @pytest.mark.parametrize("model_eval, message", [
@@ -119,18 +142,19 @@ def test_build_reference_reports_a_broken_model_orbit(monkeypatch, model_eval, m
 
 def test_reference_orbit_is_single_cycle():
     ref = model_ref()
-    # the index shift steps through all N classes before returning
-    label = ref.classes[0]
+    # the index shift [letter, index + 1] steps through all N classes
+    # before returning
+    first = label = ref.canonical_label("A", 0)
     seen = set()
     for _ in range(ref.N):
         seen.add(label.orbit_pos)
-        label = ref.shift(label)
-    assert len(seen) == ref.N and label is ref.classes[0]
+        label = ref.canonical_label(label.letter, label.index + 1)
+    assert len(seen) == ref.N and label == first
 
 
 def test_canonical_label_identifications():
     ref = model_ref()
-    assert ref.canonical_label("A", 0) is ref.classes[0]
+    assert ref.canonical_label("A", 0) == thurston.LabelClass("A", 0, 0)
     # one step back from (A, 0) is the class displayed with the letter D
     assert ref.canonical_label("A", -1).name == "D0"
     # exhaustive normalization: every (letter, small index) lands on one of
@@ -165,7 +189,7 @@ def test_step_fixed_point_exact_worked_example():
 def test_step_fixed_point_float_worked_example():
     ref = model_ref()
     config = reference_configuration(ref, exact=False)
-    out = pull(family_from_iet(ref.base_iet), ref, config)
+    out = pull(GietFamily(giet_from_iet(ref.base_iet)), ref, config)
     assert max(abs(a - b) for a, b in zip(out.points, config.points)) <= 1e-12
 
 
@@ -178,7 +202,7 @@ def test_step_fixed_point_random_cyclic_paths():
         exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
         assert exact.points == reference
         approx = pull(
-            family_from_iet(ref.base_iet), ref, reference_configuration(ref, False)
+            GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref, False)
         )
         assert max(
             abs(a - float(b)) for a, b in zip(approx.points, reference)
@@ -227,7 +251,7 @@ def test_solve_boundary_with_absurd_threshold(monkeypatch):
     # tau is (6, 2, 1, 2)/11: every entry but A's is at or below 0.5
     monkeypatch.setattr(thurston, "EPS_DEG", 0.5)
     faces = tuple(ref.canonical_label(a, 1).name for a in "DCB")
-    for family in (ExactIETFamily(D4), family_from_iet(ref.base_iet)):
+    for family in (ExactIETFamily(D4), GietFamily(giet_from_iet(ref.base_iet))):
         report = solve(family, ref)
         assert report.status == "boundary"
         assert report.iterations == 0
@@ -301,6 +325,16 @@ def test_realize_appends_completion_for_noncyclic_target():
     assert f.rauzy_path(3).path.kinds == prefix.kinds
 
 
+def test_realize_builds_the_rauzy_class_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(thurston, "rauzy_class", lambda d: built.append(d) or rauzy_class(d))
+    prefix = model_path().prefix(3)  # a non-cyclic target needs a completion
+    lam = [6 / 11, 2 / 11, 1 / 11, 2 / 11]
+    seed = giet_from_branches(D4, lam, lam, lambda a, d, r: SmoothParam(d, r, k=0.0))
+    assert realize(GietFamily(seed), prefix).appended >= 1
+    assert built == [D4]
+
+
 def test_realize_no_cyclic_datum(monkeypatch):
     monkeypatch.setattr(thurston, "find_cyclic", lambda cls: None)
     prefix = model_path().prefix(3)
@@ -346,11 +380,12 @@ def test_solver_report_deltas_monotone_tail():
 
 def test_window_and_atom_labels_are_consistent():
     ref = model_ref()
+    q = path_matrix(ref.path).row_sums()
     for a in "ABCD":
-        for j in range(ref.q[a]):
+        for j in range(q[a]):
             via_atom = ref.class_of_atom(a, j)
             via_window = ref.canonical_label(a, j - ref.h[a])
-            assert via_atom is via_window
+            assert via_atom == via_window
 
 
 def test_solve_fixed_point_tol_status(monkeypatch):
@@ -399,11 +434,10 @@ def test_solve_accepts_perturbed_start():
     base = reference_configuration(ref, exact=False)
     bumped = list(base.points)
     # every class c but the pinned one moves by 1e-3 * ((c % 3) - 1)
+    order = orbit_order(ref)
     for x in range(1, ref.N):
-        bumped[x] += 1e-3 * ((ref.geometric[x] % 3) - 1)
-    from gietlab.thurston import Configuration
-
-    start = Configuration(ref, tuple(bumped))
+        bumped[x] += 1e-3 * ((order[x] % 3) - 1)
+    start = thurston.Configuration(tuple(bumped))
     assert start.is_valid()
     lam = [float(x) for x in ref.base_iet.lengths]
     seed = giet_from_branches(
@@ -420,12 +454,11 @@ def test_tau_of_zero_gap_is_boundary_vector():
     pts = list(reference_configuration(ref, exact=False).points)
     # move the point of [C,1] onto the point of [B,1] (consecutive in the
     # bottom row order D, C, B, A)
-    c_pos = ref.geometric.index((ref.crit_pos["C"] + 1) % ref.N)
-    b_pos = ref.geometric.index((ref.crit_pos["B"] + 1) % ref.N)
+    order = orbit_order(ref)
+    c_pos = order.index((ref.crit_pos["C"] + 1) % ref.N)
+    b_pos = order.index((ref.crit_pos["B"] + 1) % ref.N)
     pts[c_pos] = pts[b_pos]
-    from gietlab.thurston import Configuration
-
-    squeezed = Configuration(ref, tuple(pts))
+    squeezed = thurston.Configuration(tuple(pts))
     tau = tau_of(ref, squeezed)
     assert tau["C"] == 0.0
     assert abs(sum(tau.values()) - 1.0) < 1e-15
@@ -493,8 +526,12 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
         window = expected.pop("window")
         points = reference_configuration(ref, True).points
         orbit = expected.pop("points")
-        assert points == tuple(orbit[c] for c in ref.geometric)
+        geometric = orbit_order(ref)
+        assert geometric == expected.pop("geometric")
+        assert points == tuple(orbit[c] for c in geometric)
         assert tuple(map(float, points)) == reference_configuration(ref, False).points
+        # the class named at every orbit position
+        assert tuple(class_at(ref, c) for c in range(ref.N)) == expected.pop("classes")
         for name, value in expected.items():
             assert getattr(ref, name) == value, name
         # the order-r atoms name each class once: atom (a, i + h_a) is window class c
@@ -520,14 +557,14 @@ def test_solve_builds_one_family_map_per_iteration():
     assert len(built) == report.iterations + 1
 
 
-def old_pull_order(ref):
+def old_pull_order(ref, geometric):
     """The classes ``step`` pulls back, as ``step`` used to list them on every
     call: those whose index predecessor is not yet placed."""
     N = ref.N
     new_points = [None] * N
     for a in ref.datum.alphabet:
         new_points[ref.crit_pos[a]] = 0.0
-    return tuple(c for c in ref.geometric if new_points[(c - 1) % N] is None)
+    return tuple(c for c in geometric if new_points[(c - 1) % N] is None)
 
 
 def fibonacci_ref(depth):
@@ -555,9 +592,10 @@ def test_pull_order_equals_the_per_step_comprehension():
     refs = [fibonacci_ref(depth) for depth in range(10, 16)]
     refs += random_completed_refs(random.Random(73), 20)
     for ref in refs:
+        geometric = orbit_order(ref)
         read, write = ref.runs
         pulled = [x for lo, hi in read for x in range(lo, hi)]
-        assert tuple(ref.geometric[x] for x in pulled) == old_pull_order(ref)
+        assert tuple(geometric[x] for x in pulled) == old_pull_order(ref, geometric)
         assert len(pulled) == ref.N - ref.datum.d
         # the preimage of the point read at x lands on its class's index predecessor
         u_t = ref.grid.breakpoints()[0]
@@ -566,7 +604,7 @@ def test_pull_order_equals_the_per_step_comprehension():
             for k in range(hi - lo):
                 landed[pulled[lo + k]] = u_t[a] + 1 + k
         assert sorted(landed) == pulled
-        assert all(ref.geometric[y] == (ref.geometric[x] - 1) % ref.N for x, y in landed.items())
+        assert all(geometric[y] == (geometric[x] - 1) % ref.N for x, y in landed.items())
 
 
 def old_class_names(ref):
@@ -582,27 +620,29 @@ def test_class_names_equal_the_fewest_steps_formula():
     refs = [fibonacci_ref(depth) for depth in range(3, 19)]
     refs += random_completed_refs(random.Random(74), 60)
     for ref in refs:
-        assert [(k.letter, k.index) for k in ref.classes] == old_class_names(ref)
-        assert [k.orbit_pos for k in ref.classes] == list(range(ref.N))
+        classes = [class_at(ref, c) for c in range(ref.N)]
+        assert [(k.letter, k.index) for k in classes] == old_class_names(ref)
+        assert [k.orbit_pos for k in classes] == list(range(ref.N))
 
 
 def test_is_valid_rejects_each_broken_order():
     ref = model_ref()
     good = reference_configuration(ref, exact=False)
     assert good.is_valid()
+    geometric = orbit_order(ref)
 
     def moved(c, x):
         """``good`` with the point of class ``c`` moved to ``x``."""
         points = list(good.points)
-        points[ref.geometric.index(c)] = x
-        return thurston.Configuration(ref, tuple(points))
+        points[geometric.index(c)] = x
+        return thurston.Configuration(tuple(points))
 
     def point(c):
-        return good.points[ref.geometric.index(c)]
+        return good.points[geometric.index(c)]
 
-    left, right = ref.geometric[1], ref.geometric[2]
+    left, right = geometric[1], geometric[2]
     assert not moved(right, point(left)).is_valid()  # a repeated point
-    assert not moved(ref.geometric[-1], 1.0).is_valid()  # a point at 1
+    assert not moved(geometric[-1], 1.0).is_valid()  # a point at 1
     assert not moved(0, 1e-3).is_valid()  # the pinned class is not at 0
 
 
@@ -611,21 +651,21 @@ def test_is_valid_rejects_a_nan_point():
     good = reference_configuration(ref, exact=False).points
     for rank in (0, 1, 2, -1):  # the pinned class, interior points, the rightmost one
         points = list(good)
-        points[rank] = float("nan")  # the point of class ref.geometric[rank]
-        assert not thurston.Configuration(ref, tuple(points)).is_valid()
+        points[rank] = float("nan")  # the point at grid point rank
+        assert not thurston.Configuration(tuple(points)).is_valid()
 
 
-def old_is_valid(ref, points):
-    ordered = [points[c] for c in ref.geometric]
+def old_is_valid(geometric, points):
+    ordered = [points[c] for c in geometric]
     if points[0] != 0 or any(b <= a for a, b in zip(ordered, ordered[1:])):
         return False
     return 0 <= ordered[0] and ordered[-1] < 1
 
 
-def by_class(ref, points):
+def by_class(geometric, points):
     """Points in grid order re-indexed by class (orbit position)."""
-    out = [None] * ref.N
-    for x, c in enumerate(ref.geometric):
+    out = [None] * len(geometric)
+    for x, c in enumerate(geometric):
         out[c] = points[x]
     return out
 
@@ -636,20 +676,21 @@ def old_step(family, ref, config):
     points indexed by class; the result is returned in grid order."""
     f = family.at(tau_of(ref, config))
     N = ref.N
-    points = by_class(ref, config.points)
+    geometric = orbit_order(ref)
+    points = by_class(geometric, config.points)
     new_points = [None] * N
     for a, lo, _ in f.top_intervals():
         new_points[ref.crit_pos[a]] = lo
-    order = [c for c in ref.geometric if new_points[(c - 1) % N] is None]
+    order = [c for c in geometric if new_points[(c - 1) % N] is None]
     for c in order:
         new_points[(c - 1) % N] = f.eval_inverse(points[c])
-    if old_is_valid(ref, new_points):
-        return tuple(new_points[c] for c in ref.geometric)
+    if old_is_valid(geometric, new_points):
+        return tuple(new_points[c] for c in geometric)
     s = 0.5
     for _ in range(40):
         damped = tuple((1 - s) * old + s * new for old, new in zip(points, new_points))
-        if old_is_valid(ref, damped):
-            return tuple(damped[c] for c in ref.geometric)
+        if old_is_valid(geometric, damped):
+            return tuple(damped[c] for c in geometric)
         s *= 0.5
     raise AssertionError("no damping restores the order")
 
@@ -666,7 +707,7 @@ def test_step_returns_the_points_of_the_per_point_pullback():
         pulled = pull(family, ref, config)
         assert pulled.points == old_step(family, ref, config)
         config = thurston.Configuration(
-            ref, tuple(0.5 * a + 0.5 * b for a, b in zip(config.points, pulled.points))
+            tuple(0.5 * a + 0.5 * b for a, b in zip(config.points, pulled.points))
         )
 
 
