@@ -46,9 +46,6 @@ class Branch:
         so the results are bit-identical."""
         return [self.inverse(y) for y in ys]
 
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
-
     def validate(self, samples: int = 16, eps: float = EPS_BRANCH) -> None:
         """Spot-check monotonicity, endpoint matching and inverse consistency."""
         a, b = self.domain

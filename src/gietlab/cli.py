@@ -30,7 +30,7 @@ from .combinatorics import (
 from .errors import GietlabError, NoCyclicDatum, SolverFailed
 from .exact_iet import ExactIET
 from .giet import Giet, dynamical_partition, giet_from_iet
-from .semiconjugacy import build_semiconjugacy, residual
+from .semiconjugacy import _defect, build_semiconjugacy, residual
 from .thurston import GietFamily, build_reference, realize
 
 MAX_ORDER = 64
@@ -163,13 +163,8 @@ def cmd_semiconj(args) -> int:
     print(h.as_table())
     print(f"residual: {residual(h, f, T, args.samples):.6e}")
     if args.spot_check:
-        # T through its float copy, as in ``residual``
-        model = giet_from_iet(T)
         rng = random.Random(args.seed)
-        worst = 0.0
-        for _ in range(args.spot_check):
-            x = rng.random()
-            worst = max(worst, abs(h.eval(float(f.eval(x))) - model.eval(h.eval(x))))
+        worst = _defect(h, f, T, [rng.random() for _ in range(args.spot_check)])
         print(f"spot-check residual ({args.spot_check} random points, seed {args.seed}): {worst:.6e}")
     return 0
 
@@ -181,9 +176,9 @@ def cmd_render(args) -> int:
         with fileio.reading("partition"):
             text = svg.render_partition(doc)
     elif kind == "giet":
-        text = svg.render_giet(doc)
+        text = svg.render_giet(fileio.giet_from_document(doc))
     elif kind == "iet":
-        text = svg.render_giet(fileio.giet_document(giet_from_iet(fileio.iet_from_document(doc))))
+        text = svg.render_giet(giet_from_iet(fileio.iet_from_document(doc)))
     else:
         raise GietlabError(f"cannot render document kind {kind!r}")
     with open(args.out, "w") as fh:

@@ -24,6 +24,7 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
+from .branches import Translation
 from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
 from .errors import BadLengths, InductionFailed, OutOfDomain, TieError
 
@@ -160,8 +161,19 @@ class ExactIET:
         u_t = self._breaks.u_t
         return [(a, u_t[a], u_t[a] + self.length(a)) for a in self.datum.top]
 
+    @cached_property
+    def branches(self) -> dict:
+        """Each letter's ``Translation`` of its top interval onto its bottom
+        one, in exact arithmetic: its inverse of ``y`` is ``y - (u^b - u^t)``."""
+        u_t, u_b = self._breaks.u_t, self._breaks.u_b
+        return {
+            a: Translation((u_t[a], u_t[a] + l), (u_b[a], u_b[a] + l))
+            for a, l in zip(self.datum.alphabet, self.lengths)
+        }
+
     def _check_domain(self, x):
-        if x < 0 or x >= self.total:
+        # written so that a NaN, which fails every comparison, is outside
+        if not 0 <= x < self.total:
             raise OutOfDomain(f"{x} outside [0, {self.total})")
 
     def letter_at(self, x):
@@ -201,18 +213,10 @@ class ExactIET:
             floors.append((lo, hi))
         return floors
 
-    __call__ = eval
-
     def eval_inverse(self, y):
         self._check_domain(y)
         a = self.datum.bottom[bisect_right(self._breaks.cuts_b, y)]
         return y - self._breaks.shift[a]
-
-    def eval_inverse_sorted(self, ys):
-        """``[self.eval_inverse(y) for y in ys]``, the batch call the pullback
-        step makes on every family map.  Exact points need no snap rule, so
-        each is located on its own."""
-        return [self.eval_inverse(y) for y in ys]
 
     def rauzy_step(self):
         """One exact induction step: ``(induced map, arrow)``.

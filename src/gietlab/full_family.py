@@ -21,6 +21,7 @@ point per removed letter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .combinatorics import CombinatorialDatum, reduction
@@ -29,9 +30,12 @@ from .giet import Giet
 
 
 def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
-    if isinstance(tau, dict):
-        return {a: float(tau[a]) for a in datum.alphabet}
-    return {a: float(v) for a, v in zip(datum.alphabet, tau)}
+    """``tau`` as a float per letter; a NaN or infinite entry is an error."""
+    values = [tau[a] for a in datum.alphabet] if isinstance(tau, dict) else tau
+    tau = dict(zip(datum.alphabet, map(float, values)))
+    if not all(map(math.isfinite, tau.values())):
+        raise DegenerateTau(f"tau entries must be finite numbers, got {tau}")
+    return tau
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,6 @@ class MonotonePLMap:
         (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    __call__ = eval
-
     def as_table(self) -> str:
         return "\n".join(f"{x:.12f}\t{y:.12f}" for x, y in self.nodes)
 
@@ -76,10 +74,15 @@ def build_semiconjugacy(f, T, r: int) -> MonotonePLMap:
 def residual(h: MonotonePLMap, f, T, sample_count: int = 128) -> float:
     """Largest conjugation defect ``|h(f(x)) - T(h(x))|`` over sample points.
 
-    Samples are the midpoints of h's defining cells plus a uniform grid.  The
-    exact IET ``T`` is evaluated through its float copy, ``giet_from_iet(T)``.
+    Samples are the midpoints of h's defining cells plus a uniform grid.
     """
-    model = giet_from_iet(T)
     xs = {0.5 * (x0 + x1) for (x0, _), (x1, _) in zip(h.nodes, h.nodes[1:])}
     xs.update((i + 0.5) / sample_count for i in range(sample_count))
+    return _defect(h, f, T, xs)
+
+
+def _defect(h: MonotonePLMap, f, T, xs) -> float:
+    """Largest ``|h(f(x)) - T(h(x))|`` over the points ``xs``, with ``T``
+    evaluated through its float copy, ``giet_from_iet(T)``."""
+    model = giet_from_iet(T)
     return max(abs(h.eval(float(f.eval(x))) - model.eval(h.eval(x))) for x in xs)

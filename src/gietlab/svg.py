@@ -82,11 +82,8 @@ def render_partition(doc: dict) -> str:
     return _svg(total * SCALE + 2 * MARGIN, 120.0, body)
 
 
-def render_giet(doc: dict, samples: int = 64) -> str:
-    """Unit-square plot with one monotone arc per branch from a GIET document."""
-    from .fileio import giet_from_document
-
-    g = giet_from_document(doc)
+def render_giet(g, samples: int = 64) -> str:
+    """Square plot of a ``Giet`` on ``[0, length)``, one monotone arc per branch."""
     size = g.length * SCALE
     width = height = size + 2 * MARGIN
 

@@ -258,16 +258,16 @@ def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
 
     On the model's grid the successor of the point ``x`` in the top interval
     of ``a`` is ``x + u^b_a - u^t_a``: each bottom interval but its first
-    point pulls back, in one batch, onto its top interval but its first point,
-    a critical class, which maps to ``f``'s critical point of ``a``.  If
-    rounding breaks the order, the result is damped toward the input until
-    the order is restored.
+    point pulls back, in one batch through ``f``'s branch of ``a``, onto its
+    top interval but its first point, a critical class, which maps to
+    ``f``'s critical point of ``a``.  The letter comes from the class, so no
+    point is located by its value.  If rounding breaks the order, the result
+    is damped toward the input until the order is restored.
     """
     read, write = ref.runs
-    pulled = []
-    for lo, hi in read:
-        pulled += config.points[lo:hi]
-    preimages = f.eval_inverse_sorted(pulled)
+    preimages = []
+    for a, (lo, hi) in zip(ref.datum.bottom, read):
+        preimages += f.branches[a].inverse_many(config.points[lo:hi])
     new_points = []
     for (_, crit, _), (lo, hi) in zip(f.top_intervals(), write):
         new_points.append(crit)

@@ -22,6 +22,7 @@ from gietlab.combinatorics import parse_datum
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
 from gietlab.giet import Giet, dynamical_partition, giet_from_branches, giet_from_iet
+from gietlab.semiconjugacy import build_semiconjugacy
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -204,9 +205,18 @@ def test_semiconj_command(tmp_path, capsys):
     giet_doc = fileio.giet_document(giet_from_iet(model_iet()))
     giet_path = tmp_path / "g.json"
     fileio.dump(giet_doc, str(giet_path))
-    assert main(["semiconj", str(giet_path), iet, "-r", "5", "--spot-check", "16"]) == 0
+    argv = ["semiconj", str(giet_path), iet, "-r", "5", "--spot-check", "16", "--seed", "0"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "residual:" in out and "spot-check" in out
+    # the spot check is the defect |h(f(x)) - T(h(x))| at 16 seeded points,
+    # T through its float copy as in ``residual``
+    f, T = giet_from_iet(model_iet()), model_iet()
+    h = build_semiconjugacy(f, T, 5)
+    rng = random.Random(0)
+    xs = [rng.random() for _ in range(16)]
+    worst = max(abs(h.eval(float(f.eval(x))) - f.eval(h.eval(x))) for x in xs)
+    assert out.splitlines()[-1].endswith(f"seed 0): {worst:.6e}")
 
 
 def test_render_giet_and_roundtrip(tmp_path):
@@ -220,6 +230,23 @@ def test_render_giet_and_roundtrip(tmp_path):
     g = fileio.load_map(family)
     again = fileio.giet_from_document(json.loads(json.dumps(fileio.giet_document(g))))
     assert again == g
+
+
+def test_render_of_an_iet_draws_its_float_copy(tmp_path):
+    out_svg = tmp_path / "iet.svg"
+    assert main(["render", write_model_iet(tmp_path), "-o", str(out_svg)]) == 0
+    g = giet_from_iet(model_iet())
+    assert out_svg.read_text() == svg.render_giet(g)
+    # the same figure as the copy's document, read back, gives
+    again = fileio.giet_from_document(fileio.giet_document(g))
+    assert svg.render_giet(again) == svg.render_giet(g)
+    # at a total of 4.3e9 the float copy's rounded ends are more than
+    # EPS_BRANCH apart, so its document does not load; the map still draws
+    big = {"kind": "iet", "datum": "A B / B A", "lengths": {"A": "10000000001/3", "B": 1e9}}
+    path = tmp_path / "big.json"
+    fileio.dump(big, str(path))
+    assert main(["render", str(path), "-o", str(out_svg)]) == 0
+    assert out_svg.read_text().count("<polyline") == 2
 
 
 def test_composite_records_load_as_chains(tmp_path):

@@ -182,3 +182,21 @@ def test_bad_lengths_are_typed_errors_that_name_the_letter():
     with pytest.raises(BadLengths, match=r"A B C D / D C B A needs 4 lengths, one per letter, got 3"):
         ExactIET(D4, (1, 2, 3))
     assert issubclass(BadLengths, GietlabError) and not issubclass(BadLengths, ValueError)
+
+
+def test_branches_invert_exactly_like_eval_inverse():
+    grid, D = fixture_Tg().on_integer_grid()
+    fraction_map = fixture_Tg()
+    for T, ys in (
+        (grid, range(grid.total)),
+        (fraction_map, [Fraction(k, 3 * D) for k in range(3 * D)]),
+    ):
+        u_t, u_b = T.breakpoints()
+        for a, br in T.branches.items():
+            assert br.domain == (u_t[a], u_t[a] + T.length(a))
+            assert br.range_ == (u_b[a], u_b[a] + T.length(a))
+        for y in ys:
+            a = T.datum.bottom[sum(u_b[b] <= y for b in T.datum.bottom) - 1]
+            x = T.branches[a].inverse(y)
+            assert x == T.eval_inverse(y) and type(x) is type(T.eval_inverse(y))
+            assert T.eval(x) == y

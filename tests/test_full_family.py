@@ -287,6 +287,27 @@ def test_boundary_rejects_interior_and_zero():
         boundary_apply(f, [0.0] * 4)
 
 
+NOT_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE)
+def test_apply_rejects_a_nan_or_infinite_tau_entry(bad):
+    f = model_giet()
+    with pytest.raises(DegenerateTau, match="finite"):
+        apply(f, {"A": bad, "B": 0.5, "C": 0.25, "D": 0.25})
+    with pytest.raises(DegenerateTau, match="finite"):
+        slopes(f, [0.25, 0.25, 0.5, bad])
+    two = giet_from_iet(ExactIET.from_lengths(parse_datum("A B", "B A"), ["1/3", "2/3"]))
+    with pytest.raises(DegenerateTau, match="finite"):
+        apply(two, {"A": bad, "B": 0.5})
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE)
+def test_boundary_apply_rejects_a_nan_or_infinite_tau_entry(bad):
+    with pytest.raises(DegenerateTau, match="finite"):
+        boundary_apply(model_giet(), [0.0, 0.5, bad, 0.5])
+
+
 def test_boundary_is_limit_of_interior():
     rng = random.Random(18)
     f = random_unit_giet(rng, d=3)

@@ -24,7 +24,6 @@ from gietlab.errors import (
     DatumMismatch,
     GietlabError,
     InductionFailed,
-    OrderViolation,
     OutOfDomain,
     TieError,
 )
@@ -378,39 +377,6 @@ def test_float_and_exact_induction_agree_on_random_maps():
         checked += 1
 
 
-def batch_points(rng, f):
-    """Random points of ``[0, f.length)`` plus points at, and up to 2.25
-    ``EPS_BRANCH`` left of, each bottom breakpoint, in increasing order."""
-    ys = [f.length * rng.random() for _ in range(200)]
-    for a in f.datum.bottom[1:]:
-        ys += [f.bottom_breaks[a] - EPS_BRANCH * k / 4 for k in range(10)]
-    ys += [0.0, f.length * (1 - 1e-6)]
-    return sorted(y for y in ys if 0 <= y < f.length)
-
-
-def test_batch_inverse_equals_pointwise_on_random_giets():
-    rng = random.Random(41)
-    for trial in range(40):
-        f = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
-        if trial % 2:
-            # induced maps carry chains
-            f = f.rauzy_path(rng.randint(1, 6)).map
-        ys = batch_points(rng, f)
-        assert f.eval_inverse_sorted(ys) == [f.eval_inverse(y) for y in ys]
-
-
-def test_batch_inverse_snaps_like_pointwise_left_of_a_breakpoint():
-    f = giet_from_branches(D4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
-                           lambda a, d, r: SmoothParam(d, r, k=1.0))
-    cut = f.bottom_breaks["B"]
-    ys = [cut - 3 * EPS_BRANCH, cut - 0.5 * EPS_BRANCH, cut]
-    batch = f.eval_inverse_sorted(ys)
-    assert batch == [f.eval_inverse(y) for y in ys]
-    # the point within EPS_BRANCH of the breakpoint is read in the right letter
-    assert batch[1] == f.branches["B"].inverse(ys[1])
-    assert batch[0] == f.branches["C"].inverse(ys[0])
-
-
 def located_per_call(row, breaks, x):
     """The letter of ``row`` whose interval holds ``x``, from a cut list built
     on the call, with the snap forward of points within ``EPS_BRANCH`` left of
@@ -442,7 +408,6 @@ def test_cached_cuts_locate_like_a_per_call_cut_list():
             else:
                 pointwise = [f.branches[a].inverse(y) for a, y in zip(letters, xs)]
                 assert [f.eval_inverse(y) for y in xs] == pointwise
-                assert f.eval_inverse_sorted(xs) == pointwise
 
 
 def batched_branches():
@@ -471,21 +436,22 @@ def test_inverse_many_is_bitwise_the_scalar_inverse(name):
     assert branch.inverse_many([]) == []
 
 
-def test_batch_inverse_rejects_bad_input():
+def test_eval_inverse_rejects_points_outside_the_domain():
     f = giet_from_iet(model_iet())
-    assert f.eval_inverse_sorted([]) == []
-    with pytest.raises(OrderViolation):
-        f.eval_inverse_sorted([0.5, 0.2])
-    with pytest.raises(OrderViolation):
-        f.eval_inverse_sorted([0.1, 0.3, 0.2, 0.4])  # one decrease inside
-    nan = float("nan")
-    for ys in ([0.1, nan, 0.3], [nan, 0.3], [0.1, nan], [nan]):
-        with pytest.raises(OrderViolation):
-            f.eval_inverse_sorted(ys)
-    with pytest.raises(OutOfDomain):
-        f.eval_inverse_sorted([0.2, 1.0])
-    with pytest.raises(OutOfDomain):
-        f.eval_inverse_sorted([-1e-9, 0.2])
+    for y in (1.0, -1e-9, float("nan")):
+        with pytest.raises(OutOfDomain):
+            f.eval_inverse(y)
+    # within EPS_BRANCH left of 0 is still in the domain, in the first letter
+    y = -0.5 * EPS_BRANCH
+    assert f.eval_inverse(y) == f.branches[f.datum.bottom[0]].inverse(y)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_nan_and_infinite_points_are_outside_the_domain(x):
+    for m in (giet_from_iet(model_iet()), model_iet()):
+        for call in (m.eval, m.eval_inverse, m.letter_at):
+            with pytest.raises(OutOfDomain):
+                call(x)
 
 
 def flip(kind):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import gietlab.giet as giet
 import gietlab.thurston as thurston
 from conftest import admissible, class_at, orbit_order, random_unit_giet
 from gietlab.branches import SmoothParam
@@ -17,7 +18,7 @@ from gietlab.combinatorics import (
     rauzy_class,
     sigma_and_cyclicity,
 )
-from gietlab.errors import InductionMismatch, NoCyclicDatum, TargetNotCyclic
+from gietlab.errors import InductionMismatch, NoCyclicDatum, OrderViolation, TargetNotCyclic
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
     dynamical_partition,
@@ -730,8 +731,11 @@ def worked_loop():
 
 
 # The solver trajectory, byte for byte: iterations, tau as float.hex, and the
-# sha256 of repr(deltas).  Recorded before the pullback moved to grid order;
-# any change of a float bit anywhere in the loop changes a line here.
+# sha256 of repr(deltas).  The first three were recorded before the pullback
+# moved to grid order, the fourth (draw 30 of perfbench/pool.json, with the
+# multi-realize seed, completed by 5 arrows) before each class was pulled
+# back through its own letter's branch; any change of a float bit anywhere
+# in the loop changes a line here.
 TRAJECTORIES = [
     (
         "fibonacci-13",
@@ -763,6 +767,18 @@ TRAJECTORIES = [
         },
         "e68591a71d15fd0ad905c2e5a6f25d99de34671856edce18ddbe6c2e967d7e22",
     ),
+    (
+        "pool-30",
+        lambda: RauzyPath.from_kinds(D5, "tttbtbttbtbbbbbbtbbb"),
+        lambda: smooth_seed(D5, [0.2] * 5, {"A": 1.5}),
+        30,
+        {
+            "A": "0x1.14147b915d1d8p-3", "B": "0x1.901fc5cdd1560p-5",
+            "C": "0x1.76bdd0a137d60p-6", "D": "0x1.8aea665c13c0ep-2",
+            "E": "0x1.a19b861770084p-2",
+        },
+        "ebb6fd46172f84c41200d2474493cc848ed0c000344075616dbe78516d083db7",
+    ),
 ]
 
 
@@ -793,3 +809,56 @@ def test_solve_calls_step_through_the_module_global_once_per_iteration(monkeypat
     assert report.realized and report.iterations == 66
     assert len(calls) == report.iterations
     assert all(args[1] is ref for args in calls)
+
+
+FIB_SEED = (D2, [0.5, 0.5], {"A": 2.0, "B": -1.5})
+WORKED_SEED = (D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0})
+
+
+def test_solve_never_locates_a_point_by_value(monkeypatch):
+    def no_lookup(cuts, x):
+        raise AssertionError("a point was located by its value")
+
+    monkeypatch.setattr(giet, "_row_index", no_lookup)
+    report = solve(GietFamily(smooth_seed(*FIB_SEED)), fibonacci_ref(13))
+    assert report.realized and report.iterations == 66
+
+
+def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
+    """The letter a step inverts a point with, its class's, is the letter of
+    the bottom interval that holds the point, as ``Giet.eval_inverse`` finds
+    it by value with its snap rule."""
+    checked = []
+    original = thurston.step
+
+    def checking(family, ref, config, f):
+        read, _ = ref.runs
+        for a, (lo, hi) in zip(ref.datum.bottom, read):
+            for y in config.points[lo:hi]:
+                assert f.datum.bottom[giet._row_index(f._bottom_cuts, y)] == a
+            checked.append(hi - lo)
+        return original(family, ref, config, f)
+
+    monkeypatch.setattr(thurston, "step", checking)
+    cases = [(fibonacci_ref(depth), FIB_SEED) for depth in range(10, 16)]
+    cases.append((build_reference(worked_loop()), WORKED_SEED))
+    for ref, seed in cases:
+        before = len(checked)
+        assert solve(GietFamily(smooth_seed(*seed)), ref).realized
+        assert len(checked) > before
+    assert sum(checked) > 100_000
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_step_on_a_nan_point_raises_order_violation(exact):
+    ref = model_ref()
+    family = ExactIETFamily(D4) if exact else GietFamily(smooth_seed(*WORKED_SEED))
+    good = reference_configuration(ref, exact)
+    f = family.at(tau_of(ref, good))
+    read, _ = ref.runs
+    for lo, hi in read:
+        for x in range(lo, hi):
+            points = list(good.points)
+            points[x] = float("nan")
+            with pytest.raises(OrderViolation):
+                step(family, ref, thurston.Configuration(tuple(points)), f)
