@@ -154,6 +154,9 @@ def cmd_realize(args) -> int:
 
 
 def cmd_semiconj(args) -> int:
+    for option, n in (("--samples", args.samples), ("--spot-check", args.spot_check)):
+        if n < 0:
+            raise GietlabError(f"{option} must not be negative, got {n}")
     f = fileio.load_map(args.giet_file)
     T = fileio.load_map(args.iet_file)
     if not isinstance(f, Giet) or not isinstance(T, ExactIET):

@@ -146,7 +146,7 @@ def giet_document(g: Giet) -> dict:
 def giet_from_document(doc: dict) -> Giet:
     """A GIET from its document, checked for consistency: the breakpoints of
     each row start at 0 and tile ``[0, length)``, and each branch's domain
-    and range are its two intervals (within ``EPS_BRANCH``)."""
+    and range are its two intervals (as ``Giet.check_intervals`` checks)."""
     _object(doc, "giet document")
     with reading("giet"):
         datum = parse_datum_text(doc["datum"])

@@ -151,7 +151,8 @@ class Giet:
     def check_intervals(self, eps: float = EPS_BRANCH):
         """Raise ``GietlabError`` unless each row starts at 0 and cuts
         ``[0, length)`` into non-empty intervals in row order, and each branch
-        maps its top interval onto its bottom one, to within ``eps``."""
+        maps its top interval onto its bottom one, to within ``eps * max(1, length)``."""
+        eps *= max(1.0, abs(self.length))
         rows = {
             "top": self._intervals(self.datum.top, self.top_breaks),
             "bottom": self._intervals(self.datum.bottom, self.bottom_breaks),

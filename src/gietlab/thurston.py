@@ -252,7 +252,7 @@ class GietFamily:
         return full_family.apply(self.seed, tau)
 
 
-def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
+def step(ref: RefConfig, config: Configuration, f) -> Configuration:
     """One pullback under ``f``, the family map selected by ``config``: send
     every point to the preimage of its index successor.
 
@@ -261,8 +261,8 @@ def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
     point pulls back, in one batch through ``f``'s branch of ``a``, onto its
     top interval but its first point, a critical class, which maps to
     ``f``'s critical point of ``a``.  The letter comes from the class, so no
-    point is located by its value.  If rounding breaks the order, the result
-    is damped toward the input until the order is restored.
+    point is located by its value.  A result out of the reference order
+    raises ``OrderViolation``.
     """
     read, write = ref.runs
     preimages = []
@@ -273,18 +273,9 @@ def step(family, ref: RefConfig, config: Configuration, f) -> Configuration:
         new_points.append(crit)
         new_points += preimages[lo:hi]
     out = Configuration(tuple(new_points))
-    if out.is_valid():
-        return out
-    if family.exact:
-        raise OrderViolation("exact pullback broke the reference order")
-    s = 0.5
-    for _ in range(40):
-        damped = tuple((1 - s) * old + s * new for old, new in zip(config.points, new_points))
-        candidate = Configuration(damped)
-        if candidate.is_valid():
-            return candidate
-        s *= 0.5
-    raise OrderViolation("pullback step cannot preserve the order even damped")
+    if not out.is_valid():
+        raise OrderViolation("the pullback broke the reference order")
+    return out
 
 
 @dataclass
@@ -296,7 +287,7 @@ class SolveReport:
     config: Configuration
     iterations: int
     deltas: list
-    map: object = None  # the family map at ``tau``; none at a boundary face
+    map: object = None  # the family map at ``tau``; none where no map was selected
     faces: tuple = ()
 
     @property
@@ -315,12 +306,12 @@ def solve(
     Success means the selected map's induction reproduces the prescribed
     arrows (checked at every loop head, including before the first step).  A
     step below ``EPS_FIX`` alone reports ``fixed_point_tol``; marking gaps at
-    or below ``EPS_DEG`` report ``boundary`` with the faces involved.
+    or below ``EPS_DEG`` report ``boundary`` with the faces involved, and a
+    pullback that breaks the order reports ``boundary`` with none.
 
-    Each iterate is the average of the previous one and its pullback.  That
-    has the same fixed points as the bare pullback but suppresses the
-    near-period-2 oscillation the bare iteration exhibits, so it converges
-    where the undamped loop bounces.
+    Each iterate is the average of the previous one and its pullback: the
+    same fixed points, without the near-period-2 oscillation of the bare
+    pullback, so it converges where the bare loop bounces.
     """
     config = start if start is not None else reference_configuration(ref, family.exact)
     half = Fraction(1, 2) if family.exact else 0.5
@@ -341,7 +332,10 @@ def solve(
             return SolveReport("fixed_point_tol", tau, config, it, deltas, f)
         if it >= max_iter:
             return SolveReport("max_iter", tau, config, it, deltas, f)
-        pulled = step(family, ref, config, f)
+        try:
+            pulled = step(ref, config, f)
+        except OrderViolation:
+            return SolveReport("boundary", tau, config, it, deltas, f)
         # half * old + half * new, class by class, without a Python-level loop
         halves = [map(operator.mul, itertools.repeat(half), c.points) for c in (config, pulled)]
         new_config = Configuration(tuple(map(operator.add, *halves)))

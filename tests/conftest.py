@@ -7,8 +7,10 @@ reproduce deterministically.
 from fractions import Fraction
 from functools import cache
 
+import gietlab.thurston as thurston
 from gietlab.branches import PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import all_admissible_data
+from gietlab.errors import OrderViolation
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import giet_from_branches
 
@@ -104,3 +106,19 @@ def random_simplex(rng, letters, floor=0.02):
     raw = {a: rng.uniform(floor, 1.0) for a in letters}
     total = sum(raw.values())
     return {a: v / total for a, v in raw.items()}
+
+
+def breaking_step(k):
+    """``thurston.step`` whose k-th call raises ``OrderViolation``, as a
+    pullback out of the reference order does; install it with
+    ``monkeypatch.setattr(thurston, "step", breaking_step(k))``."""
+    original = thurston.step
+    calls = []
+
+    def step_breaking_on_call_k(*args):
+        calls.append(None)
+        if len(calls) == k:
+            raise OrderViolation("the pullback broke the reference order")
+        return original(*args)
+
+    return step_breaking_on_call_k

@@ -200,7 +200,7 @@ def test_criterion_5_full_family_laws():
 
 def pull(family, ref, config):
     """One pullback step under the family map that ``config`` selects."""
-    return step(family, ref, config, family.at(tau_of(ref, config)))
+    return step(ref, config, family.at(tau_of(ref, config)))
 
 
 def test_criterion_6_pullback_fixed_point():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gietlab
+from conftest import breaking_step
 from gietlab import fileio, svg
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
 from gietlab.cli import main
@@ -22,7 +23,7 @@ from gietlab.combinatorics import parse_datum
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
 from gietlab.giet import Giet, dynamical_partition, giet_from_branches, giet_from_iet
-from gietlab.semiconjugacy import build_semiconjugacy
+from gietlab.semiconjugacy import build_semiconjugacy, residual
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -200,6 +201,23 @@ def test_realize_boundary_stop_has_no_partial_path(tmp_path, capsys, monkeypatch
     assert "status 'boundary'" in err and "partial path" not in err
 
 
+def test_realize_stops_at_a_boundary_when_the_order_breaks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gietlab.thurston, "step", breaking_step(3))
+    seed = giet_from_branches(
+        D2, [0.5, 0.5], [0.5, 0.5],
+        lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else -1.5),
+    )
+    seed_path = tmp_path / "fib-seed.json"
+    fileio.dump(fileio.giet_document(seed), str(seed_path))
+    model = ExactIET.from_lengths(D2, [Fraction(2584, 6765), Fraction(4181, 6765)])
+    kinds = model.rauzy_path(13).path.kinds
+    assert main(["realize", str(seed_path), kinds]) == 4
+    err = capsys.readouterr().err
+    assert "status 'boundary'" in err
+    partial = re.search(r"partial path at the final parameter: '([tb]*)'", err).group(1)
+    assert len(partial) == 13 and partial != kinds
+
+
 def test_semiconj_command(tmp_path, capsys):
     iet = write_model_iet(tmp_path)
     giet_doc = fileio.giet_document(giet_from_iet(model_iet()))
@@ -217,6 +235,30 @@ def test_semiconj_command(tmp_path, capsys):
     xs = [rng.random() for _ in range(16)]
     worst = max(abs(h.eval(float(f.eval(x))) - f.eval(h.eval(x))) for x in xs)
     assert out.splitlines()[-1].endswith(f"seed 0): {worst:.6e}")
+
+
+def write_semiconj_inputs(tmp_path):
+    giet_path = tmp_path / "g.json"
+    fileio.dump(fileio.giet_document(giet_from_iet(model_iet())), str(giet_path))
+    return [str(giet_path), write_model_iet(tmp_path)]
+
+
+@pytest.mark.parametrize("option", ["--samples", "--spot-check"])
+def test_semiconj_negative_count_is_an_error(tmp_path, capsys, option):
+    argv = ["semiconj", *write_semiconj_inputs(tmp_path), "-r", "5", option, "-3"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and option in err and "-3" in err
+
+
+def test_semiconj_with_no_uniform_samples(tmp_path, capsys):
+    argv = ["semiconj", *write_semiconj_inputs(tmp_path), "-r", "5", "--samples", "0"]
+    assert main(argv) == 0
+    f, T = giet_from_iet(model_iet()), model_iet()
+    h = build_semiconjugacy(f, T, 5)
+    # only the midpoints of h's cells are sampled
+    assert capsys.readouterr().out.splitlines()[-1] == f"residual: {residual(h, f, T, 0):.6e}"
 
 
 def test_render_giet_and_roundtrip(tmp_path):
@@ -493,6 +535,22 @@ def test_giet_breakpoint_off_its_branch_is_an_error(tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "branch 'A'" in err and "top interval" in err
+
+
+def test_float_copy_of_an_iet_with_a_large_total_loads_back():
+    T = ExactIET.from_lengths(
+        D2, {"A": Fraction(10000000001, 3), "B": Fraction(10**9)}, normalize=False
+    )
+    g = giet_from_iet(T)
+    assert fileio.giet_from_document(fileio.giet_document(g)) == g
+
+
+def test_unit_giet_breakpoint_off_by_1e_11_is_an_error(tmp_path, capsys):
+    doc = seed_document()
+    doc["top"]["B"] += 1e-11  # ten times the unit tolerance
+    code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
+    assert code == 1
+    assert err.startswith("error:") and "branch 'A'" in err and "top interval" in err
 
 
 def test_giet_rows_that_do_not_tile_are_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 import gietlab.giet as giet
 import gietlab.thurston as thurston
-from conftest import admissible, class_at, orbit_order, random_unit_giet
-from gietlab.branches import SmoothParam
+from conftest import admissible, breaking_step, class_at, orbit_order, random_unit_giet
+from gietlab.branches import PiecewiseLinear, SmoothParam
 from gietlab.combinatorics import (
     RauzyPath,
     find_cyclic,
@@ -54,7 +55,7 @@ def model_ref():
 
 def pull(family, ref, config):
     """One pullback step under the family map that ``config`` selects."""
-    return step(family, ref, config, family.at(tau_of(ref, config)))
+    return step(ref, config, family.at(tau_of(ref, config)))
 
 
 def random_cyclic_path(rng, max_d=4, max_r=8):
@@ -216,6 +217,7 @@ def test_step_preserves_order_for_nonlinear_families():
     for _ in range(5):
         seed = random_unit_giet(rng, datum=D4)
         config = reference_configuration(ref, exact=False)
+        # the raw pull: ``step`` raises ``OrderViolation`` on a broken order
         out = pull(GietFamily(seed), ref, config)
         assert out.is_valid()
 
@@ -229,7 +231,7 @@ def test_step_first_move_bounded_by_inverse_distortion():
     family = GietFamily(seed)
     config = reference_configuration(ref, exact=False)
     f_tau = family.at(tau_of(ref, config))
-    out = step(family, ref, config, f_tau)
+    out = step(ref, config, f_tau)
     moved = max(abs(a - b) for a, b in zip(out.points, config.points))
     T = ref.base_iet
     worst = 0.0
@@ -674,7 +676,8 @@ def by_class(geometric, points):
 def old_step(family, ref, config):
     """``step`` as it was before the pull order was fixed per reference:
     every point pulled back on its own through ``Giet.eval_inverse``, on
-    points indexed by class; the result is returned in grid order."""
+    points indexed by class; the result is returned in grid order, and a
+    result out of order raises ``OrderViolation``."""
     f = family.at(tau_of(ref, config))
     N = ref.N
     geometric = orbit_order(ref)
@@ -685,15 +688,9 @@ def old_step(family, ref, config):
     order = [c for c in geometric if new_points[(c - 1) % N] is None]
     for c in order:
         new_points[(c - 1) % N] = f.eval_inverse(points[c])
-    if old_is_valid(geometric, new_points):
-        return tuple(new_points[c] for c in geometric)
-    s = 0.5
-    for _ in range(40):
-        damped = tuple((1 - s) * old + s * new for old, new in zip(points, new_points))
-        if old_is_valid(geometric, damped):
-            return tuple(damped[c] for c in geometric)
-        s *= 0.5
-    raise AssertionError("no damping restores the order")
+    if not old_is_valid(geometric, new_points):
+        raise OrderViolation("the per-point pullback broke the order")
+    return tuple(new_points[c] for c in geometric)
 
 
 def test_step_returns_the_points_of_the_per_point_pullback():
@@ -808,7 +805,7 @@ def test_solve_calls_step_through_the_module_global_once_per_iteration(monkeypat
     report = solve(GietFamily(smooth_seed(D2, [0.5, 0.5], {"A": 2.0, "B": -1.5})), ref)
     assert report.realized and report.iterations == 66
     assert len(calls) == report.iterations
-    assert all(args[1] is ref for args in calls)
+    assert all(args[0] is ref for args in calls)
 
 
 FIB_SEED = (D2, [0.5, 0.5], {"A": 2.0, "B": -1.5})
@@ -824,6 +821,16 @@ def test_solve_never_locates_a_point_by_value(monkeypatch):
     assert report.realized and report.iterations == 66
 
 
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_solve_stops_at_a_boundary_when_the_order_breaks(monkeypatch, k):
+    monkeypatch.setattr(thurston, "step", breaking_step(k))
+    report = solve(GietFamily(smooth_seed(*FIB_SEED)), fibonacci_ref(13))
+    assert report.status == "boundary" and report.faces == ()
+    assert report.iterations == k - 1 == len(report.deltas)
+    assert report.map is not None
+    assert report.map.rauzy_path(13).path.kinds != fibonacci_ref(13).path.kinds
+
+
 def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
     """The letter a step inverts a point with, its class's, is the letter of
     the bottom interval that holds the point, as ``Giet.eval_inverse`` finds
@@ -831,13 +838,13 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
     checked = []
     original = thurston.step
 
-    def checking(family, ref, config, f):
+    def checking(ref, config, f):
         read, _ = ref.runs
         for a, (lo, hi) in zip(ref.datum.bottom, read):
             for y in config.points[lo:hi]:
                 assert f.datum.bottom[giet._row_index(f._bottom_cuts, y)] == a
             checked.append(hi - lo)
-        return original(family, ref, config, f)
+        return original(ref, config, f)
 
     monkeypatch.setattr(thurston, "step", checking)
     cases = [(fibonacci_ref(depth), FIB_SEED) for depth in range(10, 16)]
@@ -861,4 +868,42 @@ def test_step_on_a_nan_point_raises_order_violation(exact):
             points = list(good.points)
             points[x] = float("nan")
             with pytest.raises(OrderViolation):
-                step(family, ref, thurston.Configuration(tuple(points)), f)
+                step(ref, thurston.Configuration(tuple(points)), f)
+
+
+def letter_seed(d, branch_a=None):
+    """The d-letter seed ``X.../reversed``: lengths 1/d, k_A = 1.5,
+    k_B = -0.8, and ``branch_a(domain, range_)`` for A if given."""
+    letters = "ABCDE"[:d]
+    datum = parse_datum(" ".join(letters), " ".join(reversed(letters)))
+    ks = {"A": 1.5, "B": -0.8}
+
+    def maker(a, domain, range_):
+        if a == "A" and branch_a is not None:
+            return branch_a(domain, range_)
+        return SmoothParam(domain, range_, k=ks.get(a, 0.0))
+
+    return giet_from_branches(datum, [1 / d] * d, [1 / d] * d, maker)
+
+
+def bent_at_half(domain, range_):
+    """Two linear pieces through the node at half the domain, 0.3 of the range."""
+    (x0, x1), (y0, y1) = domain, range_
+    node = (x0 + 0.5 * (x1 - x0), y0 + 0.3 * (y1 - y0))
+    return PiecewiseLinear(((x0, y0), node, (x1, y1)))
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [lambda: letter_seed(3), lambda: letter_seed(4), lambda: letter_seed(5),
+     lambda: letter_seed(4, bent_at_half)],
+    ids=["3-letter", "4-letter", "5-letter", "4-letter-pl"],
+)
+def test_every_path_of_length_8_realizes(seed):
+    """The main theorem at depth 8: the full family realizes every Rauzy path
+    of length 8 from its seed's datum, each completed to a cyclic datum."""
+    g = seed()
+    family = GietFamily(g)
+    for bits in itertools.product("tb", repeat=8):
+        result = realize(family, RauzyPath.from_kinds(g.datum, "".join(bits)))
+        assert result.certificate, "".join(bits)
