@@ -69,12 +69,16 @@ class Branch:
 class Translation(Branch):
     domain: tuple[float, float]
     range_: tuple[float, float]
+    shift: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shift", self.range_[0] - self.domain[0])
 
     def eval(self, x):
-        return x + (self.range_[0] - self.domain[0])
+        return x + self.shift
 
     def inverse(self, y):
-        return y - (self.range_[0] - self.domain[0])
+        return y - self.shift
 
     def rescaled(self, domain, range_):
         return Affine(domain, range_)

@@ -118,10 +118,12 @@ def cmd_partition(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    if not 0 <= args.max_iter <= MAX_ITER_CAP:
+        raise GietlabError(f"--max-iter must be between 0 and {MAX_ITER_CAP}, got {args.max_iter}")
     seed = fileio.giet_from_document(fileio.load_document(args.family_file, "'giet' document"))
     target = RauzyPath.from_kinds(seed.datum, _kinds(args.kinds))
     try:
-        result = realize(GietFamily(seed), target, max_iter=min(args.max_iter, MAX_ITER_CAP))
+        result = realize(GietFamily(seed), target, max_iter=args.max_iter)
     except NoCyclicDatum as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import NamedTuple
 
@@ -63,19 +64,105 @@ def induce(m, r: int, kinds: str | None = None) -> InductionResult:
     return InductionResult(RauzyPath(m.datum, tuple(arrows)), current, tie)
 
 
-class _Breaks(NamedTuple):
-    """Breakpoints of an ``ExactIET``: ``u^t``, ``u^b``, the interior cuts of
-    each row, and each letter's displacement ``u^b - u^t``."""
+def _row_index(cuts, x, snap):
+    """Index of the interval containing ``x`` in a row cut at ``cuts``.
 
-    u_t: dict
-    u_b: dict
-    cuts_t: list
-    cuts_b: list
-    shift: dict
+    Points computed as orbit images may land a few ulp left of the
+    breakpoint they belong to: one within ``snap`` of it is read in the
+    interval to its right.  With ``snap = 0`` no point moves.
+    """
+    i = bisect_right(cuts, x)
+    if i < len(cuts) and cuts[i] - x <= snap:
+        i += 1
+    return i
+
+
+class Exchange:
+    """The row model both interval exchanges share: the top and bottom rows
+    cut ``[0, total)`` into one interval per letter, in row order.
+
+    A subclass supplies ``datum``, ``total``, the left ends ``top_breaks``
+    and ``bottom_breaks`` of each letter's intervals, ``branches``, one per
+    letter from its top interval onto its bottom one, and the class constant
+    ``snap``: how far left of 0 a point is still in the domain, and how far
+    left of a breakpoint it is read in the interval to its right.  An exact
+    map has ``snap = 0``, so every comparison is exact.  Each subclass keeps
+    its own ``eval``: the traced benchmark run counts ``ExactIET.eval`` calls
+    by rebinding the method on that class.
+    """
+
+    def _intervals(self, row, breaks):
+        ends = [breaks[a] for a in row[1:]] + [self.total]
+        return [(a, breaks[a], hi) for a, hi in zip(row, ends)]
+
+    def top_intervals(self):
+        """Continuity intervals ``(letter, lo, hi)`` left to right."""
+        return self._intervals(self.datum.top, self.top_breaks)
+
+    def bottom_intervals(self):
+        return self._intervals(self.datum.bottom, self.bottom_breaks)
+
+    @cached_property
+    def _top_cuts(self):
+        """Left ends of the top intervals after the first, in row order."""
+        return [self.top_breaks[a] for a in self.datum.top[1:]]
+
+    @cached_property
+    def _bottom_cuts(self):
+        """Left ends of the bottom intervals after the first, in row order."""
+        return [self.bottom_breaks[a] for a in self.datum.bottom[1:]]
+
+    def _check_domain(self, x):
+        # written so that a NaN, which fails every comparison, is outside
+        if not -self.snap <= x < self.total:
+            raise OutOfDomain(f"{x} outside [0, {self.total})")
+
+    def letter_at(self, x):
+        """Letter whose top interval contains ``x``."""
+        self._check_domain(x)
+        return self.datum.top[_row_index(self._top_cuts, x, self.snap)]
+
+    def eval_inverse(self, y):
+        self._check_domain(y)
+        letter = self.datum.bottom[_row_index(self._bottom_cuts, y, self.snap)]
+        return self.branches[letter].inverse(y)
+
+    def tower(self, lo, hi, n):
+        """``[lo, hi)`` and its first ``n - 1`` images: each floor is the
+        image of the one below it under the branch of the letter that holds
+        that floor's left end.
+
+        Each step checks the domain, snaps to a breakpoint as ``letter_at``
+        does, and raises ``InductionFailed`` when a floor straddles the right
+        end of its letter by more than ``snap``.
+
+        >>> T = ExactIET(parse_datum("A B", "B A"), (1, 2))  # on its integer grid
+        >>> T.tower(0, 1, 3)
+        [(0, 1), (2, 3), (1, 2)]
+        >>> T.tower(0, 2, 2)
+        Traceback (most recent call last):
+        ...
+        gietlab.errors.InductionFailed: interval [0, 2) straddles the right end of letter A
+        """
+        cuts, row, snap, total = self._top_cuts, self.datum.top, self.snap, self.total
+        spans = [(br.eval, br.domain[1]) for br in map(self.branches.get, row)]
+        floors = [(lo, hi)]
+        for _ in range(n - 1):
+            if not -snap <= lo < total:  # the domain check, inlined
+                self._check_domain(lo)  # raises
+            i = _row_index(cuts, lo, snap)
+            image, end = spans[i]
+            if hi > end + snap:
+                raise InductionFailed(
+                    f"interval [{lo}, {hi}) straddles the right end of letter {row[i]}"
+                )
+            lo, hi = image(lo), image(hi if hi < end else end)
+            floors.append((lo, hi))
+        return floors
 
 
 @dataclass(frozen=True)
-class ExactIET:
+class ExactIET(Exchange):
     """An IET given by a datum and one positive rational length per letter.
 
     ``lengths`` is a tuple aligned with ``datum.alphabet``, all ``Fraction``
@@ -86,6 +173,7 @@ class ExactIET:
 
     datum: CombinatorialDatum
     lengths: tuple[Fraction, ...] | tuple[int, ...]
+    snap = 0
 
     def __post_init__(self):
         if len(self.lengths) != self.datum.d:
@@ -131,92 +219,37 @@ class ExactIET:
     def lengths_by_letter(self) -> dict[str, Fraction]:
         return dict(zip(self.datum.alphabet, self.lengths))
 
-    @cached_property
-    def _breaks(self) -> "_Breaks":
-        u_t, u_b = {}, {}
+    def _row_breaks(self, row) -> dict:
         zero = type(self.lengths[0])()  # Fraction(0) or 0
-        for row, u in ((self.datum.top, u_t), (self.datum.bottom, u_b)):
-            acc = zero
-            for a in row:
-                u[a] = acc
-                acc += self.length(a)
-        return _Breaks(
-            u_t,
-            u_b,
-            [u_t[a] for a in self.datum.top[1:]],
-            [u_b[a] for a in self.datum.bottom[1:]],
-            {a: u_b[a] - u_t[a] for a in self.datum.alphabet},
-        )
+        return dict(zip(row, accumulate(map(self.length, row[:-1]), initial=zero)))
+
+    @cached_property
+    def top_breaks(self) -> dict:
+        """``u^t``: each letter's total length of the letters before it in the top row."""
+        return self._row_breaks(self.datum.top)
+
+    @cached_property
+    def bottom_breaks(self) -> dict:
+        """``u^b``: the same along the bottom row."""
+        return self._row_breaks(self.datum.bottom)
 
     def breakpoints(self):
-        """Critical points ``u^t`` and critical values ``u^b``, letter-indexed.
-
-        ``u^t`` of a letter is the total length of the letters preceding it in
-        the top row; ``u^b`` uses the bottom row.
-        """
-        return dict(self._breaks.u_t), dict(self._breaks.u_b)
-
-    def top_intervals(self):
-        """Continuity intervals ``(letter, lo, hi)`` left to right."""
-        u_t = self._breaks.u_t
-        return [(a, u_t[a], u_t[a] + self.length(a)) for a in self.datum.top]
+        """Copies of the critical points ``u^t`` and critical values ``u^b``."""
+        return dict(self.top_breaks), dict(self.bottom_breaks)
 
     @cached_property
     def branches(self) -> dict:
         """Each letter's ``Translation`` of its top interval onto its bottom
         one, in exact arithmetic: its inverse of ``y`` is ``y - (u^b - u^t)``."""
-        u_t, u_b = self._breaks.u_t, self._breaks.u_b
+        u_t, u_b = self.top_breaks, self.bottom_breaks
         return {
             a: Translation((u_t[a], u_t[a] + l), (u_b[a], u_b[a] + l))
             for a, l in zip(self.datum.alphabet, self.lengths)
         }
 
-    def _check_domain(self, x):
-        # written so that a NaN, which fails every comparison, is outside
-        if not 0 <= x < self.total:
-            raise OutOfDomain(f"{x} outside [0, {self.total})")
-
-    def letter_at(self, x):
-        """Letter whose top interval contains ``x``."""
-        self._check_domain(x)
-        return self.datum.top[bisect_right(self._breaks.cuts_t, x)]
-
     def eval(self, x):
         """Image of ``x``: translate by the letter's displacement."""
-        return x + self._breaks.shift[self.letter_at(x)]
-
-    def tower(self, lo, hi, n):
-        """``[lo, hi)`` and its first ``n - 1`` exact images; every floor but
-        the last must sit inside one top interval.
-
-        >>> T = ExactIET(parse_datum("A B", "B A"), (1, 2))  # on its integer grid
-        >>> T.tower(0, 1, 3)
-        [(0, 1), (2, 3), (1, 2)]
-        >>> T.tower(0, 2, 2)
-        Traceback (most recent call last):
-        ...
-        gietlab.errors.InductionFailed: interval [0, 2) straddles the right end of letter A
-        """
-        breaks, row = self._breaks, self.datum.top
-        cuts = breaks.cuts_t
-        spans = [(breaks.u_t[a] + self.length(a), breaks.shift[a]) for a in row]
-        floors = [(lo, hi)]
-        for _ in range(n - 1):
-            self._check_domain(lo)
-            i = bisect_right(cuts, lo)
-            end, delta = spans[i]
-            if hi > end:
-                raise InductionFailed(
-                    f"interval [{lo}, {hi}) straddles the right end of letter {row[i]}"
-                )
-            lo, hi = lo + delta, hi + delta
-            floors.append((lo, hi))
-        return floors
-
-    def eval_inverse(self, y):
-        self._check_domain(y)
-        a = self.datum.bottom[bisect_right(self._breaks.cuts_b, y)]
-        return y - self._breaks.shift[a]
+        return x + self.branches[self.letter_at(x)].shift
 
     def rauzy_step(self):
         """One exact induction step: ``(induced map, arrow)``.

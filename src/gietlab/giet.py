@@ -9,13 +9,14 @@ generically, so the exact-rational maps plug into the same code and keep
 exact arithmetic all the way through.
 
 Numeric substrate is double precision with two tolerances: ``EPS_BRANCH``
-(1e-12) for branch/breakpoint consistency and ``EPS_TIE`` (1e-10) for the
-induction condition.  Exact maps use exact comparisons instead.
+(1e-12) for branch/breakpoint consistency, which is also the ``snap`` of the
+row model a ``Giet`` shares with ``ExactIET`` (``exact_iet.Exchange``), and
+``EPS_TIE`` (1e-10) for the induction condition.  An exact map runs the same
+row code with ``snap = 0``, so its comparisons are exact.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,14 +25,14 @@ from typing import NamedTuple
 
 from .branches import Translation, compose, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
-from .errors import GietlabError, InductionFailed, OutOfDomain, TieError
-from .exact_iet import ExactIET, InductionResult, induce
+from .errors import GietlabError, InductionFailed, TieError
+from .exact_iet import Exchange, ExactIET, InductionResult, induce
 
 EPS_TIE = 1e-10
 
 
 @dataclass(frozen=True)
-class Giet:
+class Giet(Exchange):
     """Breakpoints plus one monotone branch per letter, acting on ``[0, length)``."""
 
     datum: CombinatorialDatum
@@ -40,70 +41,14 @@ class Giet:
     bottom_breaks: dict
     branches: dict
 
-    @property
+    snap = EPS_BRANCH
+
+    @cached_property
     def total(self):
         return self.length
 
-    def _intervals(self, row, breaks):
-        ends = [breaks[a] for a in row[1:]] + [self.length]
-        return [(a, breaks[a], hi) for a, hi in zip(row, ends)]
-
-    def top_intervals(self):
-        return self._intervals(self.datum.top, self.top_breaks)
-
-    def bottom_intervals(self):
-        return self._intervals(self.datum.bottom, self.bottom_breaks)
-
-    @cached_property
-    def _top_cuts(self):
-        """Left ends of the top intervals after the first, in row order."""
-        return [self.top_breaks[a] for a in self.datum.top[1:]]
-
-    @cached_property
-    def _bottom_cuts(self):
-        """Left ends of the bottom intervals after the first, in row order."""
-        return [self.bottom_breaks[a] for a in self.datum.bottom[1:]]
-
-    def _check_domain(self, x):
-        # written so that a NaN, which fails every comparison, is outside
-        if not -EPS_BRANCH <= x < self.length:
-            raise OutOfDomain(f"{x} outside [0, {self.length})")
-
-    def letter_at(self, x):
-        """Letter whose top interval contains ``x``."""
-        self._check_domain(x)
-        return self.datum.top[_row_index(self._top_cuts, x)]
-
     def eval(self, x):
         return self.branches[self.letter_at(x)].eval(x)
-
-    def eval_inverse(self, y):
-        self._check_domain(y)
-        return self.branches[self.datum.bottom[_row_index(self._bottom_cuts, y)]].inverse(y)
-
-    def tower(self, lo, hi, n):
-        """``[lo, hi)`` and its first ``n - 1`` images: each floor is the
-        image of the one below it under the branch of the letter that holds
-        that floor's left end.
-
-        Each step checks the domain, snaps to a breakpoint as ``letter_at``
-        does, and raises ``InductionFailed`` when a floor straddles the right
-        end of its letter.
-        """
-        cuts, row = self._top_cuts, self.datum.top
-        spans = [(self.branches[a], self.branches[a].domain[1]) for a in row]
-        floors = [(lo, hi)]
-        for _ in range(n - 1):
-            self._check_domain(lo)
-            i = _row_index(cuts, lo)
-            br, end = spans[i]
-            if hi > end + EPS_BRANCH:
-                raise InductionFailed(
-                    f"interval [{lo}, {hi}) straddles the right end of letter {row[i]}"
-                )
-            lo, hi = br.eval(lo), br.eval(min(hi, end))
-            floors.append((lo, hi))
-        return floors
 
     def rauzy_step(self):
         """One induction step: first return to the interval cut at the larger
@@ -186,21 +131,10 @@ class Giet:
             self.branches[a].validate(samples=samples, eps=max(eps, 1e-9))
 
 
-def _row_index(cuts, x):
-    """Index of the interval containing ``x`` in a row cut at ``cuts``."""
-    i = bisect_right(cuts, x)
-    # points computed as orbit images may land a few ulp left of the
-    # breakpoint they belong to; snap forward in that case
-    if i < len(cuts) and cuts[i] - x <= EPS_BRANCH:
-        i += 1
-    return i
-
-
 def giet_from_iet(T) -> Giet:
     """Float translation-branch copy of an exact IET."""
-    u_t, u_b = T.breakpoints()
-    top = {a: float(u_t[a]) for a in T.datum.alphabet}
-    bottom = {a: float(u_b[a]) for a in T.datum.alphabet}
+    top = {a: float(T.top_breaks[a]) for a in T.datum.alphabet}
+    bottom = {a: float(T.bottom_breaks[a]) for a in T.datum.alphabet}
     branches = {}
     for a in T.datum.alphabet:
         lo, hi = top[a], top[a] + float(T.length(a))

@@ -85,7 +85,7 @@ class RefConfig:
         bottom-row order: the points a step pulls back, left to right.  Then,
         in top-row order, the slices of their preimages that fill the top
         intervals after their first points."""
-        u_b = self.grid.breakpoints()[1]
+        u_b = self.grid.bottom_breaks
         lam = self.grid.lengths_by_letter()
         bottom = self.datum.bottom
         read = tuple((u_b[a] + 1, u_b[a] + lam[a]) for a in bottom)
@@ -149,8 +149,7 @@ def build_reference(path: RauzyPath) -> RefConfig:
 
     # one walk of the orbit of 0, keeping the orbit positions of the critical
     # points of the model and of its induced map
-    u_t, _ = grid.breakpoints()
-    u_t_induced, _ = result.map.breakpoints()
+    u_t, u_t_induced = grid.top_breaks, result.map.top_breaks
     pos = dict.fromkeys([*u_t.values(), *u_t_induced.values()])
     x = 0
     for c in range(N):
@@ -212,13 +211,12 @@ def tau_of(ref: RefConfig, config: Configuration) -> dict:
     recover the unique simplex vector.  The total is exactly 1 by telescoping.
     """
     datum = ref.datum
-    v1 = {a: config.points[x] for a, x in ref.grid.breakpoints()[1].items()}
+    v1 = {a: config.points[x] for a, x in ref.grid.bottom_breaks.items()}
     row = datum.bottom
-    one = Fraction(1) if isinstance(config.points[0], Fraction) else 1.0
     tau = {}
     for a, b in zip(row, row[1:]):
         tau[a] = v1[b] - v1[a]
-    tau[row[-1]] = one - v1[row[-1]]
+    tau[row[-1]] = 1 - v1[row[-1]]
     # a zero entry is a legitimate boundary vector (coincident marked points);
     # only an inverted gap violates the configuration order
     if any(v < 0 for v in tau.values()):
@@ -314,7 +312,6 @@ def solve(
     pullback, so it converges where the bare loop bounces.
     """
     config = start if start is not None else reference_configuration(ref, family.exact)
-    half = Fraction(1, 2) if family.exact else 0.5
     deltas: list[tuple[int, float]] = []
     settled = False
     for it in itertools.count():
@@ -336,9 +333,12 @@ def solve(
             pulled = step(ref, config, f)
         except OrderViolation:
             return SolveReport("boundary", tau, config, it, deltas, f)
-        # half * old + half * new, class by class, without a Python-level loop
-        halves = [map(operator.mul, itertools.repeat(half), c.points) for c in (config, pulled)]
-        new_config = Configuration(tuple(map(operator.add, *halves)))
+        # (old + new) / 2, class by class, without a Python-level loop: exact
+        # for fractions; for floats in [0, 1) that are 0 or above 1e-307 it has
+        # the bits of 0.5 * old + 0.5 * new, as halving is exact there and both
+        # round the same sum once
+        sums = map(operator.add, config.points, pulled.points)
+        new_config = Configuration(tuple(map(operator.truediv, sums, itertools.repeat(2))))
         delta = config.delta(new_config)
         deltas.append((it + 1, float(delta)))
         settled = delta < EPS_FIX

@@ -1,4 +1,5 @@
 import ast
+import doctest
 import html
 import json
 import math
@@ -179,6 +180,23 @@ def test_realize_failure_exit_code(tmp_path, capsys):
     assert "partial path" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "1000001"])
+def test_realize_max_iter_out_of_range_is_an_error(tmp_path, capsys, value):
+    family = write_seed_family(tmp_path, D2)
+    assert main(["realize", family, "tb" * 6, "--max-iter", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "--max-iter" in err and value in err
+
+
+def test_realize_with_max_iter_0_checks_the_reference_map(tmp_path, capsys):
+    family = write_seed_family(tmp_path, D2)
+    assert main(["realize", family, "tb", "--max-iter", "0"]) == 0
+    assert "iterations: 0" in capsys.readouterr().out
+    assert main(["realize", family, "tb" * 6, "--max-iter", "0"]) == 4
+    assert "status 'max_iter'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_with_code_1(tmp_path, capsys):
     family = write_seed_family(tmp_path, D2)
     for argv in (
@@ -283,7 +301,8 @@ def test_render_of_an_iet_draws_its_float_copy(tmp_path):
     again = fileio.giet_from_document(fileio.giet_document(g))
     assert svg.render_giet(again) == svg.render_giet(g)
     # at a total of 4.3e9 the float copy's rounded ends are more than
-    # EPS_BRANCH apart, so its document does not load; the map still draws
+    # EPS_BRANCH apart; the map still draws, and its document loads back
+    # because ``check_intervals`` scales its tolerance by the length
     big = {"kind": "iet", "datum": "A B / B A", "lengths": {"A": "10000000001/3", "B": 1e9}}
     path = tmp_path / "big.json"
     fileio.dump(big, str(path))
@@ -372,6 +391,36 @@ def test_library_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def names_read(tree):
+    """Every name a module reads, in its code or in its doctests."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if isinstance(node, documented) and ast.get_docstring(node):
+            for example in doctest.DocTestParser().get_examples(ast.get_docstring(node)):
+                names |= names_read(ast.parse(example.source))
+    return names
+
+
+def test_library_has_no_unused_import():
+    package = Path(gietlab.__file__).parent
+    unused = []
+    for source in sorted(package.glob("*.py")):
+        if source.name == "__init__.py":  # it imports to re-export
+            continue
+        tree = ast.parse(source.read_text())
+        read = names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{source.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_missing_document_keys_are_errors(tmp_path, capsys):

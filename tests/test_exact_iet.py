@@ -1,13 +1,16 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from conftest import admissible, int_product
+from conftest import admissible, int_product, random_exact_iet
+from gietlab.branches import EPS_BRANCH
 from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
 from gietlab.errors import BadLengths, GietlabError, InductionFailed, OutOfDomain, TieError
 from gietlab.exact_iet import ExactIET
+from gietlab.giet import giet_from_iet
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -200,3 +203,97 @@ def test_branches_invert_exactly_like_eval_inverse():
             x = T.branches[a].inverse(y)
             assert x == T.eval_inverse(y) and type(x) is type(T.eval_inverse(y))
             assert T.eval(x) == y
+
+
+def test_exact_maps_keep_zero_tolerance():
+    """An exact map shares the row code of a float GIET with ``snap = 0``:
+    a point any distance left of a breakpoint is read in the letter to its
+    left, and nothing left of 0 is in the domain."""
+    T = fixture_Tg()
+    e = Fraction(1, 10**15)
+    assert T.snap == 0
+    top, bottom = T.datum.top, T.datum.bottom
+    for left, a in zip(top, top[1:]):
+        cut = T.top_breaks[a]
+        assert T.letter_at(cut - e) == left and T.letter_at(cut) == a
+        # a floor of the left letter that ends e past its right end straddles it
+        with pytest.raises(InductionFailed, match=f"right end of letter {left}"):
+            T.tower(T.top_breaks[left], cut + e, 2)
+    for left, b in zip(bottom, bottom[1:]):
+        y = T.bottom_breaks[b] - e
+        assert T.eval_inverse(y) == T.branches[left].inverse(y)
+    for call in (T.letter_at, T.eval, T.eval_inverse):
+        with pytest.raises(OutOfDomain):
+            call(-e)
+    with pytest.raises(OutOfDomain):
+        T.tower(-e, e, 2)
+
+    # the float copy still snaps within EPS_BRANCH
+    f = giet_from_iet(T)
+    assert f.snap == EPS_BRANCH
+    d = EPS_BRANCH / 2
+    for left, a in zip(top, top[1:]):
+        cut = f.top_breaks[a]
+        assert f.letter_at(cut - d) == a and f.letter_at(cut - 4 * d) == left
+        end = f.branches[left].domain[1]
+        assert f.tower(f.top_breaks[left], end + d, 2)[1][1] == f.branches[left].eval(end)
+    for left, b in zip(bottom, bottom[1:]):
+        y = f.bottom_breaks[b] - d
+        assert f.eval_inverse(y) == f.branches[b].inverse(y)
+    assert f.letter_at(-d) == top[0]
+    with pytest.raises(OutOfDomain):
+        f.letter_at(-4 * d)
+
+    # exact floors keep the type of the lengths
+    grid, D = T.on_integer_grid()
+    for m, lo, width, kind in ((grid, 3, 1, int), (T, Fraction(3, D), Fraction(1, D), Fraction)):
+        floors = m.tower(lo, lo + width, 12)
+        assert len(floors) == 12
+        assert all(type(x) is kind for floor in floors for x in floor)
+        assert type(m.eval(lo)) is kind and type(m.eval_inverse(lo)) is kind
+
+
+def walked_by_displacement(T, lo, hi, n):
+    """The exact tower as a walk that adds each letter's displacement
+    ``u^b - u^t``: how ``ExactIET`` built its towers before it shared the
+    row model of ``Giet``."""
+    u_t, u_b = T.breakpoints()
+    row = T.datum.top
+    cuts = [u_t[a] for a in row[1:]]
+    floors = [(lo, hi)]
+    for _ in range(n - 1):
+        if not 0 <= lo < T.total:
+            raise OutOfDomain(f"{lo} outside [0, {T.total})")
+        a = row[bisect_right(cuts, lo)]
+        if hi > u_t[a] + T.length(a):
+            raise InductionFailed(f"interval [{lo}, {hi}) straddles the right end of letter {a}")
+        lo, hi = lo + (u_b[a] - u_t[a]), hi + (u_b[a] - u_t[a])
+        floors.append((lo, hi))
+    return floors
+
+
+def tower_outcome(tower, lo, hi, n):
+    try:
+        return repr(tower(lo, hi, n))
+    except (InductionFailed, OutOfDomain) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_tower_is_the_walk_by_displacement():
+    rng = random.Random(17)
+    straddled = 0
+    for _ in range(30):
+        fraction_map = random_exact_iet(rng, rng.choice((2, 3, 4, 5)))
+        grid, D = fraction_map.on_integer_grid()
+        for T, unit in ((grid, 1), (fraction_map, Fraction(1, D))):
+            result = T.rauzy_path(rng.randint(1, 8))
+            q = path_matrix(result.path).row_sums()
+            cases = [(lo, hi, q[a]) for a, lo, hi in result.map.top_intervals()]
+            for _ in range(10):
+                lo = rng.randrange(D) * unit
+                cases.append((lo, lo + rng.randint(1, 4) * unit, rng.randint(2, 6)))
+            for lo, hi, n in cases:
+                got = tower_outcome(T.tower, lo, hi, n)
+                assert got == tower_outcome(lambda *a: walked_by_displacement(T, *a), lo, hi, n)
+                straddled += got.startswith("InductionFailed")
+    assert straddled > 0

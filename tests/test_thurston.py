@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-import gietlab.giet as giet
+import gietlab.exact_iet as exact_iet
 import gietlab.thurston as thurston
 from conftest import admissible, breaking_step, class_at, orbit_order, random_unit_giet
 from gietlab.branches import PiecewiseLinear, SmoothParam
@@ -249,6 +249,19 @@ def test_solve_iet_family_realizes_at_reference():
     assert report.tau == ref.base_iet.lengths_by_letter()
 
 
+def test_exact_solve_averages_in_fractions():
+    ref = fibonacci_ref(8)
+    points = list(reference_configuration(ref, True).points)
+    points[ref.grid.bottom_breaks["A"]] += Fraction(1, 3 * ref.N)  # off the model's tau
+    start = thurston.Configuration(tuple(points))
+    report = solve(ExactIETFamily(D2), ref, start=start)
+    assert report.realized and report.iterations == 1
+    pulled = pull(ExactIETFamily(D2), ref, start)
+    halfway = tuple(a / 2 + b / 2 for a, b in zip(start.points, pulled.points))
+    assert report.config.points == halfway
+    assert all(type(v) is Fraction for v in report.config.points)
+
+
 def test_solve_boundary_with_absurd_threshold(monkeypatch):
     ref = model_ref()
     # tau is (6, 2, 1, 2)/11: every entry but A's is at or below 0.5
@@ -274,7 +287,7 @@ def test_solve_respects_max_iter():
     assert report.status == "max_iter"
     assert report.iterations == 10
     assert len(report.deltas) == 10
-    # a negative bound (the CLI passes ``--max-iter`` through) takes no step
+    # a negative bound takes no step; the CLI rejects one as a ``--max-iter`` error
     report = solve(GietFamily(seed), ref, max_iter=-1)
     assert report.status == "max_iter" and report.deltas == []
 
@@ -813,11 +826,16 @@ WORKED_SEED = (D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0})
 
 
 def test_solve_never_locates_a_point_by_value(monkeypatch):
-    def no_lookup(cuts, x):
+    def no_lookup(cuts, x, snap):
         raise AssertionError("a point was located by its value")
 
-    monkeypatch.setattr(giet, "_row_index", no_lookup)
-    report = solve(GietFamily(smooth_seed(*FIB_SEED)), fibonacci_ref(13))
+    # the exact walk of the model orbit locates grid points: build it first
+    ref = fibonacci_ref(13)
+    f = smooth_seed(*FIB_SEED)
+    monkeypatch.setattr(exact_iet, "_row_index", no_lookup)
+    with pytest.raises(AssertionError, match="located by its value"):
+        f.letter_at(0.5)
+    report = solve(GietFamily(f), ref)
     assert report.realized and report.iterations == 66
 
 
@@ -842,7 +860,7 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
         read, _ = ref.runs
         for a, (lo, hi) in zip(ref.datum.bottom, read):
             for y in config.points[lo:hi]:
-                assert f.datum.bottom[giet._row_index(f._bottom_cuts, y)] == a
+                assert f.datum.bottom[exact_iet._row_index(f._bottom_cuts, y, f.snap)] == a
             checked.append(hi - lo)
         return original(ref, config, f)
 
