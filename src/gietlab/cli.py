@@ -12,6 +12,7 @@ is the GIETLAB_SEED environment variable (0 when unset).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -101,19 +102,21 @@ def cmd_partition(args) -> int:
     m = fileio.load_map(args.map_file)
     r = _check_order(args.order)
     partition = dynamical_partition(m, r)
-    labels = None
     if sigma_and_cyclicity(partition.path.target)[1]:
         ref = build_reference(partition.path)
         labels = [
             ref.class_of_atom(atom.letter, atom.index).name for atom in partition.atoms
         ]
-    doc = fileio.partition_document(partition, m.total, labels)
-    text = fileio.dump(doc, args.output)
+    else:
+        labels = [f"{letter}{index}" for _, _, letter, index in partition.atoms]
+    text = fileio.dump(fileio.partition_json(partition, m.total, labels), args.output)
     if not args.output:
         print(text)
     if args.svg:
+        atoms = ((float(lo), float(hi), label)
+                 for (lo, hi, _, _), label in zip(partition.atoms, labels))
         with open(args.svg, "w") as fh:
-            fh.write(svg.render_partition(doc))
+            fh.write(svg.render_partition(float(m.total), atoms))
     return 0
 
 
@@ -179,7 +182,7 @@ def cmd_render(args) -> int:
     kind = doc.get("kind")
     if kind == "partition":
         with fileio.reading("partition"):
-            text = svg.render_partition(doc)
+            text = svg.render_partition(*svg.partition_atoms(doc))
     elif kind == "giet":
         text = svg.render_giet(fileio.giet_from_document(doc))
     elif kind == "iet":
@@ -199,8 +202,10 @@ def _env_seed() -> int:
         raise GietlabError(f"GIETLAB_SEED must be an integer, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    default_seed = _env_seed()
+    """The argument parser, built once per process: ``main`` fills an unset
+    ``--seed`` from GIETLAB_SEED on every call."""
     parser = argparse.ArgumentParser(
         prog="gietlab",
         description="Rauzy combinatorics, exact induction and pullback realization "
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--spot-check", type=int, default=0, metavar="N",
                    help="also test N random points drawn with the seed")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_semiconj)
 
     p = sub.add_parser("render", help="render a partition, GIET or IET document to SVG")
@@ -260,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        env_seed = _env_seed()  # read on every call, so a bad value fails any command
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # semiconj without --seed
+            args.seed = env_seed
         return args.func(args)
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2, which is code 1 here
         return 1 if exc.code else 0

@@ -106,7 +106,7 @@ def branch_from_record(rec: dict) -> Branch:
     if kind == "pl":
         return PiecewiseLinear(tuple(_pair(p, "nodes") for p in rec["nodes"]))
     if kind == "smooth":
-        return SmoothParam(*_bounds(rec), _number(rec.get("k", 1.0), "field 'k'"))
+        return SmoothParam(*_bounds(rec), _smooth_k(rec.get("k", 1.0)))
     if kind == "composite":
         return Chain(tuple(branch_from_record(rec[k]) for k in ("inner", "core", "outer")))
     if kind == "window":
@@ -192,6 +192,18 @@ def _number(v, what: str) -> float:
     return x
 
 
+def _smooth_k(v) -> float:
+    """A smooth branch's ``k``: a finite number whose ``e^k`` is a float too."""
+    k = _number(v, "field 'k'")
+    try:
+        math.expm1(k)
+    except OverflowError:
+        raise GietlabError(
+            f"field 'k' must be at most about 709.78, as e^k overflows, got {v!r}"
+        ) from None
+    return k
+
+
 def _branch_of(letter, rec) -> Branch:
     """The branch record of ``letter`` in a giet document; errors name the letter."""
     try:
@@ -203,17 +215,35 @@ def _branch_of(letter, rec) -> Branch:
         raise GietlabError(f"giet document branch {letter!r}: {exc}") from None
 
 
-def partition_document(p: DynamicalPartition, total, labels=None) -> dict:
-    """The partition document; ``labels`` default to letter + index.  A float
-    ``total`` means float endpoints, written as JSON numbers; any other total
-    is exact, and its fractions are written as ``"p/q"`` strings."""
-    num = float if isinstance(total, float) else _num_out
-    names = labels or [f"{atom.letter}{atom.index}" for atom in p.atoms]
-    atoms = [
-        {"left": num(lo), "right": num(hi), "letter": letter, "index": index, "label": name}
-        for (lo, hi, letter, index), name in zip(p.atoms, names)
-    ]
-    return {"kind": "partition", "order": p.order, "total": _num_out(total), "atoms": atoms}
+def _num_json(x) -> str:
+    """``_num_out(x)`` as JSON text."""
+    if type(x) is not float and isinstance(x, Fraction):  # a float skips the slow ABC check
+        return f'"{x.numerator}/{x.denominator}"'
+    return float.__repr__(float(x))
+
+
+def partition_json(p: DynamicalPartition, total, labels) -> str:
+    """The partition document as JSON text, written straight from the atoms
+    and their ``labels``.
+
+    The text is ``json.dumps(doc, sort_keys=True)`` of the document
+    ``{"kind": "partition", "order", "total", "atoms"}`` whose atoms are
+    ``{"left", "right", "letter", "index", "label"}``.  Endpoints follow
+    ``_num_out``: a fraction is a ``"p/q"`` string, anything else a float.
+    """
+    enc = json.encoder.encode_basestring_ascii
+    letters = {a: enc(a) for a in p.path.source.alphabet}
+    atoms = []
+    prev_hi = right = None
+    for (lo, hi, letter, index), label in zip(p.atoms, labels):
+        # a left end that is, or equals, the last right end takes its text
+        # (not at 0, as -0.0 prints apart); the exact fractions are shared
+        left = right if lo is prev_hi or (lo == prev_hi and lo) else _num_json(lo)
+        prev_hi, right = hi, _num_json(hi)
+        atoms.append(f'{{"index": {index}, "label": {enc(label)}, "left": {left}, '
+                     f'"letter": {letters[letter]}, "right": {right}}}')
+    return (f'{{"atoms": [{", ".join(atoms)}], "kind": "partition", '
+            f'"order": {p.order}, "total": {_num_json(total)}}}')
 
 
 def load_document(path: str, what: str) -> dict:
@@ -234,12 +264,13 @@ def load_map(path: str):
     raise GietlabError(f"expected an 'iet' or 'giet' document, got kind {kind!r}")
 
 
-def dump(doc: dict, path: str | None) -> str:
-    """``doc`` as one line of JSON with sorted keys, also written to ``path``.
+def dump(doc: dict | str, path: str | None) -> str:
+    """``doc`` as one line of JSON with sorted keys, also written to ``path``;
+    a ``str`` is taken to be that JSON text already.
 
     No ``indent``: with it, ``json`` falls back to its pure-Python encoder.
     """
-    text = json.dumps(doc, sort_keys=True)
+    text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True)
     if path:
         with open(path, "w") as fh:
             fh.write(text)

@@ -29,31 +29,19 @@ def _svg(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def render_partition(doc: dict) -> str:
-    """Horizontal strip of labeled cells from a partition document.
+def render_partition(total: float, atoms) -> str:
+    """Horizontal strip of labeled cells over ``[0, total)``, from the atoms'
+    ``(left, right, label)`` in left-to-right order.
 
-    Every atom is read and checked, but the strip draws only what it can
-    resolve: a boundary at least ``MIN_GAP`` units from the last one drawn.
-    A cell between two drawn boundaries that holds one atom shows its label;
-    a cell that holds several is one shaded band showing their count.  A
-    text is drawn only where it fits its cell.
+    The strip draws only what it can resolve: a boundary at least ``MIN_GAP``
+    units from the last one drawn.  A cell between two drawn boundaries that
+    holds one atom shows its label; a cell that holds several is one shaded
+    band showing their count.  A text is drawn only where it fits its cell.
     """
-    total = eval_frac(doc["total"])
-    atoms = doc["atoms"]
-    if not isinstance(atoms, list):
-        raise GietlabError(
-            f"partition document field 'atoms' must be a list, got {type(atoms).__name__}"
-        )
     cells = []  # [x, right end in SVG units, label, atom count]
-    for i, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise GietlabError(
-                f"partition document field 'atoms': entry {i} must be a JSON object, "
-                f"got {type(atom).__name__}"
-            )
-        x = MARGIN + eval_frac(atom["left"]) * SCALE
-        right = MARGIN + eval_frac(atom["right"]) * SCALE
-        label = atom["label"]
+    for lo, hi, label in atoms:
+        x = MARGIN + lo * SCALE
+        right = MARGIN + hi * SCALE
         if cells and abs(x - cells[-1][0]) < MIN_GAP:
             cells[-1][1] = right
             cells[-1][3] += 1
@@ -124,6 +112,26 @@ def render_giet(g, samples: int = 64) -> str:
             f'font-size="16" text-anchor="middle" font-family="monospace">{escape(a, quote=False)}</text>'
         )
     return _svg(width, height, body)
+
+
+def partition_atoms(doc: dict) -> tuple[float, list]:
+    """The ``total`` and the atoms' ``(left, right, label)`` of a partition
+    document, every atom checked; a missing key raises ``KeyError``."""
+    total = eval_frac(doc["total"])
+    atoms = doc["atoms"]
+    if not isinstance(atoms, list):
+        raise GietlabError(
+            f"partition document field 'atoms' must be a list, got {type(atoms).__name__}"
+        )
+    read = []
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise GietlabError(
+                f"partition document field 'atoms': entry {i} must be a JSON object, "
+                f"got {type(atom).__name__}"
+            )
+        read.append((eval_frac(atom["left"]), eval_frac(atom["right"]), atom["label"]))
+    return total, read
 
 
 def eval_frac(value) -> float:

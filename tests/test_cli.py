@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,13 +19,14 @@ import gietlab
 from conftest import breaking_step
 from gietlab import fileio, svg
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
-from gietlab.cli import main
+from gietlab.cli import build_parser, main
 from gietlab.errors import GietlabError
-from gietlab.combinatorics import parse_datum
+from gietlab.combinatorics import parse_datum, sigma_and_cyclicity
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
-from gietlab.giet import Giet, dynamical_partition, giet_from_branches, giet_from_iet
+from gietlab.giet import Atom, Giet, dynamical_partition, giet_from_branches, giet_from_iet
 from gietlab.semiconjugacy import build_semiconjugacy, residual
+from gietlab.thurston import build_reference
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -515,6 +517,26 @@ def test_giet_number_that_is_not_finite_is_an_error(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["partition", "render", "realize"])
+def test_smooth_k_whose_exponential_overflows_is_an_error(tmp_path, capsys, command):
+    # math.expm1(k) overflows above k = log(max float) = 709.78...
+    argvs = {"partition": ["-r", "2"], "render": ["-o", str(tmp_path / "f.svg")],
+             "realize": ["tbt"]}
+    for k, rejected in ((710, True), (1000, True), (709, False), (-1000, False)):
+        doc = seed_document()
+        doc["branches"]["A"]["k"] = k
+        path = write_doc(tmp_path, doc)
+        rc = main([command, path, *argvs[command]])
+        out, err = capsys.readouterr()
+        if not rejected:  # it loads; what the command makes of it is its own matter
+            assert fileio.giet_from_document(doc).branches["A"].k == k
+            assert rc == 0 or err.startswith("error:"), err
+            continue
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "branch 'A': field 'k' must be at most about 709.78" in err and str(k) in err
+
+
 def test_non_admissible_datum_is_an_error_not_a_tie(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text('{"kind": "iet", "datum": "A B / A B", "lengths": {"A": 1, "B": 2}}')
@@ -643,19 +665,111 @@ def test_partition_labels_are_escaped_in_svg():
         {"left": 0.0, "right": 0.5, "letter": "A", "index": 0, "label": "<A&0>"},
         {"left": 0.5, "right": 1.0, "letter": "B", "index": 0, "label": "B0"},
     ]}
-    text = svg.render_partition(doc)
+    text = svg.render_partition(*svg.partition_atoms(doc))
     assert ">&lt;A&amp;0&gt;</text>" in text
     assert "<A&0>" not in text
+
+
+def partition_document(p, total, labels=None):
+    """The partition document as a dict, built as the library built it before
+    it wrote the JSON text straight from the atoms: the reference for
+    ``fileio.partition_json``."""
+    num = float if isinstance(total, float) else fileio._num_out
+    names = labels or [f"{atom.letter}{atom.index}" for atom in p.atoms]
+    atoms = [
+        {"left": num(lo), "right": num(hi), "letter": letter, "index": index, "label": name}
+        for (lo, hi, letter, index), name in zip(p.atoms, names)
+    ]
+    return {"kind": "partition", "order": p.order, "total": fileio._num_out(total), "atoms": atoms}
+
+
+def class_labels(p):
+    """The reference-class names ``partition`` gives the atoms of ``p``, or
+    None when its path does not end at a cyclic datum."""
+    if not sigma_and_cyclicity(p.path.target)[1]:
+        return None
+    ref = build_reference(p.path)
+    return [ref.class_of_atom(atom.letter, atom.index).name for atom in p.atoms]
+
+
+def smooth_giet(datum, raw_lengths, ks):
+    """The smooth GIET with lengths proportional to ``raw_lengths`` on both rows."""
+    lengths = [x / sum(raw_lengths) for x in raw_lengths]
+    return giet_from_branches(
+        datum, lengths, lengths, lambda a, d, r: SmoothParam(d, r, k=ks.get(a, 0.0))
+    )
+
+
+def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys):
+    golden = (math.sqrt(5) - 1) / 2
+    f2 = smooth_giet(D2, [1 - golden, golden], {"A": 2.0, "B": -1.5})
+    f4 = smooth_giet(D4, [math.sqrt(p) for p in (2, 3, 5, 7)], {"A": 1.0, "C": -0.7})
+    m2 = build_reference(f2.rauzy_path(21).path).base_iet
+    odd = ExactIET.from_lengths(parse_datum('é " \\', '\\ " é'), [2584, 4181, 3235])
+    cases = {"f4@40": (f4, 40), "f2@21": (f2, 21), "m2@21": (m2, 21), "order 0": (model_iet(), 0),
+             "escaped letters": (odd, 13)}
+    texts = {}
+    for name, (m, r) in cases.items():
+        p = dynamical_partition(m, r)
+        labels = class_labels(p)
+        names = [f"{atom.letter}{atom.index}" for atom in p.atoms]
+        for given in (labels, None):
+            text = fileio.partition_json(p, m.total, given or names)
+            assert text == json.dumps(partition_document(p, m.total, given), sort_keys=True), name
+        # the command writes the text with the class names
+        texts[name] = text = fileio.partition_json(p, m.total, labels or names)
+        path = tmp_path / "map.json"
+        doc = fileio.iet_document(m) if isinstance(m, ExactIET) else fileio.giet_document(m)
+        fileio.dump(doc, str(path))
+        assert main(["partition", str(path), "-r", str(r)]) == 0
+        assert capsys.readouterr().out == text + "\n", name
+    # the cases cover class names, exact endpoints and escaped letters and labels
+    for name in ("f2@21", "escaped letters"):
+        atoms = json.loads(texts[name])["atoms"]
+        assert any(a["label"] != f"{a['letter']}{a['index']}" for a in atoms), name
+    assert '"left": "0/1"' in texts["m2@21"]
+    assert '"letter": "\\u00e9"' in texts["escaped letters"]
+    assert '"label": "\\u00e90"' in texts["escaped letters"]
+    assert '"letter": "\\""' in texts["escaped letters"]
+    assert '"letter": "\\\\"' in texts["escaped letters"]
+    # equal neighbouring ends that print apart: 0.0, then -0.0
+    atoms = (Atom(-0.5, 0.0, "A", 0), Atom(-0.0, 0.5, "B", 0))
+    p = replace(dynamical_partition(f4, 0), atoms=atoms)
+    text = fileio.partition_json(p, 1.0, ["x", "y"])
+    assert text == json.dumps(partition_document(p, 1.0, ["x", "y"]), sort_keys=True)
+    assert '"left": -0.0' in text
+
+
+def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    # GIETLAB_SEED is read on every call, and --seed still wins over it
+    argv = ["semiconj", *write_semiconj_inputs(tmp_path), "-r", "5", "--spot-check", "4"]
+    for value, extra, shown in (("3", [], 3), ("4", [], 4), ("4", ["--seed", "7"], 7)):
+        monkeypatch.setenv("GIETLAB_SEED", value)
+        assert main(argv + extra) == 0
+        assert f"random points, seed {shown}):" in capsys.readouterr().out.splitlines()[-1]
+    monkeypatch.setenv("GIETLAB_SEED", "abc")
+    assert main(argv) == 1
+    assert "GIETLAB_SEED" in capsys.readouterr().err
+    monkeypatch.delenv("GIETLAB_SEED")
+    # a command between two equal ones leaves nothing behind
+    iet, family = write_model_iet(tmp_path), write_seed_family(tmp_path)
+    outputs = []
+    for k in range(2):
+        out, figure = tmp_path / f"p{k}.json", tmp_path / f"p{k}.svg"
+        assert main(["partition", iet, "-r", "5", "-o", str(out), "--svg", str(figure)]) == 0
+        outputs.append((out.read_bytes(), figure.read_bytes()))
+        if not k:
+            assert main(["realize", family, "bbbtb"]) == 0
+    assert outputs[0] == outputs[1]
 
 
 def f4_partition_document(order):
     """The partition document of the 4-letter smooth GIET with lengths
     proportional to sqrt(2), sqrt(3), sqrt(5), sqrt(7)."""
     raw = [math.sqrt(p) for p in (2, 3, 5, 7)]
-    lengths = [x / sum(raw) for x in raw]
-    ks = {"A": 1.0, "C": -0.7}
-    f = giet_from_branches(D4, lengths, lengths, lambda a, d, r: SmoothParam(d, r, k=ks.get(a, 0.0)))
-    return fileio.partition_document(dynamical_partition(f, order), f.total)
+    f = smooth_giet(D4, raw, {"A": 1.0, "C": -0.7})
+    return partition_document(dynamical_partition(f, order), f.total)
 
 
 def uneven_partition_document(runs, seed):
@@ -699,7 +813,7 @@ def test_dense_partition_svg_draws_only_what_it_resolves(case):
         ]}
     else:
         doc = uneven_partition_document(12, 5)
-    text = svg.render_partition(doc)
+    text = svg.render_partition(*svg.partition_atoms(doc))
     lines, bands, texts = drawn_partition(text)
     # every atom is in one cell: a band counts its atoms, any other cell holds one
     assert sum(bands) + len(lines) - len(bands) == len(doc["atoms"])
@@ -773,7 +887,7 @@ def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
 
     def recording_dump(doc, path):
         text = real_dump(doc, path)
-        written.append((doc, path, text))
+        written.append((json.loads(doc) if isinstance(doc, str) else doc, path, text))
         return text
 
     monkeypatch.setattr(fileio, "dump", recording_dump)

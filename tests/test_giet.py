@@ -592,11 +592,10 @@ def test_partition_document_bytes_equal_the_per_atom_builder():
     for k, (m, r) in enumerate(_partition_cases()):
         p = dynamical_partition(m, r)
         labels = [f"c{j}" for j in range(len(p.atoms))] if k % 3 == 0 else None
-        doc = fileio.partition_document(p, m.total, labels)
-        assert json.dumps(doc, sort_keys=True) == json.dumps(
-            _per_atom_document(p, m.total, labels), sort_keys=True
-        )
-        kinds.add(type(doc["atoms"][0]["left"]))
+        names = labels or [f"{atom.letter}{atom.index}" for atom in p.atoms]
+        text = fileio.partition_json(p, m.total, names)
+        assert text == json.dumps(_per_atom_document(p, m.total, labels), sort_keys=True)
+        kinds.add(type(json.loads(text)["atoms"][0]["left"]))
     assert kinds == {float, str}
 
 
