@@ -5,7 +5,6 @@ from .combinatorics import (
     CombinatorialDatum,
     IntMatrix,
     RauzyArrow,
-    RauzyClass,
     RauzyPath,
     all_admissible_data,
     find_cyclic,
@@ -47,7 +46,6 @@ from .full_family import (
     slopes,
 )
 from .thurston import (
-    Configuration,
     ExactIETFamily,
     GietFamily,
     LabelClass,
@@ -59,6 +57,6 @@ from .thurston import (
     step,
     tau_of,
 )
-from .semiconjugacy import MonotonePLMap, build_semiconjugacy, residual
+from .semiconjugacy import build_semiconjugacy, residual
 
 __version__ = "0.1.0"

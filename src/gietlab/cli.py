@@ -40,7 +40,7 @@ MAX_ITER_CAP = 10**6
 
 def cmd_class(args) -> int:
     cls = rauzy_class(parse_datum_text(args.datum))
-    for datum in cls.data:
+    for datum in cls:
         print(datum.encode())
     return 0
 
@@ -113,11 +113,19 @@ def cmd_partition(args) -> int:
     if not args.output:
         print(text)
     if args.svg:
-        atoms = ((float(lo), float(hi), label)
-                 for (lo, hi, _, _), label in zip(partition.atoms, labels))
         with open(args.svg, "w") as fh:
-            fh.write(svg.render_partition(float(m.total), atoms))
+            fh.write(svg.render_partition(float(m.total), _float_atoms(partition, labels)))
     return 0
+
+
+def _float_atoms(partition, labels):
+    """Each atom's ``(left, right, label)`` in floats.  Neighbouring exact
+    atoms share their endpoint's ``Fraction``, which is converted once."""
+    prev_hi = right = None
+    for (lo, hi, _, _), label in zip(partition.atoms, labels):
+        left = right if lo is prev_hi else float(lo)
+        prev_hi, right = hi, float(hi)
+        yield left, right, label
 
 
 def cmd_realize(args) -> int:
@@ -168,7 +176,7 @@ def cmd_semiconj(args) -> int:
         raise GietlabError("semiconj expects a GIET document and an IET document")
     r = _check_order(args.order)
     h = build_semiconjugacy(f, T, r)
-    print(h.as_table())
+    print("\n".join(f"{x:.12f}\t{y:.12f}" for x, y in h.nodes))
     print(f"residual: {residual(h, f, T, args.samples):.6e}")
     if args.spot_check:
         rng = random.Random(args.seed)

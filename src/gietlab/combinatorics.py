@@ -22,7 +22,7 @@ enumeration uses lexicographic order on the two-row text encoding.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import (
@@ -291,24 +291,6 @@ def return_times(path: RauzyPath):
     return q, sum(q.values())
 
 
-@dataclass(frozen=True)
-class RauzyClass:
-    """Closure of a datum under both operations.
-
-    ``data`` is sorted lexicographically on the text encoding, so enumeration
-    order is reproducible.
-    """
-
-    data: tuple[CombinatorialDatum, ...]
-    _members: frozenset = field(repr=False, hash=False, compare=False, default=frozenset())
-
-    def __contains__(self, datum: CombinatorialDatum) -> bool:
-        return datum in self._members
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
 def _breadth_first(start: CombinatorialDatum) -> dict:
     """Every datum reachable from ``start``, in breadth-first order, mapped to
     the arrow that first reaches it (``None`` for ``start``)."""
@@ -324,26 +306,27 @@ def _breadth_first(start: CombinatorialDatum) -> dict:
     return parent
 
 
-def rauzy_class(seed: CombinatorialDatum) -> RauzyClass:
-    """Breadth-first closure of ``seed`` under both Rauzy operations."""
+def rauzy_class(seed: CombinatorialDatum) -> tuple[CombinatorialDatum, ...]:
+    """Breadth-first closure of ``seed`` under both Rauzy operations, sorted
+    lexicographically on the text encoding, so enumeration order is
+    reproducible."""
     if not is_admissible(seed):
         raise NotAdmissible(f"seed {seed} is not admissible")
-    members = _breadth_first(seed)
-    return RauzyClass(tuple(sorted(members, key=CombinatorialDatum.encode)), frozenset(members))
+    return tuple(sorted(_breadth_first(seed), key=CombinatorialDatum.encode))
 
 
-def find_cyclic(cls: RauzyClass):
+def find_cyclic(cls: tuple):
     """First cyclic datum in enumeration order, or None when the class has none."""
-    for datum in cls.data:
+    for datum in cls:
         if sigma_and_cyclicity(datum)[1]:
             return datum
     return None
 
 
-def find_path(cls: RauzyClass, start: CombinatorialDatum, end: CombinatorialDatum) -> RauzyPath:
+def find_path(cls: tuple, start: CombinatorialDatum, end: CombinatorialDatum) -> RauzyPath:
     """A shortest path between two members of the class (breadth-first)."""
     if start not in cls or end not in cls:
-        raise NotInClass(f"endpoint outside the class of {cls.data[0]}")
+        raise NotInClass(f"endpoint outside the class of {cls[0]}")
     parent = _breadth_first(start)
     if end not in parent:
         raise NotInClass(f"{end} unreachable from {start}")

@@ -149,7 +149,13 @@ class Exchange:
         floors = [(lo, hi)]
         for _ in range(n - 1):
             if not -snap <= lo < total:  # the domain check, inlined
-                self._check_domain(lo)  # raises
+                if len(floors) == 1:
+                    self._check_domain(lo)  # raises
+                raise OutOfDomain(
+                    f"the branch of letter {row[i]!r} maps floor {len(floors) - 2} of the "
+                    f"tower over [{floors[0][0]}, {floors[0][1]}) to floor {len(floors) - 1} "
+                    f"at {lo}, outside [0, {total})"
+                )
             i = _row_index(cuts, lo, snap)
             image, end = spans[i]
             if hi > end + snap:

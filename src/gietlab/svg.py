@@ -34,15 +34,17 @@ def render_partition(total: float, atoms) -> str:
     ``(left, right, label)`` in left-to-right order.
 
     The strip draws only what it can resolve: a boundary at least ``MIN_GAP``
-    units from the last one drawn.  A cell between two drawn boundaries that
-    holds one atom shows its label; a cell that holds several is one shaded
-    band showing their count.  A text is drawn only where it fits its cell.
+    units from the last one drawn, or the left end of an atom at least
+    ``MIN_GAP`` units wide.  A cell between two drawn boundaries that holds
+    one atom shows its label where the label fits; a cell that holds several
+    is one shaded band whose title gives their count.  A band is under
+    ``2 * MIN_GAP`` units wide, too narrow for any text.
     """
     cells = []  # [x, right end in SVG units, label, atom count]
     for lo, hi, label in atoms:
         x = MARGIN + lo * SCALE
         right = MARGIN + hi * SCALE
-        if cells and abs(x - cells[-1][0]) < MIN_GAP:
+        if cells and abs(x - cells[-1][0]) < MIN_GAP and right - x < MIN_GAP:
             cells[-1][1] = right
             cells[-1][3] += 1
         else:
@@ -58,11 +60,10 @@ def render_partition(total: float, atoms) -> str:
                 f'<rect x="{x:.2f}" y="40" width="{w:.2f}" height="40" fill="#ccc">'
                 f"<title>{count} atoms</title></rect>"
             )
-            label = count
         body.append(f'<line x1="{x:.2f}" y1="40" x2="{x:.2f}" y2="80" '
                     f'stroke="black" stroke-width="0.75"/>')
         text = str(label)
-        if len(text) * CHAR_WIDTH * FONT_SIZE <= w:
+        if count == 1 and len(text) * CHAR_WIDTH * FONT_SIZE <= w:
             body.append(
                 f'<text x="{x + w / 2:.2f}" y="66" font-size="{FONT_SIZE}" '
                 f'text-anchor="middle" font-family="monospace">{escape(text, quote=False)}</text>'

@@ -7,7 +7,9 @@ configuration.  Orbit positions label the N point classes; each class also
 carries the display name ``(letter, i)`` with the fewest forward steps from a
 critical point, which is the labelling used for partitions of the model map.
 
-A configuration is any N points in the same geometric order.  Reading the
+A configuration is the tuple of N points in the reference's order: entry
+``x``, a float or an exact rational, is the point of the class at grid point
+``x`` of the model, and entry 0 is pinned at 0.  Reading the
 parameter ``tau`` off a configuration (consecutive gaps of the ``[alpha, 1]``
 points along the bottom row) selects one map of a full family; pulling every
 point back one index under that map is the pullback step.  Fixed points of
@@ -34,6 +36,7 @@ from .combinatorics import (
     find_path,
     path_matrix,
     rauzy_class,
+    return_times,
     sigma_and_cyclicity,
 )
 from .errors import (
@@ -123,18 +126,12 @@ def build_reference(path: RauzyPath) -> RefConfig:
     exact induction, which also rejects lengths outside the path's cone, and
     the orbit of 0 on its integer grid, walked once, must first return to 0
     after N steps, so that it is the whole grid.
-    The total return time N grows exponentially with the path length, so the
-    construction refuses outright when it would exceed ``MAX_REFERENCE_POINTS``.
     """
     if not sigma_and_cyclicity(path.target)[1]:
         raise TargetNotCyclic(f"{path.target} is not cyclic")
     matrix = path_matrix(path)
     q = matrix.row_sums()
     N = sum(q.values())
-    if N > MAX_REFERENCE_POINTS:
-        raise InductionMismatch(
-            f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
-        )
     cols = matrix.col_sums()
     base = ExactIET.from_lengths(
         path.source, {a: Fraction(c, N) for a, c in cols.items()}, normalize=False
@@ -175,34 +172,21 @@ def build_reference(path: RauzyPath) -> RefConfig:
     return RefConfig(path=path, N=N, h=h, base_iet=base, grid=grid, crit_pos=crit_pos)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """N labeled points sharing the reference's geometric order.
-
-    ``points`` holds them left to right: ``points[x]`` is the point at grid
-    point ``x`` of the model.  Entries are floats or exact rationals, and the
-    class containing ``(alpha_0, 0)``, ``points[0]``, is pinned at 0.
-    """
-
-    points: tuple
-
-    def is_valid(self) -> bool:
-        p = self.points
-        # every comparison with NaN is false, so a NaN point fails ``<``
-        return p[0] == 0 and all(map(operator.lt, p, p[1:])) and p[-1] < 1
-
-    def delta(self, other: "Configuration"):
-        return max(map(abs, map(operator.sub, self.points, other.points)))
+def is_ordered(points) -> bool:
+    """True when ``points`` are a configuration: the pinned class at 0, then
+    strictly increasing, all below 1."""
+    # every comparison with NaN is false, so a NaN point fails ``<``
+    return points[0] == 0 and all(map(operator.lt, points, points[1:])) and points[-1] < 1
 
 
-def reference_configuration(ref: RefConfig, exact: bool = True) -> Configuration:
+def reference_configuration(ref: RefConfig, exact: bool = True) -> tuple:
     """The reference: the class at grid point ``x`` sits at ``x / N``, as a
     ``Fraction`` or, correctly rounded, as a float."""
     N = ref.N
-    return Configuration(tuple(Fraction(x, N) if exact else x / N for x in range(N)))
+    return tuple(Fraction(x, N) if exact else x / N for x in range(N))
 
 
-def tau_of(ref: RefConfig, config: Configuration) -> dict:
+def tau_of(ref: RefConfig, config: tuple) -> dict:
     """Parameter vector read off a configuration.
 
     The points of the classes ``[alpha, 1]``, at the model's critical values
@@ -211,7 +195,7 @@ def tau_of(ref: RefConfig, config: Configuration) -> dict:
     recover the unique simplex vector.  The total is exactly 1 by telescoping.
     """
     datum = ref.datum
-    v1 = {a: config.points[x] for a, x in ref.grid.bottom_breaks.items()}
+    v1 = {a: config[x] for a, x in ref.grid.bottom_breaks.items()}
     row = datum.bottom
     tau = {}
     for a, b in zip(row, row[1:]):
@@ -250,7 +234,7 @@ class GietFamily:
         return full_family.apply(self.seed, tau)
 
 
-def step(ref: RefConfig, config: Configuration, f) -> Configuration:
+def step(ref: RefConfig, config: tuple, f) -> tuple:
     """One pullback under ``f``, the family map selected by ``config``: send
     every point to the preimage of its index successor.
 
@@ -265,13 +249,13 @@ def step(ref: RefConfig, config: Configuration, f) -> Configuration:
     read, write = ref.runs
     preimages = []
     for a, (lo, hi) in zip(ref.datum.bottom, read):
-        preimages += f.branches[a].inverse_many(config.points[lo:hi])
+        preimages += f.branches[a].inverse_many(config[lo:hi])
     new_points = []
     for (_, crit, _), (lo, hi) in zip(f.top_intervals(), write):
         new_points.append(crit)
         new_points += preimages[lo:hi]
-    out = Configuration(tuple(new_points))
-    if not out.is_valid():
+    out = tuple(new_points)
+    if not is_ordered(out):
         raise OrderViolation("the pullback broke the reference order")
     return out
 
@@ -282,7 +266,7 @@ class SolveReport:
 
     status: str  # realized | fixed_point_tol | boundary | max_iter
     tau: dict
-    config: Configuration
+    config: tuple  # the points, left to right
     iterations: int
     deltas: list
     map: object = None  # the family map at ``tau``; none where no map was selected
@@ -297,7 +281,7 @@ def solve(
     family,
     ref: RefConfig,
     max_iter: int = 500,
-    start: Configuration | None = None,
+    start: tuple | None = None,
 ) -> SolveReport:
     """Iterate the pullback from the reference configuration.
 
@@ -337,9 +321,9 @@ def solve(
         # for fractions; for floats in [0, 1) that are 0 or above 1e-307 it has
         # the bits of 0.5 * old + 0.5 * new, as halving is exact there and both
         # round the same sum once
-        sums = map(operator.add, config.points, pulled.points)
-        new_config = Configuration(tuple(map(operator.truediv, sums, itertools.repeat(2))))
-        delta = config.delta(new_config)
+        sums = map(operator.add, config, pulled)
+        new_config = tuple(map(operator.truediv, sums, itertools.repeat(2)))
+        delta = max(map(abs, map(operator.sub, config, new_config)))
         deltas.append((it + 1, float(delta)))
         settled = delta < EPS_FIX
         config = new_config
@@ -362,6 +346,9 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     its Rauzy class is appended first, and realizing it realizes the prefix.
     The certificate is an independent check: the realized map's dynamical
     partition must be combinatorially equivalent to the model's.
+    The total return time N grows exponentially with the path length, so the
+    solver refuses outright, before building any of its N points, when N
+    would exceed ``MAX_REFERENCE_POINTS``.
     """
     cls = rauzy_class(target_path.source)
     if sigma_and_cyclicity(target_path.target)[1]:
@@ -372,6 +359,11 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
             raise NoCyclicDatum(f"no cyclic datum in the class of {target_path.source}")
         eta = find_path(cls, target_path.target, cyclic)
         full = target_path.concat(eta)
+    N = return_times(full)[1]
+    if N > MAX_REFERENCE_POINTS:
+        raise InductionMismatch(
+            f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
+        )
     ref = build_reference(full)
     report = solve(family, ref, **solve_options)
     if not report.realized:

@@ -217,14 +217,14 @@ def test_criterion_6_pullback_fixed_point():
                 cases.append(path)
         for path in cases:
             ref = build_reference(path)
-            reference = reference_configuration(ref, True).points
+            reference = reference_configuration(ref, True)
             exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
-            assert exact.points == reference
+            assert exact == reference
             approx = pull(
                 GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref, False)
             )
             assert max(
-                abs(a - float(b)) for a, b in zip(approx.points, reference)
+                abs(a - float(b)) for a, b in zip(approx, reference)
             ) <= 1e-12
     report(6, "reference configuration is fixed: exact for rational maps, 1e-12 in floats", t)
 
@@ -265,8 +265,8 @@ def test_criterion_8_every_small_class_has_cyclic_datum():
             while remaining:
                 seed = min(remaining, key=lambda x: x.encode())
                 cls = rauzy_class(seed)
-                assert set(cls.data) <= remaining
-                remaining -= set(cls.data)
+                assert set(cls) <= remaining
+                remaining -= set(cls)
                 classes += 1
                 assert find_cyclic(cls) is not None, f"class of {seed} has no cyclic datum"
     report(8, "every Rauzy class over at most five letters contains a cyclic datum", t)

@@ -817,7 +817,12 @@ def test_dense_partition_svg_draws_only_what_it_resolves(case):
     lines, bands, texts = drawn_partition(text)
     # every atom is in one cell: a band counts its atoms, any other cell holds one
     assert sum(bands) + len(lines) - len(bands) == len(doc["atoms"])
-    assert all(b - a >= svg.MIN_GAP - 0.01 for a, b in zip(lines, lines[1:]))  # printed to 0.01
+    # boundaries are printed to 0.01; only an atom at least MIN_GAP wide may
+    # start closer than MIN_GAP to the boundary before it
+    wide = {f"{svg.MARGIN + lo * svg.SCALE:.2f}" for lo, hi, _ in svg.partition_atoms(doc)[1]
+            if (hi - lo) * svg.SCALE >= svg.MIN_GAP}
+    assert all(b - a >= svg.MIN_GAP - 0.01 or f"{b:.2f}" in wide
+               for a, b in zip(lines, lines[1:]))
     # each text sits inside its cell, so no two texts overlap
     cell_ends = lines + [svg.MARGIN + svg.SCALE * doc["total"]]
     half = [len(label) * svg.CHAR_WIDTH * svg.FONT_SIZE / 2 for _, label in texts]
@@ -828,9 +833,30 @@ def test_dense_partition_svg_draws_only_what_it_resolves(case):
         assert x0 + h0 <= x1 - h1 + 0.01
     if case == "f4@60":
         assert len(doc["atoms"]) == 53_247 and len(text.encode()) <= 500_000
-    if case == "uneven":
-        counts = [label for _, label in texts if label.isdigit()]
-        assert len(counts) >= 5 and len(texts) - len(counts) >= 5
+    if case == "uneven":  # the wide atoms' labels; a band shows its count in its title only
+        assert len(texts) >= 20 and not any(label.isdigit() for _, label in texts)
+
+
+def test_partition_svg_gives_each_wide_atom_its_own_cell():
+    doc = uneven_partition_document(12, 5)
+    total, atoms = svg.partition_atoms(doc)
+    text = svg.render_partition(total, atoms)
+    lines, _, texts = drawn_partition(text)
+    bands = {float(x) for x in re.findall(r'<rect x="([^"]+)" y="40"[^>]*fill="#ccc"', text)}
+    drawn = {f"{x:.2f}": label for x, label in texts}
+    cell_ends = lines + [svg.MARGIN + svg.SCALE * total]
+    wide = [(lo, hi, label) for lo, hi, label in atoms if (hi - lo) * svg.SCALE >= svg.MIN_GAP]
+    assert len(atoms) == 457 and len(wide) == 23
+    shown = 0
+    for lo, hi, label in wide:
+        x, right = svg.MARGIN + lo * svg.SCALE, svg.MARGIN + hi * svg.SCALE
+        i = lines.index(float(f"{x:.2f}"))  # a boundary at its left end
+        assert abs(cell_ends[i + 1] - right) <= 0.01  # and the next one at its right end
+        assert lines[i] not in bands
+        if len(label) * svg.CHAR_WIDTH * svg.FONT_SIZE <= right - x:
+            assert drawn[f"{(x + right) / 2:.2f}"] == label
+            shown += 1
+    assert shown >= 20
 
 
 def test_iet_document_roundtrip(tmp_path):
@@ -922,6 +948,36 @@ def test_partition_of_float_giet_with_class_labels(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert [a["label"] for a in out["atoms"]] == FIG_LABELS
     assert all(isinstance(a["left"], float) for a in out["atoms"])
+
+
+def test_partition_names_classes_beyond_the_solver_point_cap(tmp_path, capsys, monkeypatch):
+    import gietlab.thurston as thurston
+
+    monkeypatch.setattr(thurston, "MAX_REFERENCE_POINTS", 1_000)
+    golden = (math.sqrt(5) - 1) / 2
+    f2 = smooth_giet(D2, [1 - golden, golden], {"A": 2.0, "B": -1.5})
+    assert main(["partition", write_doc(tmp_path, fileio.giet_document(f2)), "-r", "21"]) == 0
+    labels = [a["label"] for a in json.loads(capsys.readouterr().out)["atoms"]]
+    assert len(labels) == 5_919
+    assert labels == class_labels(dynamical_partition(f2, 21))
+    # the cap is the solver's: realize refuses a path whose N is above it
+    family = write_seed_family(tmp_path, D2)
+    assert main(["realize", family, "tb" * 7]) == 1
+    assert capsys.readouterr() == (
+        "", "error: reference configuration needs N=1597 points, beyond the cap 1000\n"
+    )
+
+
+def test_smooth_branch_rounding_out_of_its_range_names_the_letter(tmp_path, capsys):
+    # expm1(-1000 t) / expm1(-1000) is exactly 1.0 for t above about 0.04, so
+    # A's branch onto [0.6, 1.0) sends most of its domain to 1.0
+    ks = {"A": -1000.0, "B": 0.0}
+    g = giet_from_branches(D2, [0.4, 0.6], [0.4, 0.6], lambda a, d, r: SmoothParam(d, r, k=ks[a]))
+    assert main(["partition", write_doc(tmp_path, fileio.giet_document(g)), "-r", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+    assert re.search(r"branch of letter 'A' maps floor \d+ .* to floor \d+ at 1\.0, "
+                     r"outside \[0, 1\.0\)", err), err
 
 
 def test_realize_no_cyclic_exit_code(tmp_path, capsys, monkeypatch):

@@ -235,8 +235,8 @@ def test_rauzy_class_seed_independent():
         letters = "ABCD"[:d]
         seed = parse_datum(" ".join(letters), " ".join(reversed(letters)))
         cls = rauzy_class(seed)
-        for other in cls.data:
-            assert rauzy_class(other).data == cls.data
+        for other in cls:
+            assert rauzy_class(other) == cls
 
 
 def test_find_cyclic():
@@ -291,7 +291,7 @@ def test_every_class_with_small_alphabet_has_cyclic_datum():
         if datum in seen:
             continue
         cls = rauzy_class(datum)
-        seen.update(cls.data)
+        seen.update(cls)
         assert find_cyclic(cls) is not None
 
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from gietlab.branches import SmoothParam
+from gietlab.branches import PiecewiseLinear, SmoothParam
 from gietlab.combinatorics import parse_datum, path_matrix
 from gietlab.errors import GietlabError, PathMismatch
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import dynamical_partition, giet_from_branches, giet_from_iet
-from gietlab.semiconjugacy import MonotonePLMap, build_semiconjugacy, residual
+from gietlab.semiconjugacy import build_semiconjugacy, residual
 from gietlab.thurston import GietFamily, build_reference, realize
 
 D2 = parse_datum("A B", "B A")
@@ -121,16 +121,14 @@ def test_residual_through_the_float_model_equals_the_exact_one():
 
 
 @pytest.mark.parametrize("nodes, message", [
-    (((0.0, 0.1), (1.0, 1.0)), r"node 0 of a monotone map is \(0.0, 0.1\), not \(0.0, 0.0\)"),
-    (((0.0, 0.0), (0.9, 1.0)), r"node 1 of a monotone map is \(0.9, 1.0\), not \(1.0, 1.0\)"),
     (((0.0, 0.0), (0.5, 0.2), (0.5, 0.3), (1.0, 1.0)),
-     "node x must strictly increase: node 2 has x = 0.5 after 0.5"),
+     "node x must increase: node 2 has 0.5 after 0.5"),
     (((0.0, 0.0), (0.4, 0.3), (0.6, 0.2), (1.0, 1.0)),
-     "node y must not decrease: node 2 has y = 0.2 after 0.3"),
-], ids=["first-node", "last-node", "x-repeats", "y-decreases"])
+     "node y must increase: node 2 has 0.2 after 0.3"),
+], ids=["x-repeats", "y-decreases"])
 def test_bad_monotone_map_nodes_are_an_error(nodes, message):
     with pytest.raises(GietlabError, match=message):
-        MonotonePLMap(nodes)
+        PiecewiseLinear(nodes)
 
 
 def conjugacy_maps():

@@ -82,7 +82,7 @@ def test_build_reference_worked_example():
         "A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D": Fraction(2, 11)
     }
     assert labels_in_order(ref) == FIG_LABELS
-    assert sorted(reference_configuration(ref).points) == [Fraction(k, 11) for k in range(11)]
+    assert sorted(reference_configuration(ref)) == [Fraction(k, 11) for k in range(11)]
 
 
 def test_build_reference_requires_cyclic_target():
@@ -93,17 +93,20 @@ def test_build_reference_requires_cyclic_target():
 def test_build_reference_empty_path():
     ref = build_reference(RauzyPath(D2))
     assert ref.N == 2
-    assert sorted(reference_configuration(ref).points) == [Fraction(0), Fraction(1, 2)]
+    assert sorted(reference_configuration(ref)) == [Fraction(0), Fraction(1, 2)]
     assert labels_in_order(ref) == ["A0", "B0"]
 
 
-def test_build_reference_refuses_beyond_the_point_cap():
+def test_realize_refuses_beyond_the_point_cap(monkeypatch):
     # Fibonacci paths on A B / B A: N is a Fibonacci number
     under = RauzyPath.from_kinds(D2, "tb" * 12)
+    over = RauzyPath.from_kinds(D2, "tb" * 12 + "t")
     assert build_reference(under).N == 196_418 <= MAX_REFERENCE_POINTS
-    # one arrow deeper the reference is refused before any orbit point is built
+    assert build_reference(over).N == 317_811  # the reference itself has no cap
+    # one arrow deeper the solver refuses before any orbit point is built
+    monkeypatch.setattr(thurston, "build_reference", None)
     with pytest.raises(InductionMismatch, match=r"N=317811 points, beyond the cap 200000"):
-        build_reference(RauzyPath.from_kinds(D2, "tb" * 12 + "t"))
+        realize(GietFamily(smooth_seed(*FIB_SEED)), over)
 
 
 def test_build_reference_walks_the_model_orbit_once(monkeypatch):
@@ -185,14 +188,14 @@ def test_step_fixed_point_exact_worked_example():
     ref = model_ref()
     config = reference_configuration(ref, exact=True)
     out = pull(ExactIETFamily(D4), ref, config)
-    assert out.points == config.points
+    assert out == config
 
 
 def test_step_fixed_point_float_worked_example():
     ref = model_ref()
     config = reference_configuration(ref, exact=False)
     out = pull(GietFamily(giet_from_iet(ref.base_iet)), ref, config)
-    assert max(abs(a - b) for a, b in zip(out.points, config.points)) <= 1e-12
+    assert max(abs(a - b) for a, b in zip(out, config)) <= 1e-12
 
 
 def test_step_fixed_point_random_cyclic_paths():
@@ -200,14 +203,14 @@ def test_step_fixed_point_random_cyclic_paths():
     for _ in range(10):
         path = random_cyclic_path(rng)
         ref = build_reference(path)
-        reference = reference_configuration(ref, True).points
+        reference = reference_configuration(ref, True)
         exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
-        assert exact.points == reference
+        assert exact == reference
         approx = pull(
             GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref, False)
         )
         assert max(
-            abs(a - float(b)) for a, b in zip(approx.points, reference)
+            abs(a - float(b)) for a, b in zip(approx, reference)
         ) <= 1e-12
 
 
@@ -219,7 +222,7 @@ def test_step_preserves_order_for_nonlinear_families():
         config = reference_configuration(ref, exact=False)
         # the raw pull: ``step`` raises ``OrderViolation`` on a broken order
         out = pull(GietFamily(seed), ref, config)
-        assert out.is_valid()
+        assert thurston.is_ordered(out)
 
 
 def test_step_first_move_bounded_by_inverse_distortion():
@@ -232,7 +235,7 @@ def test_step_first_move_bounded_by_inverse_distortion():
     config = reference_configuration(ref, exact=False)
     f_tau = family.at(tau_of(ref, config))
     out = step(ref, config, f_tau)
-    moved = max(abs(a - b) for a, b in zip(out.points, config.points))
+    moved = max(abs(a - b) for a, b in zip(out, config))
     T = ref.base_iet
     worst = 0.0
     for i in range(1, 512):
@@ -251,15 +254,15 @@ def test_solve_iet_family_realizes_at_reference():
 
 def test_exact_solve_averages_in_fractions():
     ref = fibonacci_ref(8)
-    points = list(reference_configuration(ref, True).points)
+    points = list(reference_configuration(ref, True))
     points[ref.grid.bottom_breaks["A"]] += Fraction(1, 3 * ref.N)  # off the model's tau
-    start = thurston.Configuration(tuple(points))
+    start = tuple(points)
     report = solve(ExactIETFamily(D2), ref, start=start)
     assert report.realized and report.iterations == 1
     pulled = pull(ExactIETFamily(D2), ref, start)
-    halfway = tuple(a / 2 + b / 2 for a, b in zip(start.points, pulled.points))
-    assert report.config.points == halfway
-    assert all(type(v) is Fraction for v in report.config.points)
+    halfway = tuple(a / 2 + b / 2 for a, b in zip(start, pulled))
+    assert report.config == halfway
+    assert all(type(v) is Fraction for v in report.config)
 
 
 def test_solve_boundary_with_absurd_threshold(monkeypatch):
@@ -427,7 +430,7 @@ def test_fixed_point_and_realization_at_five_letters():
         ref = build_reference(path)
         assert pull(
             ExactIETFamily(path.source), ref, reference_configuration(ref, True)
-        ).points == reference_configuration(ref, True).points
+        ) == reference_configuration(ref, True)
     data5 = admissible("ABCDE")
     realized = 0
     while realized < 3:
@@ -448,13 +451,13 @@ def test_fixed_point_and_realization_at_five_letters():
 def test_solve_accepts_perturbed_start():
     ref = model_ref()
     base = reference_configuration(ref, exact=False)
-    bumped = list(base.points)
+    bumped = list(base)
     # every class c but the pinned one moves by 1e-3 * ((c % 3) - 1)
     order = orbit_order(ref)
     for x in range(1, ref.N):
         bumped[x] += 1e-3 * ((order[x] % 3) - 1)
-    start = thurston.Configuration(tuple(bumped))
-    assert start.is_valid()
+    start = tuple(bumped)
+    assert thurston.is_ordered(start)
     lam = [float(x) for x in ref.base_iet.lengths]
     seed = giet_from_branches(
         D4, lam, lam, lambda a, d, r: SmoothParam(d, r, k=1.0 if a == "A" else 0.0)
@@ -467,14 +470,14 @@ def test_tau_of_zero_gap_is_boundary_vector():
     # coincident marked points produce a zero entry, not an error; the solver
     # reports such vectors as boundary
     ref = model_ref()
-    pts = list(reference_configuration(ref, exact=False).points)
+    pts = list(reference_configuration(ref, exact=False))
     # move the point of [C,1] onto the point of [B,1] (consecutive in the
     # bottom row order D, C, B, A)
     order = orbit_order(ref)
     c_pos = order.index((ref.crit_pos["C"] + 1) % ref.N)
     b_pos = order.index((ref.crit_pos["B"] + 1) % ref.N)
     pts[c_pos] = pts[b_pos]
-    squeezed = thurston.Configuration(tuple(pts))
+    squeezed = tuple(pts)
     tau = tau_of(ref, squeezed)
     assert tau["C"] == 0.0
     assert abs(sum(tau.values()) - 1.0) < 1e-15
@@ -540,12 +543,12 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
         ref = build_reference(path)
         expected = _reference_in_fractions(path)
         window = expected.pop("window")
-        points = reference_configuration(ref, True).points
+        points = reference_configuration(ref, True)
         orbit = expected.pop("points")
         geometric = orbit_order(ref)
         assert geometric == expected.pop("geometric")
         assert points == tuple(orbit[c] for c in geometric)
-        assert tuple(map(float, points)) == reference_configuration(ref, False).points
+        assert tuple(map(float, points)) == reference_configuration(ref, False)
         # the class named at every orbit position
         assert tuple(class_at(ref, c) for c in range(ref.N)) == expected.pop("classes")
         for name, value in expected.items():
@@ -644,31 +647,31 @@ def test_class_names_equal_the_fewest_steps_formula():
 def test_is_valid_rejects_each_broken_order():
     ref = model_ref()
     good = reference_configuration(ref, exact=False)
-    assert good.is_valid()
+    assert thurston.is_ordered(good)
     geometric = orbit_order(ref)
 
     def moved(c, x):
         """``good`` with the point of class ``c`` moved to ``x``."""
-        points = list(good.points)
+        points = list(good)
         points[geometric.index(c)] = x
-        return thurston.Configuration(tuple(points))
+        return tuple(points)
 
     def point(c):
-        return good.points[geometric.index(c)]
+        return good[geometric.index(c)]
 
     left, right = geometric[1], geometric[2]
-    assert not moved(right, point(left)).is_valid()  # a repeated point
-    assert not moved(geometric[-1], 1.0).is_valid()  # a point at 1
-    assert not moved(0, 1e-3).is_valid()  # the pinned class is not at 0
+    assert not thurston.is_ordered(moved(right, point(left)))  # a repeated point
+    assert not thurston.is_ordered(moved(geometric[-1], 1.0))  # a point at 1
+    assert not thurston.is_ordered(moved(0, 1e-3))  # the pinned class is not at 0
 
 
 def test_is_valid_rejects_a_nan_point():
     ref = model_ref()
-    good = reference_configuration(ref, exact=False).points
+    good = reference_configuration(ref, exact=False)
     for rank in (0, 1, 2, -1):  # the pinned class, interior points, the rightmost one
         points = list(good)
         points[rank] = float("nan")  # the point at grid point rank
-        assert not thurston.Configuration(tuple(points)).is_valid()
+        assert not thurston.is_ordered(tuple(points))
 
 
 def old_is_valid(geometric, points):
@@ -694,7 +697,7 @@ def old_step(family, ref, config):
     f = family.at(tau_of(ref, config))
     N = ref.N
     geometric = orbit_order(ref)
-    points = by_class(geometric, config.points)
+    points = by_class(geometric, config)
     new_points = [None] * N
     for a, lo, _ in f.top_intervals():
         new_points[ref.crit_pos[a]] = lo
@@ -716,10 +719,8 @@ def test_step_returns_the_points_of_the_per_point_pullback():
     config = reference_configuration(ref, exact=False)
     for _ in range(8):
         pulled = pull(family, ref, config)
-        assert pulled.points == old_step(family, ref, config)
-        config = thurston.Configuration(
-            tuple(0.5 * a + 0.5 * b for a, b in zip(config.points, pulled.points))
-        )
+        assert pulled == old_step(family, ref, config)
+        config = tuple(0.5 * a + 0.5 * b for a, b in zip(config, pulled))
 
 
 def smooth_seed(datum, lengths, ks):
@@ -859,7 +860,7 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
     def checking(ref, config, f):
         read, _ = ref.runs
         for a, (lo, hi) in zip(ref.datum.bottom, read):
-            for y in config.points[lo:hi]:
+            for y in config[lo:hi]:
                 assert f.datum.bottom[exact_iet._row_index(f._bottom_cuts, y, f.snap)] == a
             checked.append(hi - lo)
         return original(ref, config, f)
@@ -883,10 +884,10 @@ def test_step_on_a_nan_point_raises_order_violation(exact):
     read, _ = ref.runs
     for lo, hi in read:
         for x in range(lo, hi):
-            points = list(good.points)
+            points = list(good)
             points[x] = float("nan")
             with pytest.raises(OrderViolation):
-                step(ref, thurston.Configuration(tuple(points)), f)
+                step(ref, tuple(points), f)
 
 
 def letter_seed(d, branch_a=None):
