@@ -163,28 +163,30 @@ class SmoothParam(Branch):
     domain: tuple[float, float]
     range_: tuple[float, float]
     k: float = 1.0
+    # (a, b - a, c, d - c, k, expm1(k)) for domain (a, b) and range (c, d)
+    _consts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        (a, b), (c, d) = self.domain, self.range_
+        object.__setattr__(self, "_consts", (a, b - a, c, d - c, self.k, math.expm1(self.k)))
 
     def eval(self, x):
-        a, b = self.domain
-        c, d = self.range_
-        t = (x - a) / (b - a)
-        s = t if self.k == 0.0 else math.expm1(self.k * t) / math.expm1(self.k)
-        return c + (d - c) * s
+        a, w, c, h, k, em = self._consts
+        t = (x - a) / w
+        s = t if k == 0.0 else math.expm1(k * t) / em
+        return c + h * s
 
     def inverse(self, y):
-        a, b = self.domain
-        c, d = self.range_
-        s = (y - c) / (d - c)
-        t = s if self.k == 0.0 else math.log1p(s * math.expm1(self.k)) / self.k
-        return a + (b - a) * t
+        a, w, c, h, k, em = self._consts
+        s = (y - c) / h
+        t = s if k == 0.0 else math.log1p(s * em) / k
+        return a + w * t
 
     def inverse_many(self, ys):
-        a, b = self.domain
-        c, d = self.range_
-        w, h, k = b - a, d - c, self.k
+        a, w, c, h, k, em = self._consts
         if k == 0.0:
             return [a + w * ((y - c) / h) for y in ys]
-        em, log1p = math.expm1(k), math.log1p
+        log1p = math.log1p
         return [a + w * (log1p((y - c) / h * em) / k) for y in ys]
 
     def rescaled(self, domain, range_):
@@ -232,12 +234,30 @@ class Chain(Branch):
         return Chain((Affine(domain, self.domain), self, Affine(self.range_, range_)))
 
 
-def compose(first: Branch, then: Branch) -> Chain:
+def _parts(branch: Branch, cut=None) -> tuple:
+    """The parts of ``branch``, or of ``restrict(branch, *cut)`` given a cut."""
+    if cut is not None and isinstance(branch, (Translation, Affine)):
+        return (type(branch)(cut[:2], cut[2:]),)
+    return branch.parts if type(branch) is Chain else (branch,)
+
+
+def _chain(parts: tuple, domain, range_) -> Chain:
+    """``Chain(parts, domain, range_)`` for parts that hold no chain, without
+    the flattening loop of ``Chain.__init__``."""
+    chain = object.__new__(Chain)
+    chain.__dict__.update(parts=parts, domain=domain, range_=range_)
+    return chain
+
+
+def compose(first: Branch, then: Branch, first_cut=None, then_cut=None) -> Chain:
     """The branch ``then o first``: one chain holding the parts of both.
+
+    A cut ``(lo, hi, c, d)`` stands for ``restrict(branch, lo, hi, c, d)`` in
+    place of that branch, without building the restriction on its own.
 
     >>> t = Translation((0.0, 0.5), (0.5, 1.0))
     >>> squeeze = Affine((0.5, 1.0), (0.0, 0.25))
-    >>> c = compose(compose(t, squeeze), restrict(t, 0.0, 0.25, 0.5, 0.75))
+    >>> c = compose(compose(t, squeeze), t, then_cut=(0.0, 0.25, 0.5, 0.75))
     >>> [type(p).__name__ for p in c.parts], c.domain, c.range_
     (['Translation', 'Affine', 'Translation'], (0.0, 0.5), (0.5, 0.75))
     >>> c.eval(0.25), c.inverse(0.625)
@@ -245,7 +265,9 @@ def compose(first: Branch, then: Branch) -> Chain:
     >>> restrict(c, 0.0, 0.25, 0.5, 0.625).parts == c.parts
     True
     """
-    return Chain((first, then))
+    domain = first.domain if first_cut is None else first_cut[:2]
+    range_ = then.range_ if then_cut is None else then_cut[2:]
+    return _chain(_parts(first, first_cut) + _parts(then, then_cut), domain, range_)
 
 
 def restrict(branch: Branch, lo: float, hi: float, c: float, d: float) -> Branch:
@@ -256,4 +278,4 @@ def restrict(branch: Branch, lo: float, hi: float, c: float, d: float) -> Branch
     """
     if isinstance(branch, (Translation, Affine)):
         return type(branch)((lo, hi), (c, d))
-    return Chain((branch,), (lo, hi), (c, d))
+    return _chain(_parts(branch), (lo, hi), (c, d))

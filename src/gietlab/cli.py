@@ -25,7 +25,6 @@ from .combinatorics import (
     parse_datum_text,
     path_matrix,
     rauzy_class,
-    return_times,
     sigma_and_cyclicity,
 )
 from .errors import GietlabError, NoCyclicDatum, SolverFailed
@@ -63,9 +62,9 @@ def cmd_path(args) -> int:
     matrix = path_matrix(path)
     print("matrix:")
     print(matrix)
-    q, n = return_times(path)
+    q = matrix.row_sums()
     print("q:", " ".join(f"{a}={q[a]}" for a in datum.alphabet))
-    print("N:", n)
+    print("N:", sum(q.values()))
     print("target:", path.target.encode())
     print("target cyclic:", sigma_and_cyclicity(path.target)[1])
     return 0

@@ -22,7 +22,7 @@ enumeration uses lexicographic order on the two-row text encoding.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .errors import (
@@ -52,6 +52,8 @@ class CombinatorialDatum:
 
     top: tuple[str, ...]
     bottom: tuple[str, ...]
+    # the dataclass hash, kept: memoized Rauzy arrows look a datum up per step
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.top) != len(set(self.top)):
@@ -62,6 +64,10 @@ class CombinatorialDatum:
             raise RowMismatch(
                 f"rows {' '.join(self.top)!r} and {' '.join(self.bottom)!r} do not match"
             )
+        object.__setattr__(self, "_hash", hash((self.top, self.bottom)))
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:
@@ -191,7 +197,7 @@ class RauzyPath:
     def __post_init__(self):
         prev = self.source
         for i, a in enumerate(self.arrows):
-            if a.source != prev:
+            if a.source is not prev and a.source != prev:
                 raise IncompatibleArrows(f"arrow {i} ({a}) does not start at {prev}")
             prev = a.target
 

@@ -52,16 +52,16 @@ class Giet(Exchange):
 
     def rauzy_step(self):
         """One induction step: first return to the interval cut at the larger
-        of the two rightmost critical data.  Returns ``(induced, arrow)``."""
+        of the two rightmost critical data.  Returns ``(induced, arrow)``; the
+        rows and branches that do not change are shared, never copied."""
         alpha_t = self.datum.top[-1]
         alpha_b = self.datum.bottom[-1]
         x_t = self.top_breaks[alpha_t]
         x_b = self.bottom_breaks[alpha_b]
         if abs(x_t - x_b) <= EPS_TIE:
             raise TieError(f"critical data coincide at {x_t}")
-        branches = dict(self.branches)
-        top_breaks = dict(self.top_breaks)
-        br_t, br_b = self.branches[alpha_t], self.branches[alpha_b]
+        branches = self.branches.copy()
+        br_t, br_b = branches[alpha_t], branches[alpha_b]
         if x_t < x_b:
             # the top branch's image of x_b splits it; its two pieces keep
             # the known endpoints of the old range
@@ -70,7 +70,8 @@ class Giet(Exchange):
             y = br_t.eval(x_b)
             c, d = br_t.range_
             branches[alpha_t] = restrict(br_t, x_t, x_b, c, y)
-            branches[alpha_b] = compose(br_b, restrict(br_t, x_b, self.length, y, d))
+            branches[alpha_b] = compose(br_b, br_t, then_cut=(x_b, self.length, y, d))
+            top_breaks = self.top_breaks
             bottom_breaks = {a: branches[a].range_[0] for a in self.datum.alphabet}
         else:
             # the bottom branch's preimage of x_t splits it
@@ -80,10 +81,15 @@ class Giet(Exchange):
             hi = br_b.domain[1]
             c, d = br_b.range_
             branches[alpha_b] = restrict(br_b, self.top_breaks[alpha_b], cut, c, x_t)
-            branches[alpha_t] = compose(restrict(br_b, cut, hi, x_t, d), br_t)
+            branches[alpha_t] = compose(br_b, br_t, first_cut=(cut, hi, x_t, d))
+            top_breaks = self.top_breaks.copy()
             top_breaks[alpha_t] = cut
-            bottom_breaks = dict(self.bottom_breaks)
-        induced = Giet(arrow.target, new_length, top_breaks, bottom_breaks, branches)
+            bottom_breaks = self.bottom_breaks
+        # not through the frozen dataclass __init__, which sets each field
+        # with object.__setattr__
+        induced = object.__new__(Giet)
+        induced.__dict__.update(datum=arrow.target, length=new_length, top_breaks=top_breaks,
+                                bottom_breaks=bottom_breaks, branches=branches)
         return induced, arrow
 
     def rauzy_path(self, r: int, kinds: str | None = None) -> InductionResult:

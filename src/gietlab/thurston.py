@@ -36,7 +36,6 @@ from .combinatorics import (
     find_path,
     path_matrix,
     rauzy_class,
-    return_times,
     sigma_and_cyclicity,
 )
 from .errors import (
@@ -83,18 +82,14 @@ class RefConfig:
         return self.path.source
 
     @cached_property
-    def runs(self) -> tuple[tuple, tuple]:
+    def runs(self) -> tuple:
         """The grid slices of the bottom intervals but their first points, in
-        bottom-row order: the points a step pulls back, left to right.  Then,
-        in top-row order, the slices of their preimages that fill the top
-        intervals after their first points."""
+        bottom-row order: the points a step pulls back, left to right.  The
+        preimages of a letter's run fill its top interval after its first
+        point."""
         u_b = self.grid.bottom_breaks
         lam = self.grid.lengths_by_letter()
-        bottom = self.datum.bottom
-        read = tuple((u_b[a] + 1, u_b[a] + lam[a]) for a in bottom)
-        # bottom letter i's run starts after the i first points left out
-        write = {a: (u_b[a] - i, u_b[a] - i + lam[a] - 1) for i, a in enumerate(bottom)}
-        return read, tuple(write[a] for a in self.datum.top)
+        return tuple((u_b[a] + 1, u_b[a] + lam[a]) for a in self.datum.bottom)
 
     @cached_property
     def _starts(self) -> tuple[list, list]:
@@ -119,8 +114,9 @@ class RefConfig:
 MAX_REFERENCE_POINTS = 200_000
 
 
-def build_reference(path: RauzyPath) -> RefConfig:
-    """Construct the reference data of a path ending at a cyclic datum.
+def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
+    """Construct the reference data of a path ending at a cyclic datum;
+    ``matrix``, if given, is the path's matrix, so it is not built again.
 
     The model IET is cross-checked: it must reproduce the path's arrows under
     exact induction, which also rejects lengths outside the path's cone, and
@@ -129,7 +125,8 @@ def build_reference(path: RauzyPath) -> RefConfig:
     """
     if not sigma_and_cyclicity(path.target)[1]:
         raise TargetNotCyclic(f"{path.target} is not cyclic")
-    matrix = path_matrix(path)
+    if matrix is None:
+        matrix = path_matrix(path)
     q = matrix.row_sums()
     N = sum(q.values())
     cols = matrix.col_sums()
@@ -246,14 +243,14 @@ def step(ref: RefConfig, config: tuple, f) -> tuple:
     point is located by its value.  A result out of the reference order
     raises ``OrderViolation``.
     """
-    read, write = ref.runs
-    preimages = []
-    for a, (lo, hi) in zip(ref.datum.bottom, read):
-        preimages += f.branches[a].inverse_many(config[lo:hi])
+    preimages = {
+        a: f.branches[a].inverse_many(config[lo:hi])
+        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs)
+    }
     new_points = []
-    for (_, crit, _), (lo, hi) in zip(f.top_intervals(), write):
-        new_points.append(crit)
-        new_points += preimages[lo:hi]
+    for a in ref.datum.top:
+        new_points.append(f.top_breaks[a])
+        new_points += preimages[a]
     out = tuple(new_points)
     if not is_ordered(out):
         raise OrderViolation("the pullback broke the reference order")
@@ -296,6 +293,7 @@ def solve(
     pullback, so it converges where the bare loop bounces.
     """
     config = start if start is not None else reference_configuration(ref, family.exact)
+    r, kinds = len(ref.path), ref.path.kinds
     deltas: list[tuple[int, float]] = []
     settled = False
     for it in itertools.count():
@@ -307,7 +305,7 @@ def solve(
         if faces:
             return SolveReport("boundary", tau, config, it, deltas, faces=faces)
         f = family.at(tau)
-        if f.rauzy_path(len(ref.path), ref.path.kinds).path.kinds == ref.path.kinds:
+        if f.rauzy_path(r, kinds).path.kinds == kinds:
             return SolveReport("realized", tau, config, it, deltas, f)
         if settled:
             return SolveReport("fixed_point_tol", tau, config, it, deltas, f)
@@ -317,12 +315,11 @@ def solve(
             pulled = step(ref, config, f)
         except OrderViolation:
             return SolveReport("boundary", tau, config, it, deltas, f)
-        # (old + new) / 2, class by class, without a Python-level loop: exact
-        # for fractions; for floats in [0, 1) that are 0 or above 1e-307 it has
-        # the bits of 0.5 * old + 0.5 * new, as halving is exact there and both
-        # round the same sum once
-        sums = map(operator.add, config, pulled)
-        new_config = tuple(map(operator.truediv, sums, itertools.repeat(2)))
+        # (old + new) / 2, class by class: exact for fractions; for floats in
+        # [0, 1) that are 0 or above 1e-307 it has the bits of
+        # 0.5 * old + 0.5 * new, as halving is exact there and both round the
+        # same sum once
+        new_config = tuple([(c + p) / 2 for c, p in zip(config, pulled)])
         delta = max(map(abs, map(operator.sub, config, new_config)))
         deltas.append((it + 1, float(delta)))
         settled = delta < EPS_FIX
@@ -359,12 +356,13 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
             raise NoCyclicDatum(f"no cyclic datum in the class of {target_path.source}")
         eta = find_path(cls, target_path.target, cyclic)
         full = target_path.concat(eta)
-    N = return_times(full)[1]
+    matrix = path_matrix(full)
+    N = sum(matrix.row_sums().values())
     if N > MAX_REFERENCE_POINTS:
         raise InductionMismatch(
             f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
         )
-    ref = build_reference(full)
+    ref = build_reference(full, matrix)
     report = solve(family, ref, **solve_options)
     if not report.realized:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)

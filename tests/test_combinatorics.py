@@ -342,3 +342,24 @@ def test_memoized_rauzy_step_equals_the_plain_one():
     fresh = parse_datum("A B C D", "D C B A")
     assert fresh is not D4 and rauzy_step(fresh, "b") == rauzy_step(D4, "b")
     assert is_admissible(fresh) == is_admissible.__wrapped__(fresh)
+
+
+def test_datum_hash_is_the_row_hash_computed_once():
+    for datum in admissible("ABCD"):
+        assert hash(datum) == hash((datum.top, datum.bottom))
+        fresh = CombinatorialDatum(tuple(datum.top), tuple(datum.bottom))
+        assert fresh is not datum and fresh == datum and hash(fresh) == hash(datum)
+    # the hash is kept from construction, not recomputed from the rows
+    datum = parse_datum("A B C", "C B A")
+    expected = hash(datum)
+    object.__setattr__(datum, "top", ("C", "A", "B"))
+    assert hash(datum) == expected != hash((datum.top, datum.bottom))
+
+
+def test_path_accepts_equal_but_distinct_sources():
+    # arrows chain by identity on induction, and by equality when rebuilt
+    arrows = RauzyPath.from_kinds(D4, "bbt").arrows
+    fresh = parse_datum("A B C D", "D C B A")
+    assert RauzyPath(fresh, arrows).arrows == arrows
+    with pytest.raises(IncompatibleArrows):
+        RauzyPath(D4, arrows[1:])

@@ -612,16 +612,16 @@ def test_pull_order_equals_the_per_step_comprehension():
     refs += random_completed_refs(random.Random(73), 20)
     for ref in refs:
         geometric = orbit_order(ref)
-        read, write = ref.runs
-        pulled = [x for lo, hi in read for x in range(lo, hi)]
+        pulled = [x for lo, hi in ref.runs for x in range(lo, hi)]
         assert tuple(geometric[x] for x in pulled) == old_pull_order(ref, geometric)
         assert len(pulled) == ref.N - ref.datum.d
-        # the preimage of the point read at x lands on its class's index predecessor
+        # the preimage of the point read at x lands on its class's index
+        # predecessor: a letter's run fills its top interval after its first point
         u_t = ref.grid.breakpoints()[0]
         landed = {}
-        for (lo, hi), a in zip(write, ref.datum.top):
+        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
             for k in range(hi - lo):
-                landed[pulled[lo + k]] = u_t[a] + 1 + k
+                landed[lo + k] = u_t[a] + 1 + k
         assert sorted(landed) == pulled
         assert all(geometric[y] == (geometric[x] - 1) % ref.N for x, y in landed.items())
 
@@ -858,8 +858,7 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
     original = thurston.step
 
     def checking(ref, config, f):
-        read, _ = ref.runs
-        for a, (lo, hi) in zip(ref.datum.bottom, read):
+        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
             for y in config[lo:hi]:
                 assert f.datum.bottom[exact_iet._row_index(f._bottom_cuts, y, f.snap)] == a
             checked.append(hi - lo)
@@ -881,8 +880,7 @@ def test_step_on_a_nan_point_raises_order_violation(exact):
     family = ExactIETFamily(D4) if exact else GietFamily(smooth_seed(*WORKED_SEED))
     good = reference_configuration(ref, exact)
     f = family.at(tau_of(ref, good))
-    read, _ = ref.runs
-    for lo, hi in read:
+    for lo, hi in ref.runs:
         for x in range(lo, hi):
             points = list(good)
             points[x] = float("nan")
