@@ -83,9 +83,7 @@ def _check_order(r: int) -> int:
 
 
 def cmd_induct(args) -> int:
-    m = fileio.load_map(args.map_file)
-    if not isinstance(m, ExactIET):
-        raise GietlabError("induct expects an exact IET document")
+    m = fileio.load_map(args.map_file, ("iet",))
     result = m.rauzy_path(_check_order(args.order))
     print("kinds:", result.path.kinds or "(empty)")
     print("winners:", " ".join(result.path.winners) or "(none)")
@@ -130,7 +128,7 @@ def _float_atoms(partition, labels):
 def cmd_realize(args) -> int:
     if not 0 <= args.max_iter <= MAX_ITER_CAP:
         raise GietlabError(f"--max-iter must be between 0 and {MAX_ITER_CAP}, got {args.max_iter}")
-    seed = fileio.giet_from_document(fileio.load_document(args.family_file, "'giet' document"))
+    seed = fileio.load_map(args.family_file, ("giet",))
     target = RauzyPath.from_kinds(seed.datum, _kinds(args.kinds))
     try:
         result = realize(GietFamily(seed), target, max_iter=args.max_iter)
@@ -153,15 +151,7 @@ def cmd_realize(args) -> int:
     for it, delta in report.deltas:
         print(f"delta {it} {delta:.6e}")
     if args.output:
-        doc = {
-            "status": report.status,
-            "iterations": report.iterations,
-            "certificate": result.certificate,
-            "appended": result.appended,
-            "tau": {a: result.tau[a] for a in seed.datum.alphabet},
-            "deltas": [[it, d] for it, d in report.deltas],
-        }
-        fileio.dump(doc, args.output)
+        fileio.dump(fileio.realize_document(result), args.output)
     return 0
 
 
@@ -169,10 +159,8 @@ def cmd_semiconj(args) -> int:
     for option, n in (("--samples", args.samples), ("--spot-check", args.spot_check)):
         if n < 0:
             raise GietlabError(f"{option} must not be negative, got {n}")
-    f = fileio.load_map(args.giet_file)
-    T = fileio.load_map(args.iet_file)
-    if not isinstance(f, Giet) or not isinstance(T, ExactIET):
-        raise GietlabError("semiconj expects a GIET document and an IET document")
+    f = fileio.load_map(args.giet_file, ("giet",))
+    T = fileio.load_map(args.iet_file, ("iet",))
     r = _check_order(args.order)
     h = build_semiconjugacy(f, T, r)
     print("\n".join(f"{x:.12f}\t{y:.12f}" for x, y in h.nodes))
@@ -185,17 +173,10 @@ def cmd_semiconj(args) -> int:
 
 
 def cmd_render(args) -> int:
-    doc = fileio.load_document(args.input, "document")
-    kind = doc.get("kind")
-    if kind == "partition":
-        with fileio.reading("partition"):
-            text = svg.render_partition(*svg.partition_atoms(doc))
-    elif kind == "giet":
-        text = svg.render_giet(fileio.giet_from_document(doc))
-    elif kind == "iet":
-        text = svg.render_giet(giet_from_iet(fileio.iet_from_document(doc)))
-    else:
-        raise GietlabError(f"cannot render document kind {kind!r}")
+    doc = fileio.load_map(args.input, ("partition", "giet", "iet"))
+    if isinstance(doc, ExactIET):
+        doc = giet_from_iet(doc)
+    text = svg.render_giet(doc) if isinstance(doc, Giet) else svg.render_partition(*doc)
     with open(args.out, "w") as fh:
         fh.write(text)
     return 0

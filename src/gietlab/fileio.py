@@ -1,8 +1,9 @@
-"""JSON documents for IETs, GIETs and partitions.
+"""JSON documents for IETs, GIETs, partitions and ``realize`` reports.
 
 Exact rationals serialize as ``"p/q"`` strings, floats as JSON numbers, so a
 document round-trips without losing exactness.  Field names are fixed; see
-the README for the schemas.
+the README for the schemas.  ``load_map`` reads every document file, checks
+it field by field and accepts only the kinds its caller names.
 """
 
 from __future__ import annotations
@@ -246,22 +247,63 @@ def partition_json(p: DynamicalPartition, total, labels) -> str:
             f'"order": {p.order}, "total": {_num_json(total)}}}')
 
 
-def load_document(path: str, what: str) -> dict:
-    """Read a JSON document, which must be an object; ``what`` names the
-    document expected, for the error message."""
+def partition_from_document(doc: dict) -> tuple[float, list]:
+    """The ``total`` and the atoms' ``(left, right, label)`` of a partition
+    document, in floats, every atom checked."""
+    with reading("partition"):
+        total = _endpoint(doc["total"], "partition document field 'total'")
+        atoms = doc["atoms"]
+        if not isinstance(atoms, list):
+            raise GietlabError(
+                f"partition document field 'atoms' must be a list, got {type(atoms).__name__}"
+            )
+        read = []
+        for i, atom in enumerate(atoms):
+            field = f"partition document field 'atoms': entry {i}"
+            left, right, label = (_object(atom, field)[k] for k in ("left", "right", "label"))
+            if not isinstance(label, str):
+                raise GietlabError(f"{field} field 'label' must be a string, got {label!r}")
+            read.append((_endpoint(left, f"{field} field 'left'"),
+                         _endpoint(right, f"{field} field 'right'"), label))
+    return total, read
+
+
+def _endpoint(v, what: str) -> float:
+    """A partition endpoint or total as a float: a ``"p/q"`` string is divided
+    as two integers, which is correctly rounded at any size; anything else
+    is read by ``_number``."""
+    if isinstance(v, str) and "/" in v:
+        try:
+            num, den = v.split("/")
+            return int(num) / int(den)
+        except (ArithmeticError, ValueError):
+            raise GietlabError(f"{what} must be a finite number or a 'p/q' string, got {v!r}") from None
+    return _number(v, what)
+
+
+def realize_document(result) -> dict:
+    """The report ``realize -o`` writes for a ``thurston.RealizeResult``."""
+    report = result.report
+    return {"status": report.status, "iterations": report.iterations,
+            "certificate": result.certificate, "appended": result.appended,
+            "tau": dict(result.tau), "deltas": [[it, d] for it, d in report.deltas]}
+
+
+def load_map(path: str, kinds=("iet", "giet")):
+    """Read a document whose ``kind`` is one of ``kinds``: an ``ExactIET``,
+    a ``Giet``, or a partition's ``(total, atoms)``."""
+    *rest, last = map(repr, kinds)
+    accepted = f"{', '.join(rest)} or {last}" if rest else last
     with open(path) as fh:
-        return _object(json.load(fh), f"the {what} in {path}")
-
-
-def load_map(path: str):
-    """Read an IET or GIET document; the ``kind`` field decides which."""
-    doc = load_document(path, "'iet' or 'giet' document")
+        doc = _object(json.load(fh), f"the {accepted} document in {path}")
     kind = doc.get("kind")
+    if kind not in kinds:
+        raise GietlabError(f"expected a document of kind {accepted}, got kind {kind!r}")
     if kind == "iet":
         return iet_from_document(doc)
     if kind == "giet":
         return giet_from_document(doc)
-    raise GietlabError(f"expected an 'iet' or 'giet' document, got kind {kind!r}")
+    return partition_from_document(doc)
 
 
 def dump(doc: dict | str, path: str | None) -> str:

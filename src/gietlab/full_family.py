@@ -29,6 +29,15 @@ from .errors import AllZero, DatumMismatch, DegenerateTau, GietlabError
 from .giet import Giet
 
 
+def _sum(xs) -> float:
+    """The float sum of ``xs``, added left to right: from Python 3.12 on,
+    ``sum`` of floats is compensated, so its bits depend on the version."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
     """``tau`` as a float per letter; a NaN or infinite entry is an error."""
     values = [tau[a] for a in datum.alphabet] if isinstance(tau, dict) else tau
@@ -65,7 +74,7 @@ def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
     phi = {}
     for a, lo, hi in f.bottom_intervals():
         phi[a] = tau[a] / (hi - lo)
-    rescale = sum(phi[a] * (hi - lo) for a, lo, hi in f.top_intervals())
+    rescale = _sum(phi[a] * (hi - lo) for a, lo, hi in f.top_intervals())
     psi = {a: phi[a] / rescale for a in f.datum.alphabet}
     return FamilySlopes(phi, rescale, psi)
 
@@ -146,7 +155,7 @@ def boundary_apply(f: Giet, tau) -> Degeneration:
     singular = {}
     for a in zeros:
         x = top_breaks[a]
-        y = sum(tau[c] for c in f.datum.alphabet if f.datum.pi_b(c) <= f.datum.pi_b(a))
+        y = _sum(tau[c] for c in f.datum.alphabet if f.datum.pi_b(c) <= f.datum.pi_b(a))
         singular[a] = (x, y)
     return Degeneration(f.datum, reduced, regular, singular)
 
@@ -168,7 +177,7 @@ def extended_distance(a, b, samples: int = 64) -> float:
             obj = obj.regular
         return _graph(obj, letter, samples)
 
-    return sum(_hausdorff(component(a, x), component(b, x)) for x in a.datum.alphabet)
+    return _sum(_hausdorff(component(a, x), component(b, x)) for x in a.datum.alphabet)
 
 
 def _graph(g: Giet, letter: str, samples: int):

@@ -220,11 +220,11 @@ class DynamicalPartition:
 def dynamical_partition(m, r: int) -> DynamicalPartition:
     """Partition of order ``r``: atoms ``f^i(I^t_alpha(f^(r)))`` labeled ``(alpha, i)``.
 
-    Works for exact IETs (exact endpoints) and float GIETs alike.  An exact
-    IET is partitioned on its integer grid, and the endpoints are turned
-    into fractions at the end.
+    Works for exact IETs (exact endpoints) and float GIETs alike.  An IET with
+    ``int`` lengths has ``int`` atom ends; one with fractions is partitioned on
+    its integer grid, and the endpoints are turned into fractions at the end.
     """
-    exact = isinstance(m, ExactIET)
+    exact = isinstance(m, ExactIET) and not isinstance(m.lengths[0], int)
     if exact:
         m, D = m.on_integer_grid()
     result = _induce_fully(m, r)

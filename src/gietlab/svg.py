@@ -1,14 +1,12 @@
 """SVG rendering of interval partitions and GIET graphs.
 
 Fixed coordinate scale: 1000 SVG units per unit interval, so outputs are
-diff-able across runs.
+diff-able across runs.  It only draws: ``fileio`` reads and checks documents.
 """
 
 from __future__ import annotations
 
 from html import escape
-
-from .errors import GietlabError
 
 SCALE = 1000.0
 MARGIN = 40.0
@@ -114,34 +112,3 @@ def render_giet(g, samples: int = 64) -> str:
         )
     return _svg(width, height, body)
 
-
-def partition_atoms(doc: dict) -> tuple[float, list]:
-    """The ``total`` and the atoms' ``(left, right, label)`` of a partition
-    document, every atom checked; a missing key raises ``KeyError``."""
-    total = eval_frac(doc["total"])
-    atoms = doc["atoms"]
-    if not isinstance(atoms, list):
-        raise GietlabError(
-            f"partition document field 'atoms' must be a list, got {type(atoms).__name__}"
-        )
-    read = []
-    for i, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise GietlabError(
-                f"partition document field 'atoms': entry {i} must be a JSON object, "
-                f"got {type(atom).__name__}"
-            )
-        read.append((eval_frac(atom["left"]), eval_frac(atom["right"]), atom["label"]))
-    return total, read
-
-
-def eval_frac(value) -> float:
-    """Numeric value of a document number: a float, or a "p/q" string divided
-    as two integers, which is correctly rounded at any size."""
-    try:
-        if isinstance(value, str) and "/" in value:
-            num, den = value.split("/")
-            return int(num) / int(den)
-        return float(value)
-    except (ArithmeticError, TypeError, ValueError):
-        raise GietlabError(f"cannot read the number {value!r}") from None

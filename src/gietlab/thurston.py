@@ -342,7 +342,7 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     If the path does not end at a cyclic datum, a shortest completion inside
     its Rauzy class is appended first, and realizing it realizes the prefix.
     The certificate is an independent check: the realized map's dynamical
-    partition must be combinatorially equivalent to the model's.
+    partition must be combinatorially equivalent to the model's on ``ref.grid``.
     The total return time N grows exponentially with the path length, so the
     solver refuses outright, before building any of its N points, when N
     would exceed ``MAX_REFERENCE_POINTS``.
@@ -368,7 +368,7 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)
     certificate = partitions_equivalent(
         dynamical_partition(report.map, len(full)),
-        dynamical_partition(ref.base_iet, len(full)),
+        dynamical_partition(ref.grid, len(full)),
     )
     return RealizeResult(
         tau=report.tau,

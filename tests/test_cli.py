@@ -130,6 +130,17 @@ def test_partition_document_and_svg(tmp_path, capsys):
     assert positions == sorted(positions)
 
 
+@pytest.mark.parametrize("write, order", [(write_model_iet, 5), (write_seed_family, 16)],
+                         ids=["exact-iet", "float-giet"])
+def test_render_of_a_written_partition_is_its_svg_figure(tmp_path, write, order):
+    doc, figure, rendered = (tmp_path / name for name in ("p.json", "p.svg", "r.svg"))
+    argv = ["partition", write(tmp_path), "-r", str(order), "-o", str(doc), "--svg", str(figure)]
+    assert main(argv) == 0
+    assert main(["render", str(doc), "-o", str(rendered)]) == 0
+    assert len(json.loads(doc.read_text())["atoms"]) > 10
+    assert rendered.read_bytes() == figure.read_bytes()
+
+
 def test_partition_order_zero_labels(tmp_path, capsys):
     iet = write_model_iet(tmp_path)
     assert main(["partition", iet, "-r", "0"]) == 0
@@ -665,7 +676,7 @@ def test_partition_labels_are_escaped_in_svg():
         {"left": 0.0, "right": 0.5, "letter": "A", "index": 0, "label": "<A&0>"},
         {"left": 0.5, "right": 1.0, "letter": "B", "index": 0, "label": "B0"},
     ]}
-    text = svg.render_partition(*svg.partition_atoms(doc))
+    text = svg.render_partition(*fileio.partition_from_document(doc))
     assert ">&lt;A&amp;0&gt;</text>" in text
     assert "<A&0>" not in text
 
@@ -813,13 +824,14 @@ def test_dense_partition_svg_draws_only_what_it_resolves(case):
         ]}
     else:
         doc = uneven_partition_document(12, 5)
-    text = svg.render_partition(*svg.partition_atoms(doc))
+    total, atoms = fileio.partition_from_document(doc)
+    text = svg.render_partition(total, atoms)
     lines, bands, texts = drawn_partition(text)
     # every atom is in one cell: a band counts its atoms, any other cell holds one
     assert sum(bands) + len(lines) - len(bands) == len(doc["atoms"])
     # boundaries are printed to 0.01; only an atom at least MIN_GAP wide may
     # start closer than MIN_GAP to the boundary before it
-    wide = {f"{svg.MARGIN + lo * svg.SCALE:.2f}" for lo, hi, _ in svg.partition_atoms(doc)[1]
+    wide = {f"{svg.MARGIN + lo * svg.SCALE:.2f}" for lo, hi, _ in atoms
             if (hi - lo) * svg.SCALE >= svg.MIN_GAP}
     assert all(b - a >= svg.MIN_GAP - 0.01 or f"{b:.2f}" in wide
                for a, b in zip(lines, lines[1:]))
@@ -839,7 +851,7 @@ def test_dense_partition_svg_draws_only_what_it_resolves(case):
 
 def test_partition_svg_gives_each_wide_atom_its_own_cell():
     doc = uneven_partition_document(12, 5)
-    total, atoms = svg.partition_atoms(doc)
+    total, atoms = fileio.partition_from_document(doc)
     text = svg.render_partition(total, atoms)
     lines, _, texts = drawn_partition(text)
     bands = {float(x) for x in re.findall(r'<rect x="([^"]+)" y="40"[^>]*fill="#ccc"', text)}
@@ -866,20 +878,34 @@ def test_iet_document_roundtrip(tmp_path):
 
 
 def test_eval_frac_divides_huge_fractions_exactly():
-    assert svg.eval_frac(f"{3 * 10**399}/{10**400}") == 0.3
-    assert svg.eval_frac(f"{10**400 + 1}/{3 * 10**400}") == 1 / 3
-    assert svg.eval_frac("0.25") == 0.25 and svg.eval_frac(2) == 2.0
+    """A partition endpoint ``"p/q"`` is divided as two integers."""
+    def endpoint(value):
+        return fileio._endpoint(value, "x")
+
+    assert endpoint(f"{3 * 10**399}/{10**400}") == 0.3
+    assert endpoint(f"{10**400 + 1}/{3 * 10**400}") == 1 / 3
+    assert endpoint("0.25") == 0.25 and endpoint(2) == 2.0
 
 
 @pytest.mark.parametrize("value", ["1/0", f"{10**400}/1", "1/2/3", "x/2", None],
                          ids=["zero-denominator", "overflow", "two-slashes", "not-an-int", "none"])
 def test_eval_frac_of_a_bad_number_is_an_error(value):
-    with pytest.raises(GietlabError, match="cannot read the number"):
-        svg.eval_frac(value)
+    with pytest.raises(GietlabError, match="^x must be a (finite )?number"):
+        fileio._endpoint(value, "x")
+
+
+def partition_with(total=1.0, **fields):
+    """The text of a two-atom partition document whose second atom has
+    ``fields``, each given as JSON text."""
+    second = {"left": "0.5", "right": "1.0", "label": '"B0"', **fields}
+    atom = ", ".join(f'"{k}": {v}' for k, v in second.items())
+    return (f'{{"kind": "partition", "order": 1, "total": {total}, "atoms": ['
+            f'{{"left": 0.0, "right": 0.5, "label": "A0"}}, {{{atom}}}]}}')
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"kind": "partition", "total": "1/0", "atoms": []}, "cannot read the number '1/0'"),
+    ({"kind": "partition", "total": "1/0", "atoms": []},
+     "partition document field 'total' must be a finite number or a 'p/q' string, got '1/0'"),
     ({"kind": "partition"}, "partition document is missing the key 'total'"),
     ({"kind": "partition", "total": 1.0, "atoms": [{"left": 0.0, "right": 1.0}]},
      "partition document is missing the key 'label'"),
@@ -887,12 +913,29 @@ def test_eval_frac_of_a_bad_number_is_an_error(value):
      "partition document field 'atoms' must be a list, got int"),
     ({"kind": "partition", "total": 1, "atoms": [1]},
      "partition document field 'atoms': entry 0 must be a JSON object, got int"),
+    pytest.param(partition_with(left='"nan"'),
+                 "field 'atoms': entry 1 field 'left' must be a finite number, got 'nan'", id="nan"),
+    pytest.param(partition_with(left='"inf"'),
+                 "field 'atoms': entry 1 field 'left' must be a finite number, got 'inf'", id="inf"),
+    pytest.param(partition_with(right="1e400"),  # json reads it as infinity
+                 "field 'atoms': entry 1 field 'right' must be a finite number, got inf",
+                 id="overflow"),
+    pytest.param(partition_with(left="true"),
+                 "field 'atoms': entry 1 field 'left' must be a number, got True", id="bool"),
+    pytest.param(partition_with(total='"1/2/3"'),
+                 "field 'total' must be a finite number or a 'p/q' string, got '1/2/3'",
+                 id="two-slashes"),
+    pytest.param(partition_with(label='["x"]'),
+                 "field 'atoms': entry 1 field 'label' must be a string, got ['x']",
+                 id="label-list"),
 ])
 def test_render_of_a_bad_partition_is_an_error(tmp_path, capsys, doc, message):
-    out = tmp_path / "p.svg"
-    assert main(["render", write_doc(tmp_path, doc), "-o", str(out)]) == 1
+    """One ``error:`` line, exit code 1 and no SVG; ``doc`` is a document or its text."""
+    path, out = tmp_path / "doc.json", tmp_path / "p.svg"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main(["render", str(path), "-o", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err, err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -560,6 +560,23 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
         assert all(type(x) is Fraction for x in points + ref.base_iet.lengths)
 
 
+def test_certificate_partition_on_the_grid_equals_the_fraction_one():
+    """``realize`` certifies against the model partitioned on its integer
+    grid: the same labels as the fraction model's, on the N unit cells."""
+    rng = random.Random(47)
+    for datum in (parse_datum("A B C", "C B A"), D4, D5):
+        cls = rauzy_class(datum)
+        target = find_cyclic(cls)
+        for _ in range(6):
+            path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(10)))
+            path = path.concat(find_path(cls, path.target, target))
+            ref = build_reference(path)
+            on_grid = dynamical_partition(ref.grid, len(path))
+            assert on_grid.labels() == dynamical_partition(ref.base_iet, len(path)).labels()
+            assert [(type(lo), type(hi)) for lo, hi, _, _ in on_grid.atoms] == [(int, int)] * ref.N
+            assert [atom[:2] for atom in on_grid.atoms] == [(k, k + 1) for k in range(ref.N)]
+
+
 def test_solve_builds_one_family_map_per_iteration():
     T = ExactIET.from_lengths(D2, [Fraction(2584, 6765), Fraction(4181, 6765)])
     ref = build_reference(T.rauzy_path(13).path)
