@@ -234,10 +234,8 @@ class Chain(Branch):
         return Chain((Affine(domain, self.domain), self, Affine(self.range_, range_)))
 
 
-def _parts(branch: Branch, cut=None) -> tuple:
-    """The parts of ``branch``, or of ``restrict(branch, *cut)`` given a cut."""
-    if cut is not None and isinstance(branch, (Translation, Affine)):
-        return (type(branch)(cut[:2], cut[2:]),)
+def _parts(branch: Branch) -> tuple:
+    """The primitive parts of ``branch``: its own if it is a chain."""
     return branch.parts if type(branch) is Chain else (branch,)
 
 
@@ -249,15 +247,13 @@ def _chain(parts: tuple, domain, range_) -> Chain:
     return chain
 
 
-def compose(first: Branch, then: Branch, first_cut=None, then_cut=None) -> Chain:
-    """The branch ``then o first``: one chain holding the parts of both.
-
-    A cut ``(lo, hi, c, d)`` stands for ``restrict(branch, lo, hi, c, d)`` in
-    place of that branch, without building the restriction on its own.
+def compose(first: Branch, then: Branch) -> Chain:
+    """The branch ``then o first`` from ``first``'s domain onto ``then``'s
+    range: one chain holding the parts of both.
 
     >>> t = Translation((0.0, 0.5), (0.5, 1.0))
     >>> squeeze = Affine((0.5, 1.0), (0.0, 0.25))
-    >>> c = compose(compose(t, squeeze), t, then_cut=(0.0, 0.25, 0.5, 0.75))
+    >>> c = compose(compose(t, squeeze), restrict(t, 0.0, 0.25, 0.5, 0.75))
     >>> [type(p).__name__ for p in c.parts], c.domain, c.range_
     (['Translation', 'Affine', 'Translation'], (0.0, 0.5), (0.5, 0.75))
     >>> c.eval(0.25), c.inverse(0.625)
@@ -265,9 +261,7 @@ def compose(first: Branch, then: Branch, first_cut=None, then_cut=None) -> Chain
     >>> restrict(c, 0.0, 0.25, 0.5, 0.625).parts == c.parts
     True
     """
-    domain = first.domain if first_cut is None else first_cut[:2]
-    range_ = then.range_ if then_cut is None else then_cut[2:]
-    return _chain(_parts(first, first_cut) + _parts(then, then_cut), domain, range_)
+    return _chain(_parts(first) + _parts(then), first.domain, then.range_)
 
 
 def restrict(branch: Branch, lo: float, hi: float, c: float, d: float) -> Branch:

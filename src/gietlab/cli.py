@@ -30,7 +30,7 @@ from .combinatorics import (
 from .errors import GietlabError, NoCyclicDatum, SolverFailed
 from .exact_iet import ExactIET
 from .giet import Giet, dynamical_partition, giet_from_iet
-from .semiconjugacy import _defect, build_semiconjugacy, residual
+from .semiconjugacy import build_semiconjugacy, defect, residual
 from .thurston import GietFamily, build_reference, realize
 
 MAX_ORDER = 64
@@ -167,7 +167,7 @@ def cmd_semiconj(args) -> int:
     print(f"residual: {residual(h, f, T, args.samples):.6e}")
     if args.spot_check:
         rng = random.Random(args.seed)
-        worst = _defect(h, f, T, [rng.random() for _ in range(args.spot_check)])
+        worst = defect(h, f, T, [rng.random() for _ in range(args.spot_check)])
         print(f"spot-check residual ({args.spot_check} random points, seed {args.seed}): {worst:.6e}")
     return 0
 

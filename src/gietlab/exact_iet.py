@@ -81,12 +81,14 @@ class Exchange:
     """The row model both interval exchanges share: the top and bottom rows
     cut ``[0, total)`` into one interval per letter, in row order.
 
-    A subclass supplies ``datum``, ``total``, the left ends ``top_breaks``
-    and ``bottom_breaks`` of each letter's intervals, ``branches``, one per
-    letter from its top interval onto its bottom one, and the class constant
-    ``snap``: how far left of 0 a point is still in the domain, and how far
-    left of a breakpoint it is read in the interval to its right.  An exact
-    map has ``snap = 0``, so every comparison is exact.  Each subclass keeps
+    A subclass supplies ``datum``, ``total``, ``branches``, one per letter
+    from its top interval onto its bottom one, the left ends ``top_breaks``
+    and ``bottom_breaks`` of each letter's intervals (a ``Giet`` reads them
+    off its branch domains and ranges, an ``ExactIET`` adds up its lengths
+    along each row), and the class constant ``snap``: how far left of 0 a
+    point is still in the domain, and how far left of a breakpoint it is
+    read in the interval to its right.  An exact map has ``snap = 0``, so
+    every comparison is exact.  Each subclass keeps
     its own ``eval``: the traced benchmark run counts ``ExactIET.eval`` calls
     by rebinding the method on that class.
     """

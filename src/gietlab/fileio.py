@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .branches import (
+    EPS_BRANCH,
     Affine,
     Branch,
     Chain,
@@ -24,7 +25,7 @@ from .branches import (
 from .combinatorics import parse_datum_text
 from .errors import GietlabError
 from .exact_iet import ExactIET
-from .giet import Giet, DynamicalPartition
+from .giet import DynamicalPartition, Giet, check_tiling
 
 
 def _num_out(x):
@@ -145,9 +146,10 @@ def giet_document(g: Giet) -> dict:
 
 
 def giet_from_document(doc: dict) -> Giet:
-    """A GIET from its document, checked for consistency: the breakpoints of
-    each row start at 0 and tile ``[0, length)``, and each branch's domain
-    and range are its two intervals (as ``Giet.check_intervals`` checks)."""
+    """The GIET of a document's branches, checked for consistency: the
+    branches tile ``[0, length)`` along each row (``Giet.check_intervals``),
+    and the ``top`` and ``bottom`` fields, which repeat the left ends of the
+    branch domains and ranges, match them to within the same tolerance."""
     _object(doc, "giet document")
     with reading("giet"):
         datum = parse_datum_text(doc["datum"])
@@ -158,14 +160,19 @@ def giet_from_document(doc: dict) -> Giet:
         g = Giet(
             datum,
             _number(doc.get("length", 1.0), "giet document field 'length'"),
-            {a: _number(v, f"giet document field 'top' letter {a!r}") for a, v in top.items()},
-            {a: _number(v, f"giet document field 'bottom' letter {a!r}") for a, v in bottom.items()},
             {a: _branch_of(a, rec) for a, rec in branches.items()},
         )
     try:
         g.check_intervals()
     except GietlabError as exc:
         raise GietlabError(f"giet document: {exc}") from None
+    eps = EPS_BRANCH * max(1.0, abs(g.length))
+    for key, row, breaks, what in (("top", top, g.top_breaks, "branch"),
+                                   ("bottom", bottom, g.bottom_breaks, "the range of branch")):
+        for a, v in row.items():
+            field = f"giet document field {key!r} letter {a!r}"
+            if not abs(_number(v, field) - breaks[a]) <= eps:
+                raise GietlabError(f"{field} is {v}, but {what} {a!r} starts at {breaks[a]}")
     return g
 
 
@@ -249,7 +256,8 @@ def partition_json(p: DynamicalPartition, total, labels) -> str:
 
 def partition_from_document(doc: dict) -> tuple[float, list]:
     """The ``total`` and the atoms' ``(left, right, label)`` of a partition
-    document, in floats, every atom checked."""
+    document, in floats, every atom checked, and the atoms checked to tile
+    ``[0, total)`` as ``DynamicalPartition.validate`` checks them."""
     with reading("partition"):
         total = _endpoint(doc["total"], "partition document field 'total'")
         atoms = doc["atoms"]
@@ -265,6 +273,10 @@ def partition_from_document(doc: dict) -> tuple[float, list]:
                 raise GietlabError(f"{field} field 'label' must be a string, got {label!r}")
             read.append((_endpoint(left, f"{field} field 'left'"),
                          _endpoint(right, f"{field} field 'right'"), label))
+    try:
+        check_tiling(read, total, lambda i: f"entry {i}")
+    except GietlabError as exc:
+        raise GietlabError(f"partition document field 'atoms': {exc}") from None
     return total, read
 
 

@@ -79,8 +79,8 @@ def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
     return FamilySlopes(phi, rescale, psi)
 
 
-def _deformed(f: Giet, tau: dict, sl: FamilySlopes, keep) -> tuple[dict, dict, dict]:
-    """Breakpoints and branches of the deformed map, restricted to ``keep``.
+def _deformed(f: Giet, tau: dict, sl: FamilySlopes, keep) -> tuple[dict, dict]:
+    """Top breakpoints of the deformed map, and its branches restricted to ``keep``.
 
     Top breakpoints come for every letter: a collapsed letter's is the point
     its top interval shrinks to.
@@ -102,7 +102,7 @@ def _deformed(f: Giet, tau: dict, sl: FamilySlopes, keep) -> tuple[dict, dict, d
         new_dom = (top_breaks[a], top_breaks[a] + sl.psi[a] * (hi - lo))
         new_rng = (bottom_breaks[a], bottom_breaks[a] + tau[a])
         branches[a] = f.branches[a].rescaled(new_dom, new_rng)
-    return top_breaks, bottom_breaks, branches
+    return top_breaks, branches
 
 
 def apply(f: Giet, tau) -> Giet:
@@ -113,8 +113,7 @@ def apply(f: Giet, tau) -> Giet:
     """
     tau = _positive_tau(f.datum, tau)
     sl = _slopes_closed(f, tau)
-    top_breaks, bottom_breaks, branches = _deformed(f, tau, sl, set(f.datum.alphabet))
-    return Giet(f.datum, 1.0, top_breaks, bottom_breaks, branches)
+    return Giet(f.datum, 1.0, _deformed(f, tau, sl, set(f.datum.alphabet))[1])
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,9 @@ def boundary_apply(f: Giet, tau) -> Degeneration:
         raise AllZero("tau vanishes identically")
     keep = set(f.datum.alphabet) - zeros
     sl = _slopes_closed(f, tau)
-    top_breaks, bottom_breaks, branches = _deformed(f, tau, sl, keep)
+    top_breaks, branches = _deformed(f, tau, sl, keep)
     reduced = reduction(f.datum, keep)
-    regular = Giet(reduced, 1.0, {a: top_breaks[a] for a in keep}, bottom_breaks, branches)
+    regular = Giet(reduced, 1.0, branches)
     singular = {}
     for a in zeros:
         x = top_breaks[a]

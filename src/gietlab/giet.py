@@ -1,12 +1,13 @@
 """Generalized interval exchanges: pluggable branches, induction, partitions.
 
-A ``Giet`` carries one monotone branch per letter between the top and bottom
-subintervals prescribed by its datum.  Rauzy induction composes the two
-rightmost branches and restricts the rest; the induced map lives on a shorter
-interval, recorded in ``length``.  Dynamical partitions, their combinatorial
-equivalence and the containment counts of the path matrix are computed
-generically, so the exact-rational maps plug into the same code and keep
-exact arithmetic all the way through.
+A ``Giet`` is one increasing branch per letter; the datum's two rows lay the
+branch domains and ranges side by side along ``[0, length)``.  Rauzy
+induction is the first-return map: it restricts the two rightmost branches
+and composes them; the induced map lives on a shorter interval, recorded in
+``length``.  Dynamical partitions, their combinatorial equivalence and the
+containment counts of the path matrix are computed generically, so the
+exact-rational maps plug into the same code and keep exact arithmetic all
+the way through.
 
 Numeric substrate is double precision with two tolerances: ``EPS_BRANCH``
 (1e-12) for branch/breakpoint consistency, which is also the ``snap`` of the
@@ -33,12 +34,12 @@ EPS_TIE = 1e-10
 
 @dataclass(frozen=True)
 class Giet(Exchange):
-    """Breakpoints plus one monotone branch per letter, acting on ``[0, length)``."""
+    """One increasing branch per letter, acting on ``[0, length)``.  The map
+    is its branches: each row's breakpoints are the left ends of the branch
+    domains (top) or ranges (bottom)."""
 
     datum: CombinatorialDatum
     length: float
-    top_breaks: dict
-    bottom_breaks: dict
     branches: dict
 
     snap = EPS_BRANCH
@@ -47,21 +48,28 @@ class Giet(Exchange):
     def total(self):
         return self.length
 
+    @cached_property
+    def top_breaks(self) -> dict:
+        return {a: br.domain[0] for a, br in self.branches.items()}
+
+    @cached_property
+    def bottom_breaks(self) -> dict:
+        return {a: br.range_[0] for a, br in self.branches.items()}
+
     def eval(self, x):
         return self.branches[self.letter_at(x)].eval(x)
 
     def rauzy_step(self):
         """One induction step: first return to the interval cut at the larger
         of the two rightmost critical data.  Returns ``(induced, arrow)``; the
-        rows and branches that do not change are shared, never copied."""
+        branches that do not change are shared, never copied."""
         alpha_t = self.datum.top[-1]
         alpha_b = self.datum.bottom[-1]
-        x_t = self.top_breaks[alpha_t]
-        x_b = self.bottom_breaks[alpha_b]
-        if abs(x_t - x_b) <= EPS_TIE:
-            raise TieError(f"critical data coincide at {x_t}")
         branches = self.branches.copy()
         br_t, br_b = branches[alpha_t], branches[alpha_b]
+        x_t, x_b = br_t.domain[0], br_b.range_[0]
+        if abs(x_t - x_b) <= EPS_TIE:
+            raise TieError(f"critical data coincide at {x_t}")
         if x_t < x_b:
             # the top branch's image of x_b splits it; its two pieces keep
             # the known endpoints of the old range
@@ -70,26 +78,20 @@ class Giet(Exchange):
             y = br_t.eval(x_b)
             c, d = br_t.range_
             branches[alpha_t] = restrict(br_t, x_t, x_b, c, y)
-            branches[alpha_b] = compose(br_b, br_t, then_cut=(x_b, self.length, y, d))
-            top_breaks = self.top_breaks
-            bottom_breaks = {a: branches[a].range_[0] for a in self.datum.alphabet}
+            branches[alpha_b] = compose(br_b, restrict(br_t, x_b, self.length, y, d))
         else:
             # the bottom branch's preimage of x_t splits it
             arrow = datum_step(self.datum, "b")
             new_length = x_t
             cut = br_b.inverse(x_t)
-            hi = br_b.domain[1]
+            lo, hi = br_b.domain
             c, d = br_b.range_
-            branches[alpha_b] = restrict(br_b, self.top_breaks[alpha_b], cut, c, x_t)
-            branches[alpha_t] = compose(br_b, br_t, first_cut=(cut, hi, x_t, d))
-            top_breaks = self.top_breaks.copy()
-            top_breaks[alpha_t] = cut
-            bottom_breaks = self.bottom_breaks
+            branches[alpha_b] = restrict(br_b, lo, cut, c, x_t)
+            branches[alpha_t] = compose(restrict(br_b, cut, hi, x_t, d), br_t)
         # not through the frozen dataclass __init__, which sets each field
         # with object.__setattr__
         induced = object.__new__(Giet)
-        induced.__dict__.update(datum=arrow.target, length=new_length, top_breaks=top_breaks,
-                                bottom_breaks=bottom_breaks, branches=branches)
+        induced.__dict__.update(datum=arrow.target, length=new_length, branches=branches)
         return induced, arrow
 
     def rauzy_path(self, r: int, kinds: str | None = None) -> InductionResult:
@@ -100,38 +102,32 @@ class Giet(Exchange):
         return induce(self, r, kinds)
 
     def check_intervals(self, eps: float = EPS_BRANCH):
-        """Raise ``GietlabError`` unless each row starts at 0 and cuts
-        ``[0, length)`` into non-empty intervals in row order, and each branch
-        maps its top interval onto its bottom one, to within ``eps * max(1, length)``."""
+        """Raise ``GietlabError`` unless the branch domains, in top-row order,
+        and the branch ranges, in bottom-row order, each tile ``[0, length)``:
+        the first starts at 0, none is empty, each ends where the next starts
+        and the last ends at ``length``, to within ``eps * max(1, length)``."""
         eps *= max(1.0, abs(self.length))
-        rows = {
-            "top": self._intervals(self.datum.top, self.top_breaks),
-            "bottom": self._intervals(self.datum.bottom, self.bottom_breaks),
-        }
-        for name, intervals in rows.items():
-            a, lo, _ = intervals[0]
-            if not abs(lo) <= eps:
-                raise GietlabError(f"{name} row starts at {lo} (letter {a!r}), not at 0")
-            for a, lo, hi in intervals:
+        for name, row, side, bounds in (("top", self.datum.top, "domain", "domain"),
+                                        ("bottom", self.datum.bottom, "range", "range_")):
+            end = 0.0  # how far the row has reached
+            for a in row:
+                lo, hi = getattr(self.branches[a], bounds)
+                if not abs(lo - end) <= eps:
+                    raise GietlabError(
+                        f"branch {a!r} has {side} [{lo}, {hi}), but its {name} interval "
+                        f"starts at {end}"
+                    )
                 if not hi > lo:
-                    raise GietlabError(
-                        f"{name} interval [{lo}, {hi}) of letter {a!r} is empty: the "
-                        f"breakpoints must increase along the row and stay below the "
-                        f"length {self.length}"
-                    )
-        for name, intervals in rows.items():
-            side = "domain" if name == "top" else "range"
-            for a, lo, hi in intervals:
-                br = self.branches[a]
-                ends = br.domain if name == "top" else br.range_
-                if not (abs(ends[0] - lo) <= eps and abs(ends[1] - hi) <= eps):
-                    raise GietlabError(
-                        f"branch {a!r} has {side} [{ends[0]}, {ends[1]}), "
-                        f"but its {name} interval is [{lo}, {hi})"
-                    )
+                    raise GietlabError(f"branch {a!r} has an empty {side} [{lo}, {hi})")
+                end = hi
+            if not abs(end - self.length) <= eps:
+                raise GietlabError(
+                    f"branch {a!r} has {side} [{lo}, {hi}), but its {name} interval "
+                    f"is [{lo}, {self.length})"
+                )
 
     def validate(self, eps: float = EPS_BRANCH, samples: int = 16):
-        """Check breakpoint order and branch/interval consistency."""
+        """Check that the branches tile both rows and spot-check each branch."""
         self.check_intervals(eps)
         for a in self.datum.alphabet:
             self.branches[a].validate(samples=samples, eps=max(eps, 1e-9))
@@ -139,13 +135,11 @@ class Giet(Exchange):
 
 def giet_from_iet(T) -> Giet:
     """Float translation-branch copy of an exact IET."""
-    top = {a: float(T.top_breaks[a]) for a in T.datum.alphabet}
-    bottom = {a: float(T.bottom_breaks[a]) for a in T.datum.alphabet}
     branches = {}
     for a in T.datum.alphabet:
-        lo, hi = top[a], top[a] + float(T.length(a))
-        branches[a] = Translation((lo, hi), (bottom[a], bottom[a] + float(T.length(a))))
-    return Giet(T.datum, float(T.total), top, bottom, branches)
+        lo, c, l = float(T.top_breaks[a]), float(T.bottom_breaks[a]), float(T.length(a))
+        branches[a] = Translation((lo, lo + l), (c, c + l))
+    return Giet(T.datum, float(T.total), branches)
 
 
 def giet_from_branches(datum: CombinatorialDatum, top_lengths, bottom_lengths, maker) -> Giet:
@@ -158,23 +152,17 @@ def giet_from_branches(datum: CombinatorialDatum, top_lengths, bottom_lengths, m
         top_lengths = dict(zip(datum.alphabet, top_lengths))
     if not isinstance(bottom_lengths, dict):
         bottom_lengths = dict(zip(datum.alphabet, bottom_lengths))
-    top_breaks, bottom_breaks = {}, {}
-    for side, row, lengths, breaks in (
-        ("top", datum.top, top_lengths, top_breaks),
-        ("bottom", datum.bottom, bottom_lengths, bottom_breaks),
-    ):
+    ends = {}  # (side, letter): the letter's interval on that side
+    for side, row, lengths in (("top", datum.top, top_lengths),
+                               ("bottom", datum.bottom, bottom_lengths)):
         acc = 0.0
         for a in row:
-            breaks[a] = acc
+            ends[side, a] = (acc, acc + lengths[a])
             acc += lengths[a]
         if not abs(acc - 1.0) <= 1e-9:
             raise GietlabError(f"{side} lengths must sum to 1, got {acc!r}")
-    branches = {}
-    for a in datum.alphabet:
-        dom = (top_breaks[a], top_breaks[a] + top_lengths[a])
-        rng = (bottom_breaks[a], bottom_breaks[a] + bottom_lengths[a])
-        branches[a] = maker(a, dom, rng)
-    return Giet(datum, 1.0, top_breaks, bottom_breaks, branches)
+    branches = {a: maker(a, ends["top", a], ends["bottom", a]) for a in datum.alphabet}
+    return Giet(datum, 1.0, branches)
 
 
 class Atom(NamedTuple):
@@ -205,16 +193,26 @@ class DynamicalPartition:
 
     def validate(self, total, tol=1e-9):
         """Check that the atoms tile ``[0, total)`` left to right, each one nonempty."""
-        prev = 0
-        for atom in self.atoms:
-            name = f"atom {atom.letter}{atom.index} [{atom.lo}, {atom.hi})"
-            if not abs(atom.lo - prev) <= tol:
-                raise GietlabError(f"{name} does not start where the previous atom ends, {prev}")
-            if not atom.hi > atom.lo:
-                raise GietlabError(f"{name} is empty")
-            prev = atom.hi
-        if not abs(prev - total) <= tol:
-            raise GietlabError(f"atoms end at {prev}, not at the total length {total}")
+        atoms = self.atoms
+        check_tiling(atoms, total, lambda i: f"atom {atoms[i].letter}{atoms[i].index}", tol)
+
+
+def check_tiling(atoms, total, name, tol=1e-9):
+    """Raise ``GietlabError`` unless the ``atoms``, each led by its two ends,
+    tile ``[0, total)`` left to right, each one nonempty, to within ``tol *
+    max(1, |total|)``.  ``name(i)`` names atom ``i``, only if it is at fault."""
+    tol *= max(1, abs(total))
+    prev = 0
+    for i, atom in enumerate(atoms):
+        lo, hi = atom[0], atom[1]
+        if not abs(lo - prev) <= tol:
+            where = "where the previous atom ends, " if i else "at "
+            raise GietlabError(f"{name(i)} [{lo}, {hi}) does not start {where}{prev}")
+        if not hi > lo:
+            raise GietlabError(f"{name(i)} [{lo}, {hi}) is empty")
+        prev = hi
+    if not abs(prev - total) <= tol:
+        raise GietlabError(f"atoms end at {prev}, not at the total length {total}")
 
 
 def dynamical_partition(m, r: int) -> DynamicalPartition:
@@ -227,8 +225,10 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
     exact = isinstance(m, ExactIET) and not isinstance(m.lengths[0], int)
     if exact:
         m, D = m.on_integer_grid()
-    result = _induce_fully(m, r)
+    result = m.rauzy_path(r)
     path = result.path
+    if len(path) < r:
+        raise InductionFailed(f"tie after {len(path)} of {r} steps")
     q = path_matrix(path).row_sums()
     tops = result.map.top_intervals()
     del result  # the induced chains hold one part per atom: free them first
@@ -244,14 +244,6 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
         frac = {x: Fraction(x, D) for x in ends}
         atoms = [Atom(frac[lo], frac[hi], letter, i) for lo, hi, letter, i in atoms]
     return DynamicalPartition(r, tuple(atoms), path)
-
-
-def _induce_fully(m, r: int) -> InductionResult:
-    """Induction of ``m`` to depth ``r``; a tie before then is an error."""
-    result = m.rauzy_path(r)
-    if len(result.path) < r:
-        raise InductionFailed(f"tie after {len(result.path)} of {r} steps")
-    return result
 
 
 def partitions_equivalent(p: DynamicalPartition, q: DynamicalPartition) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .branches import PiecewiseLinear
 from .errors import PathMismatch
-from .giet import dynamical_partition, giet_from_iet
+from .giet import dynamical_partition, giet_from_iet, partitions_equivalent
 
 
 def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
@@ -26,7 +26,7 @@ def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
     """
     pf = dynamical_partition(f, r)
     pt = dynamical_partition(T, r)
-    if pf.labels() != pt.labels():
+    if not partitions_equivalent(pf, pt):
         raise PathMismatch(f"order-{r} partitions are not combinatorially equivalent")
     nodes = [(0.0, 0.0)]
     for af, at in zip(pf.atoms, pt.atoms):
@@ -44,10 +44,10 @@ def residual(h: PiecewiseLinear, f, T, sample_count: int = 128) -> float:
     """
     xs = {0.5 * (x0 + x1) for (x0, _), (x1, _) in zip(h.nodes, h.nodes[1:])}
     xs.update((i + 0.5) / sample_count for i in range(sample_count))
-    return _defect(h, f, T, xs)
+    return defect(h, f, T, xs)
 
 
-def _defect(h: PiecewiseLinear, f, T, xs) -> float:
+def defect(h: PiecewiseLinear, f, T, xs) -> float:
     """Largest ``|h(f(x)) - T(h(x))|`` over the points ``xs``, with ``T``
     evaluated through its float copy, ``giet_from_iet(T)``."""
     model = giet_from_iet(T)

@@ -611,12 +611,13 @@ def test_realize_on_a_map_of_length_two_is_an_error(tmp_path, capsys):
 
 def test_giet_breakpoint_off_its_branch_is_an_error(tmp_path, capsys):
     doc = seed_document()
-    doc["top"]["B"] = 0.7  # branch A still covers [0, 0.5)
+    doc["top"]["B"] = 0.7  # the branches still tile [0, 1): B's starts at 0.5
     path = write_doc(tmp_path, doc)
+    message = "giet document field 'top' letter 'B' is 0.7, but branch 'B' starts at 0.5"
     for argv in (["realize", path, "tbt"], ["partition", path, "-r", "2"]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "branch 'A'" in err and "top interval" in err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1, err
 
 
 def test_float_copy_of_an_iet_with_a_large_total_loads_back():
@@ -632,13 +633,36 @@ def test_unit_giet_breakpoint_off_by_1e_11_is_an_error(tmp_path, capsys):
     doc["top"]["B"] += 1e-11  # ten times the unit tolerance
     code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
     assert code == 1
-    assert err.startswith("error:") and "branch 'A'" in err and "top interval" in err
+    message = "giet document field 'top' letter 'B' is 0.50000000001, but branch 'B' starts at 0.5"
+    assert err.startswith("error:") and message in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key", ["top", "bottom"])
+def test_giet_row_within_the_tolerance_of_its_branch_loads(tmp_path, capsys, key):
+    # the rows repeat the branch bounds, which the map is read from
+    start = {"top": "branch 'B' starts at 0.5", "bottom": "the range of branch 'B' starts at 0.0"}
+    for off, loads in ((2e-13, True), (-2e-13, True), (1e-11, False), (-1e-11, False)):
+        doc = seed_document()
+        doc[key]["B"] += off
+        code = main(["render", write_doc(tmp_path, doc), "-o", str(tmp_path / "g.svg")])
+        err = capsys.readouterr().err
+        if loads:
+            assert code == 0 and err == "", err
+            g = fileio.giet_from_document(doc)
+            assert g == fileio.giet_from_document(seed_document())
+            assert g.top_breaks == {"A": 0.0, "B": 0.5} and g.bottom_breaks == {"A": 0.5, "B": 0.0}
+        else:
+            assert code == 1 and err.count("\n") == 1, err
+            value = doc[key]["B"]
+            assert f"error: giet document field {key!r} letter 'B' is {value}, but {start[key]}" in err
 
 
 def test_giet_rows_that_do_not_tile_are_errors(tmp_path, capsys):
     cases = [
-        ("bottom", {"B": 0.1, "A": 0.5}, "bottom row starts at 0.1"),
-        ("top", {"A": 0.0, "B": 1.5}, "top interval [1.5, 1.0) of letter 'B' is empty"),
+        ("bottom", {"B": 0.1, "A": 0.5},
+         "giet document field 'bottom' letter 'B' is 0.1, but the range of branch 'B' starts at 0.0"),
+        ("top", {"A": 0.0, "B": 1.5},
+         "giet document field 'top' letter 'B' is 1.5, but branch 'B' starts at 0.5"),
         ("top", {"A": 0.0}, "field 'top': letter 'B' is missing"),
         ("branches", {"A": {}, "B": {}, "C": {}}, "field 'branches': letter 'C' is not in"),
         ("top", {"A": 0.0, "B": [0.5]}, "field 'top' letter 'B' must be a number"),
@@ -649,7 +673,7 @@ def test_giet_rows_that_do_not_tile_are_errors(tmp_path, capsys):
         doc[key] = value
         code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
         assert code == 1
-        assert err.startswith("error:") and message in err, err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1, err
 
 
 def test_branch_bounds_that_are_not_two_numbers_are_errors(tmp_path, capsys):
@@ -928,6 +952,20 @@ def partition_with(total=1.0, **fields):
     pytest.param(partition_with(label='["x"]'),
                  "field 'atoms': entry 1 field 'label' must be a string, got ['x']",
                  id="label-list"),
+    pytest.param({"kind": "partition", "total": -1,
+                  "atoms": [{"left": 0.5, "right": 0.2, "label": "A0"}]},
+                 "partition document field 'atoms': entry 0 [0.5, 0.2) does not start at 0",
+                 id="negative-total"),
+    pytest.param(partition_with(left="0.6"),
+                 "field 'atoms': entry 1 [0.6, 1.0) does not start where the previous atom "
+                 "ends, 0.5", id="gap"),
+    pytest.param(partition_with(left="0.4"),
+                 "field 'atoms': entry 1 [0.4, 1.0) does not start where the previous atom "
+                 "ends, 0.5", id="overlap"),
+    pytest.param(partition_with(right="0.5"),
+                 "field 'atoms': entry 1 [0.5, 0.5) is empty", id="empty"),
+    pytest.param(partition_with(total=2),
+                 "field 'atoms': atoms end at 1.0, not at the total length 2", id="short"),
 ])
 def test_render_of_a_bad_partition_is_an_error(tmp_path, capsys, doc, message):
     """One ``error:`` line, exit code 1 and no SVG; ``doc`` is a document or its text."""
@@ -937,6 +975,18 @@ def test_render_of_a_bad_partition_is_an_error(tmp_path, capsys, doc, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_render_reads_a_partition_tiled_within_its_scaled_tolerance(tmp_path, capsys):
+    # the tolerance is 1e-9 times the total: a gap of 5e-7 is within it on
+    # [0, 1000) and an error on the unit interval
+    path, out = tmp_path / "doc.json", tmp_path / "p.svg"
+    scaled = partition_with(total=1000.0, left="500.0000005", right="1000.0")
+    path.write_text(scaled.replace('"right": 0.5', '"right": 500.0'))
+    assert main(["render", str(path), "-o", str(out)]) == 0 and out.exists()
+    path.write_text(partition_with(left="0.5000005"))
+    assert main(["render", str(path), "-o", str(tmp_path / "q.svg")]) == 1
+    assert "does not start where the previous atom ends" in capsys.readouterr().err
 
 
 def test_render_rejects_unknown_kind(tmp_path, capsys):

@@ -285,7 +285,6 @@ def test_giet_distance():
     assert extended_distance(f, f) == 0.0
     # shift one branch by delta: distance lands within the geometric envelope
     delta = 0.01
-    g_breaks = dict(f.bottom_breaks)
     shifted = {}
     for a in "ABCD":
         lo, hi = f.branches[a].domain
@@ -294,7 +293,7 @@ def test_giet_distance():
                                             f.branches[a].range_[1] + off))
     from gietlab.giet import Giet
 
-    g = Giet(f.datum, f.length, dict(f.top_breaks), g_breaks, shifted)
+    g = Giet(f.datum, f.length, shifted)
     dist = extended_distance(f, g, samples=256)
     assert delta / 2 <= dist <= 2 * delta
     assert abs(extended_distance(f, g, 64) - extended_distance(g, f, 64)) < 1e-12
