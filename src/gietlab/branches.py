@@ -157,7 +157,8 @@ class SmoothParam(Branch):
     """One-parameter exponential nonlinearity rescaled onto (domain, range).
 
     The core map is ``t -> (e^{kt} - 1) / (e^k - 1)`` on [0, 1]; ``k = 0``
-    degenerates to the affine branch.
+    degenerates to the affine branch.  A ``k`` whose ``e^k`` overflows a
+    float, above about 709.78, is a ``GietlabError``.
     """
 
     domain: tuple[float, float]
@@ -168,7 +169,13 @@ class SmoothParam(Branch):
 
     def __post_init__(self):
         (a, b), (c, d) = self.domain, self.range_
-        object.__setattr__(self, "_consts", (a, b - a, c, d - c, self.k, math.expm1(self.k)))
+        try:
+            em = math.expm1(self.k)
+        except OverflowError:
+            raise GietlabError(
+                f"k must be at most about 709.78, as e^k overflows, got {self.k!r}"
+            ) from None
+        object.__setattr__(self, "_consts", (a, b - a, c, d - c, self.k, em))
 
     def eval(self, x):
         a, w, c, h, k, em = self._consts

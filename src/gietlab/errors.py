@@ -43,7 +43,8 @@ class OutOfDomain(GietlabError):
 
 
 class TieError(GietlabError):
-    """The induction condition fails: the two rightmost critical data coincide."""
+    """The induction condition fails: the two rightmost critical data
+    coincide, or the split of a branch would leave an empty piece."""
 
 
 class DatumMismatch(GietlabError):

@@ -82,16 +82,24 @@ class Exchange:
     cut ``[0, total)`` into one interval per letter, in row order.
 
     A subclass supplies ``datum``, ``total``, ``branches``, one per letter
-    from its top interval onto its bottom one, the left ends ``top_breaks``
-    and ``bottom_breaks`` of each letter's intervals (a ``Giet`` reads them
-    off its branch domains and ranges, an ``ExactIET`` adds up its lengths
-    along each row), and the class constant ``snap``: how far left of 0 a
-    point is still in the domain, and how far left of a breakpoint it is
-    read in the interval to its right.  An exact map has ``snap = 0``, so
-    every comparison is exact.  Each subclass keeps
-    its own ``eval``: the traced benchmark run counts ``ExactIET.eval`` calls
-    by rebinding the method on that class.
+    from its top interval onto its bottom one, and the class constant
+    ``snap``: how far left of 0 a point is still in the domain, and how far
+    left of a breakpoint it is read in the interval to its right.  An exact
+    map has ``snap = 0``, so every comparison is exact.  The rows are read
+    off the branches.  Each subclass keeps its own ``eval``: the traced
+    benchmark run counts ``ExactIET.eval`` calls by rebinding the method on
+    that class.
     """
+
+    @cached_property
+    def top_breaks(self) -> dict:
+        """``u^t``: the left end of each letter's top interval, its branch's domain."""
+        return {a: br.domain[0] for a, br in self.branches.items()}
+
+    @cached_property
+    def bottom_breaks(self) -> dict:
+        """``u^b``: the left end of each letter's bottom interval, its branch's range."""
+        return {a: br.range_[0] for a, br in self.branches.items()}
 
     def _intervals(self, row, breaks):
         ends = [breaks[a] for a in row[1:]] + [self.total]
@@ -227,32 +235,21 @@ class ExactIET(Exchange):
     def lengths_by_letter(self) -> dict[str, Fraction]:
         return dict(zip(self.datum.alphabet, self.lengths))
 
-    def _row_breaks(self, row) -> dict:
-        zero = type(self.lengths[0])()  # Fraction(0) or 0
-        return dict(zip(row, accumulate(map(self.length, row[:-1]), initial=zero)))
-
-    @cached_property
-    def top_breaks(self) -> dict:
-        """``u^t``: each letter's total length of the letters before it in the top row."""
-        return self._row_breaks(self.datum.top)
-
-    @cached_property
-    def bottom_breaks(self) -> dict:
-        """``u^b``: the same along the bottom row."""
-        return self._row_breaks(self.datum.bottom)
-
-    def breakpoints(self):
-        """Copies of the critical points ``u^t`` and critical values ``u^b``."""
-        return dict(self.top_breaks), dict(self.bottom_breaks)
-
     @cached_property
     def branches(self) -> dict:
         """Each letter's ``Translation`` of its top interval onto its bottom
-        one, in exact arithmetic: its inverse of ``y`` is ``y - (u^b - u^t)``."""
-        u_t, u_b = self.top_breaks, self.bottom_breaks
+        one, in exact arithmetic: its inverse of ``y`` is ``y - (u^b - u^t)``.
+
+        The rows are laid out here, and only here: each letter's interval
+        starts at the sum of the lengths before it in the row, summed from a
+        zero of the lengths' own type, so ``int`` lengths give ``int`` ends.
+        """
+        lam = self.lengths_by_letter()
+        zero = type(self.lengths[0])()  # 0 or Fraction(0)
+        u_t, u_b = (dict(zip(row, accumulate(map(lam.get, row[:-1]), initial=zero)))
+                    for row in (self.datum.top, self.datum.bottom))
         return {
-            a: Translation((u_t[a], u_t[a] + l), (u_b[a], u_b[a] + l))
-            for a, l in zip(self.datum.alphabet, self.lengths)
+            a: Translation((u_t[a], u_t[a] + l), (u_b[a], u_b[a] + l)) for a, l in lam.items()
         }
 
     def eval(self, x):

@@ -48,21 +48,18 @@ class Giet(Exchange):
     def total(self):
         return self.length
 
-    @cached_property
-    def top_breaks(self) -> dict:
-        return {a: br.domain[0] for a, br in self.branches.items()}
-
-    @cached_property
-    def bottom_breaks(self) -> dict:
-        return {a: br.range_[0] for a, br in self.branches.items()}
-
     def eval(self, x):
         return self.branches[self.letter_at(x)].eval(x)
 
     def rauzy_step(self):
         """One induction step: first return to the interval cut at the larger
         of the two rightmost critical data.  Returns ``(induced, arrow)``; the
-        branches that do not change are shared, never copied."""
+        branches that do not change are shared, never copied.
+
+        Raises ``TieError`` when the two critical data are within ``EPS_TIE``
+        of each other, or when either piece of the branch that is split is no
+        longer than ``EPS_TIE``: the induced map would have an empty interval.
+        """
         alpha_t = self.datum.top[-1]
         alpha_b = self.datum.bottom[-1]
         branches = self.branches.copy()
@@ -77,6 +74,8 @@ class Giet(Exchange):
             new_length = x_b
             y = br_t.eval(x_b)
             c, d = br_t.range_
+            if y - c <= EPS_TIE or d - y <= EPS_TIE:
+                raise TieError(f"letter {alpha_t!r} splits at {y}, too near an end of [{c}, {d})")
             branches[alpha_t] = restrict(br_t, x_t, x_b, c, y)
             branches[alpha_b] = compose(br_b, restrict(br_t, x_b, self.length, y, d))
         else:
@@ -85,6 +84,10 @@ class Giet(Exchange):
             new_length = x_t
             cut = br_b.inverse(x_t)
             lo, hi = br_b.domain
+            if cut - lo <= EPS_TIE or hi - cut <= EPS_TIE:
+                raise TieError(
+                    f"letter {alpha_b!r} splits at {cut}, too near an end of [{lo}, {hi})"
+                )
             c, d = br_b.range_
             branches[alpha_b] = restrict(br_b, lo, cut, c, x_t)
             branches[alpha_t] = compose(restrict(br_b, cut, hi, x_t, d), br_t)
@@ -101,36 +104,22 @@ class Giet(Exchange):
         """
         return induce(self, r, kinds)
 
-    def check_intervals(self, eps: float = EPS_BRANCH):
+    def check_intervals(self):
         """Raise ``GietlabError`` unless the branch domains, in top-row order,
-        and the branch ranges, in bottom-row order, each tile ``[0, length)``:
-        the first starts at 0, none is empty, each ends where the next starts
-        and the last ends at ``length``, to within ``eps * max(1, length)``."""
-        eps *= max(1.0, abs(self.length))
-        for name, row, side, bounds in (("top", self.datum.top, "domain", "domain"),
-                                        ("bottom", self.datum.bottom, "range", "range_")):
-            end = 0.0  # how far the row has reached
-            for a in row:
-                lo, hi = getattr(self.branches[a], bounds)
-                if not abs(lo - end) <= eps:
-                    raise GietlabError(
-                        f"branch {a!r} has {side} [{lo}, {hi}), but its {name} interval "
-                        f"starts at {end}"
-                    )
-                if not hi > lo:
-                    raise GietlabError(f"branch {a!r} has an empty {side} [{lo}, {hi})")
-                end = hi
-            if not abs(end - self.length) <= eps:
-                raise GietlabError(
-                    f"branch {a!r} has {side} [{lo}, {hi}), but its {name} interval "
-                    f"is [{lo}, {self.length})"
-                )
+        and the branch ranges, in bottom-row order, each tile ``[0, length)``
+        (``check_tiling``), to within ``EPS_BRANCH * max(1, |length|)``."""
+        tol = EPS_BRANCH * max(1.0, abs(self.length))
+        top = [self.branches[a].domain for a in self.datum.top]
+        bottom = [self.branches[a].range_ for a in self.datum.bottom]
+        for row, side, bounds in ((self.datum.top, "domain", top),
+                                  (self.datum.bottom, "range", bottom)):
+            check_tiling(bounds, self.length, lambda i: f"branch {row[i]!r} {side}", tol)
 
-    def validate(self, eps: float = EPS_BRANCH, samples: int = 16):
+    def validate(self):
         """Check that the branches tile both rows and spot-check each branch."""
-        self.check_intervals(eps)
+        self.check_intervals()
         for a in self.datum.alphabet:
-            self.branches[a].validate(samples=samples, eps=max(eps, 1e-9))
+            self.branches[a].validate(eps=1e-9)
 
 
 def giet_from_iet(T) -> Giet:
@@ -191,28 +180,33 @@ class DynamicalPartition:
     def lengths(self):
         return [a.hi - a.lo for a in self.atoms]
 
-    def validate(self, total, tol=1e-9):
-        """Check that the atoms tile ``[0, total)`` left to right, each one nonempty."""
+    def validate(self, total):
+        """Check that the atoms tile ``[0, total)`` left to right, each one
+        nonempty (``check_tiling``): exactly for an ``int`` or ``Fraction``
+        total, to within ``1e-9 * max(1, |total|)`` for a float one."""
         atoms = self.atoms
-        check_tiling(atoms, total, lambda i: f"atom {atoms[i].letter}{atoms[i].index}", tol)
+        check_tiling(atoms, total, lambda i: f"atom {atoms[i].letter}{atoms[i].index}")
 
 
-def check_tiling(atoms, total, name, tol=1e-9):
+def check_tiling(atoms, total, name, tol=None):
     """Raise ``GietlabError`` unless the ``atoms``, each led by its two ends,
-    tile ``[0, total)`` left to right, each one nonempty, to within ``tol *
-    max(1, |total|)``.  ``name(i)`` names atom ``i``, only if it is at fault."""
-    tol *= max(1, abs(total))
+    tile ``[0, total)`` left to right, each one nonempty, to within ``tol``.
+    By default ``tol`` is 0 for an exact total and ``1e-9 * max(1, |total|)``
+    for a float one.  ``name(i)`` names entry ``i``, only if it is at fault."""
+    if tol is None:
+        tol = 1e-9 * max(1.0, abs(total)) if isinstance(total, float) else 0
     prev = 0
     for i, atom in enumerate(atoms):
         lo, hi = atom[0], atom[1]
         if not abs(lo - prev) <= tol:
-            where = "where the previous atom ends, " if i else "at "
+            where = f"where {name(i - 1)} ends, " if i else "at "
             raise GietlabError(f"{name(i)} [{lo}, {hi}) does not start {where}{prev}")
         if not hi > lo:
             raise GietlabError(f"{name(i)} [{lo}, {hi}) is empty")
         prev = hi
     if not abs(prev - total) <= tol:
-        raise GietlabError(f"atoms end at {prev}, not at the total length {total}")
+        what = f"{name(i)} [{lo}, {hi}) ends" if atoms else "the tiling ends"
+        raise GietlabError(f"{what} at {prev}, not at the total length {total}")
 
 
 def dynamical_partition(m, r: int) -> DynamicalPartition:

@@ -9,7 +9,7 @@ from functools import cache
 
 import gietlab.thurston as thurston
 from gietlab.branches import PiecewiseLinear, SmoothParam, Translation
-from gietlab.combinatorics import all_admissible_data
+from gietlab.combinatorics import all_admissible_data, parse_datum
 from gietlab.errors import OrderViolation
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import giet_from_branches
@@ -100,6 +100,22 @@ def random_unit_giet(rng, d=None, datum=None):
         return PiecewiseLinear(((dom[0], rng_[0]), (mx, my), (dom[1], rng_[1])))
 
     return giet_from_branches(datum, top, bottom, maker)
+
+
+def smooth_two_letter_map(top, bottom, k_a, k_b):
+    """``A B / B A`` on ``[0, 1)`` with top and bottom lengths ``top`` and
+    ``bottom`` for A and smooth branches of parameters ``k_a`` and ``k_b``."""
+    ks = {"A": k_a, "B": k_b}
+    return giet_from_branches(parse_datum("A B", "B A"), [top, 1 - top], [bottom, 1 - bottom],
+                              lambda a, d, r: SmoothParam(d, r, k=ks[a]))
+
+
+def shrinking_circle_map():
+    """A smooth ``A B / B A`` map whose bottom steps shrink B's top interval
+    geometrically: 5.2e-11 wide after step 16, and 0.0 after step 29 unless
+    the induction stops."""
+    return smooth_two_letter_map(0.1709278197011611, 0.8126903632435094,
+                                 2.3385689331345194, 0.9141932720703807)
 
 
 def random_simplex(rng, letters, floor=0.02):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import gietlab
-from conftest import breaking_step
+from conftest import breaking_step, shrinking_circle_map
 from gietlab import fileio, svg
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
 from gietlab.cli import build_parser, main
@@ -94,6 +94,13 @@ def test_path_worked_example(capsys):
 
 def test_path_bad_kind_string(capsys):
     assert main(["path", "A B / B A", "tx"]) == 1
+
+
+def test_realize_bad_kind_string_is_one_error_naming_the_kind(tmp_path, capsys):
+    assert main(["realize", write_seed_family(tmp_path), "tbx"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+    assert "kind must be 't' or 'b', got 'x'" in err, err
 
 
 def test_induct(tmp_path, capsys):
@@ -545,7 +552,7 @@ def test_smooth_k_whose_exponential_overflows_is_an_error(tmp_path, capsys, comm
             continue
         assert rc == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
-        assert "branch 'A': field 'k' must be at most about 709.78" in err and str(k) in err
+        assert "branch 'A': k must be at most about 709.78" in err and str(k) in err
 
 
 def test_non_admissible_datum_is_an_error_not_a_tie(tmp_path, capsys):
@@ -599,7 +606,8 @@ def test_giet_document_with_length_two_is_an_error(tmp_path, capsys):
     doc["length"] = 2.0
     assert main(["realize", write_doc(tmp_path, doc), "tbt"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "branch 'B'" in err and "[0.5, 2.0)" in err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "branch 'B' domain [0.5, 1.0) ends at 1.0, not at the total length 2.0" in err, err
 
 
 def test_realize_on_a_map_of_length_two_is_an_error(tmp_path, capsys):
@@ -957,15 +965,16 @@ def partition_with(total=1.0, **fields):
                  "partition document field 'atoms': entry 0 [0.5, 0.2) does not start at 0",
                  id="negative-total"),
     pytest.param(partition_with(left="0.6"),
-                 "field 'atoms': entry 1 [0.6, 1.0) does not start where the previous atom "
-                 "ends, 0.5", id="gap"),
+                 "field 'atoms': entry 1 [0.6, 1.0) does not start where entry 0 ends, 0.5",
+                 id="gap"),
     pytest.param(partition_with(left="0.4"),
-                 "field 'atoms': entry 1 [0.4, 1.0) does not start where the previous atom "
-                 "ends, 0.5", id="overlap"),
+                 "field 'atoms': entry 1 [0.4, 1.0) does not start where entry 0 ends, 0.5",
+                 id="overlap"),
     pytest.param(partition_with(right="0.5"),
                  "field 'atoms': entry 1 [0.5, 0.5) is empty", id="empty"),
     pytest.param(partition_with(total=2),
-                 "field 'atoms': atoms end at 1.0, not at the total length 2", id="short"),
+                 "field 'atoms': entry 1 [0.5, 1.0) ends at 1.0, not at the total length 2",
+                 id="short"),
 ])
 def test_render_of_a_bad_partition_is_an_error(tmp_path, capsys, doc, message):
     """One ``error:`` line, exit code 1 and no SVG; ``doc`` is a document or its text."""
@@ -986,7 +995,7 @@ def test_render_reads_a_partition_tiled_within_its_scaled_tolerance(tmp_path, ca
     assert main(["render", str(path), "-o", str(out)]) == 0 and out.exists()
     path.write_text(partition_with(left="0.5000005"))
     assert main(["render", str(path), "-o", str(tmp_path / "q.svg")]) == 1
-    assert "does not start where the previous atom ends" in capsys.readouterr().err
+    assert "does not start where entry 0 ends" in capsys.readouterr().err
 
 
 def test_render_rejects_unknown_kind(tmp_path, capsys):
@@ -1066,11 +1075,14 @@ def test_smooth_branch_rounding_out_of_its_range_names_the_letter(tmp_path, caps
     # A's branch onto [0.6, 1.0) sends most of its domain to 1.0
     ks = {"A": -1000.0, "B": 0.0}
     g = giet_from_branches(D2, [0.4, 0.6], [0.4, 0.6], lambda a, d, r: SmoothParam(d, r, k=ks[a]))
+    with pytest.raises(GietlabError, match=r"^the branch of letter 'A' maps floor 2 of the tower "
+                                           r"over \[0.0, 0.0001\) to floor 3 at 1\.0, outside "
+                                           r"\[0, 1\.0\)$"):
+        g.tower(0.0, 1e-4, 5)
+    # the induction stops first: its third step would split B's branch at
+    # the right end of its range, leaving an empty piece, which is a tie
     assert main(["partition", write_doc(tmp_path, fileio.giet_document(g)), "-r", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
-    assert re.search(r"branch of letter 'A' maps floor \d+ .* to floor \d+ at 1\.0, "
-                     r"outside \[0, 1\.0\)", err), err
+    assert capsys.readouterr() == ("", "error: tie after 2 of 3 steps\n")
 
 
 def test_realize_no_cyclic_exit_code(tmp_path, capsys, monkeypatch):
@@ -1079,6 +1091,15 @@ def test_realize_no_cyclic_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(thurston, "find_cyclic", lambda cls: None)
     family = write_seed_family(tmp_path)
     assert main(["realize", family, "bbb"]) == 3
+
+
+def test_partition_with_an_empty_induced_interval_is_a_tie(tmp_path, capsys):
+    # the partition of order 30 is refused, not written with an empty atom
+    doc = write_doc(tmp_path, fileio.giet_document(shrinking_circle_map()))
+    out = tmp_path / "p.json"
+    assert main(["partition", doc, "-r", "30", "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: tie after 15 of 30 steps\n")
+    assert not out.exists()
 
 
 def test_partition_tie_is_reported_as_error(tmp_path, capsys):

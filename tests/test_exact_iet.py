@@ -26,13 +26,14 @@ def fixture_Tg():
 
 
 def test_breakpoints():
-    u_t, u_b = fixture_T2().breakpoints()
+    T = fixture_T2()
+    u_t, u_b = T.top_breaks, T.bottom_breaks
     assert u_t == {"A": 0, "B": Fraction(1, 3)}
     assert u_b == {"A": Fraction(2, 3), "B": 0}
-    _, u_b4 = fixture_Tg().breakpoints()
+    u_b4 = fixture_Tg().bottom_breaks
     assert u_b4["A"] == Fraction(5, 11)
     # the first top letter always starts at 0
-    assert fixture_Tg().breakpoints()[0]["A"] == 0
+    assert fixture_Tg().top_breaks["A"] == 0
 
 
 def test_eval_basic():
@@ -141,13 +142,14 @@ def test_first_return_identity():
 
 def test_integer_lengths_give_integer_breakpoints():
     T = ExactIET(D4, (6, 2, 1, 2))
-    u_t, u_b = T.breakpoints()
+    u_t, u_b = T.top_breaks, T.bottom_breaks
     assert u_t == {"A": 0, "B": 6, "C": 8, "D": 9} and u_b["A"] == 5
     assert all(type(x) is int for x in [*u_t.values(), *u_b.values(), T.total, T.eval(0)])
     induced = T.rauzy_path(5).map
     assert all(type(x) is int for x in induced.lengths)
     # fraction lengths keep fraction breakpoints, the first one included
-    u_t, u_b = fixture_Tg().breakpoints()
+    T = fixture_Tg()
+    u_t, u_b = T.top_breaks, T.bottom_breaks
     assert all(type(x) is Fraction for x in [*u_t.values(), *u_b.values()])
     assert u_t["A"] == Fraction(0)
 
@@ -194,7 +196,7 @@ def test_branches_invert_exactly_like_eval_inverse():
         (grid, range(grid.total)),
         (fraction_map, [Fraction(k, 3 * D) for k in range(3 * D)]),
     ):
-        u_t, u_b = T.breakpoints()
+        u_t, u_b = T.top_breaks, T.bottom_breaks
         for a, br in T.branches.items():
             assert br.domain == (u_t[a], u_t[a] + T.length(a))
             assert br.range_ == (u_b[a], u_b[a] + T.length(a))
@@ -257,7 +259,7 @@ def walked_by_displacement(T, lo, hi, n):
     """The exact tower as a walk that adds each letter's displacement
     ``u^b - u^t``: how ``ExactIET`` built its towers before it shared the
     row model of ``Giet``."""
-    u_t, u_b = T.breakpoints()
+    u_t, u_b = T.top_breaks, T.bottom_breaks
     row = T.datum.top
     cuts = [u_t[a] for a in row[1:]]
     floors = [(lo, hi)]

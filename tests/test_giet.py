@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import admissible, random_unit_giet
+from conftest import admissible, random_unit_giet, shrinking_circle_map, smooth_two_letter_map
 from gietlab import fileio
 from gietlab.branches import (
     EPS_BRANCH,
@@ -122,6 +122,22 @@ def test_tie_error():
         g.rauzy_step()
 
 
+def test_a_split_that_leaves_an_empty_piece_is_a_tie():
+    g = shrinking_circle_map()
+    result = g.rauzy_path(30)
+    assert result.tie and result.path.kinds == "t" + "b" * 14
+    # the bottom step would cut A's domain within EPS_TIE of its right end
+    with pytest.raises(TieError, match=r"^letter 'A' splits at .*, too near an end of \[0\.0, "):
+        result.map.rauzy_step()
+    with pytest.raises(InductionFailed, match="tie after 15 of 30 steps"):
+        dynamical_partition(g, 30)
+    # a top step whose image of x_b is the right end of the top branch's range
+    g = smooth_two_letter_map(0.4, 0.4, -1000.0, 0.0)
+    with pytest.raises(TieError, match=r"^letter 'B' splits at (\S+), too near an end of "
+                                       r"\[0\.0, \1\)$"):
+        g.rauzy_path(2).map.rauzy_step()
+
+
 def test_worked_example_partition_exact():
     P = dynamical_partition(model_iet(), 5)
     assert len(P.atoms) == 11
@@ -130,7 +146,7 @@ def test_worked_example_partition_exact():
         ("A", 0), ("B", 0), ("D", 0), ("C", 0), ("D", 2), ("A", 1),
         ("B", 1), ("D", 1), ("C", 1), ("D", 3), ("A", 2),
     ]
-    P.validate(total=Fraction(1), tol=0)
+    P.validate(Fraction(1))
 
 
 def test_partition_order_zero():
@@ -176,7 +192,7 @@ def test_matrix_counts_worked_example():
     assert verify_matrix_counts(T, 5)
     # entry (D, A) = 2: two D-atoms inside the top interval of A
     P = dynamical_partition(T, 5)
-    u_t, _ = T.breakpoints()
+    u_t = T.top_breaks
     inside = [
         a for a in P.atoms
         if a.letter == "D" and u_t["A"] <= a.lo and a.hi <= u_t["A"] + T.length("A")
@@ -221,7 +237,7 @@ def test_partition_tiling_sums():
         f = giet_from_iet(T)
         P = dynamical_partition(f, 6)
         assert sum(P.lengths()) == pytest.approx(1.0, abs=T.datum.d * 1e-12)
-        P.validate(total=1.0, tol=1e-9)
+        P.validate(1.0)
 
 
 def test_chain_branches_strictly_increasing():
@@ -246,14 +262,25 @@ def test_branch_validate_raises_a_typed_error_naming_the_branch(branch, fault):
     assert f"Translation branch {branch.domain} -> {branch.range_}" in str(exc.value)
 
 
+def test_smooth_k_whose_exponential_overflows_is_a_typed_error():
+    # math.expm1(k) overflows above k = log(max float) = 709.78...
+    with pytest.raises(GietlabError, match=r"^k must be at most about 709\.78, as e\^k "
+                                           r"overflows, got 710\.0$"):
+        SmoothParam((0.0, 1.0), (0.0, 1.0), 710.0)
+    assert SmoothParam((0.0, 1.0), (0.0, 1.0), 709.0).eval(1.0) == 1.0
+    assert SmoothParam((0.0, 1.0), (0.0, 1.0), -1000.0).eval(0.0) == 0.0
+
+
 def test_partition_validate_raises_a_typed_error_naming_the_atom():
     P = dynamical_partition(model_iet(), 5)
     gap = replace(P, atoms=P.atoms[:3] + P.atoms[4:])
-    with pytest.raises(GietlabError, match=r"atom D2 \[4/11, 5/11\) does not start"):
-        gap.validate(total=Fraction(1), tol=0)
+    with pytest.raises(GietlabError, match=r"^atom D2 \[4/11, 5/11\) does not start where atom D0 "
+                                           r"ends, 3/11$"):
+        gap.validate(Fraction(1))
     short = replace(P, atoms=P.atoms[:-1])
-    with pytest.raises(GietlabError, match="atoms end at 10/11"):
-        short.validate(total=Fraction(1), tol=0)
+    with pytest.raises(GietlabError, match=r"^atom D3 \[9/11, 10/11\) ends at 10/11, not at the "
+                                           r"total length 1$"):
+        short.validate(Fraction(1))
 
 
 def test_path_partition_equivalence_both_directions():
@@ -324,7 +351,7 @@ def test_five_branch_giet_evaluates_each_branch():
     # the five-interval shape: each branch maps its own interval monotonically
     five = parse_datum("A B E C D", "E A D C B")
     rng = random.Random(9)
-    from conftest import admissible, random_unit_giet
+    from conftest import admissible, random_unit_giet, shrinking_circle_map, smooth_two_letter_map
 
     f = random_unit_giet(rng, datum=five)
     f.validate()

@@ -36,7 +36,9 @@ def reference_restrict(branch, lo, hi, c, d):
 
 
 def reference_step(g):
-    """``Giet.rauzy_step`` as it read before the step was made cheap."""
+    """``Giet.rauzy_step`` as it read before the step was made cheap, with
+    the tie rule it has since gained: no piece of a split branch may be
+    ``EPS_TIE`` long or shorter."""
     alpha_t = g.datum.top[-1]
     alpha_b = g.datum.bottom[-1]
     x_t = g.top_breaks[alpha_t]
@@ -51,6 +53,8 @@ def reference_step(g):
         new_length = x_b
         y = br_t.eval(x_b)
         c, d = br_t.range_
+        if y - c <= EPS_TIE or d - y <= EPS_TIE:
+            raise TieError(f"letter {alpha_t!r} splits at {y}, too near an end of [{c}, {d})")
         branches[alpha_t] = reference_restrict(br_t, x_t, x_b, c, y)
         branches[alpha_b] = Chain((br_b, reference_restrict(br_t, x_b, g.length, y, d)))
         bottom_breaks = {a: branches[a].range_[0] for a in g.datum.alphabet}
@@ -58,7 +62,9 @@ def reference_step(g):
         arrow = datum_step(g.datum, "b")
         new_length = x_t
         cut = br_b.inverse(x_t)
-        hi = br_b.domain[1]
+        lo, hi = br_b.domain
+        if cut - lo <= EPS_TIE or hi - cut <= EPS_TIE:
+            raise TieError(f"letter {alpha_b!r} splits at {cut}, too near an end of [{lo}, {hi})")
         c, d = br_b.range_
         branches[alpha_b] = reference_restrict(br_b, g.top_breaks[alpha_b], cut, c, x_t)
         branches[alpha_t] = Chain((reference_restrict(br_b, cut, hi, x_t, d), br_t))
@@ -160,7 +166,9 @@ def test_step_equals_the_reference_on_a_piecewise_linear_seed():
         mid = ((dom[0] + dom[1]) / 2, rng_[0] + 0.3 * (rng_[1] - rng_[0]))
         return PiecewiseLinear(((dom[0], rng_[0]), mid, (dom[1], rng_[1])))
 
-    assert len(induce_both(giet_from_branches(d4, tops, bottoms, maker))) == 30
+    # the 25th step would split C's domain 8.5e-11 from its end: a tie, on
+    # both sides
+    assert len(induce_both(giet_from_branches(d4, tops, bottoms, maker))) == 24
 
 
 def test_step_equals_the_reference_on_float_copies_of_iets():

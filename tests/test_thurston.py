@@ -495,8 +495,8 @@ def _reference_in_fractions(path):
         path.source, {a: Fraction(c, N) for a, c in matrix.col_sums().items()}, normalize=False
     )
     induced = base.rauzy_path(len(path)).map
-    u_t, _ = base.breakpoints()
-    u_t_induced, _ = induced.breakpoints()
+    u_t = base.top_breaks
+    u_t_induced = induced.top_breaks
     h = {}
     for a in path.source.alphabet:
         x, h[a] = u_t_induced[a], 0
@@ -634,7 +634,7 @@ def test_pull_order_equals_the_per_step_comprehension():
         assert len(pulled) == ref.N - ref.datum.d
         # the preimage of the point read at x lands on its class's index
         # predecessor: a letter's run fills its top interval after its first point
-        u_t = ref.grid.breakpoints()[0]
+        u_t = ref.grid.top_breaks
         landed = {}
         for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
             for k in range(hi - lo):
