@@ -56,11 +56,13 @@ class InductionFailed(GietlabError):
 
 
 class DegenerateTau(GietlabError):
-    """A deformation parameter has a non-positive entry where positivity is required."""
+    """A deformation parameter is off the simplex: an entry that is not
+    finite or is negative, entries that do not sum to 1, or a zero entry
+    where positivity is required."""
 
 
-class AllZero(GietlabError):
-    """A boundary deformation parameter vanishes identically."""
+class AllZero(DegenerateTau):
+    """A deformation parameter vanishes identically."""
 
 
 class TargetNotCyclic(GietlabError):

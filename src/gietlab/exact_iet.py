@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import lcm
 from typing import NamedTuple
 
@@ -75,6 +74,24 @@ def _row_index(cuts, x, snap):
     if i < len(cuts) and cuts[i] - x <= snap:
         i += 1
     return i
+
+
+def lay_out(row, widths) -> dict:
+    """Each letter's ``(lo, hi)`` when the ``widths`` are laid end to end
+    along ``row``, summed left to right from a zero of the widths' own type:
+    ``int`` widths give ``int`` ends and ``Fraction`` ones start at
+    ``Fraction(0)``.  A zero width is the point where its neighbours meet.
+
+    >>> lay_out("BA", {"A": 1, "B": 2})
+    {'B': (0, 2), 'A': (2, 3)}
+    """
+    lo = type(widths[row[0]])()
+    ends = {}
+    for a in row:
+        hi = lo + widths[a]
+        ends[a] = (lo, hi)
+        lo = hi
+    return ends
 
 
 class Exchange:
@@ -239,18 +256,11 @@ class ExactIET(Exchange):
     def branches(self) -> dict:
         """Each letter's ``Translation`` of its top interval onto its bottom
         one, in exact arithmetic: its inverse of ``y`` is ``y - (u^b - u^t)``.
-
-        The rows are laid out here, and only here: each letter's interval
-        starts at the sum of the lengths before it in the row, summed from a
-        zero of the lengths' own type, so ``int`` lengths give ``int`` ends.
+        The rows are the lengths laid out along them (``lay_out``).
         """
         lam = self.lengths_by_letter()
-        zero = type(self.lengths[0])()  # 0 or Fraction(0)
-        u_t, u_b = (dict(zip(row, accumulate(map(lam.get, row[:-1]), initial=zero)))
-                    for row in (self.datum.top, self.datum.bottom))
-        return {
-            a: Translation((u_t[a], u_t[a] + l), (u_b[a], u_b[a] + l)) for a, l in lam.items()
-        }
+        top, bottom = lay_out(self.datum.top, lam), lay_out(self.datum.bottom, lam)
+        return {a: Translation(top[a], bottom[a]) for a in lam}
 
     def eval(self, x):
         """Image of ``x``: translate by the letter's displacement."""

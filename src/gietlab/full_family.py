@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .combinatorics import CombinatorialDatum, reduction
 from .errors import AllZero, DatumMismatch, DegenerateTau, GietlabError
-from .giet import Giet
+from .exact_iet import lay_out
+from .giet import Giet, giet_from_branches
 
 
 def _sum(xs) -> float:
@@ -39,11 +40,18 @@ def _sum(xs) -> float:
 
 
 def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
-    """``tau`` as a float per letter; a NaN or infinite entry is an error."""
+    """``tau`` as a float per letter.  A NaN or infinite entry, a tau that
+    vanishes identically, or one whose entries do not sum to 1 within 1e-9
+    is an error."""
     values = [tau[a] for a in datum.alphabet] if isinstance(tau, dict) else tau
     tau = dict(zip(datum.alphabet, map(float, values)))
     if not all(map(math.isfinite, tau.values())):
         raise DegenerateTau(f"tau entries must be finite numbers, got {tau}")
+    if not any(tau.values()):
+        raise AllZero("tau vanishes identically")
+    total = _sum(tau.values())
+    if not abs(total - 1.0) <= 1e-9:
+        raise DegenerateTau(f"tau must sum to 1, got {total!r}")
     return tau
 
 
@@ -79,30 +87,11 @@ def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
     return FamilySlopes(phi, rescale, psi)
 
 
-def _deformed(f: Giet, tau: dict, sl: FamilySlopes, keep) -> tuple[dict, dict]:
-    """Top breakpoints of the deformed map, and its branches restricted to ``keep``.
-
-    Top breakpoints come for every letter: a collapsed letter's is the point
-    its top interval shrinks to.
-    """
-    datum = f.datum
-    top_breaks, bottom_breaks, branches = {}, {}, {}
-    acc = 0.0
-    for a, lo, hi in f.top_intervals():
-        top_breaks[a] = acc
-        acc += sl.psi[a] * (hi - lo)
-    acc = 0.0
-    for a in datum.bottom:
-        if a in keep:
-            bottom_breaks[a] = acc
-            acc += tau[a]
-    for a, lo, hi in f.top_intervals():
-        if a not in keep:
-            continue
-        new_dom = (top_breaks[a], top_breaks[a] + sl.psi[a] * (hi - lo))
-        new_rng = (bottom_breaks[a], bottom_breaks[a] + tau[a])
-        branches[a] = f.branches[a].rescaled(new_dom, new_rng)
-    return top_breaks, branches
+def _top_widths(f: Giet, tau: dict) -> dict:
+    """Each letter's top width in the deformed map: its width in ``f`` times
+    its domain slope ``psi``."""
+    psi = _slopes_closed(f, tau).psi
+    return {a: psi[a] * (hi - lo) for a, lo, hi in f.top_intervals()}
 
 
 def apply(f: Giet, tau) -> Giet:
@@ -112,8 +101,8 @@ def apply(f: Giet, tau) -> Giet:
     intervals, so the deformation preserves branch regularity.
     """
     tau = _positive_tau(f.datum, tau)
-    sl = _slopes_closed(f, tau)
-    return Giet(f.datum, 1.0, _deformed(f, tau, sl, set(f.datum.alphabet))[1])
+    return giet_from_branches(f.datum, _top_widths(f, tau), tau,
+                              lambda a, dom, rng: f.branches[a].rescaled(dom, rng))
 
 
 @dataclass(frozen=True)
@@ -133,10 +122,11 @@ class Degeneration:
 def boundary_apply(f: Giet, tau) -> Degeneration:
     """Deformation at a boundary parameter: zero entries collapse letters.
 
-    A collapsed letter leaves the singular point its branch graph shrinks to:
-    the image of its critical point under the (now non-injective) domain
-    change, paired with the tau partial sum below it along the bottom row.
-    Both coordinates land on breakpoints of the regular part or at 1.
+    Both rows are laid out in full.  A collapsed letter has zero width on
+    each, so its top and bottom intervals are points, and together they are
+    the singular point its branch graph shrinks to.  Adding a zero width is
+    exact, so the kept letters sit where they would without it, and both
+    coordinates land on breakpoints of the regular part or at 1.
     """
     tau = _tau_dict(f.datum, tau)
     if any(v < 0 for v in tau.values()):
@@ -144,19 +134,11 @@ def boundary_apply(f: Giet, tau) -> Degeneration:
     zeros = {a for a, v in tau.items() if v == 0.0}
     if not zeros:
         raise DegenerateTau("boundary deformation needs at least one zero entry")
-    if len(zeros) == f.datum.d:
-        raise AllZero("tau vanishes identically")
-    keep = set(f.datum.alphabet) - zeros
-    sl = _slopes_closed(f, tau)
-    top_breaks, branches = _deformed(f, tau, sl, keep)
-    reduced = reduction(f.datum, keep)
-    regular = Giet(reduced, 1.0, branches)
-    singular = {}
-    for a in zeros:
-        x = top_breaks[a]
-        y = _sum(tau[c] for c in f.datum.alphabet if f.datum.pi_b(c) <= f.datum.pi_b(a))
-        singular[a] = (x, y)
-    return Degeneration(f.datum, reduced, regular, singular)
+    top, bottom = lay_out(f.datum.top, _top_widths(f, tau)), lay_out(f.datum.bottom, tau)
+    branches = {a: f.branches[a].rescaled(top[a], bottom[a]) for a in f.datum.top if a not in zeros}
+    reduced = reduction(f.datum, set(branches))
+    singular = {a: (top[a][0], bottom[a][0]) for a in zeros}
+    return Degeneration(f.datum, reduced, Giet(reduced, 1.0, branches), singular)
 
 
 def extended_distance(a, b, samples: int = 64) -> float:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .branches import Translation, compose, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
 from .errors import GietlabError, InductionFailed, TieError
-from .exact_iet import Exchange, ExactIET, InductionResult, induce
+from .exact_iet import Exchange, ExactIET, InductionResult, induce, lay_out
 
 EPS_TIE = 1e-10
 
@@ -135,23 +135,20 @@ def giet_from_branches(datum: CombinatorialDatum, top_lengths, bottom_lengths, m
     """Assemble a unit-interval GIET from per-letter interval lengths.
 
     ``maker(letter, domain, range_)`` builds each branch; lengths are given in
-    alphabet order or as dicts and must sum to 1 on each side.
+    alphabet order or as dicts, laid out along each row in floats
+    (``lay_out``), and must sum to 1 on each side.
     """
-    if not isinstance(top_lengths, dict):
-        top_lengths = dict(zip(datum.alphabet, top_lengths))
-    if not isinstance(bottom_lengths, dict):
-        bottom_lengths = dict(zip(datum.alphabet, bottom_lengths))
-    ends = {}  # (side, letter): the letter's interval on that side
+    rows = {}
     for side, row, lengths in (("top", datum.top, top_lengths),
                                ("bottom", datum.bottom, bottom_lengths)):
-        acc = 0.0
-        for a in row:
-            ends[side, a] = (acc, acc + lengths[a])
-            acc += lengths[a]
-        if not abs(acc - 1.0) <= 1e-9:
-            raise GietlabError(f"{side} lengths must sum to 1, got {acc!r}")
-    branches = {a: maker(a, ends["top", a], ends["bottom", a]) for a in datum.alphabet}
-    return Giet(datum, 1.0, branches)
+        if not isinstance(lengths, dict):
+            lengths = dict(zip(datum.alphabet, lengths))
+        rows[side] = ends = lay_out(row, {a: float(lengths[a]) for a in row})
+        total = ends[row[-1]][1]
+        if not abs(total - 1.0) <= 1e-9:
+            raise GietlabError(f"{side} lengths must sum to 1, got {total!r}")
+    top, bottom = rows["top"], rows["bottom"]
+    return Giet(datum, 1.0, {a: maker(a, top[a], bottom[a]) for a in datum.alphabet})
 
 
 class Atom(NamedTuple):
@@ -198,7 +195,7 @@ def check_tiling(atoms, total, name, tol=None):
     prev = 0
     for i, atom in enumerate(atoms):
         lo, hi = atom[0], atom[1]
-        if not abs(lo - prev) <= tol:
+        if lo != prev and not abs(lo - prev) <= tol:  # no Fraction arithmetic at a shared end
             where = f"where {name(i - 1)} ends, " if i else "at "
             raise GietlabError(f"{name(i)} [{lo}, {hi}) does not start {where}{prev}")
         if not hi > lo:

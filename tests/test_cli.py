@@ -1027,7 +1027,7 @@ def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
     assert main(["realize", family, "bbbtb", "-o", report]) == 0
     assert [path for _, path, _ in written] == [iet, family, partition, report]
     for doc, path, text in written:
-        assert open(path).read() == text + "\n"
+        assert Path(path).read_text() == text + "\n"
         # one line, keys sorted, the default separators
         assert text == json.dumps(json.loads(text), sort_keys=True)
         assert json.loads(text) == json.loads(json.dumps(doc, indent=2, sort_keys=True))
@@ -1100,6 +1100,21 @@ def test_partition_with_an_empty_induced_interval_is_a_tie(tmp_path, capsys):
     assert main(["partition", doc, "-r", "30", "-o", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: tie after 15 of 30 steps\n")
     assert not out.exists()
+
+
+def test_partition_that_does_not_tile_is_refused(tmp_path, capsys):
+    # order 15 passes the tie rule, but two of its atoms are 1.1e-9 apart:
+    # nothing is written; order 14 tiles and is written
+    doc = write_doc(tmp_path, fileio.giet_document(shrinking_circle_map()))
+    out, svg_out = tmp_path / "p.json", tmp_path / "p.svg"
+    assert main(["partition", doc, "-r", "15", "-o", str(out), "--svg", str(svg_out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: atom B28 [") and stderr.count("\n") == 1
+    assert "does not start where atom B26 ends" in stderr
+    assert not out.exists() and not svg_out.exists()
+    assert main(["partition", doc, "-r", "14", "-o", str(out), "--svg", str(svg_out)]) == 0
+    assert out.exists() and svg_out.exists()
 
 
 def test_partition_tie_is_reported_as_error(tmp_path, capsys):

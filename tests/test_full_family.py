@@ -10,7 +10,7 @@ from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Transl
 from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
 from gietlab.exact_iet import ExactIET
-from gietlab.full_family import apply, boundary_apply, extended_distance, slopes
+from gietlab.full_family import _slopes_closed, apply, boundary_apply, extended_distance, slopes
 from gietlab.giet import giet_from_branches, giet_from_iet
 
 D2 = parse_datum("A B", "B A")
@@ -323,3 +323,80 @@ def test_boundary_is_limit_of_interior():
             assert dist < prev
         prev = dist
     assert prev < 1e-3
+
+
+@pytest.mark.parametrize("entry", [apply, slopes, boundary_apply])
+def test_a_tau_off_the_simplex_is_an_error(entry):
+    # the bottom row of the deformed map would end at 0.6, short of 1
+    f = giet_from_iet(ExactIET.from_lengths(D2, ["1/3", "2/3"]))
+    with pytest.raises(DegenerateTau, match="tau must sum to 1, got 0.6"):
+        entry(f, {"A": 0.3, "B": 0.3})
+
+
+def reference_deformed(f, tau, sl, keep):
+    """The deformation as it was computed before both rows went through
+    ``lay_out``: its own running sums, the bottom one over the kept letters
+    only.  Returns the top breakpoints of every letter and the branches of
+    the kept ones."""
+    top_breaks, bottom_breaks, branches = {}, {}, {}
+    acc = 0.0
+    for a, lo, hi in f.top_intervals():
+        top_breaks[a] = acc
+        acc += sl.psi[a] * (hi - lo)
+    acc = 0.0
+    for a in f.datum.bottom:
+        if a in keep:
+            bottom_breaks[a] = acc
+            acc += tau[a]
+    for a, lo, hi in f.top_intervals():
+        if a not in keep:
+            continue
+        new_dom = (top_breaks[a], top_breaks[a] + sl.psi[a] * (hi - lo))
+        new_rng = (bottom_breaks[a], bottom_breaks[a] + tau[a])
+        branches[a] = f.branches[a].rescaled(new_dom, new_rng)
+    return top_breaks, branches
+
+
+def reference_singular_y(datum, tau, a):
+    """A collapsed letter's singular ordinate as it was computed before: the
+    tau entries up to it along the bottom row, added in alphabet order."""
+    total = 0.0
+    for c in datum.alphabet:
+        if datum.pi_b(c) <= datum.pi_b(a):
+            total += tau[c]
+    return total
+
+
+def assert_same_branches(new, old):
+    assert new.keys() == old.keys()
+    for a in old:
+        assert type(new[a]) is type(old[a])
+        assert (new[a].domain, new[a].range_) == (old[a].domain, old[a].range_)
+        assert new[a] == old[a]
+
+
+def test_deformation_matches_the_reference_bit_for_bit():
+    rng = random.Random(24)
+    kinds = set()
+    for _ in range(60):
+        f = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
+        letters = f.datum.alphabet
+        kinds |= {type(b).__name__ for b in f.branches.values()}
+        tau = random_simplex(rng, letters)
+        _, branches = reference_deformed(f, tau, _slopes_closed(f, tau), set(letters))
+        assert_same_branches(apply(f, tau).branches, branches)
+
+        zeros = set(rng.sample(letters, rng.randint(1, len(letters) - 1)))
+        tau = random_simplex(rng, [a for a in letters if a not in zeros])
+        tau.update(dict.fromkeys(zeros, 0.0))
+        deg = boundary_apply(f, tau)
+        keep = set(letters) - zeros
+        top_breaks, branches = reference_deformed(f, tau, _slopes_closed(f, tau), keep)
+        assert_same_branches(deg.regular.branches, branches)
+        for a in zeros:
+            x, y = deg.singular[a]
+            assert x == top_breaks[a]
+            # summed along the bottom row, not in alphabet order: the last
+            # bits may differ (none do on these draws)
+            assert abs(y - reference_singular_y(f.datum, tau, a)) <= 1e-15
+    assert kinds == {"Translation", "SmoothParam", "PiecewiseLinear"}
