@@ -92,7 +92,6 @@ def cmd_partition(args) -> int:
     m = fileio.load_map(args.map_file)
     r = _check_order(args.order)
     partition = dynamical_partition(m, r)
-    partition.validate(m.total)  # a float induction can lose the tiling before any tie
     if sigma_and_cyclicity(partition.path.target)[1]:
         ref = build_reference(partition.path)
         labels = [

@@ -195,7 +195,7 @@ def check_tiling(atoms, total, name, tol=None):
     prev = 0
     for i, atom in enumerate(atoms):
         lo, hi = atom[0], atom[1]
-        if lo != prev and not abs(lo - prev) <= tol:  # no Fraction arithmetic at a shared end
+        if not abs(lo - prev) <= tol:
             where = f"where {name(i - 1)} ends, " if i else "at "
             raise GietlabError(f"{name(i)} [{lo}, {hi}) does not start {where}{prev}")
         if not hi > lo:
@@ -212,6 +212,8 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
     Works for exact IETs (exact endpoints) and float GIETs alike.  An IET with
     ``int`` lengths has ``int`` atom ends; one with fractions is partitioned on
     its integer grid, and the endpoints are turned into fractions at the end.
+    Raises ``GietlabError`` when the atoms do not tile the interval
+    (``DynamicalPartition.validate``).
     """
     exact = isinstance(m, ExactIET) and not isinstance(m.lengths[0], int)
     if exact:
@@ -229,11 +231,16 @@ def dynamical_partition(m, r: int) -> DynamicalPartition:
         for i, (lo, hi) in enumerate(m.tower(*base, q[letter]))
     ]
     atoms.sort(key=itemgetter(0))
-    if exact:
-        # neighbouring atoms share endpoints: make each fraction once
-        ends = {x for atom in atoms for x in atom[:2]}
-        frac = {x: Fraction(x, D) for x in ends}
-        atoms = [Atom(frac[lo], frac[hi], letter, i) for lo, hi, letter, i in atoms]
+    partition = DynamicalPartition(r, tuple(atoms), path)
+    # float towers can drift apart before any tie; exact ones are checked on
+    # their integer grid, in int arithmetic
+    partition.validate(m.total)
+    if not exact:
+        return partition
+    # neighbouring atoms share endpoints: make each fraction once
+    ends = {x for atom in atoms for x in atom[:2]}
+    frac = {x: Fraction(x, D) for x in ends}
+    atoms = [Atom(frac[lo], frac[hi], letter, i) for lo, hi, letter, i in atoms]
     return DynamicalPartition(r, tuple(atoms), path)
 
 

@@ -1117,6 +1117,24 @@ def test_partition_that_does_not_tile_is_refused(tmp_path, capsys):
     assert out.exists() and svg_out.exists()
 
 
+@pytest.mark.parametrize("order, code", [(14, 0), (15, 1)])
+def test_semiconj_refuses_a_partition_that_does_not_tile(tmp_path, capsys, order, code):
+    # the same order-15 partition is refused when semiconj builds it
+    g = shrinking_circle_map()
+    model = build_reference(g.rauzy_path(order).path).base_iet
+    f_path, t_path = str(tmp_path / "f.json"), str(tmp_path / "t.json")
+    fileio.dump(fileio.giet_document(g), f_path)
+    fileio.dump(fileio.iet_document(model), t_path)
+    argv = ["semiconj", f_path, t_path, "-r", str(order)]
+    assert main(argv) == code
+    stdout, stderr = capsys.readouterr()
+    if code:
+        assert stdout == "" and stderr.count("\n") == 1
+        assert stderr.startswith("error: atom B28 [")
+    else:
+        assert stderr == "" and "residual: " in stdout
+
+
 def test_partition_tie_is_reported_as_error(tmp_path, capsys):
     doc = fileio.iet_document(ExactIET.from_lengths(D2, ["1/2", "1/2"]))
     path = tmp_path / "tie.json"
