@@ -46,6 +46,10 @@ class Branch:
         so the results are bit-identical."""
         return [self.inverse(y) for y in ys]
 
+    def inverse_slopes(self, ys) -> list:
+        """The slope of the inverse at each of ``ys``."""
+        raise NotImplementedError
+
     def validate(self, samples: int = 16, eps: float = EPS_BRANCH) -> None:
         """Spot-check monotonicity, endpoint matching and inverse consistency."""
         a, b = self.domain
@@ -80,6 +84,9 @@ class Translation(Branch):
     def inverse(self, y):
         return y - self.shift
 
+    def inverse_slopes(self, ys):
+        return [1.0] * len(ys)
+
     def rescaled(self, domain, range_):
         return Affine(domain, range_)
 
@@ -99,6 +106,9 @@ class Affine(Branch):
 
     def inverse(self, y):
         return self.domain[0] + (y - self.range_[0]) / self.slope
+
+    def inverse_slopes(self, ys):
+        return [1 / self.slope] * len(ys)
 
     def rescaled(self, domain, range_):
         return Affine(domain, range_)
@@ -144,6 +154,11 @@ class PiecewiseLinear(Branch):
         i = bisect_right(self._ys, y)
         (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
         return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+
+    def inverse_slopes(self, ys):
+        slopes = [(x1 - x0) / (y1 - y0)
+                  for (x0, y0), (x1, y1) in zip(self.nodes, self.nodes[1:])]
+        return [slopes[bisect_right(self._ys, y)] for y in ys]
 
     def rescaled(self, domain, range_):
         inner = Affine(self.domain, domain)
@@ -196,6 +211,13 @@ class SmoothParam(Branch):
         log1p = math.log1p
         return [a + w * (log1p((y - c) / h * em) / k) for y in ys]
 
+    def inverse_slopes(self, ys):
+        # d/dy of a + w * log1p(s * em) / k with s = (y - c) / h
+        a, w, c, h, k, em = self._consts
+        if k == 0.0:
+            return [w / h] * len(ys)
+        return [w / h * em / (k * (1 + (y - c) / h * em)) for y in ys]
+
     def rescaled(self, domain, range_):
         return SmoothParam(domain, range_, self.k)
 
@@ -236,6 +258,14 @@ class Chain(Branch):
         for part in reversed(self.parts):
             y = part.inverse(y)
         return y
+
+    def inverse_slopes(self, ys):
+        # the chain rule: each part's slope at the point it inverts
+        slopes = [1.0] * len(ys)
+        for part in reversed(self.parts):
+            slopes = [s * t for s, t in zip(slopes, part.inverse_slopes(ys))]
+            ys = part.inverse_many(ys)
+        return slopes
 
     def rescaled(self, domain, range_):
         return Chain((Affine(domain, self.domain), self, Affine(self.range_, range_)))

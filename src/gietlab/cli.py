@@ -137,6 +137,7 @@ def cmd_realize(args) -> int:
     report = result.report
     print("status:", report.status)
     print("iterations:", report.iterations)
+    print("newton steps:", report.newton_steps)
     print("certificate:", str(result.certificate).lower())
     print("appended arrows:", result.appended)
     for a in seed.datum.alphabet:

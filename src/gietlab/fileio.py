@@ -285,6 +285,7 @@ def realize_document(result) -> dict:
     """The report ``realize -o`` writes for a ``thurston.RealizeResult``."""
     report = result.report
     return {"status": report.status, "iterations": report.iterations,
+            "newton_steps": report.newton_steps,
             "certificate": result.certificate, "appended": result.appended,
             "tau": dict(result.tau), "deltas": [[it, d] for it, d in report.deltas]}
 

@@ -13,8 +13,9 @@ A configuration is the tuple of N points in the reference's order: entry
 parameter ``tau`` off a configuration (consecutive gaps of the ``[alpha, 1]``
 points along the bottom row) selects one map of a full family; pulling every
 point back one index under that map is the pullback step.  Fixed points of
-the step realize the path.  The solver iterates the step from the reference
-and makes every decision: it reads ``tau``, stops at a boundary face, and
+the step realize the path.  The solver seeks one from the reference by
+Newton steps, with the averaged step as their fallback, and makes every
+decision: it reads ``tau``, stops at a boundary face, and
 declares success only when induction on the selected map reproduces the
 prescribed arrows, never on residual smallness alone.
 """
@@ -22,6 +23,7 @@ prescribed arrows, never on residual smallness alone.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -39,6 +41,7 @@ from .combinatorics import (
     sigma_and_cyclicity,
 )
 from .errors import (
+    DegenerateTau,
     InductionMismatch,
     NoCyclicDatum,
     OrderViolation,
@@ -51,6 +54,9 @@ from . import full_family
 
 EPS_DEG = 1e-9
 EPS_FIX = 1e-12
+DIFF_H = 1e-7  # the central-difference step of the columns of G
+NEWTON_FLOOR = 1e-6  # the smallest line-search step of a Newton step
+FALLBACK_STEPS = 10  # averaged steps after a failed Newton step
 
 
 class LabelClass(NamedTuple):
@@ -231,6 +237,19 @@ class GietFamily:
         return full_family.apply(self.seed, tau)
 
 
+def _pull(ref: RefConfig, config: tuple, f) -> list:
+    """The points of ``step``, unchecked."""
+    preimages = {
+        a: f.branches[a].inverse_many(config[lo:hi])
+        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs)
+    }
+    new_points = []
+    for a in ref.datum.top:
+        new_points.append(f.top_breaks[a])
+        new_points += preimages[a]
+    return new_points
+
+
 def step(ref: RefConfig, config: tuple, f) -> tuple:
     """One pullback under ``f``, the family map selected by ``config``: send
     every point to the preimage of its index successor.
@@ -243,18 +262,95 @@ def step(ref: RefConfig, config: tuple, f) -> tuple:
     point is located by its value.  A result out of the reference order
     raises ``OrderViolation``.
     """
-    preimages = {
-        a: f.branches[a].inverse_many(config[lo:hi])
-        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs)
-    }
-    new_points = []
-    for a in ref.datum.top:
-        new_points.append(f.top_breaks[a])
-        new_points += preimages[a]
-    out = tuple(new_points)
+    out = tuple(_pull(ref, config, f))
     if not is_ordered(out):
         raise OrderViolation("the pullback broke the reference order")
     return out
+
+
+def _sweep(ref: RefConfig, slopes: list, r: list) -> list:
+    """Solve ``(I - PD) y = r``, that is ``y[x] = r[x] + slopes[x] * y[T(x)]``
+    for the model's successor ``T``, with ``slopes`` 0 at the critical
+    classes, in one backward walk of the model orbit from the critical class
+    0.  The predecessor of a point in the bottom interval of ``a`` is its
+    translate by ``u^t_a - u^b_a``, so no point is located by its value."""
+    back = [0] * ref.N
+    for a, lo, hi in ref.grid.bottom_intervals():
+        back[lo:hi] = [ref.grid.top_breaks[a] - lo] * (hi - lo)
+    y = list(r)
+    x, after = 0, y[0]
+    for _ in range(ref.N - 1):
+        x += back[x]
+        after = y[x] = r[x] + slopes[x] * after
+    return y
+
+
+def _solve_linear(rows: list, rhs: list) -> list:
+    """Solve the small system ``rows c = rhs`` by Gaussian elimination with
+    partial pivoting; a zero pivot raises ``ZeroDivisionError``."""
+    n = len(rhs)
+    m = [row + [v] for row, v in zip(rows, rhs)]
+    for i in range(n):
+        p = max(range(i, n), key=lambda k: abs(m[k][i]))
+        m[i], m[p] = m[p], m[i]
+        for k in range(i + 1, n):
+            factor = m[k][i] / m[i][i]
+            m[k] = [u - factor * v for u, v in zip(m[k], m[i])]
+    c = [0.0] * n
+    for i in reversed(range(n)):
+        v = m[i][n]  # added left to right, as the built-in sum is compensated from 3.12 on
+        for k in range(i + 1, n):
+            v -= m[i][k] * c[k]
+        c[i] = v / m[i][i]
+    return c
+
+
+def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tuple | None:
+    """The Newton step for ``x = F(x)`` from ``config``, whose pullback under
+    ``f`` is ``pulled``, or None where it fails.
+
+    The Jacobian of ``F`` is ``PD + G E^T``.  Entry ``x`` of ``F`` reads only
+    the point ``T(x)``, through the slope ``D_x`` of ``f``'s inverse, so
+    ``I - PD`` is solved by ``_sweep``.  Every entry also reads tau, which
+    reads the d - 1 points ``E^T x`` at the model's critical values
+    ``u^b > 0``: ``G`` holds their central differences, and the Woodbury
+    identity solves the rank-(d - 1) term.  The step is halved until the
+    points are in order, which also makes their tau positive.  Below
+    ``NEWTON_FLOOR``, on a non-finite value or on a perturbed tau off the
+    simplex, there is no step.
+    """
+    u_t, slopes = ref.grid.top_breaks, [0.0] * ref.N
+    for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
+        slopes[u_t[a] + 1:u_t[a] + 1 + hi - lo] = f.branches[a].inverse_slopes(config[lo:hi])
+    marks = [ref.grid.bottom_breaks[b] for b in ref.datum.bottom[1:]]
+    y0 = _sweep(ref, slopes, list(map(operator.sub, pulled, config)))
+    z = []
+    try:
+        for m in marks:
+            sides = []
+            for h in (DIFF_H, -DIFF_H):
+                bumped = list(config)
+                bumped[m] += h
+                sides.append((bumped[m], _pull(ref, config, family.at(tau_of(ref, bumped)))))
+            (v1, plus), (v0, minus) = sides
+            z.append(_sweep(ref, slopes, [(p - q) / (v1 - v0) for p, q in zip(plus, minus)]))
+        # (I - E^T Z) c = E^T y0, and the step is y0 + Z c
+        c = _solve_linear([[float(i == k) - zk[m] for k, zk in enumerate(z)]
+                           for i, m in enumerate(marks)], [y0[m] for m in marks])
+    except (OrderViolation, DegenerateTau, ZeroDivisionError):
+        return None
+    delta = y0
+    for ck, zk in zip(c, z):
+        delta = [u + ck * v for u, v in zip(delta, zk)]
+    if not all(map(math.isfinite, delta)):
+        return None
+    t = 1.0
+    while t >= NEWTON_FLOOR:
+        trial = tuple([x + t * v for x, v in zip(config, delta)])
+        if is_ordered(trial):
+            return trial
+        t /= 2
+    return None
 
 
 @dataclass
@@ -264,10 +360,11 @@ class SolveReport:
     status: str  # realized | fixed_point_tol | boundary | max_iter
     tau: dict
     config: tuple  # the points, left to right
-    iterations: int
+    iterations: int  # accepted updates, Newton or averaged
     deltas: list
     map: object = None  # the family map at ``tau``; none where no map was selected
     faces: tuple = ()
+    newton_steps: int = 0  # the updates that were Newton steps
 
     @property
     def realized(self) -> bool:
@@ -288,38 +385,56 @@ def solve(
     or below ``EPS_DEG`` report ``boundary`` with the faces involved, and a
     pullback that breaks the order reports ``boundary`` with none.
 
-    Each iterate is the average of the previous one and its pullback: the
-    same fixed points, without the near-period-2 oscillation of the bare
-    pullback, so it converges where the bare loop bounces.
+    A float family takes Newton steps towards the fixed point of the
+    pullback (``_newton_step``).  Where one fails, and always for an exact
+    family, the iterate is the average of the previous one and its pullback:
+    the same fixed points, without the near-period-2 oscillation of the bare
+    pullback.  A failed Newton step starts ``FALLBACK_STEPS`` averaged steps,
+    and then Newton is tried again.
     """
     config = start if start is not None else reference_configuration(ref, family.exact)
     r, kinds = len(ref.path), ref.path.kinds
     deltas: list[tuple[int, float]] = []
     settled = False
+    newton_steps = averaged_left = 0
+
+    def report(status, tau, f=None, faces=()):
+        return SolveReport(status, tau, config, it, deltas, f, faces, newton_steps)
+
     for it in itertools.count():
         try:
             tau = tau_of(ref, config)
         except OrderViolation:
-            return SolveReport("boundary", {}, config, it, deltas)
+            return report("boundary", {})
         faces = tuple(ref.canonical_label(a, 1).name for a, v in tau.items() if v <= EPS_DEG)
         if faces:
-            return SolveReport("boundary", tau, config, it, deltas, faces=faces)
+            return report("boundary", tau, faces=faces)
         f = family.at(tau)
         if f.rauzy_path(r, kinds).path.kinds == kinds:
-            return SolveReport("realized", tau, config, it, deltas, f)
+            return report("realized", tau, f)
         if settled:
-            return SolveReport("fixed_point_tol", tau, config, it, deltas, f)
+            return report("fixed_point_tol", tau, f)
         if it >= max_iter:
-            return SolveReport("max_iter", tau, config, it, deltas, f)
+            return report("max_iter", tau, f)
         try:
             pulled = step(ref, config, f)
         except OrderViolation:
-            return SolveReport("boundary", tau, config, it, deltas, f)
-        # (old + new) / 2, class by class: exact for fractions; for floats in
-        # [0, 1) that are 0 or above 1e-307 it has the bits of
-        # 0.5 * old + 0.5 * new, as halving is exact there and both round the
-        # same sum once
-        new_config = tuple([(c + p) / 2 for c, p in zip(config, pulled)])
+            return report("boundary", tau, f)
+        new_config = None
+        if averaged_left:
+            averaged_left -= 1
+        elif not family.exact:
+            new_config = _newton_step(family, ref, config, pulled, f)
+            if new_config is None:
+                averaged_left = FALLBACK_STEPS - 1
+            else:
+                newton_steps += 1
+        if new_config is None:
+            # (old + new) / 2, class by class: exact for fractions; for
+            # floats in [0, 1) that are 0 or above 1e-307 it has the bits of
+            # 0.5 * old + 0.5 * new, as halving is exact there and both
+            # round the same sum once
+            new_config = tuple([(c + p) / 2 for c, p in zip(config, pulled)])
         delta = max(map(abs, map(operator.sub, config, new_config)))
         deltas.append((it + 1, float(delta)))
         settled = delta < EPS_FIX

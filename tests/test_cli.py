@@ -194,10 +194,15 @@ def test_realize_nonlinear_family(tmp_path, capsys):
 
 def test_realize_failure_exit_code(tmp_path, capsys):
     family = write_seed_family(tmp_path, D2)
-    # far too few iterations to reach a long prescription
-    assert main(["realize", family, "tb" * 6, "--max-iter", "1"]) == 4
+    # the path takes three Newton steps, so two are too few
+    assert main(["realize", family, "tb" * 6, "--max-iter", "2"]) == 4
     err = capsys.readouterr().err
-    assert "partial path" in err
+    assert "status 'max_iter'" in err and "partial path" in err
+    report = tmp_path / "report.json"
+    assert main(["realize", family, "tb" * 6, "--max-iter", "3", "-o", str(report)]) == 0
+    assert "iterations: 3\nnewton steps: 3\n" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["iterations"] == doc["newton_steps"] == len(doc["deltas"]) == 3
 
 
 @pytest.mark.parametrize("value", ["-1", "1000001"])

@@ -252,6 +252,67 @@ def test_chain_branches_strictly_increasing():
         br.validate(samples=64)
 
 
+def random_primitive(rng, kind, domain):
+    """A random branch of ``kind`` on ``domain``, onto a random interval."""
+    lo, hi = domain
+    c = rng.uniform(-1.0, 1.0)
+    if kind == "translation":
+        return Translation(domain, (c, c + hi - lo))
+    d = c + rng.uniform(0.1, 2.0)
+    if kind == "affine":
+        return Affine(domain, (c, d))
+    if kind == "smooth":
+        return SmoothParam(domain, (c, d), rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+    xs = sorted(rng.uniform(lo, hi) for _ in range(rng.randint(1, 3)))
+    ys = sorted(rng.uniform(c, d) for _ in xs)
+    return PiecewiseLinear(((lo, c), *zip(xs, ys), (hi, d)))
+
+
+def range_nodes(branch):
+    """The interior nodes of the piecewise-linear parts of ``branch``, carried
+    through the parts after them onto its range: where its inverse has kinks."""
+    parts = branch.parts if isinstance(branch, Chain) else (branch,)
+    out = []
+    for i, part in enumerate(parts):
+        if isinstance(part, PiecewiseLinear):
+            for _, y in part.nodes[1:-1]:
+                for later in parts[i + 1:]:
+                    y = later.eval(y)
+                out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["translation", "affine", "pl", "smooth", "chain"])
+def test_inverse_slopes_match_a_central_difference(kind):
+    rng = random.Random(kind)
+    kinds = ("translation", "affine", "pl", "smooth")
+    checked = 0
+    for _ in range(30):
+        lo = rng.uniform(-1.0, 1.0)
+        domain = (lo, lo + rng.uniform(0.1, 2.0))
+        if kind == "chain":
+            parts = []
+            for _ in range(rng.randint(3, 5)):
+                parts.append(random_primitive(rng, rng.choice(kinds), domain))
+                domain = parts[-1].range_
+            branch = Chain(parts)
+        else:
+            branch = random_primitive(rng, kind, domain)
+        c, d = branch.range_
+        h = 1e-6 * (d - c)
+        nodes = range_nodes(branch)
+        ys = [y for y in (c + (d - c) * (i + 0.5) / 32 for i in range(32))
+              if all(abs(y - node) > 4 * h for node in nodes)]
+        slopes = branch.inverse_slopes(ys)
+        assert len(slopes) == len(ys)
+        for y, slope in zip(ys, slopes):
+            diff = (branch.inverse(y + h) - branch.inverse(y - h)) / ((y + h) - (y - h))
+            assert abs(slope - diff) <= 1e-6 * abs(diff), (branch, y)
+        checked += len(ys)
+    assert checked > 800
+    assert branch.inverse_slopes([]) == []
+
+
 @pytest.mark.parametrize("branch, fault", [
     (Translation((0.5, 0.5), (0.25, 0.25)), "is degenerate"),
     (Translation((0.0, 0.5), (0.5, 0.75)), r"maps its domain onto \[0.5, 1.0\]"),

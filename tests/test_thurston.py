@@ -286,10 +286,13 @@ def test_solve_respects_max_iter():
         D2, [0.5, 0.5], [0.5, 0.5],
         lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else -1.5),
     )
+    # the path takes three Newton steps
     report = solve(GietFamily(seed), ref, max_iter=10)
+    assert report.realized and report.iterations == report.newton_steps == 3
+    report = solve(GietFamily(seed), ref, max_iter=2)
     assert report.status == "max_iter"
-    assert report.iterations == 10
-    assert len(report.deltas) == 10
+    assert report.iterations == report.newton_steps == 2
+    assert len(report.deltas) == 2
     # a negative bound takes no step; the CLI rejects one as a ``--max-iter`` error
     report = solve(GietFamily(seed), ref, max_iter=-1)
     assert report.status == "max_iter" and report.deltas == []
@@ -588,9 +591,9 @@ def test_solve_builds_one_family_map_per_iteration():
     built = []
     family.at = lambda tau: built.append(tau) or GietFamily.at(family, tau)
     report = solve(family, ref)
-    assert report.status == "realized" and report.iterations > 10
-    # one map per step, plus the map whose path check succeeds
-    assert len(built) == report.iterations + 1
+    assert report.status == "realized" and report.iterations == report.newton_steps == 3
+    # one map per loop head, plus two per Newton step for the one column of G
+    assert len(built) == report.iterations + 1 + 2 * report.newton_steps == 10
 
 
 def old_pull_order(ref, geometric):
@@ -604,8 +607,8 @@ def old_pull_order(ref, geometric):
 
 
 def fibonacci_ref(depth):
-    T = ExactIET.from_lengths(D2, [Fraction(2584, 6765), Fraction(4181, 6765)])
-    return build_reference(T.rauzy_path(depth).path)
+    """The reference of the Fibonacci path ``(tb)^n`` cut to ``depth`` arrows."""
+    return build_reference(RauzyPath.from_kinds(D2, ("tb" * depth)[:depth]))
 
 
 def random_completed_refs(rng, count):
@@ -758,20 +761,19 @@ def worked_loop():
     return loop
 
 
-# The solver trajectory, byte for byte: iterations, tau as float.hex, and the
-# sha256 of repr(deltas).  The first three were recorded before the pullback
-# moved to grid order, the fourth (draw 30 of perfbench/pool.json, with the
-# multi-realize seed, completed by 5 arrows) before each class was pulled
-# back through its own letter's branch; any change of a float bit anywhere
-# in the loop changes a line here.
+# The solver trajectory, byte for byte: iterations, Newton steps, tau as
+# float.hex, and the sha256 of repr(deltas).  The fourth is draw 30 of
+# perfbench/pool.json, with the multi-realize seed, completed by 5 arrows.
+# All were recorded when the Newton step came in; any change of a float bit
+# anywhere in the loop changes a line here.
 TRAJECTORIES = [
     (
         "fibonacci-13",
         lambda: fibonacci_ref(13).path,
         lambda: smooth_seed(D2, [0.5, 0.5], {"A": 2.0, "B": -1.5}),
-        66,
-        {"A": "0x1.9e25a4b002f58p-2", "B": "0x1.30ed2da7fe854p-1"},
-        "9001ab7325094b3eb3c139ecb6d7dbcc7b6fc3122cd2cb8502a56563827f3be2",
+        3,
+        {"A": "0x1.9e258affd8022p-2", "B": "0x1.30ed3a8013fefp-1"},
+        "656d258a6c6354d770c39367659bc560b48e642d9669b1ab021dfe5ac0a23daf",
     ),
     (
         "worked-example",
@@ -788,24 +790,24 @@ TRAJECTORIES = [
         "worked-loop",
         worked_loop,
         lambda: smooth_seed(D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0}),
-        20,
+        2,
         {
-            "A": "0x1.1464a2dbf2ee2p-1", "B": "0x1.26c7f8264fcdap-3",
-            "C": "0x1.34146f95b8740p-8", "D": "0x1.3f026c769b5b3p-2",
+            "A": "0x1.149887ac96ebap-1", "B": "0x1.2414dab8962f2p-3",
+            "C": "0x1.27648af1c89c0p-8", "D": "0x1.4026f11ebfeecp-2",
         },
-        "e68591a71d15fd0ad905c2e5a6f25d99de34671856edce18ddbe6c2e967d7e22",
+        "b91244a7ac39a74bef4c549e5cd6ba0e9f45997b590894320d5a35658a68202d",
     ),
     (
         "pool-30",
         lambda: RauzyPath.from_kinds(D5, "tttbtbttbtbbbbbbtbbb"),
         lambda: smooth_seed(D5, [0.2] * 5, {"A": 1.5}),
-        30,
+        1,
         {
-            "A": "0x1.14147b915d1d8p-3", "B": "0x1.901fc5cdd1560p-5",
-            "C": "0x1.76bdd0a137d60p-6", "D": "0x1.8aea665c13c0ep-2",
-            "E": "0x1.a19b861770084p-2",
+            "A": "0x1.0f975120b8904p-3", "B": "0x1.a097062cc8880p-5",
+            "C": "0x1.752bc2ab6d060p-6", "D": "0x1.8bf86e832cc0fp-2",
+            "E": "0x1.a0d64bfc27159p-2",
         },
-        "ebb6fd46172f84c41200d2474493cc848ed0c000344075616dbe78516d083db7",
+        "c4ac0a434bca63c990c815c46a97ec3090cacf02391d24c247d0b520bdf48652",
     ),
 ]
 
@@ -818,9 +820,22 @@ TRAJECTORIES = [
 def test_solver_trajectory_is_pinned(path, seed, iterations, tau, deltas_sha256):
     report = realize(GietFamily(seed()), path()).report
     assert report.realized
-    assert report.iterations == iterations == len(report.deltas)
+    assert report.iterations == report.newton_steps == iterations == len(report.deltas)
     assert {a: float.hex(v) for a, v in report.tau.items()} == tau
     assert hashlib.sha256(repr(report.deltas).encode()).hexdigest() == deltas_sha256
+
+
+def test_averaged_steps_alone_keep_the_trajectory_of_the_averaged_loop(monkeypatch):
+    # with every Newton step refused, fibonacci-13 takes the 66 averaged steps
+    # the solver took before Newton came in, bit for bit
+    monkeypatch.setattr(thurston, "_newton_step", lambda *args: None)
+    report = realize(GietFamily(smooth_seed(*FIB_SEED)), fibonacci_ref(13).path).report
+    assert report.realized and report.newton_steps == 0
+    assert report.iterations == 66 == len(report.deltas)
+    assert {a: float.hex(v) for a, v in report.tau.items()} == {
+        "A": "0x1.9e25a4b002f58p-2", "B": "0x1.30ed2da7fe854p-1"}
+    assert (hashlib.sha256(repr(report.deltas).encode()).hexdigest()
+            == "9001ab7325094b3eb3c139ecb6d7dbcc7b6fc3122cd2cb8502a56563827f3be2")
 
 
 def test_solve_calls_step_through_the_module_global_once_per_iteration(monkeypatch):
@@ -834,7 +849,7 @@ def test_solve_calls_step_through_the_module_global_once_per_iteration(monkeypat
     monkeypatch.setattr(thurston, "step", counting)
     ref = fibonacci_ref(13)
     report = solve(GietFamily(smooth_seed(D2, [0.5, 0.5], {"A": 2.0, "B": -1.5})), ref)
-    assert report.realized and report.iterations == 66
+    assert report.realized and report.iterations == 3
     assert len(calls) == report.iterations
     assert all(args[0] is ref for args in calls)
 
@@ -854,16 +869,29 @@ def test_solve_never_locates_a_point_by_value(monkeypatch):
     with pytest.raises(AssertionError, match="located by its value"):
         f.letter_at(0.5)
     report = solve(GietFamily(f), ref)
-    assert report.realized and report.iterations == 66
+    assert report.realized and report.iterations == report.newton_steps == 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 40])
 def test_solve_stops_at_a_boundary_when_the_order_breaks(monkeypatch, k):
+    # the averaged steps alone, which take 66 iterations on this path
+    monkeypatch.setattr(thurston, "_newton_step", lambda *args: None)
     monkeypatch.setattr(thurston, "step", breaking_step(k))
     report = solve(GietFamily(smooth_seed(*FIB_SEED)), fibonacci_ref(13))
     assert report.status == "boundary" and report.faces == ()
     assert report.iterations == k - 1 == len(report.deltas)
+    assert report.newton_steps == 0
     assert report.map is not None
+    assert report.map.rauzy_path(13).path.kinds != fibonacci_ref(13).path.kinds
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_newton_solve_stops_at_a_boundary_when_the_order_breaks(monkeypatch, k):
+    # each Newton step pulls back once through ``step``, and this path takes three
+    monkeypatch.setattr(thurston, "step", breaking_step(k))
+    report = solve(GietFamily(smooth_seed(*FIB_SEED)), fibonacci_ref(13))
+    assert report.status == "boundary" and report.faces == ()
+    assert report.iterations == report.newton_steps == k - 1 == len(report.deltas)
     assert report.map.rauzy_path(13).path.kinds != fibonacci_ref(13).path.kinds
 
 
@@ -882,7 +910,7 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
         return original(ref, config, f)
 
     monkeypatch.setattr(thurston, "step", checking)
-    cases = [(fibonacci_ref(depth), FIB_SEED) for depth in range(10, 16)]
+    cases = [(fibonacci_ref(depth), FIB_SEED) for depth in range(10, 20)]
     cases.append((build_reference(worked_loop()), WORKED_SEED))
     for ref, seed in cases:
         before = len(checked)
@@ -941,3 +969,130 @@ def test_every_path_of_length_8_realizes(seed):
     for bits in itertools.product("tb", repeat=8):
         result = realize(family, RauzyPath.from_kinds(g.datum, "".join(bits)))
         assert result.certificate, "".join(bits)
+
+
+def test_sweep_solves_the_orbit_system():
+    """``_sweep`` returns ``y`` with ``y[x] = r[x] + D_x * y[T(x)]`` at every grid
+    point, ``T`` the model's successor and ``D`` 0 at the critical classes."""
+    rng = random.Random(53)
+    for ref in (fibonacci_ref(10), build_reference(worked_loop())):
+        critical = set(ref.grid.top_breaks.values())
+        slopes = [0.0 if x in critical else rng.uniform(0.5, 1.5) for x in range(ref.N)]
+        r = [rng.uniform(-1.0, 1.0) for _ in range(ref.N)]
+        y = thurston._sweep(ref, slopes, r)
+        for x in range(ref.N):
+            assert y[x] == r[x] + slopes[x] * y[ref.grid.eval(x)]
+
+
+# Fibonacci depth -> (iterations, Newton steps, whether each Newton attempt
+# gave a step).  The averaged loop alone takes 191 iterations at depths
+# 16-19 and hits ``max_iter`` (500) at depth 20.  From depth 19 on the
+# second Newton step fails: the products of slopes along the orbit reach
+# 1e22, and no step down to ``NEWTON_FLOOR`` keeps the points in order.
+# 10 averaged steps follow, then two Newton steps.
+DEEP_FIBONACCI = {
+    16: (3, 3, [True] * 3),
+    17: (3, 3, [True] * 3),
+    18: (4, 4, [True] * 4),
+    19: (13, 3, [True, False, True, True]),
+    20: (13, 3, [True, False, True, True]),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(DEEP_FIBONACCI))
+def test_deep_fibonacci_paths_realize_by_newton(monkeypatch, depth):
+    attempts = []
+    newton_step = thurston._newton_step
+
+    def recording(*args):
+        out = newton_step(*args)
+        attempts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(thurston, "_newton_step", recording)
+    path = RauzyPath.from_kinds(D2, ("tb" * depth)[:depth])
+    result = realize(GietFamily(smooth_seed(*FIB_SEED)), path)
+    report = result.report
+    assert report.realized and result.certificate
+    assert (report.iterations, report.newton_steps, attempts) == DEEP_FIBONACCI[depth]
+
+
+def test_random_three_letter_paths_of_length_30_realize():
+    """The first 10 of the ``Random(2)`` draws of length 30 on the 3-letter
+    seed.  The averaged loop alone realizes 4 of these 10 within 500
+    iterations, and 11 of all 40 draws."""
+    g = letter_seed(3)
+    rng = random.Random(2)
+    for _ in range(10):
+        kinds = "".join(rng.choice("tb") for _ in range(30))
+        result = realize(GietFamily(g), RauzyPath.from_kinds(g.datum, kinds))
+        assert result.certificate, kinds
+        assert result.report.iterations == result.report.newton_steps <= 3, kinds
+
+
+def test_long_four_letter_path_takes_three_newton_steps():
+    # N = 8,172; the averaged loop alone first realizes it at iteration 2,071
+    g = letter_seed(4)
+    result = realize(GietFamily(g), RauzyPath.from_kinds(g.datum, "btbttttbbtbttttbbtbtttbttttttt"))
+    assert result.ref.N == 8172 and result.certificate
+    assert result.report.iterations == result.report.newton_steps == 3
+
+
+def first_wrong_kind(family, kinds, t_a):
+    """The kind of the first arrow where the map at ``tau = (t_a, 1 - t_a)``
+    leaves ``kinds``, None when it follows all of them, or ``"tie"`` when
+    its induction stops at a tie first."""
+    result = family.at({"A": t_a, "B": 1 - t_a}).rauzy_path(len(kinds), kinds)
+    got = result.path.kinds
+    return "tie" if result.tie else None if got == kinds else got[-1]
+
+
+def narrowed(family, kinds, outer, inner, side, steps=40):
+    """Bisect between ``outer``, whose first wrong arrow is ``side``, and the
+    realizing ``inner``; return the outer end, moved as near as the
+    induction tells the two apart.  Every point crossed on the way is on
+    ``side`` or realizes the path."""
+    for _ in range(steps):
+        mid = (outer + inner) / 2
+        kind = first_wrong_kind(family, kinds, mid)
+        if kind == "tie":
+            break
+        assert kind in (None, side)
+        if kind is None:
+            inner = mid
+        else:
+            outer = mid
+    return outer
+
+
+def bisected_bracket(family, kinds):
+    """An interval of tau_A around the parameters that realize ``kinds``.
+
+    On ``A B / B A`` each arrow is increasing in the ratio of the lengths, so
+    a map whose first wrong arrow is ``t`` has too small a tau_A, and one
+    whose first wrong arrow is ``b`` too large.  Bisection first finds a
+    realizing tau_A, then narrows each end towards it.
+    """
+    lo, hi = 0.01, 0.9  # not centred on 1/2, where the two lengths tie
+    assert first_wrong_kind(family, kinds, lo) == "t"
+    assert first_wrong_kind(family, kinds, hi) == "b"
+    while (kind := first_wrong_kind(family, kinds, mid := (lo + hi) / 2)) is not None:
+        assert kind != "tie"
+        if kind == "t":
+            lo = mid
+        else:
+            hi = mid
+    return narrowed(family, kinds, lo, mid, "t"), narrowed(family, kinds, hi, mid, "b")
+
+
+@pytest.mark.parametrize("depth", range(12, 19))
+def test_solver_tau_lies_in_the_bisection_bracket(depth):
+    """A test oracle for d = 2, independent of the solver: bisection on the
+    kind of the first wrong arrow brackets the parameters that realize the
+    Fibonacci path, and the solver's tau_A lies inside the bracket."""
+    family = GietFamily(smooth_seed(*FIB_SEED))
+    kinds = ("tb" * depth)[:depth]
+    lo, hi = bisected_bracket(family, kinds)
+    t_a = realize(family, RauzyPath.from_kinds(D2, kinds)).tau["A"]
+    assert lo < t_a < hi
+    assert hi - lo < 1e-5
