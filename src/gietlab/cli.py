@@ -139,6 +139,8 @@ def cmd_realize(args) -> int:
     print("iterations:", report.iterations)
     print("newton steps:", report.newton_steps)
     print("certificate:", str(result.certificate).lower())
+    if result.certificate_error is not None:
+        print(f"no partition of the realized map: {result.certificate_error}", file=sys.stderr)
     print("appended arrows:", result.appended)
     for a in seed.datum.alphabet:
         print(f"tau {a} = {result.tau[a]:.12f}")

@@ -42,6 +42,7 @@ from .combinatorics import (
 )
 from .errors import (
     DegenerateTau,
+    InductionFailed,
     InductionMismatch,
     NoCyclicDatum,
     OrderViolation,
@@ -49,7 +50,7 @@ from .errors import (
     TargetNotCyclic,
 )
 from .exact_iet import ExactIET
-from .giet import Giet, dynamical_partition, partitions_equivalent
+from .giet import Giet, dynamical_partition
 from . import full_family
 
 EPS_DEG = 1e-9
@@ -82,6 +83,7 @@ class RefConfig:
     base_iet: ExactIET
     grid: ExactIET  # the model on its integer grid
     crit_pos: dict  # orbit position of each letter's critical point
+    orbit: tuple  # the model orbit of 0 on the grid: ``orbit[c]`` is ``T^c(0)``
 
     @property
     def datum(self) -> CombinatorialDatum:
@@ -126,8 +128,8 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
 
     The model IET is cross-checked: it must reproduce the path's arrows under
     exact induction, which also rejects lengths outside the path's cone, and
-    the orbit of 0 on its integer grid, walked once, must first return to 0
-    after N steps, so that it is the whole grid.
+    the orbit of 0 on its integer grid, walked once and kept as ``orbit``,
+    must first return to 0 after N steps, so that it is the whole grid.
     """
     if not sigma_and_cyclicity(path.target)[1]:
         raise TargetNotCyclic(f"{path.target} is not cyclic")
@@ -151,10 +153,12 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
     # points of the model and of its induced map
     u_t, u_t_induced = grid.top_breaks, result.map.top_breaks
     pos = dict.fromkeys([*u_t.values(), *u_t_induced.values()])
+    orbit = []
     x = 0
     for c in range(N):
         if x in pos:
             pos[x] = c
+        orbit.append(x)
         x = grid.eval(x)
         if x == 0:
             break
@@ -172,7 +176,8 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
             raise InductionMismatch(
                 f"critical point of {a} is {h[a]} steps from its lift, not under q={q[a]}"
             )
-    return RefConfig(path=path, N=N, h=h, base_iet=base, grid=grid, crit_pos=crit_pos)
+    return RefConfig(path=path, N=N, h=h, base_iet=base, grid=grid, crit_pos=crit_pos,
+                     orbit=tuple(orbit))
 
 
 def is_ordered(points) -> bool:
@@ -272,15 +277,10 @@ def _sweep(ref: RefConfig, slopes: list, r: list) -> list:
     """Solve ``(I - PD) y = r``, that is ``y[x] = r[x] + slopes[x] * y[T(x)]``
     for the model's successor ``T``, with ``slopes`` 0 at the critical
     classes, in one backward walk of the model orbit from the critical class
-    0.  The predecessor of a point in the bottom interval of ``a`` is its
-    translate by ``u^t_a - u^b_a``, so no point is located by its value."""
-    back = [0] * ref.N
-    for a, lo, hi in ref.grid.bottom_intervals():
-        back[lo:hi] = [ref.grid.top_breaks[a] - lo] * (hi - lo)
+    0: ``ref.orbit`` read from its end, so no point is located by its value."""
     y = list(r)
-    x, after = 0, y[0]
-    for _ in range(ref.N - 1):
-        x += back[x]
+    after = y[0]
+    for x in ref.orbit[:0:-1]:
         after = y[x] = r[x] + slopes[x] * after
     return y
 
@@ -315,7 +315,8 @@ def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tup
     reads the d - 1 points ``E^T x`` at the model's critical values
     ``u^b > 0``: ``G`` holds their central differences, and the Woodbury
     identity solves the rank-(d - 1) term.  The step is halved until the
-    points are in order, which also makes their tau positive.  Below
+    points are in order, which also makes their tau positive; a trial that
+    moves a point by 1 or more leaves ``[0, 1)``, so none is built.  Below
     ``NEWTON_FLOOR``, on a non-finite value or on a perturbed tau off the
     simplex, there is no step.
     """
@@ -344,11 +345,12 @@ def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tup
         delta = [u + ck * v for u, v in zip(delta, zk)]
     if not all(map(math.isfinite, delta)):
         return None
-    t = 1.0
+    t, most = 1.0, max(map(abs, delta))
     while t >= NEWTON_FLOOR:
-        trial = tuple([x + t * v for x, v in zip(config, delta)])
-        if is_ordered(trial):
-            return trial
+        if t * most < 1:
+            trial = tuple([x + t * v for x, v in zip(config, delta)])
+            if is_ordered(trial):
+                return trial
         t /= 2
     return None
 
@@ -449,6 +451,21 @@ class RealizeResult:
     ref: RefConfig
     full_path: RauzyPath
     appended: int
+    certificate_error: str | None = None  # why the realized map has no partition
+
+
+def in_model_order(ref: RefConfig, partition) -> bool:
+    """True when ``partition`` is combinatorially equivalent to the model's
+    partition of the same order: it has N atoms, and its ``k``-th atom
+    ``(a, i)`` is the model's unit cell ``[k, k + 1)`` on ``ref.grid``.
+    That cell starts at ``T^i`` of a's induced critical point, the orbit
+    point ``crit_pos[a] - h[a] + i``, so the model needs no partition."""
+    N, orbit = ref.N, ref.orbit
+    if len(partition.atoms) != N:
+        return False
+    lift = {a: c - ref.h[a] for a, c in ref.crit_pos.items()}
+    return all(orbit[(lift[a] + i) % N] == k
+               for k, (_, _, a, i) in enumerate(partition.atoms))
 
 
 def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
@@ -457,10 +474,15 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     If the path does not end at a cyclic datum, a shortest completion inside
     its Rauzy class is appended first, and realizing it realizes the prefix.
     The certificate is an independent check: the realized map's dynamical
-    partition must be combinatorially equivalent to the model's on ``ref.grid``.
-    The total return time N grows exponentially with the path length, so the
-    solver refuses outright, before building any of its N points, when N
-    would exceed ``MAX_REFERENCE_POINTS``.
+    partition must be combinatorially equivalent to the model's on
+    ``ref.grid``, which is read off the model orbit (``in_model_order``).
+    Where that partition cannot be built (``InductionFailed``: a tie, or a
+    tower floor that straddles a breakpoint), the certificate is false and
+    ``certificate_error`` says why; a partition that does not tile the
+    interval is still an error.  The total return time N grows
+    exponentially with the path length, so the solver refuses outright,
+    before building any of its N points, when N would exceed
+    ``MAX_REFERENCE_POINTS``.
     """
     cls = rauzy_class(target_path.source)
     if sigma_and_cyclicity(target_path.target)[1]:
@@ -481,10 +503,13 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     report = solve(family, ref, **solve_options)
     if not report.realized:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)
-    certificate = partitions_equivalent(
-        dynamical_partition(report.map, len(full)),
-        dynamical_partition(ref.grid, len(full)),
-    )
+    certificate, error = False, None
+    try:
+        partition = dynamical_partition(report.map, len(full))
+    except InductionFailed as exc:
+        error = str(exc)
+    else:
+        certificate = in_model_order(ref, partition)
     return RealizeResult(
         tau=report.tau,
         certificate=certificate,
@@ -492,4 +517,5 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
         ref=ref,
         full_path=full,
         appended=len(full) - len(target_path),
+        certificate_error=error,
     )

@@ -20,7 +20,7 @@ from conftest import breaking_step, shrinking_circle_map
 from gietlab import fileio, svg
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
 from gietlab.cli import build_parser, main
-from gietlab.errors import GietlabError
+from gietlab.errors import GietlabError, InductionFailed
 from gietlab.combinatorics import parse_datum, sigma_and_cyclicity
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
@@ -190,6 +190,22 @@ def test_realize_nonlinear_family(tmp_path, capsys):
     assert main(["realize", family, "bbbtb", "-o", str(report)]) == 0
     doc = json.loads(report.read_text())
     assert doc["status"] == "realized" and doc["certificate"] is True
+
+
+def test_realize_without_a_partition_gives_a_false_certificate(tmp_path, capsys, monkeypatch):
+    # a realized map whose partition straddles a breakpoint still gets a
+    # verdict: certificate false, the reason on stderr, exit 0
+    def straddling(m, r):
+        raise InductionFailed("interval [0.79, 0.80) straddles the right end of letter B")
+
+    monkeypatch.setattr(gietlab.thurston, "dynamical_partition", straddling)
+    report = tmp_path / "report.json"
+    assert main(["realize", write_seed_family(tmp_path), "bbbtb", "-o", str(report)]) == 0
+    out, err = capsys.readouterr()
+    assert "status: realized\n" in out and "certificate: false\n" in out
+    assert err == ("no partition of the realized map: "
+                   "interval [0.79, 0.80) straddles the right end of letter B\n")
+    assert json.loads(report.read_text())["certificate"] is False
 
 
 def test_realize_failure_exit_code(tmp_path, capsys):

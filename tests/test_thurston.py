@@ -19,9 +19,17 @@ from gietlab.combinatorics import (
     rauzy_class,
     sigma_and_cyclicity,
 )
-from gietlab.errors import InductionMismatch, NoCyclicDatum, OrderViolation, TargetNotCyclic
+from gietlab.errors import (
+    GietlabError,
+    InductionFailed,
+    InductionMismatch,
+    NoCyclicDatum,
+    OrderViolation,
+    TargetNotCyclic,
+)
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
+    Atom,
     dynamical_partition,
     giet_from_branches,
     giet_from_iet,
@@ -124,13 +132,17 @@ def test_build_reference_walks_the_model_orbit_once(monkeypatch):
     assert ref.h == _reference_in_fractions(path)["h"]
 
 
-def test_reference_fields_do_not_grow_with_n():
+def test_reference_fields_hold_one_orbit_table():
+    # the model orbit is the one table of N entries: the sweeps walk it
+    # backwards and the certificate reads the model's atoms off it
     assert [f.name for f in dataclasses.fields(thurston.RefConfig)] == [
-        "path", "N", "h", "base_iet", "grid", "crit_pos"
+        "path", "N", "h", "base_iet", "grid", "crit_pos", "orbit"
     ]
     for depth in (5, 15):
         ref = fibonacci_ref(depth)
         assert len(ref.h) == len(ref.crit_pos) == len(ref.grid.lengths) == 2
+        assert sorted(ref.orbit) == list(range(ref.N))
+        assert all(ref.orbit[c] == x for x, c in enumerate(orbit_order(ref)))
 
 
 @pytest.mark.parametrize("model_eval, message", [
@@ -564,8 +576,9 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
 
 
 def test_certificate_partition_on_the_grid_equals_the_fraction_one():
-    """``realize`` certifies against the model partitioned on its integer
-    grid: the same labels as the fraction model's, on the N unit cells."""
+    """The model partitioned on its integer grid has the fraction model's
+    labels on the N unit cells, and the orbit read of ``realize``'s
+    certificate puts every atom ``(a, i)`` on the cell where it lies."""
     rng = random.Random(47)
     for datum in (parse_datum("A B C", "C B A"), D4, D5):
         cls = rauzy_class(datum)
@@ -578,6 +591,9 @@ def test_certificate_partition_on_the_grid_equals_the_fraction_one():
             assert on_grid.labels() == dynamical_partition(ref.base_iet, len(path)).labels()
             assert [(type(lo), type(hi)) for lo, hi, _, _ in on_grid.atoms] == [(int, int)] * ref.N
             assert [atom[:2] for atom in on_grid.atoms] == [(k, k + 1) for k in range(ref.N)]
+            for lo, _, a, i in on_grid.atoms:
+                assert ref.orbit[ref.class_of_atom(a, i).orbit_pos] == lo
+            assert thurston.in_model_order(ref, on_grid)
 
 
 def test_solve_builds_one_family_map_per_iteration():
@@ -1015,6 +1031,83 @@ def test_deep_fibonacci_paths_realize_by_newton(monkeypatch, depth):
     report = result.report
     assert report.realized and result.certificate
     assert (report.iterations, report.newton_steps, attempts) == DEEP_FIBONACCI[depth]
+
+
+def test_a_refused_newton_step_tries_only_steps_inside_the_interval(monkeypatch):
+    # the refused step at depth 19 moves a point by between 2^13 and 2^14:
+    # every step size above 2^-14 leaves [0, 1), so only the 6 from 2^-14
+    # down to ``NEWTON_FLOOR`` are built, not all 20 from 1
+    trials, attempts = [], []
+    ordered = thurston.is_ordered
+    monkeypatch.setattr(thurston, "is_ordered", lambda p: trials.append(p) or ordered(p))
+    newton_step = thurston._newton_step
+
+    def recording(*args):
+        before = len(trials)
+        out = newton_step(*args)
+        attempts.append((out is not None, len(trials) - before))
+        return out
+
+    monkeypatch.setattr(thurston, "_newton_step", recording)
+    report = solve(GietFamily(smooth_seed(*FIB_SEED)), fibonacci_ref(19))
+    assert report.realized
+    assert [ok for ok, _ in attempts] == DEEP_FIBONACCI[19][2]
+    assert [n for ok, n in attempts if not ok] == [6]
+
+
+def fib_partition_with(monkeypatch, change):
+    """``realize`` on Fibonacci depth 12, its float partition passed through
+    ``change`` on the way to the certificate."""
+    partition = thurston.dynamical_partition
+    monkeypatch.setattr(thurston, "dynamical_partition", lambda m, r: change(partition(m, r)))
+    return realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
+
+
+def test_certificate_holds_on_the_unchanged_partition(monkeypatch):
+    result = fib_partition_with(monkeypatch, lambda p: p)
+    assert result.certificate and result.certificate_error is None
+
+
+@pytest.mark.parametrize("k", [0, 200, 608])
+def test_certificate_fails_when_two_neighbouring_labels_swap(monkeypatch, k):
+    def swapped(p):
+        atoms = list(p.atoms)
+        (lo, hi, a, i), (lo2, hi2, b, j) = atoms[k:k + 2]
+        assert (a, i) != (b, j)
+        atoms[k:k + 2] = [Atom(lo, hi, b, j), Atom(lo2, hi2, a, i)]
+        return dataclasses.replace(p, atoms=tuple(atoms))
+
+    result = fib_partition_with(monkeypatch, swapped)
+    assert result.report.realized and result.ref.N == 610
+    assert not result.certificate and result.certificate_error is None
+
+
+def test_certificate_fails_on_a_missing_atom(monkeypatch):
+    result = fib_partition_with(monkeypatch, lambda p: dataclasses.replace(p, atoms=p.atoms[:-1]))
+    assert not result.certificate
+
+
+STRADDLE = "interval [0.7961160142203222, 0.7964267713989692) straddles the right end of letter B"
+
+
+def raising(error):
+    def partition(m, r):
+        raise error
+    return partition
+
+
+def test_a_straddle_in_the_certificate_is_a_false_certificate(monkeypatch):
+    monkeypatch.setattr(thurston, "dynamical_partition", raising(InductionFailed(STRADDLE)))
+    result = realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
+    assert result.report.realized
+    assert result.certificate is False and result.certificate_error == STRADDLE
+
+
+def test_an_untiled_partition_in_the_certificate_is_still_an_error(monkeypatch):
+    untiled = GietlabError("atom B3 [0.5, 0.6) does not start where atom A0 ends, 0.4")
+    monkeypatch.setattr(thurston, "dynamical_partition", raising(untiled))
+    with pytest.raises(GietlabError, match="does not start where"):
+        realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
 
 
 def test_random_three_letter_paths_of_length_30_realize():
