@@ -71,12 +71,17 @@ class Branch:
 
 @dataclass(frozen=True)
 class Translation(Branch):
+    """``x + shift``.  The shift defaults to the difference of the two left
+    ends; a caller that knows the displacement exactly passes it, rounded
+    once, where the rounded ends would differ from it in the last bit."""
+
     domain: tuple[float, float]
     range_: tuple[float, float]
-    shift: float = field(init=False, repr=False, compare=False)
+    shift: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shift", self.range_[0] - self.domain[0])
+        if self.shift is None:
+            object.__setattr__(self, "shift", self.range_[0] - self.domain[0])
 
     def eval(self, x):
         return x + self.shift

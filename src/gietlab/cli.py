@@ -93,10 +93,7 @@ def cmd_partition(args) -> int:
     r = _check_order(args.order)
     partition = dynamical_partition(m, r)
     if sigma_and_cyclicity(partition.path.target)[1]:
-        ref = build_reference(partition.path)
-        labels = [
-            ref.class_of_atom(atom.letter, atom.index).name for atom in partition.atoms
-        ]
+        labels = build_reference(partition.path).atom_names(partition.atoms)
     else:
         labels = [f"{letter}{index}" for _, _, letter, index in partition.atoms]
     text = fileio.dump(fileio.partition_json(partition, m.total, labels), args.output)

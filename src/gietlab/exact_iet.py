@@ -159,9 +159,11 @@ class Exchange:
         image of the one below it under the branch of the letter that holds
         that floor's left end.
 
-        Each step checks the domain, snaps to a breakpoint as ``letter_at``
-        does, and raises ``InductionFailed`` when a floor straddles the right
-        end of its letter by more than ``snap``.
+        Each step checks the domain, finds the floor's letter by one
+        bisection, snaps to a breakpoint as ``letter_at`` does (tested only
+        where ``snap`` is nonzero: an exact map never snaps), and raises
+        ``InductionFailed`` when a floor straddles the right end of its
+        letter by more than ``snap``.
 
         >>> T = ExactIET(parse_datum("A B", "B A"), (1, 2))  # on its integer grid
         >>> T.tower(0, 1, 3)
@@ -172,6 +174,7 @@ class Exchange:
         gietlab.errors.InductionFailed: interval [0, 2) straddles the right end of letter A
         """
         cuts, row, snap, total = self._top_cuts, self.datum.top, self.snap, self.total
+        last = len(cuts)
         spans = [(br.eval, br.domain[1]) for br in map(self.branches.get, row)]
         floors = [(lo, hi)]
         for _ in range(n - 1):
@@ -183,7 +186,9 @@ class Exchange:
                     f"tower over [{floors[0][0]}, {floors[0][1]}) to floor {len(floors) - 1} "
                     f"at {lo}, outside [0, {total})"
                 )
-            i = _row_index(cuts, lo, snap)
+            i = bisect_right(cuts, lo)
+            if snap and i < last and cuts[i] - lo <= snap:  # the rule of ``_row_index``
+                i += 1
             image, end = spans[i]
             if hi > end + snap:
                 raise InductionFailed(
@@ -241,6 +246,20 @@ class ExactIET(Exchange):
         """
         D = lcm(*(Fraction(x).denominator for x in self.lengths))
         return ExactIET(self.datum, tuple(int(x * D) for x in self.lengths)), D
+
+    def successors(self) -> list:
+        """The image of every point of a map on its integer grid:
+        ``successors()[x]`` is ``eval(x)``.  A letter's top interval moves as
+        one block, so each letter costs one ``eval`` and one slice.
+
+        >>> ExactIET(parse_datum("A B", "B A"), (1, 2)).successors()
+        [2, 0, 1]
+        """
+        succ = [0] * self.total
+        for _, lo, hi in self.top_intervals():
+            image = self.eval(lo)
+            succ[lo:hi] = range(image, image + hi - lo)
+        return succ
 
     def length(self, letter: str) -> Fraction:
         return self.lengths[self.datum.alphabet.index(letter)]

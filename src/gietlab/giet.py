@@ -123,11 +123,13 @@ class Giet(Exchange):
 
 
 def giet_from_iet(T) -> Giet:
-    """Float translation-branch copy of an exact IET."""
+    """Float translation-branch copy of an exact IET.  Each branch shifts by
+    the exact displacement rounded once, so its image of a float ``x`` is
+    ``x + float(u_b - u_t)``, the bits of ``T.eval(x)``."""
     branches = {}
-    for a in T.datum.alphabet:
+    for a, br in T.branches.items():
         lo, c, l = float(T.top_breaks[a]), float(T.bottom_breaks[a]), float(T.length(a))
-        branches[a] = Translation((lo, lo + l), (c, c + l))
+        branches[a] = Translation((lo, lo + l), (c, c + l), float(br.shift))
     return Giet(T.datum, float(T.total), branches)
 
 

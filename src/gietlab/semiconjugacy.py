@@ -17,20 +17,26 @@ from .giet import dynamical_partition, giet_from_iet, partitions_equivalent
 
 
 def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
-    """Node map from order-r atoms of ``f`` to like-labeled atoms of ``T``:
-    the increasing piecewise-linear map of [0, 1) onto itself through the
-    atoms' left ends.  A node whose x or y does not increase (two ends that
-    round to one float) is skipped.
+    """Node map from order-r atoms of ``f`` to like-labeled atoms of the
+    exact IET ``T``: the increasing piecewise-linear map of [0, 1) onto
+    itself through the atoms' left ends.  A node whose x or y does not
+    increase (two ends that round to one float) is skipped.
+
+    ``T`` is partitioned on its integer grid (``ExactIET.on_integer_grid``),
+    so each atom's left end is an ``int`` ``lo`` and its y is ``lo / D``:
+    ``int`` true division rounds correctly, to the bits of
+    ``float(Fraction(lo, D))``, and no ``Fraction`` is made.
 
     Both maps must share the induction path to depth ``r``.
     """
+    grid, D = T.on_integer_grid()
     pf = dynamical_partition(f, r)
-    pt = dynamical_partition(T, r)
+    pt = dynamical_partition(grid, r)
     if not partitions_equivalent(pf, pt):
         raise PathMismatch(f"order-{r} partitions are not combinatorially equivalent")
     nodes = [(0.0, 0.0)]
     for af, at in zip(pf.atoms, pt.atoms):
-        x, y = float(af.lo), float(at.lo)
+        x, y = float(af.lo), at.lo / D
         if x > nodes[-1][0] and y > nodes[-1][1]:
             nodes.append((x, y))
     nodes.append((1.0, 1.0))

@@ -105,6 +105,28 @@ class RefConfig:
         letters = sorted(self.crit_pos, key=self.crit_pos.get)
         return [self.crit_pos[a] for a in letters], letters
 
+    @cached_property
+    def lifts(self) -> dict:
+        """The orbit position of each letter's induced critical point,
+        ``crit_pos[a] - h[a]`` (mod N): the order-r atom ``(a, i)`` is the
+        class at orbit position ``lifts[a] + i``."""
+        return {a: (c - self.h[a]) % self.N for a, c in self.crit_pos.items()}
+
+    @cached_property
+    def names(self) -> list:
+        """The name of the class at every orbit position, the name
+        ``canonical_label`` gives it: each critical letter names its run of
+        positions up to the next critical position, in one pass."""
+        starts, letters = self._starts
+        return [f"{a}{i}" for a, lo, hi in zip(letters, starts, [*starts[1:], self.N])
+                for i in range(hi - lo)]
+
+    def atom_names(self, atoms) -> list:
+        """The class name of each order-r partition atom ``(lo, hi, a, i)``,
+        as ``class_of_atom(a, i).name``, read off ``names``."""
+        names, lifts, N = self.names, self.lifts, self.N
+        return [names[(lifts[a] + i) % N] for _, _, a, i in atoms]
+
     def canonical_label(self, letter: str, index: int) -> LabelClass:
         """The class ``(letter, index)``, named after the nearest critical
         position at or before it: each critical letter names the run up to
@@ -128,8 +150,11 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
 
     The model IET is cross-checked: it must reproduce the path's arrows under
     exact induction, which also rejects lengths outside the path's cone, and
-    the orbit of 0 on its integer grid, walked once and kept as ``orbit``,
-    must first return to 0 after N steps, so that it is the whole grid.
+    the orbit of 0 on its integer grid must first return to 0 after N steps,
+    so that it is the whole grid.  That orbit is walked once, through the
+    grid's successor table (``ExactIET.successors``, one ``eval`` per
+    letter), and kept as ``orbit``; the critical positions and the lifts
+    ``h`` are read off it.
     """
     if not sigma_and_cyclicity(path.target)[1]:
         raise TargetNotCyclic(f"{path.target} is not cyclic")
@@ -149,24 +174,22 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
             f"model induction follows {result.path.kinds!r}, path is {path.kinds!r}"
         )
 
-    # one walk of the orbit of 0, keeping the orbit positions of the critical
-    # points of the model and of its induced map
-    u_t, u_t_induced = grid.top_breaks, result.map.top_breaks
-    pos = dict.fromkeys([*u_t.values(), *u_t_induced.values()])
-    orbit = []
-    x = 0
-    for c in range(N):
-        if x in pos:
-            pos[x] = c
+    # one walk of the orbit of 0 through the grid's successor table
+    succ, orbit, x = grid.successors(), [], 0
+    for _ in range(N):
         orbit.append(x)
-        x = grid.eval(x)
+        x = succ[x]
         if x == 0:
             break
     if x != 0:
         raise InductionMismatch(f"the model orbit of 0 does not close up after N={N} steps")
-    if c < N - 1:
+    if len(orbit) < N:
         raise InductionMismatch(f"the model orbit of 0 is not the whole grid of N={N} points")
 
+    # the orbit positions of the critical points of the model and of its
+    # induced map
+    u_t, u_t_induced = grid.top_breaks, result.map.top_breaks
+    pos = {p: orbit.index(p) for p in {*u_t.values(), *u_t_induced.values()}}
     crit_pos = {a: pos[u_t[a]] for a in path.source.alphabet}
     h = {}
     for a in path.source.alphabet:
@@ -459,11 +482,10 @@ def in_model_order(ref: RefConfig, partition) -> bool:
     partition of the same order: it has N atoms, and its ``k``-th atom
     ``(a, i)`` is the model's unit cell ``[k, k + 1)`` on ``ref.grid``.
     That cell starts at ``T^i`` of a's induced critical point, the orbit
-    point ``crit_pos[a] - h[a] + i``, so the model needs no partition."""
-    N, orbit = ref.N, ref.orbit
+    point ``lifts[a] + i``, so the model needs no partition."""
+    N, orbit, lift = ref.N, ref.orbit, ref.lifts
     if len(partition.atoms) != N:
         return False
-    lift = {a: c - ref.h[a] for a, c in ref.crit_pos.items()}
     return all(orbit[(lift[a] + i) % N] == k
                for k, (_, _, a, i) in enumerate(partition.atoms))
 

@@ -4,6 +4,7 @@ Every test draws from an explicitly seeded ``random.Random``, so failures
 reproduce deterministically.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -138,3 +139,18 @@ def breaking_step(k):
         return original(*args)
 
     return step_breaking_on_call_k
+
+
+def conjugacy_maps():
+    """The smooth 2- and 4-letter maps of the ``conjugacy`` benchmark workload,
+    each with the order of its deepest partition there."""
+    def smooth(datum, lengths, ks):
+        return giet_from_branches(
+            datum, lengths, lengths, lambda a, d, rng: SmoothParam(d, rng, k=ks.get(a, 0.0))
+        )
+
+    g = (math.sqrt(5) - 1) / 2
+    raw = [math.sqrt(p) for p in (2, 3, 5, 7)]
+    yield smooth(parse_datum("A B", "B A"), [1 - g, g], {"A": 2.0, "B": -1.5}), 21
+    yield smooth(parse_datum("A B C D", "D C B A"), [x / sum(raw) for x in raw],
+                 {"A": 1.0, "C": -0.7}), 40

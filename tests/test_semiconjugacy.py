@@ -1,9 +1,10 @@
-import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
+from conftest import conjugacy_maps
 from gietlab.branches import PiecewiseLinear, SmoothParam
 from gietlab.combinatorics import parse_datum, path_matrix
 from gietlab.errors import GietlabError, PathMismatch
@@ -131,20 +132,6 @@ def test_bad_monotone_map_nodes_are_an_error(nodes, message):
         PiecewiseLinear(nodes)
 
 
-def conjugacy_maps():
-    """The smooth 2- and 4-letter maps of the ``conjugacy`` benchmark workload,
-    each with the order of its deepest partition there."""
-    def smooth(datum, lengths, ks):
-        return giet_from_branches(
-            datum, lengths, lengths, lambda a, d, rng: SmoothParam(d, rng, k=ks.get(a, 0.0))
-        )
-
-    g = (math.sqrt(5) - 1) / 2
-    raw = [math.sqrt(p) for p in (2, 3, 5, 7)]
-    yield smooth(D2, [1 - g, g], {"A": 2.0, "B": -1.5}), 21
-    yield smooth(D4, [x / sum(raw) for x in raw], {"A": 1.0, "C": -0.7}), 40
-
-
 def test_defect_below_the_tower_tops_stays_under_the_largest_target_atom():
     tops_exceed = []
     for f, r in conjugacy_maps():
@@ -173,3 +160,42 @@ def test_defect_below_the_tower_tops_stays_under_the_largest_target_atom():
     # at f2@21 the tower tops stay under the largest target atom too; at
     # f4@40 they do not, so that atom bounds no full residual
     assert tops_exceed == [False, True]
+
+
+def fraction_nodes(f, T, r):
+    """The nodes of ``build_semiconjugacy`` as it built them from ``T``'s
+    ``Fraction`` partition, each y made by ``float(Fraction)``."""
+    nodes = [(0.0, 0.0)]
+    for af, at in zip(dynamical_partition(f, r).atoms, dynamical_partition(T, r).atoms):
+        x, y = float(af.lo), float(at.lo)
+        if x > nodes[-1][0] and y > nodes[-1][1]:
+            nodes.append((x, y))
+    nodes.append((1.0, 1.0))
+    return nodes
+
+
+def test_grid_nodes_equal_the_fraction_partition_nodes_bit_for_bit():
+    cases = [(f, build_reference(f.rauzy_path(r).path).base_iet, r) for f, r in conjugacy_maps()]
+    f, T = realized_pair(15)
+    cases += [(f, T, r) for r in (5, 10, 15)]
+    for f, T, r in cases:
+        assert all(type(x) is Fraction for x in T.lengths)
+        nodes = build_semiconjugacy(f, T, r).nodes
+        assert len(nodes) > 2
+        assert [(x.hex(), y.hex()) for x, y in nodes] == [
+            (x.hex(), y.hex()) for x, y in fraction_nodes(f, T, r)
+        ]
+
+
+def test_float_model_images_equal_the_exact_images():
+    # the conjugacy maps' models m2 and m4 at the points where ``semiconj
+    # --spot-check 32 --seed s`` evaluates them, ``h`` of 32 random floats:
+    # each float branch shifts by the exact displacement rounded once, as
+    # ``T.eval`` of a float does (m4's letter C shifted one ulp off before)
+    for f, r in conjugacy_maps():
+        T = build_reference(f.rauzy_path(r).path).base_iet
+        model, h = giet_from_iet(T), build_semiconjugacy(f, T, r)
+        for seed in range(5):
+            rng = random.Random(seed)
+            for x in (h.eval(rng.random()) for _ in range(32)):
+                assert model.eval(x) == T.eval(x), (r, seed, x)

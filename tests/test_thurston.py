@@ -8,7 +8,14 @@ import pytest
 
 import gietlab.exact_iet as exact_iet
 import gietlab.thurston as thurston
-from conftest import admissible, breaking_step, class_at, orbit_order, random_unit_giet
+from conftest import (
+    admissible,
+    breaking_step,
+    class_at,
+    conjugacy_maps,
+    orbit_order,
+    random_unit_giet,
+)
 from gietlab.branches import PiecewiseLinear, SmoothParam
 from gietlab.combinatorics import (
     RauzyPath,
@@ -125,9 +132,10 @@ def test_build_reference_walks_the_model_orbit_once(monkeypatch):
     named = []
     monkeypatch.setattr(thurston, "LabelClass", lambda *args: named.append(args))
     ref = build_reference(path)
-    # one evaluation per orbit point; h is read off the orbit positions, and
-    # no class is named until a label is asked for
-    assert ref.N == 2584 and len(calls) == ref.N
+    # one evaluation per letter, for the successor table the orbit walks; h
+    # is read off the orbit positions, and no class is named until a label
+    # is asked for
+    assert ref.N == 2584 and sorted(calls) == sorted(ref.grid.top_breaks.values())
     assert named == []
     assert ref.h == _reference_in_fractions(path)["h"]
 
@@ -145,16 +153,30 @@ def test_reference_fields_hold_one_orbit_table():
         assert all(ref.orbit[c] == x for x, c in enumerate(orbit_order(ref)))
 
 
-@pytest.mark.parametrize("model_eval, message", [
-    (lambda T, x: min(x + 1, 10), "orbit of 0 does not close up after N=11 steps"),
-    (lambda T, x: x, "orbit of 0 is not the whole grid of N=11 points"),
+@pytest.mark.parametrize("model_image, message", [
+    (lambda x: min(x + 1, 10), "orbit of 0 does not close up after N=11 steps"),
+    (lambda x: x, "orbit of 0 is not the whole grid of N=11 points"),
     # the whole grid, but B's critical point is 5 steps from its lift, with q_B = 2
-    (lambda T, x: (x + 1) % 11, "critical point of B is 5 steps from its lift, not under q=2"),
+    (lambda x: (x + 1) % 11, "critical point of B is 5 steps from its lift, not under q=2"),
 ])
-def test_build_reference_reports_a_broken_model_orbit(monkeypatch, model_eval, message):
-    monkeypatch.setattr(ExactIET, "eval", model_eval)
+def test_build_reference_reports_a_broken_model_orbit(monkeypatch, model_image, message):
+    # the grid's successor table is the one source of the walk
+    monkeypatch.setattr(ExactIET, "successors", lambda T: list(map(model_image, range(T.total))))
     with pytest.raises(InductionMismatch, match=message):
         model_ref()
+
+
+def test_successor_table_is_the_model_map_on_its_grid(monkeypatch):
+    calls = []
+    model_eval = ExactIET.eval
+    monkeypatch.setattr(ExactIET, "eval", lambda T, x: calls.append(x) or model_eval(T, x))
+    refs = [model_ref(), fibonacci_ref(9)] + random_completed_refs(random.Random(5), 10)
+    for ref in refs:
+        calls.clear()
+        succ = ref.grid.successors()
+        assert len(calls) == ref.datum.d
+        assert succ == [model_eval(ref.grid, x) for x in range(ref.N)]
+        assert [succ[x] for x in ref.orbit] == [*ref.orbit[1:], 0]
 
 
 def test_reference_orbit_is_single_cycle():
@@ -594,6 +616,30 @@ def test_certificate_partition_on_the_grid_equals_the_fraction_one():
             for lo, _, a, i in on_grid.atoms:
                 assert ref.orbit[ref.class_of_atom(a, i).orbit_pos] == lo
             assert thurston.in_model_order(ref, on_grid)
+
+
+def test_orbit_position_names_equal_the_class_of_each_atom():
+    """``atom_names`` reads each atom's name off the orbit position names:
+    the cyclic 3-, 4- and 5-letter panel on its model, and the smooth maps
+    of the conjugacy workload at the orders partitioned there."""
+    rng = random.Random(83)
+    partitions = []
+    for datum in (parse_datum("A B C", "C B A"), D4, D5):
+        cls = rauzy_class(datum)
+        target = find_cyclic(cls)
+        for _ in range(6):
+            path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(10)))
+            path = path.concat(find_path(cls, path.target, target))
+            partitions.append(dynamical_partition(build_reference(path).base_iet, len(path)))
+    partitions += [dynamical_partition(f, r) for f, r in conjugacy_maps()]
+    for p in partitions:
+        ref = build_reference(p.path)
+        assert ref.names == [class_at(ref, c).name for c in range(ref.N)]
+        assert ref.atom_names(p.atoms) == [
+            ref.class_of_atom(a, i).name for _, _, a, i in p.atoms
+        ]
+    # the smooth maps' atoms are named apart from their raw labels
+    assert any(name != f"{a}{i}" for (_, _, a, i), name in zip(p.atoms, ref.atom_names(p.atoms)))
 
 
 def test_solve_builds_one_family_map_per_iteration():
