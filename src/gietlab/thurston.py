@@ -55,7 +55,7 @@ from . import full_family
 
 EPS_DEG = 1e-9
 EPS_FIX = 1e-12
-DIFF_H = 1e-7  # the central-difference step of the columns of G
+DIFF_H = 1e-7  # the central-difference step of the branch ends in G
 NEWTON_FLOOR = 1e-6  # the smallest line-search step of a Newton step
 FALLBACK_STEPS = 10  # averaged steps after a failed Newton step
 
@@ -228,14 +228,11 @@ def tau_of(ref: RefConfig, config: tuple) -> dict:
     datum = ref.datum
     v1 = {a: config[x] for a, x in ref.grid.bottom_breaks.items()}
     row = datum.bottom
-    tau = {}
-    for a, b in zip(row, row[1:]):
-        tau[a] = v1[b] - v1[a]
+    tau = {a: v1[b] - v1[a] for a, b in zip(row, row[1:])}
     tau[row[-1]] = 1 - v1[row[-1]]
     # a zero entry is a legitimate boundary vector (coincident marked points);
     # only an inverted gap violates the configuration order
-    if any(v < 0 for v in tau.values()):
-        bad = [a for a, v in tau.items() if v < 0]
+    if bad := [a for a, v in tau.items() if v < 0]:
         raise OrderViolation(f"marking gaps inverted for letters {bad}")
     return tau
 
@@ -265,19 +262,6 @@ class GietFamily:
         return full_family.apply(self.seed, tau)
 
 
-def _pull(ref: RefConfig, config: tuple, f) -> list:
-    """The points of ``step``, unchecked."""
-    preimages = {
-        a: f.branches[a].inverse_many(config[lo:hi])
-        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs)
-    }
-    new_points = []
-    for a in ref.datum.top:
-        new_points.append(f.top_breaks[a])
-        new_points += preimages[a]
-    return new_points
-
-
 def step(ref: RefConfig, config: tuple, f) -> tuple:
     """One pullback under ``f``, the family map selected by ``config``: send
     every point to the preimage of its index successor.
@@ -290,7 +274,11 @@ def step(ref: RefConfig, config: tuple, f) -> tuple:
     point is located by its value.  A result out of the reference order
     raises ``OrderViolation``.
     """
-    out = tuple(_pull(ref, config, f))
+    runs, out = dict(zip(ref.datum.bottom, ref.runs)), []
+    for a in ref.datum.top:
+        out.append(f.top_breaks[a])
+        out += f.branches[a].inverse_many(config[slice(*runs[a])])
+    out = tuple(out)
     if not is_ordered(out):
         raise OrderViolation("the pullback broke the reference order")
     return out
@@ -336,28 +324,40 @@ def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tup
     the point ``T(x)``, through the slope ``D_x`` of ``f``'s inverse, so
     ``I - PD`` is solved by ``_sweep``.  Every entry also reads tau, which
     reads the d - 1 points ``E^T x`` at the model's critical values
-    ``u^b > 0``: ``G`` holds their central differences, and the Woodbury
-    identity solves the rank-(d - 1) term.  The step is halved until the
-    points are in order, which also makes their tau positive; a trial that
-    moves a point by 1 or more leaves ``[0, 1)``, so none is built.  Below
-    ``NEWTON_FLOOR``, on a non-finite value or on a perturbed tau off the
-    simplex, there is no step.
+    ``u^b > 0``; the Woodbury identity solves the rank-(d - 1) term.  A
+    family branch is the seed's rescaled from ``(x0, x1)`` onto ``(c0, c1)``,
+    so ``y`` pulls back to ``p = x0 + W S((y - c0) / H)``: a column of ``G``
+    is ``dx0 + dW (p - x0) / W - D (dc0 + dH (y - c0) / H)``, ``dx0`` at a's
+    critical class, from central differences of the four ends alone.  The
+    step is halved until the points are in order, which also makes their
+    tau positive; a trial that moves a point by 1 or more leaves ``[0, 1)``,
+    so none is built.  Below ``NEWTON_FLOOR``, on a non-finite value or on a
+    perturbed tau off the simplex, there is no step.
     """
+    def ends(g):  # each letter's branch ends (x0, x1, c0, c1) in the map g
+        return {a: (*b.domain, *b.range_) for a, b in g.branches.items()}
+
     u_t, slopes = ref.grid.top_breaks, [0.0] * ref.N
-    for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
-        slopes[u_t[a] + 1:u_t[a] + 1 + hi - lo] = f.branches[a].inverse_slopes(config[lo:hi])
-    marks = [ref.grid.bottom_breaks[b] for b in ref.datum.bottom[1:]]
+    runs = [(a, lo, hi, slice(u_t[a] + 1, u_t[a] + 1 + hi - lo))
+            for a, (lo, hi) in zip(ref.datum.bottom, ref.runs)]
+    for a, lo, hi, at in runs:
+        slopes[at] = f.branches[a].inverse_slopes(config[lo:hi])
     y0 = _sweep(ref, slopes, list(map(operator.sub, pulled, config)))
-    z = []
+    marks = [ref.grid.bottom_breaks[b] for b in ref.datum.bottom[1:]]
+    here, marked, z = ends(f), {x: config[x] for x in [0, *marks]}, []
     try:
         for m in marks:
-            sides = []
-            for h in (DIFF_H, -DIFF_H):
-                bumped = list(config)
-                bumped[m] += h
-                sides.append((bumped[m], _pull(ref, config, family.at(tau_of(ref, bumped)))))
-            (v1, plus), (v0, minus) = sides
-            z.append(_sweep(ref, slopes, [(p - q) / (v1 - v0) for p, q in zip(plus, minus)]))
+            (v1, plus), (v0, minus) = [(v, ends(family.at(tau_of(ref, {**marked, m: v}))))
+                                       for v in (config[m] + DIFF_H, config[m] - DIFF_H)]
+            col = [0.0] * ref.N
+            for a, lo, hi, at in runs:
+                x0, x1, c0, c1 = here[a]
+                dx0, dx1, dc0, dc1 = [(p - q) / (v1 - v0) for p, q in zip(plus[a], minus[a])]
+                dw, dh = (dx1 - dx0) / (x1 - x0), (dc1 - dc0) / (c1 - c0)
+                col[u_t[a]] = dx0
+                col[at] = [dx0 + dw * (p - x0) - s * (dc0 + dh * (y - c0))
+                           for p, s, y in zip(pulled[at], slopes[at], config[lo:hi])]
+            z.append(_sweep(ref, slopes, col))
         # (I - E^T Z) c = E^T y0, and the step is y0 + Z c
         c = _solve_linear([[float(i == k) - zk[m] for k, zk in enumerate(z)]
                            for i, m in enumerate(marks)], [y0[m] for m in marks])

@@ -16,7 +16,7 @@ from conftest import (
     orbit_order,
     random_unit_giet,
 )
-from gietlab.branches import PiecewiseLinear, SmoothParam
+from gietlab.branches import PiecewiseLinear, SmoothParam, compose
 from gietlab.combinatorics import (
     RauzyPath,
     find_cyclic,
@@ -47,6 +47,7 @@ from gietlab.thurston import (
     GietFamily,
     MAX_REFERENCE_POINTS,
     build_reference,
+    in_model_order,
     realize,
     reference_configuration,
     solve,
@@ -673,19 +674,23 @@ def fibonacci_ref(depth):
     return build_reference(RauzyPath.from_kinds(D2, ("tb" * depth)[:depth]))
 
 
+def completed(path):
+    """``path``, followed by a shortest path to a cyclic datum if it does not
+    end at one."""
+    if sigma_and_cyclicity(path.target)[1]:
+        return path
+    cls = rauzy_class(path.source)
+    return path.concat(find_path(cls, path.target, find_cyclic(cls)))
+
+
 def random_completed_refs(rng, count):
     """References of ``count`` random 4- and 5-letter paths, each completed
     to a cyclic target."""
-    classes = {datum: rauzy_class(datum) for datum in (D4, D5)}
     refs = []
     for _ in range(count):
         datum = rng.choice((D4, D5))
         kinds = "".join(rng.choice("tb") for _ in range(rng.randint(4, 12)))
-        path = RauzyPath.from_kinds(datum, kinds)
-        if not sigma_and_cyclicity(path.target)[1]:
-            cls = classes[datum]
-            path = path.concat(find_path(cls, path.target, find_cyclic(cls)))
-        refs.append(build_reference(path))
+        refs.append(build_reference(completed(RauzyPath.from_kinds(datum, kinds))))
     return refs
 
 
@@ -826,8 +831,8 @@ def worked_loop():
 # The solver trajectory, byte for byte: iterations, Newton steps, tau as
 # float.hex, and the sha256 of repr(deltas).  The fourth is draw 30 of
 # perfbench/pool.json, with the multi-realize seed, completed by 5 arrows.
-# All were recorded when the Newton step came in; any change of a float bit
-# anywhere in the loop changes a line here.
+# All were recorded when the columns of G came in closed form; any change of
+# a float bit anywhere in the loop changes a line here.
 TRAJECTORIES = [
     (
         "fibonacci-13",
@@ -835,7 +840,7 @@ TRAJECTORIES = [
         lambda: smooth_seed(D2, [0.5, 0.5], {"A": 2.0, "B": -1.5}),
         3,
         {"A": "0x1.9e258affd8022p-2", "B": "0x1.30ed3a8013fefp-1"},
-        "656d258a6c6354d770c39367659bc560b48e642d9669b1ab021dfe5ac0a23daf",
+        "ac0f397b16470542b56809c1d04d8ed670d70acaa124a5bdf647abf3da568a4c",
     ),
     (
         "worked-example",
@@ -854,10 +859,10 @@ TRAJECTORIES = [
         lambda: smooth_seed(D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0}),
         2,
         {
-            "A": "0x1.149887ac96ebap-1", "B": "0x1.2414dab8962f2p-3",
-            "C": "0x1.27648af1c89c0p-8", "D": "0x1.4026f11ebfeecp-2",
+            "A": "0x1.149887ac97282p-1", "B": "0x1.2414dab8909c8p-3",
+            "C": "0x1.27648af307200p-8", "D": "0x1.4026f11ebd450p-2",
         },
-        "b91244a7ac39a74bef4c549e5cd6ba0e9f45997b590894320d5a35658a68202d",
+        "a758d50dec6a78a3e6198b998d54f9a94560b6f466612778786d5fb537a66305",
     ),
     (
         "pool-30",
@@ -865,11 +870,11 @@ TRAJECTORIES = [
         lambda: smooth_seed(D5, [0.2] * 5, {"A": 1.5}),
         1,
         {
-            "A": "0x1.0f975120b8904p-3", "B": "0x1.a097062cc8880p-5",
-            "C": "0x1.752bc2ab6d060p-6", "D": "0x1.8bf86e832cc0fp-2",
-            "E": "0x1.a0d64bfc27159p-2",
+            "A": "0x1.0f9751206c808p-3", "B": "0x1.a097062b98fc0p-5",
+            "C": "0x1.752bc2b01bb80p-6", "D": "0x1.8bf86e833f9d6p-2",
+            "E": "0x1.a0d64bfc15476p-2",
         },
-        "c4ac0a434bca63c990c815c46a97ec3090cacf02391d24c247d0b520bdf48652",
+        "9f58850e05e04157a3f92bf849b678ae41df2c77f46b56b01846df45d8b70eaf",
     ),
 ]
 
@@ -1099,6 +1104,131 @@ def test_a_refused_newton_step_tries_only_steps_inside_the_interval(monkeypatch)
     assert report.realized
     assert [ok for ok, _ in attempts] == DEEP_FIBONACCI[19][2]
     assert [n for ok, n in attempts if not ok] == [6]
+
+
+def unchecked_pull(ref, config, f):
+    """The pullback of ``config`` under ``f``, as ``step`` builds it, without
+    its order check."""
+    runs, points = dict(zip(ref.datum.bottom, ref.runs)), []
+    for a in ref.datum.top:
+        points.append(f.top_breaks[a])
+        points += f.branches[a].inverse_many(config[slice(*runs[a])])
+    return points
+
+
+def old_columns(family, ref, config):
+    """The columns of ``G`` as the Newton step built them before they were in
+    closed form: for each mark, the central difference of the N-point pulls
+    of ``config`` under the maps at the two bumped taus."""
+    columns = []
+    for b in ref.datum.bottom[1:]:
+        m = ref.grid.bottom_breaks[b]
+        sides = []
+        for h in (thurston.DIFF_H, -thurston.DIFF_H):
+            bumped = list(config)
+            bumped[m] += h
+            sides.append((bumped[m], unchecked_pull(ref, config, family.at(tau_of(ref, bumped)))))
+        (v1, plus), (v0, minus) = sides
+        columns.append([(p - q) / (v1 - v0) for p, q in zip(plus, minus)])
+    return columns
+
+
+def newton_columns(monkeypatch, family, ref, config):
+    """The columns of ``G`` of the Newton step from ``config``, read as the
+    right-hand sides of its ``_sweep`` calls after the first, and the step."""
+    rhs, sweep = [], thurston._sweep
+    with monkeypatch.context() as patch:
+        patch.setattr(thurston, "_sweep", lambda ref, slopes, r: rhs.append(r) or sweep(ref, slopes, r))
+        f = family.at(tau_of(ref, config))
+        out = thurston._newton_step(family, ref, config, step(ref, config, f), f)
+    return rhs[1:], out
+
+
+def chain_seed(d):
+    """The d-letter seed of ``letter_seed`` with every branch a chain: a
+    smooth branch onto its range, then a smooth self-map of that range."""
+    letters = "ABCDE"[:d]
+    datum = parse_datum(" ".join(letters), " ".join(reversed(letters)))
+
+    def maker(a, domain, range_):
+        return compose(SmoothParam(domain, range_, k=1.5), SmoothParam(range_, range_, k=-0.8))
+
+    return giet_from_branches(datum, [1 / d] * d, [1 / d] * d, maker)
+
+
+@pytest.mark.parametrize(
+    "seed, kinds",
+    [(lambda: smooth_seed(*FIB_SEED), "tbtbtbtbtbtbt"),
+     (lambda: letter_seed(3), "bttbtbbtbtbt"),
+     (lambda: letter_seed(4), "btbttbtbbttb"),
+     (lambda: letter_seed(5), "bttbtbbtbtbb"),
+     (lambda: letter_seed(4, bent_at_half), "btbttbtbbttb"),
+     (lambda: chain_seed(3), "bttbtbbtbtbt")],
+    ids=["2-letter", "3-letter", "4-letter", "5-letter", "4-letter-pl", "3-letter-chain"],
+)
+def test_closed_form_columns_equal_central_differences_of_pulls(monkeypatch, seed, kinds):
+    """Each column of ``G`` equals the central difference of two N-point
+    pulls, within 1e-6 of the column's largest entry, at the reference and
+    at the next two Newton iterates."""
+    family = GietFamily(seed())
+    ref = build_reference(completed(RauzyPath.from_kinds(family.datum, kinds)))
+    config = reference_configuration(ref, exact=False)
+    for _ in range(3):
+        f = family.at(tau_of(ref, config))
+        if isinstance(f.branches["A"], PiecewiseLinear):
+            # off its node by far more than a bump moves it, so no central
+            # difference straddles the kink
+            node = f.branches["A"].nodes[1][1]
+            lo, hi = dict(zip(ref.datum.bottom, ref.runs))["A"]
+            assert min(abs(y - node) for y in config[lo:hi]) > 1e-5
+        columns, following = newton_columns(monkeypatch, family, ref, config)
+        old = old_columns(family, ref, config)
+        assert len(columns) == len(old) == family.datum.d - 1
+        for new_column, old_column in zip(columns, old):
+            scale = max(map(abs, old_column))
+            assert scale > 0
+            assert max(abs(u - v) for u, v in zip(new_column, old_column)) <= 1e-6 * scale
+        assert following is not None
+        config = following
+
+
+@pytest.mark.parametrize("case", ["fibonacci-13", "pool-30"])
+def test_each_update_pulls_the_points_back_once(monkeypatch, case):
+    """A Newton step pulls no point: every accepted update inverts each
+    letter's run once, in its one call of ``thurston.step``."""
+    _, path, seed, *_ = next(c for c in TRAJECTORIES if c[0] == case)
+    runs, steps = [], []
+    inverse_many, original = SmoothParam.inverse_many, thurston.step
+    monkeypatch.setattr(SmoothParam, "inverse_many",
+                        lambda self, ys: runs.append(len(ys)) or inverse_many(self, ys))
+    monkeypatch.setattr(thurston, "step", lambda *args: steps.append(None) or original(*args))
+    result = realize(GietFamily(seed()), path())
+    report, d = result.report, result.ref.datum.d
+    assert report.realized and report.iterations == report.newton_steps > 0
+    assert len(steps) == report.iterations
+    assert len(runs) == d * report.iterations
+    assert sum(runs) == (result.ref.N - d) * report.iterations
+
+
+@pytest.mark.parametrize(
+    "seed, path",
+    [(lambda: smooth_seed(*FIB_SEED), lambda: fibonacci_ref(15).path),
+     (lambda: letter_seed(4),
+      lambda: RauzyPath.from_kinds(D4, "btbttttbbtbttttbbtbtttbttttttt"))],
+    ids=["fibonacci-15", "4-letter"],
+)
+def test_realizing_sets_nest(seed, path):
+    """The map realized for a path realizes each of its prefixes that ends at
+    a cyclic datum: its partition of that order passes the certificate
+    against the prefix's own model."""
+    result = realize(GietFamily(seed()), path())
+    assert result.certificate
+    prefixes = [k for k in range(1, len(result.full_path) + 1)
+                if sigma_and_cyclicity(result.full_path.prefix(k).target)[1]]
+    assert len(prefixes) >= 8
+    for k in prefixes:
+        ref = build_reference(result.full_path.prefix(k))
+        assert in_model_order(ref, dynamical_partition(result.report.map, k)), k
 
 
 def fib_partition_with(monkeypatch, change):
