@@ -94,6 +94,37 @@ def _top_widths(f: Giet, tau: dict) -> dict:
     return {a: psi[a] * (hi - lo) for a, lo, hi in f.top_intervals()}
 
 
+def end_derivatives(f: Giet, tau: dict) -> list:
+    """The exact derivatives of the deformed map's branch ends, one dict per
+    mark: the marks are the left ends of the bottom letters but the first,
+    in bottom-row order, and each letter ``a`` gets ``(dx0, dW/W, dc0,
+    dH/H)``, where ``(x0, x0 + W)`` is its top interval and ``(c0, c0 + H)``
+    its bottom one.
+
+    Moving the mark of ``b_j`` adds to ``tau`` of ``b_(j-1)`` what it takes
+    from ``tau`` of ``b_j``.  The bottom width ``H_a`` is ``tau_a``, and the
+    top width ``W_a`` is ``rho_a tau_a / R``, with ``rho_a`` the ratio of a's
+    top to bottom width in ``f`` and ``R = sum rho_e tau_e`` the rescaling.
+    So ``dH/H = dtau / tau``, ``dW/W = dtau / tau - dR / R`` with ``dR =
+    rho_(b_(j-1)) - rho_(b_j)``, ``dc0`` is 1 for ``b_j`` alone, and ``dx0``
+    adds ``dW`` over the top letters before ``a``.  Sums run left to right.
+    """
+    top = {a: hi - lo for a, lo, hi in f.top_intervals()}
+    rho = {a: top[a] / (hi - lo) for a, lo, hi in f.bottom_intervals()}
+    slopes, row, out = _slopes_closed(f, tau), f.datum.bottom, []
+    rescale, widths = slopes.rescale, {a: slopes.psi[a] * w for a, w in top.items()}
+    for before, b in zip(row, row[1:]):
+        dtau = {before: 1.0, b: -1.0}
+        d_rescale = rho[before] - rho[b]
+        ends, x0 = {}, 0.0
+        for a in f.datum.top:
+            dt = dtau.get(a, 0.0)
+            ends[a] = (x0, dt / tau[a] - d_rescale / rescale, float(a == b), dt / tau[a])
+            x0 += (rho[a] * dt - widths[a] * d_rescale) / rescale
+        out.append(ends)
+    return out
+
+
 def apply(f: Giet, tau) -> Giet:
     """Deform ``f`` so its critical values sit at the tau partial sums.
 

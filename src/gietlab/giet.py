@@ -208,19 +208,21 @@ def check_tiling(atoms, total, name, tol=None):
         raise GietlabError(f"{what} at {prev}, not at the total length {total}")
 
 
-def dynamical_partition(m, r: int) -> DynamicalPartition:
+def dynamical_partition(m, r: int, induction: InductionResult | None = None) -> DynamicalPartition:
     """Partition of order ``r``: atoms ``f^i(I^t_alpha(f^(r)))`` labeled ``(alpha, i)``.
 
     Works for exact IETs (exact endpoints) and float GIETs alike.  An IET with
     ``int`` lengths has ``int`` atom ends; one with fractions is partitioned on
     its integer grid, and the endpoints are turned into fractions at the end.
-    Raises ``GietlabError`` when the atoms do not tile the interval
+    ``induction``, if given, is ``m.rauzy_path(r)`` already computed, and the
+    towers are built from it; an IET with fractions induces on its grid
+    anyway.  Raises ``GietlabError`` when the atoms do not tile the interval
     (``DynamicalPartition.validate``).
     """
     exact = isinstance(m, ExactIET) and not isinstance(m.lengths[0], int)
     if exact:
         m, D = m.on_integer_grid()
-    result = m.rauzy_path(r)
+    result = m.rauzy_path(r) if induction is None or exact else induction
     path = result.path
     if len(path) < r:
         raise InductionFailed(f"tie after {len(path)} of {r} steps")

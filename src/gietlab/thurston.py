@@ -41,7 +41,6 @@ from .combinatorics import (
     sigma_and_cyclicity,
 )
 from .errors import (
-    DegenerateTau,
     InductionFailed,
     InductionMismatch,
     NoCyclicDatum,
@@ -49,13 +48,12 @@ from .errors import (
     SolverFailed,
     TargetNotCyclic,
 )
-from .exact_iet import ExactIET
+from .exact_iet import ExactIET, InductionResult
 from .giet import Giet, dynamical_partition
 from . import full_family
 
 EPS_DEG = 1e-9
 EPS_FIX = 1e-12
-DIFF_H = 1e-7  # the central-difference step of the branch ends in G
 NEWTON_FLOOR = 1e-6  # the smallest line-search step of a Newton step
 FALLBACK_STEPS = 10  # averaged steps after a failed Newton step
 
@@ -328,15 +326,13 @@ def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tup
     family branch is the seed's rescaled from ``(x0, x1)`` onto ``(c0, c1)``,
     so ``y`` pulls back to ``p = x0 + W S((y - c0) / H)``: a column of ``G``
     is ``dx0 + dW (p - x0) / W - D (dc0 + dH (y - c0) / H)``, ``dx0`` at a's
-    critical class, from central differences of the four ends alone.  The
+    critical class, with the end derivatives exact
+    (``full_family.end_derivatives``), so no family map is built.  The
     step is halved until the points are in order, which also makes their
     tau positive; a trial that moves a point by 1 or more leaves ``[0, 1)``,
-    so none is built.  Below ``NEWTON_FLOOR``, on a non-finite value or on a
-    perturbed tau off the simplex, there is no step.
+    so none is built.  Below ``NEWTON_FLOOR``, on a singular system or a
+    non-finite value, there is no step.
     """
-    def ends(g):  # each letter's branch ends (x0, x1, c0, c1) in the map g
-        return {a: (*b.domain, *b.range_) for a, b in g.branches.items()}
-
     u_t, slopes = ref.grid.top_breaks, [0.0] * ref.N
     runs = [(a, lo, hi, slice(u_t[a] + 1, u_t[a] + 1 + hi - lo))
             for a, (lo, hi) in zip(ref.datum.bottom, ref.runs)]
@@ -344,24 +340,20 @@ def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tup
         slopes[at] = f.branches[a].inverse_slopes(config[lo:hi])
     y0 = _sweep(ref, slopes, list(map(operator.sub, pulled, config)))
     marks = [ref.grid.bottom_breaks[b] for b in ref.datum.bottom[1:]]
-    here, marked, z = ends(f), {x: config[x] for x in [0, *marks]}, []
+    x0s, c0s, z = f.top_breaks, f.bottom_breaks, []
+    for ends in full_family.end_derivatives(family.seed, tau_of(ref, config)):
+        col = [0.0] * ref.N
+        for a, lo, hi, at in runs:
+            (dx0, dw, dc0, dh), x0, c0 = ends[a], x0s[a], c0s[a]
+            col[u_t[a]] = dx0
+            col[at] = [dx0 + dw * (p - x0) - s * (dc0 + dh * (y - c0))
+                       for p, s, y in zip(pulled[at], slopes[at], config[lo:hi])]
+        z.append(_sweep(ref, slopes, col))
     try:
-        for m in marks:
-            (v1, plus), (v0, minus) = [(v, ends(family.at(tau_of(ref, {**marked, m: v}))))
-                                       for v in (config[m] + DIFF_H, config[m] - DIFF_H)]
-            col = [0.0] * ref.N
-            for a, lo, hi, at in runs:
-                x0, x1, c0, c1 = here[a]
-                dx0, dx1, dc0, dc1 = [(p - q) / (v1 - v0) for p, q in zip(plus[a], minus[a])]
-                dw, dh = (dx1 - dx0) / (x1 - x0), (dc1 - dc0) / (c1 - c0)
-                col[u_t[a]] = dx0
-                col[at] = [dx0 + dw * (p - x0) - s * (dc0 + dh * (y - c0))
-                           for p, s, y in zip(pulled[at], slopes[at], config[lo:hi])]
-            z.append(_sweep(ref, slopes, col))
         # (I - E^T Z) c = E^T y0, and the step is y0 + Z c
         c = _solve_linear([[float(i == k) - zk[m] for k, zk in enumerate(z)]
                            for i, m in enumerate(marks)], [y0[m] for m in marks])
-    except (OrderViolation, DegenerateTau, ZeroDivisionError):
+    except ZeroDivisionError:
         return None
     delta = y0
     for ck, zk in zip(c, z):
@@ -390,6 +382,9 @@ class SolveReport:
     map: object = None  # the family map at ``tau``; none where no map was selected
     faces: tuple = ()
     newton_steps: int = 0  # the updates that were Newton steps
+    # the induction of ``map`` by the path check that succeeded, which
+    # ``realize`` hands to the certificate's partition and then drops
+    induction: InductionResult | None = None
 
     @property
     def realized(self) -> bool:
@@ -423,8 +418,8 @@ def solve(
     settled = False
     newton_steps = averaged_left = 0
 
-    def report(status, tau, f=None, faces=()):
-        return SolveReport(status, tau, config, it, deltas, f, faces, newton_steps)
+    def report(status, tau, f=None, faces=(), induction=None):
+        return SolveReport(status, tau, config, it, deltas, f, faces, newton_steps, induction)
 
     for it in itertools.count():
         try:
@@ -435,8 +430,10 @@ def solve(
         if faces:
             return report("boundary", tau, faces=faces)
         f = family.at(tau)
-        if f.rauzy_path(r, kinds).path.kinds == kinds:
-            return report("realized", tau, f)
+        checked = f.rauzy_path(r, kinds)
+        if checked.path.kinds == kinds:
+            return report("realized", tau, f, induction=checked)
+        del checked  # the induced chains are not needed past the check
         if settled:
             return report("fixed_point_tol", tau, f)
         if it >= max_iter:
@@ -498,6 +495,8 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     The certificate is an independent check: the realized map's dynamical
     partition must be combinatorially equivalent to the model's on
     ``ref.grid``, which is read off the model orbit (``in_model_order``).
+    That partition is built from the induction of the solver's last path
+    check (``SolveReport.induction``), so the realized map is induced once.
     Where that partition cannot be built (``InductionFailed``: a tie, or a
     tower floor that straddles a breakpoint), the certificate is false and
     ``certificate_error`` says why; a partition that does not tile the
@@ -525,9 +524,12 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     report = solve(family, ref, **solve_options)
     if not report.realized:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)
+    # the towers are built off the solver's last induction, which the
+    # result does not keep
+    induction, report.induction = report.induction, None
     certificate, error = False, None
     try:
-        partition = dynamical_partition(report.map, len(full))
+        partition = dynamical_partition(report.map, len(full), induction=induction)
     except InductionFailed as exc:
         error = str(exc)
     else:

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import gietlab.exact_iet as exact_iet
+import gietlab.full_family as full_family
 import gietlab.thurston as thurston
 from conftest import (
     admissible,
@@ -37,6 +39,7 @@ from gietlab.errors import (
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
     Atom,
+    Giet,
     dynamical_partition,
     giet_from_branches,
     giet_from_iet,
@@ -655,8 +658,9 @@ def test_solve_builds_one_family_map_per_iteration():
     family.at = lambda tau: built.append(tau) or GietFamily.at(family, tau)
     report = solve(family, ref)
     assert report.status == "realized" and report.iterations == report.newton_steps == 3
-    # one map per loop head, plus two per Newton step for the one column of G
-    assert len(built) == report.iterations + 1 + 2 * report.newton_steps == 10
+    # one map per loop head: the Newton step reads the end derivatives of
+    # its column of G in closed form, off no map
+    assert len(built) == report.iterations + 1 == 4
 
 
 def old_pull_order(ref, geometric):
@@ -831,8 +835,9 @@ def worked_loop():
 # The solver trajectory, byte for byte: iterations, Newton steps, tau as
 # float.hex, and the sha256 of repr(deltas).  The fourth is draw 30 of
 # perfbench/pool.json, with the multi-realize seed, completed by 5 arrows.
-# All were recorded when the columns of G came in closed form; any change of
-# a float bit anywhere in the loop changes a line here.
+# All were recorded when the end derivatives in the columns of G came in
+# closed form (fibonacci-13 and the worked example did not move then); any
+# change of a float bit anywhere in the loop changes a line here.
 TRAJECTORIES = [
     (
         "fibonacci-13",
@@ -859,10 +864,10 @@ TRAJECTORIES = [
         lambda: smooth_seed(D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0}),
         2,
         {
-            "A": "0x1.149887ac97282p-1", "B": "0x1.2414dab8909c8p-3",
-            "C": "0x1.27648af307200p-8", "D": "0x1.4026f11ebd450p-2",
+            "A": "0x1.149887ac96824p-1", "B": "0x1.2414dab896462p-3",
+            "C": "0x1.27648af2db540p-8", "D": "0x1.4026f11ebc6b1p-2",
         },
-        "a758d50dec6a78a3e6198b998d54f9a94560b6f466612778786d5fb537a66305",
+        "87ec9c6bd952da6cb86535e94eb3b309c4254edaffd7014486266cc58138e039",
     ),
     (
         "pool-30",
@@ -870,11 +875,11 @@ TRAJECTORIES = [
         lambda: smooth_seed(D5, [0.2] * 5, {"A": 1.5}),
         1,
         {
-            "A": "0x1.0f9751206c808p-3", "B": "0x1.a097062b98fc0p-5",
-            "C": "0x1.752bc2b01bb80p-6", "D": "0x1.8bf86e833f9d6p-2",
-            "E": "0x1.a0d64bfc15476p-2",
+            "A": "0x1.0f9751206c854p-3", "B": "0x1.a097062b98e90p-5",
+            "C": "0x1.752bc2b01bd40p-6", "D": "0x1.8bf86e834308ap-2",
+            "E": "0x1.a0d64bfc11da6p-2",
         },
-        "9f58850e05e04157a3f92bf849b678ae41df2c77f46b56b01846df45d8b70eaf",
+        "4c05b01fb4e4b09b5c4688b9785c5427ede2b367c5543b46b68918a618e7f697",
     ),
 ]
 
@@ -1116,6 +1121,11 @@ def unchecked_pull(ref, config, f):
     return points
 
 
+# the step by which the Newton step once bumped each mark, to read the
+# columns of G and the branch ends off central differences
+DIFF_H = 1e-7
+
+
 def old_columns(family, ref, config):
     """The columns of ``G`` as the Newton step built them before they were in
     closed form: for each mark, the central difference of the N-point pulls
@@ -1124,7 +1134,7 @@ def old_columns(family, ref, config):
     for b in ref.datum.bottom[1:]:
         m = ref.grid.bottom_breaks[b]
         sides = []
-        for h in (thurston.DIFF_H, -thurston.DIFF_H):
+        for h in (DIFF_H, -DIFF_H):
             bumped = list(config)
             bumped[m] += h
             sides.append((bumped[m], unchecked_pull(ref, config, family.at(tau_of(ref, bumped)))))
@@ -1156,7 +1166,9 @@ def chain_seed(d):
     return giet_from_branches(datum, [1 / d] * d, [1 / d] * d, maker)
 
 
-@pytest.mark.parametrize(
+# seeds and paths on which the closed-form Newton step is checked against
+# central differences
+COLUMN_CASES = pytest.mark.parametrize(
     "seed, kinds",
     [(lambda: smooth_seed(*FIB_SEED), "tbtbtbtbtbtbt"),
      (lambda: letter_seed(3), "bttbtbbtbtbt"),
@@ -1166,6 +1178,9 @@ def chain_seed(d):
      (lambda: chain_seed(3), "bttbtbbtbtbt")],
     ids=["2-letter", "3-letter", "4-letter", "5-letter", "4-letter-pl", "3-letter-chain"],
 )
+
+
+@COLUMN_CASES
 def test_closed_form_columns_equal_central_differences_of_pulls(monkeypatch, seed, kinds):
     """Each column of ``G`` equals the central difference of two N-point
     pulls, within 1e-6 of the column's largest entry, at the reference and
@@ -1190,6 +1205,54 @@ def test_closed_form_columns_equal_central_differences_of_pulls(monkeypatch, see
             assert max(abs(u - v) for u, v in zip(new_column, old_column)) <= 1e-6 * scale
         assert following is not None
         config = following
+
+
+def bumped_end_derivatives(family, ref, config):
+    """The branch-end derivatives of the family map at ``config`` as the
+    Newton step read them before they were in closed form: per mark, each
+    letter's ``(dx0, dW/W, dc0, dH/H)`` from central differences of the
+    branch ends of the maps at the two bumped taus."""
+    def ends(g):  # each letter's branch ends (x0, x1, c0, c1) in the map g
+        return {a: (*b.domain, *b.range_) for a, b in g.branches.items()}
+
+    here, out = ends(family.at(tau_of(ref, config))), []
+    for b in ref.datum.bottom[1:]:
+        m = ref.grid.bottom_breaks[b]
+        sides = []
+        for h in (DIFF_H, -DIFF_H):
+            bumped = list(config)
+            bumped[m] += h
+            sides.append((bumped[m], ends(family.at(tau_of(ref, bumped)))))
+        (v1, plus), (v0, minus) = sides
+        derivatives = {}
+        for a, (x0, x1, c0, c1) in here.items():
+            dx0, dx1, dc0, dc1 = [(p - q) / (v1 - v0) for p, q in zip(plus[a], minus[a])]
+            derivatives[a] = (dx0, (dx1 - dx0) / (x1 - x0), dc0, (dc1 - dc0) / (c1 - c0))
+        out.append(derivatives)
+    return out
+
+
+@COLUMN_CASES
+def test_end_derivatives_equal_central_differences_of_the_bumped_ends(seed, kinds):
+    """``full_family.end_derivatives`` agrees with the central differences of
+    the bumped maps' ends to 1e-7 relative (absolute below 1), at the
+    reference and at the next two Newton iterates."""
+    family = GietFamily(seed())
+    ref = build_reference(completed(RauzyPath.from_kinds(family.datum, kinds)))
+    config = reference_configuration(ref, exact=False)
+    for _ in range(3):
+        tau = tau_of(ref, config)
+        exact = full_family.end_derivatives(family.seed, tau)
+        old = bumped_end_derivatives(family, ref, config)
+        assert len(exact) == len(old) == family.datum.d - 1
+        for new_mark, old_mark in zip(exact, old):
+            assert new_mark.keys() == old_mark.keys()
+            for a, ends in old_mark.items():
+                for u, v in zip(new_mark[a], ends):
+                    assert math.isclose(u, v, rel_tol=1e-7, abs_tol=1e-7), (a, u, v)
+        f = family.at(tau)
+        config = thurston._newton_step(family, ref, config, step(ref, config, f), f)
+        assert config is not None
 
 
 @pytest.mark.parametrize("case", ["fibonacci-13", "pool-30"])
@@ -1235,7 +1298,8 @@ def fib_partition_with(monkeypatch, change):
     """``realize`` on Fibonacci depth 12, its float partition passed through
     ``change`` on the way to the certificate."""
     partition = thurston.dynamical_partition
-    monkeypatch.setattr(thurston, "dynamical_partition", lambda m, r: change(partition(m, r)))
+    monkeypatch.setattr(thurston, "dynamical_partition",
+                        lambda m, r, induction=None: change(partition(m, r, induction)))
     return realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
 
 
@@ -1267,7 +1331,7 @@ STRADDLE = "interval [0.7961160142203222, 0.7964267713989692) straddles the righ
 
 
 def raising(error):
-    def partition(m, r):
+    def partition(m, r, induction=None):
         raise error
     return partition
 
@@ -1284,6 +1348,67 @@ def test_an_untiled_partition_in_the_certificate_is_still_an_error(monkeypatch):
     monkeypatch.setattr(thurston, "dynamical_partition", raising(untiled))
     with pytest.raises(GietlabError, match="does not start where"):
         realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
+
+
+# the path of ROADMAP item 11 on ``letter_seed(5, bent_at_half)``: realized,
+# but a floor of its partition straddles a breakpoint by more than the snap
+STRADDLE_PATH = "bbbttbbbbtbtttbbtttbttbttbbtbbbttbbttbbb"
+
+
+def fibonacci_case(depth):
+    return lambda: smooth_seed(*FIB_SEED), lambda: fibonacci_ref(depth).path, True
+
+
+def trajectory_case(name):
+    _, path, seed, *_ = next(c for c in TRAJECTORIES if c[0] == name)
+    return seed, path, True
+
+
+@pytest.mark.parametrize(
+    "seed, path, tiled",
+    [*map(fibonacci_case, range(12, 16)),
+     trajectory_case("pool-30"),
+     (lambda: letter_seed(5, bent_at_half), lambda: RauzyPath.from_kinds(D5, STRADDLE_PATH),
+      False)],
+    ids=["fibonacci-12", "fibonacci-13", "fibonacci-14", "fibonacci-15", "pool-30", "straddle"],
+)
+def test_realize_induces_the_realized_map_once(monkeypatch, seed, path, tiled):
+    """The certificate's partition is built off the induction of the
+    solver's last path check: ``realize`` runs one full-length induction of
+    the realized map, and the partition equals a fresh one atom for atom,
+    bit for bit, or fails with the same message."""
+    inductions, rauzy_path = [], Giet.rauzy_path
+    partitions, partition = [], thurston.dynamical_partition
+
+    def recording_induction(self, r, kinds=None):
+        result = rauzy_path(self, r, kinds)
+        inductions.append((self, len(result.path)))
+        return result
+
+    def recording_partition(m, r, induction=None):
+        partitions.append(partition(m, r, induction))
+        return partitions[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Giet, "rauzy_path", recording_induction)
+        patch.setattr(thurston, "dynamical_partition", recording_partition)
+        result = realize(GietFamily(seed()), path())
+    report, r = result.report, len(result.full_path)
+    assert report.realized and report.induction is None
+    assert [n for g, n in inductions if g is report.map] == [r]
+    if not tiled:
+        assert not result.certificate and not partitions
+        with pytest.raises(InductionFailed) as fresh:
+            dynamical_partition(report.map, r)
+        assert result.certificate_error == str(fresh.value)
+        assert "straddles the right end of letter" in result.certificate_error
+        return
+
+    def hexed(p):
+        return p.path, [(lo.hex(), hi.hex(), a, i) for lo, hi, a, i in p.atoms]
+
+    assert result.certificate and result.certificate_error is None and len(partitions) == 1
+    assert hexed(partitions[0]) == hexed(dynamical_partition(report.map, r))
 
 
 def test_random_three_letter_paths_of_length_30_realize():
