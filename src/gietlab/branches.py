@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import GietlabError
 
@@ -39,6 +40,13 @@ class Branch:
 
     def inverse(self, y: float) -> float:
         raise NotImplementedError
+
+    def eval_many(self, xs) -> list:
+        """``[self.eval(x) for x in xs]``.  ``Translation``, ``SmoothParam``
+        and ``PiecewiseLinear`` override it to hoist their constants out of
+        the loop and keep the scalar expression, so the results are
+        bit-identical."""
+        return [self.eval(x) for x in xs]
 
     def inverse_many(self, ys) -> list:
         """``[self.inverse(y) for y in ys]``.  ``SmoothParam`` overrides it to
@@ -85,6 +93,10 @@ class Translation(Branch):
 
     def eval(self, x):
         return x + self.shift
+
+    def eval_many(self, xs):
+        shift = self.shift
+        return [x + shift for x in xs]
 
     def inverse(self, y):
         return y - self.shift
@@ -155,6 +167,13 @@ class PiecewiseLinear(Branch):
         (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
+    def eval_many(self, xs):
+        nodes, ys = self.nodes, []
+        for x, i in zip(xs, map(bisect_right, repeat(self._xs), xs)):
+            (x0, y0), (x1, y1) = nodes[i], nodes[i + 1]
+            ys.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+        return ys
+
     def inverse(self, y):
         i = bisect_right(self._ys, y)
         (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
@@ -202,6 +221,13 @@ class SmoothParam(Branch):
         t = (x - a) / w
         s = t if k == 0.0 else math.expm1(k * t) / em
         return c + h * s
+
+    def eval_many(self, xs):
+        a, w, c, h, k, em = self._consts
+        if k == 0.0:
+            return [c + h * ((x - a) / w) for x in xs]
+        expm1 = math.expm1
+        return [c + h * (expm1(k * ((x - a) / w)) / em) for x in xs]
 
     def inverse(self, y):
         a, w, c, h, k, em = self._consts

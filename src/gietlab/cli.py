@@ -91,28 +91,23 @@ def cmd_induct(args) -> int:
 def cmd_partition(args) -> int:
     m = fileio.load_map(args.map_file)
     r = _check_order(args.order)
+    # an exact map is partitioned on its integer grid, and each int end x is
+    # the point x / D of the map; a float map's ends are its own points
+    m, scale = m.on_integer_grid() if isinstance(m, ExactIET) else (m, 1)
     partition = dynamical_partition(m, r)
     if sigma_and_cyclicity(partition.path.target)[1]:
         labels = build_reference(partition.path).atom_names(partition.atoms)
     else:
         labels = [f"{letter}{index}" for _, _, letter, index in partition.atoms]
-    text = fileio.dump(fileio.partition_json(partition, m.total, labels), args.output)
+    text = fileio.dump(fileio.partition_json(partition, m.total, labels, scale), args.output)
     if not args.output:
         print(text)
     if args.svg:
+        atoms = ((lo / scale, hi / scale, label)
+                 for (lo, hi, _, _), label in zip(partition.atoms, labels))
         with open(args.svg, "w") as fh:
-            fh.write(svg.render_partition(float(m.total), _float_atoms(partition, labels)))
+            fh.write(svg.render_partition(m.total / scale, atoms))
     return 0
-
-
-def _float_atoms(partition, labels):
-    """Each atom's ``(left, right, label)`` in floats.  Neighbouring exact
-    atoms share their endpoint's ``Fraction``, which is converted once."""
-    prev_hi = right = None
-    for (lo, hi, _, _), label in zip(partition.atoms, labels):
-        left = right if lo is prev_hi else float(lo)
-        prev_hi, right = hi, float(hi)
-        yield left, right, label
 
 
 def cmd_realize(args) -> int:
@@ -156,7 +151,7 @@ def cmd_semiconj(args) -> int:
     T = fileio.load_map(args.iet_file, ("iet",))
     r = _check_order(args.order)
     h = build_semiconjugacy(f, T, r)
-    print("\n".join(f"{x:.12f}\t{y:.12f}" for x, y in h.nodes))
+    print("\n".join(map("%.12f\t%.12f".__mod__, h.nodes)))
     print(f"residual: {residual(h, f, T, args.samples):.6e}")
     if args.spot_check:
         rng = random.Random(args.seed)

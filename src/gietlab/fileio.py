@@ -211,35 +211,46 @@ def _branch_of(letter, rec) -> Branch:
         raise GietlabError(f"giet document branch {letter!r}: {exc}") from None
 
 
-def _num_json(x) -> str:
-    """``_num_out(x)`` as JSON text."""
-    if type(x) is not float and isinstance(x, Fraction):  # a float skips the slow ABC check
-        return f'"{x.numerator}/{x.denominator}"'
-    return float.__repr__(float(x))
+def _end_json(x, scale) -> str:
+    """The point ``x / scale`` as JSON text.  An ``int`` ``x`` is a point of
+    an integer grid with ``scale`` points per unit, written as the reduced
+    ``"p/q"`` of ``x / scale``: ``0`` is ``"0/1"``, as ``Fraction(0)`` is.
+    A float is divided by ``scale``, and a ``Fraction`` over ``scale`` is
+    its ``"p/q"``."""
+    if type(x) is float:
+        return float.__repr__(x / scale)
+    if type(x) is int:
+        g = math.gcd(x, scale)
+        return f'"{x // g}/{scale // g}"'
+    x = x / scale
+    return f'"{x.numerator}/{x.denominator}"'
 
 
-def partition_json(p: DynamicalPartition, total, labels) -> str:
+def partition_json(p: DynamicalPartition, total, labels, scale=1) -> str:
     """The partition document as JSON text, written straight from the atoms
     and their ``labels``.
 
     The text is ``json.dumps(doc, sort_keys=True)`` of the document
     ``{"kind": "partition", "order", "total", "atoms"}`` whose atoms are
-    ``{"left", "right", "letter", "index", "label"}``.  Endpoints follow
-    ``_num_out``: a fraction is a ``"p/q"`` string, anything else a float.
+    ``{"left", "right", "letter", "index", "label"}``.  The atom ends and
+    ``total`` are points of a grid with ``scale`` points per unit, each
+    written as ``x / scale`` (``_end_json``): the ``int`` ends of an exact
+    map on its integer grid as reduced ``"p/q"`` strings over its
+    denominator, a fraction as its ``"p/q"``, a float as a float.
     """
     enc = json.encoder.encode_basestring_ascii
     letters = {a: enc(a) for a in p.path.source.alphabet}
     atoms = []
     prev_hi = right = None
     for (lo, hi, letter, index), label in zip(p.atoms, labels):
-        # a left end that is, or equals, the last right end takes its text
-        # (not at 0, as -0.0 prints apart); the exact fractions are shared
-        left = right if lo is prev_hi or (lo == prev_hi and lo) else _num_json(lo)
-        prev_hi, right = hi, _num_json(hi)
+        # a left end equal to the last right end takes its text (not at 0,
+        # as -0.0 prints apart)
+        left = right if lo == prev_hi and lo else _end_json(lo, scale)
+        prev_hi, right = hi, _end_json(hi, scale)
         atoms.append(f'{{"index": {index}, "label": {enc(label)}, "left": {left}, '
                      f'"letter": {letters[letter]}, "right": {right}}}')
     return (f'{{"atoms": [{", ".join(atoms)}], "kind": "partition", '
-            f'"order": {p.order}, "total": {_num_json(total)}}}')
+            f'"order": {p.order}, "total": {_end_json(total, scale)}}}')
 
 
 def partition_from_document(doc: dict) -> tuple[float, list]:

@@ -18,9 +18,11 @@ row code with ``snap = 0``, so its comparisons are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -50,6 +52,34 @@ class Giet(Exchange):
 
     def eval(self, x):
         return self.branches[self.letter_at(x)].eval(x)
+
+    def eval_sorted(self, xs) -> list:
+        """``[self.eval(x) for x in xs]`` for a sequence of points ``xs``, bit
+        for bit, each run of points that share a letter evaluated by one
+        ``eval_many`` call of its branch.
+
+        Each point gets the letter ``letter_at`` gives it: the bisection,
+        then one step right within ``snap`` of a breakpoint.  The letters of
+        sorted points come in runs, so each branch is called once; points in
+        any other order cost more calls, not other values.  A point outside
+        the domain, a NaN included, raises ``OutOfDomain`` as ``eval`` does.
+        """
+        cuts, snap, total = self._top_cuts, self.snap, self.total
+        last = len(cuts)
+        index = []
+        for x in xs:
+            if not -snap <= x < total:
+                self._check_domain(x)  # raises
+            i = bisect_right(cuts, x)
+            if i < last and cuts[i] - x <= snap:
+                i += 1
+            index.append(i)
+        row, branches, ys, k = self.datum.top, self.branches, [], 0
+        for i, run in groupby(index):
+            n = len(list(run))
+            ys += branches[row[i]].eval_many(xs[k:k + n])
+            k += n
+        return ys
 
     def rauzy_step(self):
         """One induction step: first return to the interval cut at the larger
@@ -159,10 +189,6 @@ class Atom(NamedTuple):
     letter: str
     index: int
 
-    @property
-    def label(self):
-        return (self.letter, self.index)
-
 
 @dataclass(frozen=True)
 class DynamicalPartition:
@@ -174,7 +200,8 @@ class DynamicalPartition:
     path: RauzyPath
 
     def labels(self):
-        return [a.label for a in self.atoms]
+        """Each atom's ``(letter, index)``, left to right."""
+        return list(map(itemgetter(2, 3), self.atoms))
 
     def lengths(self):
         return [a.hi - a.lo for a in self.atoms]
@@ -214,6 +241,9 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None) -> 
     Works for exact IETs (exact endpoints) and float GIETs alike.  An IET with
     ``int`` lengths has ``int`` atom ends; one with fractions is partitioned on
     its integer grid, and the endpoints are turned into fractions at the end.
+    Only library callers get those fractions: ``partition`` and ``semiconj``
+    pass the grid (``ExactIET.on_integer_grid``) and read each end ``x`` as
+    the point ``x / D``.
     ``induction``, if given, is ``m.rauzy_path(r)`` already computed, and the
     towers are built from it; an IET with fractions induces on its grid
     anyway.  Raises ``GietlabError`` when the atoms do not tile the interval

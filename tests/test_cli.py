@@ -804,6 +804,42 @@ def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys
     assert '"left": -0.0' in text
 
 
+def fraction_partition_outputs(T, r):
+    """The partition text and figure of ``T`` made from its ``Fraction``
+    partition, as ``partition`` made them before it read an exact map on
+    its integer grid: each end written as its ``"p/q"`` and drawn at its
+    ``float``."""
+    p = dynamical_partition(T, r)
+    labels = class_labels(p) or [f"{atom.letter}{atom.index}" for atom in p.atoms]
+    text = fileio.partition_json(p, T.total, labels)
+    ends = [(float(lo), float(hi), label) for (lo, hi, _, _), label in zip(p.atoms, labels)]
+    return text, svg.render_partition(float(T.total), ends)
+
+
+def test_exact_partition_on_the_grid_gives_the_bytes_of_the_fraction_partition(tmp_path, capsys):
+    golden = (math.sqrt(5) - 1) / 2
+    f2 = smooth_giet(D2, [1 - golden, golden], {"A": 2.0, "B": -1.5})
+    m2 = build_reference(f2.rauzy_path(21).path).base_iet
+    ints = ExactIET.from_lengths(D4, [1000003, 1414213, 1732051, 2236068], normalize=False)
+    fractions = ExactIET.from_lengths(D4, ["6/11", "2/7", "1/13", "2/3"], normalize=False)
+    assert ints.on_integer_grid()[1] == 1 and ints.total != 1
+    assert fractions.on_integer_grid()[1] == 3003 and fractions.total != 1
+    cases = {"m2@21": (m2, 21), "int lengths, class names": (ints, 11),
+             "int lengths, raw names": (ints, 12), "fractions": (fractions, 12)}
+    for name, (T, r) in cases.items():
+        text, figure = fraction_partition_outputs(T, r)
+        doc, out, fig = (tmp_path / n for n in ("m.json", "p.json", "p.svg"))
+        fileio.dump(fileio.iet_document(T), str(doc))
+        assert main(["partition", str(doc), "-r", str(r), "-o", str(out), "--svg", str(fig)]) == 0
+        assert out.read_text() == text + "\n", name
+        assert fig.read_text() == figure, name
+        assert main(["partition", str(doc), "-r", str(r)]) == 0
+        assert capsys.readouterr().out == text + "\n", name
+        assert '"left": "0/1"' in text
+        if T is ints:
+            assert '"right": "1000003/1"' in text
+
+
 def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
     assert build_parser() is build_parser()
     # GIETLAB_SEED is read on every call, and --seed still wins over it

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import admissible, random_unit_giet, shrinking_circle_map, smooth_two_letter_map
+from conftest import (
+    admissible,
+    conjugacy_maps,
+    random_unit_giet,
+    shrinking_circle_map,
+    smooth_two_letter_map,
+)
 from gietlab import fileio
 from gietlab.branches import (
     EPS_BRANCH,
@@ -412,7 +418,13 @@ def test_five_branch_giet_evaluates_each_branch():
     # the five-interval shape: each branch maps its own interval monotonically
     five = parse_datum("A B E C D", "E A D C B")
     rng = random.Random(9)
-    from conftest import admissible, random_unit_giet, shrinking_circle_map, smooth_two_letter_map
+    from conftest import (
+    admissible,
+    conjugacy_maps,
+    random_unit_giet,
+    shrinking_circle_map,
+    smooth_two_letter_map,
+)
 
     f = random_unit_giet(rng, datum=five)
     f.validate()
@@ -521,6 +533,66 @@ def test_inverse_many_is_bitwise_the_scalar_inverse(name):
     ys = sorted([c] + [c + (d - c) * rng.random() for _ in range(300)])
     assert branch.inverse_many(ys) == [branch.inverse(y) for y in ys]
     assert branch.inverse_many([]) == []
+
+
+def bits(values):
+    """The exact bits of each float, so that equal lists are equal bit for bit."""
+    return [float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("name", list(batched_branches()))
+def test_eval_many_is_bitwise_the_scalar_eval(name):
+    branch = batched_branches()[name]
+    rng = random.Random(48)
+    a, b = branch.domain
+    xs = sorted([a, b] + [a + (b - a) * rng.random() for _ in range(300)])
+    for order in (xs, xs[::-1], rng.sample(xs, len(xs))):
+        assert bits(branch.eval_many(order)) == bits([branch.eval(x) for x in order])
+    assert branch.eval_many([]) == []
+
+
+def eval_sorted_cases():
+    """Random GIETs (every other one induced, with chain branches), the maps
+    of the ``conjugacy`` benchmark and the shrinking circle map."""
+    rng = random.Random(49)
+    maps = []
+    for trial in range(20):
+        f = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
+        maps.append(f.rauzy_path(rng.randint(1, 6)).map if trial % 2 else f)
+    maps += [f for f, _ in conjugacy_maps()]
+    maps.append(shrinking_circle_map())
+    return maps
+
+
+def test_eval_sorted_is_bitwise_the_scalar_eval():
+    rng = random.Random(50)
+    for f in eval_sorted_cases():
+        # random points; each top breakpoint and three ulp steps left of it,
+        # within the snap; points in [-snap, 0); the last float below the total
+        xs = [rng.random() * f.length for _ in range(200)]
+        for a in f.datum.top[1:]:
+            x = f.top_breaks[a]
+            for _ in range(4):
+                xs.append(x)
+                x = math.nextafter(x, 0.0)
+        xs += [-EPS_BRANCH, -0.5 * EPS_BRANCH, -5e-324, 0.0, math.nextafter(f.length, 0.0)]
+        xs.sort()
+        assert bits(f.eval_sorted(xs)) == bits([f.eval(x) for x in xs])
+        # any order gives the same values, in more runs
+        shuffled = rng.sample(xs, len(xs))
+        assert bits(f.eval_sorted(shuffled)) == bits([f.eval(x) for x in shuffled])
+    assert f.eval_sorted([]) == []
+
+
+@pytest.mark.parametrize("bad", [1.0, -2e-12, float("nan"), float("inf"), float("-inf")])
+def test_eval_sorted_rejects_a_point_outside_the_domain_as_eval_does(bad):
+    f = eval_sorted_cases()[0]
+    with pytest.raises(OutOfDomain) as scalar:
+        f.eval(bad)
+    for xs in ([bad, 0.25, 0.5], [0.25, bad, 0.5], [0.25, 0.5, bad]):
+        with pytest.raises(OutOfDomain) as batched:
+            f.eval_sorted(xs)
+        assert str(batched.value) == str(scalar.value)
 
 
 def test_eval_inverse_rejects_points_outside_the_domain():

@@ -1,16 +1,17 @@
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
-from conftest import conjugacy_maps
+from conftest import conjugacy_maps, shrinking_circle_map
 from gietlab.branches import PiecewiseLinear, SmoothParam
 from gietlab.combinatorics import parse_datum, path_matrix
-from gietlab.errors import GietlabError, PathMismatch
+from gietlab.errors import GietlabError, OutOfDomain, PathMismatch
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import dynamical_partition, giet_from_branches, giet_from_iet
-from gietlab.semiconjugacy import build_semiconjugacy, residual
+from gietlab.semiconjugacy import build_semiconjugacy, defect, residual
 from gietlab.thurston import GietFamily, build_reference, realize
 
 D2 = parse_datum("A B", "B A")
@@ -199,3 +200,42 @@ def test_float_model_images_equal_the_exact_images():
             rng = random.Random(seed)
             for x in (h.eval(rng.random()) for _ in range(32)):
                 assert model.eval(x) == T.eval(x), (r, seed, x)
+
+
+def scalar_defect(h, f, T, xs):
+    """``defect`` by its definition, one point at a time."""
+    model = giet_from_iet(T)
+    return max(abs(h.eval(float(f.eval(x))) - model.eval(h.eval(x))) for x in xs)
+
+
+def residual_cases():
+    """f2@21 and f4@40 of the ``conjugacy`` benchmark, and the shrinking
+    circle map at two orders, each with its model IET and semiconjugacy."""
+    cases = [(f, r) for f, r in conjugacy_maps()]
+    cases += [(shrinking_circle_map(), r) for r in (10, 14)]
+    for f, r in cases:
+        T = build_reference(f.rauzy_path(r).path).base_iet
+        yield f, T, build_semiconjugacy(f, T, r)
+
+
+def test_batched_residual_and_defect_equal_the_scalar_definition_bit_for_bit():
+    rng = random.Random(51)
+    for f, T, h in residual_cases():
+        for samples in (0, 16, 128):
+            xs = {0.5 * (x0 + x1) for (x0, _), (x1, _) in zip(h.nodes, h.nodes[1:])}
+            xs.update((i + 0.5) / samples for i in range(samples))
+            assert residual(h, f, T, samples).hex() == scalar_defect(h, f, T, xs).hex()
+        spots = [rng.random() for _ in range(64)] + [0.0, math.nextafter(1.0, 0.0)]
+        assert defect(h, f, T, spots).hex() == scalar_defect(h, f, T, spots).hex()
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0, float("nan")])
+def test_defect_rejects_a_point_outside_the_domain_as_the_scalar_path_does(bad):
+    f, T, h = next(residual_cases())
+    with pytest.raises(OutOfDomain) as scalar:
+        scalar_defect(h, f, T, [0.25, bad])
+    # sorting the points does not hide a NaN among them
+    for xs in ([bad, 0.25, 0.75], [0.25, bad, 0.75], [0.25, 0.75, bad]):
+        with pytest.raises(OutOfDomain) as batched:
+            defect(h, f, T, xs)
+        assert str(batched.value) == str(scalar.value)
