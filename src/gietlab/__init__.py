@@ -35,7 +35,6 @@ from .giet import (
     giet_from_branches,
     giet_from_iet,
     partitions_equivalent,
-    verify_matrix_counts,
 )
 from .full_family import (
     Degeneration,

@@ -22,8 +22,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, islice
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 from .branches import Translation, compose, restrict, EPS_BRANCH
@@ -193,10 +193,12 @@ class Atom(NamedTuple):
 @dataclass(frozen=True)
 class DynamicalPartition:
     """Forward images of the induced map's continuity intervals, left to right,
-    and the Rauzy path of the induction that made them."""
+    and the Rauzy path of the induction that made them.  Each atom is
+    ``(lo, hi, letter, index)``: an ``Atom``, or a plain tuple where the
+    towers were laid in the model's cells (``dynamical_partition``)."""
 
     order: int
-    atoms: tuple[Atom, ...]
+    atoms: tuple[tuple, ...]
     path: RauzyPath
 
     def labels(self):
@@ -204,14 +206,14 @@ class DynamicalPartition:
         return list(map(itemgetter(2, 3), self.atoms))
 
     def lengths(self):
-        return [a.hi - a.lo for a in self.atoms]
+        return [hi - lo for lo, hi, _, _ in self.atoms]
 
     def validate(self, total):
         """Check that the atoms tile ``[0, total)`` left to right, each one
         nonempty (``check_tiling``): exactly for an ``int`` or ``Fraction``
         total, to within ``1e-9 * max(1, |total|)`` for a float one."""
         atoms = self.atoms
-        check_tiling(atoms, total, lambda i: f"atom {atoms[i].letter}{atoms[i].index}")
+        check_tiling(atoms, total, lambda i: f"atom {atoms[i][2]}{atoms[i][3]}")
 
 
 def check_tiling(atoms, total, name, tol=None):
@@ -235,7 +237,27 @@ def check_tiling(atoms, total, name, tol=None):
         raise GietlabError(f"{what} at {prev}, not at the total length {total}")
 
 
-def dynamical_partition(m, r: int, induction: InductionResult | None = None) -> DynamicalPartition:
+def _laid_in_cells(m, tops, q, cells) -> list | None:
+    """The floors of ``m``'s towers over ``tops``, ``q[letter]`` floors each,
+    as plain ``(lo, hi, letter, i)`` tuples, floor ``i`` of ``letter``
+    written into the cell ``cells[letter][i]``.  None unless each letter has
+    a cell per floor and the left ends strictly increase along the cells."""
+    if any(len(cells[a]) != n for a, n in q.items()):
+        return None
+    atoms = [None] * sum(q.values())
+    for letter, *base in tops:
+        floors = zip(cells[letter], m.tower(*base, q[letter]))
+        for i, (cell, (lo, hi)) in enumerate(floors):
+            atoms[cell] = lo, hi, letter, i
+    del floors  # the last tower's floors
+    first = itemgetter(0)
+    if all(map(lt, map(first, atoms), map(first, islice(atoms, 1, None)))):
+        return atoms
+    return None
+
+
+def dynamical_partition(m, r: int, induction: InductionResult | None = None,
+                        cells: dict | None = None) -> DynamicalPartition:
     """Partition of order ``r``: atoms ``f^i(I^t_alpha(f^(r)))`` labeled ``(alpha, i)``.
 
     Works for exact IETs (exact endpoints) and float GIETs alike.  An IET with
@@ -248,6 +270,15 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None) -> 
     towers are built from it; an IET with fractions induces on its grid
     anyway.  Raises ``GietlabError`` when the atoms do not tile the interval
     (``DynamicalPartition.validate``).
+
+    ``cells``, if given, is the model's cell of every tower floor: one
+    sequence per letter, which together hold each of the N cells once
+    (``thurston.RefConfig.cells``).  Each floor is then written into its
+    cell as a plain ``(lo, hi, letter, i)`` tuple, and when the left ends
+    strictly increase along the cells, that list is the partition, with no
+    sort and no ``Atom``.  Otherwise the towers are built again and sorted
+    as without ``cells``, which an IET with fractions ignores.  The atoms'
+    ends and labels are the same either way.
     """
     exact = isinstance(m, ExactIET) and not isinstance(m.lengths[0], int)
     if exact:
@@ -259,12 +290,14 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None) -> 
     q = path_matrix(path).row_sums()
     tops = result.map.top_intervals()
     del result  # the induced chains hold one part per atom: free them first
-    atoms = [
-        Atom(lo, hi, letter, i)
-        for letter, *base in tops
-        for i, (lo, hi) in enumerate(m.tower(*base, q[letter]))
-    ]
-    atoms.sort(key=itemgetter(0))
+    atoms = None if cells is None or exact else _laid_in_cells(m, tops, q, cells)
+    if atoms is None:
+        atoms = [
+            Atom(lo, hi, letter, i)
+            for letter, *base in tops
+            for i, (lo, hi) in enumerate(m.tower(*base, q[letter]))
+        ]
+        atoms.sort(key=itemgetter(0))
     partition = DynamicalPartition(r, tuple(atoms), path)
     # float towers can drift apart before any tie; exact ones are checked on
     # their integer grid, in int arithmetic
@@ -281,28 +314,3 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None) -> 
 def partitions_equivalent(p: DynamicalPartition, q: DynamicalPartition) -> bool:
     """True when the label sequences agree in left-to-right order."""
     return p.labels() == q.labels()
-
-
-def verify_matrix_counts(m, r: int) -> bool:
-    """Check every path-matrix entry against brute containment counts.
-
-    Entry (alpha, beta) must equal the number of order-``r`` atoms with letter
-    ``alpha`` contained in the top interval of ``beta``.
-    """
-    partition = dynamical_partition(m, r)
-    matrix = path_matrix(partition.path)
-    exact = isinstance(m.total, Fraction)
-    tol = 0 if exact else 1e-9
-    counts = {}
-    for atom in partition.atoms:
-        for beta, lo, hi in m.top_intervals():
-            if atom.lo >= lo - tol and atom.hi <= hi + tol:
-                counts[(atom.letter, beta)] = counts.get((atom.letter, beta), 0) + 1
-                break
-        else:
-            return False
-    for a in m.datum.alphabet:
-        for b in m.datum.alphabet:
-            if matrix.entry(a, b) != counts.get((a, b), 0):
-                return False
-    return True

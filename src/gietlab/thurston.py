@@ -73,7 +73,11 @@ class LabelClass(NamedTuple):
 
 @dataclass(frozen=True)
 class RefConfig:
-    """The reference configuration of a path with cyclic target."""
+    """The reference configuration of a path with cyclic target: the model
+    IET on its integer grid and the orbit of 0 that ``build_reference``
+    walks.  The tables read off that orbit are cached: ``runs`` for the
+    pullback step, ``lifts`` and ``cells`` for the certificate, ``names``
+    for display."""
 
     path: RauzyPath
     N: int
@@ -109,6 +113,19 @@ class RefConfig:
         ``crit_pos[a] - h[a]`` (mod N): the order-r atom ``(a, i)`` is the
         class at orbit position ``lifts[a] + i``."""
         return {a: (c - self.h[a]) % self.N for a, c in self.crit_pos.items()}
+
+    @cached_property
+    def cells(self) -> dict:
+        """The model's grid cell of every floor of each letter's order-r
+        tower: floor ``i`` of ``a`` is the cell ``orbit[(lifts[a] + i) % N]``.
+        A tower's floors are consecutive orbit positions, from its lift up to
+        the next lift round the orbit, so each letter's cells are a slice of
+        ``orbit``, and together they hold every cell once."""
+        orbit, lifts, N = self.orbit, self.lifts, self.N
+        letters = sorted(lifts, key=lifts.get)
+        ends = [lifts[b] for b in letters[1:]] + [lifts[letters[0]] + N]
+        return {a: orbit[lifts[a]:end] if end <= N else orbit[lifts[a]:] + orbit[:end - N]
+                for a, end in zip(letters, ends)}
 
     @cached_property
     def names(self) -> list:
@@ -479,12 +496,18 @@ def in_model_order(ref: RefConfig, partition) -> bool:
     partition of the same order: it has N atoms, and its ``k``-th atom
     ``(a, i)`` is the model's unit cell ``[k, k + 1)`` on ``ref.grid``.
     That cell starts at ``T^i`` of a's induced critical point, the orbit
-    point ``lifts[a] + i``, so the model needs no partition."""
-    N, orbit, lift = ref.N, ref.orbit, ref.lifts
-    if len(partition.atoms) != N:
+    point ``lifts[a] + i``, which is ``cells[a][i]``, so the model needs no
+    partition.  The cells are read and compared by ``map``, with no Python
+    code per atom; an index past its letter's tower is out of order."""
+    N, atoms, cells = ref.N, partition.atoms, ref.cells
+    if len(atoms) != N:
         return False
-    return all(orbit[(lift[a] + i) % N] == k
-               for k, (_, _, a, i) in enumerate(partition.atoms))
+    starts = map(operator.getitem, map(cells.__getitem__, map(operator.itemgetter(2), atoms)),
+                 map(operator.itemgetter(3), atoms))
+    try:
+        return all(map(operator.eq, starts, range(N)))
+    except IndexError:
+        return False
 
 
 def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
@@ -496,7 +519,9 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     partition must be combinatorially equivalent to the model's on
     ``ref.grid``, which is read off the model orbit (``in_model_order``).
     That partition is built from the induction of the solver's last path
-    check (``SolveReport.induction``), so the realized map is induced once.
+    check (``SolveReport.induction``), so the realized map is induced once,
+    and its tower floors are written straight into the model's cells
+    (``ref.cells``): a map in the model's order is partitioned with no sort.
     Where that partition cannot be built (``InductionFailed``: a tie, or a
     tower floor that straddles a breakpoint), the certificate is false and
     ``certificate_error`` says why; a partition that does not tile the
@@ -529,7 +554,8 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
     induction, report.induction = report.induction, None
     certificate, error = False, None
     try:
-        partition = dynamical_partition(report.map, len(full), induction=induction)
+        partition = dynamical_partition(report.map, len(full), induction=induction,
+                                        cells=ref.cells)
     except InductionFailed as exc:
         error = str(exc)
     else:

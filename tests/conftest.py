@@ -10,10 +10,10 @@ from functools import cache
 
 import gietlab.thurston as thurston
 from gietlab.branches import PiecewiseLinear, SmoothParam, Translation
-from gietlab.combinatorics import all_admissible_data, parse_datum
+from gietlab.combinatorics import all_admissible_data, parse_datum, path_matrix
 from gietlab.errors import OrderViolation
 from gietlab.exact_iet import ExactIET
-from gietlab.giet import giet_from_branches
+from gietlab.giet import dynamical_partition, giet_from_branches
 
 
 @cache
@@ -40,6 +40,32 @@ def class_at(ref, c):
     """The class at orbit position ``c``: ``(alpha_0, c)``, since the orbit
     starts at 0, the critical point of the first top letter."""
     return ref.canonical_label(ref.datum.top[0], c)
+
+
+def verify_matrix_counts(m, r: int) -> bool:
+    """Check every path-matrix entry against brute containment counts.
+
+    Entry (alpha, beta) must equal the number of order-``r`` atoms with letter
+    ``alpha`` contained in the top interval of ``beta``: exactly for an
+    ``int`` or ``Fraction`` total, to within 1e-9 for a float one, as
+    ``giet.check_tiling`` reads exactness.
+    """
+    partition = dynamical_partition(m, r)
+    matrix = path_matrix(partition.path)
+    tol = 1e-9 if isinstance(m.total, float) else 0
+    counts = {}
+    for atom in partition.atoms:
+        for beta, lo, hi in m.top_intervals():
+            if atom.lo >= lo - tol and atom.hi <= hi + tol:
+                counts[(atom.letter, beta)] = counts.get((atom.letter, beta), 0) + 1
+                break
+        else:
+            return False
+    for a in m.datum.alphabet:
+        for b in m.datum.alphabet:
+            if matrix.entry(a, b) != counts.get((a, b), 0):
+                return False
+    return True
 
 
 def random_exact_iet(rng, d, max_num=60):

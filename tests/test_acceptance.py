@@ -15,6 +15,7 @@ from conftest import (
     orbit_order,
     random_simplex,
     random_unit_giet,
+    verify_matrix_counts,
 )
 from gietlab.branches import SmoothParam
 from gietlab.combinatorics import (
@@ -34,7 +35,6 @@ from gietlab.giet import (
     giet_from_branches,
     giet_from_iet,
     partitions_equivalent,
-    verify_matrix_counts,
 )
 from gietlab.semiconjugacy import build_semiconjugacy, residual
 from gietlab.thurston import (

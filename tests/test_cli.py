@@ -195,7 +195,7 @@ def test_realize_nonlinear_family(tmp_path, capsys):
 def test_realize_without_a_partition_gives_a_false_certificate(tmp_path, capsys, monkeypatch):
     # a realized map whose partition straddles a breakpoint still gets a
     # verdict: certificate false, the reason on stderr, exit 0
-    def straddling(m, r, induction=None):
+    def straddling(m, r, induction=None, cells=None):
         raise InductionFailed("interval [0.79, 0.80) straddles the right end of letter B")
 
     monkeypatch.setattr(gietlab.thurston, "dynamical_partition", straddling)

@@ -13,6 +13,7 @@ from conftest import (
     random_unit_giet,
     shrinking_circle_map,
     smooth_two_letter_map,
+    verify_matrix_counts,
 )
 from gietlab import fileio
 from gietlab.branches import (
@@ -40,7 +41,6 @@ from gietlab.giet import (
     giet_from_branches,
     giet_from_iet,
     partitions_equivalent,
-    verify_matrix_counts,
 )
 
 D2 = parse_datum("A B", "B A")
@@ -205,6 +205,8 @@ def test_matrix_counts_worked_example():
     ]
     assert len(inside) == 2
     assert verify_matrix_counts(T, 0)
+    # the same map on its integer grid, whose total is an int: counted exactly
+    assert verify_matrix_counts(T.on_integer_grid()[0], 5)
 
 
 def test_matrix_counts_random():

@@ -1299,7 +1299,8 @@ def fib_partition_with(monkeypatch, change):
     ``change`` on the way to the certificate."""
     partition = thurston.dynamical_partition
     monkeypatch.setattr(thurston, "dynamical_partition",
-                        lambda m, r, induction=None: change(partition(m, r, induction)))
+                        lambda m, r, induction=None, cells=None:
+                        change(partition(m, r, induction, cells)))
     return realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
 
 
@@ -1331,7 +1332,7 @@ STRADDLE = "interval [0.7961160142203222, 0.7964267713989692) straddles the righ
 
 
 def raising(error):
-    def partition(m, r, induction=None):
+    def partition(m, r, induction=None, cells=None):
         raise error
     return partition
 
@@ -1385,8 +1386,8 @@ def test_realize_induces_the_realized_map_once(monkeypatch, seed, path, tiled):
         inductions.append((self, len(result.path)))
         return result
 
-    def recording_partition(m, r, induction=None):
-        partitions.append(partition(m, r, induction))
+    def recording_partition(m, r, induction=None, cells=None):
+        partitions.append(partition(m, r, induction, cells))
         return partitions[-1]
 
     with monkeypatch.context() as patch:
@@ -1401,6 +1402,9 @@ def test_realize_induces_the_realized_map_once(monkeypatch, seed, path, tiled):
         with pytest.raises(InductionFailed) as fresh:
             dynamical_partition(report.map, r)
         assert result.certificate_error == str(fresh.value)
+        with pytest.raises(InductionFailed) as laid:
+            dynamical_partition(report.map, r, cells=result.ref.cells)
+        assert str(laid.value) == str(fresh.value)
         assert "straddles the right end of letter" in result.certificate_error
         return
 
@@ -1409,6 +1413,101 @@ def test_realize_induces_the_realized_map_once(monkeypatch, seed, path, tiled):
 
     assert result.certificate and result.certificate_error is None and len(partitions) == 1
     assert hexed(partitions[0]) == hexed(dynamical_partition(report.map, r))
+
+
+def hexed_partition(p):
+    """A partition's path and atoms, each end as ``float.hex``."""
+    return p.path, [(lo.hex(), hi.hex(), a, i) for lo, hi, a, i in p.atoms]
+
+
+NESTING_PATH = "btbttttbbtbttttbbtbtttbttttttt"
+
+
+@pytest.mark.parametrize(
+    "seed, path",
+    [*((s, p) for s, p, _ in map(fibonacci_case, range(12, 16))),
+     trajectory_case("pool-30")[:2],
+     (lambda: letter_seed(4), lambda: RauzyPath.from_kinds(D4, NESTING_PATH)),
+     (lambda: letter_seed(4, bent_at_half), lambda: RauzyPath.from_kinds(D4, NESTING_PATH))],
+    ids=["fibonacci-12", "fibonacci-13", "fibonacci-14", "fibonacci-15", "pool-30",
+         "4-letter-nesting", "4-letter-pl-nesting"],
+)
+def test_the_partition_laid_in_the_model_cells_is_the_sorted_one(seed, path):
+    """On a certified map the floors written into the model's cells are the
+    sorted partition bit for bit, and stay plain tuples: nothing was sorted."""
+    result = realize(GietFamily(seed()), path())
+    m, r, ref = result.report.map, len(result.full_path), result.ref
+    laid = dynamical_partition(m, r, cells=ref.cells)
+    assert result.certificate and all(type(atom) is tuple for atom in laid.atoms)
+    assert hexed_partition(laid) == hexed_partition(dynamical_partition(m, r))
+    assert in_model_order(ref, laid)
+
+
+def exchanged_cells(cells, k):
+    """``cells`` with the cells ``k`` and ``k + 1`` exchanged."""
+    cells = {a: list(c) for a, c in cells.items()}
+    (a, i), = [(a, i) for a, c in cells.items() for i, x in enumerate(c) if x == k]
+    (b, j), = [(b, j) for b, c in cells.items() for j, x in enumerate(c) if x == k + 1]
+    cells[a][i], cells[b][j] = k + 1, k
+    return cells
+
+
+@pytest.mark.parametrize("k", [0, 300, 608])
+def test_exchanged_cells_fall_back_to_the_sorted_partition(monkeypatch, k):
+    """A cells table with two neighbouring cells exchanged puts two floors
+    out of order, so the towers are sorted as without a table, and the
+    certificate is false with no error."""
+    cells = thurston.RefConfig.cells.func
+    monkeypatch.setattr(thurston.RefConfig, "cells",
+                        property(lambda ref: exchanged_cells(cells(ref), k)))
+    result = realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
+    m, r, ref = result.report.map, len(result.full_path), result.ref
+    assert result.report.realized and ref.N == 610
+    assert not result.certificate and result.certificate_error is None
+    sorted_out = dynamical_partition(m, r, cells=ref.cells)
+    assert all(type(atom) is Atom for atom in sorted_out.atoms)
+    assert hexed_partition(sorted_out) == hexed_partition(dynamical_partition(m, r))
+    assert not in_model_order(ref, sorted_out)
+
+
+def in_model_order_per_atom(ref, partition):
+    """The certificate's verdict with one orbit lookup per atom: the ``k``-th
+    atom ``(a, i)`` is the cell at orbit position ``lifts[a] + i``."""
+    N, orbit, lift = ref.N, ref.orbit, ref.lifts
+    return len(partition.atoms) == N and all(
+        orbit[(lift[a] + i) % N] == k for k, (_, _, a, i) in enumerate(partition.atoms))
+
+
+@pytest.mark.parametrize(
+    "seed, path",
+    [fibonacci_case(12)[:2], trajectory_case("pool-30")[:2]],
+    ids=["fibonacci-12", "pool-30"],
+)
+def test_in_model_order_agrees_with_the_per_atom_verdict(seed, path):
+    """On the realized partition, on neighbouring atoms swapped, on an atom
+    missing, on an index past its letter's tower and on random permutations,
+    ``in_model_order`` gives the per-atom verdict, and only the unchanged
+    partition is in the model's order."""
+    result = realize(GietFamily(seed()), path())
+    ref, p = result.ref, dynamical_partition(result.report.map, len(result.full_path))
+    atoms, rng = list(p.atoms), random.Random(31)
+    cases = [atoms, atoms[:-1], atoms[1:]]
+    for k in (0, len(atoms) // 2, len(atoms) - 2):
+        cases.append(atoms[:k] + [atoms[k + 1], atoms[k]] + atoms[k + 2:])
+    lo, hi, a, _ = atoms[-1]
+    cases.append(atoms[:-1] + [(lo, hi, a, len(ref.cells[a]))])
+    for _ in range(10):
+        shuffled = atoms[:]
+        i, j = rng.sample(range(len(atoms)), 2)
+        shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        cases.append(shuffled)
+        cases.append(rng.sample(atoms, len(atoms)))
+    verdicts = []
+    for case in cases:
+        q = dataclasses.replace(p, atoms=tuple(case))
+        verdicts.append(in_model_order(ref, q))
+        assert verdicts[-1] == in_model_order_per_atom(ref, q)
+    assert verdicts == [True] + [False] * (len(cases) - 1)
 
 
 def test_random_three_letter_paths_of_length_30_realize():
