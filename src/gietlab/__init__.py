@@ -6,7 +6,6 @@ from .combinatorics import (
     IntMatrix,
     RauzyArrow,
     RauzyPath,
-    all_admissible_data,
     find_cyclic,
     find_path,
     is_admissible,
@@ -38,14 +37,10 @@ from .giet import (
 )
 from .full_family import (
     Degeneration,
-    FamilySlopes,
     apply,
     boundary_apply,
-    extended_distance,
-    slopes,
 )
 from .thurston import (
-    ExactIETFamily,
     GietFamily,
     LabelClass,
     RefConfig,

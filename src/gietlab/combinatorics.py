@@ -223,9 +223,6 @@ class RauzyPath:
             )
         return RauzyPath(self.source, self.arrows + other.arrows)
 
-    def prefix(self, r: int) -> "RauzyPath":
-        return RauzyPath(self.source, self.arrows[:r])
-
     @classmethod
     def from_kinds(cls, datum: CombinatorialDatum, kinds: str) -> "RauzyPath":
         arrows = []
@@ -357,17 +354,3 @@ def reduction(datum: CombinatorialDatum, keep) -> CombinatorialDatum:
     bottom = tuple(a for a in datum.bottom if a in keep)
     return CombinatorialDatum(top, bottom)
 
-
-def all_admissible_data(letters) -> list[CombinatorialDatum]:
-    """Every admissible datum over the given letters, in lexicographic order."""
-    from itertools import permutations
-
-    letters = tuple(letters)
-    out = []
-    for top in permutations(letters):
-        for bottom in permutations(letters):
-            datum = CombinatorialDatum(top, bottom)
-            if is_admissible(datum):
-                out.append(datum)
-    out.sort(key=CombinatorialDatum.encode)
-    return out

@@ -47,10 +47,6 @@ class TieError(GietlabError):
     coincide, or the split of a branch would leave an empty piece."""
 
 
-class DatumMismatch(GietlabError):
-    """Two maps expected over the same combinatorial datum disagree."""
-
-
 class InductionFailed(GietlabError):
     """Rauzy induction could not be iterated to the requested depth."""
 

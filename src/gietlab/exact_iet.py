@@ -63,19 +63,6 @@ def induce(m, r: int, kinds: str | None = None) -> InductionResult:
     return InductionResult(RauzyPath(m.datum, tuple(arrows)), current, tie)
 
 
-def _row_index(cuts, x, snap):
-    """Index of the interval containing ``x`` in a row cut at ``cuts``.
-
-    Points computed as orbit images may land a few ulp left of the
-    breakpoint they belong to: one within ``snap`` of it is read in the
-    interval to its right.  With ``snap = 0`` no point moves.
-    """
-    i = bisect_right(cuts, x)
-    if i < len(cuts) and cuts[i] - x <= snap:
-        i += 1
-    return i
-
-
 def lay_out(row, widths) -> dict:
     """Each letter's ``(lo, hi)`` when the ``widths`` are laid end to end
     along ``row``, summed left to right from a zero of the widths' own type:
@@ -134,25 +121,24 @@ class Exchange:
         """Left ends of the top intervals after the first, in row order."""
         return [self.top_breaks[a] for a in self.datum.top[1:]]
 
-    @cached_property
-    def _bottom_cuts(self):
-        """Left ends of the bottom intervals after the first, in row order."""
-        return [self.bottom_breaks[a] for a in self.datum.bottom[1:]]
-
     def _check_domain(self, x):
         # written so that a NaN, which fails every comparison, is outside
         if not -self.snap <= x < self.total:
             raise OutOfDomain(f"{x} outside [0, {self.total})")
 
     def letter_at(self, x):
-        """Letter whose top interval contains ``x``."""
-        self._check_domain(x)
-        return self.datum.top[_row_index(self._top_cuts, x, self.snap)]
+        """Letter whose top interval contains ``x``.
 
-    def eval_inverse(self, y):
-        self._check_domain(y)
-        letter = self.datum.bottom[_row_index(self._bottom_cuts, y, self.snap)]
-        return self.branches[letter].inverse(y)
+        Points computed as orbit images may land a few ulp left of the
+        breakpoint they belong to: one within ``snap`` of it is read in the
+        interval to its right.  With ``snap = 0`` no point moves.
+        """
+        self._check_domain(x)
+        cuts = self._top_cuts
+        i = bisect_right(cuts, x)
+        if i < len(cuts) and cuts[i] - x <= self.snap:
+            i += 1
+        return self.datum.top[i]
 
     def tower(self, lo, hi, n):
         """``[lo, hi)`` and its first ``n - 1`` images: each floor is the
@@ -187,7 +173,7 @@ class Exchange:
                     f"at {lo}, outside [0, {total})"
                 )
             i = bisect_right(cuts, lo)
-            if snap and i < last and cuts[i] - lo <= snap:  # the rule of ``_row_index``
+            if snap and i < last and cuts[i] - lo <= snap:  # the rule of ``letter_at``
                 i += 1
             image, end = spans[i]
             if hi > end + snap:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import CombinatorialDatum, reduction
-from .errors import AllZero, DatumMismatch, DegenerateTau, GietlabError
+from .errors import AllZero, DegenerateTau, GietlabError
 from .exact_iet import lay_out
 from .giet import Giet, giet_from_branches
 
@@ -55,15 +55,6 @@ def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
     return tau
 
 
-@dataclass(frozen=True)
-class FamilySlopes:
-    """Per-letter image slopes, the rescaling factor, and domain slopes."""
-
-    phi: dict
-    rescale: float
-    psi: dict
-
-
 def _positive_tau(datum: CombinatorialDatum, tau) -> dict:
     tau = _tau_dict(datum, tau)
     if any(v <= 0 for v in tau.values()):
@@ -71,12 +62,11 @@ def _positive_tau(datum: CombinatorialDatum, tau) -> dict:
     return tau
 
 
-def slopes(f: Giet, tau) -> FamilySlopes:
-    """Slope data of the deformation of ``f`` by ``tau`` (open simplex)."""
-    return _slopes_closed(f, _positive_tau(f.datum, tau))
-
-
-def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
+def _slopes_closed(f: Giet, tau: dict) -> tuple:
+    """The rescaling factor and each letter's domain slope ``psi``: the
+    image slope ``phi`` of a letter is its ``tau`` over its bottom width in
+    ``f``, ``rescale`` sums ``phi`` times the top widths, and ``psi = phi /
+    rescale``."""
     if not abs(f.length - 1.0) <= 1e-9:
         raise GietlabError(f"deformations act on unit-interval maps, got length {f.length}")
     phi = {}
@@ -84,13 +74,13 @@ def _slopes_closed(f: Giet, tau: dict) -> FamilySlopes:
         phi[a] = tau[a] / (hi - lo)
     rescale = _sum(phi[a] * (hi - lo) for a, lo, hi in f.top_intervals())
     psi = {a: phi[a] / rescale for a in f.datum.alphabet}
-    return FamilySlopes(phi, rescale, psi)
+    return rescale, psi
 
 
 def _top_widths(f: Giet, tau: dict) -> dict:
     """Each letter's top width in the deformed map: its width in ``f`` times
     its domain slope ``psi``."""
-    psi = _slopes_closed(f, tau).psi
+    _, psi = _slopes_closed(f, tau)
     return {a: psi[a] * (hi - lo) for a, lo, hi in f.top_intervals()}
 
 
@@ -111,8 +101,8 @@ def end_derivatives(f: Giet, tau: dict) -> list:
     """
     top = {a: hi - lo for a, lo, hi in f.top_intervals()}
     rho = {a: top[a] / (hi - lo) for a, lo, hi in f.bottom_intervals()}
-    slopes, row, out = _slopes_closed(f, tau), f.datum.bottom, []
-    rescale, widths = slopes.rescale, {a: slopes.psi[a] * w for a, w in top.items()}
+    (rescale, psi), row, out = _slopes_closed(f, tau), f.datum.bottom, []
+    widths = {a: psi[a] * w for a, w in top.items()}
     for before, b in zip(row, row[1:]):
         dtau = {before: 1.0, b: -1.0}
         d_rescale = rho[before] - rho[b]
@@ -171,41 +161,3 @@ def boundary_apply(f: Giet, tau) -> Degeneration:
     singular = {a: (top[a][0], bottom[a][0]) for a in zeros}
     return Degeneration(f.datum, reduced, Giet(reduced, 1.0, branches), singular)
 
-
-def extended_distance(a, b, samples: int = 64) -> float:
-    """Sampled graph-Hausdorff distance, summed over letters, between two GIETs
-    or degenerations: a collapsed letter compares as its singular point.
-
-    Between two GIETs the approximation error is bounded by the largest gap
-    between consecutive sample points along either graph.
-    """
-    if a.datum != b.datum:
-        raise DatumMismatch(f"{a.datum} != {b.datum}")
-
-    def component(obj, letter):
-        if isinstance(obj, Degeneration):
-            if letter in obj.singular:
-                return [obj.singular[letter]]
-            obj = obj.regular
-        return _graph(obj, letter, samples)
-
-    return _sum(_hausdorff(component(a, x), component(b, x)) for x in a.datum.alphabet)
-
-
-def _graph(g: Giet, letter: str, samples: int):
-    """``samples + 1`` evenly spaced points on the graph of one branch."""
-    br = g.branches[letter]
-    lo, hi = br.domain
-    xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
-    return [(x, br.eval(x)) for x in xs]
-
-
-def _hausdorff(p, q):
-    def one_sided(src, dst):
-        worst = 0.0
-        for x, y in src:
-            best = min((x - u) ** 2 + (y - v) ** 2 for u, v in dst)
-            worst = max(worst, best)
-        return worst ** 0.5
-
-    return max(one_sided(p, q), one_sided(q, p))

@@ -205,9 +205,6 @@ class DynamicalPartition:
         """Each atom's ``(letter, index)``, left to right."""
         return list(map(itemgetter(2, 3), self.atoms))
 
-    def lengths(self):
-        return [hi - lo for lo, hi, _, _ in self.atoms]
-
     def validate(self, total):
         """Check that the atoms tile ``[0, total)`` left to right, each one
         nonempty (``check_tiling``): exactly for an ``int`` or ``Fraction``

@@ -252,18 +252,6 @@ def tau_of(ref: RefConfig, config: tuple) -> dict:
     return tau
 
 
-class ExactIETFamily:
-    """The family of exact IETs over a datum: parameter = length vector."""
-
-    exact = True
-
-    def __init__(self, datum: CombinatorialDatum):
-        self.datum = datum
-
-    def at(self, tau: dict) -> ExactIET:
-        return ExactIET.from_lengths(self.datum, tau, normalize=False)
-
-
 class GietFamily:
     """The full family spanned by deforming a fixed unit-interval GIET."""
 

@@ -1,19 +1,118 @@
-"""Shared builders for randomized sweeps.
+"""Shared builders for randomized sweeps, and the oracles that only the tests
+read: the sampled graph distance, the exact IET family, the bottom-row
+inverse and the enumeration of admissible data.
 
 Every test draws from an explicitly seeded ``random.Random``, so failures
 reproduce deterministically.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 
 import gietlab.thurston as thurston
 from gietlab.branches import PiecewiseLinear, SmoothParam, Translation
-from gietlab.combinatorics import all_admissible_data, parse_datum, path_matrix
-from gietlab.errors import OrderViolation
+from gietlab.combinatorics import (
+    CombinatorialDatum,
+    RauzyPath,
+    is_admissible,
+    parse_datum,
+    path_matrix,
+)
+from gietlab.errors import GietlabError, OrderViolation
 from gietlab.exact_iet import ExactIET
+from gietlab.full_family import Degeneration, _sum
 from gietlab.giet import dynamical_partition, giet_from_branches
+
+
+def all_admissible_data(letters) -> list:
+    """Every admissible datum over the given letters, in lexicographic order."""
+    letters = tuple(letters)
+    out = []
+    for top in permutations(letters):
+        for bottom in permutations(letters):
+            datum = CombinatorialDatum(top, bottom)
+            if is_admissible(datum):
+                out.append(datum)
+    out.sort(key=CombinatorialDatum.encode)
+    return out
+
+
+def prefix(path, r):
+    """The first ``r`` arrows of a Rauzy path, as a path."""
+    return RauzyPath(path.source, path.arrows[:r])
+
+
+def bottom_letter_at(m, y):
+    """Letter whose bottom interval contains ``y``, read by the snap rule of
+    ``letter_at``: a point within ``m.snap`` left of a breakpoint is in the
+    interval to its right."""
+    m._check_domain(y)
+    cuts = [m.bottom_breaks[a] for a in m.datum.bottom[1:]]
+    i = bisect_right(cuts, y)
+    if i < len(cuts) and cuts[i] - y <= m.snap:
+        i += 1
+    return m.datum.bottom[i]
+
+
+def eval_inverse(m, y):
+    """The preimage of ``y`` under the map ``m`` (an ``ExactIET`` or a
+    ``Giet``), through the branch of the bottom interval that holds it."""
+    return m.branches[bottom_letter_at(m, y)].inverse(y)
+
+
+class ExactIETFamily:
+    """The family of exact IETs over a datum: parameter = length vector.
+    ``thurston.solve`` averages its steps in exact arithmetic."""
+
+    exact = True
+
+    def __init__(self, datum):
+        self.datum = datum
+
+    def at(self, tau: dict) -> ExactIET:
+        return ExactIET.from_lengths(self.datum, tau, normalize=False)
+
+
+def extended_distance(a, b, samples: int = 64) -> float:
+    """Sampled graph-Hausdorff distance, summed over letters, between two GIETs
+    or degenerations: a collapsed letter compares as its singular point.
+
+    Between two GIETs the approximation error is bounded by the largest gap
+    between consecutive sample points along either graph.
+    """
+    if a.datum != b.datum:
+        raise GietlabError(f"{a.datum} != {b.datum}")
+
+    def component(obj, letter):
+        if isinstance(obj, Degeneration):
+            if letter in obj.singular:
+                return [obj.singular[letter]]
+            obj = obj.regular
+        return _graph(obj, letter, samples)
+
+    return _sum(_hausdorff(component(a, x), component(b, x)) for x in a.datum.alphabet)
+
+
+def _graph(g, letter: str, samples: int):
+    """``samples + 1`` evenly spaced points on the graph of one branch."""
+    br = g.branches[letter]
+    lo, hi = br.domain
+    xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
+    return [(x, br.eval(x)) for x in xs]
+
+
+def _hausdorff(p, q):
+    def one_sided(src, dst):
+        worst = 0.0
+        for x, y in src:
+            best = min((x - u) ** 2 + (y - v) ** 2 for u, v in dst)
+            worst = max(worst, best)
+        return worst ** 0.5
+
+    return max(one_sided(p, q), one_sided(q, p))
 
 
 @cache

@@ -9,10 +9,12 @@ import time
 from fractions import Fraction
 
 from conftest import (
+    ExactIETFamily,
     admissible,
     class_at,
     int_product,
     orbit_order,
+    prefix,
     random_simplex,
     random_unit_giet,
     verify_matrix_counts,
@@ -29,7 +31,7 @@ from gietlab.combinatorics import (
     sigma_and_cyclicity,
 )
 from gietlab.exact_iet import ExactIET
-from gietlab.full_family import apply, slopes
+from gietlab.full_family import _slopes_closed, apply
 from gietlab.giet import (
     dynamical_partition,
     giet_from_branches,
@@ -38,7 +40,6 @@ from gietlab.giet import (
 )
 from gietlab.semiconjugacy import build_semiconjugacy, residual
 from gietlab.thurston import (
-    ExactIETFamily,
     GietFamily,
     build_reference,
     realize,
@@ -112,7 +113,7 @@ def test_criterion_2_figure_partition():
         ref = build_reference(path)
         partition = dynamical_partition(ref.base_iet, 5)
         assert len(partition.atoms) == 11
-        assert all(length == Fraction(1, 11) for length in partition.lengths())
+        assert all(hi - lo == Fraction(1, 11) for lo, hi, _, _ in partition.atoms)
         labels = [ref.class_of_atom(a.letter, a.index).name for a in partition.atoms]
         assert labels == FIG_LABELS
         assert [class_at(ref, c).name for c in orbit_order(ref)] == FIG_LABELS
@@ -182,9 +183,9 @@ def test_criterion_5_full_family_laws():
             for a in g.datum.bottom:
                 assert abs(g.bottom_breaks[a] - acc) <= 1e-10, "marking drift"
                 acc += tau[a]
-            sl = slopes(f, tau)
+            rescale, _ = _slopes_closed(f, tau)
             tops = {a: hi - lo for a, lo, hi in f.top_intervals()}
-            assert min(tops.values()) < sl.rescale < sum(1 / v for v in tops.values())
+            assert min(tops.values()) < rescale < sum(1 / v for v in tops.values())
             tau2 = random_simplex(rng, f.datum.alphabet)
             lhs = apply(g, tau2)
             rhs = apply(f, tau2)
@@ -299,7 +300,8 @@ def test_criterion_9_semiconjugacy_residuals():
             values = []
             for r in (5, 10, 15):
                 h = build_semiconjugacy(f, T_model, r)
-                bound = float(max(dynamical_partition(T_model, r).lengths()))
+                atoms = dynamical_partition(T_model, r).atoms
+                bound = float(max(hi - lo for lo, hi, _, _ in atoms))
                 value = residual(h, f, T_model, 128)
                 assert value <= bound + 1e-9
                 values.append(value)
@@ -318,7 +320,7 @@ def test_criterion_10_truncation_parameters_settle():
         family = GietFamily(seed)
         taus = {}
         for r in (4, 8, 12):
-            out = realize(family, full.prefix(r), max_iter=500)
+            out = realize(family, prefix(full, r), max_iter=500)
             assert out.report.realized
             taus[r] = out.tau
         gaps = [

@@ -434,14 +434,20 @@ def test_library_holds_no_assert():
     assert found == []
 
 
-def names_read(tree):
-    """Every name a module reads, in its code or in its doctests."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def names_read(tree, attributes=False):
+    """Every name a module reads, in its code or in its doctests; with
+    ``attributes``, every attribute name it loads too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
     documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.walk(tree):
         if isinstance(node, documented) and ast.get_docstring(node):
             for example in doctest.DocTestParser().get_examples(ast.get_docstring(node)):
-                names |= names_read(ast.parse(example.source))
+                names |= names_read(ast.parse(example.source), attributes)
     return names
 
 
@@ -462,6 +468,47 @@ def test_library_has_no_unused_import():
                     if name not in read:
                         unused.append(f"{source.name}:{node.lineno} {name}")
     assert unused == []
+
+
+# the definitions no code of the program reads, each kept for its reason
+KEPT_UNREAD = {
+    "full_family.boundary_apply": "the paper's extension of a full family to the closed "
+                                  "simplex, which no command reaches",
+    "full_family.Degeneration.removed": "the letters that a boundary deformation collapses, "
+                                        "part of the same extension",
+}
+
+
+def definitions(tree, module):
+    """``(dotted name, name)`` of each module-level function and class of a
+    module, and of each public method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def test_library_defines_only_what_the_program_reads():
+    """Every function and class of the library, and every public method, is
+    read as a name or an attribute by some code or doctest of the library or
+    of the benchmark harness (``perfbench/``), but those in ``KEPT_UNREAD``.
+    A definition that only the tests read is a test helper."""
+    package = Path(gietlab.__file__).parent
+    harness = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = {source: ast.parse(source.read_text()) for source in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in harness.rglob("*.py"))]:
+        read |= names_read(tree, attributes=True)
+    unread = [
+        dotted
+        for source, tree in trees.items()
+        for dotted, name in definitions(tree, source.stem)
+        if name not in read
+    ]
+    assert sorted(unread) == sorted(KEPT_UNREAD)
 
 
 def test_missing_document_keys_are_errors(tmp_path, capsys):

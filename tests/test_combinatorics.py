@@ -4,12 +4,11 @@ from math import prod
 
 import pytest
 
-from conftest import admissible, int_product
+from conftest import admissible, all_admissible_data, int_product, prefix
 from gietlab.combinatorics import (
     CombinatorialDatum,
     IntMatrix,
     RauzyPath,
-    all_admissible_data,
     find_cyclic,
     find_path,
     is_admissible,
@@ -195,7 +194,7 @@ def test_matrix_determinant_and_concatenation():
         m = path_matrix(path)
         assert determinant(m.rows) == 1
         cut = rng.randint(0, len(path))
-        left = path.prefix(cut)
+        left = prefix(path, cut)
         right = RauzyPath(left.target, path.arrows[cut:])
         assert int_product(path_matrix(right).rows, path_matrix(left).rows) == m.rows
 
@@ -207,7 +206,7 @@ def test_return_times_nondecreasing_along_path():
         path = RauzyPath.from_kinds(datum, "".join(rng.choice("tb") for _ in range(12)))
         prev = {a: 0 for a in datum.alphabet}
         for r in range(len(path) + 1):
-            q, _ = return_times(path.prefix(r))
+            q, _ = return_times(prefix(path, r))
             assert all(q[a] >= prev[a] for a in datum.alphabet)
             prev = q
 

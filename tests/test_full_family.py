@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_simplex, random_unit_giet
+from conftest import extended_distance, random_simplex, random_unit_giet
 from gietlab import fileio
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
 from gietlab.exact_iet import ExactIET
-from gietlab.full_family import _slopes_closed, apply, boundary_apply, extended_distance, slopes
+from gietlab.full_family import _positive_tau, _slopes_closed, apply, boundary_apply
 from gietlab.giet import giet_from_branches, giet_from_iet
 
 D2 = parse_datum("A B", "B A")
@@ -31,34 +31,42 @@ def bottom_lengths(f):
     return {a: hi - lo for a, lo, hi in f.bottom_intervals()}
 
 
+def slopes(f, tau):
+    """``(phi, rescale, psi)`` of the deformation of ``f`` by ``tau``: ``tau``
+    checked as ``apply`` checks it, then ``_slopes_closed``, with the image
+    slopes ``phi`` read as ``psi * rescale``."""
+    rescale, psi = _slopes_closed(f, _positive_tau(f.datum, tau))
+    return {a: v * rescale for a, v in psi.items()}, rescale, psi
+
+
 def test_slopes_identity_when_tau_matches_bottom():
     rng = random.Random(10)
     f = random_unit_giet(rng, d=3)
-    sl = slopes(f, bottom_lengths(f))
-    assert all(v == pytest.approx(1.0, abs=1e-12) for v in sl.phi.values())
-    assert sl.rescale == pytest.approx(1.0, abs=1e-12)
-    assert all(v == pytest.approx(1.0, abs=1e-12) for v in sl.psi.values())
+    phi, rescale, psi = slopes(f, bottom_lengths(f))
+    assert all(v == pytest.approx(1.0, abs=1e-12) for v in phi.values())
+    assert rescale == pytest.approx(1.0, abs=1e-12)
+    assert all(v == pytest.approx(1.0, abs=1e-12) for v in psi.values())
 
 
 def test_slopes_on_iet_with_own_lengths():
     f = model_giet()
-    sl = slopes(f, LAMBDA_G)
-    assert all(v == pytest.approx(1.0, abs=1e-12) for v in sl.phi.values())
-    assert sl.rescale == pytest.approx(1.0, abs=1e-12)
+    phi, rescale, _ = slopes(f, LAMBDA_G)
+    assert all(v == pytest.approx(1.0, abs=1e-12) for v in phi.values())
+    assert rescale == pytest.approx(1.0, abs=1e-12)
 
 
 def test_slopes_equal_tau_on_model():
     f = model_giet()
-    sl = slopes(f, [0.25] * 4)
-    assert sl.phi["C"] == pytest.approx(11 / 4, rel=1e-12)
-    assert sl.phi["A"] == pytest.approx((1 / 4) / (6 / 11), rel=1e-12)
+    phi, _, _ = slopes(f, [0.25] * 4)
+    assert phi["C"] == pytest.approx(11 / 4, rel=1e-12)
+    assert phi["A"] == pytest.approx((1 / 4) / (6 / 11), rel=1e-12)
     # phi-weighted bottom lengths always sum to 1
-    assert sum(sl.phi[a] * (hi - lo) for a, lo, hi in f.bottom_intervals()) == pytest.approx(1.0)
+    assert sum(phi[a] * (hi - lo) for a, lo, hi in f.bottom_intervals()) == pytest.approx(1.0)
 
 
 def test_slopes_rejects_boundary_tau():
     with pytest.raises(DegenerateTau):
-        slopes(model_giet(), [0.5, 0.5, 0.0, 0.0])
+        apply(model_giet(), [0.5, 0.5, 0.0, 0.0])
 
 
 def test_apply_identity():
@@ -201,9 +209,9 @@ def test_rescale_bounds_strict():
     for _ in range(50):
         f = random_unit_giet(rng, d=rng.choice((2, 3, 4, 5)))
         tau = random_simplex(rng, f.datum.alphabet)
-        sl = slopes(f, tau)
+        rescale, _ = _slopes_closed(f, tau)
         tops = {a: hi - lo for a, lo, hi in f.top_intervals()}
-        assert min(tops.values()) < sl.rescale < sum(1 / v for v in tops.values())
+        assert min(tops.values()) < rescale < sum(1 / v for v in tops.values())
 
 
 def test_marking_exactness_random():
@@ -333,7 +341,7 @@ def test_a_tau_off_the_simplex_is_an_error(entry):
         entry(f, {"A": 0.3, "B": 0.3})
 
 
-def reference_deformed(f, tau, sl, keep):
+def reference_deformed(f, tau, psi, keep):
     """The deformation as it was computed before both rows went through
     ``lay_out``: its own running sums, the bottom one over the kept letters
     only.  Returns the top breakpoints of every letter and the branches of
@@ -342,7 +350,7 @@ def reference_deformed(f, tau, sl, keep):
     acc = 0.0
     for a, lo, hi in f.top_intervals():
         top_breaks[a] = acc
-        acc += sl.psi[a] * (hi - lo)
+        acc += psi[a] * (hi - lo)
     acc = 0.0
     for a in f.datum.bottom:
         if a in keep:
@@ -351,7 +359,7 @@ def reference_deformed(f, tau, sl, keep):
     for a, lo, hi in f.top_intervals():
         if a not in keep:
             continue
-        new_dom = (top_breaks[a], top_breaks[a] + sl.psi[a] * (hi - lo))
+        new_dom = (top_breaks[a], top_breaks[a] + psi[a] * (hi - lo))
         new_rng = (bottom_breaks[a], bottom_breaks[a] + tau[a])
         branches[a] = f.branches[a].rescaled(new_dom, new_rng)
     return top_breaks, branches
@@ -383,7 +391,7 @@ def test_deformation_matches_the_reference_bit_for_bit():
         letters = f.datum.alphabet
         kinds |= {type(b).__name__ for b in f.branches.values()}
         tau = random_simplex(rng, letters)
-        _, branches = reference_deformed(f, tau, _slopes_closed(f, tau), set(letters))
+        _, branches = reference_deformed(f, tau, _slopes_closed(f, tau)[1], set(letters))
         assert_same_branches(apply(f, tau).branches, branches)
 
         zeros = set(rng.sample(letters, rng.randint(1, len(letters) - 1)))
@@ -391,7 +399,7 @@ def test_deformation_matches_the_reference_bit_for_bit():
         tau.update(dict.fromkeys(zeros, 0.0))
         deg = boundary_apply(f, tau)
         keep = set(letters) - zeros
-        top_breaks, branches = reference_deformed(f, tau, _slopes_closed(f, tau), keep)
+        top_breaks, branches = reference_deformed(f, tau, _slopes_closed(f, tau)[1], keep)
         assert_same_branches(deg.regular.branches, branches)
         for a in zeros:
             x, y = deg.singular[a]

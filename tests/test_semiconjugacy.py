@@ -95,7 +95,7 @@ def test_residual_bounded_by_atom_length():
     f, T = realized_pair(12)
     for r in (4, 8, 12):
         h = build_semiconjugacy(f, T, r)
-        bound = float(max(dynamical_partition(T, r).lengths()))
+        bound = float(max(hi - lo for lo, hi, _, _ in dynamical_partition(T, r).atoms))
         assert residual(h, f, T, 128) <= bound + 1e-9
 
 

@@ -11,11 +11,15 @@ import gietlab.exact_iet as exact_iet
 import gietlab.full_family as full_family
 import gietlab.thurston as thurston
 from conftest import (
+    ExactIETFamily,
     admissible,
+    bottom_letter_at,
     breaking_step,
     class_at,
     conjugacy_maps,
+    eval_inverse,
     orbit_order,
+    prefix,
     random_unit_giet,
 )
 from gietlab.branches import PiecewiseLinear, SmoothParam, compose
@@ -46,7 +50,6 @@ from gietlab.giet import (
     partitions_equivalent,
 )
 from gietlab.thurston import (
-    ExactIETFamily,
     GietFamily,
     MAX_REFERENCE_POINTS,
     build_reference,
@@ -278,7 +281,7 @@ def test_step_first_move_bounded_by_inverse_distortion():
     worst = 0.0
     for i in range(1, 512):
         y = i / 512
-        worst = max(worst, abs(f_tau.eval_inverse(y) - float(T.eval_inverse(Fraction(i, 512)))))
+        worst = max(worst, abs(eval_inverse(f_tau, y) - float(eval_inverse(T, Fraction(i, 512)))))
     assert moved <= worst + 1e-12
 
 
@@ -371,36 +374,36 @@ def test_realize_builds_one_map_per_loop_head():
 
 
 def test_realize_appends_completion_for_noncyclic_target():
-    prefix = model_path().prefix(3)  # ends at A B C D / D C B A, not cyclic
-    assert not sigma_and_cyclicity(prefix.target)[1]
+    path = prefix(model_path(), 3)  # ends at A B C D / D C B A, not cyclic
+    assert not sigma_and_cyclicity(path.target)[1]
     lam = [6 / 11, 2 / 11, 1 / 11, 2 / 11]
     seed = giet_from_branches(
         D4, lam, lam, lambda a, d, r: SmoothParam(d, r, k=1.0 if a == "B" else 0.0)
     )
-    result = realize(GietFamily(seed), prefix)
+    result = realize(GietFamily(seed), path)
     assert result.report.realized
     assert result.appended >= 1
     assert len(result.full_path) <= 3 + len(rauzy_class(D4))
     f = GietFamily(seed).at(result.tau)
-    assert f.rauzy_path(3).path.kinds == prefix.kinds
+    assert f.rauzy_path(3).path.kinds == path.kinds
 
 
 def test_realize_builds_the_rauzy_class_once(monkeypatch):
     built = []
     monkeypatch.setattr(thurston, "rauzy_class", lambda d: built.append(d) or rauzy_class(d))
-    prefix = model_path().prefix(3)  # a non-cyclic target needs a completion
+    path = prefix(model_path(), 3)  # a non-cyclic target needs a completion
     lam = [6 / 11, 2 / 11, 1 / 11, 2 / 11]
     seed = giet_from_branches(D4, lam, lam, lambda a, d, r: SmoothParam(d, r, k=0.0))
-    assert realize(GietFamily(seed), prefix).appended >= 1
+    assert realize(GietFamily(seed), path).appended >= 1
     assert built == [D4]
 
 
 def test_realize_no_cyclic_datum(monkeypatch):
     monkeypatch.setattr(thurston, "find_cyclic", lambda cls: None)
-    prefix = model_path().prefix(3)
+    path = prefix(model_path(), 3)
     seed = random_unit_giet(random.Random(23), datum=D4)
     with pytest.raises(NoCyclicDatum):
-        realize(GietFamily(seed), prefix)
+        realize(GietFamily(seed), path)
 
 
 @pytest.mark.parametrize("d, kinds", [
@@ -782,7 +785,7 @@ def by_class(geometric, points):
 
 def old_step(family, ref, config):
     """``step`` as it was before the pull order was fixed per reference:
-    every point pulled back on its own through ``Giet.eval_inverse``, on
+    every point pulled back on its own through ``eval_inverse``, on
     points indexed by class; the result is returned in grid order, and a
     result out of order raises ``OrderViolation``."""
     f = family.at(tau_of(ref, config))
@@ -794,7 +797,7 @@ def old_step(family, ref, config):
         new_points[ref.crit_pos[a]] = lo
     order = [c for c in geometric if new_points[(c - 1) % N] is None]
     for c in order:
-        new_points[(c - 1) % N] = f.eval_inverse(points[c])
+        new_points[(c - 1) % N] = eval_inverse(f, points[c])
     if not old_is_valid(geometric, new_points):
         raise OrderViolation("the per-point pullback broke the order")
     return tuple(new_points[c] for c in geometric)
@@ -931,13 +934,13 @@ WORKED_SEED = (D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], {"A": 2.0})
 
 
 def test_solve_never_locates_a_point_by_value(monkeypatch):
-    def no_lookup(cuts, x, snap):
+    def no_lookup(self, x):
         raise AssertionError("a point was located by its value")
 
     # the exact walk of the model orbit locates grid points: build it first
     ref = fibonacci_ref(13)
     f = smooth_seed(*FIB_SEED)
-    monkeypatch.setattr(exact_iet, "_row_index", no_lookup)
+    monkeypatch.setattr(exact_iet.Exchange, "letter_at", no_lookup)
     with pytest.raises(AssertionError, match="located by its value"):
         f.letter_at(0.5)
     report = solve(GietFamily(f), ref)
@@ -969,15 +972,15 @@ def test_newton_solve_stops_at_a_boundary_when_the_order_breaks(monkeypatch, k):
 
 def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
     """The letter a step inverts a point with, its class's, is the letter of
-    the bottom interval that holds the point, as ``Giet.eval_inverse`` finds
-    it by value with its snap rule."""
+    the bottom interval that holds the point, as ``eval_inverse`` finds it
+    by value with its snap rule (``bottom_letter_at``)."""
     checked = []
     original = thurston.step
 
     def checking(ref, config, f):
         for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
             for y in config[lo:hi]:
-                assert f.datum.bottom[exact_iet._row_index(f._bottom_cuts, y, f.snap)] == a
+                assert bottom_letter_at(f, y) == a
             checked.append(hi - lo)
         return original(ref, config, f)
 
@@ -1287,10 +1290,10 @@ def test_realizing_sets_nest(seed, path):
     result = realize(GietFamily(seed()), path())
     assert result.certificate
     prefixes = [k for k in range(1, len(result.full_path) + 1)
-                if sigma_and_cyclicity(result.full_path.prefix(k).target)[1]]
+                if sigma_and_cyclicity(prefix(result.full_path, k).target)[1]]
     assert len(prefixes) >= 8
     for k in prefixes:
-        ref = build_reference(result.full_path.prefix(k))
+        ref = build_reference(prefix(result.full_path, k))
         assert in_model_order(ref, dynamical_partition(result.report.map, k)), k
 
 
