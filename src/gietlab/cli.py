@@ -33,7 +33,7 @@ from .semiconjugacy import build_semiconjugacy, defect, residual
 from .thurston import GietFamily, build_reference, realize
 
 MAX_ORDER = 64
-MAX_ITER_CAP = 10**6
+MAX_COUNT = 10**6  # the cap on --max-iter, --samples and --spot-check
 
 
 def cmd_class(args) -> int:
@@ -75,6 +75,11 @@ def _check_order(r: int) -> int:
     return r
 
 
+def _check_count(option: str, n: int) -> None:
+    if not 0 <= n <= MAX_COUNT:
+        raise GietlabError(f"{option} must be between 0 and {MAX_COUNT}, got {n}")
+
+
 def cmd_induct(args) -> int:
     m = fileio.load_map(args.map_file, ("iet",))
     result = m.rauzy_path(_check_order(args.order))
@@ -111,8 +116,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    if not 0 <= args.max_iter <= MAX_ITER_CAP:
-        raise GietlabError(f"--max-iter must be between 0 and {MAX_ITER_CAP}, got {args.max_iter}")
+    _check_count("--max-iter", args.max_iter)
     seed = fileio.load_map(args.family_file, ("giet",))
     target = RauzyPath.from_kinds(seed.datum, args.kinds)
     try:
@@ -144,9 +148,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_semiconj(args) -> int:
-    for option, n in (("--samples", args.samples), ("--spot-check", args.spot_check)):
-        if n < 0:
-            raise GietlabError(f"{option} must not be negative, got {n}")
+    _check_count("--samples", args.samples)
+    _check_count("--spot-check", args.spot_check)
     f = fileio.load_map(args.giet_file, ("giet",))
     T = fileio.load_map(args.iet_file, ("iet",))
     r = _check_order(args.order)

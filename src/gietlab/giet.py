@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, islice
 from operator import itemgetter, lt
@@ -29,7 +28,7 @@ from typing import NamedTuple
 from .branches import Translation, compose, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
 from .errors import GietlabError, InductionFailed, TieError
-from .exact_iet import Exchange, ExactIET, InductionResult, induce, lay_out
+from .exact_iet import Exchange, InductionResult, induce, lay_out
 
 EPS_TIE = 1e-10
 
@@ -194,8 +193,9 @@ class Atom(NamedTuple):
 class DynamicalPartition:
     """Forward images of the induced map's continuity intervals, left to right,
     and the Rauzy path of the induction that made them.  Each atom is
-    ``(lo, hi, letter, index)``: an ``Atom``, or a plain tuple where the
-    towers were laid in the model's cells (``dynamical_partition``)."""
+    ``(lo, hi, letter, index)``, in the numbers of the partitioned map: an
+    ``Atom`` when ``dynamical_partition`` had no cells table, a plain tuple
+    when it laid the towers in the model's cells."""
 
     order: int
     atoms: tuple[tuple, ...]
@@ -234,78 +234,66 @@ def check_tiling(atoms, total, name, tol=None):
         raise GietlabError(f"{what} at {prev}, not at the total length {total}")
 
 
-def _laid_in_cells(m, tops, q, cells) -> list | None:
+def _laid_in_cells(m, tops, q, cells) -> list:
     """The floors of ``m``'s towers over ``tops``, ``q[letter]`` floors each,
     as plain ``(lo, hi, letter, i)`` tuples, floor ``i`` of ``letter``
-    written into the cell ``cells[letter][i]``.  None unless each letter has
-    a cell per floor and the left ends strictly increase along the cells."""
-    if any(len(cells[a]) != n for a, n in q.items()):
-        return None
+    written into the cell ``cells[letter][i]``: the list in cell order,
+    each tower walked once."""
     atoms = [None] * sum(q.values())
     for letter, *base in tops:
         floors = zip(cells[letter], m.tower(*base, q[letter]))
         for i, (cell, (lo, hi)) in enumerate(floors):
             atoms[cell] = lo, hi, letter, i
     del floors  # the last tower's floors
-    first = itemgetter(0)
-    if all(map(lt, map(first, atoms), map(first, islice(atoms, 1, None)))):
-        return atoms
-    return None
+    return atoms
 
 
 def dynamical_partition(m, r: int, induction: InductionResult | None = None,
                         cells: dict | None = None) -> DynamicalPartition:
     """Partition of order ``r``: atoms ``f^i(I^t_alpha(f^(r)))`` labeled ``(alpha, i)``.
 
-    Works for exact IETs (exact endpoints) and float GIETs alike.  An IET with
-    ``int`` lengths has ``int`` atom ends; one with fractions is partitioned on
-    its integer grid, and the endpoints are turned into fractions at the end.
-    Only library callers get those fractions: ``partition`` and ``semiconj``
-    pass the grid (``ExactIET.on_integer_grid``) and read each end ``x`` as
-    the point ``x / D``.
-    ``induction``, if given, is ``m.rauzy_path(r)`` already computed, and the
-    towers are built from it; an IET with fractions induces on its grid
-    anyway.  Raises ``GietlabError`` when the atoms do not tile the interval
+    Works in the numbers of the map it is given: ``int`` atom ends for an IET
+    with ``int`` lengths, ``Fraction`` ends for one with fractions, floats for
+    a GIET.  Callers who want ``int`` speed pass the integer grid
+    (``ExactIET.on_integer_grid``), as ``partition`` and ``semiconj`` do.
+    ``induction``, if given, is ``m.rauzy_path(r)`` already computed.  Raises
+    ``GietlabError`` when the atoms do not tile the interval
     (``DynamicalPartition.validate``).
 
-    ``cells``, if given, is the model's cell of every tower floor: one
-    sequence per letter, which together hold each of the N cells once
-    (``thurston.RefConfig.cells``).  Each floor is then written into its
-    cell as a plain ``(lo, hi, letter, i)`` tuple, and when the left ends
-    strictly increase along the cells, that list is the partition, with no
-    sort and no ``Atom``.  Otherwise the towers are built again and sorted
-    as without ``cells``, which an IET with fractions ignores.  The atoms'
-    ends and labels are the same either way.
+    Each tower is walked once, by one of two routes, with the same atom ends
+    and labels:
+
+    - no table: the floors are ``Atom``s, sorted by left end;
+    - a table ``cells``, the model's cell of every floor (one sequence per
+      letter, together holding each of the N cells once:
+      ``thurston.RefConfig.cells``): plain ``(lo, hi, letter, i)`` tuples in
+      cell order (``_laid_in_cells``), sorted only when their left ends do
+      not strictly increase.  A table whose counts differ from the tower
+      heights takes the no-table route.
     """
-    exact = isinstance(m, ExactIET) and not isinstance(m.lengths[0], int)
-    if exact:
-        m, D = m.on_integer_grid()
-    result = m.rauzy_path(r) if induction is None or exact else induction
+    result = m.rauzy_path(r) if induction is None else induction
     path = result.path
     if len(path) < r:
         raise InductionFailed(f"tie after {len(path)} of {r} steps")
     q = path_matrix(path).row_sums()
     tops = result.map.top_intervals()
     del result  # the induced chains hold one part per atom: free them first
-    atoms = None if cells is None or exact else _laid_in_cells(m, tops, q, cells)
-    if atoms is None:
+    first = itemgetter(0)
+    if cells is None or any(len(cells[a]) != n for a, n in q.items()):
         atoms = [
             Atom(lo, hi, letter, i)
             for letter, *base in tops
             for i, (lo, hi) in enumerate(m.tower(*base, q[letter]))
         ]
-        atoms.sort(key=itemgetter(0))
+        atoms.sort(key=first)
+    else:
+        atoms = _laid_in_cells(m, tops, q, cells)
+        if not all(map(lt, map(first, atoms), map(first, islice(atoms, 1, None)))):
+            atoms.sort(key=first)
     partition = DynamicalPartition(r, tuple(atoms), path)
-    # float towers can drift apart before any tie; exact ones are checked on
-    # their integer grid, in int arithmetic
+    # float towers can drift apart before any tie
     partition.validate(m.total)
-    if not exact:
-        return partition
-    # neighbouring atoms share endpoints: make each fraction once
-    ends = {x for atom in atoms for x in atom[:2]}
-    frac = {x: Fraction(x, D) for x in ends}
-    atoms = [Atom(frac[lo], frac[hi], letter, i) for lo, hi, letter, i in atoms]
-    return DynamicalPartition(r, tuple(atoms), path)
+    return partition
 
 
 def partitions_equivalent(p: DynamicalPartition, q: DynamicalPartition) -> bool:

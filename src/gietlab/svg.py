@@ -13,6 +13,7 @@ MARGIN = 40.0
 MIN_GAP = 0.5  # least distance in SVG units between two drawn partition boundaries
 FONT_SIZE = 16
 CHAR_WIDTH = 0.6  # of the font size, for a monospace glyph
+ARC_SAMPLES = 64  # segments of each branch's arc in a GIET plot
 
 
 def _fmt(x: float) -> str:
@@ -69,7 +70,7 @@ def render_partition(total: float, atoms) -> str:
     return _svg(total * SCALE + 2 * MARGIN, 120.0, body)
 
 
-def render_giet(g, samples: int = 64) -> str:
+def render_giet(g) -> str:
     """Square plot of a ``Giet`` on ``[0, length)``, one monotone arc per branch."""
     size = g.length * SCALE
     width = height = size + 2 * MARGIN
@@ -92,8 +93,8 @@ def render_giet(g, samples: int = 64) -> str:
         )
         br = g.branches[a]
         pts = []
-        for i in range(samples + 1):
-            x = lo + (hi - lo) * i / samples
+        for i in range(ARC_SAMPLES + 1):
+            x = lo + (hi - lo) * i / ARC_SAMPLES
             pts.append(f"{_fmt(X(x))},{_fmt(Y(br.eval(x)))}")
         body.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" '

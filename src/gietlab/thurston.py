@@ -498,7 +498,7 @@ def in_model_order(ref: RefConfig, partition) -> bool:
         return False
 
 
-def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
+def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResult:
     """Find a family parameter whose map generates ``target_path``.
 
     If the path does not end at a cyclic datum, a shortest completion inside
@@ -534,7 +534,7 @@ def realize(family, target_path: RauzyPath, **solve_options) -> RealizeResult:
             f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
         )
     ref = build_reference(full, matrix)
-    report = solve(family, ref, **solve_options)
+    report = solve(family, ref, max_iter)
     if not report.realized:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)
     # the towers are built off the solver's last induction, which the

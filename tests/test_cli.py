@@ -304,11 +304,14 @@ def write_semiconj_inputs(tmp_path):
 
 @pytest.mark.parametrize("option", ["--samples", "--spot-check"])
 def test_semiconj_negative_count_is_an_error(tmp_path, capsys, option):
-    argv = ["semiconj", *write_semiconj_inputs(tmp_path), "-r", "5", option, "-3"]
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:") and option in err and "-3" in err
+    """A count below 0 or above the cap of ``--max-iter`` is refused before
+    any list of that length is built."""
+    inputs = write_semiconj_inputs(tmp_path)
+    for value in ("-3", str(10**6 + 1)):
+        assert main(["semiconj", *inputs, "-r", "5", option, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and option in err and value in err
 
 
 def test_semiconj_with_no_uniform_samples(tmp_path, capsys):

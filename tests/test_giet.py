@@ -669,6 +669,8 @@ def _partition_in_fractions(T, r):
 
 
 def test_exact_partition_on_the_integer_grid_equals_the_fraction_one():
+    """An IET with fractions is partitioned in its fractions; its integer
+    grid gives the same atoms, each end ``x`` the point ``x / D``."""
     rng = random.Random(23)
     checked = 0
     while checked < 30:
@@ -679,6 +681,32 @@ def test_exact_partition_on_the_integer_grid_equals_the_fraction_one():
         P = dynamical_partition(T, r)
         assert [tuple(a) for a in P.atoms] == _partition_in_fractions(T, r)
         assert all(type(a.lo) is Fraction and type(a.hi) is Fraction for a in P.atoms)
+        grid, D = T.on_integer_grid()
+        scaled = [(Fraction(lo, D), Fraction(hi, D), a, i)
+                  for lo, hi, a, i in dynamical_partition(grid, r).atoms]
+        assert scaled == [tuple(a) for a in P.atoms]
+        checked += 1
+
+
+def test_a_given_induction_is_used_for_a_fraction_iet(monkeypatch):
+    """The towers of an IET with fractions are built off the induction it is
+    given, with no further induction."""
+    rng = random.Random(29)
+    inductions, rauzy_path = [], ExactIET.rauzy_path
+    monkeypatch.setattr(ExactIET, "rauzy_path",
+                        lambda T, *args: inductions.append(T) or rauzy_path(T, *args))
+    checked = 0
+    while checked < 10:
+        T = random_exact_iet(rng, rng.choice((2, 3, 4, 5)))
+        induction = T.rauzy_path(rng.randint(1, 14))
+        r = len(induction.path)
+        if r == 0:
+            continue
+        assert all(type(x) is Fraction for x in T.lengths)
+        del inductions[:]
+        P = dynamical_partition(T, r, induction=induction)
+        assert not inductions
+        assert [tuple(a) for a in P.atoms] == _partition_in_fractions(T, r)
         checked += 1
 
 

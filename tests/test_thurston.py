@@ -1458,8 +1458,9 @@ def exchanged_cells(cells, k):
 @pytest.mark.parametrize("k", [0, 300, 608])
 def test_exchanged_cells_fall_back_to_the_sorted_partition(monkeypatch, k):
     """A cells table with two neighbouring cells exchanged puts two floors
-    out of order, so the towers are sorted as without a table, and the
-    certificate is false with no error."""
+    out of order, so the floors laid in the cells are sorted: each tower is
+    walked once, the atoms stay plain tuples and equal the partition made
+    without a table bit for bit, and the certificate is false with no error."""
     cells = thurston.RefConfig.cells.func
     monkeypatch.setattr(thurston.RefConfig, "cells",
                         property(lambda ref: exchanged_cells(cells(ref), k)))
@@ -1467,8 +1468,13 @@ def test_exchanged_cells_fall_back_to_the_sorted_partition(monkeypatch, k):
     m, r, ref = result.report.map, len(result.full_path), result.ref
     assert result.report.realized and ref.N == 610
     assert not result.certificate and result.certificate_error is None
-    sorted_out = dynamical_partition(m, r, cells=ref.cells)
-    assert all(type(atom) is Atom for atom in sorted_out.atoms)
+    walks, tower = [], exact_iet.Exchange.tower
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_iet.Exchange, "tower",
+                      lambda self, *args: walks.append(args) or tower(self, *args))
+        sorted_out = dynamical_partition(m, r, cells=ref.cells)
+    assert len(walks) == len(m.datum.alphabet)
+    assert all(type(atom) is tuple for atom in sorted_out.atoms)
     assert hexed_partition(sorted_out) == hexed_partition(dynamical_partition(m, r))
     assert not in_model_order(ref, sorted_out)
 
