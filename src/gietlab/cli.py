@@ -30,7 +30,7 @@ from .errors import GietlabError, NoCyclicDatum, SolverFailed
 from .exact_iet import ExactIET
 from .giet import Giet, dynamical_partition, giet_from_iet
 from .semiconjugacy import build_semiconjugacy, defect, residual
-from .thurston import GietFamily, build_reference, realize
+from .thurston import MAX_REFERENCE_POINTS, GietFamily, build_reference, realize
 
 MAX_ORDER = 64
 MAX_COUNT = 10**6  # the cap on --max-iter, --samples and --spot-check
@@ -99,14 +99,19 @@ def cmd_partition(args) -> int:
     # an exact map is partitioned on its integer grid, and each int end x is
     # the point x / D of the map; a float map's ends are its own points
     m, scale = m.on_integer_grid() if isinstance(m, ExactIET) else (m, 1)
-    partition = dynamical_partition(m, r)
-    if sigma_and_cyclicity(partition.path.target)[1]:
-        labels = build_reference(partition.path).atom_names(partition.atoms)
+    induction = m.rauzy_path(r, max_points=MAX_REFERENCE_POINTS)
+    path = induction.path
+    # a complete path to a cyclic datum: the model's cells place every atom
+    ref = build_reference(path) if len(path) == r and sigma_and_cyclicity(path.target)[1] else None
+    partition = dynamical_partition(m, r, induction, ref.cells if ref else None)
+    if ref:
+        labels = ref.atom_names(partition.atoms)
     else:
         labels = [f"{letter}{index}" for _, _, letter, index in partition.atoms]
-    text = fileio.dump(fileio.partition_json(partition, m.total, labels, scale), args.output)
-    if not args.output:
-        print(text)
+    if args.output:
+        fileio.dump(fileio.partition_pieces(partition, m.total, labels, scale), args.output)
+    else:
+        print(fileio.partition_json(partition, m.total, labels, scale))
     if args.svg:
         atoms = ((lo / scale, hi / scale, label)
                  for (lo, hi, _, _), label in zip(partition.atoms, labels))

@@ -51,6 +51,11 @@ class InductionFailed(GietlabError):
     """Rauzy induction could not be iterated to the requested depth."""
 
 
+class TooManyPoints(GietlabError):
+    """An induction's total return time N passes the cap on the points, or
+    atoms, that a command builds."""
+
+
 class DegenerateTau(GietlabError):
     """A deformation parameter is off the simplex: an entry that is not
     finite or is negative, entries that do not sum to 1, or a zero entry

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .branches import Translation
 from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
-from .errors import BadLengths, InductionFailed, OutOfDomain, TieError
+from .errors import BadLengths, InductionFailed, OutOfDomain, TieError, TooManyPoints
 
 
 class InductionResult(NamedTuple):
@@ -37,20 +37,27 @@ class InductionResult(NamedTuple):
     tie: bool
 
 
-def induce(m, r: int, kinds: str | None = None) -> InductionResult:
+def induce(m, r: int, kinds: str | None = None,
+           max_points: int | None = None) -> InductionResult:
     """Iterate ``m.rauzy_step()`` up to ``r`` times, stopping early on a tie.
 
     With ``kinds``, also stop after the first arrow whose kind differs from
     the prescribed one, so a path check pays only for the matching prefix
-    and the first wrong arrow.  Exact IETs and float GIETs share this loop;
-    each supplies its own step.  A datum that is not admissible has no
-    arrow at all, so inducing it (``r > 0``) raises ``InductionFailed``.
+    and the first wrong arrow.  With ``max_points``, raise ``TooManyPoints``
+    after the first arrow that takes N, the total return time, past it:
+    each arrow adds the winner's return time to the loser's, so N is known
+    before the next step, and a float map's branch chains, which hold about
+    N parts, stop growing near the cap.  Exact IETs and float GIETs share
+    this loop; each supplies its own step.  A datum that is not admissible
+    has no arrow at all, so inducing it (``r > 0``) raises
+    ``InductionFailed``.
     """
     if r > 0 and not is_admissible(m.datum):
         raise InductionFailed(f"datum {m.datum} is not admissible: no Rauzy arrow leaves it")
     arrows = []
     current = m
     tie = False
+    q = None if max_points is None else dict.fromkeys(m.datum.alphabet, 1)
     for i in range(r):
         try:
             current, arrow = current.rauzy_step()
@@ -58,6 +65,11 @@ def induce(m, r: int, kinds: str | None = None) -> InductionResult:
             tie = True
             break
         arrows.append(arrow)
+        if q is not None:
+            q[arrow.loser] += q[arrow.winner]
+            if (n := sum(q.values())) > max_points:
+                raise TooManyPoints(f"the order-{r} induction passes the cap of {max_points} "
+                                    f"points: N={n} after {i + 1} of {r} steps")
         if kinds is not None and arrow.kind != kinds[i]:
             break
     return InductionResult(RauzyPath(m.datum, tuple(arrows)), current, tie)
@@ -289,9 +301,12 @@ class ExactIET(Exchange):
         new_lengths[w] = new_lengths[w] - new_lengths[l]
         return ExactIET(arrow.target, tuple(new_lengths)), arrow
 
-    def rauzy_path(self, r: int, kinds: str | None = None) -> InductionResult:
+    def rauzy_path(self, r: int, kinds: str | None = None,
+                   max_points: int | None = None) -> InductionResult:
         """Iterate induction up to ``r`` steps, stopping early on a tie.
 
-        With ``kinds``, also stop after the first arrow whose kind differs.
+        With ``kinds``, also stop after the first arrow whose kind differs;
+        with ``max_points``, raise ``TooManyPoints`` once N passes it
+        (``induce``).
         """
-        return induce(self, r, kinds)
+        return induce(self, r, kinds, max_points)

@@ -226,31 +226,41 @@ def _end_json(x, scale) -> str:
     return f'"{x.numerator}/{x.denominator}"'
 
 
-def partition_json(p: DynamicalPartition, total, labels, scale=1) -> str:
-    """The partition document as JSON text, written straight from the atoms
-    and their ``labels``.
+def partition_pieces(p: DynamicalPartition, total, labels, scale=1) -> list:
+    """The partition document as JSON text in pieces, one per atom, written
+    straight from the atoms and their ``labels``: ``dump`` writes them a
+    chunk at a time, so the text is never held whole.
 
-    The text is ``json.dumps(doc, sort_keys=True)`` of the document
-    ``{"kind": "partition", "order", "total", "atoms"}`` whose atoms are
-    ``{"left", "right", "letter", "index", "label"}``.  The atom ends and
-    ``total`` are points of a grid with ``scale`` points per unit, each
-    written as ``x / scale`` (``_end_json``): the ``int`` ends of an exact
-    map on its integer grid as reduced ``"p/q"`` strings over its
-    denominator, a fraction as its ``"p/q"``, a float as a float.
+    Joined, the pieces are ``json.dumps(doc, sort_keys=True)`` of the
+    document ``{"kind": "partition", "order", "total", "atoms"}`` whose
+    atoms are ``{"left", "right", "letter", "index", "label"}``.  The atom
+    ends and ``total`` are points of a grid with ``scale`` points per unit,
+    each written as ``x / scale`` (``_end_json``): the ``int`` ends of an
+    exact map on its integer grid as reduced ``"p/q"`` strings over its
+    denominator, a fraction as its ``"p/q"``, a float as a float.  Each
+    atom's piece is made once, led by its separator.
     """
     enc = json.encoder.encode_basestring_ascii
     letters = {a: enc(a) for a in p.path.source.alphabet}
-    atoms = []
+    pieces = ['{"atoms": [']
+    sep = ""
     prev_hi = right = None
     for (lo, hi, letter, index), label in zip(p.atoms, labels):
         # a left end equal to the last right end takes its text (not at 0,
         # as -0.0 prints apart)
         left = right if lo == prev_hi and lo else _end_json(lo, scale)
         prev_hi, right = hi, _end_json(hi, scale)
-        atoms.append(f'{{"index": {index}, "label": {enc(label)}, "left": {left}, '
-                     f'"letter": {letters[letter]}, "right": {right}}}')
-    return (f'{{"atoms": [{", ".join(atoms)}], "kind": "partition", '
-            f'"order": {p.order}, "total": {_end_json(total, scale)}}}')
+        pieces.append(f'{sep}{{"index": {index}, "label": {enc(label)}, "left": {left}, '
+                      f'"letter": {letters[letter]}, "right": {right}}}')
+        sep = ", "
+    pieces.append(f'], "kind": "partition", "order": {p.order}, '
+                  f'"total": {_end_json(total, scale)}}}')
+    return pieces
+
+
+def partition_json(p: DynamicalPartition, total, labels, scale=1) -> str:
+    """The partition document as one JSON text: the ``partition_pieces`` joined."""
+    return "".join(partition_pieces(p, total, labels, scale))
 
 
 def partition_from_document(doc: dict) -> tuple[float, list]:
@@ -318,15 +328,20 @@ def load_map(path: str, kinds=("iet", "giet")):
     return partition_from_document(doc)
 
 
-def dump(doc: dict | str, path: str | None) -> str:
+def dump(doc: dict | str | list, path: str | None) -> str | list:
     """``doc`` as one line of JSON with sorted keys, also written to ``path``;
-    a ``str`` is taken to be that JSON text already.
+    a ``str`` is taken to be that JSON text already, and a ``list`` to be
+    that text in ``str`` pieces (``partition_pieces``), which are returned
+    as they are, never joined whole.
 
     No ``indent``: with it, ``json`` falls back to its pure-Python encoder.
     """
-    text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True)
+    text = json.dumps(doc, sort_keys=True) if isinstance(doc, dict) else doc
     if path:
+        pieces = text if isinstance(text, list) else [text]
         with open(path, "w") as fh:
-            fh.write(text)
+            # 1024 pieces (about 100 kB of a partition) per write: a write per
+            # piece, or one of the whole text, takes about twice as long
+            fh.writelines("".join(pieces[i:i + 1024]) for i in range(0, len(pieces), 1024))
             fh.write("\n")  # not text + "\n": that copies a document of megabytes
     return text

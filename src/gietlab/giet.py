@@ -126,12 +126,15 @@ class Giet(Exchange):
         induced.__dict__.update(datum=arrow.target, length=new_length, branches=branches)
         return induced, arrow
 
-    def rauzy_path(self, r: int, kinds: str | None = None) -> InductionResult:
+    def rauzy_path(self, r: int, kinds: str | None = None,
+                   max_points: int | None = None) -> InductionResult:
         """Iterate induction up to ``r`` steps, stopping early on a tie.
 
-        With ``kinds``, also stop after the first arrow whose kind differs.
+        With ``kinds``, also stop after the first arrow whose kind differs;
+        with ``max_points``, raise ``TooManyPoints`` once N passes it
+        (``induce``).
         """
-        return induce(self, r, kinds)
+        return induce(self, r, kinds, max_points)
 
     def check_intervals(self):
         """Raise ``GietlabError`` unless the branch domains, in top-row order,
@@ -270,6 +273,11 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None,
       cell order (``_laid_in_cells``), sorted only when their left ends do
       not strictly increase.  A table whose counts differ from the tower
       heights takes the no-table route.
+
+    ``realize``, ``partition`` and ``semiconj`` pass the table of a path
+    that has all ``r`` arrows and ends at a cyclic datum (``realize``'s
+    always does), ``semiconj`` one table for both of its maps; any other
+    path, a tie and a caller without a table take the no-table route.
     """
     result = m.rauzy_path(r) if induction is None else induction
     path = result.path

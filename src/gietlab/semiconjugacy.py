@@ -14,8 +14,10 @@ from __future__ import annotations
 from operator import sub
 
 from .branches import PiecewiseLinear
+from .combinatorics import sigma_and_cyclicity
 from .errors import PathMismatch
 from .giet import dynamical_partition, giet_from_iet, partitions_equivalent
+from .thurston import MAX_REFERENCE_POINTS, build_reference
 
 
 def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
@@ -29,16 +31,28 @@ def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
     ``int`` true division rounds correctly, to the bits of
     ``float(Fraction(lo, D))``, and no ``Fraction`` is made.
 
+    Each map is induced once, and refused (``TooManyPoints``) once its N
+    passes ``thurston.MAX_REFERENCE_POINTS``.  When ``f``'s path has all
+    ``r`` arrows and ends at a cyclic datum, both partitions are laid in
+    the cells of its reference (``RefConfig.cells``); otherwise both are
+    sorted (``dynamical_partition``).  Either way the partitions are
+    compared label by label.
+
     Both maps must share the induction path to depth ``r``.
     """
+    induction = f.rauzy_path(r, max_points=MAX_REFERENCE_POINTS)
+    path = induction.path
+    cells = None
+    if len(path) == r and sigma_and_cyclicity(path.target)[1]:
+        cells = build_reference(path).cells
+    pf = dynamical_partition(f, r, induction, cells)
     grid, D = T.on_integer_grid()
-    pf = dynamical_partition(f, r)
-    pt = dynamical_partition(grid, r)
+    pt = dynamical_partition(grid, r, grid.rauzy_path(r, max_points=MAX_REFERENCE_POINTS), cells)
     if not partitions_equivalent(pf, pt):
         raise PathMismatch(f"order-{r} partitions are not combinatorially equivalent")
     nodes = [(0.0, 0.0)]
     for af, at in zip(pf.atoms, pt.atoms):
-        x, y = float(af.lo), at.lo / D
+        x, y = float(af[0]), at[0] / D
         if x > nodes[-1][0] and y > nodes[-1][1]:
             nodes.append((x, y))
     nodes.append((1.0, 1.0))

@@ -266,6 +266,15 @@ def breaking_step(k):
     return step_breaking_on_call_k
 
 
+def exchanged_cells(cells, k):
+    """``cells`` with the cells ``k`` and ``k + 1`` exchanged."""
+    cells = {a: list(c) for a, c in cells.items()}
+    (a, i), = [(a, i) for a, c in cells.items() for i, x in enumerate(c) if x == k]
+    (b, j), = [(b, j) for b, c in cells.items() for j, x in enumerate(c) if x == k + 1]
+    cells[a][i], cells[b][j] = k + 1, k
+    return cells
+
+
 def conjugacy_maps():
     """The smooth 2- and 4-letter maps of the ``conjugacy`` benchmark workload,
     each with the order of its deepest partition there."""

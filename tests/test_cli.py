@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import gietlab
-from conftest import breaking_step, shrinking_circle_map
-from gietlab import fileio, svg
+from conftest import breaking_step, exchanged_cells, shrinking_circle_map
+from gietlab import cli, fileio, semiconjugacy, svg, thurston
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
 from gietlab.cli import build_parser, main
 from gietlab.errors import GietlabError, InductionFailed
@@ -26,7 +26,7 @@ from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
 from gietlab.giet import Atom, Giet, dynamical_partition, giet_from_branches, giet_from_iet
 from gietlab.semiconjugacy import build_semiconjugacy, residual
-from gietlab.thurston import build_reference
+from gietlab.thurston import MAX_REFERENCE_POINTS, build_reference, in_model_order
 
 D2 = parse_datum("A B", "B A")
 D4 = parse_datum("A B C D", "D C B A")
@@ -814,14 +814,20 @@ def smooth_giet(datum, raw_lengths, ks):
     )
 
 
-def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys):
+def partition_maps():
+    """The conjugacy maps f2 and f4, f2's model m2 and a map whose letters
+    JSON escapes, each with an order whose path ends at a cyclic datum."""
     golden = (math.sqrt(5) - 1) / 2
     f2 = smooth_giet(D2, [1 - golden, golden], {"A": 2.0, "B": -1.5})
     f4 = smooth_giet(D4, [math.sqrt(p) for p in (2, 3, 5, 7)], {"A": 1.0, "C": -0.7})
     m2 = build_reference(f2.rauzy_path(21).path).base_iet
     odd = ExactIET.from_lengths(parse_datum('é " \\', '\\ " é'), [2584, 4181, 3235])
-    cases = {"f4@40": (f4, 40), "f2@21": (f2, 21), "m2@21": (m2, 21), "order 0": (model_iet(), 0),
-             "escaped letters": (odd, 13)}
+    return {"f4@40": (f4, 40), "f2@21": (f2, 21), "m2@21": (m2, 21), "escaped letters": (odd, 13)}
+
+
+def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys):
+    cases = {**partition_maps(), "order 0": (model_iet(), 0)}
+    f4 = cases["f4@40"][0]
     texts = {}
     for name, (m, r) in cases.items():
         p = dynamical_partition(m, r)
@@ -1117,12 +1123,15 @@ def test_order_bound_enforced(tmp_path, capsys):
 
 
 def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
-    written = []
+    written, pieces = [], []
     real_dump = fileio.dump
 
     def recording_dump(doc, path):
         text = real_dump(doc, path)
-        written.append((json.loads(doc) if isinstance(doc, str) else doc, path, text))
+        # a partition comes in pieces, which dump writes and returns unjoined
+        pieces.append(type(doc) is list and text is doc)
+        joined = "".join(text) if pieces[-1] else text
+        written.append((doc if isinstance(doc, dict) else json.loads(joined), path, joined))
         return text
 
     monkeypatch.setattr(fileio, "dump", recording_dump)
@@ -1133,6 +1142,7 @@ def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
     assert main(["partition", iet, "-r", "5", "-o", partition]) == 0
     assert main(["realize", family, "bbbtb", "-o", report]) == 0
     assert [path for _, path, _ in written] == [iet, family, partition, report]
+    assert pieces == [False, False, True, False]
     for doc, path, text in written:
         assert Path(path).read_text() == text + "\n"
         # one line, keys sorted, the default separators
@@ -1265,9 +1275,131 @@ def test_partition_induces_the_map_once(tmp_path, capsys, monkeypatch):
     fileio.dump(fileio.giet_document(giet_from_iet(model_iet())), str(path))
     calls = []
     induce = Giet.rauzy_path
-    monkeypatch.setattr(
-        Giet, "rauzy_path", lambda self, *args: calls.append(args) or induce(self, *args)
-    )
+    monkeypatch.setattr(Giet, "rauzy_path", lambda self, *args, **kwargs:
+                        calls.append((args, kwargs)) or induce(self, *args, **kwargs))
     assert main(["partition", str(path), "-r", "5"]) == 0
-    assert calls == [(5,)]
+    assert calls == [((5,), {"max_points": MAX_REFERENCE_POINTS})]
     assert [a["label"] for a in json.loads(capsys.readouterr().out)["atoms"]] == FIG_LABELS
+
+
+def recorded_partitions(monkeypatch, module):
+    """Patch ``module.dynamical_partition`` to record the cells table of
+    every call and the partition it returns."""
+    tables, partitions, real = [], [], module.dynamical_partition
+
+    def recording(m, r, induction=None, cells=None):
+        tables.append(cells)
+        partitions.append(real(m, r, induction, cells))
+        return partitions[-1]
+
+    monkeypatch.setattr(module, "dynamical_partition", recording)
+    return tables, partitions
+
+
+@pytest.mark.parametrize("name", ["f2@21", "m2@21", "f4@40", "escaped letters"])
+def test_partition_lays_a_cyclic_path_in_the_model_cells(tmp_path, monkeypatch, name):
+    """On a complete path to a cyclic datum ``partition`` hands the model's
+    cells to ``dynamical_partition``, so its atoms are plain tuples, and it
+    writes the document and figure that the sorted ``Atom`` partition gives
+    with the same labels, byte for byte."""
+    m, r = partition_maps()[name]
+    grid, scale = m.on_integer_grid() if isinstance(m, ExactIET) else (m, 1)
+    expected = dynamical_partition(grid, r)
+    assert all(type(atom) is Atom for atom in expected.atoms)
+    ref = build_reference(expected.path)
+    labels = ref.atom_names(expected.atoms)
+    text = fileio.partition_json(expected, grid.total, labels, scale)
+    figure = svg.render_partition(grid.total / scale, [
+        (lo / scale, hi / scale, label) for (lo, hi, _, _), label in zip(expected.atoms, labels)])
+    doc = fileio.iet_document(m) if isinstance(m, ExactIET) else fileio.giet_document(m)
+    out, fig = tmp_path / "p.json", tmp_path / "p.svg"
+    tables, partitions = recorded_partitions(monkeypatch, cli)
+    argv = ["partition", write_doc(tmp_path, doc), "-r", str(r), "-o", str(out), "--svg", str(fig)]
+    assert main(argv) == 0
+    assert tables == [ref.cells]
+    assert all(type(atom) is tuple for atom in partitions[0].atoms)
+    assert partitions[0].atoms == expected.atoms
+    assert out.read_text() == text + "\n"
+    assert fig.read_text() == figure
+
+
+def test_partition_without_a_complete_cyclic_path_passes_no_table(tmp_path, capsys, monkeypatch):
+    """f4's path of order 20 ends at a datum that is not cyclic: ``partition``
+    passes no table and writes the sorted ``Atom``s with their raw names.  A
+    tie passes no table either and is the same error."""
+    f4 = partition_maps()["f4@40"][0]
+    assert not sigma_and_cyclicity(f4.rauzy_path(20).path.target)[1]
+    tables, partitions = recorded_partitions(monkeypatch, cli)
+    assert main(["partition", write_doc(tmp_path, fileio.giet_document(f4)), "-r", "20"]) == 0
+    assert tables == [None]
+    assert all(type(atom) is Atom for atom in partitions[0].atoms)
+    expected = dynamical_partition(f4, 20)
+    names = [f"{atom.letter}{atom.index}" for atom in expected.atoms]
+    assert capsys.readouterr() == (fileio.partition_json(expected, f4.total, names) + "\n", "")
+    tie = fileio.iet_document(ExactIET.from_lengths(D2, ["1/2", "1/2"]))
+    assert main(["partition", write_doc(tmp_path, tie), "-r", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: tie after 0 of 2 steps\n")
+    assert tables == [None, None]
+
+
+def test_semiconj_lays_both_maps_in_one_table(tmp_path, capsys, monkeypatch):
+    """``semiconj`` lays the partition of f and that of T's integer grid in
+    the cells of f's reference, one table, where both are in order.  With
+    two neighbouring cells exchanged both are sorted, to the same atoms and
+    the same output."""
+    (f2, r), (m2, _) = (partition_maps()[name] for name in ("f2@21", "m2@21"))
+    f_path, t_path = str(tmp_path / "f.json"), str(tmp_path / "t.json")
+    fileio.dump(fileio.giet_document(f2), f_path)
+    fileio.dump(fileio.iet_document(m2), t_path)
+    argv = ["semiconj", f_path, t_path, "-r", str(r), "--spot-check", "8"]
+    tables, partitions = recorded_partitions(monkeypatch, semiconjugacy)
+    assert main(argv) == 0
+    laid = capsys.readouterr()
+    ref = build_reference(f2.rauzy_path(r).path)
+    assert tables == [ref.cells, ref.cells] and tables[0] is tables[1]
+    assert all(type(atom) is tuple for p in partitions for atom in p.atoms)
+    assert all(in_model_order(ref, p) for p in partitions)
+    cells = thurston.RefConfig.cells.func
+    for k in (0, ref.N // 2, ref.N - 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(thurston.RefConfig, "cells",
+                          property(lambda ref: exchanged_cells(cells(ref), k)))
+            assert main(argv) == 0
+        assert capsys.readouterr() == laid
+        assert tables[-1] is tables[-2] and tables[-1] == exchanged_cells(ref.cells, k)
+        assert [p.atoms for p in partitions[-2:]] == [p.atoms for p in partitions[:2]]
+
+
+@pytest.mark.parametrize("command", ["partition", "semiconj"])
+def test_an_order_beyond_the_point_cap_is_refused(tmp_path, capsys, monkeypatch, command):
+    """f2's partition of order 30 has N = 242,551 atoms, beyond the cap of
+    ``MAX_REFERENCE_POINTS``: the order-31 induction stops after the 30th
+    arrow, the first that takes N past the cap, so its branch chains stop
+    near the cap, and the command exits 1 naming N, the order and the cap."""
+    (f2, _), (m2, _) = (partition_maps()[name] for name in ("f2@21", "m2@21"))
+    f_path, t_path = str(tmp_path / "f.json"), str(tmp_path / "t.json")
+    fileio.dump(fileio.giet_document(f2), f_path)
+    fileio.dump(fileio.iet_document(m2), t_path)
+    steps, step = [], Giet.rauzy_step
+    monkeypatch.setattr(Giet, "rauzy_step", lambda self: steps.append(None) or step(self))
+    files = [f_path, t_path] if command == "semiconj" else [f_path]
+    assert main([command, *files, "-r", "31"]) == 1
+    assert capsys.readouterr() == ("", "error: the order-31 induction passes the cap of 200000 "
+                                       "points: N=242551 after 30 of 31 steps\n")
+    assert len(steps) == 30 and MAX_REFERENCE_POINTS == 200_000
+
+
+
+def test_exact_order_beyond_the_point_cap_is_refused_by_partition_not_by_induct(tmp_path, capsys):
+    """An exact map is capped as a float one: ``partition`` stops its grid
+    induction at the first arrow past the cap.  ``induct`` builds no atoms
+    and has no cap."""
+    fib = [1, 1]
+    while len(fib) < 47:
+        fib.append(fib[-1] + fib[-2])
+    doc = write_doc(tmp_path, fileio.iet_document(ExactIET.from_lengths(D2, fib[-2:])))
+    assert main(["partition", doc, "-r", "30"]) == 1
+    assert capsys.readouterr() == ("", "error: the order-30 induction passes the cap of 200000 "
+                                       "points: N=317811 after 25 of 30 steps\n")
+    assert main(["induct", doc, "-r", "30"]) == 0
+    assert capsys.readouterr().out.startswith("kinds: ")

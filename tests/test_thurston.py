@@ -18,6 +18,7 @@ from conftest import (
     class_at,
     conjugacy_maps,
     eval_inverse,
+    exchanged_cells,
     orbit_order,
     prefix,
     random_unit_giet,
@@ -1444,15 +1445,6 @@ def test_the_partition_laid_in_the_model_cells_is_the_sorted_one(seed, path):
     assert result.certificate and all(type(atom) is tuple for atom in laid.atoms)
     assert hexed_partition(laid) == hexed_partition(dynamical_partition(m, r))
     assert in_model_order(ref, laid)
-
-
-def exchanged_cells(cells, k):
-    """``cells`` with the cells ``k`` and ``k + 1`` exchanged."""
-    cells = {a: list(c) for a, c in cells.items()}
-    (a, i), = [(a, i) for a, c in cells.items() for i, x in enumerate(c) if x == k]
-    (b, j), = [(b, j) for b, c in cells.items() for j, x in enumerate(c) if x == k + 1]
-    cells[a][i], cells[b][j] = k + 1, k
-    return cells
 
 
 @pytest.mark.parametrize("k", [0, 300, 608])
