@@ -19,18 +19,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import GietlabError
+from .value import Frozen
 
 EPS_BRANCH = 1e-12
 
 
-class Branch:
+class Branch(Frozen):
     """Common interface: ``domain``/``range_`` as (lo, hi) pairs, eval, inverse,
     and ``rescaled(domain, range_)``, the map ``outer o self o inner`` from
-    ``domain`` onto ``range_`` for the increasing affine ``inner`` and ``outer``."""
+    ``domain`` onto ``range_`` for the increasing affine ``inner`` and ``outer``.
+    A branch is a frozen value, compared by its ``_fields``."""
 
     domain: tuple[float, float]
     range_: tuple[float, float]
@@ -77,19 +78,18 @@ class Branch:
                 raise GietlabError(f"{name} inverse does not round-trip x = {x}")
 
 
-@dataclass(frozen=True)
 class Translation(Branch):
     """``x + shift``.  The shift defaults to the difference of the two left
     ends; a caller that knows the displacement exactly passes it, rounded
-    once, where the rounded ends would differ from it in the last bit."""
+    once, where the rounded ends would differ from it in the last bit.  It
+    is neither compared nor shown."""
 
-    domain: tuple[float, float]
-    range_: tuple[float, float]
-    shift: float = field(default=None, repr=False, compare=False)
+    _fields = ("domain", "range_")
 
-    def __post_init__(self):
-        if self.shift is None:
-            object.__setattr__(self, "shift", self.range_[0] - self.domain[0])
+    def __init__(self, domain, range_, shift: float | None = None):
+        if shift is None:
+            shift = range_[0] - domain[0]
+        self.__dict__.update(domain=domain, range_=range_, shift=shift)
 
     def eval(self, x):
         return x + self.shift
@@ -108,15 +108,12 @@ class Translation(Branch):
         return Affine(domain, range_)
 
 
-@dataclass(frozen=True)
 class Affine(Branch):
-    domain: tuple[float, float]
-    range_: tuple[float, float]
-    slope: float = field(init=False, repr=False, compare=False)
+    _fields = ("domain", "range_")
 
-    def __post_init__(self):
-        slope = (self.range_[1] - self.range_[0]) / (self.domain[1] - self.domain[0])
-        object.__setattr__(self, "slope", slope)
+    def __init__(self, domain, range_):
+        slope = (range_[1] - range_[0]) / (domain[1] - domain[0])
+        self.__dict__.update(domain=domain, range_=range_, slope=slope)
 
     def eval(self, x):
         return self.range_[0] + self.slope * (x - self.domain[0])
@@ -131,19 +128,16 @@ class Affine(Branch):
         return Affine(domain, range_)
 
 
-@dataclass(frozen=True)
 class PiecewiseLinear(Branch):
     """Linear interpolation through ``nodes``; first and last node fix domain and range."""
 
-    nodes: tuple[tuple[float, float], ...]
-    _xs: list = field(init=False, repr=False, compare=False)
-    _ys: list = field(init=False, repr=False, compare=False)
+    _fields = ("nodes",)
 
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise GietlabError(f"a pl branch needs at least two nodes, got {len(self.nodes)}")
-        xs = [p[0] for p in self.nodes]
-        ys = [p[1] for p in self.nodes]
+    def __init__(self, nodes: tuple[tuple[float, float], ...]):
+        if len(nodes) < 2:
+            raise GietlabError(f"a pl branch needs at least two nodes, got {len(nodes)}")
+        xs = [p[0] for p in nodes]
+        ys = [p[1] for p in nodes]
         for coord, values in (("x", xs), ("y", ys)):
             for i, (v0, v1) in enumerate(zip(values, values[1:])):
                 if not v1 > v0:
@@ -151,8 +145,7 @@ class PiecewiseLinear(Branch):
                         f"pl branch node {coord} must increase: node {i + 1} has {v1} after {v0}"
                     )
         # interior nodes only: bisecting them gives the segment index
-        object.__setattr__(self, "_xs", xs[1:-1])
-        object.__setattr__(self, "_ys", ys[1:-1])
+        self.__dict__.update(nodes=nodes, _xs=xs[1:-1], _ys=ys[1:-1])
 
     @property
     def domain(self):
@@ -191,7 +184,6 @@ class PiecewiseLinear(Branch):
         return PiecewiseLinear(((domain[0], range_[0]),) + inside + ((domain[1], range_[1]),))
 
 
-@dataclass(frozen=True)
 class SmoothParam(Branch):
     """One-parameter exponential nonlinearity rescaled onto (domain, range).
 
@@ -200,21 +192,19 @@ class SmoothParam(Branch):
     float, above about 709.78, is a ``GietlabError``.
     """
 
-    domain: tuple[float, float]
-    range_: tuple[float, float]
-    k: float = 1.0
-    # (a, b - a, c, d - c, k, expm1(k)) for domain (a, b) and range (c, d)
-    _consts: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("domain", "range_", "k")
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.domain, self.range_
+    def __init__(self, domain, range_, k: float = 1.0):
+        (a, b), (c, d) = domain, range_
         try:
-            em = math.expm1(self.k)
+            em = math.expm1(k)
         except OverflowError:
             raise GietlabError(
-                f"k must be at most about 709.78, as e^k overflows, got {self.k!r}"
+                f"k must be at most about 709.78, as e^k overflows, got {k!r}"
             ) from None
-        object.__setattr__(self, "_consts", (a, b - a, c, d - c, self.k, em))
+        # _consts: (a, b - a, c, d - c, k, expm1(k)) for domain (a, b) and range (c, d)
+        self.__dict__.update(domain=domain, range_=range_, k=k,
+                             _consts=(a, b - a, c, d - c, k, em))
 
     def eval(self, x):
         a, w, c, h, k, em = self._consts
@@ -253,7 +243,6 @@ class SmoothParam(Branch):
         return SmoothParam(domain, range_, self.k)
 
 
-@dataclass(frozen=True, init=False)
 class Chain(Branch):
     """Composition of primitive branches, first part applied first, from
     ``domain`` onto ``range_``.
@@ -263,11 +252,9 @@ class Chain(Branch):
     itself a chain is spliced in, so a chain never holds another.
     """
 
-    parts: tuple[Branch, ...]
-    domain: tuple[float, float]
-    range_: tuple[float, float]
+    _fields = ("parts", "domain", "range_")
 
-    def __init__(self, parts, domain=None, range_=None):
+    def __init__(self, parts: tuple[Branch, ...], domain=None, range_=None):
         if not parts:
             raise GietlabError("a chain needs at least one part")
         flat = []
@@ -276,9 +263,8 @@ class Chain(Branch):
                 flat.extend(p.parts)
             else:
                 flat.append(p)
-        object.__setattr__(self, "parts", tuple(flat))
-        object.__setattr__(self, "domain", domain or parts[0].domain)
-        object.__setattr__(self, "range_", range_ or parts[-1].range_)
+        self.__dict__.update(parts=tuple(flat), domain=domain or parts[0].domain,
+                             range_=range_ or parts[-1].range_)
 
     def eval(self, x):
         for part in self.parts:

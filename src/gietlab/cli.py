@@ -17,7 +17,7 @@ import os
 import random
 import sys
 
-from . import fileio, svg
+from . import fileio, svg, thurston
 from .combinatorics import (
     RauzyPath,
     find_cyclic,
@@ -30,7 +30,7 @@ from .errors import GietlabError, NoCyclicDatum, SolverFailed
 from .exact_iet import ExactIET
 from .giet import Giet, dynamical_partition, giet_from_iet
 from .semiconjugacy import build_semiconjugacy, defect, residual
-from .thurston import MAX_REFERENCE_POINTS, GietFamily, build_reference, realize
+from .thurston import GietFamily, build_reference, realize
 
 MAX_ORDER = 64
 MAX_COUNT = 10**6  # the cap on --max-iter, --samples and --spot-check
@@ -99,7 +99,7 @@ def cmd_partition(args) -> int:
     # an exact map is partitioned on its integer grid, and each int end x is
     # the point x / D of the map; a float map's ends are its own points
     m, scale = m.on_integer_grid() if isinstance(m, ExactIET) else (m, 1)
-    induction = m.rauzy_path(r, max_points=MAX_REFERENCE_POINTS)
+    induction = m.rauzy_path(r, max_points=thurston.MAX_REFERENCE_POINTS)
     path = induction.path
     # a complete path to a cyclic datum: the model's cells place every atom
     ref = build_reference(path) if len(path) == r and sigma_and_cyclicity(path.target)[1] else None

@@ -22,7 +22,6 @@ enumeration uses lexicographic order on the two-row text encoding.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .errors import (
@@ -34,14 +33,14 @@ from .errors import (
     NotInClass,
     RowMismatch,
 )
+from .value import Frozen
 
 KIND_TOP = "t"
 KIND_BOTTOM = "b"
 KINDS = (KIND_TOP, KIND_BOTTOM)
 
 
-@dataclass(frozen=True)
-class CombinatorialDatum:
+class CombinatorialDatum(Frozen):
     """A pair of rows over a common alphabet.
 
     ``top`` and ``bottom`` are the letters read off in position order.  The
@@ -50,21 +49,23 @@ class CombinatorialDatum:
     with a single letter; the Rauzy operations themselves require ``d >= 2``.
     """
 
-    top: tuple[str, ...]
-    bottom: tuple[str, ...]
-    # the dataclass hash, kept: memoized Rauzy arrows look a datum up per step
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("top", "bottom")
 
-    def __post_init__(self):
-        if len(self.top) != len(set(self.top)):
-            raise DuplicateLetter(f"duplicate letter in top row {self.top}")
-        if len(self.bottom) != len(set(self.bottom)):
-            raise DuplicateLetter(f"duplicate letter in bottom row {self.bottom}")
-        if sorted(self.top) != sorted(self.bottom) or not self.top:
-            raise RowMismatch(
-                f"rows {' '.join(self.top)!r} and {' '.join(self.bottom)!r} do not match"
-            )
-        object.__setattr__(self, "_hash", hash((self.top, self.bottom)))
+    def __init__(self, top: tuple[str, ...], bottom: tuple[str, ...]):
+        if len(top) != len(set(top)):
+            raise DuplicateLetter(f"duplicate letter in top row {top}")
+        if len(bottom) != len(set(bottom)):
+            raise DuplicateLetter(f"duplicate letter in bottom row {bottom}")
+        if sorted(top) != sorted(bottom) or not top:
+            raise RowMismatch(f"rows {' '.join(top)!r} and {' '.join(bottom)!r} do not match")
+        # the hash is kept, and equality written out: memoized Rauzy arrows
+        # look a datum up per step
+        self.__dict__.update(top=top, bottom=bottom, _hash=hash((top, bottom)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.top == other.top and self.bottom == other.bottom
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -142,15 +143,14 @@ def sigma_and_cyclicity(datum: CombinatorialDatum):
     return sigma, seen == datum.d
 
 
-@dataclass(frozen=True)
-class RauzyArrow:
+class RauzyArrow(Frozen):
     """One elementary operation: source datum, kind, winner/loser, target datum."""
 
-    source: CombinatorialDatum
-    kind: str
-    winner: str
-    loser: str
-    target: CombinatorialDatum
+    _fields = ("source", "kind", "winner", "loser", "target")
+
+    def __init__(self, source: CombinatorialDatum, kind: str, winner: str, loser: str,
+                 target: CombinatorialDatum):
+        self.__dict__.update(source=source, kind=kind, winner=winner, loser=loser, target=target)
 
     def __str__(self) -> str:
         return f"{self.source} --{self.kind}({self.winner}>{self.loser})--> {self.target}"
@@ -187,19 +187,18 @@ def rauzy_step(datum: CombinatorialDatum, kind: str) -> RauzyArrow:
     return RauzyArrow(datum, kind, winner, loser, target)
 
 
-@dataclass(frozen=True)
-class RauzyPath:
+class RauzyPath(Frozen):
     """A compatible concatenation of arrows (possibly empty)."""
 
-    source: CombinatorialDatum
-    arrows: tuple[RauzyArrow, ...] = ()
+    _fields = ("source", "arrows")
 
-    def __post_init__(self):
-        prev = self.source
-        for i, a in enumerate(self.arrows):
+    def __init__(self, source: CombinatorialDatum, arrows: tuple[RauzyArrow, ...] = ()):
+        prev = source
+        for i, a in enumerate(arrows):
             if a.source is not prev and a.source != prev:
                 raise IncompatibleArrows(f"arrow {i} ({a}) does not start at {prev}")
             prev = a.target
+        self.__dict__.update(source=source, arrows=arrows)
 
     @property
     def target(self) -> CombinatorialDatum:
@@ -237,15 +236,16 @@ class RauzyPath:
         return f"{self.source} [{self.kinds}]"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Dense square integer matrix indexed by the letters of an alphabet.
 
     Entries are Python ints, so products along long paths never overflow.
     """
 
-    alphabet: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("alphabet", "rows")
+
+    def __init__(self, alphabet: tuple[str, ...], rows: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(alphabet=alphabet, rows=rows)
 
     @classmethod
     def identity(cls, alphabet) -> "IntMatrix":

@@ -18,23 +18,21 @@ Fraction(2, 3)
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple
 
 from .branches import Translation
 from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
 from .errors import BadLengths, InductionFailed, OutOfDomain, TieError, TooManyPoints
+from .value import Frozen
 
 
-class InductionResult(NamedTuple):
+class InductionResult(namedtuple("InductionResult", "path map tie")):
     """The arrows a map follows, the induced map, and whether a tie cut it short."""
 
-    path: RauzyPath
-    map: object
-    tie: bool
+    __slots__ = ()
 
 
 def induce(m, r: int, kinds: str | None = None,
@@ -93,7 +91,7 @@ def lay_out(row, widths) -> dict:
     return ends
 
 
-class Exchange:
+class Exchange(Frozen):
     """The row model both interval exchanges share: the top and bottom rows
     cut ``[0, total)`` into one interval per letter, in row order.
 
@@ -104,7 +102,7 @@ class Exchange:
     map has ``snap = 0``, so every comparison is exact.  The rows are read
     off the branches.  Each subclass keeps its own ``eval``: the traced
     benchmark run counts ``ExactIET.eval`` calls by rebinding the method on
-    that class.
+    that class.  A map is a frozen value, compared by its ``_fields``.
     """
 
     @cached_property
@@ -197,7 +195,6 @@ class Exchange:
         return floors
 
 
-@dataclass(frozen=True)
 class ExactIET(Exchange):
     """An IET given by a datum and one positive rational length per letter.
 
@@ -207,17 +204,18 @@ class ExactIET(Exchange):
     The breakpoints are built once per map, on first use.
     """
 
-    datum: CombinatorialDatum
-    lengths: tuple[Fraction, ...] | tuple[int, ...]
+    _fields = ("datum", "lengths")
     snap = 0
 
-    def __post_init__(self):
-        if len(self.lengths) != self.datum.d:
-            d, n = self.datum.d, len(self.lengths)
-            raise BadLengths(f"{self.datum} needs {d} lengths, one per letter, got {n}")
-        for a, l in zip(self.datum.alphabet, self.lengths):
+    def __init__(self, datum: CombinatorialDatum,
+                 lengths: tuple[Fraction, ...] | tuple[int, ...]):
+        if len(lengths) != datum.d:
+            d, n = datum.d, len(lengths)
+            raise BadLengths(f"{datum} needs {d} lengths, one per letter, got {n}")
+        for a, l in zip(datum.alphabet, lengths):
             if l <= 0:
                 raise BadLengths(f"length of letter {a!r} must be positive, got {l}")
+        self.__dict__.update(datum=datum, lengths=lengths)
 
     @classmethod
     def from_lengths(cls, datum: CombinatorialDatum, lengths, normalize: bool = True) -> "ExactIET":

@@ -22,12 +22,12 @@ point per removed letter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .combinatorics import CombinatorialDatum, reduction
 from .errors import AllZero, DegenerateTau, GietlabError
 from .exact_iet import lay_out
 from .giet import Giet, giet_from_branches
+from .value import Frozen
 
 
 def _sum(xs) -> float:
@@ -126,14 +126,15 @@ def apply(f: Giet, tau) -> Giet:
                               lambda a, dom, rng: f.branches[a].rescaled(dom, rng))
 
 
-@dataclass(frozen=True)
-class Degeneration:
+class Degeneration(Frozen):
     """Limit object at the simplex boundary: a reduced GIET plus singular points."""
 
-    datum: CombinatorialDatum
-    reduced_datum: CombinatorialDatum
-    regular: Giet
-    singular: dict
+    _fields = ("datum", "reduced_datum", "regular", "singular")
+
+    def __init__(self, datum: CombinatorialDatum, reduced_datum: CombinatorialDatum,
+                 regular: Giet, singular: dict):
+        self.__dict__.update(datum=datum, reduced_datum=reduced_datum, regular=regular,
+                             singular=singular)
 
     @property
     def removed(self):

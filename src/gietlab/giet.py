@@ -19,31 +19,30 @@ row code with ``snap = 0``, so its comparisons are exact.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import groupby, islice
 from operator import itemgetter, lt
-from typing import NamedTuple
 
 from .branches import Translation, compose, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
 from .errors import GietlabError, InductionFailed, TieError
 from .exact_iet import Exchange, InductionResult, induce, lay_out
+from .value import Frozen
 
 EPS_TIE = 1e-10
 
 
-@dataclass(frozen=True)
 class Giet(Exchange):
     """One increasing branch per letter, acting on ``[0, length)``.  The map
     is its branches: each row's breakpoints are the left ends of the branch
     domains (top) or ranges (bottom)."""
 
-    datum: CombinatorialDatum
-    length: float
-    branches: dict
-
+    _fields = ("datum", "length", "branches")
     snap = EPS_BRANCH
+
+    def __init__(self, datum: CombinatorialDatum, length: float, branches: dict):
+        self.__dict__.update(datum=datum, length=length, branches=branches)
 
     @cached_property
     def total(self):
@@ -120,11 +119,7 @@ class Giet(Exchange):
             c, d = br_b.range_
             branches[alpha_b] = restrict(br_b, lo, cut, c, x_t)
             branches[alpha_t] = compose(restrict(br_b, cut, hi, x_t, d), br_t)
-        # not through the frozen dataclass __init__, which sets each field
-        # with object.__setattr__
-        induced = object.__new__(Giet)
-        induced.__dict__.update(datum=arrow.target, length=new_length, branches=branches)
-        return induced, arrow
+        return Giet(arrow.target, new_length, branches), arrow
 
     def rauzy_path(self, r: int, kinds: str | None = None,
                    max_points: int | None = None) -> InductionResult:
@@ -185,24 +180,20 @@ def giet_from_branches(datum: CombinatorialDatum, top_lengths, bottom_lengths, m
     return Giet(datum, 1.0, {a: maker(a, top[a], bottom[a]) for a in datum.alphabet})
 
 
-class Atom(NamedTuple):
-    lo: object
-    hi: object
-    letter: str
-    index: int
+Atom = namedtuple("Atom", "lo hi letter index")
 
 
-@dataclass(frozen=True)
-class DynamicalPartition:
+class DynamicalPartition(Frozen):
     """Forward images of the induced map's continuity intervals, left to right,
     and the Rauzy path of the induction that made them.  Each atom is
     ``(lo, hi, letter, index)``, in the numbers of the partitioned map: an
     ``Atom`` when ``dynamical_partition`` had no cells table, a plain tuple
     when it laid the towers in the model's cells."""
 
-    order: int
-    atoms: tuple[tuple, ...]
-    path: RauzyPath
+    _fields = ("order", "atoms", "path")
+
+    def __init__(self, order: int, atoms: tuple[tuple, ...], path: RauzyPath):
+        self.__dict__.update(order=order, atoms=atoms, path=path)
 
     def labels(self):
         """Each atom's ``(letter, index)``, left to right."""

@@ -17,7 +17,8 @@ from .branches import PiecewiseLinear
 from .combinatorics import sigma_and_cyclicity
 from .errors import PathMismatch
 from .giet import dynamical_partition, giet_from_iet, partitions_equivalent
-from .thurston import MAX_REFERENCE_POINTS, build_reference
+from . import thurston
+from .thurston import build_reference
 
 
 def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
@@ -40,14 +41,15 @@ def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
 
     Both maps must share the induction path to depth ``r``.
     """
-    induction = f.rauzy_path(r, max_points=MAX_REFERENCE_POINTS)
+    cap = thurston.MAX_REFERENCE_POINTS
+    induction = f.rauzy_path(r, max_points=cap)
     path = induction.path
     cells = None
     if len(path) == r and sigma_and_cyclicity(path.target)[1]:
         cells = build_reference(path).cells
     pf = dynamical_partition(f, r, induction, cells)
     grid, D = T.on_integer_grid()
-    pt = dynamical_partition(grid, r, grid.rauzy_path(r, max_points=MAX_REFERENCE_POINTS), cells)
+    pt = dynamical_partition(grid, r, grid.rauzy_path(r, max_points=cap), cells)
     if not partitions_equivalent(pf, pt):
         raise PathMismatch(f"order-{r} partitions are not combinatorially equivalent")
     nodes = [(0.0, 0.0)]

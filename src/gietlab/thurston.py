@@ -26,10 +26,9 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .combinatorics import (
     CombinatorialDatum,
@@ -51,6 +50,7 @@ from .errors import (
 from .exact_iet import ExactIET, InductionResult
 from .giet import Giet, dynamical_partition
 from . import full_family
+from .value import Frozen, Value
 
 EPS_DEG = 1e-9
 EPS_FIX = 1e-12
@@ -58,34 +58,33 @@ NEWTON_FLOOR = 1e-6  # the smallest line-search step of a Newton step
 FALLBACK_STEPS = 10  # averaged steps after a failed Newton step
 
 
-class LabelClass(NamedTuple):
+class LabelClass(namedtuple("LabelClass", "letter index orbit_pos")):
     """One of the N point classes: its orbit position, displayed as
     ``(letter, index)``, the fewest forward steps from a critical point."""
 
-    letter: str
-    index: int
-    orbit_pos: int
+    __slots__ = ()
 
     @property
     def name(self) -> str:
         return f"{self.letter}{self.index}"
 
 
-@dataclass(frozen=True)
-class RefConfig:
+class RefConfig(Frozen):
     """The reference configuration of a path with cyclic target: the model
     IET on its integer grid and the orbit of 0 that ``build_reference``
     walks.  The tables read off that orbit are cached: ``runs`` for the
     pullback step, ``lifts`` and ``cells`` for the certificate, ``names``
     for display."""
 
-    path: RauzyPath
-    N: int
-    h: dict
-    base_iet: ExactIET
-    grid: ExactIET  # the model on its integer grid
-    crit_pos: dict  # orbit position of each letter's critical point
-    orbit: tuple  # the model orbit of 0 on the grid: ``orbit[c]`` is ``T^c(0)``
+    _fields = ("path", "N", "h", "base_iet", "grid", "crit_pos", "orbit")
+
+    def __init__(self, path: RauzyPath, N: int, h: dict, base_iet: ExactIET, grid: ExactIET,
+                 crit_pos: dict, orbit: tuple):
+        # ``grid`` is the model on its integer grid, ``crit_pos`` the orbit
+        # position of each letter's critical point, and ``orbit[c]`` is
+        # ``T^c(0)`` on the grid
+        self.__dict__.update(path=path, N=N, h=h, base_iet=base_iet, grid=grid,
+                             crit_pos=crit_pos, orbit=orbit)
 
     @property
     def datum(self) -> CombinatorialDatum:
@@ -375,21 +374,26 @@ def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tup
     return None
 
 
-@dataclass
-class SolveReport:
+class SolveReport(Value):
     """Outcome of the fixed-point iteration."""
 
-    status: str  # realized | fixed_point_tol | boundary | max_iter
-    tau: dict
-    config: tuple  # the points, left to right
-    iterations: int  # accepted updates, Newton or averaged
-    deltas: list
-    map: object = None  # the family map at ``tau``; none where no map was selected
-    faces: tuple = ()
-    newton_steps: int = 0  # the updates that were Newton steps
-    # the induction of ``map`` by the path check that succeeded, which
-    # ``realize`` hands to the certificate's partition and then drops
-    induction: InductionResult | None = None
+    _fields = ("status", "tau", "config", "iterations", "deltas", "map", "faces",
+               "newton_steps", "induction")
+
+    def __init__(self, status: str, tau: dict, config: tuple, iterations: int, deltas: list,
+                 map=None, faces: tuple = (), newton_steps: int = 0,
+                 induction: InductionResult | None = None):
+        self.status = status  # realized | fixed_point_tol | boundary | max_iter
+        self.tau = tau
+        self.config = config  # the points, left to right
+        self.iterations = iterations  # accepted updates, Newton or averaged
+        self.deltas = deltas
+        self.map = map  # the family map at ``tau``; none where no map was selected
+        self.faces = faces
+        self.newton_steps = newton_steps  # the updates that were Newton steps
+        # the induction of ``map`` by the path check that succeeded, which
+        # ``realize`` hands to the certificate's partition and then drops
+        self.induction = induction
 
     @property
     def realized(self) -> bool:
@@ -468,15 +472,19 @@ def solve(
         config = new_config
 
 
-@dataclass
-class RealizeResult:
-    tau: dict
-    certificate: bool
-    report: SolveReport
-    ref: RefConfig
-    full_path: RauzyPath
-    appended: int
-    certificate_error: str | None = None  # why the realized map has no partition
+class RealizeResult(Value):
+    _fields = ("tau", "certificate", "report", "ref", "full_path", "appended",
+               "certificate_error")
+
+    def __init__(self, tau: dict, certificate: bool, report: SolveReport, ref: RefConfig,
+                 full_path: RauzyPath, appended: int, certificate_error: str | None = None):
+        self.tau = tau
+        self.certificate = certificate
+        self.report = report
+        self.ref = ref
+        self.full_path = full_path
+        self.appended = appended
+        self.certificate_error = certificate_error  # why the realized map has no partition
 
 
 def in_model_order(ref: RefConfig, partition) -> bool:

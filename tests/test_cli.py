@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +23,14 @@ from gietlab.errors import GietlabError, InductionFailed
 from gietlab.combinatorics import parse_datum, sigma_and_cyclicity
 from gietlab.exact_iet import ExactIET
 from gietlab.full_family import apply
-from gietlab.giet import Atom, Giet, dynamical_partition, giet_from_branches, giet_from_iet
+from gietlab.giet import (
+    Atom,
+    DynamicalPartition,
+    Giet,
+    dynamical_partition,
+    giet_from_branches,
+    giet_from_iet,
+)
 from gietlab.semiconjugacy import build_semiconjugacy, residual
 from gietlab.thurston import MAX_REFERENCE_POINTS, build_reference, in_model_order
 
@@ -854,7 +860,7 @@ def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys
     assert '"letter": "\\\\"' in texts["escaped letters"]
     # equal neighbouring ends that print apart: 0.0, then -0.0
     atoms = (Atom(-0.5, 0.0, "A", 0), Atom(-0.0, 0.5, "B", 0))
-    p = replace(dynamical_partition(f4, 0), atoms=atoms)
+    p = DynamicalPartition(0, atoms, dynamical_partition(f4, 0).path)
     text = fileio.partition_json(p, 1.0, ["x", "y"])
     assert text == json.dumps(partition_document(p, 1.0, ["x", "y"]), sort_keys=True)
     assert '"left": -0.0' in text
@@ -1169,22 +1175,27 @@ def test_partition_of_float_giet_with_class_labels(tmp_path, capsys):
     assert all(isinstance(a["left"], float) for a in out["atoms"])
 
 
-def test_partition_names_classes_beyond_the_solver_point_cap(tmp_path, capsys, monkeypatch):
+def test_one_point_cap_refuses_realize_partition_and_semiconj(tmp_path, capsys, monkeypatch):
+    """``thurston.MAX_REFERENCE_POINTS`` is read when a command runs, so a
+    patched cap reaches all three commands that build N points."""
     import gietlab.thurston as thurston
 
     monkeypatch.setattr(thurston, "MAX_REFERENCE_POINTS", 1_000)
-    golden = (math.sqrt(5) - 1) / 2
-    f2 = smooth_giet(D2, [1 - golden, golden], {"A": 2.0, "B": -1.5})
-    assert main(["partition", write_doc(tmp_path, fileio.giet_document(f2)), "-r", "21"]) == 0
-    labels = [a["label"] for a in json.loads(capsys.readouterr().out)["atoms"]]
-    assert len(labels) == 5_919
-    assert labels == class_labels(dynamical_partition(f2, 21))
-    # the cap is the solver's: realize refuses a path whose N is above it
     family = write_seed_family(tmp_path, D2)
     assert main(["realize", family, "tb" * 7]) == 1
     assert capsys.readouterr() == (
         "", "error: reference configuration needs N=1597 points, beyond the cap 1000\n"
     )
+    (f2, _), (m2, _) = (partition_maps()[name] for name in ("f2@21", "m2@21"))
+    assert len(dynamical_partition(f2, 21).atoms) == 5_919
+    f_path, t_path = str(tmp_path / "f.json"), str(tmp_path / "t.json")
+    fileio.dump(fileio.giet_document(f2), f_path)
+    fileio.dump(fileio.iet_document(m2), t_path)
+    refused = ("", "error: the order-21 induction passes the cap of 1000 points: "
+                   "N=1297 after 16 of 21 steps\n")
+    for argv in (["partition", f_path, "-r", "21"], ["semiconj", f_path, t_path, "-r", "21"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == refused, argv
 
 
 def test_smooth_branch_rounding_out_of_its_range_names_the_letter(tmp_path, capsys):

@@ -2,7 +2,6 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -38,6 +37,7 @@ from gietlab.errors import (
 )
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
+    DynamicalPartition,
     dynamical_partition,
     giet_from_branches,
     giet_from_iet,
@@ -344,11 +344,11 @@ def test_smooth_k_whose_exponential_overflows_is_a_typed_error():
 
 def test_partition_validate_raises_a_typed_error_naming_the_atom():
     P = dynamical_partition(model_iet(), 5)
-    gap = replace(P, atoms=P.atoms[:3] + P.atoms[4:])
+    gap = DynamicalPartition(P.order, P.atoms[:3] + P.atoms[4:], P.path)
     with pytest.raises(GietlabError, match=r"^atom D2 \[4/11, 5/11\) does not start where atom D0 "
                                            r"ends, 3/11$"):
         gap.validate(Fraction(1))
-    short = replace(P, atoms=P.atoms[:-1])
+    short = DynamicalPartition(P.order, P.atoms[:-1], P.path)
     with pytest.raises(GietlabError, match=r"^atom D3 \[9/11, 10/11\) ends at 10/11, not at the "
                                            r"total length 1$"):
         short.validate(Fraction(1))

@@ -2,7 +2,7 @@
 step, and the constants that branches and data keep to make the step cheap.
 
 The reference builds every chain through ``Chain.__init__``, keeps both
-rows by hand, constructs the induced ``Giet`` through its dataclass
+rows by hand, constructs the induced ``Giet`` through its
 ``__init__`` and checks that the rows it kept are the ones the map reads off
 its branches; the package's step must give the same map bit for bit.
 """

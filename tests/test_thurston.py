@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -43,7 +42,7 @@ from gietlab.errors import (
 )
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
-    Atom,
+    DynamicalPartition,
     Giet,
     dynamical_partition,
     giet_from_branches,
@@ -151,7 +150,7 @@ def test_build_reference_walks_the_model_orbit_once(monkeypatch):
 def test_reference_fields_hold_one_orbit_table():
     # the model orbit is the one table of N entries: the sweeps walk it
     # backwards and the certificate reads the model's atoms off it
-    assert [f.name for f in dataclasses.fields(thurston.RefConfig)] == [
+    assert list(thurston.RefConfig._fields) == [
         "path", "N", "h", "base_iet", "grid", "crit_pos", "orbit"
     ]
     for depth in (5, 15):
@@ -1319,8 +1318,8 @@ def test_certificate_fails_when_two_neighbouring_labels_swap(monkeypatch, k):
         atoms = list(p.atoms)
         (lo, hi, a, i), (lo2, hi2, b, j) = atoms[k:k + 2]
         assert (a, i) != (b, j)
-        atoms[k:k + 2] = [Atom(lo, hi, b, j), Atom(lo2, hi2, a, i)]
-        return dataclasses.replace(p, atoms=tuple(atoms))
+        atoms[k:k + 2] = [(lo, hi, b, j), (lo2, hi2, a, i)]
+        return DynamicalPartition(p.order, tuple(atoms), p.path)
 
     result = fib_partition_with(monkeypatch, swapped)
     assert result.report.realized and result.ref.N == 610
@@ -1328,7 +1327,8 @@ def test_certificate_fails_when_two_neighbouring_labels_swap(monkeypatch, k):
 
 
 def test_certificate_fails_on_a_missing_atom(monkeypatch):
-    result = fib_partition_with(monkeypatch, lambda p: dataclasses.replace(p, atoms=p.atoms[:-1]))
+    result = fib_partition_with(monkeypatch,
+                                lambda p: DynamicalPartition(p.order, p.atoms[:-1], p.path))
     assert not result.certificate
 
 
@@ -1505,7 +1505,7 @@ def test_in_model_order_agrees_with_the_per_atom_verdict(seed, path):
         cases.append(rng.sample(atoms, len(atoms)))
     verdicts = []
     for case in cases:
-        q = dataclasses.replace(p, atoms=tuple(case))
+        q = DynamicalPartition(p.order, tuple(case), p.path)
         verdicts.append(in_model_order(ref, q))
         assert verdicts[-1] == in_model_order_per_atom(ref, q)
     assert verdicts == [True] + [False] * (len(cases) - 1)
