@@ -14,7 +14,6 @@ from .combinatorics import (
     path_matrix,
     rauzy_class,
     rauzy_step,
-    reduction,
     return_times,
     sigma_and_cyclicity,
 )
@@ -35,11 +34,7 @@ from .giet import (
     giet_from_iet,
     partitions_equivalent,
 )
-from .full_family import (
-    Degeneration,
-    apply,
-    boundary_apply,
-)
+from .full_family import apply
 from .thurston import (
     GietFamily,
     LabelClass,

@@ -59,24 +59,6 @@ class Branch(Frozen):
         """The slope of the inverse at each of ``ys``."""
         raise NotImplementedError
 
-    def validate(self, samples: int = 16, eps: float = EPS_BRANCH) -> None:
-        """Spot-check monotonicity, endpoint matching and inverse consistency."""
-        a, b = self.domain
-        c, d = self.range_
-        name = f"{type(self).__name__} branch {self.domain} -> {self.range_}"
-        if not (b > a and d > c):
-            raise GietlabError(f"{name} is degenerate")
-        xs = [a + (b - a) * i / samples for i in range(samples + 1)]
-        ys = [self.eval(x) for x in xs]
-        for x, y0, y1 in zip(xs[1:], ys, ys[1:]):
-            if not y1 > y0:
-                raise GietlabError(f"{name} is not strictly increasing at x = {x}")
-        if not (abs(ys[0] - c) <= eps and abs(ys[-1] - d) <= eps):
-            raise GietlabError(f"{name} maps its domain onto [{ys[0]}, {ys[-1]}]")
-        for x in xs[1:-1]:
-            if not abs(self.inverse(self.eval(x)) - x) <= max(eps, 1e-9 * (b - a)):
-                raise GietlabError(f"{name} inverse does not round-trip x = {x}")
-
 
 class Translation(Branch):
     """``x + shift``.  The shift defaults to the difference of the two left

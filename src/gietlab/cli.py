@@ -27,7 +27,7 @@ from .combinatorics import (
     sigma_and_cyclicity,
 )
 from .errors import GietlabError, NoCyclicDatum, SolverFailed
-from .exact_iet import ExactIET
+from .exact_iet import ExactIET, float_length
 from .giet import Giet, dynamical_partition, giet_from_iet
 from .semiconjugacy import build_semiconjugacy, defect, residual
 from .thurston import GietFamily, build_reference, realize
@@ -108,15 +108,16 @@ def cmd_partition(args) -> int:
         labels = ref.atom_names(partition.atoms)
     else:
         labels = [f"{letter}{index}" for _, _, letter, index in partition.atoms]
+    if args.svg:  # first, so a figure too large for floats writes nothing
+        atoms = ((lo / scale, hi / scale, label)
+                 for (lo, hi, _, _), label in zip(partition.atoms, labels))
+        figure = svg.render_partition(float_length(m.total, scale), atoms)
+        with open(args.svg, "w") as fh:
+            fh.write(figure)
     if args.output:
         fileio.dump(fileio.partition_pieces(partition, m.total, labels, scale), args.output)
     else:
         print(fileio.partition_json(partition, m.total, labels, scale))
-    if args.svg:
-        atoms = ((lo / scale, hi / scale, label)
-                 for (lo, hi, _, _), label in zip(partition.atoms, labels))
-        with open(args.svg, "w") as fh:
-            fh.write(svg.render_partition(m.total / scale, atoms))
     return 0
 
 

@@ -26,7 +26,6 @@ from functools import cache, cached_property
 
 from .errors import (
     DuplicateLetter,
-    EmptySubset,
     IncompatibleArrows,
     NotAdmissible,
     NoRauzyArrow,
@@ -338,19 +337,4 @@ def find_path(cls: tuple, start: CombinatorialDatum, end: CombinatorialDatum) ->
         chain.append(parent[end])
         end = parent[end].source
     return RauzyPath(start, tuple(reversed(chain)))
-
-
-def reduction(datum: CombinatorialDatum, keep) -> CombinatorialDatum:
-    """Restrict both rows to a letter subset, re-indexing positions in order.
-
-    The result need not be admissible even when the input is.
-    """
-    keep = set(keep)
-    if not keep:
-        raise EmptySubset("cannot reduce onto the empty set")
-    if not keep <= set(datum.top):
-        raise EmptySubset(f"letters {keep - set(datum.top)} not in the alphabet")
-    top = tuple(a for a in datum.top if a in keep)
-    bottom = tuple(a for a in datum.bottom if a in keep)
-    return CombinatorialDatum(top, bottom)
 

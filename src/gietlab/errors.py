@@ -13,10 +13,6 @@ class RowMismatch(GietlabError):
     """Top and bottom rows do not carry the same letters."""
 
 
-class EmptySubset(GietlabError):
-    """A reduction was requested onto an empty letter set."""
-
-
 class NotAdmissible(GietlabError):
     """A datum is not admissible where an admissible one is required."""
 
@@ -31,7 +27,8 @@ class IncompatibleArrows(GietlabError):
 
 
 class BadLengths(GietlabError):
-    """An IET length vector has the wrong count or a non-positive entry."""
+    """An IET length vector has the wrong count or a non-positive entry, or
+    its total is too large for a float."""
 
 
 class NotInClass(GietlabError):
@@ -57,9 +54,8 @@ class TooManyPoints(GietlabError):
 
 
 class DegenerateTau(GietlabError):
-    """A deformation parameter is off the simplex: an entry that is not
-    finite or is negative, entries that do not sum to 1, or a zero entry
-    where positivity is required."""
+    """A deformation parameter is off the open simplex: an entry that is not
+    finite or not positive, or entries that do not sum to 1."""
 
 
 class AllZero(DegenerateTau):

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, log10
 
 from .branches import Translation
 from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
@@ -71,6 +71,16 @@ def induce(m, r: int, kinds: str | None = None,
         if kinds is not None and arrow.kind != kinds[i]:
             break
     return InductionResult(RauzyPath(m.datum, tuple(arrows)), current, tie)
+
+
+def float_length(x, scale=1) -> float:
+    """The total length ``x / scale`` of a map, correctly rounded to a
+    float; one past the largest float raises ``BadLengths``, naming it."""
+    try:
+        return float(x / scale)
+    except OverflowError:
+        e = log10(x // scale)
+        raise BadLengths(f"total length {10 ** (e % 1):.3g}e{int(e)} is too large for a float") from None
 
 
 def lay_out(row, widths) -> dict:

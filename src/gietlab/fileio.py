@@ -48,6 +48,14 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _datum(doc: dict, kind: str):
+    """The datum of a ``kind`` document, whose ``datum`` must be a string."""
+    text = doc["datum"]
+    if not isinstance(text, str):
+        raise GietlabError(f"{kind} document field 'datum' must be a string, got {text!r}")
+    return parse_datum_text(text)
+
+
 def _exact_length(letter, v) -> Fraction:
     """The length of ``letter``: a ``"p/q"`` string, or a finite JSON number
     (not a boolean), read as the nearest fraction with denominator up to 10^12."""
@@ -76,7 +84,7 @@ def iet_document(T: ExactIET) -> dict:
 def iet_from_document(doc: dict) -> ExactIET:
     _object(doc, "iet document")
     with reading("iet"):
-        datum = parse_datum_text(doc["datum"])
+        datum = _datum(doc, "iet")
         lengths = _per_letter(
             "iet", datum, "lengths", _object(doc["lengths"], "iet document field 'lengths'")
         )
@@ -106,7 +114,7 @@ def branch_from_record(rec: dict) -> Branch:
     if kind == "affine":
         return Affine(*_bounds(rec))
     if kind == "pl":
-        return PiecewiseLinear(tuple(_pair(p, "nodes") for p in rec["nodes"]))
+        return PiecewiseLinear(tuple(_pair(p, "nodes") for p in _list(rec, "nodes", "[x, y] pairs")))
     if kind == "smooth":
         return SmoothParam(*_bounds(rec), _number(rec.get("k", 1.0), "field 'k'"))
     if kind == "composite":
@@ -114,12 +122,18 @@ def branch_from_record(rec: dict) -> Branch:
     if kind == "window":
         return Chain((branch_from_record(rec["base"]),), *_bounds(rec))
     if kind == "chain":
-        parts = rec["parts"]
-        if not isinstance(parts, list):
-            raise GietlabError(f"field 'parts' must be a list of branch records, got {parts!r}")
+        parts = _list(rec, "parts", "branch records")
         bounds = _bounds(rec) if "domain" in rec or "range" in rec else ()
         return Chain(tuple(branch_from_record(p) for p in parts), *bounds)
     raise GietlabError(f"unknown branch kind {kind!r}")
+
+
+def _list(rec: dict, key: str, what: str) -> list:
+    """A branch record's ``key`` entry, which must be a list of ``what``."""
+    value = rec[key]
+    if not isinstance(value, list):
+        raise GietlabError(f"field {key!r} must be a list of {what}, got {value!r}")
+    return value
 
 
 def _bounds(rec: dict) -> tuple:
@@ -152,7 +166,7 @@ def giet_from_document(doc: dict) -> Giet:
     branch domains and ranges, match them to within the same tolerance."""
     _object(doc, "giet document")
     with reading("giet"):
-        datum = parse_datum_text(doc["datum"])
+        datum = _datum(doc, "giet")
         top, bottom, branches = (
             _per_letter("giet", datum, key, _object(doc[key], f"giet document field {key!r}"))
             for key in ("top", "bottom", "branches")
@@ -266,7 +280,7 @@ def partition_json(p: DynamicalPartition, total, labels, scale=1) -> str:
 def partition_from_document(doc: dict) -> tuple[float, list]:
     """The ``total`` and the atoms' ``(left, right, label)`` of a partition
     document, in floats, every atom checked, and the atoms checked to tile
-    ``[0, total)`` as ``DynamicalPartition.validate`` checks them."""
+    ``[0, total)`` as ``dynamical_partition`` checks its atoms."""
     with reading("partition"):
         total = _endpoint(doc["total"], "partition document field 'total'")
         atoms = doc["atoms"]

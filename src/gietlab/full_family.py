@@ -1,4 +1,4 @@
-"""The explicit deformation operator and its boundary degenerations.
+"""The explicit deformation operator that spans a full family.
 
 Given a unit-interval GIET ``f`` and a simplex vector ``tau``, the operator
 conjugates ``f`` by two piecewise-affine changes of variable so that the
@@ -14,20 +14,17 @@ piecewise-linear one keeps its nodes, translations and affine maps become
 affine, and a chain gains one affine change of variable at each end.  So
 deforming a deformed map does not nest branches.
 
-On the closed simplex, letters with ``tau = 0`` collapse to points: the
-result is a degeneration made of a reduced-alphabet GIET plus one singular
-point per removed letter.
+The operator acts on the open simplex: every entry of ``tau`` is positive,
+as at the parameter that realizes a path.
 """
 
 from __future__ import annotations
 
 import math
 
-from .combinatorics import CombinatorialDatum, reduction
+from .combinatorics import CombinatorialDatum
 from .errors import AllZero, DegenerateTau, GietlabError
-from .exact_iet import lay_out
 from .giet import Giet, giet_from_branches
-from .value import Frozen
 
 
 def _sum(xs) -> float:
@@ -39,10 +36,10 @@ def _sum(xs) -> float:
     return total
 
 
-def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
+def _positive_tau(datum: CombinatorialDatum, tau) -> dict:
     """``tau`` as a float per letter.  A NaN or infinite entry, a tau that
-    vanishes identically, or one whose entries do not sum to 1 within 1e-9
-    is an error."""
+    vanishes identically, one whose entries do not sum to 1 within 1e-9, or
+    one with an entry that is not positive is an error."""
     values = [tau[a] for a in datum.alphabet] if isinstance(tau, dict) else tau
     tau = dict(zip(datum.alphabet, map(float, values)))
     if not all(map(math.isfinite, tau.values())):
@@ -52,11 +49,6 @@ def _tau_dict(datum: CombinatorialDatum, tau) -> dict:
     total = _sum(tau.values())
     if not abs(total - 1.0) <= 1e-9:
         raise DegenerateTau(f"tau must sum to 1, got {total!r}")
-    return tau
-
-
-def _positive_tau(datum: CombinatorialDatum, tau) -> dict:
-    tau = _tau_dict(datum, tau)
     if any(v <= 0 for v in tau.values()):
         raise DegenerateTau(f"tau must be strictly positive, got {tau}")
     return tau
@@ -124,41 +116,4 @@ def apply(f: Giet, tau) -> Giet:
     tau = _positive_tau(f.datum, tau)
     return giet_from_branches(f.datum, _top_widths(f, tau), tau,
                               lambda a, dom, rng: f.branches[a].rescaled(dom, rng))
-
-
-class Degeneration(Frozen):
-    """Limit object at the simplex boundary: a reduced GIET plus singular points."""
-
-    _fields = ("datum", "reduced_datum", "regular", "singular")
-
-    def __init__(self, datum: CombinatorialDatum, reduced_datum: CombinatorialDatum,
-                 regular: Giet, singular: dict):
-        self.__dict__.update(datum=datum, reduced_datum=reduced_datum, regular=regular,
-                             singular=singular)
-
-    @property
-    def removed(self):
-        return tuple(sorted(self.singular))
-
-
-def boundary_apply(f: Giet, tau) -> Degeneration:
-    """Deformation at a boundary parameter: zero entries collapse letters.
-
-    Both rows are laid out in full.  A collapsed letter has zero width on
-    each, so its top and bottom intervals are points, and together they are
-    the singular point its branch graph shrinks to.  Adding a zero width is
-    exact, so the kept letters sit where they would without it, and both
-    coordinates land on breakpoints of the regular part or at 1.
-    """
-    tau = _tau_dict(f.datum, tau)
-    if any(v < 0 for v in tau.values()):
-        raise DegenerateTau(f"tau must be non-negative, got {tau}")
-    zeros = {a for a, v in tau.items() if v == 0.0}
-    if not zeros:
-        raise DegenerateTau("boundary deformation needs at least one zero entry")
-    top, bottom = lay_out(f.datum.top, _top_widths(f, tau)), lay_out(f.datum.bottom, tau)
-    branches = {a: f.branches[a].rescaled(top[a], bottom[a]) for a in f.datum.top if a not in zeros}
-    reduced = reduction(f.datum, set(branches))
-    singular = {a: (top[a][0], bottom[a][0]) for a in zeros}
-    return Degeneration(f.datum, reduced, Giet(reduced, 1.0, branches), singular)
 

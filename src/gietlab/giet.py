@@ -27,7 +27,7 @@ from operator import itemgetter, lt
 from .branches import Translation, compose, restrict, EPS_BRANCH
 from .combinatorics import CombinatorialDatum, RauzyPath, path_matrix, rauzy_step as datum_step
 from .errors import GietlabError, InductionFailed, TieError
-from .exact_iet import Exchange, InductionResult, induce, lay_out
+from .exact_iet import Exchange, InductionResult, float_length, induce, lay_out
 from .value import Frozen
 
 EPS_TIE = 1e-10
@@ -142,22 +142,16 @@ class Giet(Exchange):
                                   (self.datum.bottom, "range", bottom)):
             check_tiling(bounds, self.length, lambda i: f"branch {row[i]!r} {side}", tol)
 
-    def validate(self):
-        """Check that the branches tile both rows and spot-check each branch."""
-        self.check_intervals()
-        for a in self.datum.alphabet:
-            self.branches[a].validate(eps=1e-9)
-
 
 def giet_from_iet(T) -> Giet:
     """Float translation-branch copy of an exact IET.  Each branch shifts by
     the exact displacement rounded once, so its image of a float ``x`` is
     ``x + float(u_b - u_t)``, the bits of ``T.eval(x)``."""
-    branches = {}
+    total, branches = float_length(T.total), {}
     for a, br in T.branches.items():
         lo, c, l = float(T.top_breaks[a]), float(T.bottom_breaks[a]), float(T.length(a))
         branches[a] = Translation((lo, lo + l), (c, c + l), float(br.shift))
-    return Giet(T.datum, float(T.total), branches)
+    return Giet(T.datum, total, branches)
 
 
 def giet_from_branches(datum: CombinatorialDatum, top_lengths, bottom_lengths, maker) -> Giet:
@@ -198,13 +192,6 @@ class DynamicalPartition(Frozen):
     def labels(self):
         """Each atom's ``(letter, index)``, left to right."""
         return list(map(itemgetter(2, 3), self.atoms))
-
-    def validate(self, total):
-        """Check that the atoms tile ``[0, total)`` left to right, each one
-        nonempty (``check_tiling``): exactly for an ``int`` or ``Fraction``
-        total, to within ``1e-9 * max(1, |total|)`` for a float one."""
-        atoms = self.atoms
-        check_tiling(atoms, total, lambda i: f"atom {atoms[i][2]}{atoms[i][3]}")
 
 
 def check_tiling(atoms, total, name, tol=None):
@@ -251,8 +238,9 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None,
     a GIET.  Callers who want ``int`` speed pass the integer grid
     (``ExactIET.on_integer_grid``), as ``partition`` and ``semiconj`` do.
     ``induction``, if given, is ``m.rauzy_path(r)`` already computed.  Raises
-    ``GietlabError`` when the atoms do not tile the interval
-    (``DynamicalPartition.validate``).
+    ``GietlabError`` when the atoms do not tile ``[0, m.total)`` left to
+    right, each one nonempty (``check_tiling``): exactly for an ``int`` or
+    ``Fraction`` total, to within ``1e-9 * max(1, |total|)`` for a float one.
 
     Each tower is walked once, by one of two routes, with the same atom ends
     and labels:
@@ -289,10 +277,9 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None,
         atoms = _laid_in_cells(m, tops, q, cells)
         if not all(map(lt, map(first, atoms), map(first, islice(atoms, 1, None)))):
             atoms.sort(key=first)
-    partition = DynamicalPartition(r, tuple(atoms), path)
     # float towers can drift apart before any tie
-    partition.validate(m.total)
-    return partition
+    check_tiling(atoms, m.total, lambda i: f"atom {atoms[i][2]}{atoms[i][3]}")
+    return DynamicalPartition(r, tuple(atoms), path)
 
 
 def partitions_equivalent(p: DynamicalPartition, q: DynamicalPartition) -> bool:

@@ -1,12 +1,16 @@
 """SVG rendering of interval partitions and GIET graphs.
 
 Fixed coordinate scale: 1000 SVG units per unit interval, so outputs are
-diff-able across runs.  It only draws: ``fileio`` reads and checks documents.
+diff-able across runs.  It only draws, and refuses a figure too large for
+floats: ``fileio`` reads and checks documents.
 """
 
 from __future__ import annotations
 
+import math
 from html import escape
+
+from .errors import GietlabError
 
 SCALE = 1000.0
 MARGIN = 40.0
@@ -20,7 +24,12 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _svg(width: float, height: float, body: list[str]) -> str:
+def _svg(total: float, height: float, body: list[str]) -> str:
+    """The document of a figure over ``[0, total)``, with a margin on each
+    side; a width past the largest float is a ``GietlabError``."""
+    width = total * SCALE + 2 * MARGIN
+    if width == math.inf:
+        raise GietlabError(f"total length {total} is too long to draw at {SCALE:g} units per unit")
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
@@ -67,13 +76,13 @@ def render_partition(total: float, atoms) -> str:
                 f'<text x="{x + w / 2:.2f}" y="66" font-size="{FONT_SIZE}" '
                 f'text-anchor="middle" font-family="monospace">{escape(text, quote=False)}</text>'
             )
-    return _svg(total * SCALE + 2 * MARGIN, 120.0, body)
+    return _svg(total, 120.0, body)
 
 
 def render_giet(g) -> str:
     """Square plot of a ``Giet`` on ``[0, length)``, one monotone arc per branch."""
     size = g.length * SCALE
-    width = height = size + 2 * MARGIN
+    height = size + 2 * MARGIN
 
     def X(x):
         return MARGIN + x * SCALE
@@ -111,5 +120,5 @@ def render_giet(g) -> str:
             f'<text x="{_fmt(X((lo + hi) / 2))}" y="{_fmt(MARGIN + size + 24)}" '
             f'font-size="16" text-anchor="middle" font-family="monospace">{escape(a, quote=False)}</text>'
         )
-    return _svg(width, height, body)
+    return _svg(g.length, height, body)
 

@@ -8,8 +8,8 @@ carries the display name ``(letter, i)`` with the fewest forward steps from a
 critical point, which is the labelling used for partitions of the model map.
 
 A configuration is the tuple of N points in the reference's order: entry
-``x``, a float or an exact rational, is the point of the class at grid point
-``x`` of the model, and entry 0 is pinned at 0.  Reading the
+``x`` is the point of the class at grid point ``x`` of the model, and entry
+0 is pinned at 0.  Reading the
 parameter ``tau`` off a configuration (consecutive gaps of the ``[alpha, 1]``
 points along the bottom row) selects one map of a full family; pulling every
 point back one index under that map is the pullback step.  Fixed points of
@@ -224,11 +224,11 @@ def is_ordered(points) -> bool:
     return points[0] == 0 and all(map(operator.lt, points, points[1:])) and points[-1] < 1
 
 
-def reference_configuration(ref: RefConfig, exact: bool = True) -> tuple:
-    """The reference: the class at grid point ``x`` sits at ``x / N``, as a
-    ``Fraction`` or, correctly rounded, as a float."""
+def reference_configuration(ref: RefConfig) -> tuple:
+    """The reference: the class at grid point ``x`` sits at ``x / N``,
+    correctly rounded to a float."""
     N = ref.N
-    return tuple(Fraction(x, N) if exact else x / N for x in range(N))
+    return tuple(x / N for x in range(N))
 
 
 def tau_of(ref: RefConfig, config: tuple) -> dict:
@@ -253,8 +253,6 @@ def tau_of(ref: RefConfig, config: tuple) -> dict:
 
 class GietFamily:
     """The full family spanned by deforming a fixed unit-interval GIET."""
-
-    exact = False
 
     def __init__(self, seed: Giet):
         self.seed = seed
@@ -414,14 +412,13 @@ def solve(
     or below ``EPS_DEG`` report ``boundary`` with the faces involved, and a
     pullback that breaks the order reports ``boundary`` with none.
 
-    A float family takes Newton steps towards the fixed point of the
-    pullback (``_newton_step``).  Where one fails, and always for an exact
-    family, the iterate is the average of the previous one and its pullback:
-    the same fixed points, without the near-period-2 oscillation of the bare
-    pullback.  A failed Newton step starts ``FALLBACK_STEPS`` averaged steps,
-    and then Newton is tried again.
+    The solver takes Newton steps towards the fixed point of the pullback
+    (``_newton_step``).  Where one fails, the iterate is the average of the
+    previous one and its pullback: the same fixed points, without the
+    near-period-2 oscillation of the bare pullback.  A failed Newton step
+    starts ``FALLBACK_STEPS`` averaged steps, and then Newton is tried again.
     """
-    config = start if start is not None else reference_configuration(ref, family.exact)
+    config = start if start is not None else reference_configuration(ref)
     r, kinds = len(ref.path), ref.path.kinds
     deltas: list[tuple[int, float]] = []
     settled = False
@@ -454,20 +451,19 @@ def solve(
         new_config = None
         if averaged_left:
             averaged_left -= 1
-        elif not family.exact:
+        else:
             new_config = _newton_step(family, ref, config, pulled, f)
             if new_config is None:
                 averaged_left = FALLBACK_STEPS - 1
             else:
                 newton_steps += 1
         if new_config is None:
-            # (old + new) / 2, class by class: exact for fractions; for
-            # floats in [0, 1) that are 0 or above 1e-307 it has the bits of
-            # 0.5 * old + 0.5 * new, as halving is exact there and both
-            # round the same sum once
+            # (old + new) / 2, class by class: for floats in [0, 1) that are
+            # 0 or above 1e-307 it has the bits of 0.5 * old + 0.5 * new, as
+            # halving is exact there and both round the same sum once
             new_config = tuple([(c + p) / 2 for c, p in zip(config, pulled)])
         delta = max(map(abs, map(operator.sub, config, new_config)))
-        deltas.append((it + 1, float(delta)))
+        deltas.append((it + 1, delta))
         settled = delta < EPS_FIX
         config = new_config
 

@@ -1,6 +1,8 @@
 """Shared builders for randomized sweeps, and the oracles that only the tests
-read: the sampled graph distance, the exact IET family, the bottom-row
-inverse and the enumeration of admissible data.
+read: the sampled graph distance, the exact IET family and its fraction
+reference, the bottom-row inverse, the enumeration of admissible data, the
+spot checks of branches and maps, and the extension of a full family to
+the closed simplex.
 
 Every test draws from an explicitly seeded ``random.Random``, so failures
 reproduce deterministically.
@@ -13,7 +15,7 @@ from functools import cache
 from itertools import permutations
 
 import gietlab.thurston as thurston
-from gietlab.branches import PiecewiseLinear, SmoothParam, Translation
+from gietlab.branches import EPS_BRANCH, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import (
     CombinatorialDatum,
     RauzyPath,
@@ -21,10 +23,11 @@ from gietlab.combinatorics import (
     parse_datum,
     path_matrix,
 )
-from gietlab.errors import GietlabError, OrderViolation
-from gietlab.exact_iet import ExactIET
-from gietlab.full_family import Degeneration, _sum
-from gietlab.giet import dynamical_partition, giet_from_branches
+from gietlab.errors import AllZero, DegenerateTau, GietlabError, OrderViolation
+from gietlab.exact_iet import ExactIET, lay_out
+from gietlab.full_family import _sum, _top_widths
+from gietlab.giet import Giet, dynamical_partition, giet_from_branches
+from gietlab.value import Frozen
 
 
 def all_admissible_data(letters) -> list:
@@ -64,16 +67,126 @@ def eval_inverse(m, y):
 
 
 class ExactIETFamily:
-    """The family of exact IETs over a datum: parameter = length vector.
-    ``thurston.solve`` averages its steps in exact arithmetic."""
-
-    exact = True
+    """The family of exact IETs over a datum: parameter = length vector."""
 
     def __init__(self, datum):
         self.datum = datum
 
     def at(self, tau: dict) -> ExactIET:
         return ExactIET.from_lengths(self.datum, tau, normalize=False)
+
+
+def exact_reference(ref) -> tuple:
+    """The reference configuration in fractions: the class at grid point
+    ``x`` sits at ``Fraction(x, N)``."""
+    return tuple(Fraction(x, ref.N) for x in range(ref.N))
+
+
+def averaged_loop(family, ref, config, max_iter=100):
+    """The bare averaged pullback, in the numbers of ``config``: replace the
+    points by the average of them and their pullback (``thurston.step``)
+    until the map they select follows the path.  Returns that configuration
+    and the number of averaged steps taken."""
+    for steps in range(max_iter + 1):
+        f = family.at(thurston.tau_of(ref, config))
+        if f.rauzy_path(len(ref.path)).path.kinds == ref.path.kinds:
+            return config, steps
+        pulled = thurston.step(ref, config, f)
+        config = tuple((c + p) / 2 for c, p in zip(config, pulled))
+    raise GietlabError(f"the averaged loop did not realize the path in {max_iter} steps")
+
+
+def validate_branch(br, samples: int = 16, eps: float = EPS_BRANCH) -> None:
+    """Spot-check monotonicity, endpoint matching and inverse consistency."""
+    a, b = br.domain
+    c, d = br.range_
+    name = f"{type(br).__name__} branch {br.domain} -> {br.range_}"
+    if not (b > a and d > c):
+        raise GietlabError(f"{name} is degenerate")
+    xs = [a + (b - a) * i / samples for i in range(samples + 1)]
+    ys = [br.eval(x) for x in xs]
+    for x, y0, y1 in zip(xs[1:], ys, ys[1:]):
+        if not y1 > y0:
+            raise GietlabError(f"{name} is not strictly increasing at x = {x}")
+    if not (abs(ys[0] - c) <= eps and abs(ys[-1] - d) <= eps):
+        raise GietlabError(f"{name} maps its domain onto [{ys[0]}, {ys[-1]}]")
+    for x in xs[1:-1]:
+        if not abs(br.inverse(br.eval(x)) - x) <= max(eps, 1e-9 * (b - a)):
+            raise GietlabError(f"{name} inverse does not round-trip x = {x}")
+
+
+def validate_giet(g) -> None:
+    """Check that the branches of ``g`` tile both rows and spot-check each branch."""
+    g.check_intervals()
+    for a in g.datum.alphabet:
+        validate_branch(g.branches[a], eps=1e-9)
+
+
+class EmptySubset(GietlabError):
+    """A reduction was requested onto an empty letter set."""
+
+
+def reduction(datum: CombinatorialDatum, keep) -> CombinatorialDatum:
+    """Restrict both rows to a letter subset, re-indexing positions in order.
+
+    The result need not be admissible even when the input is.
+    """
+    keep = set(keep)
+    if not keep:
+        raise EmptySubset("cannot reduce onto the empty set")
+    if not keep <= set(datum.top):
+        raise EmptySubset(f"letters {keep - set(datum.top)} not in the alphabet")
+    top = tuple(a for a in datum.top if a in keep)
+    bottom = tuple(a for a in datum.bottom if a in keep)
+    return CombinatorialDatum(top, bottom)
+
+
+class Degeneration(Frozen):
+    """Limit object at the simplex boundary: a reduced GIET plus singular points."""
+
+    _fields = ("datum", "reduced_datum", "regular", "singular")
+
+    def __init__(self, datum: CombinatorialDatum, reduced_datum: CombinatorialDatum,
+                 regular: Giet, singular: dict):
+        self.__dict__.update(datum=datum, reduced_datum=reduced_datum, regular=regular,
+                             singular=singular)
+
+    @property
+    def removed(self):
+        return tuple(sorted(self.singular))
+
+
+def boundary_apply(f: Giet, tau) -> Degeneration:
+    """The paper's deformation at a boundary parameter of the closed simplex:
+    zero entries collapse letters.  ``tau`` is checked as
+    ``full_family.apply`` checks it, but for its sign: its entries must be
+    non-negative, and one at least must be zero.
+
+    Both rows are laid out in full.  A collapsed letter has zero width on
+    each, so its top and bottom intervals are points, and together they are
+    the singular point its branch graph shrinks to.  Adding a zero width is
+    exact, so the kept letters sit where they would without it, and both
+    coordinates land on breakpoints of the regular part or at 1.
+    """
+    values = [tau[a] for a in f.datum.alphabet] if isinstance(tau, dict) else tau
+    tau = dict(zip(f.datum.alphabet, map(float, values)))
+    if not all(map(math.isfinite, tau.values())):
+        raise DegenerateTau(f"tau entries must be finite numbers, got {tau}")
+    if not any(tau.values()):
+        raise AllZero("tau vanishes identically")
+    total = _sum(tau.values())
+    if not abs(total - 1.0) <= 1e-9:
+        raise DegenerateTau(f"tau must sum to 1, got {total!r}")
+    if any(v < 0 for v in tau.values()):
+        raise DegenerateTau(f"tau must be non-negative, got {tau}")
+    zeros = {a for a, v in tau.items() if v == 0.0}
+    if not zeros:
+        raise DegenerateTau("boundary deformation needs at least one zero entry")
+    top, bottom = lay_out(f.datum.top, _top_widths(f, tau)), lay_out(f.datum.bottom, tau)
+    branches = {a: f.branches[a].rescaled(top[a], bottom[a]) for a in f.datum.top if a not in zeros}
+    reduced = reduction(f.datum, set(branches))
+    singular = {a: (top[a][0], bottom[a][0]) for a in zeros}
+    return Degeneration(f.datum, reduced, Giet(reduced, 1.0, branches), singular)
 
 
 def extended_distance(a, b, samples: int = 64) -> float:

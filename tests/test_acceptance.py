@@ -12,6 +12,7 @@ from conftest import (
     ExactIETFamily,
     admissible,
     class_at,
+    exact_reference,
     int_product,
     orbit_order,
     prefix,
@@ -218,12 +219,10 @@ def test_criterion_6_pullback_fixed_point():
                 cases.append(path)
         for path in cases:
             ref = build_reference(path)
-            reference = reference_configuration(ref, True)
-            exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
+            reference = exact_reference(ref)
+            exact = pull(ExactIETFamily(path.source), ref, reference)
             assert exact == reference
-            approx = pull(
-                GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref, False)
-            )
+            approx = pull(GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref))
             assert max(
                 abs(a - float(b)) for a, b in zip(approx, reference)
             ) <= 1e-12

@@ -480,12 +480,7 @@ def test_library_has_no_unused_import():
 
 
 # the definitions no code of the program reads, each kept for its reason
-KEPT_UNREAD = {
-    "full_family.boundary_apply": "the paper's extension of a full family to the closed "
-                                  "simplex, which no command reaches",
-    "full_family.Degeneration.removed": "the letters that a boundary deformation collapses, "
-                                        "part of the same extension",
-}
+KEPT_UNREAD = {}
 
 
 def definitions(tree, module):
@@ -656,6 +651,57 @@ def test_pl_branch_with_decreasing_nodes_is_an_error(tmp_path, capsys):
     code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
     assert code == 1
     assert err.startswith("error:") and "branch 'A'" in err and "must increase" in err
+
+
+@pytest.mark.parametrize("datum, shown", [("null", "None"), ("5", "5"), ('{"A": "B"}', "{'A': 'B'}")],
+                         ids=["null", "number", "object"])
+def test_datum_that_is_not_a_string_is_an_error(tmp_path, capsys, datum, shown):
+    iet = {"kind": "iet", "datum": "D", "lengths": {"A": 1, "B": 2}}
+    for kind, doc in (("iet", iet), ("giet", {**seed_document(), "datum": "D"})):
+        code, err = run_partition_on(tmp_path, capsys, json.dumps(doc).replace('"D"', datum))
+        assert code == 1
+        assert err == f"error: {kind} document field 'datum' must be a string, got {shown}\n"
+
+
+def test_pl_branch_whose_nodes_are_not_a_list_is_an_error(tmp_path, capsys):
+    doc = seed_document()
+    doc["branches"]["A"] = {"kind": "pl", "nodes": True}
+    code, err = run_partition_on(tmp_path, capsys, json.dumps(doc))
+    assert code == 1
+    assert err == ("error: giet document branch 'A': field 'nodes' must be a list of "
+                   "[x, y] pairs, got True\n")
+
+
+def translation_document(length):
+    """``A B / B A`` on ``[0, length)`` with two translation branches."""
+    half = length / 2
+    return {"kind": "giet", "datum": "A B / B A", "length": length,
+            "top": {"A": 0, "B": half}, "bottom": {"A": half, "B": 0},
+            "branches": {"A": {"kind": "translation", "domain": [0, half], "range": [half, length]},
+                         "B": {"kind": "translation", "domain": [half, length], "range": [0, half]}}}
+
+
+@pytest.mark.parametrize("doc, command, named", [
+    ({"kind": "iet", "datum": "A B / B A", "lengths": {"A": "1e400", "B": 1}},
+     ["partition", "-r", "5", "-o", "partition.json", "--svg"],
+     "total length 1e400 is too large for a float"),
+    ({"kind": "iet", "datum": "A B / B A", "lengths": {"A": 1e308, "B": 1e308}},
+     ["render", "-o"], "total length 2e308 is too large for a float"),
+    ({"kind": "iet", "datum": "A B / B A", "lengths": {"A": 1e306, "B": 1e306}},
+     ["render", "-o"], "total length 2e+306 is too long to draw"),
+    ({"kind": "partition", "total": 1e306, "atoms": [{"left": 0, "right": 1e306, "label": "A0"}]},
+     ["render", "-o"], "total length 1e+306 is too long to draw"),
+    (translation_document(1e306), ["render", "-o"], "total length 1e+306 is too long to draw"),
+], ids=["iet-1e400-partition", "iet-1e308", "iet-1e306", "partition-1e306", "giet-1e306"])
+def test_a_map_too_large_for_a_float_figure_is_an_error(tmp_path, monkeypatch, capsys, doc,
+                                                        command, named):
+    monkeypatch.chdir(tmp_path)
+    name, *options = command
+    code = main([name, write_doc(tmp_path, doc), *options, "figure.svg"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["doc.json"]  # no document and no figure
 
 
 def write_doc(tmp_path, doc):

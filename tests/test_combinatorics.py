@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from conftest import admissible, all_admissible_data, int_product, prefix
+from conftest import admissible, all_admissible_data, int_product, prefix, reduction
 from gietlab.combinatorics import (
     CombinatorialDatum,
     IntMatrix,
@@ -17,7 +17,6 @@ from gietlab.combinatorics import (
     path_matrix,
     rauzy_class,
     rauzy_step,
-    reduction,
     return_times,
     sigma_and_cyclicity,
 )

@@ -4,13 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import extended_distance, random_simplex, random_unit_giet
+from conftest import (
+    boundary_apply,
+    extended_distance,
+    random_simplex,
+    random_unit_giet,
+    validate_giet,
+)
 from gietlab import fileio
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import parse_datum
 from gietlab.errors import AllZero, DegenerateTau
 from gietlab.exact_iet import ExactIET
-from gietlab.full_family import _positive_tau, _slopes_closed, apply, boundary_apply
+from gietlab.full_family import _positive_tau, _slopes_closed, apply
 from gietlab.giet import giet_from_branches, giet_from_iet
 
 D2 = parse_datum("A B", "B A")
@@ -84,7 +90,7 @@ def test_apply_marks_critical_values():
     assert g.bottom_breaks["C"] == pytest.approx(0.25, abs=1e-12)
     assert g.bottom_breaks["B"] == pytest.approx(0.5, abs=1e-12)
     assert g.bottom_breaks["A"] == pytest.approx(0.75, abs=1e-12)
-    g.validate()
+    validate_giet(g)
 
 
 def test_apply_on_iet_family_gives_iet():
@@ -267,7 +273,7 @@ def test_boundary_five_branch_double_collapse():
     deg = boundary_apply(f, tau)
     assert deg.reduced_datum == parse_datum("A B C", "A C B")
     assert len(deg.singular) == 2
-    deg.regular.validate()
+    validate_giet(deg.regular)
     # singular coordinates sit on breakpoints of the regular part or at 1
     anchors_x = sorted([deg.regular.top_breaks[a] for a in "ABC"] + [1.0])
     anchors_y = sorted([deg.regular.bottom_breaks[a] for a in "ABC"] + [1.0])
@@ -281,7 +287,7 @@ def test_boundary_five_branch_fixed_tau():
     deg = boundary_apply(f, {"A": 0.3, "B": 0.3, "C": 0.4, "D": 0.0, "E": 0.0})
     assert deg.reduced_datum == parse_datum("A B C", "A C B")
     assert deg.removed == ("D", "E")
-    deg.regular.validate()
+    validate_giet(deg.regular)
     # the regular part round-trips through its own document
     again = fileio.giet_from_document(json.loads(json.dumps(fileio.giet_document(deg.regular))))
     assert again == deg.regular

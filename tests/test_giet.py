@@ -15,6 +15,8 @@ from conftest import (
     random_unit_giet,
     shrinking_circle_map,
     smooth_two_letter_map,
+    validate_branch,
+    validate_giet,
     verify_matrix_counts,
 )
 from gietlab import fileio
@@ -37,7 +39,7 @@ from gietlab.errors import (
 )
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
-    DynamicalPartition,
+    check_tiling,
     dynamical_partition,
     giet_from_branches,
     giet_from_iet,
@@ -62,7 +64,7 @@ def random_exact_iet(rng, d):
 def test_giet_from_iet():
     T = ExactIET.from_lengths(D2, [Fraction(1, 3), Fraction(2, 3)])
     f = giet_from_iet(T)
-    f.validate()
+    validate_giet(f)
     assert all(isinstance(b, Translation) for b in f.branches.values())
     g = giet_from_iet(model_iet())
     assert g.bottom_breaks["A"] == pytest.approx(5 / 11, abs=1e-15)
@@ -84,7 +86,7 @@ def test_nonlinear_eval_monotone_within_branches():
     f = giet_from_branches(
         D2, [0.4, 0.6], [0.6, 0.4], lambda a, d, r: SmoothParam(d, r, k=1.0)
     )
-    f.validate()
+    validate_giet(f)
     for lo, hi in [(0.0, 0.4), (0.4, 1.0)]:
         xs = [lo + (hi - lo) * i / 50 for i in range(50)]
         ys = [f.eval(x) for x in xs]
@@ -153,7 +155,7 @@ def test_worked_example_partition_exact():
         ("A", 0), ("B", 0), ("D", 0), ("C", 0), ("D", 2), ("A", 1),
         ("B", 1), ("D", 1), ("C", 1), ("D", 3), ("A", 2),
     ]
-    P.validate(Fraction(1))
+    check_tiling(P.atoms, Fraction(1), str)
 
 
 def test_partition_order_zero():
@@ -247,7 +249,7 @@ def test_partition_tiling_sums():
         P = dynamical_partition(f, 6)
         total = sum(hi - lo for lo, hi, _, _ in P.atoms)
         assert total == pytest.approx(1.0, abs=T.datum.d * 1e-12)
-        P.validate(1.0)
+        check_tiling(P.atoms, 1.0, str)
 
 
 def test_chain_branches_strictly_increasing():
@@ -259,7 +261,7 @@ def test_chain_branches_strictly_increasing():
     )
     result = f.rauzy_path(5)
     for br in result.map.branches.values():
-        br.validate(samples=64)
+        validate_branch(br, samples=64)
 
 
 def random_primitive(rng, kind, domain):
@@ -329,7 +331,7 @@ def test_inverse_slopes_match_a_central_difference(kind):
 ])
 def test_branch_validate_raises_a_typed_error_naming_the_branch(branch, fault):
     with pytest.raises(GietlabError, match=fault) as exc:
-        branch.validate()
+        validate_branch(branch)
     assert f"Translation branch {branch.domain} -> {branch.range_}" in str(exc.value)
 
 
@@ -342,16 +344,21 @@ def test_smooth_k_whose_exponential_overflows_is_a_typed_error():
     assert SmoothParam((0.0, 1.0), (0.0, 1.0), -1000.0).eval(0.0) == 0.0
 
 
-def test_partition_validate_raises_a_typed_error_naming_the_atom():
-    P = dynamical_partition(model_iet(), 5)
-    gap = DynamicalPartition(P.order, P.atoms[:3] + P.atoms[4:], P.path)
-    with pytest.raises(GietlabError, match=r"^atom D2 \[4/11, 5/11\) does not start where atom D0 "
-                                           r"ends, 3/11$"):
-        gap.validate(Fraction(1))
-    short = DynamicalPartition(P.order, P.atoms[:-1], P.path)
-    with pytest.raises(GietlabError, match=r"^atom D3 \[9/11, 10/11\) ends at 10/11, not at the "
-                                           r"total length 1$"):
-        short.validate(Fraction(1))
+def test_partition_validate_raises_a_typed_error_naming_the_atom(monkeypatch):
+    # a tower that loses its floor C0 leaves a gap, one that loses A2 a
+    # short tiling: ``dynamical_partition`` names the atom at fault
+    tower = ExactIET.tower
+    for dropped, fault in [
+        ((Fraction(3, 11), Fraction(4, 11)),
+         r"^atom D2 \[4/11, 5/11\) does not start where atom D0 ends, 3/11$"),
+        ((Fraction(10, 11), Fraction(1)),
+         r"^atom D3 \[9/11, 10/11\) ends at 10/11, not at the total length 1$"),
+    ]:
+        monkeypatch.setattr(
+            ExactIET, "tower", lambda self, *args: [f for f in tower(self, *args) if f != dropped]
+        )
+        with pytest.raises(GietlabError, match=fault):
+            dynamical_partition(model_iet(), 5)
 
 
 def test_path_partition_equivalence_both_directions():
@@ -413,7 +420,7 @@ def test_piecewise_linear_branch_in_giet():
         return SmoothParam(dom, rng_, k=0.0)
 
     f = giet_from_branches(D2, [0.4, 0.6], [0.7, 0.3], maker)
-    f.validate()
+    validate_giet(f)
     result = f.rauzy_path(3)
     assert len(result.path) == 3
 
@@ -431,7 +438,7 @@ def test_five_branch_giet_evaluates_each_branch():
 )
 
     f = random_unit_giet(rng, datum=five)
-    f.validate()
+    validate_giet(f)
     for a, lo, hi in f.top_intervals():
         xs = [lo + (hi - lo) * (i + 0.5) / 8 for i in range(8)]
         ys = [f.eval(x) for x in xs]

@@ -12,11 +12,13 @@ import gietlab.thurston as thurston
 from conftest import (
     ExactIETFamily,
     admissible,
+    averaged_loop,
     bottom_letter_at,
     breaking_step,
     class_at,
     conjugacy_maps,
     eval_inverse,
+    exact_reference,
     exchanged_cells,
     orbit_order,
     prefix,
@@ -104,7 +106,7 @@ def test_build_reference_worked_example():
         "A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D": Fraction(2, 11)
     }
     assert labels_in_order(ref) == FIG_LABELS
-    assert sorted(reference_configuration(ref)) == [Fraction(k, 11) for k in range(11)]
+    assert sorted(exact_reference(ref)) == [Fraction(k, 11) for k in range(11)]
 
 
 def test_build_reference_requires_cyclic_target():
@@ -115,7 +117,7 @@ def test_build_reference_requires_cyclic_target():
 def test_build_reference_empty_path():
     ref = build_reference(RauzyPath(D2))
     assert ref.N == 2
-    assert sorted(reference_configuration(ref)) == [Fraction(0), Fraction(1, 2)]
+    assert sorted(exact_reference(ref)) == [Fraction(0), Fraction(1, 2)]
     assert labels_in_order(ref) == ["A0", "B0"]
 
 
@@ -219,22 +221,22 @@ def test_class_of_atom_matches_figure_order():
 def test_tau_of_reference_exact_and_float():
     ref = model_ref()
     lam = ref.base_iet.lengths_by_letter()
-    exact = tau_of(ref, reference_configuration(ref, exact=True))
+    exact = tau_of(ref, exact_reference(ref))
     assert exact == lam
-    approx = tau_of(ref, reference_configuration(ref, exact=False))
+    approx = tau_of(ref, reference_configuration(ref))
     assert all(abs(approx[a] - float(lam[a])) <= 1e-12 for a in "ABCD")
 
 
 def test_step_fixed_point_exact_worked_example():
     ref = model_ref()
-    config = reference_configuration(ref, exact=True)
+    config = exact_reference(ref)
     out = pull(ExactIETFamily(D4), ref, config)
     assert out == config
 
 
 def test_step_fixed_point_float_worked_example():
     ref = model_ref()
-    config = reference_configuration(ref, exact=False)
+    config = reference_configuration(ref)
     out = pull(GietFamily(giet_from_iet(ref.base_iet)), ref, config)
     assert max(abs(a - b) for a, b in zip(out, config)) <= 1e-12
 
@@ -244,12 +246,10 @@ def test_step_fixed_point_random_cyclic_paths():
     for _ in range(10):
         path = random_cyclic_path(rng)
         ref = build_reference(path)
-        reference = reference_configuration(ref, True)
-        exact = pull(ExactIETFamily(path.source), ref, reference_configuration(ref, True))
+        reference = exact_reference(ref)
+        exact = pull(ExactIETFamily(path.source), ref, reference)
         assert exact == reference
-        approx = pull(
-            GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref, False)
-        )
+        approx = pull(GietFamily(giet_from_iet(ref.base_iet)), ref, reference_configuration(ref))
         assert max(
             abs(a - float(b)) for a, b in zip(approx, reference)
         ) <= 1e-12
@@ -260,7 +260,7 @@ def test_step_preserves_order_for_nonlinear_families():
     ref = model_ref()
     for _ in range(5):
         seed = random_unit_giet(rng, datum=D4)
-        config = reference_configuration(ref, exact=False)
+        config = reference_configuration(ref)
         # the raw pull: ``step`` raises ``OrderViolation`` on a broken order
         out = pull(GietFamily(seed), ref, config)
         assert thurston.is_ordered(out)
@@ -273,7 +273,7 @@ def test_step_first_move_bounded_by_inverse_distortion():
         D4, lam, lam, lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else 0.0)
     )
     family = GietFamily(seed)
-    config = reference_configuration(ref, exact=False)
+    config = reference_configuration(ref)
     f_tau = family.at(tau_of(ref, config))
     out = step(ref, config, f_tau)
     moved = max(abs(a - b) for a, b in zip(out, config))
@@ -287,23 +287,26 @@ def test_step_first_move_bounded_by_inverse_distortion():
 
 def test_solve_iet_family_realizes_at_reference():
     ref = model_ref()
-    report = solve(ExactIETFamily(D4), ref)
+    report = solve(GietFamily(giet_from_iet(ref.base_iet)), ref)
     assert report.status == "realized"
     assert report.iterations == 0
-    assert report.tau == ref.base_iet.lengths_by_letter()
+    assert report.config == reference_configuration(ref)
+    lam = ref.base_iet.lengths_by_letter()
+    assert all(abs(report.tau[a] - lam[a]) <= 1e-15 for a in "ABCD")
 
 
 def test_exact_solve_averages_in_fractions():
+    # the pullback and tau keep the fractions of an exact family's points
     ref = fibonacci_ref(8)
-    points = list(reference_configuration(ref, True))
+    points = list(exact_reference(ref))
     points[ref.grid.bottom_breaks["A"]] += Fraction(1, 3 * ref.N)  # off the model's tau
     start = tuple(points)
-    report = solve(ExactIETFamily(D2), ref, start=start)
-    assert report.realized and report.iterations == 1
+    config, steps = averaged_loop(ExactIETFamily(D2), ref, start)
+    assert steps == 1
     pulled = pull(ExactIETFamily(D2), ref, start)
     halfway = tuple(a / 2 + b / 2 for a, b in zip(start, pulled))
-    assert report.config == halfway
-    assert all(type(v) is Fraction for v in report.config)
+    assert config == halfway
+    assert all(type(v) is Fraction for v in config)
 
 
 def test_solve_boundary_with_absurd_threshold(monkeypatch):
@@ -311,11 +314,10 @@ def test_solve_boundary_with_absurd_threshold(monkeypatch):
     # tau is (6, 2, 1, 2)/11: every entry but A's is at or below 0.5
     monkeypatch.setattr(thurston, "EPS_DEG", 0.5)
     faces = tuple(ref.canonical_label(a, 1).name for a in "DCB")
-    for family in (ExactIETFamily(D4), GietFamily(giet_from_iet(ref.base_iet))):
-        report = solve(family, ref)
-        assert report.status == "boundary"
-        assert report.iterations == 0
-        assert report.faces == faces
+    report = solve(GietFamily(giet_from_iet(ref.base_iet)), ref)
+    assert report.status == "boundary"
+    assert report.iterations == 0
+    assert report.faces == faces
 
 
 def test_solve_respects_max_iter():
@@ -472,9 +474,7 @@ def test_fixed_point_and_realization_at_five_letters():
         path = random_cyclic_path(rng, max_d=4, max_r=8)
         # rebuild over five letters when possible
         ref = build_reference(path)
-        assert pull(
-            ExactIETFamily(path.source), ref, reference_configuration(ref, True)
-        ) == reference_configuration(ref, True)
+        assert pull(ExactIETFamily(path.source), ref, exact_reference(ref)) == exact_reference(ref)
     data5 = admissible("ABCDE")
     realized = 0
     while realized < 3:
@@ -494,7 +494,7 @@ def test_fixed_point_and_realization_at_five_letters():
 
 def test_solve_accepts_perturbed_start():
     ref = model_ref()
-    base = reference_configuration(ref, exact=False)
+    base = reference_configuration(ref)
     bumped = list(base)
     # every class c but the pinned one moves by 1e-3 * ((c % 3) - 1)
     order = orbit_order(ref)
@@ -514,7 +514,7 @@ def test_tau_of_zero_gap_is_boundary_vector():
     # coincident marked points produce a zero entry, not an error; the solver
     # reports such vectors as boundary
     ref = model_ref()
-    pts = list(reference_configuration(ref, exact=False))
+    pts = list(reference_configuration(ref))
     # move the point of [C,1] onto the point of [B,1] (consecutive in the
     # bottom row order D, C, B, A)
     order = orbit_order(ref)
@@ -525,7 +525,7 @@ def test_tau_of_zero_gap_is_boundary_vector():
     tau = tau_of(ref, squeezed)
     assert tau["C"] == 0.0
     assert abs(sum(tau.values()) - 1.0) < 1e-15
-    report = solve(ExactIETFamily(D4), ref, start=squeezed)
+    report = solve(GietFamily(giet_from_iet(ref.base_iet)), ref, start=squeezed)
     assert report.status == "boundary"
     assert report.faces
 
@@ -587,12 +587,12 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
         ref = build_reference(path)
         expected = _reference_in_fractions(path)
         window = expected.pop("window")
-        points = reference_configuration(ref, True)
+        points = exact_reference(ref)
         orbit = expected.pop("points")
         geometric = orbit_order(ref)
         assert geometric == expected.pop("geometric")
         assert points == tuple(orbit[c] for c in geometric)
-        assert tuple(map(float, points)) == reference_configuration(ref, False)
+        assert tuple(map(float, points)) == reference_configuration(ref)
         # the class named at every orbit position
         assert tuple(class_at(ref, c) for c in range(ref.N)) == expected.pop("classes")
         for name, value in expected.items():
@@ -740,7 +740,7 @@ def test_class_names_equal_the_fewest_steps_formula():
 
 def test_is_valid_rejects_each_broken_order():
     ref = model_ref()
-    good = reference_configuration(ref, exact=False)
+    good = reference_configuration(ref)
     assert thurston.is_ordered(good)
     geometric = orbit_order(ref)
 
@@ -761,7 +761,7 @@ def test_is_valid_rejects_each_broken_order():
 
 def test_is_valid_rejects_a_nan_point():
     ref = model_ref()
-    good = reference_configuration(ref, exact=False)
+    good = reference_configuration(ref)
     for rank in (0, 1, 2, -1):  # the pinned class, interior points, the rightmost one
         points = list(good)
         points[rank] = float("nan")  # the point at grid point rank
@@ -810,7 +810,7 @@ def test_step_returns_the_points_of_the_per_point_pullback():
         lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else -1.5),
     )
     family = GietFamily(seed)
-    config = reference_configuration(ref, exact=False)
+    config = reference_configuration(ref)
     for _ in range(8):
         pulled = pull(family, ref, config)
         assert pulled == old_step(family, ref, config)
@@ -998,7 +998,7 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
 def test_step_on_a_nan_point_raises_order_violation(exact):
     ref = model_ref()
     family = ExactIETFamily(D4) if exact else GietFamily(smooth_seed(*WORKED_SEED))
-    good = reference_configuration(ref, exact)
+    good = exact_reference(ref) if exact else reference_configuration(ref)
     f = family.at(tau_of(ref, good))
     for lo, hi in ref.runs:
         for x in range(lo, hi):
@@ -1190,7 +1190,7 @@ def test_closed_form_columns_equal_central_differences_of_pulls(monkeypatch, see
     at the next two Newton iterates."""
     family = GietFamily(seed())
     ref = build_reference(completed(RauzyPath.from_kinds(family.datum, kinds)))
-    config = reference_configuration(ref, exact=False)
+    config = reference_configuration(ref)
     for _ in range(3):
         f = family.at(tau_of(ref, config))
         if isinstance(f.branches["A"], PiecewiseLinear):
@@ -1242,7 +1242,7 @@ def test_end_derivatives_equal_central_differences_of_the_bumped_ends(seed, kind
     reference and at the next two Newton iterates."""
     family = GietFamily(seed())
     ref = build_reference(completed(RauzyPath.from_kinds(family.datum, kinds)))
-    config = reference_configuration(ref, exact=False)
+    config = reference_configuration(ref)
     for _ in range(3):
         tau = tau_of(ref, config)
         exact = full_family.end_derivatives(family.seed, tau)

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import Degeneration
 import gietlab
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam, Translation
 from gietlab.combinatorics import CombinatorialDatum, IntMatrix, RauzyArrow, RauzyPath
 from gietlab.exact_iet import ExactIET
-from gietlab.full_family import Degeneration
 from gietlab.giet import DynamicalPartition, Giet
 from gietlab.thurston import RealizeResult, RefConfig, SolveReport
 
