@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2, which is code 1 here
         return 1 if exc.code else 0
-    except (GietlabError, OSError, ValueError) as exc:
+    except (GietlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -210,8 +210,8 @@ class ExactIET(Exchange):
 
     ``lengths`` is a tuple aligned with ``datum.alphabet``, all ``Fraction``
     or, for a map on an integer grid, all ``int``.  The map acts on
-    ``[0, sum(lengths))``; constructors normalize to total 1 unless asked not to.
-    The breakpoints are built once per map, on first use.
+    ``[0, sum(lengths))``, whatever that total is.  The breakpoints are built
+    once per map, on first use.
     """
 
     _fields = ("datum", "lengths")
@@ -228,16 +228,11 @@ class ExactIET(Exchange):
         self.__dict__.update(datum=datum, lengths=lengths)
 
     @classmethod
-    def from_lengths(cls, datum: CombinatorialDatum, lengths, normalize: bool = True) -> "ExactIET":
+    def from_lengths(cls, datum: CombinatorialDatum, lengths) -> "ExactIET":
         """Build from lengths given per alphabet letter (sequence or dict, str/int/Fraction)."""
         if isinstance(lengths, dict):
-            vec = [Fraction(lengths[a]) for a in datum.alphabet]
-        else:
-            vec = [Fraction(x) for x in lengths]
-        if normalize:
-            total = sum(vec)
-            vec = [x / total for x in vec]
-        return cls(datum, tuple(vec))
+            lengths = [lengths[a] for a in datum.alphabet]
+        return cls(datum, tuple(map(Fraction, lengths)))
 
     def on_integer_grid(self) -> tuple["ExactIET", int]:
         """The map scaled by the common denominator ``D`` of its lengths, and ``D``.
@@ -245,7 +240,7 @@ class ExactIET(Exchange):
         The scaled map has ``int`` lengths; a point ``x`` of this map is the
         point ``x * D`` of the scaled one.
 
-        >>> T = ExactIET.from_lengths(parse_datum("A B", "B A"), ["1/3", "1/6"], normalize=False)
+        >>> T = ExactIET.from_lengths(parse_datum("A B", "B A"), ["1/3", "1/6"])
         >>> grid, D = T.on_integer_grid()
         >>> grid.lengths, D, grid.eval(0)
         ((2, 1), 6, 1)
@@ -295,7 +290,8 @@ class ExactIET(Exchange):
         """One exact induction step: ``(induced map, arrow)``.
 
         Raises ``TieError`` when the two rightmost subintervals have equal
-        length, in which case the induction is undefined.
+        length, in which case the induction is undefined.  The induced map
+        skips the checks of ``__init__``, which its positive lengths pass.
         """
         alpha_t = self.datum.top[-1]
         alpha_b = self.datum.bottom[-1]
@@ -307,7 +303,9 @@ class ExactIET(Exchange):
         w = self.datum.alphabet.index(arrow.winner)
         l = self.datum.alphabet.index(arrow.loser)
         new_lengths[w] = new_lengths[w] - new_lengths[l]
-        return ExactIET(arrow.target, tuple(new_lengths)), arrow
+        induced = object.__new__(ExactIET)
+        induced.__dict__.update(datum=arrow.target, lengths=tuple(new_lengths))
+        return induced, arrow
 
     def rauzy_path(self, r: int, kinds: str | None = None,
                    max_points: int | None = None) -> InductionResult:

@@ -89,7 +89,7 @@ def iet_from_document(doc: dict) -> ExactIET:
             "iet", datum, "lengths", _object(doc["lengths"], "iet document field 'lengths'")
         )
         lengths = {a: _exact_length(a, v) for a, v in lengths.items()}
-        return ExactIET.from_lengths(datum, lengths, normalize=False)
+        return ExactIET.from_lengths(datum, lengths)
 
 
 def branch_record(b: Branch) -> dict:
@@ -106,8 +106,7 @@ def branch_record(b: Branch) -> dict:
 
 
 def branch_from_record(rec: dict) -> Branch:
-    """The branch of a record; earlier versions' ``window`` (a base on bounds),
-    ``composite`` (outer o core o inner) and bound-less ``chain`` load as chains."""
+    """The branch of a record, of one of the kinds ``branch_record`` writes."""
     kind = _object(rec, "a branch record")["kind"]
     if kind == "translation":
         return Translation(*_bounds(rec))
@@ -116,15 +115,12 @@ def branch_from_record(rec: dict) -> Branch:
     if kind == "pl":
         return PiecewiseLinear(tuple(_pair(p, "nodes") for p in _list(rec, "nodes", "[x, y] pairs")))
     if kind == "smooth":
-        return SmoothParam(*_bounds(rec), _number(rec.get("k", 1.0), "field 'k'"))
-    if kind == "composite":
-        return Chain(tuple(branch_from_record(rec[k]) for k in ("inner", "core", "outer")))
-    if kind == "window":
-        return Chain((branch_from_record(rec["base"]),), *_bounds(rec))
+        return SmoothParam(*_bounds(rec), _number(rec["k"], "field 'k'"))
     if kind == "chain":
         parts = _list(rec, "parts", "branch records")
-        bounds = _bounds(rec) if "domain" in rec or "range" in rec else ()
-        return Chain(tuple(branch_from_record(p) for p in parts), *bounds)
+        if any(isinstance(p, dict) and p.get("kind") == "chain" for p in parts):
+            raise GietlabError("unknown branch kind 'chain' in a chain")  # the writer nests none
+        return Chain(tuple(branch_from_record(p) for p in parts), *_bounds(rec))
     raise GietlabError(f"unknown branch kind {kind!r}")
 
 
@@ -331,8 +327,11 @@ def load_map(path: str, kinds=("iet", "giet")):
     *rest, last = map(repr, kinds)
     accepted = f"{', '.join(rest)} or {last}" if rest else last
     with open(path) as fh:
-        doc = _object(json.load(fh), f"the {accepted} document in {path}")
-    kind = doc.get("kind")
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+            raise GietlabError(f"cannot read {path} as JSON: {exc}") from None
+    kind = _object(doc, f"the {accepted} document in {path}").get("kind")
     if kind not in kinds:
         raise GietlabError(f"expected a document of kind {accepted}, got kind {kind!r}")
     if kind == "iet":
@@ -342,17 +341,16 @@ def load_map(path: str, kinds=("iet", "giet")):
     return partition_from_document(doc)
 
 
-def dump(doc: dict | str | list, path: str | None) -> str | list:
+def dump(doc: dict | list, path: str | None) -> str | list:
     """``doc`` as one line of JSON with sorted keys, also written to ``path``;
-    a ``str`` is taken to be that JSON text already, and a ``list`` to be
-    that text in ``str`` pieces (``partition_pieces``), which are returned
-    as they are, never joined whole.
+    a ``list`` is that text in ``str`` pieces (``partition_pieces``),
+    returned as they are, never joined whole.
 
     No ``indent``: with it, ``json`` falls back to its pure-Python encoder.
     """
-    text = json.dumps(doc, sort_keys=True) if isinstance(doc, dict) else doc
+    text = doc if isinstance(doc, list) else json.dumps(doc, sort_keys=True)
     if path:
-        pieces = text if isinstance(text, list) else [text]
+        pieces = doc if isinstance(doc, list) else [text]
         with open(path, "w") as fh:
             # 1024 pieces (about 100 kB of a partition) per write: a write per
             # piece, or one of the whole text, takes about twice as long

@@ -46,6 +46,7 @@ from .errors import (
     OrderViolation,
     SolverFailed,
     TargetNotCyclic,
+    TooManyPoints,
 )
 from .exact_iet import ExactIET, InductionResult
 from .giet import Giet, dynamical_partition
@@ -74,21 +75,26 @@ class RefConfig(Frozen):
     IET on its integer grid and the orbit of 0 that ``build_reference``
     walks.  The tables read off that orbit are cached: ``runs`` for the
     pullback step, ``lifts`` and ``cells`` for the certificate, ``names``
-    for display."""
+    for display.  The model on ``[0, 1)``, ``base_iet``, is read off the
+    grid when asked for."""
 
-    _fields = ("path", "N", "h", "base_iet", "grid", "crit_pos", "orbit")
+    _fields = ("path", "N", "h", "grid", "crit_pos", "orbit")
 
-    def __init__(self, path: RauzyPath, N: int, h: dict, base_iet: ExactIET, grid: ExactIET,
-                 crit_pos: dict, orbit: tuple):
+    def __init__(self, path: RauzyPath, N: int, h: dict, grid: ExactIET, crit_pos: dict,
+                 orbit: tuple):
         # ``grid`` is the model on its integer grid, ``crit_pos`` the orbit
         # position of each letter's critical point, and ``orbit[c]`` is
         # ``T^c(0)`` on the grid
-        self.__dict__.update(path=path, N=N, h=h, base_iet=base_iet, grid=grid,
-                             crit_pos=crit_pos, orbit=orbit)
+        self.__dict__.update(path=path, N=N, h=h, grid=grid, crit_pos=crit_pos, orbit=orbit)
 
     @property
     def datum(self) -> CombinatorialDatum:
         return self.path.source
+
+    @cached_property
+    def base_iet(self) -> ExactIET:
+        """The model IET on ``[0, 1)``: the grid's lengths over N, as ``Fraction``s."""
+        return ExactIET(self.datum, tuple(Fraction(c, self.N) for c in self.grid.lengths))
 
     @cached_property
     def runs(self) -> tuple:
@@ -162,13 +168,14 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
     """Construct the reference data of a path ending at a cyclic datum;
     ``matrix``, if given, is the path's matrix, so it is not built again.
 
-    The model IET is cross-checked: it must reproduce the path's arrows under
-    exact induction, which also rejects lengths outside the path's cone, and
-    the orbit of 0 on its integer grid must first return to 0 after N steps,
-    so that it is the whole grid.  That orbit is walked once, through the
-    grid's successor table (``ExactIET.successors``, one ``eval`` per
-    letter), and kept as ``orbit``; the critical positions and the lifts
-    ``h`` are read off it.
+    The model IET is built on its integer grid only, with the path matrix's
+    column sums as lengths.  It must reproduce the path's arrows under exact
+    induction, which also rejects lengths outside the path's cone, and the
+    orbit of 0 on the grid must first return to 0 after N steps, so that it
+    is the whole grid.  That orbit is walked once, through the grid's
+    successor table (``ExactIET.successors``, one ``eval`` per letter), and
+    kept as ``orbit``; the critical positions and the lifts ``h`` are read
+    off it.
     """
     if not sigma_and_cyclicity(path.target)[1]:
         raise TargetNotCyclic(f"{path.target} is not cyclic")
@@ -177,10 +184,7 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
     q = matrix.row_sums()
     N = sum(q.values())
     cols = matrix.col_sums()
-    base = ExactIET.from_lengths(
-        path.source, {a: Fraction(c, N) for a, c in cols.items()}, normalize=False
-    )
-    # the model on its integer grid: the point k/N of ``base`` is k here
+    # the model on its integer grid: the point k/N of ``RefConfig.base_iet`` is k here
     grid = ExactIET(path.source, tuple(cols[a] for a in path.source.alphabet))
     result = grid.rauzy_path(len(path))
     if result.tie or result.path.kinds != path.kinds:
@@ -213,8 +217,7 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
             raise InductionMismatch(
                 f"critical point of {a} is {h[a]} steps from its lift, not under q={q[a]}"
             )
-    return RefConfig(path=path, N=N, h=h, base_iet=base, grid=grid, crit_pos=crit_pos,
-                     orbit=tuple(orbit))
+    return RefConfig(path=path, N=N, h=h, grid=grid, crit_pos=crit_pos, orbit=tuple(orbit))
 
 
 def is_ordered(points) -> bool:
@@ -534,7 +537,7 @@ def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResul
     matrix = path_matrix(full)
     N = sum(matrix.row_sums().values())
     if N > MAX_REFERENCE_POINTS:
-        raise InductionMismatch(
+        raise TooManyPoints(
             f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
         )
     ref = build_reference(full, matrix)

@@ -73,7 +73,14 @@ class ExactIETFamily:
         self.datum = datum
 
     def at(self, tau: dict) -> ExactIET:
-        return ExactIET.from_lengths(self.datum, tau, normalize=False)
+        return ExactIET.from_lengths(self.datum, tau)
+
+
+def unit_iet(datum, lengths) -> ExactIET:
+    """The exact IET whose lengths are ``lengths`` scaled to total 1."""
+    vec = [Fraction(x) for x in lengths]
+    total = sum(vec)
+    return ExactIET(datum, tuple(x / total for x in vec))
 
 
 def exact_reference(ref) -> tuple:
@@ -282,8 +289,7 @@ def verify_matrix_counts(m, r: int) -> bool:
 
 def random_exact_iet(rng, d, max_num=60):
     datum = rng.choice(admissible("ABCDE"[:d]))
-    lengths = [Fraction(rng.randint(1, max_num)) for _ in range(d)]
-    return ExactIET.from_lengths(datum, lengths)
+    return unit_iet(datum, [rng.randint(1, max_num) for _ in range(d)])
 
 
 def int_product(a, b):

@@ -18,6 +18,7 @@ from conftest import (
     prefix,
     random_simplex,
     random_unit_giet,
+    unit_iet,
     verify_matrix_counts,
 )
 from gietlab.branches import SmoothParam
@@ -82,7 +83,7 @@ def smooth_seed(datum, lengths, k=2.0, letter="A"):
 
 def random_exact_iet(rng, d):
     datum = rng.choice(admissible("ABCDE"[:d]))
-    return ExactIET.from_lengths(datum, [Fraction(rng.randint(1, 60)) for _ in range(d)])
+    return unit_iet(datum, [rng.randint(1, 60) for _ in range(d)])
 
 
 def test_criterion_1_worked_example_exact():
@@ -149,7 +150,7 @@ def test_criterion_4_path_partition_equivalence():
             for _ in range(2):
                 weights = [Fraction(rng.randint(1, 9)) for _ in datum.alphabet]
                 (lengths,) = int_product((weights,), matrix)  # M^T w, as a row vector
-                pair.append(ExactIET.from_lengths(datum, lengths))
+                pair.append(unit_iet(datum, lengths))
             p0, p1 = (T.rauzy_path(r).path for T in pair)
             assert p0.kinds == p1.kinds == path.kinds
             assert partitions_equivalent(
@@ -161,8 +162,8 @@ def test_criterion_4_path_partition_equivalence():
             d = rng.choice((2, 3, 4))
             datum = rng.choice(admissible("ABCD"[:d]))
             r = rng.randint(1, 6)
-            T1 = ExactIET.from_lengths(datum, [Fraction(rng.randint(1, 60)) for _ in range(d)])
-            T2 = ExactIET.from_lengths(datum, [Fraction(rng.randint(1, 60)) for _ in range(d)])
+            T1 = unit_iet(datum, [rng.randint(1, 60) for _ in range(d)])
+            T2 = unit_iet(datum, [rng.randint(1, 60) for _ in range(d)])
             r1, r2 = T1.rauzy_path(r), T2.rauzy_path(r)
             if len(r1.path) < r or len(r2.path) < r or r1.path.kinds == r2.path.kinds:
                 continue

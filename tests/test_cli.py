@@ -15,14 +15,13 @@ from pathlib import Path
 import pytest
 
 import gietlab
-from conftest import breaking_step, exchanged_cells, shrinking_circle_map
+from conftest import breaking_step, exchanged_cells, shrinking_circle_map, unit_iet
 from gietlab import cli, fileio, semiconjugacy, svg, thurston
 from gietlab.branches import Affine, Chain, PiecewiseLinear, SmoothParam
 from gietlab.cli import build_parser, main
 from gietlab.errors import GietlabError, InductionFailed
 from gietlab.combinatorics import parse_datum, sigma_and_cyclicity
 from gietlab.exact_iet import ExactIET
-from gietlab.full_family import apply
 from gietlab.giet import (
     Atom,
     DynamicalPartition,
@@ -43,7 +42,6 @@ def model_iet():
     return ExactIET.from_lengths(
         D4,
         {"A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D": Fraction(2, 11)},
-        normalize=False,
     )
 
 
@@ -360,68 +358,37 @@ def test_render_of_an_iet_draws_its_float_copy(tmp_path):
     assert out_svg.read_text().count("<polyline") == 2
 
 
-def test_composite_records_load_as_chains(tmp_path):
-    # earlier versions wrote each deformed branch as a composite record
-    f = fileio.load_map(write_seed_family(tmp_path))
-    g = apply(f, {"A": 0.4, "B": 0.3, "C": 0.2, "D": 0.1})
-    doc = fileio.giet_document(g)
-    for a in f.datum.alphabet:
-        core = f.branches[a]
-        new_dom, new_rng = g.branches[a].domain, g.branches[a].range_
-        chain = Chain((Affine(new_dom, core.domain), core, Affine(core.range_, new_rng)))
-        inner, core_rec, outer = (fileio.branch_record(p) for p in chain.parts)
-        doc["branches"][a] = {"kind": "composite", "outer": outer, "core": core_rec, "inner": inner}
-    path = tmp_path / "composite.json"
-    fileio.dump(doc, str(path))
-    loaded = fileio.load_map(str(path))
-    for a, lo, hi in loaded.top_intervals():
-        rec = doc["branches"][a]
-        inner, core, outer = (fileio.branch_from_record(rec[k]) for k in ("inner", "core", "outer"))
-        for i in range(1, 8):
-            x = lo + (hi - lo) * i / 8
-            y = outer.eval(core.eval(inner.eval(x)))
-            assert loaded.eval(x) == y
-            assert loaded.branches[a].inverse(y) == inner.inverse(core.inverse(outer.inverse(y)))
-    # written back, the branches are chains
-    assert {r["kind"] for r in fileio.giet_document(loaded)["branches"].values()} == {"chain"}
-
-
-def test_window_records_load_as_chains():
-    # earlier versions wrote a restricted branch as a window on its base
-    base = SmoothParam((0.0, 0.5), (0.5, 1.0), k=1.3)
-    bounds = (0.1, 0.3), (base.eval(0.1), base.eval(0.3))
-    rec = {"kind": "window", "base": fileio.branch_record(base),
-           "domain": list(bounds[0]), "range": list(bounds[1])}
-    loaded = fileio.branch_from_record(json.loads(json.dumps(rec)))
-    assert loaded == Chain((base,), *bounds)
-    for i in range(9):
-        x = 0.1 + 0.2 * i / 8
-        assert loaded.eval(x) == base.eval(x)
-        assert loaded.inverse(base.eval(x)) == base.inverse(base.eval(x))
-
-
 def test_bounded_chain_records_round_trip():
     pl = PiecewiseLinear(((0.2, 0.0), (0.3, 0.4), (0.6, 1.0)))
     chain = Chain((Affine((0.0, 0.4), (0.2, 0.6)), pl), (0.1, 0.3), (0.125, 0.75))
     rec = json.loads(json.dumps(fileio.branch_record(chain)))
     assert rec["domain"] == [0.1, 0.3] and rec["range"] == [0.125, 0.75]
     assert fileio.branch_from_record(rec) == chain
-    # a chain record without bounds takes those of its end parts
-    del rec["domain"], rec["range"]
-    assert fileio.branch_from_record(rec) == Chain(chain.parts)
+
+
+BOUNDS = {"domain": [0.0, 0.5], "range": [0.5, 1.0]}
 
 
 @pytest.mark.parametrize("record, message", [
-    ({"kind": "chain", "parts": []}, "a chain needs at least one part"),
+    ({"kind": "chain", "parts": [], **BOUNDS}, "a chain needs at least one part"),
     ({"kind": "chain", "parts": 5}, "field 'parts' must be a list of branch records, got 5"),
     ({"kind": "chain", "parts": [1]}, "a branch record must be a JSON object, got int"),
-    ({"kind": "window", "base": "pl", "domain": [0.0, 0.5], "range": [0.5, 1.0]},
-     "a branch record must be a JSON object, got str"),
-    ({"kind": "composite", "inner": [], "core": {}, "outer": {}},
-     "a branch record must be a JSON object, got list"),
-    ({"domain": [0.0, 0.5], "range": [0.5, 1.0]}, "is missing the key 'kind'"),
+    ({"kind": "chain", "parts": ["pl"], **BOUNDS}, "a branch record must be a JSON object, got str"),
+    ({"kind": "chain", "parts": [[]], **BOUNDS}, "a branch record must be a JSON object, got list"),
+    (BOUNDS, "is missing the key 'kind'"),
     ({"kind": "chain", "parts": [{"kind": "translation", "domain": [0.0, 0.5]}]},
      "is missing the key 'range'"),
+    # only the kinds ``branch_record`` writes load: no window or composite
+    # record, a chain carries its bounds and a smooth branch its k
+    ({"kind": "window", "base": {"kind": "affine", **BOUNDS}, **BOUNDS},
+     "unknown branch kind 'window'"),
+    ({"kind": "composite", "inner": {}, "core": {}, "outer": {}},
+     "unknown branch kind 'composite'"),
+    ({"kind": "chain", "parts": [{"kind": "affine", **BOUNDS}]}, "is missing the key 'domain'"),
+    ({"kind": "smooth", **BOUNDS}, "is missing the key 'k'"),
+    # nor a chain in a chain, so no record nests deeper than that
+    ({"kind": "chain", "parts": [{"kind": "chain", "parts": [{"kind": "affine", **BOUNDS}], **BOUNDS}],
+      **BOUNDS}, "unknown branch kind 'chain' in a chain"),
 ])
 def test_nested_branch_records_are_checked(tmp_path, capsys, record, message):
     doc = seed_document()
@@ -539,6 +506,18 @@ def test_document_that_is_a_list_is_an_error(tmp_path, capsys):
     code, err = run_partition_on(tmp_path, capsys, "[1, 2]")
     assert code == 1
     assert err.startswith("error:") and "'iet' or 'giet' document" in err and "list" in err
+
+
+@pytest.mark.parametrize("content", [b"{", b"\x89PNG\r\n\x1a\n\xff", b"[" * 10**5 + b"]" * 10**5],
+                         ids=["truncated", "binary", "nested too deep"])
+def test_file_that_is_not_json_is_an_error_naming_it(tmp_path, capsys, content):
+    # ``json.load`` raises a ``ValueError`` or a ``RecursionError``, which
+    # ``main`` does not catch: the reader makes it a typed error naming the file
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
+    assert main(["partition", str(doc), "-r", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith(f"error: cannot read {doc} as JSON: ")
 
 
 def test_iet_lengths_that_are_a_list_are_an_error(tmp_path, capsys):
@@ -753,7 +732,7 @@ def test_giet_breakpoint_off_its_branch_is_an_error(tmp_path, capsys):
 
 def test_float_copy_of_an_iet_with_a_large_total_loads_back():
     T = ExactIET.from_lengths(
-        D2, {"A": Fraction(10000000001, 3), "B": Fraction(10**9)}, normalize=False
+        D2, {"A": Fraction(10000000001, 3), "B": Fraction(10**9)}
     )
     g = giet_from_iet(T)
     assert fileio.giet_from_document(fileio.giet_document(g)) == g
@@ -873,7 +852,7 @@ def partition_maps():
     f2 = smooth_giet(D2, [1 - golden, golden], {"A": 2.0, "B": -1.5})
     f4 = smooth_giet(D4, [math.sqrt(p) for p in (2, 3, 5, 7)], {"A": 1.0, "C": -0.7})
     m2 = build_reference(f2.rauzy_path(21).path).base_iet
-    odd = ExactIET.from_lengths(parse_datum('é " \\', '\\ " é'), [2584, 4181, 3235])
+    odd = unit_iet(parse_datum('é " \\', '\\ " é'), [2584, 4181, 3235])
     return {"f4@40": (f4, 40), "f2@21": (f2, 21), "m2@21": (m2, 21), "escaped letters": (odd, 13)}
 
 
@@ -928,8 +907,8 @@ def test_exact_partition_on_the_grid_gives_the_bytes_of_the_fraction_partition(t
     golden = (math.sqrt(5) - 1) / 2
     f2 = smooth_giet(D2, [1 - golden, golden], {"A": 2.0, "B": -1.5})
     m2 = build_reference(f2.rauzy_path(21).path).base_iet
-    ints = ExactIET.from_lengths(D4, [1000003, 1414213, 1732051, 2236068], normalize=False)
-    fractions = ExactIET.from_lengths(D4, ["6/11", "2/7", "1/13", "2/3"], normalize=False)
+    ints = ExactIET.from_lengths(D4, [1000003, 1414213, 1732051, 2236068])
+    fractions = ExactIET.from_lengths(D4, ["6/11", "2/7", "1/13", "2/3"])
     assert ints.on_integer_grid()[1] == 1 and ints.total != 1
     assert fractions.on_integer_grid()[1] == 3003 and fractions.total != 1
     cases = {"m2@21": (m2, 21), "int lengths, class names": (ints, 11),
@@ -1454,7 +1433,7 @@ def test_exact_order_beyond_the_point_cap_is_refused_by_partition_not_by_induct(
     fib = [1, 1]
     while len(fib) < 47:
         fib.append(fib[-1] + fib[-2])
-    doc = write_doc(tmp_path, fileio.iet_document(ExactIET.from_lengths(D2, fib[-2:])))
+    doc = write_doc(tmp_path, fileio.iet_document(unit_iet(D2, fib[-2:])))
     assert main(["partition", doc, "-r", "30"]) == 1
     assert capsys.readouterr() == ("", "error: the order-30 induction passes the cap of 200000 "
                                        "points: N=317811 after 25 of 30 steps\n")

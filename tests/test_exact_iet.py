@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from conftest import admissible, eval_inverse, int_product, random_exact_iet
+from conftest import admissible, eval_inverse, int_product, random_exact_iet, unit_iet
 from gietlab.branches import EPS_BRANCH
 from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
 from gietlab.errors import BadLengths, GietlabError, InductionFailed, OutOfDomain, TieError
@@ -23,7 +23,7 @@ def fixture_T2():
 
 
 def fixture_Tg():
-    return ExactIET.from_lengths(D4, LAMBDA_G, normalize=False)
+    return ExactIET.from_lengths(D4, LAMBDA_G)
 
 
 def test_breakpoints():
@@ -103,7 +103,7 @@ def test_in_cone():
     result = fixture_Tg().rauzy_path(5, "bbbtb")
     assert result.path == RauzyPath.from_kinds(D4, "bbbtb")
     assert result.map.lengths_by_letter() == {a: Fraction(1, 11) for a in "ABCD"}
-    assert ExactIET.from_lengths(D2, [1, 2]).rauzy_path(0).path == RauzyPath(D2)
+    assert unit_iet(D2, [1, 2]).rauzy_path(0).path == RauzyPath(D2)
     # (1/3, 2/3) follows one top arrow, then ties: it is off the cone of "tt"
     assert fixture_T2().rauzy_path(2, "tt").path.kinds != "tt"
 
@@ -114,7 +114,7 @@ def test_lengths_after_steps_match_cone_coordinates():
         d = rng.choice((2, 3, 4, 5))
         datum = rng.choice(admissible("ABCDE"[:d]))
         lengths = [Fraction(rng.randint(1, 50), 1) for _ in range(d)]
-        T = ExactIET.from_lengths(datum, lengths)
+        T = unit_iet(datum, lengths)
         result = T.rauzy_path(rng.randint(1, 12))
         # the induced lengths are the cone coordinates: lengths = M^T induced
         (lengths,) = int_product((result.map.lengths,), path_matrix(result.path).rows)
@@ -159,7 +159,7 @@ def test_integer_grid_is_the_map_scaled_by_its_denominator():
     rng = random.Random(11)
     for _ in range(40):
         datum = rng.choice([D2, D4, parse_datum("A B C", "C B A")])
-        T = ExactIET.from_lengths(
+        T = unit_iet(
             datum, [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(datum.d)]
         )
         grid, D = T.on_integer_grid()
@@ -173,7 +173,7 @@ def test_integer_grid_is_the_map_scaled_by_its_denominator():
 
 
 def test_induction_of_a_non_admissible_datum_is_an_error():
-    T = ExactIET.from_lengths(parse_datum("A B", "A B"), [1, 2])
+    T = unit_iet(parse_datum("A B", "A B"), [1, 2])
     # no arrow leaves the datum; order 0 asks for none
     assert T.rauzy_path(0).path.kinds == ""
     with pytest.raises(InductionFailed, match="A B / A B is not admissible"):
@@ -184,7 +184,7 @@ def test_bad_lengths_are_typed_errors_that_name_the_letter():
     with pytest.raises(BadLengths, match=r"length of letter 'A' must be positive, got 0"):
         ExactIET.from_lengths(parse_datum("A B", "B A"), [0, 1])
     with pytest.raises(BadLengths, match=r"letter 'C' must be positive, got -1/11"):
-        ExactIET.from_lengths(D4, ["6/11", "2/11", "-1/11", "2/11"], normalize=False)
+        ExactIET.from_lengths(D4, ["6/11", "2/11", "-1/11", "2/11"])
     with pytest.raises(BadLengths, match=r"A B C D / D C B A needs 4 lengths, one per letter, got 3"):
         ExactIET(D4, (1, 2, 3))
     assert issubclass(BadLengths, GietlabError) and not issubclass(BadLengths, ValueError)

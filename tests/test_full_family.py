@@ -28,7 +28,6 @@ FIVE = parse_datum("A B E C D", "E A D C B")  # five branches, two will collapse
 def model_giet():
     T = ExactIET.from_lengths(
         D4, {"A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D": Fraction(2, 11)},
-        normalize=False,
     )
     return giet_from_iet(T)
 

@@ -15,6 +15,7 @@ from conftest import (
     random_unit_giet,
     shrinking_circle_map,
     smooth_two_letter_map,
+    unit_iet,
     validate_branch,
     validate_giet,
     verify_matrix_counts,
@@ -52,13 +53,12 @@ LAMBDA_G = {"A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D
 
 
 def model_iet():
-    return ExactIET.from_lengths(D4, LAMBDA_G, normalize=False)
+    return ExactIET.from_lengths(D4, LAMBDA_G)
 
 
 def random_exact_iet(rng, d):
     datum = rng.choice(admissible("ABCDE"[:d]))
-    lengths = [Fraction(rng.randint(1, 60)) for _ in range(d)]
-    return ExactIET.from_lengths(datum, lengths)
+    return unit_iet(datum, [rng.randint(1, 60) for _ in range(d)])
 
 
 def test_giet_from_iet():
@@ -367,9 +367,7 @@ def test_path_partition_equivalence_both_directions():
     while pairs_same < 6 or pairs_diff < 6:
         d = rng.choice((2, 3, 4))
         T1 = random_exact_iet(rng, d)
-        T2 = ExactIET.from_lengths(
-            T1.datum, [Fraction(rng.randint(1, 60)) for _ in range(d)]
-        )
+        T2 = unit_iet(T1.datum, [rng.randint(1, 60) for _ in range(d)])
         r = rng.randint(1, 6)
         r1, r2 = T1.rauzy_path(r), T2.rauzy_path(r)
         if len(r1.path) < r or len(r2.path) < r:

@@ -22,7 +22,6 @@ def model_iet():
     return ExactIET.from_lengths(
         D4,
         {"A": Fraction(6, 11), "B": Fraction(2, 11), "C": Fraction(1, 11), "D": Fraction(2, 11)},
-        normalize=False,
     )
 
 
@@ -61,7 +60,7 @@ def test_node_count_matches_partition():
 
 def test_path_mismatch_rejected():
     T = model_iet()
-    skew = ExactIET.from_lengths(D4, [Fraction(1, 9), Fraction(1, 9), Fraction(1, 9), Fraction(6, 9)], normalize=False)
+    skew = ExactIET.from_lengths(D4, [Fraction(1, 9), Fraction(1, 9), Fraction(1, 9), Fraction(6, 9)])
     f = giet_from_iet(skew)
     assert skew.rauzy_path(5).path.kinds != T.rauzy_path(5).path.kinds
     with pytest.raises(PathMismatch):

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,7 @@ from gietlab.errors import (
     NoCyclicDatum,
     OrderViolation,
     TargetNotCyclic,
+    TooManyPoints,
 )
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
@@ -129,7 +132,7 @@ def test_realize_refuses_beyond_the_point_cap(monkeypatch):
     assert build_reference(over).N == 317_811  # the reference itself has no cap
     # one arrow deeper the solver refuses before any orbit point is built
     monkeypatch.setattr(thurston, "build_reference", None)
-    with pytest.raises(InductionMismatch, match=r"N=317811 points, beyond the cap 200000"):
+    with pytest.raises(TooManyPoints, match=r"N=317811 points, beyond the cap 200000"):
         realize(GietFamily(smooth_seed(*FIB_SEED)), over)
 
 
@@ -153,7 +156,7 @@ def test_reference_fields_hold_one_orbit_table():
     # the model orbit is the one table of N entries: the sweeps walk it
     # backwards and the certificate reads the model's atoms off it
     assert list(thurston.RefConfig._fields) == [
-        "path", "N", "h", "base_iet", "grid", "crit_pos", "orbit"
+        "path", "N", "h", "grid", "crit_pos", "orbit"
     ]
     for depth in (5, 15):
         ref = fibonacci_ref(depth)
@@ -536,7 +539,7 @@ def _reference_in_fractions(path):
     q = matrix.row_sums()
     N = sum(q.values())
     base = ExactIET.from_lengths(
-        path.source, {a: Fraction(c, N) for a, c in matrix.col_sums().items()}, normalize=False
+        path.source, {a: Fraction(c, N) for a, c in matrix.col_sums().items()}
     )
     induced = base.rauzy_path(len(path)).map
     u_t = base.top_breaks
@@ -602,6 +605,34 @@ def test_reference_on_the_integer_grid_equals_the_fraction_one():
             ref.class_of_atom(a, i + ref.h[a]).orbit_pos: (a, i) for a, i in window.values()
         } == window
         assert all(type(x) is Fraction for x in points + ref.base_iet.lengths)
+
+
+def test_base_iet_is_the_fraction_model_read_off_the_grid():
+    """``build_reference`` builds the model on its integer grid only, and
+    ``base_iet``, read later, is the ``Fraction`` model with the path
+    matrix's column sums over N as lengths: on the Fibonacci paths of depth
+    10-15 and on the paths of the benchmark's realize pool, completed as
+    ``realize`` completes them."""
+    fib = ExactIET.from_lengths(D2, [Fraction(2584, 6765), Fraction(4181, 6765)])
+    cases = [(fib.rauzy_path(depth).path, None) for depth in range(10, 16)]
+    data = {4: D4, 5: D5}
+    classes = {d: rauzy_class(datum) for d, datum in data.items()}
+    pool = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+    for entry in json.loads(pool.read_text()):
+        path, cls = RauzyPath.from_kinds(data[entry["d"]], entry["kinds"]), classes[entry["d"]]
+        if not sigma_and_cyclicity(path.target)[1]:
+            path = path.concat(find_path(cls, path.target, find_cyclic(cls)))
+        cases.append((path, entry["N"]))
+    assert len(cases) == 166
+    for path, N in cases:
+        ref = build_reference(path)
+        assert "base_iet" not in vars(ref) and N in (None, ref.N)
+        matrix = path_matrix(path)
+        model = ExactIET.from_lengths(
+            path.source, {a: Fraction(c, ref.N) for a, c in matrix.col_sums().items()}
+        )
+        assert ref.base_iet == model
+        assert all(type(x) is Fraction for x in ref.base_iet.lengths)
 
 
 def test_certificate_partition_on_the_grid_equals_the_fraction_one():

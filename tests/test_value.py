@@ -51,8 +51,8 @@ def giet():
 def ref():
     path = RauzyPath(datum(), (arrow(),))
     model = ExactIET(datum(), (1, 2))
-    return RefConfig(path=path, N=3, h={"A": 0, "B": 1}, base_iet=model, grid=model,
-                     crit_pos={"A": 0, "B": 1}, orbit=(0, 2, 1))
+    return RefConfig(path=path, N=3, h={"A": 0, "B": 1}, grid=model, crit_pos={"A": 0, "B": 1},
+                     orbit=(0, 2, 1))
 
 
 def report():
@@ -103,7 +103,6 @@ CASES = {
     "RefConfig": (
         (ref,) * 2,
         f"RefConfig(path={PATH}, N=3, h={{'A': 0, 'B': 1}}, "
-        f"base_iet=ExactIET(datum={D2}, lengths=(1, 2)), "
         f"grid=ExactIET(datum={D2}, lengths=(1, 2)), crit_pos={{'A': 0, 'B': 1}}, "
         "orbit=(0, 2, 1))", "frozen"),
     "SolveReport": (
