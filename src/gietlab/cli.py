@@ -114,10 +114,7 @@ def cmd_partition(args) -> int:
         figure = svg.render_partition(float_length(m.total, scale), atoms)
         with open(args.svg, "w") as fh:
             fh.write(figure)
-    if args.output:
-        fileio.dump(fileio.partition_pieces(partition, m.total, labels, scale), args.output)
-    else:
-        print(fileio.partition_json(partition, m.total, labels, scale))
+    fileio.dump(fileio.partition_pieces(partition, m.total, labels, scale), args.output)
     return 0
 
 

@@ -252,9 +252,6 @@ class IntMatrix(Frozen):
         d = len(alphabet)
         return cls(alphabet, tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
-    def entry(self, row_letter: str, col_letter: str) -> int:
-        return self.rows[self.alphabet.index(row_letter)][self.alphabet.index(col_letter)]
-
     def row_sums(self) -> dict[str, int]:
         return {a: sum(self.rows[i]) for i, a in enumerate(self.alphabet)}
 

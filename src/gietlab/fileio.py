@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 from .branches import (
@@ -268,11 +269,6 @@ def partition_pieces(p: DynamicalPartition, total, labels, scale=1) -> list:
     return pieces
 
 
-def partition_json(p: DynamicalPartition, total, labels, scale=1) -> str:
-    """The partition document as one JSON text: the ``partition_pieces`` joined."""
-    return "".join(partition_pieces(p, total, labels, scale))
-
-
 def partition_from_document(doc: dict) -> tuple[float, list]:
     """The ``total`` and the atoms' ``(left, right, label)`` of a partition
     document, in floats, every atom checked, and the atoms checked to tile
@@ -341,19 +337,16 @@ def load_map(path: str, kinds=("iet", "giet")):
     return partition_from_document(doc)
 
 
-def dump(doc: dict | list, path: str | None) -> str | list:
-    """``doc`` as one line of JSON with sorted keys, also written to ``path``;
-    a ``list`` is that text in ``str`` pieces (``partition_pieces``),
-    returned as they are, never joined whole.
+def dump(doc: dict | list, path: str | None) -> None:
+    """Write ``doc`` as one line of JSON with sorted keys to ``path``, or to
+    stdout when ``path`` is None; a ``list`` is that text in ``str`` pieces
+    (``partition_pieces``), never joined whole.
 
     No ``indent``: with it, ``json`` falls back to its pure-Python encoder.
     """
-    text = doc if isinstance(doc, list) else json.dumps(doc, sort_keys=True)
-    if path:
-        pieces = doc if isinstance(doc, list) else [text]
-        with open(path, "w") as fh:
-            # 1024 pieces (about 100 kB of a partition) per write: a write per
-            # piece, or one of the whole text, takes about twice as long
-            fh.writelines("".join(pieces[i:i + 1024]) for i in range(0, len(pieces), 1024))
-            fh.write("\n")  # not text + "\n": that copies a document of megabytes
-    return text
+    pieces = doc if isinstance(doc, list) else [json.dumps(doc, sort_keys=True)]
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        # 1024 pieces (about 100 kB of a partition) per write: a write per
+        # piece, or one of the whole text, takes about twice as long
+        fh.writelines("".join(pieces[i:i + 1024]) for i in range(0, len(pieces), 1024))
+        fh.write("\n")  # not joined on: that copies a document of megabytes

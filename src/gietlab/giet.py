@@ -250,8 +250,8 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None,
       letter, together holding each of the N cells once:
       ``thurston.RefConfig.cells``): plain ``(lo, hi, letter, i)`` tuples in
       cell order (``_laid_in_cells``), sorted only when their left ends do
-      not strictly increase.  A table whose counts differ from the tower
-      heights takes the no-table route.
+      not strictly increase.  A table whose letters or counts differ from
+      the towers' takes the no-table route.
 
     ``realize``, ``partition`` and ``semiconj`` pass the table of a path
     that has all ``r`` arrows and ends at a cyclic datum (``realize``'s
@@ -266,7 +266,7 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None,
     tops = result.map.top_intervals()
     del result  # the induced chains hold one part per atom: free them first
     first = itemgetter(0)
-    if cells is None or any(len(cells[a]) != n for a, n in q.items()):
+    if cells is None or {a: len(c) for a, c in cells.items()} != q:
         atoms = [
             Atom(lo, hi, letter, i)
             for letter, *base in tops

@@ -34,10 +34,10 @@ def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
 
     Each map is induced once, and refused (``TooManyPoints``) once its N
     passes ``thurston.MAX_REFERENCE_POINTS``.  When ``f``'s path has all
-    ``r`` arrows and ends at a cyclic datum, both partitions are laid in
-    the cells of its reference (``RefConfig.cells``); otherwise both are
-    sorted (``dynamical_partition``).  Either way the partitions are
-    compared label by label.
+    ``r`` arrows and ends at a cyclic datum, each partition is laid in the
+    cells of its reference (``RefConfig.cells``) where its towers fit them,
+    and sorted otherwise (``dynamical_partition``); either way the
+    partitions are compared label by label.
 
     Both maps must share the induction path to depth ``r``.
     """

@@ -37,6 +37,7 @@ from .combinatorics import (
     find_path,
     path_matrix,
     rauzy_class,
+    return_times,
     sigma_and_cyclicity,
 )
 from .errors import (
@@ -73,10 +74,11 @@ class LabelClass(namedtuple("LabelClass", "letter index orbit_pos")):
 class RefConfig(Frozen):
     """The reference configuration of a path with cyclic target: the model
     IET on its integer grid and the orbit of 0 that ``build_reference``
-    walks.  The tables read off that orbit are cached: ``runs`` for the
-    pullback step, ``lifts`` and ``cells`` for the certificate, ``names``
-    for display.  The model on ``[0, 1)``, ``base_iet``, is read off the
-    grid when asked for."""
+    walks.  The tables read off that orbit are cached: ``pulls`` for the
+    pullback step and the Newton step, ``lifts`` and ``cells`` for the
+    certificate, ``names`` for display and the solver's boundary faces.
+    The model on ``[0, 1)``, ``base_iet``, is read off the grid when asked
+    for."""
 
     _fields = ("path", "N", "h", "grid", "crit_pos", "orbit")
 
@@ -97,14 +99,15 @@ class RefConfig(Frozen):
         return ExactIET(self.datum, tuple(Fraction(c, self.N) for c in self.grid.lengths))
 
     @cached_property
-    def runs(self) -> tuple:
-        """The grid slices of the bottom intervals but their first points, in
-        bottom-row order: the points a step pulls back, left to right.  The
-        preimages of a letter's run fill its top interval after its first
-        point."""
-        u_b = self.grid.bottom_breaks
-        lam = self.grid.lengths_by_letter()
-        return tuple((u_b[a] + 1, u_b[a] + lam[a]) for a in self.datum.bottom)
+    def pulls(self) -> tuple:
+        """The pullback table, in top-row order: ``(a, run, at)`` for each
+        letter ``a``, where ``run`` is the grid slice of a's bottom interval
+        but its first point, the points a step pulls back through a's
+        branch, and ``at`` the slice of a's top interval but its first
+        point, where their preimages land."""
+        u_t, u_b, lam = self.grid.top_breaks, self.grid.bottom_breaks, self.grid.lengths_by_letter()
+        return tuple((a, slice(u_b[a] + 1, u_b[a] + lam[a]), slice(u_t[a] + 1, u_t[a] + lam[a]))
+                     for a in self.datum.top)
 
     @cached_property
     def _starts(self) -> tuple[list, list]:
@@ -134,9 +137,9 @@ class RefConfig(Frozen):
 
     @cached_property
     def names(self) -> list:
-        """The name of the class at every orbit position, the name
-        ``canonical_label`` gives it: each critical letter names its run of
-        positions up to the next critical position, in one pass."""
+        """The name of the class at every orbit position, as ``class_of_atom``
+        names it: each critical letter names its run of positions up to the
+        next critical position, in one pass."""
         starts, letters = self._starts
         return [f"{a}{i}" for a, lo, hi in zip(letters, starts, [*starts[1:], self.N])
                 for i in range(hi - lo)]
@@ -147,26 +150,22 @@ class RefConfig(Frozen):
         names, lifts, N = self.names, self.lifts, self.N
         return [names[(lifts[a] + i) % N] for _, _, a, i in atoms]
 
-    def canonical_label(self, letter: str, index: int) -> LabelClass:
-        """The class ``(letter, index)``, named after the nearest critical
-        position at or before it: each critical letter names the run up to
-        the next one.  Position 0 is the first top letter's, so one exists."""
-        c = (self.crit_pos[letter] + index) % self.N
+    def class_of_atom(self, letter: str, raw_index: int) -> LabelClass:
+        """The class of the order-r partition atom ``(letter, raw_index)``,
+        at orbit position ``lifts[letter] + raw_index``, named after the
+        nearest critical position at or before it.  Position 0 is the first
+        top letter's, so one exists."""
+        c = (self.lifts[letter] + raw_index) % self.N
         starts, letters = self._starts
         i = bisect_right(starts, c) - 1
         return LabelClass(letters[i], c - starts[i], c)
-
-    def class_of_atom(self, letter: str, raw_index: int) -> LabelClass:
-        """Class of the order-r partition atom with raw label ``(letter, raw_index)``."""
-        return self.canonical_label(letter, raw_index - self.h[letter])
 
 
 MAX_REFERENCE_POINTS = 200_000
 
 
-def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
-    """Construct the reference data of a path ending at a cyclic datum;
-    ``matrix``, if given, is the path's matrix, so it is not built again.
+def build_reference(path: RauzyPath) -> RefConfig:
+    """Construct the reference data of a path ending at a cyclic datum.
 
     The model IET is built on its integer grid only, with the path matrix's
     column sums as lengths.  It must reproduce the path's arrows under exact
@@ -179,8 +178,7 @@ def build_reference(path: RauzyPath, matrix=None) -> RefConfig:
     """
     if not sigma_and_cyclicity(path.target)[1]:
         raise TargetNotCyclic(f"{path.target} is not cyclic")
-    if matrix is None:
-        matrix = path_matrix(path)
+    matrix = path_matrix(path)
     q = matrix.row_sums()
     N = sum(q.values())
     cols = matrix.col_sums()
@@ -274,13 +272,14 @@ def step(ref: RefConfig, config: tuple, f) -> tuple:
     point pulls back, in one batch through ``f``'s branch of ``a``, onto its
     top interval but its first point, a critical class, which maps to
     ``f``'s critical point of ``a``.  The letter comes from the class, so no
-    point is located by its value.  A result out of the reference order
+    point is located by its value; ``ref.pulls`` lists the runs in top-row
+    order, the order of the result.  A result out of the reference order
     raises ``OrderViolation``.
     """
-    runs, out = dict(zip(ref.datum.bottom, ref.runs)), []
-    for a in ref.datum.top:
+    out = []
+    for a, run, _ in ref.pulls:
         out.append(f.top_breaks[a])
-        out += f.branches[a].inverse_many(config[slice(*runs[a])])
+        out += f.branches[a].inverse_many(config[run])
     out = tuple(out)
     if not is_ordered(out):
         raise OrderViolation("the pullback broke the reference order")
@@ -319,15 +318,18 @@ def _solve_linear(rows: list, rhs: list) -> list:
     return c
 
 
-def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tuple | None:
-    """The Newton step for ``x = F(x)`` from ``config``, whose pullback under
-    ``f`` is ``pulled``, or None where it fails.
+def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f,
+                 tau: dict) -> tuple | None:
+    """The Newton step for ``x = F(x)`` from ``config``, whose parameter is
+    ``tau`` and whose pullback under ``f``, the family map at ``tau``, is
+    ``pulled``; None where it fails.
 
     The Jacobian of ``F`` is ``PD + G E^T``.  Entry ``x`` of ``F`` reads only
     the point ``T(x)``, through the slope ``D_x`` of ``f``'s inverse, so
-    ``I - PD`` is solved by ``_sweep``.  Every entry also reads tau, which
-    reads the d - 1 points ``E^T x`` at the model's critical values
-    ``u^b > 0``; the Woodbury identity solves the rank-(d - 1) term.  A
+    ``I - PD`` is solved by ``_sweep``; ``ref.pulls`` slices each letter's
+    points and slopes.  Every entry also reads tau, which reads the d - 1
+    points ``E^T x`` at the model's critical values ``u^b > 0``; the
+    Woodbury identity solves the rank-(d - 1) term.  A
     family branch is the seed's rescaled from ``(x0, x1)`` onto ``(c0, c1)``,
     so ``y`` pulls back to ``p = x0 + W S((y - c0) / H)``: a column of ``G``
     is ``dx0 + dW (p - x0) / W - D (dc0 + dH (y - c0) / H)``, ``dx0`` at a's
@@ -339,20 +341,18 @@ def _newton_step(family, ref: RefConfig, config: tuple, pulled: tuple, f) -> tup
     non-finite value, there is no step.
     """
     u_t, slopes = ref.grid.top_breaks, [0.0] * ref.N
-    runs = [(a, lo, hi, slice(u_t[a] + 1, u_t[a] + 1 + hi - lo))
-            for a, (lo, hi) in zip(ref.datum.bottom, ref.runs)]
-    for a, lo, hi, at in runs:
-        slopes[at] = f.branches[a].inverse_slopes(config[lo:hi])
+    for a, run, at in ref.pulls:
+        slopes[at] = f.branches[a].inverse_slopes(config[run])
     y0 = _sweep(ref, slopes, list(map(operator.sub, pulled, config)))
     marks = [ref.grid.bottom_breaks[b] for b in ref.datum.bottom[1:]]
     x0s, c0s, z = f.top_breaks, f.bottom_breaks, []
-    for ends in full_family.end_derivatives(family.seed, tau_of(ref, config)):
+    for ends in full_family.end_derivatives(family.seed, tau):
         col = [0.0] * ref.N
-        for a, lo, hi, at in runs:
+        for a, run, at in ref.pulls:
             (dx0, dw, dc0, dh), x0, c0 = ends[a], x0s[a], c0s[a]
             col[u_t[a]] = dx0
             col[at] = [dx0 + dw * (p - x0) - s * (dc0 + dh * (y - c0))
-                       for p, s, y in zip(pulled[at], slopes[at], config[lo:hi])]
+                       for p, s, y in zip(pulled[at], slopes[at], config[run])]
         z.append(_sweep(ref, slopes, col))
     try:
         # (I - E^T Z) c = E^T y0, and the step is y0 + Z c
@@ -435,7 +435,7 @@ def solve(
             tau = tau_of(ref, config)
         except OrderViolation:
             return report("boundary", {})
-        faces = tuple(ref.canonical_label(a, 1).name for a, v in tau.items() if v <= EPS_DEG)
+        faces = tuple(ref.names[(ref.crit_pos[a] + 1) % ref.N] for a, v in tau.items() if v <= EPS_DEG)
         if faces:
             return report("boundary", tau, faces=faces)
         f = family.at(tau)
@@ -455,7 +455,7 @@ def solve(
         if averaged_left:
             averaged_left -= 1
         else:
-            new_config = _newton_step(family, ref, config, pulled, f)
+            new_config = _newton_step(family, ref, config, pulled, f, tau)
             if new_config is None:
                 averaged_left = FALLBACK_STEPS - 1
             else:
@@ -521,9 +521,10 @@ def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResul
     tower floor that straddles a breakpoint), the certificate is false and
     ``certificate_error`` says why; a partition that does not tile the
     interval is still an error.  The total return time N grows
-    exponentially with the path length, so the solver refuses outright,
-    before building any of its N points, when N would exceed
-    ``MAX_REFERENCE_POINTS``.
+    exponentially with the path length, so ``realize`` reads N off the
+    path's matrix (``return_times``) and refuses outright, before the
+    reference builds any of its N points, when N would exceed
+    ``MAX_REFERENCE_POINTS``; ``build_reference`` itself has no cap.
     """
     cls = rauzy_class(target_path.source)
     if sigma_and_cyclicity(target_path.target)[1]:
@@ -534,13 +535,12 @@ def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResul
             raise NoCyclicDatum(f"no cyclic datum in the class of {target_path.source}")
         eta = find_path(cls, target_path.target, cyclic)
         full = target_path.concat(eta)
-    matrix = path_matrix(full)
-    N = sum(matrix.row_sums().values())
+    N = return_times(full)[1]
     if N > MAX_REFERENCE_POINTS:
         raise TooManyPoints(
             f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
         )
-    ref = build_reference(full, matrix)
+    ref = build_reference(full)
     report = solve(family, ref, max_iter)
     if not report.realized:
         raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)

@@ -256,9 +256,15 @@ def orbit_order(ref):
 
 
 def class_at(ref, c):
-    """The class at orbit position ``c``: ``(alpha_0, c)``, since the orbit
-    starts at 0, the critical point of the first top letter."""
-    return ref.canonical_label(ref.datum.top[0], c)
+    """The class at orbit position ``c`` (mod N), named after the nearest
+    critical position at or before it, found by bisection over the sorted
+    critical positions: an oracle apart from ``RefConfig.names`` and
+    ``class_of_atom``.  Position 0 is the first top letter's, so one exists."""
+    c %= ref.N
+    letters = sorted(ref.crit_pos, key=ref.crit_pos.get)
+    starts = [ref.crit_pos[a] for a in letters]
+    i = bisect_right(starts, c) - 1
+    return thurston.LabelClass(letters[i], c - starts[i], c)
 
 
 def verify_matrix_counts(m, r: int) -> bool:
@@ -282,9 +288,14 @@ def verify_matrix_counts(m, r: int) -> bool:
             return False
     for a in m.datum.alphabet:
         for b in m.datum.alphabet:
-            if matrix.entry(a, b) != counts.get((a, b), 0):
+            if entry(matrix, a, b) != counts.get((a, b), 0):
                 return False
     return True
+
+
+def entry(matrix, row_letter: str, col_letter: str) -> int:
+    """The entry of an ``IntMatrix`` in the row and column of two letters."""
+    return matrix.rows[matrix.alphabet.index(row_letter)][matrix.alphabet.index(col_letter)]
 
 
 def random_exact_iet(rng, d, max_num=60):

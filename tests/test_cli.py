@@ -411,14 +411,12 @@ def test_library_holds_no_assert():
 
 
 def names_read(tree, attributes=False):
-    """Every name a module reads, in its code or in its doctests; with
-    ``attributes``, every attribute name it loads too."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif attributes and isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+    """Every name a module loads, in its code or in its doctests; with
+    ``attributes``, every attribute name it loads instead.  A name that is
+    only assigned, such as a loop variable, is not read."""
+    kind, field = (ast.Attribute, "attr") if attributes else (ast.Name, "id")
+    names = {getattr(node, field) for node in ast.walk(tree)
+             if isinstance(node, kind) and isinstance(node.ctx, ast.Load)}
     documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.walk(tree):
         if isinstance(node, documented) and ast.get_docstring(node):
@@ -451,33 +449,35 @@ KEPT_UNREAD = {}
 
 
 def definitions(tree, module):
-    """``(dotted name, name)`` of each module-level function and class of a
-    module, and of each public method of its classes."""
+    """``(dotted name, name, is a method)`` of each module-level function and
+    class of a module, and of each public method of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
 def test_library_defines_only_what_the_program_reads():
-    """Every function and class of the library, and every public method, is
-    read as a name or an attribute by some code or doctest of the library or
-    of the benchmark harness (``perfbench/``), but those in ``KEPT_UNREAD``.
-    A definition that only the tests read is a test helper."""
+    """Every function and class of the library is loaded as a name or an
+    attribute, and every public method as an attribute, by some code or
+    doctest of the library or of the benchmark harness (``perfbench/``),
+    but those in ``KEPT_UNREAD``.  A definition that only the tests read is
+    a test helper."""
     package = Path(gietlab.__file__).parent
     harness = Path(__file__).resolve().parents[1] / "perfbench"
     trees = {source: ast.parse(source.read_text()) for source in sorted(package.glob("*.py"))}
-    read = set()
+    names, attributes = set(), set()
     for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in harness.rglob("*.py"))]:
-        read |= names_read(tree, attributes=True)
+        names |= names_read(tree)
+        attributes |= names_read(tree, attributes=True)
     unread = [
         dotted
         for source, tree in trees.items()
-        for dotted, name in definitions(tree, source.stem)
-        if name not in read
+        for dotted, name, method in definitions(tree, source.stem)
+        if name not in attributes and (method or name not in names)
     ]
     assert sorted(unread) == sorted(KEPT_UNREAD)
 
@@ -818,7 +818,7 @@ def test_partition_labels_are_escaped_in_svg():
 def partition_document(p, total, labels=None):
     """The partition document as a dict, built as the library built it before
     it wrote the JSON text straight from the atoms: the reference for
-    ``fileio.partition_json``."""
+    the joined ``fileio.partition_pieces``."""
     num = float if isinstance(total, float) else fileio._num_out
     names = labels or [f"{atom.letter}{atom.index}" for atom in p.atoms]
     atoms = [
@@ -856,7 +856,7 @@ def partition_maps():
     return {"f4@40": (f4, 40), "f2@21": (f2, 21), "m2@21": (m2, 21), "escaped letters": (odd, 13)}
 
 
-def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys):
+def test_partition_pieces_join_to_the_sorted_json_dump_of_the_document(tmp_path, capsys):
     cases = {**partition_maps(), "order 0": (model_iet(), 0)}
     f4 = cases["f4@40"][0]
     texts = {}
@@ -865,10 +865,10 @@ def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys
         labels = class_labels(p)
         names = [f"{atom.letter}{atom.index}" for atom in p.atoms]
         for given in (labels, None):
-            text = fileio.partition_json(p, m.total, given or names)
+            text = "".join(fileio.partition_pieces(p, m.total, given or names))
             assert text == json.dumps(partition_document(p, m.total, given), sort_keys=True), name
         # the command writes the text with the class names
-        texts[name] = text = fileio.partition_json(p, m.total, labels or names)
+        texts[name] = text = "".join(fileio.partition_pieces(p, m.total, labels or names))
         path = tmp_path / "map.json"
         doc = fileio.iet_document(m) if isinstance(m, ExactIET) else fileio.giet_document(m)
         fileio.dump(doc, str(path))
@@ -886,7 +886,7 @@ def test_partition_json_is_the_sorted_json_dump_of_the_document(tmp_path, capsys
     # equal neighbouring ends that print apart: 0.0, then -0.0
     atoms = (Atom(-0.5, 0.0, "A", 0), Atom(-0.0, 0.5, "B", 0))
     p = DynamicalPartition(0, atoms, dynamical_partition(f4, 0).path)
-    text = fileio.partition_json(p, 1.0, ["x", "y"])
+    text = "".join(fileio.partition_pieces(p, 1.0, ["x", "y"]))
     assert text == json.dumps(partition_document(p, 1.0, ["x", "y"]), sort_keys=True)
     assert '"left": -0.0' in text
 
@@ -898,7 +898,7 @@ def fraction_partition_outputs(T, r):
     ``float``."""
     p = dynamical_partition(T, r)
     labels = class_labels(p) or [f"{atom.letter}{atom.index}" for atom in p.atoms]
-    text = fileio.partition_json(p, T.total, labels)
+    text = "".join(fileio.partition_pieces(p, T.total, labels))
     ends = [(float(lo), float(hi), label) for (lo, hi, _, _), label in zip(p.atoms, labels)]
     return text, svg.render_partition(float(T.total), ends)
 
@@ -1158,12 +1158,12 @@ def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
     real_dump = fileio.dump
 
     def recording_dump(doc, path):
-        text = real_dump(doc, path)
-        # a partition comes in pieces, which dump writes and returns unjoined
-        pieces.append(type(doc) is list and text is doc)
-        joined = "".join(text) if pieces[-1] else text
-        written.append((doc if isinstance(doc, dict) else json.loads(joined), path, joined))
-        return text
+        assert real_dump(doc, path) is None
+        # a partition comes in pieces, which dump writes as they are
+        pieces.append(type(doc) is list)
+        text = Path(path).read_text()[:-1]
+        assert not pieces[-1] or text == "".join(doc)
+        written.append((doc if isinstance(doc, dict) else json.loads(text), path, text))
 
     monkeypatch.setattr(fileio, "dump", recording_dump)
     iet = write_model_iet(tmp_path)
@@ -1175,7 +1175,7 @@ def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
     assert [path for _, path, _ in written] == [iet, family, partition, report]
     assert pieces == [False, False, True, False]
     for doc, path, text in written:
-        assert Path(path).read_text() == text + "\n"
+        assert Path(path).read_text() == text + "\n" and "\n" not in text
         # one line, keys sorted, the default separators
         assert text == json.dumps(json.loads(text), sort_keys=True)
         assert json.loads(text) == json.loads(json.dumps(doc, indent=2, sort_keys=True))
@@ -1187,6 +1187,24 @@ def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):
             assert main(["render", str(indented), "-o", str(tmp_path / "indented.svg")]) == 0
         else:
             assert fileio.load_map(str(indented)) == fileio.load_map(path)
+
+
+@pytest.mark.parametrize("doc", ["realize report", "partition in pieces"])
+def test_dump_without_a_path_prints_the_bytes_it_writes_to_one(tmp_path, capsysbinary, doc):
+    """``partition`` without ``-o`` calls the same writer with no path: its
+    stdout is the file it writes, byte for byte, past the 1,024 pieces of
+    one write, which f2's order-18 partition has."""
+    if doc == "realize report":
+        doc = {"kind": "report", "tau": {"A": 0.25, "B": 0.75}, "deltas": [[1, 1e-3]]}
+    else:
+        f2 = partition_maps()["f2@21"][0]
+        p = dynamical_partition(f2, 18)
+        doc = fileio.partition_pieces(p, f2.total, [f"{a}{i}" for _, _, a, i in p.atoms])
+        assert len(doc) > 1024
+    path = tmp_path / "doc.json"
+    assert fileio.dump(doc, str(path)) is None
+    assert fileio.dump(doc, None) is None
+    assert capsysbinary.readouterr() == (path.read_bytes(), b"")
 
 
 def test_partition_of_float_giet_with_class_labels(tmp_path, capsys):
@@ -1344,7 +1362,7 @@ def test_partition_lays_a_cyclic_path_in_the_model_cells(tmp_path, monkeypatch, 
     assert all(type(atom) is Atom for atom in expected.atoms)
     ref = build_reference(expected.path)
     labels = ref.atom_names(expected.atoms)
-    text = fileio.partition_json(expected, grid.total, labels, scale)
+    text = "".join(fileio.partition_pieces(expected, grid.total, labels, scale))
     figure = svg.render_partition(grid.total / scale, [
         (lo / scale, hi / scale, label) for (lo, hi, _, _), label in zip(expected.atoms, labels)])
     doc = fileio.iet_document(m) if isinstance(m, ExactIET) else fileio.giet_document(m)
@@ -1371,7 +1389,8 @@ def test_partition_without_a_complete_cyclic_path_passes_no_table(tmp_path, caps
     assert all(type(atom) is Atom for atom in partitions[0].atoms)
     expected = dynamical_partition(f4, 20)
     names = [f"{atom.letter}{atom.index}" for atom in expected.atoms]
-    assert capsys.readouterr() == (fileio.partition_json(expected, f4.total, names) + "\n", "")
+    text = "".join(fileio.partition_pieces(expected, f4.total, names))
+    assert capsys.readouterr() == (text + "\n", "")
     tie = fileio.iet_document(ExactIET.from_lengths(D2, ["1/2", "1/2"]))
     assert main(["partition", write_doc(tmp_path, tie), "-r", "2"]) == 1
     assert capsys.readouterr() == ("", "error: tie after 0 of 2 steps\n")
@@ -1404,6 +1423,38 @@ def test_semiconj_lays_both_maps_in_one_table(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == laid
         assert tables[-1] is tables[-2] and tables[-1] == exchanged_cells(ref.cells, k)
         assert [p.atoms for p in partitions[-2:]] == [p.atoms for p in partitions[:2]]
+
+
+def run_semiconj(tmp_path, capsys, f, T, order):
+    """``semiconj`` on the documents of ``f`` and ``T``: its code and output."""
+    f_path, t_path = str(tmp_path / "f.json"), str(tmp_path / "t.json")
+    fileio.dump(fileio.giet_document(f), f_path)
+    fileio.dump(fileio.iet_document(T), t_path)
+    return main(["semiconj", f_path, t_path, "-r", str(order)]), capsys.readouterr()
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_semiconj_on_an_iet_with_a_letter_more_is_an_error(tmp_path, capsys, order):
+    """f2's path ends at a cyclic datum, so its cells table is passed to the
+    partition of T too; T has a letter C that the table lacks, so T's
+    partition is sorted instead of raising a ``KeyError``, and the label
+    sequences differ."""
+    f2 = partition_maps()["f2@21"][0]
+    T = ExactIET.from_lengths(parse_datum("A B C", "C B A"), [94, 424, 118])
+    code, out = run_semiconj(tmp_path, capsys, f2, T, order)
+    assert (code, out.out) == (1, "")
+    assert out.err == f"error: order-{order} partitions are not combinatorially equivalent\n"
+
+
+def test_semiconj_on_an_iet_with_a_letter_less_is_an_error(tmp_path, capsys):
+    """f's cyclic datum has the letters A, B and C, T only B and C, whose
+    tower counts match the table's: the table would lay T's atoms past
+    its end (an ``IndexError``), so T's partition is sorted instead."""
+    f = smooth_giet(parse_datum("A B C", "C A B"), [0.3, 0.3, 0.4], {"A": 1.5})
+    T = ExactIET.from_lengths(parse_datum("B C", "C B"), [374, 40])
+    code, out = run_semiconj(tmp_path, capsys, f, T, 0)
+    assert (code, out.out) == (1, "")
+    assert out.err == "error: order-0 partitions are not combinatorially equivalent\n"
 
 
 @pytest.mark.parametrize("command", ["partition", "semiconj"])

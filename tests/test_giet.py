@@ -789,7 +789,7 @@ def test_partition_document_bytes_equal_the_per_atom_builder():
         p = dynamical_partition(m, r)
         labels = [f"c{j}" for j in range(len(p.atoms))] if k % 3 == 0 else None
         names = labels or [f"{atom.letter}{atom.index}" for atom in p.atoms]
-        text = fileio.partition_json(p, m.total, names)
+        text = "".join(fileio.partition_pieces(p, m.total, names))
         assert text == json.dumps(_per_atom_document(p, m.total, labels), sort_keys=True)
         kinds.add(type(json.loads(text)["atoms"][0]["left"]))
     assert kinds == {float, str}

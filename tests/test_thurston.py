@@ -191,26 +191,33 @@ def test_successor_table_is_the_model_map_on_its_grid(monkeypatch):
         assert [succ[x] for x in ref.orbit] == [*ref.orbit[1:], 0]
 
 
+def window_class(ref, letter, index):
+    """The class ``index`` forward steps from the critical point of
+    ``letter``, through ``class_of_atom``: the atom ``(letter, raw)`` is
+    ``raw - h[letter]`` steps from that critical point."""
+    return ref.class_of_atom(letter, index + ref.h[letter])
+
+
 def test_reference_orbit_is_single_cycle():
     ref = model_ref()
     # the index shift [letter, index + 1] steps through all N classes
     # before returning
-    first = label = ref.canonical_label("A", 0)
+    first = label = window_class(ref, "A", 0)
     seen = set()
     for _ in range(ref.N):
         seen.add(label.orbit_pos)
-        label = ref.canonical_label(label.letter, label.index + 1)
+        label = window_class(ref, label.letter, label.index + 1)
     assert len(seen) == ref.N and label == first
 
 
-def test_canonical_label_identifications():
+def test_class_of_atom_identifications():
     ref = model_ref()
-    assert ref.canonical_label("A", 0) == thurston.LabelClass("A", 0, 0)
+    assert window_class(ref, "A", 0) == thurston.LabelClass("A", 0, 0)
     # one step back from (A, 0) is the class displayed with the letter D
-    assert ref.canonical_label("A", -1).name == "D0"
+    assert window_class(ref, "A", -1).name == "D0"
     # exhaustive normalization: every (letter, small index) lands on one of
     # exactly N classes
-    names = {ref.canonical_label(a, i).orbit_pos for a in "ABCD" for i in range(-15, 16)}
+    names = {window_class(ref, a, i).orbit_pos for a in "ABCD" for i in range(-15, 16)}
     assert len(names) == ref.N
 
 
@@ -316,7 +323,7 @@ def test_solve_boundary_with_absurd_threshold(monkeypatch):
     ref = model_ref()
     # tau is (6, 2, 1, 2)/11: every entry but A's is at or below 0.5
     monkeypatch.setattr(thurston, "EPS_DEG", 0.5)
-    faces = tuple(ref.canonical_label(a, 1).name for a in "DCB")
+    faces = tuple(class_at(ref, ref.crit_pos[a] + 1).name for a in "DCB")
     report = solve(GietFamily(giet_from_iet(ref.base_iet)), ref)
     assert report.status == "boundary"
     assert report.iterations == 0
@@ -452,7 +459,7 @@ def test_window_and_atom_labels_are_consistent():
     for a in "ABCD":
         for j in range(q[a]):
             via_atom = ref.class_of_atom(a, j)
-            via_window = ref.canonical_label(a, j - ref.h[a])
+            via_window = class_at(ref, ref.crit_pos[a] + j - ref.h[a])
             assert via_atom == via_window
 
 
@@ -697,6 +704,23 @@ def test_solve_builds_one_family_map_per_iteration():
     assert len(built) == report.iterations + 1 == 4
 
 
+def test_solve_reads_tau_once_per_loop_head(monkeypatch):
+    """The Newton step takes the tau that its loop head read off the same
+    configuration, so the solver reads tau once per loop head."""
+    reads, original = [], thurston.tau_of
+
+    def recording(ref, config):
+        reads.append(config)
+        return original(ref, config)
+
+    monkeypatch.setattr(thurston, "tau_of", recording)
+    family = GietFamily(smooth_seed(D2, [0.5, 0.5], {"A": 2.0, "B": -1.5}))
+    report = solve(family, fibonacci_ref(13))
+    assert report.status == "realized" and report.iterations == report.newton_steps == 3
+    assert len(reads) == report.iterations + 1 == 4
+    assert reads[-1] == report.config
+
+
 def old_pull_order(ref, geometric):
     """The classes ``step`` pulls back, as ``step`` used to list them on every
     call: those whose index predecessor is not yet placed."""
@@ -733,20 +757,23 @@ def random_completed_refs(rng, count):
 
 
 def test_pull_order_equals_the_per_step_comprehension():
+    """``ref.pulls`` lists each letter's run and its landing slice in
+    top-row order: the runs hold the classes ``step`` used to list on every
+    call, and each letter's critical point followed by its landing slice,
+    letter by letter, is the grid left to right."""
     refs = [fibonacci_ref(depth) for depth in range(10, 16)]
     refs += random_completed_refs(random.Random(73), 20)
     for ref in refs:
-        geometric = orbit_order(ref)
-        pulled = [x for lo, hi in ref.runs for x in range(lo, hi)]
+        geometric, grid, u_t = orbit_order(ref), range(ref.N), ref.grid.top_breaks
+        assert [a for a, _, _ in ref.pulls] == list(ref.datum.top)
+        pulled = sorted(x for _, run, _ in ref.pulls for x in grid[run])
         assert tuple(geometric[x] for x in pulled) == old_pull_order(ref, geometric)
         assert len(pulled) == ref.N - ref.datum.d
+        assert [x for a, _, at in ref.pulls for x in (u_t[a], *grid[at])] == list(grid)
         # the preimage of the point read at x lands on its class's index
         # predecessor: a letter's run fills its top interval after its first point
-        u_t = ref.grid.top_breaks
-        landed = {}
-        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
-            for k in range(hi - lo):
-                landed[lo + k] = u_t[a] + 1 + k
+        landed = {x: y for _, run, at in ref.pulls
+                  for x, y in zip(grid[run], grid[at], strict=True)}
         assert sorted(landed) == pulled
         assert all(geometric[y] == (geometric[x] - 1) % ref.N for x, y in landed.items())
 
@@ -1009,10 +1036,11 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
     original = thurston.step
 
     def checking(ref, config, f):
-        for a, (lo, hi) in zip(ref.datum.bottom, ref.runs):
-            for y in config[lo:hi]:
+        for a, run, _ in ref.pulls:
+            ys = config[run]
+            for y in ys:
                 assert bottom_letter_at(f, y) == a
-            checked.append(hi - lo)
+            checked.append(len(ys))
         return original(ref, config, f)
 
     monkeypatch.setattr(thurston, "step", checking)
@@ -1031,8 +1059,8 @@ def test_step_on_a_nan_point_raises_order_violation(exact):
     family = ExactIETFamily(D4) if exact else GietFamily(smooth_seed(*WORKED_SEED))
     good = exact_reference(ref) if exact else reference_configuration(ref)
     f = family.at(tau_of(ref, good))
-    for lo, hi in ref.runs:
-        for x in range(lo, hi):
+    for _, run, _ in ref.pulls:
+        for x in range(ref.N)[run]:
             points = list(good)
             points[x] = float("nan")
             with pytest.raises(OrderViolation):
@@ -1148,10 +1176,10 @@ def test_a_refused_newton_step_tries_only_steps_inside_the_interval(monkeypatch)
 def unchecked_pull(ref, config, f):
     """The pullback of ``config`` under ``f``, as ``step`` builds it, without
     its order check."""
-    runs, points = dict(zip(ref.datum.bottom, ref.runs)), []
-    for a in ref.datum.top:
+    points = []
+    for a, run, _ in ref.pulls:
         points.append(f.top_breaks[a])
-        points += f.branches[a].inverse_many(config[slice(*runs[a])])
+        points += f.branches[a].inverse_many(config[run])
     return points
 
 
@@ -1183,8 +1211,9 @@ def newton_columns(monkeypatch, family, ref, config):
     rhs, sweep = [], thurston._sweep
     with monkeypatch.context() as patch:
         patch.setattr(thurston, "_sweep", lambda ref, slopes, r: rhs.append(r) or sweep(ref, slopes, r))
-        f = family.at(tau_of(ref, config))
-        out = thurston._newton_step(family, ref, config, step(ref, config, f), f)
+        tau = tau_of(ref, config)
+        f = family.at(tau)
+        out = thurston._newton_step(family, ref, config, step(ref, config, f), f, tau)
     return rhs[1:], out
 
 
@@ -1228,8 +1257,8 @@ def test_closed_form_columns_equal_central_differences_of_pulls(monkeypatch, see
             # off its node by far more than a bump moves it, so no central
             # difference straddles the kink
             node = f.branches["A"].nodes[1][1]
-            lo, hi = dict(zip(ref.datum.bottom, ref.runs))["A"]
-            assert min(abs(y - node) for y in config[lo:hi]) > 1e-5
+            run = next(run for a, run, _ in ref.pulls if a == "A")
+            assert min(abs(y - node) for y in config[run]) > 1e-5
         columns, following = newton_columns(monkeypatch, family, ref, config)
         old = old_columns(family, ref, config)
         assert len(columns) == len(old) == family.datum.d - 1
@@ -1285,7 +1314,7 @@ def test_end_derivatives_equal_central_differences_of_the_bumped_ends(seed, kind
                 for u, v in zip(new_mark[a], ends):
                     assert math.isclose(u, v, rel_tol=1e-7, abs_tol=1e-7), (a, u, v)
         f = family.at(tau)
-        config = thurston._newton_step(family, ref, config, step(ref, config, f), f)
+        config = thurston._newton_step(family, ref, config, step(ref, config, f), f, tau)
         assert config is not None
 
 
