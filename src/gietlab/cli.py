@@ -5,15 +5,13 @@ render.  Exit codes: 0 success, 1 usage, parse or I/O error, 2 no cyclic datum
 found by ``cyclic``, 3 no cyclic datum available to ``realize``, 4 solver
 failure.
 All commands are deterministic given identical inputs and options; randomized
-sampling (the ``semiconj --spot-check`` points) uses ``--seed``, whose default
-is the GIETLAB_SEED environment variable (0 when unset).
+sampling (the ``semiconj --spot-check`` points) uses ``--seed``, 0 by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import random
 import sys
 
@@ -176,18 +174,10 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _env_seed() -> int:
-    text = os.environ.get("GIETLAB_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise GietlabError(f"GIETLAB_SEED must be an integer, got {text!r}") from None
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``main`` fills an unset
-    ``--seed`` from GIETLAB_SEED on every call."""
+    """The argument parser, built once per process and reused by every ``main``
+    call."""
     parser = argparse.ArgumentParser(
         prog="gietlab",
         description="Rauzy combinatorics, exact induction and pullback realization "
@@ -234,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--spot-check", type=int, default=0, metavar="N",
                    help="also test N random points drawn with the seed")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_semiconj)
 
     p = sub.add_parser("render", help="render a partition, GIET or IET document to SVG")
@@ -247,10 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        env_seed = _env_seed()  # read on every call, so a bad value fails any command
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) is None:  # semiconj without --seed
-            args.seed = env_seed
         return args.func(args)
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2, which is code 1 here
         return 1 if exc.code else 0

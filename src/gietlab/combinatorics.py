@@ -24,14 +24,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cache, cached_property
 
-from .errors import (
-    DuplicateLetter,
-    IncompatibleArrows,
-    NotAdmissible,
-    NoRauzyArrow,
-    NotInClass,
-    RowMismatch,
-)
+from .errors import GietlabError
 from .value import Frozen
 
 KIND_TOP = "t"
@@ -52,11 +45,11 @@ class CombinatorialDatum(Frozen):
 
     def __init__(self, top: tuple[str, ...], bottom: tuple[str, ...]):
         if len(top) != len(set(top)):
-            raise DuplicateLetter(f"duplicate letter in top row {top}")
+            raise GietlabError(f"duplicate letter in top row {top}")
         if len(bottom) != len(set(bottom)):
-            raise DuplicateLetter(f"duplicate letter in bottom row {bottom}")
+            raise GietlabError(f"duplicate letter in bottom row {bottom}")
         if sorted(top) != sorted(bottom) or not top:
-            raise RowMismatch(f"rows {' '.join(top)!r} and {' '.join(bottom)!r} do not match")
+            raise GietlabError(f"rows {' '.join(top)!r} and {' '.join(bottom)!r} do not match")
         # the hash is kept, and equality written out: memoized Rauzy arrows
         # look a datum up per step
         self.__dict__.update(top=top, bottom=bottom, _hash=hash((top, bottom)))
@@ -107,7 +100,7 @@ def parse_datum_text(text: str) -> CombinatorialDatum:
     """Parse the ``"A B / B A"`` encoding."""
     parts = text.split("/")
     if len(parts) != 2:
-        raise RowMismatch(f"expected 'top / bottom', got {text!r}")
+        raise GietlabError(f"expected 'top / bottom', got {text!r}")
     return parse_datum(parts[0], parts[1])
 
 
@@ -168,9 +161,11 @@ def rauzy_step(datum: CombinatorialDatum, kind: str) -> RauzyArrow:
     raised afresh on every call, never stored.
     """
     if kind not in KINDS:
-        raise NoRauzyArrow(f"kind must be 't' or 'b', got {kind!r} at {datum}")
+        raise GietlabError(f"kind must be 't' or 'b', got {kind!r} at {datum}")
     if datum.d < 2:
-        raise NoRauzyArrow(f"Rauzy operations need at least two letters, {datum} has {datum.d}")
+        raise GietlabError(f"Rauzy operations need at least two letters, {datum} has {datum.d}")
+    if not is_admissible(datum):
+        raise GietlabError(f"datum {datum} is not admissible: no Rauzy arrow leaves it")
     alpha_t = datum.top[-1]
     alpha_b = datum.bottom[-1]
     if kind == KIND_TOP:
@@ -195,7 +190,7 @@ class RauzyPath(Frozen):
         prev = source
         for i, a in enumerate(arrows):
             if a.source is not prev and a.source != prev:
-                raise IncompatibleArrows(f"arrow {i} ({a}) does not start at {prev}")
+                raise GietlabError(f"arrow {i} ({a}) does not start at {prev}")
             prev = a.target
         self.__dict__.update(source=source, arrows=arrows)
 
@@ -216,7 +211,7 @@ class RauzyPath(Frozen):
 
     def concat(self, other: "RauzyPath") -> "RauzyPath":
         if other.source != self.target:
-            raise IncompatibleArrows(
+            raise GietlabError(
                 f"path {other} does not start at {self.target}, where {self} ends"
             )
         return RauzyPath(self.source, self.arrows + other.arrows)
@@ -310,7 +305,7 @@ def rauzy_class(seed: CombinatorialDatum) -> tuple[CombinatorialDatum, ...]:
     lexicographically on the text encoding, so enumeration order is
     reproducible."""
     if not is_admissible(seed):
-        raise NotAdmissible(f"seed {seed} is not admissible")
+        raise GietlabError(f"seed {seed} is not admissible")
     return tuple(sorted(_breadth_first(seed), key=CombinatorialDatum.encode))
 
 
@@ -325,10 +320,10 @@ def find_cyclic(cls: tuple):
 def find_path(cls: tuple, start: CombinatorialDatum, end: CombinatorialDatum) -> RauzyPath:
     """A shortest path between two members of the class (breadth-first)."""
     if start not in cls or end not in cls:
-        raise NotInClass(f"endpoint outside the class of {cls[0]}")
+        raise GietlabError(f"endpoint outside the class of {cls[0]}")
     parent = _breadth_first(start)
     if end not in parent:
-        raise NotInClass(f"{end} unreachable from {start}")
+        raise GietlabError(f"{end} unreachable from {start}")
     chain = []
     while parent[end] is not None:
         chain.append(parent[end])

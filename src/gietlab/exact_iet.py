@@ -25,7 +25,7 @@ from math import lcm, log10
 
 from .branches import Translation
 from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
-from .errors import BadLengths, InductionFailed, OutOfDomain, TieError, TooManyPoints
+from .errors import GietlabError, InductionFailed, TieError
 from .value import Frozen
 
 
@@ -41,7 +41,7 @@ def induce(m, r: int, kinds: str | None = None,
 
     With ``kinds``, also stop after the first arrow whose kind differs from
     the prescribed one, so a path check pays only for the matching prefix
-    and the first wrong arrow.  With ``max_points``, raise ``TooManyPoints``
+    and the first wrong arrow.  With ``max_points``, raise a ``GietlabError``
     after the first arrow that takes N, the total return time, past it:
     each arrow adds the winner's return time to the loser's, so N is known
     before the next step, and a float map's branch chains, which hold about
@@ -66,8 +66,8 @@ def induce(m, r: int, kinds: str | None = None,
         if q is not None:
             q[arrow.loser] += q[arrow.winner]
             if (n := sum(q.values())) > max_points:
-                raise TooManyPoints(f"the order-{r} induction passes the cap of {max_points} "
-                                    f"points: N={n} after {i + 1} of {r} steps")
+                raise GietlabError(f"the order-{r} induction passes the cap of {max_points} "
+                                   f"points: N={n} after {i + 1} of {r} steps")
         if kinds is not None and arrow.kind != kinds[i]:
             break
     return InductionResult(RauzyPath(m.datum, tuple(arrows)), current, tie)
@@ -75,12 +75,12 @@ def induce(m, r: int, kinds: str | None = None,
 
 def float_length(x, scale=1) -> float:
     """The total length ``x / scale`` of a map, correctly rounded to a
-    float; one past the largest float raises ``BadLengths``, naming it."""
+    float; one past the largest float raises a ``GietlabError`` naming it."""
     try:
         return float(x / scale)
     except OverflowError:
         e = log10(x // scale)
-        raise BadLengths(f"total length {10 ** (e % 1):.3g}e{int(e)} is too large for a float") from None
+        raise GietlabError(f"total length {10 ** (e % 1):.3g}e{int(e)} is too large for a float") from None
 
 
 def lay_out(row, widths) -> dict:
@@ -144,7 +144,7 @@ class Exchange(Frozen):
     def _check_domain(self, x):
         # written so that a NaN, which fails every comparison, is outside
         if not -self.snap <= x < self.total:
-            raise OutOfDomain(f"{x} outside [0, {self.total})")
+            raise GietlabError(f"{x} outside [0, {self.total})")
 
     def letter_at(self, x):
         """Letter whose top interval contains ``x``.
@@ -187,7 +187,7 @@ class Exchange(Frozen):
             if not -snap <= lo < total:  # the domain check, inlined
                 if len(floors) == 1:
                     self._check_domain(lo)  # raises
-                raise OutOfDomain(
+                raise GietlabError(
                     f"the branch of letter {row[i]!r} maps floor {len(floors) - 2} of the "
                     f"tower over [{floors[0][0]}, {floors[0][1]}) to floor {len(floors) - 1} "
                     f"at {lo}, outside [0, {total})"
@@ -221,10 +221,10 @@ class ExactIET(Exchange):
                  lengths: tuple[Fraction, ...] | tuple[int, ...]):
         if len(lengths) != datum.d:
             d, n = datum.d, len(lengths)
-            raise BadLengths(f"{datum} needs {d} lengths, one per letter, got {n}")
+            raise GietlabError(f"{datum} needs {d} lengths, one per letter, got {n}")
         for a, l in zip(datum.alphabet, lengths):
             if l <= 0:
-                raise BadLengths(f"length of letter {a!r} must be positive, got {l}")
+                raise GietlabError(f"length of letter {a!r} must be positive, got {l}")
         self.__dict__.update(datum=datum, lengths=lengths)
 
     @classmethod
@@ -312,7 +312,7 @@ class ExactIET(Exchange):
         """Iterate induction up to ``r`` steps, stopping early on a tie.
 
         With ``kinds``, also stop after the first arrow whose kind differs;
-        with ``max_points``, raise ``TooManyPoints`` once N passes it
+        with ``max_points``, raise a ``GietlabError`` once N passes it
         (``induce``).
         """
         return induce(self, r, kinds, max_points)

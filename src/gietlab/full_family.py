@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .combinatorics import CombinatorialDatum
-from .errors import AllZero, DegenerateTau, GietlabError
+from .errors import GietlabError
 from .giet import Giet, giet_from_branches
 
 
@@ -43,14 +43,14 @@ def _positive_tau(datum: CombinatorialDatum, tau) -> dict:
     values = [tau[a] for a in datum.alphabet] if isinstance(tau, dict) else tau
     tau = dict(zip(datum.alphabet, map(float, values)))
     if not all(map(math.isfinite, tau.values())):
-        raise DegenerateTau(f"tau entries must be finite numbers, got {tau}")
+        raise GietlabError(f"tau entries must be finite numbers, got {tau}")
     if not any(tau.values()):
-        raise AllZero("tau vanishes identically")
+        raise GietlabError("tau vanishes identically")
     total = _sum(tau.values())
     if not abs(total - 1.0) <= 1e-9:
-        raise DegenerateTau(f"tau must sum to 1, got {total!r}")
+        raise GietlabError(f"tau must sum to 1, got {total!r}")
     if any(v <= 0 for v in tau.values()):
-        raise DegenerateTau(f"tau must be strictly positive, got {tau}")
+        raise GietlabError(f"tau must be strictly positive, got {tau}")
     return tau
 
 

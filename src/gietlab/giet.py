@@ -60,7 +60,7 @@ class Giet(Exchange):
         then one step right within ``snap`` of a breakpoint.  The letters of
         sorted points come in runs, so each branch is called once; points in
         any other order cost more calls, not other values.  A point outside
-        the domain, a NaN included, raises ``OutOfDomain`` as ``eval`` does.
+        the domain, a NaN included, raises a ``GietlabError`` as ``eval`` does.
         """
         cuts, snap, total = self._top_cuts, self.snap, self.total
         last = len(cuts)
@@ -126,7 +126,7 @@ class Giet(Exchange):
         """Iterate induction up to ``r`` steps, stopping early on a tie.
 
         With ``kinds``, also stop after the first arrow whose kind differs;
-        with ``max_points``, raise ``TooManyPoints`` once N passes it
+        with ``max_points``, raise a ``GietlabError`` once N passes it
         (``induce``).
         """
         return induce(self, r, kinds, max_points)

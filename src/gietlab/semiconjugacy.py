@@ -15,7 +15,7 @@ from operator import sub
 
 from .branches import PiecewiseLinear
 from .combinatorics import sigma_and_cyclicity
-from .errors import PathMismatch
+from .errors import GietlabError
 from .giet import dynamical_partition, giet_from_iet, partitions_equivalent
 from . import thurston
 from .thurston import build_reference
@@ -32,7 +32,7 @@ def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
     ``int`` true division rounds correctly, to the bits of
     ``float(Fraction(lo, D))``, and no ``Fraction`` is made.
 
-    Each map is induced once, and refused (``TooManyPoints``) once its N
+    Each map is induced once, and refused (a ``GietlabError``) once its N
     passes ``thurston.MAX_REFERENCE_POINTS``.  When ``f``'s path has all
     ``r`` arrows and ends at a cyclic datum, each partition is laid in the
     cells of its reference (``RefConfig.cells``) where its towers fit them,
@@ -51,7 +51,7 @@ def build_semiconjugacy(f, T, r: int) -> PiecewiseLinear:
     grid, D = T.on_integer_grid()
     pt = dynamical_partition(grid, r, grid.rauzy_path(r, max_points=cap), cells)
     if not partitions_equivalent(pf, pt):
-        raise PathMismatch(f"order-{r} partitions are not combinatorially equivalent")
+        raise GietlabError(f"order-{r} partitions are not combinatorially equivalent")
     nodes = [(0.0, 0.0)]
     for af, at in zip(pf.atoms, pt.atoms):
         x, y = float(af[0]), at[0] / D

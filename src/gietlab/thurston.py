@@ -40,15 +40,7 @@ from .combinatorics import (
     return_times,
     sigma_and_cyclicity,
 )
-from .errors import (
-    InductionFailed,
-    InductionMismatch,
-    NoCyclicDatum,
-    OrderViolation,
-    SolverFailed,
-    TargetNotCyclic,
-    TooManyPoints,
-)
+from .errors import GietlabError, InductionFailed, NoCyclicDatum, OrderViolation, SolverFailed
 from .exact_iet import ExactIET, InductionResult
 from .giet import Giet, dynamical_partition
 from . import full_family
@@ -177,7 +169,7 @@ def build_reference(path: RauzyPath) -> RefConfig:
     off it.
     """
     if not sigma_and_cyclicity(path.target)[1]:
-        raise TargetNotCyclic(f"{path.target} is not cyclic")
+        raise GietlabError(f"{path.target} is not cyclic")
     matrix = path_matrix(path)
     q = matrix.row_sums()
     N = sum(q.values())
@@ -186,7 +178,7 @@ def build_reference(path: RauzyPath) -> RefConfig:
     grid = ExactIET(path.source, tuple(cols[a] for a in path.source.alphabet))
     result = grid.rauzy_path(len(path))
     if result.tie or result.path.kinds != path.kinds:
-        raise InductionMismatch(
+        raise GietlabError(
             f"model induction follows {result.path.kinds!r}, path is {path.kinds!r}"
         )
 
@@ -198,9 +190,9 @@ def build_reference(path: RauzyPath) -> RefConfig:
         if x == 0:
             break
     if x != 0:
-        raise InductionMismatch(f"the model orbit of 0 does not close up after N={N} steps")
+        raise GietlabError(f"the model orbit of 0 does not close up after N={N} steps")
     if len(orbit) < N:
-        raise InductionMismatch(f"the model orbit of 0 is not the whole grid of N={N} points")
+        raise GietlabError(f"the model orbit of 0 is not the whole grid of N={N} points")
 
     # the orbit positions of the critical points of the model and of its
     # induced map
@@ -212,7 +204,7 @@ def build_reference(path: RauzyPath) -> RefConfig:
         # the fewest steps from the induced critical point of a to u_t[a]
         h[a] = (crit_pos[a] - pos[u_t_induced[a]]) % N
         if h[a] >= q[a]:
-            raise InductionMismatch(
+            raise GietlabError(
                 f"critical point of {a} is {h[a]} steps from its lift, not under q={q[a]}"
             )
     return RefConfig(path=path, N=N, h=h, grid=grid, crit_pos=crit_pos, orbit=tuple(orbit))
@@ -537,7 +529,7 @@ def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResul
         full = target_path.concat(eta)
     N = return_times(full)[1]
     if N > MAX_REFERENCE_POINTS:
-        raise TooManyPoints(
+        raise GietlabError(
             f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
         )
     ref = build_reference(full)

@@ -23,7 +23,7 @@ from gietlab.combinatorics import (
     parse_datum,
     path_matrix,
 )
-from gietlab.errors import AllZero, DegenerateTau, GietlabError, OrderViolation
+from gietlab.errors import GietlabError, OrderViolation
 from gietlab.exact_iet import ExactIET, lay_out
 from gietlab.full_family import _sum, _top_widths
 from gietlab.giet import Giet, dynamical_partition, giet_from_branches
@@ -178,17 +178,17 @@ def boundary_apply(f: Giet, tau) -> Degeneration:
     values = [tau[a] for a in f.datum.alphabet] if isinstance(tau, dict) else tau
     tau = dict(zip(f.datum.alphabet, map(float, values)))
     if not all(map(math.isfinite, tau.values())):
-        raise DegenerateTau(f"tau entries must be finite numbers, got {tau}")
+        raise GietlabError(f"tau entries must be finite numbers, got {tau}")
     if not any(tau.values()):
-        raise AllZero("tau vanishes identically")
+        raise GietlabError("tau vanishes identically")
     total = _sum(tau.values())
     if not abs(total - 1.0) <= 1e-9:
-        raise DegenerateTau(f"tau must sum to 1, got {total!r}")
+        raise GietlabError(f"tau must sum to 1, got {total!r}")
     if any(v < 0 for v in tau.values()):
-        raise DegenerateTau(f"tau must be non-negative, got {tau}")
+        raise GietlabError(f"tau must be non-negative, got {tau}")
     zeros = {a for a, v in tau.items() if v == 0.0}
     if not zeros:
-        raise DegenerateTau("boundary deformation needs at least one zero entry")
+        raise GietlabError("boundary deformation needs at least one zero entry")
     top, bottom = lay_out(f.datum.top, _top_widths(f, tau)), lay_out(f.datum.bottom, tau)
     branches = {a: f.branches[a].rescaled(top[a], bottom[a]) for a in f.datum.top if a not in zeros}
     reduced = reduction(f.datum, set(branches))

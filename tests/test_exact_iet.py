@@ -9,7 +9,7 @@ import pytest
 from conftest import admissible, eval_inverse, int_product, random_exact_iet, unit_iet
 from gietlab.branches import EPS_BRANCH
 from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
-from gietlab.errors import BadLengths, GietlabError, InductionFailed, OutOfDomain, TieError
+from gietlab.errors import GietlabError, InductionFailed, TieError
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import giet_from_iet
 
@@ -41,9 +41,9 @@ def test_eval_basic():
     T = fixture_T2()
     assert T.eval(Fraction(0)) == Fraction(2, 3)
     assert fixture_Tg().eval(Fraction(0)) == Fraction(5, 11)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(GietlabError, match=r"^1 outside \[0, 1\)$"):
         T.eval(Fraction(1))
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(GietlabError, match=r"^-1/10 outside \[0, 1\)$"):
         T.eval(Fraction(-1, 10))
 
 
@@ -181,13 +181,17 @@ def test_induction_of_a_non_admissible_datum_is_an_error():
 
 
 def test_bad_lengths_are_typed_errors_that_name_the_letter():
-    with pytest.raises(BadLengths, match=r"length of letter 'A' must be positive, got 0"):
-        ExactIET.from_lengths(parse_datum("A B", "B A"), [0, 1])
-    with pytest.raises(BadLengths, match=r"letter 'C' must be positive, got -1/11"):
-        ExactIET.from_lengths(D4, ["6/11", "2/11", "-1/11", "2/11"])
-    with pytest.raises(BadLengths, match=r"A B C D / D C B A needs 4 lengths, one per letter, got 3"):
-        ExactIET(D4, (1, 2, 3))
-    assert issubclass(BadLengths, GietlabError) and not issubclass(BadLengths, ValueError)
+    cases = [
+        (lambda: ExactIET.from_lengths(parse_datum("A B", "B A"), [0, 1]),
+         r"length of letter 'A' must be positive, got 0"),
+        (lambda: ExactIET.from_lengths(D4, ["6/11", "2/11", "-1/11", "2/11"]),
+         r"letter 'C' must be positive, got -1/11"),
+        (lambda: ExactIET(D4, (1, 2, 3)), r"A B C D / D C B A needs 4 lengths, one per letter, got 3"),
+    ]
+    for call, message in cases:
+        with pytest.raises(GietlabError, match=message) as excinfo:
+            call()
+        assert isinstance(excinfo.value, GietlabError) and not isinstance(excinfo.value, ValueError)
 
 
 def test_branches_invert_exactly_like_eval_inverse():
@@ -226,9 +230,9 @@ def test_exact_maps_keep_zero_tolerance():
         y = T.bottom_breaks[b] - e
         assert eval_inverse(T, y) == T.branches[left].inverse(y)
     for call in (T.letter_at, T.eval, partial(eval_inverse, T)):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(GietlabError, match=rf"^{-e} outside \[0, "):
             call(-e)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(GietlabError, match=rf"^{-e} outside \[0, "):
         T.tower(-e, e, 2)
 
     # the float copy still snaps within EPS_BRANCH
@@ -244,7 +248,7 @@ def test_exact_maps_keep_zero_tolerance():
         y = f.bottom_breaks[b] - d
         assert eval_inverse(f, y) == f.branches[b].inverse(y)
     assert f.letter_at(-d) == top[0]
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(GietlabError, match=r"outside \[0, "):
         f.letter_at(-4 * d)
 
     # exact floors keep the type of the lengths
@@ -266,7 +270,7 @@ def walked_by_displacement(T, lo, hi, n):
     floors = [(lo, hi)]
     for _ in range(n - 1):
         if not 0 <= lo < T.total:
-            raise OutOfDomain(f"{lo} outside [0, {T.total})")
+            raise GietlabError(f"{lo} outside [0, {T.total})")
         a = row[bisect_right(cuts, lo)]
         if hi > u_t[a] + T.length(a):
             raise InductionFailed(f"interval [{lo}, {hi}) straddles the right end of letter {a}")
@@ -278,7 +282,7 @@ def walked_by_displacement(T, lo, hi, n):
 def tower_outcome(tower, lo, hi, n):
     try:
         return repr(tower(lo, hi, n))
-    except (InductionFailed, OutOfDomain) as exc:
+    except GietlabError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
