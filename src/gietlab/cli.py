@@ -140,7 +140,7 @@ def cmd_realize(args) -> int:
         print(f"no partition of the realized map: {result.certificate_error}", file=sys.stderr)
     print("appended arrows:", result.appended)
     for a in seed.datum.alphabet:
-        print(f"tau {a} = {result.tau[a]:.12f}")
+        print(f"tau {a} = {report.tau[a]:.12f}")
     for it, delta in report.deltas:
         print(f"delta {it} {delta:.6e}")
     if args.output:

@@ -314,7 +314,7 @@ def realize_document(result) -> dict:
     return {"status": report.status, "iterations": report.iterations,
             "newton_steps": report.newton_steps,
             "certificate": result.certificate, "appended": result.appended,
-            "tau": dict(result.tau), "deltas": [[it, d] for it, d in report.deltas]}
+            "tau": dict(report.tau), "deltas": [[it, d] for it, d in report.deltas]}
 
 
 def load_map(path: str, kinds=("iet", "giet")):

@@ -237,7 +237,7 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None,
     with ``int`` lengths, ``Fraction`` ends for one with fractions, floats for
     a GIET.  Callers who want ``int`` speed pass the integer grid
     (``ExactIET.on_integer_grid``), as ``partition`` and ``semiconj`` do.
-    ``induction``, if given, is ``m.rauzy_path(r)`` already computed.  Raises
+    ``induction``, if given, is the caller's ``m.rauzy_path(r)``.  Raises
     ``GietlabError`` when the atoms do not tile ``[0, m.total)`` left to
     right, each one nonempty (``check_tiling``): exactly for an ``int`` or
     ``Fraction`` total, to within ``1e-9 * max(1, |total|)`` for a float one.
@@ -264,7 +264,6 @@ def dynamical_partition(m, r: int, induction: InductionResult | None = None,
         raise InductionFailed(f"tie after {len(path)} of {r} steps")
     q = path_matrix(path).row_sums()
     tops = result.map.top_intervals()
-    del result  # the induced chains hold one part per atom: free them first
     first = itemgetter(0)
     if cells is None or {a: len(c) for a, c in cells.items()} != q:
         atoms = [

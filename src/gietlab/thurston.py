@@ -37,7 +37,6 @@ from .combinatorics import (
     find_path,
     path_matrix,
     rauzy_class,
-    return_times,
     sigma_and_cyclicity,
 )
 from .errors import GietlabError, InductionFailed, NoCyclicDatum, OrderViolation, SolverFailed
@@ -160,7 +159,8 @@ def build_reference(path: RauzyPath) -> RefConfig:
     """Construct the reference data of a path ending at a cyclic datum.
 
     The model IET is built on its integer grid only, with the path matrix's
-    column sums as lengths.  It must reproduce the path's arrows under exact
+    column sums as lengths, once N, the sum of its row sums, is within
+    ``MAX_REFERENCE_POINTS``: past it, no point is built.  It must reproduce the path's arrows under exact
     induction, which also rejects lengths outside the path's cone, and the
     orbit of 0 on the grid must first return to 0 after N steps, so that it
     is the whole grid.  That orbit is walked once, through the grid's
@@ -173,6 +173,10 @@ def build_reference(path: RauzyPath) -> RefConfig:
     matrix = path_matrix(path)
     q = matrix.row_sums()
     N = sum(q.values())
+    if N > MAX_REFERENCE_POINTS:
+        raise GietlabError(
+            f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
+        )
     cols = matrix.col_sums()
     # the model on its integer grid: the point k/N of ``RefConfig.base_iet`` is k here
     grid = ExactIET(path.source, tuple(cols[a] for a in path.source.alphabet))
@@ -384,8 +388,7 @@ class SolveReport(Value):
         self.map = map  # the family map at ``tau``; none where no map was selected
         self.faces = faces
         self.newton_steps = newton_steps  # the updates that were Newton steps
-        # the induction of ``map`` by the path check that succeeded, which
-        # ``realize`` hands to the certificate's partition and then drops
+        # the induction of ``map`` by the path check that succeeded, for ``realize``'s certificate
         self.induction = induction
 
     @property
@@ -434,7 +437,6 @@ def solve(
         checked = f.rauzy_path(r, kinds)
         if checked.path.kinds == kinds:
             return report("realized", tau, f, induction=checked)
-        del checked  # the induced chains are not needed past the check
         if settled:
             return report("fixed_point_tol", tau, f)
         if it >= max_iter:
@@ -464,16 +466,15 @@ def solve(
 
 
 class RealizeResult(Value):
-    _fields = ("tau", "certificate", "report", "ref", "full_path", "appended",
-               "certificate_error")
+    """Outcome of ``realize``: its parameter is ``report.tau``, its path ``ref.path``."""
 
-    def __init__(self, tau: dict, certificate: bool, report: SolveReport, ref: RefConfig,
-                 full_path: RauzyPath, appended: int, certificate_error: str | None = None):
-        self.tau = tau
+    _fields = ("certificate", "report", "ref", "appended", "certificate_error")
+
+    def __init__(self, certificate: bool, report: SolveReport, ref: RefConfig, appended: int,
+                 certificate_error: str | None = None):
         self.certificate = certificate
         self.report = report
         self.ref = ref
-        self.full_path = full_path
         self.appended = appended
         self.certificate_error = certificate_error  # why the realized map has no partition
 
@@ -502,6 +503,8 @@ def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResul
 
     If the path does not end at a cyclic datum, a shortest completion inside
     its Rauzy class is appended first, and realizing it realizes the prefix.
+    A solver that stops short raises ``SolverFailed``, naming its status,
+    its update count and, at a boundary, the faces it reached.
     The certificate is an independent check: the realized map's dynamical
     partition must be combinatorially equivalent to the model's on
     ``ref.grid``, which is read off the model orbit (``in_model_order``).
@@ -513,10 +516,8 @@ def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResul
     tower floor that straddles a breakpoint), the certificate is false and
     ``certificate_error`` says why; a partition that does not tile the
     interval is still an error.  The total return time N grows
-    exponentially with the path length, so ``realize`` reads N off the
-    path's matrix (``return_times``) and refuses outright, before the
-    reference builds any of its N points, when N would exceed
-    ``MAX_REFERENCE_POINTS``; ``build_reference`` itself has no cap.
+    exponentially with the path length: past ``MAX_REFERENCE_POINTS``,
+    ``build_reference`` refuses the path before it builds any point.
     """
     cls = rauzy_class(target_path.source)
     if sigma_and_cyclicity(target_path.target)[1]:
@@ -527,32 +528,18 @@ def realize(family, target_path: RauzyPath, max_iter: int = 500) -> RealizeResul
             raise NoCyclicDatum(f"no cyclic datum in the class of {target_path.source}")
         eta = find_path(cls, target_path.target, cyclic)
         full = target_path.concat(eta)
-    N = return_times(full)[1]
-    if N > MAX_REFERENCE_POINTS:
-        raise GietlabError(
-            f"reference configuration needs N={N} points, beyond the cap {MAX_REFERENCE_POINTS}"
-        )
     ref = build_reference(full)
     report = solve(family, ref, max_iter)
     if not report.realized:
-        raise SolverFailed(f"solver stopped with status {report.status!r}", report=report)
-    # the towers are built off the solver's last induction, which the
-    # result does not keep
-    induction, report.induction = report.induction, None
+        n = report.iterations
+        where = f" at faces {', '.join(report.faces)}" if report.faces else ""
+        raise SolverFailed(f"solver stopped with status {report.status!r} after {n} "
+                           f"update{'s' if n != 1 else ''}{where}", report=report)
     certificate, error = False, None
     try:
-        partition = dynamical_partition(report.map, len(full), induction=induction,
-                                        cells=ref.cells)
+        partition = dynamical_partition(report.map, len(full), report.induction, ref.cells)
     except InductionFailed as exc:
         error = str(exc)
     else:
         certificate = in_model_order(ref, partition)
-    return RealizeResult(
-        tau=report.tau,
-        certificate=certificate,
-        report=report,
-        ref=ref,
-        full_path=full,
-        appended=len(full) - len(target_path),
-        certificate_error=error,
-    )
+    return RealizeResult(certificate, report, ref, len(full) - len(target_path), error)

@@ -237,7 +237,7 @@ def test_criterion_7_realization():
         result = realize(GietFamily(seed), path, max_iter=500)
         assert result.report.realized and result.report.iterations <= 500
         assert result.certificate
-        f = GietFamily(seed).at(result.tau)
+        f = GietFamily(seed).at(result.report.tau)
         assert partitions_equivalent(
             dynamical_partition(f, 5), dynamical_partition(result.ref.base_iet, 5)
         )
@@ -252,7 +252,7 @@ def test_criterion_7_realization():
             seed = smooth_seed(datum, [0.25] * 4, k=2.0, letter=datum.alphabet[0])
             out = realize(GietFamily(seed), target, max_iter=500)
             assert out.report.realized and out.certificate
-            fam_map = GietFamily(seed).at(out.tau)
+            fam_map = GietFamily(seed).at(out.report.tau)
             assert fam_map.rauzy_path(len(target)).path.kinds == target.kinds
     report(7, "5 random length-<=8 paths realized after cyclic completion", t2)
 
@@ -284,7 +284,7 @@ def test_criterion_9_semiconjugacy_residuals():
         )
         out2 = realize(GietFamily(seed2), path, max_iter=500)
         assert out2.report.realized
-        pairs = [(GietFamily(seed2).at(out2.tau), out2.ref.base_iet)]
+        pairs = [(GietFamily(seed2).at(out2.report.tau), out2.ref.base_iet)]
         # four-letter case built over the worked example
         cls = rauzy_class(D4)
         p5 = RauzyPath.from_kinds(D4, "bbbtb")
@@ -295,7 +295,7 @@ def test_criterion_9_semiconjugacy_residuals():
         seed4 = smooth_seed(D4, [6 / 11, 2 / 11, 1 / 11, 2 / 11], k=2.0)
         out4 = realize(GietFamily(seed4), long_path, max_iter=500)
         assert out4.report.realized
-        pairs.append((GietFamily(seed4).at(out4.tau), out4.ref.base_iet))
+        pairs.append((GietFamily(seed4).at(out4.report.tau), out4.ref.base_iet))
         for f, T_model in pairs:
             values = []
             for r in (5, 10, 15):
@@ -322,7 +322,7 @@ def test_criterion_10_truncation_parameters_settle():
         for r in (4, 8, 12):
             out = realize(family, prefix(full, r), max_iter=500)
             assert out.report.realized
-            taus[r] = out.tau
+            taus[r] = out.report.tau
         gaps = [
             max(abs(taus[8][a] - taus[4][a]) for a in "AB"),
             max(abs(taus[12][a] - taus[8][a]) for a in "AB"),

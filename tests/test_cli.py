@@ -228,7 +228,7 @@ def test_realize_failure_exit_code(tmp_path, capsys):
     # the path takes three Newton steps, so two are too few
     assert main(["realize", family, "tb" * 6, "--max-iter", "2"]) == 4
     err = capsys.readouterr().err
-    assert "status 'max_iter'" in err and "partial path" in err
+    assert "status 'max_iter' after 2 updates\n" in err and "partial path" in err
     report = tmp_path / "report.json"
     assert main(["realize", family, "tb" * 6, "--max-iter", "3", "-o", str(report)]) == 0
     assert "iterations: 3\nnewton steps: 3\n" in capsys.readouterr().out
@@ -273,6 +273,8 @@ def test_realize_boundary_stop_has_no_partial_path(tmp_path, capsys, monkeypatch
     assert main(["realize", write_seed_family(tmp_path), "bbbtb"]) == 4
     err = capsys.readouterr().err
     assert "status 'boundary'" in err and "partial path" not in err
+    # no update was taken, and the message names the faces the solver reached
+    assert err == "error: solver stopped with status 'boundary' after 0 updates at faces A0, C1, B1\n"
 
 
 def test_realize_stops_at_a_boundary_when_the_order_breaks(tmp_path, capsys, monkeypatch):
@@ -1236,16 +1238,17 @@ def test_partition_of_float_giet_with_class_labels(tmp_path, capsys):
 
 def test_one_point_cap_refuses_realize_partition_and_semiconj(tmp_path, capsys, monkeypatch):
     """``thurston.MAX_REFERENCE_POINTS`` is read when a command runs, so a
-    patched cap reaches all three commands that build N points."""
+    patched cap reaches all three commands that build N points.  The model
+    map is built first: ``build_reference`` reads the cap too."""
     import gietlab.thurston as thurston
 
+    (f2, _), (m2, _) = (partition_maps()[name] for name in ("f2@21", "m2@21"))
     monkeypatch.setattr(thurston, "MAX_REFERENCE_POINTS", 1_000)
     family = write_seed_family(tmp_path, D2)
     assert main(["realize", family, "tb" * 7]) == 1
     assert capsys.readouterr() == (
         "", "error: reference configuration needs N=1597 points, beyond the cap 1000\n"
     )
-    (f2, _), (m2, _) = (partition_maps()[name] for name in ("f2@21", "m2@21"))
     assert len(dynamical_partition(f2, 21).atoms) == 5_919
     f_path, t_path = str(tmp_path / "f.json"), str(tmp_path / "t.json")
     fileio.dump(fileio.giet_document(f2), f_path)

@@ -460,7 +460,7 @@ def test_matrix_counts_on_realized_nonlinear_map():
     )
     path = RauzyPath.from_kinds(D4, "bbbtb")
     out = realize(GietFamily(seed), path)
-    f = GietFamily(seed).at(out.tau)
+    f = GietFamily(seed).at(out.report.tau)
     assert verify_matrix_counts(f, 5)
 
 

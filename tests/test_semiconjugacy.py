@@ -37,7 +37,7 @@ def realized_pair(r_full=15):
         lambda a, d, r: SmoothParam(d, r, k=2.0 if a == "A" else -1.5),
     )
     result = realize(GietFamily(seed), path)
-    return GietFamily(seed).at(result.tau), result.ref.base_iet
+    return GietFamily(seed).at(result.report.tau), result.ref.base_iet
 
 
 def test_identity_when_f_comes_from_T():

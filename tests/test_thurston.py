@@ -121,11 +121,25 @@ def test_realize_refuses_beyond_the_point_cap(monkeypatch):
     under = RauzyPath.from_kinds(D2, "tb" * 12)
     over = RauzyPath.from_kinds(D2, "tb" * 12 + "t")
     assert build_reference(under).N == 196_418 <= MAX_REFERENCE_POINTS
-    assert build_reference(over).N == 317_811  # the reference itself has no cap
-    # one arrow deeper the solver refuses before any orbit point is built
-    monkeypatch.setattr(thurston, "build_reference", None)
-    with pytest.raises(GietlabError, match=r"N=317811 points, beyond the cap 200000"):
+    # one arrow deeper the reference refuses, and the solver never starts
+    monkeypatch.setattr(thurston, "solve", None)
+    with pytest.raises(GietlabError, match=r"^reference configuration needs N=317811 points, "
+                                           r"beyond the cap 200000$"):
         realize(GietFamily(smooth_seed(*FIB_SEED)), over)
+
+
+def test_build_reference_refuses_past_the_point_cap_before_the_grid_is_walked(monkeypatch):
+    """N is read off the path matrix, so a path past the cap is refused
+    before the model's induction or successor table is built."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the model grid was built past the point cap")
+
+    monkeypatch.setattr(ExactIET, "successors", unbuilt)
+    monkeypatch.setattr(ExactIET, "rauzy_path", unbuilt)
+    depth_25 = RauzyPath.from_kinds(D2, "tb" * 12 + "t")
+    with pytest.raises(GietlabError, match=r"^reference configuration needs N=317811 points, "
+                                           r"beyond the cap 200000$"):
+        build_reference(depth_25)
 
 
 def test_build_reference_walks_the_model_orbit_once(monkeypatch):
@@ -352,7 +366,7 @@ def test_realize_worked_example_nonlinear():
     assert result.report.realized
     assert result.certificate
     assert result.appended == 0
-    f = GietFamily(seed).at(result.tau)
+    f = GietFamily(seed).at(result.report.tau)
     assert partitions_equivalent(
         dynamical_partition(f, 5), dynamical_partition(result.ref.base_iet, 5)
     )
@@ -387,8 +401,8 @@ def test_realize_appends_completion_for_noncyclic_target():
     result = realize(GietFamily(seed), path)
     assert result.report.realized
     assert result.appended >= 1
-    assert len(result.full_path) <= 3 + len(rauzy_class(D4))
-    f = GietFamily(seed).at(result.tau)
+    assert len(result.ref.path) <= 3 + len(rauzy_class(D4))
+    f = GietFamily(seed).at(result.report.tau)
     assert f.rauzy_path(3).path.kinds == path.kinds
 
 
@@ -1341,11 +1355,11 @@ def test_realizing_sets_nest(seed, path):
     against the prefix's own model."""
     result = realize(GietFamily(seed()), path())
     assert result.certificate
-    prefixes = [k for k in range(1, len(result.full_path) + 1)
-                if sigma_and_cyclicity(prefix(result.full_path, k).target)[1]]
+    prefixes = [k for k in range(1, len(result.ref.path) + 1)
+                if sigma_and_cyclicity(prefix(result.ref.path, k).target)[1]]
     assert len(prefixes) >= 8
     for k in prefixes:
-        ref = build_reference(prefix(result.full_path, k))
+        ref = build_reference(prefix(result.ref.path, k))
         assert in_model_order(ref, dynamical_partition(result.report.map, k)), k
 
 
@@ -1450,8 +1464,8 @@ def test_realize_induces_the_realized_map_once(monkeypatch, seed, path, tiled):
         patch.setattr(Giet, "rauzy_path", recording_induction)
         patch.setattr(thurston, "dynamical_partition", recording_partition)
         result = realize(GietFamily(seed()), path())
-    report, r = result.report, len(result.full_path)
-    assert report.realized and report.induction is None
+    report, r = result.report, len(result.ref.path)
+    assert report.realized and report.induction.path.kinds == result.ref.path.kinds
     assert [n for g, n in inductions if g is report.map] == [r]
     if not tiled:
         assert not result.certificate and not partitions
@@ -1468,6 +1482,7 @@ def test_realize_induces_the_realized_map_once(monkeypatch, seed, path, tiled):
         return p.path, [(lo.hex(), hi.hex(), a, i) for lo, hi, a, i in p.atoms]
 
     assert result.certificate and result.certificate_error is None and len(partitions) == 1
+    assert partitions[0].path is report.induction.path
     assert hexed(partitions[0]) == hexed(dynamical_partition(report.map, r))
 
 
@@ -1492,7 +1507,7 @@ def test_the_partition_laid_in_the_model_cells_is_the_sorted_one(seed, path):
     """On a certified map the floors written into the model's cells are the
     sorted partition bit for bit, and stay plain tuples: nothing was sorted."""
     result = realize(GietFamily(seed()), path())
-    m, r, ref = result.report.map, len(result.full_path), result.ref
+    m, r, ref = result.report.map, len(result.ref.path), result.ref
     laid = dynamical_partition(m, r, cells=ref.cells)
     assert result.certificate and all(type(atom) is tuple for atom in laid.atoms)
     assert hexed_partition(laid) == hexed_partition(dynamical_partition(m, r))
@@ -1509,7 +1524,7 @@ def test_exchanged_cells_fall_back_to_the_sorted_partition(monkeypatch, k):
     monkeypatch.setattr(thurston.RefConfig, "cells",
                         property(lambda ref: exchanged_cells(cells(ref), k)))
     result = realize(GietFamily(smooth_seed(*FIB_SEED)), RauzyPath.from_kinds(D2, "tb" * 6))
-    m, r, ref = result.report.map, len(result.full_path), result.ref
+    m, r, ref = result.report.map, len(result.ref.path), result.ref
     assert result.report.realized and ref.N == 610
     assert not result.certificate and result.certificate_error is None
     walks, tower = [], exact_iet.Exchange.tower
@@ -1542,7 +1557,7 @@ def test_in_model_order_agrees_with_the_per_atom_verdict(seed, path):
     ``in_model_order`` gives the per-atom verdict, and only the unchanged
     partition is in the model's order."""
     result = realize(GietFamily(seed()), path())
-    ref, p = result.ref, dynamical_partition(result.report.map, len(result.full_path))
+    ref, p = result.ref, dynamical_partition(result.report.map, len(result.ref.path))
     atoms, rng = list(p.atoms), random.Random(31)
     cases = [atoms, atoms[:-1], atoms[1:]]
     for k in (0, len(atoms) // 2, len(atoms) - 2):
@@ -1639,6 +1654,6 @@ def test_solver_tau_lies_in_the_bisection_bracket(depth):
     family = GietFamily(smooth_seed(*FIB_SEED))
     kinds = ("tb" * depth)[:depth]
     lo, hi = bisected_bracket(family, kinds)
-    t_a = realize(family, RauzyPath.from_kinds(D2, kinds)).tau["A"]
+    t_a = realize(family, RauzyPath.from_kinds(D2, kinds)).report.tau["A"]
     assert lo < t_a < hi
     assert hi - lo < 1e-5

@@ -111,11 +111,11 @@ CASES = {
         "iterations=2, deltas=[(1, 0.25)], map=None, faces=(), newton_steps=0, induction=None)",
         "mutable"),
     "RealizeResult": (
-        (lambda: RealizeResult({"A": 0.5, "B": 0.5}, True, report(), None, None, 0),) * 2,
-        "RealizeResult(tau={'A': 0.5, 'B': 0.5}, certificate=True, report=SolveReport("
+        (lambda: RealizeResult(True, report(), None, 0),) * 2,
+        "RealizeResult(certificate=True, report=SolveReport("
         "status='realized', tau={'A': 0.5, 'B': 0.5}, config=(0.0, 0.5), iterations=2, "
         "deltas=[(1, 0.25)], map=None, faces=(), newton_steps=0, induction=None), ref=None, "
-        "full_path=None, appended=0, certificate_error=None)", "mutable"),
+        "appended=0, certificate_error=None)", "mutable"),
 }
 
 
