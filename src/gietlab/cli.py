@@ -69,7 +69,7 @@ def cmd_path(args) -> int:
 
 def _check_order(r: int) -> int:
     if not 0 <= r <= MAX_ORDER:
-        raise GietlabError(f"order must be between 0 and {MAX_ORDER}")
+        raise GietlabError(f"order must be between 0 and {MAX_ORDER}, got {r}")
     return r
 
 

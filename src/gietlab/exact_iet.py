@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, log10
+from math import inf, lcm, log10, nextafter
 
 from .branches import Translation
 from .combinatorics import CombinatorialDatum, RauzyPath, is_admissible, parse_datum, rauzy_step
@@ -137,39 +137,44 @@ class Exchange(Frozen):
         return self._intervals(self.datum.bottom, self.bottom_breaks)
 
     @cached_property
-    def _top_cuts(self):
-        """Left ends of the top intervals after the first, in row order."""
-        return [self.top_breaks[a] for a in self.datum.top[1:]]
-
-    def _check_domain(self, x):
-        # written so that a NaN, which fails every comparison, is outside
-        if not -self.snap <= x < self.total:
-            raise GietlabError(f"{x} outside [0, {self.total})")
+    def _cuts(self):
+        """``[-snap, t_1, ..., t_{d-1}, total]``: ``t_j`` is the least float
+        ``x`` with ``c_j - x <= snap`` for the ``j``-th top cut ``c_j``, raised
+        to at least ``c_{j-1}`` (or ``-snap``) so no point moves past a letter,
+        and at ``snap = 0`` the cut itself.  ``bisect_right`` of a point is 0
+        left of the domain, ``len(_cuts)`` at or past ``total`` or for a NaN,
+        and otherwise one more than the top-row index of its letter."""
+        snap, cuts = self.snap, [self.top_breaks[a] for a in self.datum.top[1:]]
+        if snap:
+            t = []
+            for prev, c in zip([-snap, *cuts], cuts):
+                x = c - snap
+                while c - x > snap:
+                    x = nextafter(x, inf)
+                while c - (y := nextafter(x, -inf)) <= snap:
+                    x = y
+                t.append(max(x, prev))
+            cuts = t
+        return [-snap, *cuts, self.total]
 
     def letter_at(self, x):
-        """Letter whose top interval contains ``x``.
-
-        Points computed as orbit images may land a few ulp left of the
-        breakpoint they belong to: one within ``snap`` of it is read in the
-        interval to its right.  With ``snap = 0`` no point moves.
-        """
-        self._check_domain(x)
-        cuts = self._top_cuts
-        i = bisect_right(cuts, x)
-        if i < len(cuts) and cuts[i] - x <= self.snap:
-            i += 1
-        return self.datum.top[i]
+        """Letter whose top interval contains ``x``, by one bisection of ``_cuts``:
+        a point within ``snap`` left of a breakpoint (an orbit image a few ulp
+        off) is read in the interval to its right, one within ``snap`` left of
+        0 in the first, and a point outside the domain, a NaN included, raises."""
+        i = bisect_right(self._cuts, x)
+        if not 0 < i < len(self._cuts):
+            raise GietlabError(f"{x} outside [0, {self.total})")
+        return self.datum.top[i - 1]
 
     def tower(self, lo, hi, n):
         """``[lo, hi)`` and its first ``n - 1`` images: each floor is the
         image of the one below it under the branch of the letter that holds
         that floor's left end.
 
-        Each step checks the domain, finds the floor's letter by one
-        bisection, snaps to a breakpoint as ``letter_at`` does (tested only
-        where ``snap`` is nonzero: an exact map never snaps), and raises
-        ``InductionFailed`` when a floor straddles the right end of its
-        letter by more than ``snap``.
+        Each step locates the floor's left end as ``letter_at`` does, by one
+        bisection of ``_cuts``, and raises ``InductionFailed`` when a floor
+        straddles the right end of its letter by more than ``snap``.
 
         >>> T = ExactIET(parse_datum("A B", "B A"), (1, 2))  # on its integer grid
         >>> T.tower(0, 1, 3)
@@ -179,22 +184,20 @@ class Exchange(Frozen):
         ...
         gietlab.errors.InductionFailed: interval [0, 2) straddles the right end of letter A
         """
-        cuts, row, snap, total = self._top_cuts, self.datum.top, self.snap, self.total
-        last = len(cuts)
+        cuts, row, snap = self._cuts, self.datum.top, self.snap
         spans = [(br.eval, br.domain[1]) for br in map(self.branches.get, row)]
         floors = [(lo, hi)]
         for _ in range(n - 1):
-            if not -snap <= lo < total:  # the domain check, inlined
+            k = bisect_right(cuts, lo)
+            if not 0 < k < len(cuts):
                 if len(floors) == 1:
-                    self._check_domain(lo)  # raises
+                    self.letter_at(lo)  # raises
                 raise GietlabError(
                     f"the branch of letter {row[i]!r} maps floor {len(floors) - 2} of the "
                     f"tower over [{floors[0][0]}, {floors[0][1]}) to floor {len(floors) - 1} "
-                    f"at {lo}, outside [0, {total})"
+                    f"at {lo}, outside [0, {self.total})"
                 )
-            i = bisect_right(cuts, lo)
-            if snap and i < last and cuts[i] - lo <= snap:  # the rule of ``letter_at``
-                i += 1
+            i = k - 1
             image, end = spans[i]
             if hi > end + snap:
                 raise InductionFailed(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import groupby, islice, repeat
 from operator import itemgetter, lt
 
 from .branches import Translation, compose, restrict, EPS_BRANCH
@@ -56,26 +56,21 @@ class Giet(Exchange):
         for bit, each run of points that share a letter evaluated by one
         ``eval_many`` call of its branch.
 
-        Each point gets the letter ``letter_at`` gives it: the bisection,
-        then one step right within ``snap`` of a breakpoint.  The letters of
+        Each point gets the letter ``letter_at`` gives it, by the same
+        bisection of ``_cuts`` mapped over all the points.  The letters of
         sorted points come in runs, so each branch is called once; points in
         any other order cost more calls, not other values.  A point outside
-        the domain, a NaN included, raises a ``GietlabError`` as ``eval`` does.
+        the domain, a NaN included, raises the ``GietlabError`` of ``eval``.
         """
-        cuts, snap, total = self._top_cuts, self.snap, self.total
-        last = len(cuts)
-        index = []
-        for x in xs:
-            if not -snap <= x < total:
-                self._check_domain(x)  # raises
-            i = bisect_right(cuts, x)
-            if i < last and cuts[i] - x <= snap:
-                i += 1
-            index.append(i)
+        cuts = self._cuts
+        index = list(map(bisect_right, repeat(cuts), xs))
+        if 0 in index or len(cuts) in index:
+            for x in xs:
+                self.letter_at(x)  # raises at the first point outside
         row, branches, ys, k = self.datum.top, self.branches, [], 0
         for i, run in groupby(index):
             n = len(list(run))
-            ys += branches[row[i]].eval_many(xs[k:k + n])
+            ys += branches[row[i - 1]].eval_many(xs[k:k + n])
             k += n
         return ys
 

@@ -51,8 +51,9 @@ def prefix(path, r):
 def bottom_letter_at(m, y):
     """Letter whose bottom interval contains ``y``, read by the snap rule of
     ``letter_at``: a point within ``m.snap`` left of a breakpoint is in the
-    interval to its right."""
-    m._check_domain(y)
+    interval to its right, and one within ``m.snap`` left of 0 in the first."""
+    if not -m.snap <= y < m.total:  # a NaN fails every comparison
+        raise GietlabError(f"{y} outside [0, {m.total})")
     cuts = [m.bottom_breaks[a] for a in m.datum.bottom[1:]]
     i = bisect_right(cuts, y)
     if i < len(cuts) and cuts[i] - y <= m.snap:

@@ -1167,8 +1167,12 @@ def test_render_rejects_unknown_kind(tmp_path, capsys):
 
 
 def test_order_bound_enforced(tmp_path, capsys):
+    """An order outside 0..64 is refused with one error line naming it."""
     iet = write_model_iet(tmp_path)
-    assert main(["induct", iet, "-r", "65"]) == 1
+    for argv in (["induct", iet], ["partition", iet], ["semiconj", *write_semiconj_inputs(tmp_path)]):
+        for order in ("-1", "65"):
+            assert main([*argv, "-r", order]) == 1
+            assert capsys.readouterr() == ("", f"error: order must be between 0 and 64, got {order}\n")
 
 
 def test_dump_writes_one_line_with_sorted_keys(tmp_path, monkeypatch):

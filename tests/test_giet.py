@@ -35,6 +35,7 @@ from gietlab.combinatorics import RauzyPath, parse_datum, path_matrix
 from gietlab.errors import GietlabError, InductionFailed, TieError
 from gietlab.exact_iet import ExactIET
 from gietlab.giet import (
+    Giet,
     check_tiling,
     dynamical_partition,
     giet_from_branches,
@@ -480,13 +481,13 @@ def test_float_and_exact_induction_agree_on_random_maps():
         checked += 1
 
 
-def located_per_call(row, breaks, x):
+def located_per_call(row, breaks, x, snap=EPS_BRANCH):
     """The letter of ``row`` whose interval holds ``x``, from a cut list built
-    on the call, with the snap forward of points within ``EPS_BRANCH`` left of
-    a breakpoint."""
+    on the call, with the snap forward of points within ``snap`` left of a
+    breakpoint."""
     cuts = [breaks[a] for a in row[1:]]
     i = bisect_right(cuts, x)
-    if i < len(cuts) and cuts[i] - x <= EPS_BRANCH:
+    if i < len(cuts) and cuts[i] - x <= snap:
         i += 1
     return row[i]
 
@@ -597,6 +598,89 @@ def test_eval_sorted_rejects_a_point_outside_the_domain_as_eval_does(bad):
         with pytest.raises(GietlabError) as batched:
             f.eval_sorted(xs)
         assert str(batched.value) == str(scalar.value)
+
+
+def located_by_the_old_rule(m, x):
+    """The letter of ``x`` by the rule the row model used before its cut list:
+    the domain check, a bisection over the top cuts, then one step right
+    within ``snap`` of a breakpoint; ``None`` outside the domain."""
+    if not -m.snap <= x < m.total:  # a NaN fails every comparison
+        return None
+    return located_per_call(m.datum.top, m.top_breaks, x, m.snap)
+
+
+def narrow_giet(rng, d):
+    """A unit GIET with affine branches whose top row holds letters narrower
+    than ``EPS_BRANCH``: two side by side at a random place, and at least one
+    wide letter (with 2 letters, one narrow and one wide)."""
+    datum = rng.choice(admissible("ABCDE"[:d]))
+    row, p = datum.top, rng.randrange(d - 1)
+    wide = rng.choice([i for i in range(d) if i not in (p, p + 1)] or [p + 1])
+    top = {a: rng.uniform(0.5, 1.0) if i == wide or (i > p + 1 and rng.random() < 0.5)
+           else rng.uniform(0.05, 0.45) * EPS_BRANCH for i, a in enumerate(row)}
+    top = {a: w / sum(top.values()) for a, w in top.items()}
+    return giet_from_branches(datum, top, [1 / d] * d, lambda a, dom, ran: Affine(dom, ran))
+
+
+def points_near_the_cuts(m):
+    """Each top cut and each entry of the cut list with 5 floats either side
+    and moved by ``k * snap / 3``, both ends of the domain, ``-0.0``, NaN and
+    the infinities, in the map's own numbers: near an exact map's cuts the
+    finite floats are taken as the fractions they are, and the cut itself and
+    an exact third of 1e-12 either side of it are added."""
+    xs = [-m.snap, -0.0, m.total, math.nan, math.inf, -math.inf]
+    for c in [*(m.top_breaks[a] for a in m.datum.top[1:]), *m._cuts]:
+        up = down = float(c)
+        for _ in range(6):
+            xs += [up, down]
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        if m.snap:
+            xs += [c + k * m.snap / 3 for k in range(-4, 5)]
+        else:
+            xs += [c, c - Fraction(1, 3 * 10**12), c + Fraction(1, 3 * 10**12)]
+    if m.snap:
+        return xs
+    # -0.0 stays a float
+    return [Fraction(x) if type(x) is float and math.isfinite(x) and x else x for x in xs]
+
+
+def test_one_bisection_of_the_cut_list_locates_as_the_old_rule():
+    """``letter_at``, ``tower`` and ``eval_sorted`` locate every point as the
+    old three-step rule did, on exact maps with ``int`` and ``Fraction``
+    lengths and on GIETs, letters narrower than the snap among them; a point
+    outside the domain raises the old message word for word."""
+    rng = random.Random(71)
+    maps = []
+    for d in (2, 3, 4, 5) * 3:
+        T = unit_iet(rng.choice(admissible("ABCDE"[:d])), [rng.randint(1, 60) for _ in range(d)])
+        maps += [T, T.on_integer_grid()[0], giet_from_iet(T), narrow_giet(rng, d),
+                 random_unit_giet(rng, d=d).rauzy_path(rng.randint(1, 6)).map]
+    narrow = inside = outside = 0
+    for m in maps:
+        narrow += any(hi - lo < EPS_BRANCH for _, lo, hi in m.top_intervals())
+        xs = points_near_the_cuts(m) + [rng.random() * float(m.total) for _ in range(20)]
+        for x in xs:
+            a = located_by_the_old_rule(m, x)
+            if a is None:
+                outside += 1
+                for call in (m.letter_at, lambda x: m.tower(x, x, 2)):
+                    with pytest.raises(GietlabError) as raised:
+                        call(x)
+                    assert str(raised.value) == f"{x} outside [0, {m.total})"
+            else:
+                inside += 1
+                assert m.letter_at(x) == a
+                assert m.tower(x, x, 2)[1][0] == m.branches[a].eval(x)
+        if isinstance(m, Giet):
+            floats = [x for x in xs if type(x) is float and located_by_the_old_rule(m, x)]
+            shuffled = rng.sample(floats, len(floats))
+            assert bits(m.eval_sorted(shuffled)) == bits([m.eval(x) for x in shuffled])
+            for bad in (-1.0, math.nan, m.total):
+                k = rng.randrange(len(shuffled) + 1)
+                with pytest.raises(GietlabError) as raised:
+                    m.eval_sorted(shuffled[:k] + [bad] + shuffled[k:])
+                assert str(raised.value) == f"{bad} outside [0, {m.total})"
+    assert narrow >= 12 and inside > outside > 0
 
 
 def test_eval_inverse_rejects_points_outside_the_domain():

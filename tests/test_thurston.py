@@ -1059,6 +1059,54 @@ def test_every_pulled_point_lies_in_its_class_letter(monkeypatch):
     assert sum(checked) > 100_000
 
 
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+def poincare_wrong_sides(f, rho, N):
+    """The Fibonacci ``q < N`` at which the lift ``F(x) = f(x) + [x in B]``
+    of the map ``f`` on ``A B / B A`` puts ``F^q(0)`` on the other side of
+    ``p``, the integer nearest ``q * rho``, than ``q * rho`` is.  By
+    Poincaré's theorem the rotation number of ``f`` exceeds ``p / q``
+    exactly when ``F^q(0) > p``, so an empty list says that ``f`` and the
+    rotation by ``rho`` lie on the same side of every convergent ``p / q``:
+    no induction and no reference points, one orbit of ``f``."""
+    qs, a, b = set(), 1, 2
+    while a < N:
+        qs.add(a)
+        a, b = b, a + b
+    wrong, x, turns = [], 0.0, 0
+    for q in range(1, max(qs) + 1):
+        letter = f.letter_at(x)
+        turns += letter == "B"
+        x = f.branches[letter].eval(x)
+        if q in qs:
+            p = round(q * rho)
+            if sign(x + turns - p) != sign(q * rho - p):
+                wrong.append(q)
+    return wrong
+
+
+def test_realized_fibonacci_maps_keep_the_sides_of_poincare():
+    """The d = 2 oracle: on the ``fib-realize`` seed, the map realized for
+    the Fibonacci path of each depth 8-18 has the rotation number of its
+    model IET, ``rho = cols_B / N``, to within the side of every Fibonacci
+    convergent below ``N``; a tau moved by 1e-5 at depth 18 fails both this
+    oracle and the path check."""
+    family = GietFamily(smooth_seed(*FIB_SEED))
+    for depth in range(8, 19):
+        kinds = ("tb" * depth)[:depth]
+        result = realize(family, RauzyPath.from_kinds(D2, kinds))
+        assert result.certificate and result.appended == 0
+        ref, tau = result.ref, result.report.tau
+        rho = Fraction(path_matrix(ref.path).col_sums()["B"], ref.N)
+        assert rho == ref.base_iet.length("B")
+        assert poincare_wrong_sides(result.report.map, rho, ref.N) == []
+    moved = family.at({"A": tau["A"] + 1e-5, "B": tau["B"] - 1e-5})
+    assert moved.rauzy_path(depth, kinds).path.kinds != kinds
+    assert poincare_wrong_sides(moved, rho, ref.N)[0] == 233
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_step_on_a_nan_point_raises_order_violation(exact):
     ref = model_ref()
